@@ -642,13 +642,13 @@ mod tests {
         assert_eq!(events[2].depth, 0);
         assert!(events[2].dur_ns >= events[1].dur_ns);
 
-        // Stitching: the inner span and the instant are parented on
-        // the outer span; the outer span is a root.
+        // Stitching: the instant is parented on the inner span it was
+        // emitted in, the inner span on the outer; the outer is a root.
         let outer = &events[2];
         assert_ne!(outer.span, 0);
         assert_eq!(outer.parent, 0);
         assert_eq!(events[1].parent, outer.span);
-        assert_eq!(events[0].parent, outer.span);
+        assert_eq!(events[0].parent, events[1].span);
         assert_ne!(events[1].span, outer.span);
         // The span stack unwound fully.
         assert_eq!(current_span(), 0);

@@ -27,13 +27,15 @@
 
 use crate::faults::FaultState;
 use crate::tcp::{read_envelope, write_envelope};
-use crate::wire::WireError;
+use crate::wire::{
+    cap, get_bool, get_final_kind, get_node_pairs, get_prefix, get_rib_snapshot, get_str, need,
+    put_bool, put_final_kind, put_node_pairs, put_prefix, put_rib_snapshot, put_str, WireError,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use s2_dataplane::FinalKind;
-use s2_net::topology::{InterfaceId, NodeId};
-use s2_net::{Ipv4Addr, Prefix};
-use s2_routing::{RibRoute, RibSnapshot};
-use s2_net::policy::Protocol;
+use s2_net::topology::NodeId;
+use s2_net::Prefix;
+use s2_routing::RibSnapshot;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -215,139 +217,12 @@ pub enum AdminResponse {
     ShuttingDown,
 }
 
-// ---- primitive codecs (crate::remote style) ----
-
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-/// Caps a peer-supplied element count before preallocation.
-// s2-lint: sanitizer(alloc-bound): the returned count is min-capped at 64 Ki elements, so allocations sized by it are bounded regardless of the peer's declared length.
-fn cap(n: usize) -> usize {
-    n.min(1 << 16)
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32() as usize;
-    need(buf, n)?;
-    let raw = buf.copy_to_bytes(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadValue("utf-8 string"))
-}
-
-fn put_prefix(buf: &mut BytesMut, p: &Prefix) {
-    buf.put_u32(p.addr().0);
-    buf.put_u8(p.len());
-}
-
-fn get_prefix(buf: &mut impl Buf) -> Result<Prefix, WireError> {
-    need(buf, 5)?;
-    let addr = buf.get_u32();
-    let len = buf.get_u8();
-    if len > 32 {
-        return Err(WireError::BadValue("prefix length"));
-    }
-    Ok(Prefix::new(Ipv4Addr(addr), len))
-}
-
-fn put_bool(buf: &mut BytesMut, v: bool) {
-    buf.put_u8(u8::from(v));
-}
-
-fn get_bool(buf: &mut impl Buf) -> Result<bool, WireError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::BadValue("bool")),
-    }
-}
-
-fn put_protocol(buf: &mut BytesMut, p: Protocol) {
-    buf.put_u8(match p {
-        Protocol::Connected => 0,
-        Protocol::Static => 1,
-        Protocol::Ospf => 2,
-        Protocol::Bgp => 3,
-        Protocol::Aggregate => 4,
-    });
-}
-
-fn get_protocol(buf: &mut impl Buf) -> Result<Protocol, WireError> {
-    need(buf, 1)?;
-    Ok(match buf.get_u8() {
-        0 => Protocol::Connected,
-        1 => Protocol::Static,
-        2 => Protocol::Ospf,
-        3 => Protocol::Bgp,
-        4 => Protocol::Aggregate,
-        _ => return Err(WireError::BadValue("protocol")),
-    })
-}
-
-fn put_rib_route(buf: &mut BytesMut, r: &RibRoute) {
-    put_prefix(buf, &r.prefix);
-    put_protocol(buf, r.protocol);
-    buf.put_u16(r.egress.len() as u16);
-    for e in &r.egress {
-        buf.put_u16(e.0);
-    }
-    put_bool(buf, r.is_local);
-    buf.put_u32(r.as_path_len);
-}
-
-fn get_rib_route(buf: &mut impl Buf) -> Result<RibRoute, WireError> {
-    let prefix = get_prefix(buf)?;
-    let protocol = get_protocol(buf)?;
-    need(buf, 2)?;
-    let n = buf.get_u16() as usize;
-    need(buf, n * 2)?;
-    let egress = (0..n).map(|_| InterfaceId(buf.get_u16())).collect();
-    let is_local = get_bool(buf)?;
-    need(buf, 4)?;
-    let as_path_len = buf.get_u32();
-    Ok(RibRoute {
-        prefix,
-        protocol,
-        egress,
-        is_local,
-        as_path_len,
-    })
-}
+// ---- field codecs (primitives live in crate::wire) ----
 
 /// Decodes a JSON-encoded metrics snapshot field.
 fn get_snapshot(buf: &mut Bytes) -> Result<s2_obs::MetricsSnapshot, WireError> {
     let json = get_str(buf)?;
     s2_obs::MetricsSnapshot::from_json(&json).map_err(|_| WireError::BadValue("metrics snapshot"))
-}
-
-fn put_final_kind(buf: &mut BytesMut, k: FinalKind) {
-    buf.put_u8(match k {
-        FinalKind::Arrive => 0,
-        FinalKind::Exit => 1,
-        FinalKind::Blackhole => 2,
-        FinalKind::Loop => 3,
-    });
-}
-
-fn get_final_kind(buf: &mut impl Buf) -> Result<FinalKind, WireError> {
-    need(buf, 1)?;
-    Ok(match buf.get_u8() {
-        0 => FinalKind::Arrive,
-        1 => FinalKind::Exit,
-        2 => FinalKind::Blackhole,
-        3 => FinalKind::Loop,
-        _ => return Err(WireError::BadValue("final kind")),
-    })
 }
 
 // ---- request / response codecs ----
@@ -976,25 +851,11 @@ pub fn encode_checkpoint(ckpt: &WarmCheckpoint) -> Vec<u8> {
     let mut buf = BytesMut::new();
     buf.put_u64(ckpt.snapshot_hash);
     buf.put_u64(ckpt.generation);
-    buf.put_u32(ckpt.failed_links.len() as u32);
-    for (a, b) in &ckpt.failed_links {
-        buf.put_u32(a.0);
-        buf.put_u32(b.0);
-    }
-    buf.put_u32(ckpt.rib.per_node.len() as u32);
-    for table in &ckpt.rib.per_node {
-        buf.put_u32(table.len() as u32);
-        for r in table {
-            put_rib_route(&mut buf, r);
-        }
-    }
+    put_node_pairs(&mut buf, &ckpt.failed_links);
+    put_rib_snapshot(&mut buf, &ckpt.rib);
     let v = &ckpt.verdict;
     buf.put_u64(v.reachable_pairs);
-    buf.put_u32(v.unreachable_pairs.len() as u32);
-    for (s, d) in &v.unreachable_pairs {
-        buf.put_u32(s.0);
-        buf.put_u32(d.0);
-    }
+    put_node_pairs(&mut buf, &v.unreachable_pairs);
     buf.put_u32(v.multipath_violations.len() as u32);
     for n in &v.multipath_violations {
         buf.put_u32(n.0);
@@ -1017,31 +878,11 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<WarmCheckpoint, WireError> {
     need(&buf, 16)?;
     let snapshot_hash = buf.get_u64();
     let generation = buf.get_u64();
-    need(&buf, 4)?;
-    let n = buf.get_u32() as usize;
-    need(&buf, n * 8)?;
-    let failed_links = (0..n)
-        .map(|_| (NodeId(buf.get_u32()), NodeId(buf.get_u32())))
-        .collect();
-    need(&buf, 4)?;
-    let nodes = buf.get_u32() as usize;
-    let mut per_node = Vec::with_capacity(cap(nodes));
-    for _ in 0..nodes {
-        need(&buf, 4)?;
-        let routes = buf.get_u32() as usize;
-        let mut table = Vec::with_capacity(cap(routes));
-        for _ in 0..routes {
-            table.push(get_rib_route(&mut buf)?);
-        }
-        per_node.push(table);
-    }
-    need(&buf, 8 + 4)?;
+    let failed_links = get_node_pairs(&mut buf)?;
+    let rib = get_rib_snapshot(&mut buf)?;
+    need(&buf, 8)?;
     let reachable_pairs = buf.get_u64();
-    let n = buf.get_u32() as usize;
-    need(&buf, n * 8)?;
-    let unreachable_pairs = (0..n)
-        .map(|_| (NodeId(buf.get_u32()), NodeId(buf.get_u32())))
-        .collect();
+    let unreachable_pairs = get_node_pairs(&mut buf)?;
     need(&buf, 4)?;
     let n = buf.get_u32() as usize;
     need(&buf, n * 4)?;
@@ -1067,7 +908,7 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<WarmCheckpoint, WireError> {
         snapshot_hash,
         generation,
         failed_links,
-        rib: RibSnapshot { per_node },
+        rib,
         verdict: VerdictSummary {
             reachable_pairs,
             unreachable_pairs,
@@ -1156,6 +997,10 @@ pub fn load_checkpoint(path: &Path) -> Result<WarmCheckpoint, CheckpointError> {
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
+    use s2_net::policy::Protocol;
+    use s2_net::topology::InterfaceId;
+    use s2_net::Ipv4Addr;
+    use s2_routing::RibRoute;
 
     fn sample_checkpoint() -> WarmCheckpoint {
         WarmCheckpoint {

@@ -167,6 +167,23 @@ impl Default for ClusterOptions {
     }
 }
 
+/// What a DPV pass checks — the paper's `(H, V_s, V_d, V_t)` query
+/// (§4.4) in the form the worker commands ship it. Built once per
+/// request and shared by reference: every pass and every barrier clones
+/// the `Arc`s, never the vectors behind them.
+#[derive(Debug, Clone)]
+pub struct DpvQuery {
+    /// Injection nodes (`V_s`).
+    pub sources: Arc<Vec<NodeId>>,
+    /// Per destination node, the prefixes that must arrive from every
+    /// source (`V_d`).
+    pub expected: Arc<Vec<(NodeId, Vec<Prefix>)>>,
+    /// The injected destination header space (`H`).
+    pub dst_space: Prefix,
+    /// Transit nodes (`V_t`) mapped to their metadata bits `0..n`.
+    pub waypoints: Arc<BTreeMap<NodeId, u16>>,
+}
+
 /// Control-plane statistics of a distributed run.
 #[derive(Debug, Clone, Default)]
 pub struct CpRunStats {
@@ -1403,22 +1420,14 @@ impl Cluster {
     /// predicate compilation, distributed symbolic forwarding to
     /// quiescence, then property evaluation.
     ///
-    /// `expected` lists, per destination node, the prefixes that must
-    /// arrive from every source; `waypoints` maps transit nodes to
-    /// metadata bits (callers allocate bits 0..n).
-    ///
     /// Fault tolerance: worker loss triggers recovery and a replay of the
     /// whole phase (`DpSetup` resets all forwarding state, so replays are
     /// clean); frames lost in transit also force a replay, since dropped
     /// symbolic packets would silently under-approximate reachability.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_dpv(
         &self,
         rib: Arc<RibSnapshot>,
-        sources: Vec<NodeId>,
-        expected: Vec<(NodeId, Vec<Prefix>)>,
-        dst_space: Prefix,
-        waypoints: BTreeMap<NodeId, u16>,
+        query: &DpvQuery,
         opts: &ClusterOptions,
     ) -> Result<DpvRunStats, RuntimeError> {
         let mut attempts_left = self.config.max_recoveries;
@@ -1426,7 +1435,7 @@ impl Cluster {
         let mut replays = 0usize;
         loop {
             let losses0 = self.probe_net("dpv-probe")?.losses;
-            match self.dpv_attempt(&rib, &sources, &expected, dst_space, &waypoints, opts) {
+            match self.dpv_attempt(&rib, query, opts) {
                 Ok(mut stats) => {
                     let lost = self.probe_net("dpv-probe")?.losses - losses0;
                     if lost > 0 {
@@ -1458,25 +1467,19 @@ impl Cluster {
     fn dpv_attempt(
         &self,
         rib: &Arc<RibSnapshot>,
-        sources: &[NodeId],
-        expected: &[(NodeId, Vec<Prefix>)],
-        dst_space: Prefix,
-        waypoints: &BTreeMap<NodeId, u16>,
+        query: &DpvQuery,
         opts: &ClusterOptions,
     ) -> Result<DpvRunStats, RuntimeError> {
         let mut stats = DpvRunStats::default();
-        let meta_bits = waypoints.len() as u16;
-
         let t0 = Stopwatch::start();
-        let waypoints_arc = Arc::new(waypoints.clone());
         self.barrier("dp-setup", || Command::DpSetup {
             rib: rib.clone(),
-            meta_bits,
-            waypoints: waypoints_arc.clone(),
+            meta_bits: query.waypoints.len() as u16,
+            waypoints: query.waypoints.clone(),
             max_hops: opts.max_hops,
         })?;
         stats.pred_time = t0.elapsed();
-        self.dpv_drive(&mut stats, sources, None, expected, dst_space, waypoints)?;
+        self.dpv_drive(&mut stats, query, None)?;
         Ok(stats)
     }
 
@@ -1486,23 +1489,21 @@ impl Cluster {
     /// workers' forwarding state was already prepared (by `DpSetup` for a
     /// baseline pass or `DpPatch` for a scenario pass).
     ///
-    /// `inject` narrows which of `sources` are actually injected (a
-    /// destination-scoped pass skips sources whose scope is empty;
-    /// their verdicts come from the workers' splice baseline). Arrival
-    /// checks and finals collection always cover every source.
+    /// `inject` narrows which of the query's sources are actually
+    /// injected (a destination-scoped pass skips sources whose scope is
+    /// empty; their verdicts come from the workers' splice baseline).
+    /// Arrival checks and finals collection always cover every source.
     fn dpv_drive(
         &self,
         stats: &mut DpvRunStats,
-        sources: &[NodeId],
+        query: &DpvQuery,
         inject: Option<&[NodeId]>,
-        expected: &[(NodeId, Vec<Prefix>)],
-        dst_space: Prefix,
-        waypoints: &BTreeMap<NodeId, u16>,
     ) -> Result<(), RuntimeError> {
-        let meta_bits = waypoints.len() as u16;
+        let meta_bits = query.waypoints.len() as u16;
         let t1 = Stopwatch::start();
-        let inject = inject.unwrap_or(sources);
-        let injections = Arc::new(inject.iter().map(|&s| (s, dst_space)).collect::<Vec<_>>());
+        let inject = inject.unwrap_or(&query.sources);
+        let injections =
+            Arc::new(inject.iter().map(|&s| (s, query.dst_space)).collect::<Vec<_>>());
         self.barrier("dp-inject", || Command::Inject {
             injections: injections.clone(),
         })?;
@@ -1537,13 +1538,11 @@ impl Cluster {
         stats.fwd_time = t1.elapsed();
 
         // Property evaluation.
-        let sources_arc = Arc::new(sources.to_vec());
-        let expected_arc = Arc::new(expected.to_vec());
         let transits: Arc<Vec<(NodeId, u16)>> =
-            Arc::new(waypoints.iter().map(|(&n, &b)| (n, b)).collect());
+            Arc::new(query.waypoints.iter().map(|(&n, &b)| (n, b)).collect());
         for reply in self.barrier("dp-arrivals", || Command::CheckArrivals {
-            sources: sources_arc.clone(),
-            expected: expected_arc.clone(),
+            sources: query.sources.clone(),
+            expected: query.expected.clone(),
             transits: transits.clone(),
         })? {
             match reply {
@@ -1788,17 +1787,14 @@ impl Cluster {
     /// covers all of `dst_space`, or when no baseline was stored by
     /// [`Cluster::scenario_checkpoint`], the pass falls back to a plain
     /// full-space drive.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_scenario_dpv(
         &self,
         rib: Arc<RibSnapshot>,
         changed: Vec<NodeId>,
         failed_ports: Vec<(NodeId, InterfaceId)>,
-        sources: Vec<NodeId>,
-        expected: Vec<(NodeId, Vec<Prefix>)>,
-        dst_space: Prefix,
-        waypoints: BTreeMap<NodeId, u16>,
+        query: &DpvQuery,
     ) -> Result<DpvRunStats, RuntimeError> {
+        let sources = &query.sources;
         let mut stats = DpvRunStats::default();
         let t0 = Stopwatch::start();
         let changed = Arc::new(changed);
@@ -1826,7 +1822,7 @@ impl Cluster {
                 for set in changed_dst.values_mut() {
                     s2_shard::impact::close_over_components(set, &b.dpdg);
                 }
-                scope_sources(&self.model, &b.rib, &changed_dst, &sources)
+                scope_sources(&self.model, &b.rib, &changed_dst, sources)
             })
         };
         stats.pred_time = t0.elapsed();
@@ -1834,11 +1830,11 @@ impl Cluster {
             // No checkpointed baseline to splice against: full-space
             // (the staged overlays must be compiled whole).
             Self::expect_ok(self.barrier("dp-compile", || Command::DpCompile)?)?;
-            self.dpv_drive(&mut stats, &sources, None, &expected, dst_space, &waypoints)?;
+            self.dpv_drive(&mut stats, query, None)?;
             return Ok(stats);
         };
         let all_changed: BTreeSet<Prefix> = changed_dst.into_values().flatten().collect();
-        let fraction = covered_fraction(&all_changed, dst_space);
+        let fraction = covered_fraction(&all_changed, query.dst_space);
         let metrics = s2_obs::Registry::global();
         metrics.counter("dpv.scoped.runs").inc();
         metrics
@@ -1859,7 +1855,7 @@ impl Cluster {
                 ..DpvScopedStats::default()
             });
             Self::expect_ok(self.barrier("dp-compile", || Command::DpCompile)?)?;
-            self.dpv_drive(&mut stats, &sources, None, &expected, dst_space, &waypoints)?;
+            self.dpv_drive(&mut stats, query, None)?;
             return Ok(stats);
         }
         let inject: Vec<NodeId> = sources
@@ -1895,7 +1891,7 @@ impl Cluster {
             fallback_full: false,
         });
         let drive = Stopwatch::start();
-        self.dpv_drive(&mut stats, &sources, Some(&inject), &expected, dst_space, &waypoints)?;
+        self.dpv_drive(&mut stats, query, Some(&inject))?;
         metrics
             .counter("dpv.scoped.drive_us")
             .add(drive.elapsed().as_micros() as u64);
@@ -2134,6 +2130,16 @@ mod tests {
         }
     }
 
+    /// `sources` must all reach t0's first prefix, no waypoints.
+    fn reach_t0_prefix(sources: Vec<NodeId>) -> DpvQuery {
+        DpvQuery {
+            sources: Arc::new(sources),
+            expected: Arc::new(vec![(NodeId(0), vec!["10.0.0.0/24".parse().unwrap()])]),
+            dst_space: "10.0.0.0/8".parse().unwrap(),
+            waypoints: Arc::new(BTreeMap::new()),
+        }
+    }
+
     #[test]
     fn distributed_dpv_checks_reachability() {
         let model = Arc::new(line_model());
@@ -2148,17 +2154,9 @@ mod tests {
             .run_control_plane(&plan, &ClusterOptions::default())
             .unwrap();
 
-        let sources = vec![NodeId(0), NodeId(3)];
-        let expected = vec![(NodeId(0), vec!["10.0.0.0/24".parse().unwrap()])];
+        let query = reach_t0_prefix(vec![NodeId(0), NodeId(3)]);
         let stats = cluster
-            .run_dpv(
-                Arc::new(rib),
-                sources,
-                expected,
-                "10.0.0.0/8".parse().unwrap(),
-                BTreeMap::new(),
-                &ClusterOptions::default(),
-            )
+            .run_dpv(Arc::new(rib), &query, &ClusterOptions::default())
             .unwrap();
         cluster.shutdown();
         // t3 reaches t0's prefix.
@@ -2324,18 +2322,9 @@ mod tests {
             .unwrap();
         let rib = Arc::new(rib);
 
-        let sources = vec![NodeId(3)];
-        let expected = vec![(NodeId(0), vec!["10.0.0.0/24".parse().unwrap()])];
-        let dst: Prefix = "10.0.0.0/8".parse().unwrap();
+        let query = reach_t0_prefix(vec![NodeId(3)]);
         let baseline = cluster
-            .run_dpv(
-                rib.clone(),
-                sources.clone(),
-                expected.clone(),
-                dst,
-                BTreeMap::new(),
-                &ClusterOptions::default(),
-            )
+            .run_dpv(rib.clone(), &query, &ClusterOptions::default())
             .unwrap();
         assert_eq!(baseline.reachable_pairs, 1);
         cluster.scenario_checkpoint(rib.clone()).unwrap();
@@ -2352,15 +2341,7 @@ mod tests {
         assert_ne!(*scen_rib, *rib, "failure must change the RIBs");
         let all_nodes: Vec<NodeId> = model.topology.nodes().collect();
         let scen = cluster
-            .run_scenario_dpv(
-                scen_rib,
-                all_nodes,
-                failed.clone(),
-                sources.clone(),
-                expected.clone(),
-                dst,
-                BTreeMap::new(),
-            )
+            .run_scenario_dpv(scen_rib, all_nodes, failed.clone(), &query)
             .unwrap();
         assert_eq!(scen.reachable_pairs, 0, "partitioned line must lose t3→t0");
         assert_eq!(scen.unreachable_pairs, vec![(NodeId(3), NodeId(0))]);
@@ -2370,15 +2351,7 @@ mod tests {
         cluster.fence().unwrap();
         cluster.scenario_rollback().unwrap();
         let again = cluster
-            .run_scenario_dpv(
-                rib.clone(),
-                Vec::new(),
-                Vec::new(),
-                sources,
-                expected,
-                dst,
-                BTreeMap::new(),
-            )
+            .run_scenario_dpv(rib.clone(), Vec::new(), Vec::new(), &query)
             .unwrap();
         cluster.shutdown();
         assert_eq!(again.reachable_pairs, 1);

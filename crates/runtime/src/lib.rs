@@ -65,8 +65,8 @@ pub use admin::{
     WorkerMetrics,
 };
 pub use controller::{
-    Cluster, ClusterOptions, CpRunStats, DpvRunStats, DpvScopedStats, FleetScrape, RuntimeConfig,
-    RuntimeError,
+    Cluster, ClusterOptions, CpRunStats, DpvQuery, DpvRunStats, DpvScopedStats, FleetScrape,
+    RuntimeConfig, RuntimeError,
 };
 pub use faults::{DaemonPhase, FaultPlan, FaultState};
 pub use memstats::{CacheStats, MemGauge, MemReport};

@@ -36,15 +36,17 @@ use crate::tcp::{
     read_envelope, write_envelope, TcpConfig, TcpTransport, K_COMMAND, K_REGISTER, K_REPLY,
     K_SETUP,
 };
-use crate::wire::WireError;
+use crate::wire::{
+    cap, get_bool, get_final_kind, get_node_pairs, get_prefix, get_rib_route, get_rib_snapshot,
+    get_str, need, put_bool, put_final_kind, put_node_pairs, put_prefix, put_rib_route,
+    put_rib_snapshot, put_str, WireError,
+};
 use crate::worker::{Command, Reply, Worker};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use s2_dataplane::FinalKind;
-use s2_net::policy::Protocol;
 use s2_net::topology::{InterfaceId, NodeId};
-use s2_net::{Ipv4Addr, Prefix};
-use s2_routing::{NetworkModel, RibRoute, RibSnapshot};
+use s2_net::Prefix;
+use s2_routing::NetworkModel;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -58,42 +60,6 @@ use std::thread::{self, JoinHandle};
 pub const MAX_CONTROL_FRAME: usize = 256 << 20;
 
 // ---- primitive codecs ----
-
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn put_prefix(buf: &mut BytesMut, p: &Prefix) {
-    buf.put_u32(p.addr().0);
-    buf.put_u8(p.len());
-}
-
-fn get_prefix(buf: &mut impl Buf) -> Result<Prefix, WireError> {
-    need(buf, 5)?;
-    let addr = buf.get_u32();
-    let len = buf.get_u8();
-    if len > 32 {
-        return Err(WireError::BadValue("prefix length"));
-    }
-    Ok(Prefix::new(Ipv4Addr(addr), len))
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32() as usize;
-    need(buf, n)?;
-    let raw = buf.copy_to_bytes(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadValue("utf-8 string"))
-}
 
 fn put_addr(buf: &mut BytesMut, addr: &SocketAddr) {
     put_str(buf, &addr.to_string());
@@ -125,62 +91,6 @@ fn get_opt_u64(buf: &mut impl Buf) -> Result<Option<u64>, WireError> {
         }
         _ => Err(WireError::BadValue("option discriminant")),
     }
-}
-
-fn put_protocol(buf: &mut BytesMut, p: Protocol) {
-    buf.put_u8(match p {
-        Protocol::Connected => 0,
-        Protocol::Static => 1,
-        Protocol::Ospf => 2,
-        Protocol::Bgp => 3,
-        Protocol::Aggregate => 4,
-    });
-}
-
-fn get_protocol(buf: &mut impl Buf) -> Result<Protocol, WireError> {
-    need(buf, 1)?;
-    Ok(match buf.get_u8() {
-        0 => Protocol::Connected,
-        1 => Protocol::Static,
-        2 => Protocol::Ospf,
-        3 => Protocol::Bgp,
-        4 => Protocol::Aggregate,
-        _ => return Err(WireError::BadValue("protocol")),
-    })
-}
-
-fn put_rib_route(buf: &mut BytesMut, r: &RibRoute) {
-    put_prefix(buf, &r.prefix);
-    put_protocol(buf, r.protocol);
-    buf.put_u16(r.egress.len() as u16);
-    for e in &r.egress {
-        buf.put_u16(e.0);
-    }
-    buf.put_u8(u8::from(r.is_local));
-    buf.put_u32(r.as_path_len);
-}
-
-fn get_rib_route(buf: &mut impl Buf) -> Result<RibRoute, WireError> {
-    let prefix = get_prefix(buf)?;
-    let protocol = get_protocol(buf)?;
-    need(buf, 2)?;
-    let n = buf.get_u16() as usize;
-    need(buf, n * 2)?;
-    let egress = (0..n).map(|_| InterfaceId(buf.get_u16())).collect();
-    need(buf, 5)?;
-    let is_local = match buf.get_u8() {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::BadValue("bool")),
-    };
-    let as_path_len = buf.get_u32();
-    Ok(RibRoute {
-        prefix,
-        protocol,
-        egress,
-        is_local,
-        as_path_len,
-    })
 }
 
 fn put_traffic(buf: &mut BytesMut, t: &TrafficSnapshot) {
@@ -266,13 +176,6 @@ fn get_traffic(buf: &mut impl Buf) -> Result<TrafficSnapshot, WireError> {
 fn get_node(buf: &mut impl Buf) -> Result<NodeId, WireError> {
     need(buf, 4)?;
     Ok(NodeId(buf.get_u32()))
-}
-
-/// `with_capacity` guard: trust the declared element count only up to a
-/// sanity bound so a corrupt count cannot pre-allocate gigabytes.
-// s2-lint: sanitizer(alloc-bound): the returned count is min-capped at 64 Ki elements, so allocations sized by it are bounded regardless of the peer's declared length.
-fn cap(n: usize) -> usize {
-    n.min(1 << 16)
 }
 
 // ---- handshake messages ----
@@ -398,13 +301,7 @@ pub fn encode_command(cmd: &Command) -> Bytes {
             max_hops,
         } => {
             buf.put_u8(8);
-            buf.put_u32(rib.per_node.len() as u32);
-            for routes in &rib.per_node {
-                buf.put_u32(routes.len() as u32);
-                for r in routes {
-                    put_rib_route(&mut buf, r);
-                }
-            }
+            put_rib_snapshot(&mut buf, rib);
             buf.put_u16(*meta_bits);
             buf.put_u32(waypoints.len() as u32);
             for (node, bit) in waypoints.iter() {
@@ -432,14 +329,7 @@ pub fn encode_command(cmd: &Command) -> Bytes {
             for s in sources.iter() {
                 buf.put_u32(s.0);
             }
-            buf.put_u32(expected.len() as u32);
-            for (dst, prefixes) in expected.iter() {
-                buf.put_u32(dst.0);
-                buf.put_u32(prefixes.len() as u32);
-                for p in prefixes {
-                    put_prefix(&mut buf, p);
-                }
-            }
+            put_node_prefixes(&mut buf, expected);
             buf.put_u32(transits.len() as u32);
             for (node, bit) in transits.iter() {
                 buf.put_u32(node.0);
@@ -466,7 +356,7 @@ pub fn encode_command(cmd: &Command) -> Bytes {
         Command::ScenarioBegin { failed, restore } => {
             buf.put_u8(23);
             put_ports(&mut buf, failed);
-            buf.put_u8(u8::from(*restore));
+            put_bool(&mut buf, *restore);
         }
         Command::ScenarioRollback => buf.put_u8(24),
         Command::DpPatch {
@@ -475,13 +365,7 @@ pub fn encode_command(cmd: &Command) -> Bytes {
             failed_ports,
         } => {
             buf.put_u8(25);
-            buf.put_u32(rib.per_node.len() as u32);
-            for routes in &rib.per_node {
-                buf.put_u32(routes.len() as u32);
-                for r in routes {
-                    put_rib_route(&mut buf, r);
-                }
-            }
+            put_rib_snapshot(&mut buf, rib);
             buf.put_u32(changed.len() as u32);
             for n in changed.iter() {
                 buf.put_u32(n.0);
@@ -510,7 +394,8 @@ pub fn encode_command(cmd: &Command) -> Bytes {
     buf.freeze()
 }
 
-/// `(node, prefixes)` list codec, shared by `DpScope` and `ChangedDst`.
+/// `(node, prefixes)` list codec, shared by `CheckArrivals`, `DpScope`
+/// and `ChangedDst`.
 fn put_node_prefixes(buf: &mut BytesMut, entries: &[(NodeId, Vec<Prefix>)]) {
     buf.put_u32(entries.len() as u32);
     for (node, prefixes) in entries {
@@ -584,18 +469,7 @@ pub fn decode_command(mut buf: Bytes) -> Result<Command, WireError> {
         6 => Command::CollectBaseRib,
         7 => Command::CollectBgpRib,
         8 => {
-            need(&buf, 4)?;
-            let nodes = buf.get_u32() as usize;
-            let mut per_node = Vec::with_capacity(cap(nodes));
-            for _ in 0..nodes {
-                need(&buf, 4)?;
-                let m = buf.get_u32() as usize;
-                let mut routes = Vec::with_capacity(cap(m));
-                for _ in 0..m {
-                    routes.push(get_rib_route(&mut buf)?);
-                }
-                per_node.push(routes);
-            }
+            let rib = Arc::new(get_rib_snapshot(&mut buf)?);
             need(&buf, 6)?;
             let meta_bits = buf.get_u16();
             let w = buf.get_u32() as usize;
@@ -609,7 +483,7 @@ pub fn decode_command(mut buf: Bytes) -> Result<Command, WireError> {
             need(&buf, 2)?;
             let max_hops = buf.get_u16();
             Command::DpSetup {
-                rib: Arc::new(RibSnapshot { per_node }),
+                rib,
                 meta_bits,
                 waypoints: Arc::new(waypoints),
                 max_hops,
@@ -634,19 +508,7 @@ pub fn decode_command(mut buf: Bytes) -> Result<Command, WireError> {
             let ns = buf.get_u32() as usize;
             need(&buf, ns * 4)?;
             let sources = (0..ns).map(|_| NodeId(buf.get_u32())).collect();
-            need(&buf, 4)?;
-            let ne = buf.get_u32() as usize;
-            let mut expected = Vec::with_capacity(cap(ne));
-            for _ in 0..ne {
-                let dst = get_node(&mut buf)?;
-                need(&buf, 4)?;
-                let np = buf.get_u32() as usize;
-                let mut prefixes = Vec::with_capacity(cap(np));
-                for _ in 0..np {
-                    prefixes.push(get_prefix(&mut buf)?);
-                }
-                expected.push((dst, prefixes));
-            }
+            let expected = get_node_prefixes(&mut buf)?;
             need(&buf, 4)?;
             let nt = buf.get_u32() as usize;
             need(&buf, nt * 6)?;
@@ -688,24 +550,13 @@ pub fn decode_command(mut buf: Bytes) -> Result<Command, WireError> {
         }
         24 => Command::ScenarioRollback,
         25 => {
-            need(&buf, 4)?;
-            let nodes = buf.get_u32() as usize;
-            let mut per_node = Vec::with_capacity(cap(nodes));
-            for _ in 0..nodes {
-                need(&buf, 4)?;
-                let m = buf.get_u32() as usize;
-                let mut routes = Vec::with_capacity(cap(m));
-                for _ in 0..m {
-                    routes.push(get_rib_route(&mut buf)?);
-                }
-                per_node.push(routes);
-            }
+            let rib = Arc::new(get_rib_snapshot(&mut buf)?);
             need(&buf, 4)?;
             let nc = buf.get_u32() as usize;
             need(&buf, nc * 4)?;
             let changed = (0..nc).map(|_| NodeId(buf.get_u32())).collect();
             Command::DpPatch {
-                rib: Arc::new(RibSnapshot { per_node }),
+                rib,
                 changed: Arc::new(changed),
                 failed_ports: Arc::new(get_ports(&mut buf)?),
             }
@@ -767,7 +618,7 @@ pub fn encode_reply(reply: &Reply) -> Bytes {
         Reply::Ok => buf.put_u8(1),
         Reply::Changed(changed) => {
             buf.put_u8(2);
-            buf.put_u8(u8::from(*changed));
+            put_bool(&mut buf, *changed);
         }
         Reply::Rib(per_node) => {
             buf.put_u8(3);
@@ -794,16 +645,8 @@ pub fn encode_reply(reply: &Reply) -> Bytes {
             waypoint_violations,
         } => {
             buf.put_u8(5);
-            buf.put_u32(reachable.len() as u32);
-            for (s, d) in reachable {
-                buf.put_u32(s.0);
-                buf.put_u32(d.0);
-            }
-            buf.put_u32(unreachable.len() as u32);
-            for (s, d) in unreachable {
-                buf.put_u32(s.0);
-                buf.put_u32(d.0);
-            }
+            put_node_pairs(&mut buf, reachable);
+            put_node_pairs(&mut buf, unreachable);
             buf.put_u32(waypoint_violations.len() as u32);
             for (s, d, t) in waypoint_violations {
                 buf.put_u32(s.0);
@@ -824,12 +667,7 @@ pub fn encode_reply(reply: &Reply) -> Bytes {
             buf.put_u32(sets.len() as u32);
             for (node, kind, bytes) in sets {
                 buf.put_u32(node.0);
-                buf.put_u8(match kind {
-                    FinalKind::Arrive => 0,
-                    FinalKind::Exit => 1,
-                    FinalKind::Blackhole => 2,
-                    FinalKind::Loop => 3,
-                });
+                put_final_kind(&mut buf, *kind);
                 buf.put_u32(bytes.len() as u32);
                 buf.put_slice(bytes);
             }
@@ -927,14 +765,7 @@ pub fn decode_reply(mut buf: Bytes) -> Result<Reply, WireError> {
     need(&buf, 1)?;
     Ok(match buf.get_u8() {
         1 => Reply::Ok,
-        2 => {
-            need(&buf, 1)?;
-            match buf.get_u8() {
-                0 => Reply::Changed(false),
-                1 => Reply::Changed(true),
-                _ => return Err(WireError::BadValue("bool")),
-            }
-        }
+        2 => Reply::Changed(get_bool(&mut buf)?),
         3 => {
             need(&buf, 4)?;
             let n = buf.get_u32() as usize;
@@ -959,18 +790,8 @@ pub fn decode_reply(mut buf: Bytes) -> Result<Reply, WireError> {
             }
         }
         5 => {
-            need(&buf, 4)?;
-            let nr = buf.get_u32() as usize;
-            need(&buf, nr * 8)?;
-            let reachable = (0..nr)
-                .map(|_| (NodeId(buf.get_u32()), NodeId(buf.get_u32())))
-                .collect();
-            need(&buf, 4)?;
-            let nu = buf.get_u32() as usize;
-            need(&buf, nu * 8)?;
-            let unreachable = (0..nu)
-                .map(|_| (NodeId(buf.get_u32()), NodeId(buf.get_u32())))
-                .collect();
+            let reachable = get_node_pairs(&mut buf)?;
+            let unreachable = get_node_pairs(&mut buf)?;
             need(&buf, 4)?;
             let nw = buf.get_u32() as usize;
             need(&buf, nw * 12)?;
@@ -999,13 +820,7 @@ pub fn decode_reply(mut buf: Bytes) -> Result<Reply, WireError> {
             for _ in 0..n {
                 need(&buf, 9)?;
                 let node = NodeId(buf.get_u32());
-                let kind = match buf.get_u8() {
-                    0 => FinalKind::Arrive,
-                    1 => FinalKind::Exit,
-                    2 => FinalKind::Blackhole,
-                    3 => FinalKind::Loop,
-                    _ => return Err(WireError::BadValue("final kind")),
-                };
+                let kind = get_final_kind(&mut buf)?;
                 let blen = buf.get_u32() as usize;
                 need(&buf, blen)?;
                 sets.push((node, kind, buf.copy_to_bytes(blen)));
@@ -1413,7 +1228,9 @@ pub fn serve(model: Arc<NetworkModel>, connect: &str, bind: &str) -> io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2_routing::RibRoute;
+    use s2_dataplane::FinalKind;
+    use s2_net::policy::Protocol;
+    use s2_routing::{RibRoute, RibSnapshot};
 
     fn sample_rib_route() -> RibRoute {
         RibRoute {

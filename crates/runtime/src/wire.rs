@@ -31,10 +31,11 @@
 //! than tearing the worker down.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use s2_dataplane::FinalKind;
 use s2_net::policy::Protocol;
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::{Ipv4Addr, Prefix};
-use s2_routing::{BgpRoute, Origin};
+use s2_routing::{BgpRoute, Origin, RibRoute, RibSnapshot};
 
 /// Decoded form of a cross-worker message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,7 +203,13 @@ pub fn deframe(bytes: Bytes) -> Result<Frame, WireError> {
     })
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
+// ---- primitive codecs ----
+//
+// The one set of field codecs every byte format in this crate is built
+// from: data frames here, the control channel (`crate::remote`), and
+// the admin protocol plus warm checkpoint (`crate::admin`).
+
+pub(crate) fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
     if buf.remaining() < n {
         Err(WireError::Truncated)
     } else {
@@ -210,10 +217,170 @@ fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
     }
 }
 
+/// `with_capacity` guard: trust the declared element count only up to a
+/// sanity bound so a corrupt count cannot pre-allocate gigabytes.
+// s2-lint: sanitizer(alloc-bound): the returned count is min-capped at 64 Ki elements, so allocations sized by it are bounded regardless of the peer's declared length.
+pub(crate) fn cap(n: usize) -> usize {
+    n.min(1 << 16)
+}
+
+pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+    buf.put_u32(s.len() as u32);
+    buf.put_slice(s.as_bytes());
+}
+
+pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
+    need(buf, 4)?;
+    let n = buf.get_u32() as usize;
+    need(buf, n)?;
+    let raw = buf.copy_to_bytes(n);
+    String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadValue("utf-8 string"))
+}
+
+pub(crate) fn put_prefix(buf: &mut BytesMut, p: &Prefix) {
+    buf.put_u32(p.addr().0);
+    buf.put_u8(p.len());
+}
+
+pub(crate) fn get_prefix(buf: &mut impl Buf) -> Result<Prefix, WireError> {
+    need(buf, 5)?;
+    let addr = buf.get_u32();
+    let len = buf.get_u8();
+    if len > 32 {
+        return Err(WireError::BadValue("prefix length"));
+    }
+    Ok(Prefix::new(Ipv4Addr(addr), len))
+}
+
+pub(crate) fn put_node_pairs(buf: &mut BytesMut, pairs: &[(NodeId, NodeId)]) {
+    buf.put_u32(pairs.len() as u32);
+    for (a, b) in pairs {
+        buf.put_u32(a.0);
+        buf.put_u32(b.0);
+    }
+}
+
+pub(crate) fn get_node_pairs(buf: &mut impl Buf) -> Result<Vec<(NodeId, NodeId)>, WireError> {
+    need(buf, 4)?;
+    let n = buf.get_u32() as usize;
+    need(buf, n * 8)?;
+    Ok((0..n).map(|_| (NodeId(buf.get_u32()), NodeId(buf.get_u32()))).collect())
+}
+
+pub(crate) fn put_bool(buf: &mut BytesMut, v: bool) {
+    buf.put_u8(u8::from(v));
+}
+
+pub(crate) fn get_bool(buf: &mut impl Buf) -> Result<bool, WireError> {
+    need(buf, 1)?;
+    match buf.get_u8() {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::BadValue("bool")),
+    }
+}
+
+pub(crate) fn put_protocol(buf: &mut BytesMut, p: Protocol) {
+    buf.put_u8(match p {
+        Protocol::Connected => 0,
+        Protocol::Static => 1,
+        Protocol::Ospf => 2,
+        Protocol::Bgp => 3,
+        Protocol::Aggregate => 4,
+    });
+}
+
+pub(crate) fn get_protocol(buf: &mut impl Buf) -> Result<Protocol, WireError> {
+    need(buf, 1)?;
+    Ok(match buf.get_u8() {
+        0 => Protocol::Connected,
+        1 => Protocol::Static,
+        2 => Protocol::Ospf,
+        3 => Protocol::Bgp,
+        4 => Protocol::Aggregate,
+        _ => return Err(WireError::BadValue("protocol")),
+    })
+}
+
+pub(crate) fn put_rib_route(buf: &mut BytesMut, r: &RibRoute) {
+    put_prefix(buf, &r.prefix);
+    put_protocol(buf, r.protocol);
+    buf.put_u16(r.egress.len() as u16);
+    for e in &r.egress {
+        buf.put_u16(e.0);
+    }
+    put_bool(buf, r.is_local);
+    buf.put_u32(r.as_path_len);
+}
+
+pub(crate) fn get_rib_route(buf: &mut impl Buf) -> Result<RibRoute, WireError> {
+    let prefix = get_prefix(buf)?;
+    let protocol = get_protocol(buf)?;
+    need(buf, 2)?;
+    let n = buf.get_u16() as usize;
+    need(buf, n * 2)?;
+    let egress = (0..n).map(|_| InterfaceId(buf.get_u16())).collect();
+    let is_local = get_bool(buf)?;
+    need(buf, 4)?;
+    let as_path_len = buf.get_u32();
+    Ok(RibRoute {
+        prefix,
+        protocol,
+        egress,
+        is_local,
+        as_path_len,
+    })
+}
+
+pub(crate) fn put_rib_snapshot(buf: &mut BytesMut, rib: &RibSnapshot) {
+    buf.put_u32(rib.per_node.len() as u32);
+    for routes in &rib.per_node {
+        buf.put_u32(routes.len() as u32);
+        for r in routes {
+            put_rib_route(buf, r);
+        }
+    }
+}
+
+pub(crate) fn get_rib_snapshot(buf: &mut impl Buf) -> Result<RibSnapshot, WireError> {
+    need(buf, 4)?;
+    let nodes = buf.get_u32() as usize;
+    let mut per_node = Vec::with_capacity(cap(nodes));
+    for _ in 0..nodes {
+        need(buf, 4)?;
+        let m = buf.get_u32() as usize;
+        let mut routes = Vec::with_capacity(cap(m));
+        for _ in 0..m {
+            routes.push(get_rib_route(buf)?);
+        }
+        per_node.push(routes);
+    }
+    Ok(RibSnapshot { per_node })
+}
+
+pub(crate) fn put_final_kind(buf: &mut BytesMut, k: FinalKind) {
+    buf.put_u8(match k {
+        FinalKind::Arrive => 0,
+        FinalKind::Exit => 1,
+        FinalKind::Blackhole => 2,
+        FinalKind::Loop => 3,
+    });
+}
+
+pub(crate) fn get_final_kind(buf: &mut impl Buf) -> Result<FinalKind, WireError> {
+    need(buf, 1)?;
+    Ok(match buf.get_u8() {
+        0 => FinalKind::Arrive,
+        1 => FinalKind::Exit,
+        2 => FinalKind::Blackhole,
+        3 => FinalKind::Loop,
+        _ => return Err(WireError::BadValue("final kind")),
+    })
+}
+
 /// Encodes one route.
 pub fn put_route(buf: &mut BytesMut, r: &BgpRoute) {
-    buf.put_u32(r.prefix.addr().0);
-    buf.put_u8(r.prefix.len());
+    put_prefix(buf, &r.prefix);
     buf.put_u32(r.next_hop.0);
     buf.put_u32(r.local_pref);
     buf.put_u32(r.med);
@@ -222,13 +389,7 @@ pub fn put_route(buf: &mut BytesMut, r: &BgpRoute) {
         Origin::Incomplete => 1,
     });
     buf.put_u32(r.weight);
-    buf.put_u8(match r.source_protocol {
-        Protocol::Connected => 0,
-        Protocol::Static => 1,
-        Protocol::Ospf => 2,
-        Protocol::Bgp => 3,
-        Protocol::Aggregate => 4,
-    });
+    put_protocol(buf, r.source_protocol);
     buf.put_u16(r.as_path.len() as u16);
     for asn in &r.as_path {
         buf.put_u32(*asn);
@@ -242,12 +403,7 @@ pub fn put_route(buf: &mut BytesMut, r: &BgpRoute) {
 /// Decodes one route.
 pub fn get_route(buf: &mut impl Buf) -> Result<BgpRoute, WireError> {
     need(buf, 4 + 1 + 4 + 4 + 4 + 1 + 4 + 1 + 2)?;
-    let addr = buf.get_u32();
-    let len = buf.get_u8();
-    if len > 32 {
-        return Err(WireError::BadValue("prefix length"));
-    }
-    let prefix = Prefix::new(Ipv4Addr(addr), len);
+    let prefix = get_prefix(buf)?;
     let next_hop = Ipv4Addr(buf.get_u32());
     let local_pref = buf.get_u32();
     let med = buf.get_u32();
@@ -257,14 +413,7 @@ pub fn get_route(buf: &mut impl Buf) -> Result<BgpRoute, WireError> {
         _ => return Err(WireError::BadValue("origin")),
     };
     let weight = buf.get_u32();
-    let source_protocol = match buf.get_u8() {
-        0 => Protocol::Connected,
-        1 => Protocol::Static,
-        2 => Protocol::Ospf,
-        3 => Protocol::Bgp,
-        4 => Protocol::Aggregate,
-        _ => return Err(WireError::BadValue("protocol")),
-    };
+    let source_protocol = get_protocol(buf)?;
     let plen = buf.get_u16() as usize;
     need(buf, plen * 4 + 2)?;
     let as_path = (0..plen).map(|_| buf.get_u32()).collect();

@@ -9,20 +9,20 @@
 //!
 //! 1. **Validate** — resolve names against the model; malformed or
 //!    inapplicable deltas are rejected without touching the fleet.
-//! 2. **Stage/Replay/Dpv** — link deltas run as a *warm scenario* on a
-//!    shadow generation: the cumulative failed-link overlay is replayed
-//!    from the workers' scenario checkpoint (delta-driven BGP fix
-//!    point, changed-node predicate recompile, full data-plane check),
-//!    then rolled back so the warm baseline is never consumed.
-//!    Config-content deltas (and link deltas the warm path cannot
-//!    verify, e.g. an OSPF adjacency on the failed link) **escalate**:
-//!    a blue/green rebuild verifies the new snapshot on a fresh fleet
-//!    while the old fleet keeps serving.
+//! 2. **Stage/Replay/Dpv** — link deltas run as a *warm scenario*:
+//!    the cumulative failed-link overlay is replayed from the workers'
+//!    scenario checkpoint with the delta engine's steps
+//!    ([`crate::delta`]: `begin → reconverge → check`) inside its
+//!    fence. A verified scenario is left in place — it is the state
+//!    being committed, and the next delta's `begin` restores the
+//!    checkpoint anyway. Config-content deltas (and link deltas the
+//!    warm path cannot verify, e.g. an OSPF adjacency on the failed
+//!    link) **escalate**: a blue/green rebuild warms a fresh fleet for
+//!    the new snapshot while the old fleet keeps serving.
 //! 3. **Commit** — only a fully verified candidate replaces the
 //!    committed RIB + verdict state, atomically, bumping the
-//!    generation. Any failure — deadline, lost worker, rebuild error —
-//!    rolls back, retries with jittered bounded backoff, escalates to
-//!    a full re-verification, and finally degrades to
+//!    generation. A warm delta the fence gives up on escalates to a
+//!    full re-verification, and finally degrades to
 //!    `rejected(reason)`. The daemon never wedges: after any outcome
 //!    it is ready for the next delta.
 //! 4. **Checkpoint** — the committed state is persisted
@@ -43,22 +43,19 @@
 //! [`FaultPlan::drop_admin_conn`]: s2_runtime::FaultPlan::drop_admin_conn
 //! [`FaultPlan::corrupt_checkpoint`]: s2_runtime::FaultPlan::corrupt_checkpoint
 
+use crate::delta::{changed_nodes, FenceBudget, ScenarioFail, WarmFleet};
 use crate::query::VerificationRequest;
-use crate::sweep::{
-    changed_nodes, classify, retry_backoff, scenario_ports, LinkKey, ScenarioFail, WarmBaseline,
-};
+use crate::sweep::{scenario_ports, LinkKey};
 use crate::verifier::{S2Error, S2Options, S2Verifier};
 use s2_net::config::{DeviceConfig, Network};
-use s2_net::topology::{InterfaceId, NodeId, Topology};
-use s2_obs::{Deadline, MetricsSnapshot, Registry, Stopwatch};
+use s2_net::topology::{NodeId, Topology};
+use s2_obs::{MetricsSnapshot, Registry, Stopwatch};
 use s2_routing::{NetworkModel, RibSnapshot};
 use s2_runtime::admin::{
     self, fnv1a64, parse_text_command, render_text_response, AdminRequest, AdminResponse,
     DeltaSpec, VerdictSummary, WarmCheckpoint, WorkerMetrics,
 };
-use s2_runtime::{
-    CheckpointError, ClusterOptions, DaemonPhase, DpvRunStats, FaultPlan, FaultState,
-};
+use s2_runtime::{CheckpointError, DaemonPhase, DpvRunStats, FaultPlan, FaultState};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -128,6 +125,17 @@ struct Committed {
     all_clear: bool,
 }
 
+impl Committed {
+    fn new(generation: u64, rib: Arc<RibSnapshot>, dpv: &DpvRunStats) -> Committed {
+        Committed {
+            generation,
+            rib,
+            verdict: summarize(dpv),
+            all_clear: dpv_all_clear(dpv),
+        }
+    }
+}
+
 /// What validation decided to do with a delta.
 enum Action {
     /// Re-verify the new cumulative failed-link overlay warm.
@@ -136,21 +144,14 @@ enum Action {
     Escalate(Vec<DeviceConfig>, Vec<(NodeId, NodeId)>),
 }
 
-/// A warm-attempt candidate: scenario RIB plus its full DPV outcome.
-type WarmCandidate = (Arc<RibSnapshot>, DpvRunStats);
-
 /// The incremental verification daemon. See the module docs for the
 /// delta lifecycle.
 pub struct Daemon {
     cfg: DaemonConfig,
-    verifier: S2Verifier,
-    waypoints: BTreeMap<NodeId, u16>,
-    copts: ClusterOptions,
-    /// The warm baseline of the *current fleet*: the converged state
-    /// every warm scenario replays from. Under a non-empty overlay the
-    /// committed state differs from the baseline (the overlay is
-    /// re-applied as a scenario per delta).
-    baseline: WarmBaseline,
+    /// The serving fleet, warm for `cfg.request`. Under a non-empty
+    /// overlay the committed state differs from the fleet's baseline
+    /// (the overlay is re-applied as a scenario per delta).
+    fleet: WarmFleet,
     committed: Committed,
     /// Links failed into the model of the current fleet (escalated
     /// commits and checkpoint restores land here).
@@ -258,6 +259,38 @@ fn node_pair(key: &LinkKey) -> (NodeId, NodeId) {
     }
 }
 
+/// Every failed link as a node pair: the model-baked ones plus the
+/// warm overlay, sorted and deduplicated — what a rebuild bakes into
+/// the model and what the checkpoint persists.
+fn failed_pairs(baked: &[(NodeId, NodeId)], overlay: &[LinkKey]) -> Vec<(NodeId, NodeId)> {
+    let mut all = baked.to_vec();
+    all.extend(overlay.iter().map(node_pair));
+    all.sort_unstable();
+    all.dedup();
+    all
+}
+
+/// Records `sw`'s elapsed milliseconds into one of the per-phase
+/// `daemon.delta.*_ms` SLO histograms.
+fn record_ms(histogram: &str, sw: &Stopwatch) {
+    Registry::global()
+        .histogram(histogram)
+        .record(sw.elapsed().as_millis() as u64);
+}
+
+/// Fires an injected crash point: aborts the process in serve mode,
+/// surfaces [`DaemonCrash`] to test harnesses otherwise.
+fn crash_point(faults: &FaultState, abort: bool, phase: DaemonPhase) -> Result<(), DaemonCrash> {
+    if faults.should_crash_daemon(phase) {
+        s2_obs::recorder::dump("daemon-crash-injected");
+        if abort {
+            std::process::abort();
+        }
+        return Err(DaemonCrash(phase));
+    }
+    Ok(())
+}
+
 impl Daemon {
     /// Starts the daemon: restores the warm checkpoint when one exists
     /// and matches the snapshot (corrupt or stale checkpoints fall back
@@ -287,77 +320,48 @@ impl Daemon {
         let baked: Vec<(NodeId, NodeId)> =
             restore.as_ref().map(|c| c.failed_links.clone()).unwrap_or_default();
         let mut opts = cfg.opts.clone();
-        for &(a, b) in &baked {
-            opts.runtime.faults = opts.runtime.faults.clone().fail_link(a, b);
-        }
+        opts.runtime.faults = baked.iter().fold(opts.runtime.faults, |p, &(a, b)| p.fail_link(a, b));
         let model = NetworkModel::build(cfg.topology.clone(), cfg.configs.clone())?;
         let verifier = S2Verifier::new(model, &opts)?;
-        let waypoints: BTreeMap<NodeId, u16> = cfg
-            .request
-            .transits
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u16))
-            .collect();
-        let copts = verifier.cluster_opts();
 
         // A matching checkpoint makes the committed verdicts servable
         // before the fleet even finishes warming — that gap is the
         // restore latency worth reporting.
-        let (mut committed, warm_start, restore_ms) = match restore {
-            Some(ckpt) => {
-                let verdict = ckpt.verdict;
-                let all_clear = verdict.unreachable_pairs.is_empty()
-                    && verdict.loops == 0
-                    && verdict.multipath_violations.is_empty();
-                let c = Committed {
-                    generation: ckpt.generation,
-                    rib: Arc::new(ckpt.rib),
-                    verdict,
-                    all_clear,
-                };
-                (c, true, Some(sw.elapsed().as_secs_f64() * 1000.0))
-            }
-            None => (
-                Committed {
-                    generation: 0,
-                    rib: Arc::new(RibSnapshot { per_node: Vec::new() }),
-                    verdict: VerdictSummary::default(),
-                    all_clear: false,
-                },
-                false,
-                None,
+        let (generation, checkpointed, restore_ms) = match restore {
+            Some(ckpt) => (
+                ckpt.generation,
+                Some(ckpt.verdict),
+                Some(sw.elapsed().as_secs_f64() * 1000.0),
             ),
+            None => (0, None, None),
         };
+        let warm_start = checkpointed.is_some();
 
-        let baseline = verifier.warm_up(&cfg.request, &waypoints, &copts)?;
-        if warm_start {
-            // Determinism check: the rebuilt fleet's verdict BDDs must
-            // be byte-identical to the checkpointed ones. If they are
-            // not, the recomputation is the truth — adopt it loudly.
-            if committed.verdict.verdict_sets != baseline.dpv.verdict_sets {
+        let fleet = WarmFleet::warm_up(verifier, &cfg.request).map_err(|(_, e)| e)?;
+        let baseline = fleet.baseline();
+        // Determinism check: the rebuilt fleet's verdict BDDs must be
+        // byte-identical to the checkpointed ones. If they are not, the
+        // recomputation is the truth — adopt it loudly.
+        let verdict = match checkpointed {
+            Some(verdict) if verdict.verdict_sets == baseline.dpv.verdict_sets => verdict,
+            Some(_) => {
                 s2_obs::recorder::dump("daemon-restore-verdict-drift");
                 s2_obs::event!("daemon.restore_drift", 1);
-                committed.rib = baseline.rib.clone();
-                committed.verdict = summarize(&baseline.dpv);
-                committed.all_clear = dpv_all_clear(&baseline.dpv);
-            } else {
-                committed.rib = baseline.rib.clone();
-                committed.all_clear = dpv_all_clear(&baseline.dpv);
+                summarize(&baseline.dpv)
             }
-        } else {
-            committed.rib = baseline.rib.clone();
-            committed.verdict = summarize(&baseline.dpv);
-            committed.all_clear = dpv_all_clear(&baseline.dpv);
-        }
+            None => summarize(&baseline.dpv),
+        };
+        let committed = Committed {
+            generation,
+            rib: baseline.rib.clone(),
+            verdict,
+            all_clear: dpv_all_clear(&baseline.dpv),
+        };
         s2_obs::event!("daemon.open", committed.generation as usize);
 
         let daemon = Daemon {
             cfg,
-            verifier,
-            waypoints,
-            copts,
-            baseline,
+            fleet,
             committed,
             baked,
             overlay: Vec::new(),
@@ -411,15 +415,16 @@ impl Daemon {
     /// Wall time of the last warm baseline build — the cold-verify cost
     /// a warm delta is measured against.
     pub fn baseline_ms(&self) -> f64 {
-        self.baseline.ms
+        self.fleet.baseline().ms
     }
 
     /// Stops the fleet, pulling any buffered remote trace events into
     /// this process first so a subsequent Chrome-trace export covers
     /// the whole fleet.
     pub fn shutdown(self) {
-        self.verifier.drain_remote_traces();
-        self.verifier.shutdown();
+        let verifier = self.fleet.into_verifier();
+        verifier.drain_remote_traces();
+        verifier.shutdown();
     }
 
     /// Serves admin connections until a `shutdown` request. Prints a
@@ -443,8 +448,7 @@ impl Daemon {
             }
         }
         self.checkpoint_now();
-        self.verifier.drain_remote_traces();
-        self.verifier.shutdown();
+        self.shutdown();
         Ok(())
     }
 
@@ -573,7 +577,7 @@ impl Daemon {
     /// last-known snapshot — the scrape degrades, it never wedges.
     pub fn metrics(&mut self) -> AdminResponse {
         self.refresh_gauges();
-        let scrape = self.verifier.scrape_metrics();
+        let scrape = self.fleet.verifier().scrape_metrics();
         let mut workers = Vec::with_capacity(scrape.workers.len());
         for (id, snap) in scrape.workers {
             match snap {
@@ -597,7 +601,7 @@ impl Daemon {
     /// not) is a property of the *network*, not of daemon health.
     pub fn healthz(&mut self) -> AdminResponse {
         self.refresh_gauges();
-        let scrape = self.verifier.scrape_metrics();
+        let scrape = self.fleet.verifier().scrape_metrics();
         let workers_total = scrape.workers.len() as u32;
         let workers_up = scrape.workers.iter().filter(|(_, s)| s.is_some()).count() as u32;
         AdminResponse::Healthz {
@@ -687,9 +691,7 @@ impl Daemon {
     ) -> Result<AdminResponse, DaemonCrash> {
         let vsw = Stopwatch::start();
         let validated = self.validate(delta);
-        Registry::global()
-            .histogram("daemon.delta.validate_ms")
-            .record(vsw.elapsed().as_millis() as u64);
+        record_ms("daemon.delta.validate_ms", &vsw);
         let action = match validated {
             Ok(a) => a,
             Err(reason) => return Ok(AdminResponse::Rejected { reason, attempts: 0 }),
@@ -697,9 +699,7 @@ impl Daemon {
         self.crash(DaemonPhase::Validate)?;
         match action {
             Action::Warm(overlay) => self.apply_warm(overlay, sw),
-            Action::Escalate(configs, baked) => {
-                self.apply_escalated(configs, baked, Vec::new(), sw, 0, None)
-            }
+            Action::Escalate(configs, baked) => self.apply_escalated(configs, baked, sw, 0, None),
         }
     }
 
@@ -716,13 +716,6 @@ impl Daemon {
                 .map(s2_shard::impact::link_key)
                 .find(|k| node_pair(k) == if a <= b { (a, b) } else { (b, a) })
         };
-        let fold_overlay = |baked: &[(NodeId, NodeId)], overlay: &[LinkKey]| {
-            let mut all: Vec<(NodeId, NodeId)> = baked.to_vec();
-            all.extend(overlay.iter().map(node_pair));
-            all.sort_unstable();
-            all.dedup();
-            all
-        };
         match delta {
             DeltaSpec::LinkDown { a, b } => {
                 let (na, nb) = (node(a)?, node(b)?);
@@ -731,18 +724,14 @@ impl Daemon {
                 if self.overlay.contains(&key) || self.baked.contains(&node_pair(&key)) {
                     return Err(format!("link {a} <-> {b} is already down"));
                 }
-                let ports = scenario_ports(&[key]);
-                if self.verifier.ospf_gate(&ports).is_some() {
-                    // Warm replay cannot re-run the IGP; bake the link
-                    // into a rebuilt model instead.
-                    let mut baked = fold_overlay(&self.baked, &self.overlay);
-                    baked.push(node_pair(&key));
-                    baked.sort_unstable();
-                    baked.dedup();
-                    return Ok(Action::Escalate(self.cfg.configs.clone(), baked));
-                }
                 let mut overlay = self.overlay.clone();
                 overlay.push(key);
+                if self.fleet.ospf_gate(&scenario_ports(&[key])).is_some() {
+                    // Warm replay cannot re-run the IGP; bake the link
+                    // into a rebuilt model instead.
+                    let baked = failed_pairs(&self.baked, &overlay);
+                    return Ok(Action::Escalate(self.cfg.configs.clone(), baked));
+                }
                 Ok(Action::Warm(overlay))
             }
             DeltaSpec::LinkUp { a, b } => {
@@ -757,7 +746,7 @@ impl Daemon {
                 } else if self.baked.contains(&pair) {
                     // The link is failed in the model itself; restoring
                     // it needs a rebuild (overlay folds in alongside).
-                    let mut baked = fold_overlay(&self.baked, &self.overlay);
+                    let mut baked = failed_pairs(&self.baked, &self.overlay);
                     baked.retain(|&p| p != pair);
                     Ok(Action::Escalate(self.cfg.configs.clone(), baked))
                 } else {
@@ -776,7 +765,7 @@ impl Daemon {
                 }
                 let mut configs = self.cfg.configs.clone();
                 configs[n.index()] = parsed;
-                Ok(Action::Escalate(configs, fold_overlay(&self.baked, &self.overlay)))
+                Ok(Action::Escalate(configs, failed_pairs(&self.baked, &self.overlay)))
             }
             DeltaSpec::PrefixAdd { device, prefix } | DeltaSpec::PrefixWithdraw { device, prefix } => {
                 let n = node(device)?;
@@ -797,187 +786,93 @@ impl Daemon {
                     }
                     bgp.networks.retain(|net| net.prefix != *prefix);
                 }
-                Ok(Action::Escalate(configs, fold_overlay(&self.baked, &self.overlay)))
+                Ok(Action::Escalate(configs, failed_pairs(&self.baked, &self.overlay)))
             }
         }
     }
 
     /// Warm path: re-verify the new overlay as a fenced scenario on the
-    /// existing fleet, with bounded jittered retries; escalate to a
-    /// rebuild when the fence or retry budget runs out.
+    /// serving fleet; escalate to a rebuild when the fence gives up.
     fn apply_warm(
         &mut self,
         new_overlay: Vec<LinkKey>,
         sw: &Stopwatch,
     ) -> Result<AdminResponse, DaemonCrash> {
-        let fence = Deadline::after(self.cfg.delta_deadline);
-        let ports = scenario_ports(&new_overlay);
         self.crash(DaemonPhase::Stage)?;
-        let mut attempt = 0usize;
-        let candidate: Result<WarmCandidate, String> = loop {
-            attempt += 1;
-            if new_overlay.is_empty() {
-                // Every failed link restored: the committed state *is*
-                // the warm baseline — nothing to execute.
-                break Ok((self.baseline.rib.clone(), self.baseline.dpv.clone()));
-            }
-            let result = self.warm_attempt(&ports, &fence)?;
-            // On success the fleet is left in the scenario state it just
-            // verified — the state being committed. The next staging's
-            // `scenario_begin` restores the checkpoint before replaying,
-            // so an immediate rollback here would be a wasted barrier on
-            // the delta hot path (and the empty-overlay shortcut never
-            // touches the fleet at all).
-            let fail = match result {
-                Ok(c) => break Ok(c),
-                Err(f) => f,
+        let outcome = if new_overlay.is_empty() {
+            // Every failed link restored: the committed state *is* the
+            // warm baseline — nothing to execute.
+            let baseline = self.fleet.baseline();
+            Ok((baseline.rib.clone(), baseline.dpv.clone()))
+        } else {
+            let budget = FenceBudget {
+                deadline: self.cfg.delta_deadline,
+                max_retries: self.cfg.max_retries,
+                backoff: self.cfg.retry_backoff,
+                lost_dump: "daemon-delta-worker-lost",
             };
-            // A failed attempt must fence (discard the aborted
-            // scenario's in-flight frames) and restore the baseline
-            // before a retry, an escalation, or the next delta.
-            let restored = self.verifier.restore_baseline();
-            match (fail, restored) {
-                (ScenarioFail::Lost(e), _) | (_, Err(e)) => {
-                    // A worker died mid-delta: recover the fleet and
-                    // rebuild the warm baseline, then retry. The
-                    // committed state is untouched throughout.
-                    s2_obs::recorder::dump("daemon-delta-worker-lost");
-                    s2_obs::event!("daemon.delta_abort", attempt);
-                    if let Err(e2) = self.verifier.cluster.recover() {
-                        break Err(format!("unrecoverable: {e2}"));
-                    }
-                    match self.verifier.warm_up(&self.cfg.request, &self.waypoints, &self.copts) {
-                        Ok(b) => self.baseline = b,
-                        Err(e2) => break Err(format!("re-warm failed: {e2}")),
-                    }
-                    if attempt > self.cfg.max_retries {
-                        break Err(format!("worker-lost: {e}"));
-                    }
-                }
-                (ScenarioFail::Deadline, _) => break Err("deadline".into()),
-                (ScenarioFail::Fatal(reason), _) => break Err(reason),
-            }
-            if fence.expired() {
-                break Err("deadline".into());
-            }
-            std::thread::sleep(retry_backoff(self.cfg.retry_backoff, attempt).min(fence.remaining()));
-        };
-        match candidate {
-            Ok((rib, dpv)) => {
-                let commit_sw = Stopwatch::start();
-                let changed = changed_nodes(&self.committed.rib, &rib).len() as u32;
-                self.crash(DaemonPhase::Commit)?;
-                let all_clear = dpv_all_clear(&dpv);
-                self.overlay = new_overlay;
-                self.committed = Committed {
-                    generation: self.committed.generation + 1,
-                    rib,
-                    verdict: summarize(&dpv),
-                    all_clear,
-                };
-                Registry::global()
-                    .histogram("daemon.delta.commit_ms")
-                    .record(commit_sw.elapsed().as_millis() as u64);
-                self.crash(DaemonPhase::Checkpoint)?;
-                let ckpt_sw = Stopwatch::start();
-                self.checkpoint_now();
-                Registry::global()
-                    .histogram("daemon.delta.checkpoint_ms")
-                    .record(ckpt_sw.elapsed().as_millis() as u64);
-                Ok(AdminResponse::Committed {
-                    generation: self.committed.generation,
-                    ms: sw.elapsed().as_secs_f64() * 1000.0,
-                    changed_nodes: changed,
-                    escalated: false,
-                    all_clear,
+            let ports = scenario_ports(&new_overlay);
+            let (faults, abort) = (&self.faults, self.abort_on_crash);
+            let mut crashed = None;
+            let mut crash = |phase| {
+                crash_point(faults, abort, phase).map_err(|c| {
+                    crashed = Some(c);
+                    ScenarioFail::Crash
                 })
+            };
+            // On success the fleet is left in the scenario state it
+            // just verified — the state being committed. The next
+            // staging's `begin` restores the checkpoint before
+            // replaying, so a rollback here would be a wasted barrier
+            // on the delta hot path.
+            let outcome = self.fleet.fenced(&budget, |fleet, deadline| {
+                let stage_sw = Stopwatch::start();
+                fleet.begin(&ports)?;
+                crash(DaemonPhase::Replay)?;
+                ScenarioFail::if_expired(deadline)?;
+                let (rib, changed, _) = fleet.reconverge()?;
+                ScenarioFail::if_expired(deadline)?;
+                record_ms("daemon.delta.stage_ms", &stage_sw);
+                crash(DaemonPhase::Dpv)?;
+                let dpv_sw = Stopwatch::start();
+                let dpv = fleet.check(rib.clone(), changed, &ports);
+                record_ms("daemon.delta.dpv_ms", &dpv_sw);
+                Ok((rib, dpv?))
+            });
+            if let Some(crash) = crashed {
+                return Err(crash);
             }
-            Err(reason) => {
+            outcome
+        };
+        match outcome {
+            Ok((rib, dpv)) => self.commit(sw, false, |daemon, generation| {
+                daemon.overlay = new_overlay;
+                Committed::new(generation, rib, &dpv)
+            }),
+            Err(fail) => {
                 // The warm path is out of budget; a full re-verification
                 // on a fresh fleet is the last resort before rejecting.
                 s2_obs::recorder::dump("daemon-delta-escalate");
-                let mut baked = self.baked.clone();
-                baked.extend(new_overlay.iter().map(node_pair));
-                baked.sort_unstable();
-                baked.dedup();
                 self.apply_escalated(
                     self.cfg.configs.clone(),
-                    baked,
-                    Vec::new(),
+                    failed_pairs(&self.baked, &new_overlay),
                     sw,
-                    attempt,
-                    Some(reason),
+                    fail.attempts,
+                    Some(fail.reason),
                 )
             }
         }
     }
 
-    /// One warm attempt: replay the overlay from the scenario
-    /// checkpoint, run the delta-driven BGP fix point, recompile only
-    /// changed nodes, and re-check the data plane. On failure the
-    /// caller restores the baseline; on success the fleet is left in
-    /// the verified scenario state (the next `scenario_begin` restores
-    /// the checkpoint before replaying anyway).
-    #[allow(clippy::type_complexity)]
-    fn warm_attempt(
-        &self,
-        ports: &[(NodeId, InterfaceId)],
-        fence: &Deadline,
-    ) -> Result<Result<WarmCandidate, ScenarioFail>, DaemonCrash> {
-        let cluster = &self.verifier.cluster;
-        let stage_sw = Stopwatch::start();
-        if let Err(e) = cluster.scenario_begin(ports) {
-            return Ok(Err(classify(e)));
-        }
-        self.crash(DaemonPhase::Replay)?;
-        if fence.expired() {
-            return Ok(Err(ScenarioFail::Deadline));
-        }
-        let inner = (|| {
-            cluster.run_warm_fixpoint(&self.copts).map_err(classify)?;
-            let rib = Arc::new(cluster.collect_full_rib().map_err(classify)?);
-            if fence.expired() {
-                return Err(ScenarioFail::Deadline);
-            }
-            Ok(rib)
-        })();
-        let rib = match inner {
-            Ok(rib) => rib,
-            Err(e) => return Ok(Err(e)),
-        };
-        Registry::global()
-            .histogram("daemon.delta.stage_ms")
-            .record(stage_sw.elapsed().as_millis() as u64);
-        self.crash(DaemonPhase::Dpv)?;
-        let dpv_sw = Stopwatch::start();
-        let changed = changed_nodes(&self.baseline.rib, &rib);
-        let dpv = cluster.run_scenario_dpv(
-            rib.clone(),
-            changed,
-            ports.to_vec(),
-            self.cfg.request.sources.clone(),
-            self.cfg.request.expected.clone(),
-            self.cfg.request.dst_space,
-            self.waypoints.clone(),
-        );
-        Registry::global()
-            .histogram("daemon.delta.dpv_ms")
-            .record(dpv_sw.elapsed().as_millis() as u64);
-        match dpv {
-            Ok(dpv) => Ok(Ok((rib, dpv))),
-            Err(e) => Ok(Err(classify(e))),
-        }
-    }
-
     /// Escalated path: blue/green. Build the candidate snapshot, spawn
-    /// a fresh fleet with the failed links baked into the model, verify
-    /// it fully, and only then swap it in — the serving fleet and the
-    /// committed state are untouched until the swap.
+    /// a fresh fleet with the failed links baked into the model, warm
+    /// it (which verifies it fully), and only then swap it in — the
+    /// serving fleet and the committed state are untouched until the
+    /// swap.
     fn apply_escalated(
         &mut self,
         configs: Vec<DeviceConfig>,
         baked: Vec<(NodeId, NodeId)>,
-        overlay: Vec<LinkKey>,
         sw: &Stopwatch,
         prior_attempts: usize,
         warm_reason: Option<String>,
@@ -1000,65 +895,67 @@ impl Daemon {
         // The candidate fleet gets a clean fault plan (the chaos plan
         // already played out on the serving fleet) plus the baked links.
         let mut opts = self.cfg.opts.clone();
-        opts.runtime.faults = FaultPlan::new();
-        for &(a, b) in &baked {
-            opts.runtime.faults = opts.runtime.faults.clone().fail_link(a, b);
-        }
+        opts.runtime.faults = baked.iter().fold(FaultPlan::new(), |p, &(a, b)| p.fail_link(a, b));
         self.crash(DaemonPhase::Replay)?;
         let verifier = match S2Verifier::new(model, &opts) {
             Ok(v) => v,
             Err(e) => return Ok(reject(format!("spawn: {e}"))),
         };
-        Registry::global()
-            .histogram("daemon.delta.stage_ms")
-            .record(stage_sw.elapsed().as_millis() as u64);
+        record_ms("daemon.delta.stage_ms", &stage_sw);
         self.crash(DaemonPhase::Dpv)?;
         let dpv_sw = Stopwatch::start();
-        match verifier.warm_up(&self.cfg.request, &self.waypoints, &self.copts) {
-            Ok(baseline) => {
-                Registry::global()
-                    .histogram("daemon.delta.dpv_ms")
-                    .record(dpv_sw.elapsed().as_millis() as u64);
-                let commit_sw = Stopwatch::start();
-                self.crash(DaemonPhase::Commit)?;
-                let changed = changed_nodes(&self.committed.rib, &baseline.rib).len() as u32;
-                let all_clear = dpv_all_clear(&baseline.dpv);
-                let old = std::mem::replace(&mut self.verifier, verifier);
-                old.shutdown();
-                self.cfg.configs = configs;
-                self.snapshot_hash = snapshot_hash(&self.cfg.topology, &self.cfg.configs);
-                self.baked = baked;
-                self.overlay = overlay;
-                self.committed = Committed {
-                    generation: self.committed.generation + 1,
-                    rib: baseline.rib.clone(),
-                    verdict: summarize(&baseline.dpv),
-                    all_clear,
-                };
-                self.baseline = baseline;
-                Registry::global()
-                    .histogram("daemon.delta.commit_ms")
-                    .record(commit_sw.elapsed().as_millis() as u64);
-                self.crash(DaemonPhase::Checkpoint)?;
-                let ckpt_sw = Stopwatch::start();
-                self.checkpoint_now();
-                Registry::global()
-                    .histogram("daemon.delta.checkpoint_ms")
-                    .record(ckpt_sw.elapsed().as_millis() as u64);
-                Ok(AdminResponse::Committed {
-                    generation: self.committed.generation,
-                    ms: sw.elapsed().as_secs_f64() * 1000.0,
-                    changed_nodes: changed,
-                    escalated: true,
-                    all_clear,
+        match WarmFleet::warm_up(verifier, &self.cfg.request) {
+            Ok(fleet) => {
+                record_ms("daemon.delta.dpv_ms", &dpv_sw);
+                self.commit(sw, true, |daemon, generation| {
+                    let old = std::mem::replace(&mut daemon.fleet, fleet);
+                    old.into_verifier().shutdown();
+                    daemon.cfg.configs = configs;
+                    daemon.snapshot_hash = snapshot_hash(&daemon.cfg.topology, &daemon.cfg.configs);
+                    daemon.baked = baked;
+                    daemon.overlay = Vec::new();
+                    let baseline = daemon.fleet.baseline();
+                    Committed::new(generation, baseline.rib.clone(), &baseline.dpv)
                 })
             }
-            Err(e) => {
+            Err((verifier, e)) => {
                 verifier.shutdown();
                 s2_obs::recorder::dump("daemon-escalation-failed");
                 Ok(reject(format!("rebuild verify: {e}")))
             }
         }
+    }
+
+    /// The commit tail of every delta: once the `Commit` crash point
+    /// has passed, `install` moves the serving state onto the verified
+    /// candidate (the new overlay, or a whole rebuilt fleet) and
+    /// returns it as the next generation's committed state, which is
+    /// then persisted.
+    fn commit(
+        &mut self,
+        sw: &Stopwatch,
+        escalated: bool,
+        install: impl FnOnce(&mut Self, u64) -> Committed,
+    ) -> Result<AdminResponse, DaemonCrash> {
+        let commit_sw = Stopwatch::start();
+        self.crash(DaemonPhase::Commit)?;
+        let generation = self.committed.generation + 1;
+        let committed = install(self, generation);
+        let changed = changed_nodes(&self.committed.rib, &committed.rib).len() as u32;
+        let all_clear = committed.all_clear;
+        self.committed = committed;
+        record_ms("daemon.delta.commit_ms", &commit_sw);
+        self.crash(DaemonPhase::Checkpoint)?;
+        let ckpt_sw = Stopwatch::start();
+        self.checkpoint_now();
+        record_ms("daemon.delta.checkpoint_ms", &ckpt_sw);
+        Ok(AdminResponse::Committed {
+            generation,
+            ms: sw.elapsed().as_secs_f64() * 1000.0,
+            changed_nodes: changed,
+            escalated,
+            all_clear,
+        })
     }
 
     /// Persists the committed state (best effort — a failed write is
@@ -1069,13 +966,7 @@ impl Daemon {
         let ckpt = WarmCheckpoint {
             snapshot_hash: self.snapshot_hash,
             generation: self.committed.generation,
-            failed_links: {
-                let mut all = self.baked.clone();
-                all.extend(self.overlay.iter().map(node_pair));
-                all.sort_unstable();
-                all.dedup();
-                all
-            },
+            failed_links: failed_pairs(&self.baked, &self.overlay),
             rib: (*self.committed.rib).clone(),
             verdict: self.committed.verdict.clone(),
         };
@@ -1088,17 +979,8 @@ impl Daemon {
         }
     }
 
-    /// Fires an injected crash point: aborts the process in serve mode,
-    /// surfaces [`DaemonCrash`] to test harnesses otherwise.
     fn crash(&self, phase: DaemonPhase) -> Result<(), DaemonCrash> {
-        if self.faults.should_crash_daemon(phase) {
-            s2_obs::recorder::dump("daemon-crash-injected");
-            if self.abort_on_crash {
-                std::process::abort();
-            }
-            return Err(DaemonCrash(phase));
-        }
-        Ok(())
+        crash_point(&self.faults, self.abort_on_crash, phase)
     }
 }
 
@@ -1114,6 +996,7 @@ pub fn admin_roundtrip(addr: &str, req: &AdminRequest) -> io::Result<AdminRespon
 mod tests {
     use super::*;
     use s2_net::config::Vendor;
+    use s2_net::topology::InterfaceId;
 
     #[test]
     fn snapshot_hash_is_stable_and_config_sensitive() {

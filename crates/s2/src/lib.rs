@@ -56,6 +56,7 @@
 #![deny(missing_docs)]
 
 pub mod daemon;
+mod delta;
 pub mod query;
 pub mod topofile;
 pub mod report;

@@ -3,6 +3,8 @@
 
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
+use s2_runtime::DpvQuery;
+use std::sync::Arc;
 
 /// What to verify on the converged data plane.
 #[derive(Debug, Clone)]
@@ -49,6 +51,25 @@ impl VerificationRequest {
         self
     }
 
+    /// The runtime form of this request: shared handles on the sources
+    /// and expectations, and each transit mapped to its metadata bit
+    /// (bits `0..n` in `transits` order). Build it once per request —
+    /// every DPV pass borrows the same handles.
+    pub fn dpv_query(&self) -> DpvQuery {
+        DpvQuery {
+            sources: Arc::new(self.sources.clone()),
+            expected: Arc::new(self.expected.clone()),
+            dst_space: self.dst_space,
+            waypoints: Arc::new(
+                self.transits
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| (n, i as u16))
+                    .collect(),
+            ),
+        }
+    }
+
     /// The number of `(source, destination)` pairs this request checks.
     pub fn pair_count(&self) -> usize {
         self.sources
@@ -81,5 +102,9 @@ mod tests {
             .via(NodeId(3));
         assert_eq!(q.pair_count(), 1);
         assert_eq!(q.transits, vec![NodeId(3)]);
+        let dq = q.via(NodeId(1)).dpv_query();
+        assert_eq!(*dq.sources, vec![NodeId(0)]);
+        assert_eq!(dq.waypoints.get(&NodeId(3)), Some(&0));
+        assert_eq!(dq.waypoints.get(&NodeId(1)), Some(&1));
     }
 }

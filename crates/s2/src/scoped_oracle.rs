@@ -17,53 +17,35 @@
 //!
 //! [`Cluster::run_dpv`]: s2_runtime::Cluster::run_dpv
 
+use crate::delta::WarmFleet;
 use crate::query::VerificationRequest;
-use crate::sweep::{changed_nodes, enumerate_failure_sets, scenario_ports, LinkKey, WarmBaseline};
+use crate::sweep::tests::fattree_request;
+use crate::sweep::{enumerate_failure_sets, scenario_ports, LinkKey};
 use crate::verifier::{S2Options, S2Verifier};
-use s2_net::topology::NodeId;
 use s2_routing::{NetworkModel, RibSnapshot};
 use s2_runtime::DpvRunStats;
 use s2_shard::impact::link_key;
 use s2_topogen::fattree::{generate, FatTree, FatTreeParams};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn fattree_request(ft: &FatTree) -> VerificationRequest {
-    let k = ft.params.k;
-    let endpoints = (0..k)
-        .flat_map(|p| (0..k / 2).map(move |e| (ft.edge(p, e), vec![FatTree::server_prefix(p, e)])))
-        .collect();
-    VerificationRequest::all_pair_reachability(endpoints, "10.0.0.0/8".parse().unwrap())
+fn verifier(model: NetworkModel, workers: u32) -> S2Verifier {
+    S2Verifier::new(model, &S2Options { workers, ..Default::default() }).unwrap()
 }
 
-/// Drives one warm scenario end-to-end (begin → warm fix point →
-/// scoped DPV) and returns the reconverged RIB plus the spliced stats.
-/// The caller owns rollback.
-fn warm_scenario(
-    verifier: &S2Verifier,
-    baseline: &WarmBaseline,
-    request: &VerificationRequest,
-    waypoints: &BTreeMap<NodeId, u16>,
-    links: &[LinkKey],
-) -> (Arc<RibSnapshot>, DpvRunStats) {
+/// A warm fleet for `model`, as the daemon would hold it.
+fn warm_fleet(model: NetworkModel, workers: u32, request: &VerificationRequest) -> WarmFleet {
+    WarmFleet::warm_up(verifier(model, workers), request).map_err(|(_, e)| e).unwrap()
+}
+
+/// Drives one warm scenario with the daemon's step sequence (begin →
+/// reconverge → scoped check), rolls the fleet back, and returns the
+/// reconverged RIB plus the spliced stats.
+fn warm_scenario(fleet: &WarmFleet, links: &[LinkKey]) -> (Arc<RibSnapshot>, DpvRunStats) {
     let ports = scenario_ports(links);
-    let cluster = &verifier.cluster;
-    cluster.scenario_begin(&ports).unwrap();
-    let copts = verifier.cluster_opts();
-    cluster.run_warm_fixpoint(&copts).unwrap();
-    let rib = Arc::new(cluster.collect_full_rib().unwrap());
-    let changed = changed_nodes(&baseline.rib, &rib);
-    let stats = cluster
-        .run_scenario_dpv(
-            rib.clone(),
-            changed,
-            ports,
-            request.sources.clone(),
-            request.expected.clone(),
-            request.dst_space,
-            waypoints.clone(),
-        )
-        .unwrap();
+    fleet.begin(&ports).unwrap();
+    let (rib, changed, _) = fleet.reconverge().unwrap();
+    let stats = fleet.check(rib.clone(), changed, &ports).unwrap();
+    fleet.restore_baseline().unwrap();
     (rib, stats)
 }
 
@@ -73,19 +55,11 @@ fn warm_scenario(
 fn cold_oracle(
     oracle: &S2Verifier,
     request: &VerificationRequest,
-    waypoints: &BTreeMap<NodeId, u16>,
     rib: Arc<RibSnapshot>,
 ) -> DpvRunStats {
     oracle
         .cluster
-        .run_dpv(
-            rib,
-            request.sources.clone(),
-            request.expected.clone(),
-            request.dst_space,
-            waypoints.clone(),
-            &oracle.cluster_opts(),
-        )
+        .run_dpv(rib, &request.dpv_query(), &oracle.cluster_opts())
         .unwrap()
 }
 
@@ -115,18 +89,10 @@ fn run_matrix(k: usize, workers: u32, scenarios: &[Vec<LinkKey>]) {
     let ft = generate(FatTreeParams::new(k));
     let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
     let request = fattree_request(&ft);
-    let waypoints = BTreeMap::new();
-    let opts = S2Options {
-        workers,
-        ..Default::default()
-    };
-    let verifier = S2Verifier::new(model.clone(), &opts).unwrap();
-    let copts = verifier.cluster_opts();
-    let baseline = verifier.warm_up(&request, &waypoints, &copts).unwrap();
-    let oracle = S2Verifier::new(model, &opts).unwrap();
+    let fleet = warm_fleet(model.clone(), workers, &request);
+    let oracle = verifier(model, workers);
     for scenario in scenarios {
-        let (rib, warm) = warm_scenario(&verifier, &baseline, &request, &waypoints, scenario);
-        verifier.restore_baseline().unwrap();
+        let (rib, warm) = warm_scenario(&fleet, scenario);
         let scoped = warm
             .scoped
             .as_ref()
@@ -136,10 +102,10 @@ fn run_matrix(k: usize, workers: u32, scenarios: &[Vec<LinkKey>]) {
             request.sources.len(),
             "{scenario:?}: every source is either injected or skipped"
         );
-        let cold = cold_oracle(&oracle, &request, &waypoints, rib);
+        let cold = cold_oracle(&oracle, &request, rib);
         assert_byte_identical(scenario, &warm, &cold);
     }
-    verifier.shutdown();
+    fleet.into_verifier().shutdown();
     oracle.shutdown();
 }
 
@@ -183,18 +149,10 @@ fn empty_changed_set_skips_every_source_and_passes_baseline_through() {
     let spare = topology.connect(ft.edge(0, 0), ft.edge(1, 1));
     let model = NetworkModel::build(topology, ft.configs.clone()).unwrap();
     let request = fattree_request(&ft);
-    let waypoints = BTreeMap::new();
-    let opts = S2Options {
-        workers: 2,
-        ..Default::default()
-    };
-    let verifier = S2Verifier::new(model, &opts).unwrap();
-    let copts = verifier.cluster_opts();
-    let baseline = verifier.warm_up(&request, &waypoints, &copts).unwrap();
+    let fleet = warm_fleet(model, 2, &request);
     let scenario = vec![link_key(&spare)];
-    let (rib, warm) = warm_scenario(&verifier, &baseline, &request, &waypoints, &scenario);
-    verifier.restore_baseline().unwrap();
-    verifier.shutdown();
+    let (rib, warm) = warm_scenario(&fleet, &scenario);
+    let baseline = fleet.baseline();
     assert_eq!(*rib, *baseline.rib, "a route-free link must not move the RIB");
     let scoped = warm.scoped.as_ref().unwrap();
     assert_eq!(scoped.changed_prefixes, 0);
@@ -208,6 +166,7 @@ fn empty_changed_set_skips_every_source_and_passes_baseline_through() {
     assert_eq!(warm.unreachable_pairs, baseline.dpv.unreachable_pairs);
     assert_eq!(warm.loops == 0, baseline.dpv.loops == 0);
     assert_eq!(warm.blackholes == 0, baseline.dpv.blackholes == 0);
+    fleet.into_verifier().shutdown();
 }
 
 /// Everything-changed edge: with the dst space narrowed to a single
@@ -224,14 +183,7 @@ fn full_space_change_falls_back_to_unscoped_full_drive() {
         vec![(victim, vec![victim_prefix]), (ft.edge(1, 0), vec![victim_prefix])],
         victim_prefix,
     );
-    let waypoints = BTreeMap::new();
-    let opts = S2Options {
-        workers: 2,
-        ..Default::default()
-    };
-    let verifier = S2Verifier::new(model.clone(), &opts).unwrap();
-    let copts = verifier.cluster_opts();
-    let baseline = verifier.warm_up(&request, &waypoints, &copts).unwrap();
+    let fleet = warm_fleet(model.clone(), 2, &request);
     // The victim's first uplink: failing it withdraws routes for the
     // victim's server prefix on the aggregation tier, so the changed
     // set covers all of `dst_space`.
@@ -243,9 +195,8 @@ fn full_space_change_falls_back_to_unscoped_full_drive() {
         .find(|((a, _), (b, _))| *a == victim || *b == victim)
         .unwrap();
     let scenario = vec![uplink];
-    let (rib, warm) = warm_scenario(&verifier, &baseline, &request, &waypoints, &scenario);
-    verifier.restore_baseline().unwrap();
-    verifier.shutdown();
+    let (rib, warm) = warm_scenario(&fleet, &scenario);
+    fleet.into_verifier().shutdown();
     let scoped = warm.scoped.as_ref().unwrap();
     assert!(
         scoped.fallback_full,
@@ -253,8 +204,8 @@ fn full_space_change_falls_back_to_unscoped_full_drive() {
          (fraction {})",
         scoped.changed_dst_fraction
     );
-    let oracle = S2Verifier::new(model, &opts).unwrap();
-    let cold = cold_oracle(&oracle, &request, &waypoints, rib);
+    let oracle = verifier(model, 2);
+    let cold = cold_oracle(&oracle, &request, rib);
     oracle.shutdown();
     assert_byte_identical(&scenario, &warm, &cold);
 }

@@ -18,28 +18,26 @@
 //!    diffed against the baseline, and only the changed nodes'
 //!    predicates are recompiled before the data plane is re-checked.
 //!
-//! Every scenario runs inside a *fence*: a per-attempt deadline and a
-//! bounded retry budget with backoff. A lost or hung worker triggers a
-//! flight-recorder dump, recovery, and a re-warm of the baseline —
-//! never a poisoned successor scenario. Scenarios that exhaust their
-//! budget (or hit conditions the warm path cannot verify, e.g. an OSPF
-//! adjacency on a failed link) degrade gracefully to
-//! `undetermined(reason)` instead of failing the sweep.
+//! Stages 2 and 3 are steps of the delta engine ([`crate::delta`]),
+//! run inside its fence; the sweep adds the rollback after every
+//! scenario and the verdict diff. Scenarios that exhaust the fence (or
+//! hit conditions the warm path cannot verify, e.g. an OSPF adjacency
+//! on a failed link) degrade gracefully to `undetermined(reason)`
+//! instead of failing the sweep.
 
+use crate::delta::{FenceBudget, ScenarioFail, WarmFleet};
 use crate::query::VerificationRequest;
 use crate::verifier::{S2Error, S2Verifier};
 use s2_dataplane::{verdict_delta, PacketSpace};
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_obs::json::{parse_json, push_f64, push_str, Json};
-use s2_obs::{Deadline, Stopwatch};
-use s2_routing::RibSnapshot;
-use s2_runtime::{ClusterOptions, DpvRunStats, RuntimeError};
+use s2_obs::Stopwatch;
+use s2_runtime::DpvRunStats;
 use s2_shard::dpdg::Dpdg;
 use s2_shard::impact::{link_key, scenario_impact, LinkUsage};
 pub use s2_shard::impact::LinkKey;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Scenario-fencing and enumeration options for a resilience sweep.
@@ -73,17 +71,6 @@ impl Default for SweepOptions {
             retry_backoff: Duration::from_millis(100),
         }
     }
-}
-
-/// Deterministic retry backoff: exponential in the attempt number with
-/// a jitter derived from the attempt (no RNG, so chaos runs reproduce
-/// exactly), in the `s2_runtime::tcp` reconnect style. Callers cap the
-/// result at their fence's remaining budget.
-pub(crate) fn retry_backoff(base: Duration, attempt: usize) -> Duration {
-    let base = base.max(Duration::from_millis(1));
-    let exp = base.saturating_mul(1u32 << attempt.min(6) as u32);
-    let jitter_ms = (attempt as u64).wrapping_mul(7919) % (base.as_millis().max(1) as u64);
-    exp + Duration::from_millis(jitter_ms)
 }
 
 /// Enumerates every non-empty failure set of at most `max_failures`
@@ -540,38 +527,6 @@ pub fn validate_str(text: &str) -> Result<(), String> {
     validate(&parse_json(text)?)
 }
 
-/// The warm baseline a sweep re-verifies against.
-pub(crate) struct WarmBaseline {
-    /// Converged RIBs, collected through the same path as scenario
-    /// RIBs so diffs are representation-exact.
-    pub(crate) rib: Arc<RibSnapshot>,
-    /// Full baseline DPV outcome (verdict sets, unreachable pairs,
-    /// multipath violations).
-    pub(crate) dpv: DpvRunStats,
-    /// Milliseconds to build (control plane + DPV + checkpoint).
-    pub(crate) ms: f64,
-}
-
-/// Why one scenario attempt failed, for retry classification.
-pub(crate) enum ScenarioFail {
-    /// A worker crashed or hung: recover, re-warm, retry.
-    Lost(RuntimeError),
-    /// The per-attempt deadline expired: roll back, retry.
-    Deadline,
-    /// Not retryable (OOM, non-convergence, protocol bug): degrade to
-    /// `undetermined` with this reason.
-    Fatal(String),
-}
-
-pub(crate) fn classify(e: RuntimeError) -> ScenarioFail {
-    match e {
-        RuntimeError::WorkerLost { .. } => ScenarioFail::Lost(e),
-        RuntimeError::OutOfMemory { .. } => ScenarioFail::Fatal("oom".into()),
-        RuntimeError::NotConverged { .. } => ScenarioFail::Fatal("not-converged".into()),
-        other => ScenarioFail::Fatal(format!("runtime-error: {other}")),
-    }
-}
-
 /// Both endpoints of every failed link, as the runtime's port list.
 pub(crate) fn scenario_ports(links: &[LinkKey]) -> Vec<(NodeId, InterfaceId)> {
     let mut ports: Vec<(NodeId, InterfaceId)> =
@@ -579,19 +534,6 @@ pub(crate) fn scenario_ports(links: &[LinkKey]) -> Vec<(NodeId, InterfaceId)> {
     ports.sort_unstable();
     ports.dedup();
     ports
-}
-
-/// Nodes whose RIB differs between baseline and scenario — the only
-/// nodes whose forwarding predicates need recompiling.
-pub(crate) fn changed_nodes(baseline: &RibSnapshot, scenario: &RibSnapshot) -> Vec<NodeId> {
-    baseline
-        .per_node
-        .iter()
-        .zip(scenario.per_node.iter())
-        .enumerate()
-        .filter(|(_, (b, s))| b != s)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
 }
 
 impl S2Verifier {
@@ -623,21 +565,20 @@ impl S2Verifier {
     ) -> Result<ResilienceReport, S2Error> {
         let _span = s2_obs::span!("sweep");
         let total = Stopwatch::start();
-        let waypoints: BTreeMap<NodeId, u16> = request
-            .transits
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u16))
-            .collect();
-        let copts = self.cluster_opts();
-        let mut baseline = self.warm_up(request, &waypoints, &copts)?;
-        let usage = LinkUsage::from_baseline(&baseline.rib);
+        let mut fleet = WarmFleet::warm_up(self, request).map_err(|(_, e)| e)?;
+        let usage = LinkUsage::from_baseline(&fleet.baseline().rib);
         let (prefixes, aggregates, deps) = self.cluster.collect_prefixes()?;
         let dpdg = Dpdg::build_with_deps(&prefixes, &aggregates, &deps);
         // Verdict-set BDDs are decoded into a local manager sized like
         // the workers' packet space (one meta var per waypoint).
-        let space = PacketSpace::new(waypoints.len() as u16);
+        let space = PacketSpace::new(request.transits.len() as u16);
         let mut manager = space.manager();
+        let budget = FenceBudget {
+            deadline: opts.scenario_deadline,
+            max_retries: opts.max_retries,
+            backoff: opts.retry_backoff,
+            lost_dump: "scenario-abort:worker-lost",
+        };
 
         let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(scenarios.len());
         let mut class_reps: BTreeMap<Vec<LinkKey>, usize> = BTreeMap::new();
@@ -649,18 +590,10 @@ impl S2Verifier {
                 ScenarioStatus::SharedWith(rep)
             } else {
                 let ports = scenario_ports(scenario);
-                let status = if let Some(reason) = self.ospf_gate(&ports) {
+                let status = if let Some(reason) = fleet.ospf_gate(&ports) {
                     ScenarioStatus::Undetermined { reason, attempts: 0 }
                 } else {
-                    self.run_scenario_fenced(
-                        &mut baseline,
-                        request,
-                        &waypoints,
-                        &ports,
-                        opts,
-                        &copts,
-                        &mut manager,
-                    )
+                    run_scenario(&mut fleet, &budget, &ports, &mut manager)
                 };
                 // Later members of the class share this verdict either
                 // way — re-running an undetermined representative would
@@ -679,251 +612,59 @@ impl S2Verifier {
             self.model.topology.links().len(),
             class_reps.len(),
             outcomes,
-            baseline.ms,
+            fleet.baseline().ms,
             total.elapsed().as_secs_f64() * 1000.0,
         );
         s2_obs::event!("sweep.done", report.outcomes.len());
         Ok(report)
     }
+}
 
-    /// Builds (or rebuilds, after a recovery) the warm baseline: OSPF,
-    /// a single-shard warm control plane, the full baseline DPV, and a
-    /// scenario checkpoint on every worker.
-    ///
-    /// Sharding is forced to 1 regardless of `S2Options::shards`: warm
-    /// incremental re-verification needs every worker's in-memory
-    /// state to cover all prefixes at once, which a multi-shard
-    /// schedule only guarantees for the last shard.
-    pub(crate) fn warm_up(
-        &self,
-        request: &VerificationRequest,
-        waypoints: &BTreeMap<NodeId, u16>,
-        copts: &ClusterOptions,
-    ) -> Result<WarmBaseline, S2Error> {
-        let _span = s2_obs::span!("sweep.warm_up");
+/// One fenced scenario. Each attempt fails the ports, checks the
+/// transient data plane (baseline predicates, failure mask only),
+/// replays the warm fix point, re-checks the reconverged data plane,
+/// diffs both stages against the baseline, and rolls the fleet back —
+/// so the next scenario, whatever happened to this one, starts from the
+/// fenced warm baseline.
+fn run_scenario(
+    fleet: &mut WarmFleet<&S2Verifier>,
+    budget: &FenceBudget,
+    ports: &[(NodeId, InterfaceId)],
+    manager: &mut s2_bdd::BddManager,
+) -> ScenarioStatus {
+    let outcome = fleet.fenced(budget, |fleet, deadline| {
         let sw = Stopwatch::start();
-        let mut attempts = self.opts.runtime.max_recoveries + 1;
-        loop {
-            attempts -= 1;
-            let run = || -> Result<WarmBaseline, RuntimeError> {
-                // Survivors of an aborted scenario may still carry its
-                // failed interfaces; roll everyone back before the cold
-                // rebuild (a no-op reset on freshly respawned workers).
-                self.cluster.scenario_rollback()?;
-                self.cluster.run_ospf(copts)?;
-                let plan = self.cluster.plan_shards(1, self.opts.shard_seed)?;
-                self.cluster.run_control_plane(&plan, copts)?;
-                let rib = Arc::new(self.cluster.collect_full_rib()?);
-                let dpv = self.cluster.run_dpv(
-                    rib.clone(),
-                    request.sources.clone(),
-                    request.expected.clone(),
-                    request.dst_space,
-                    waypoints.clone(),
-                    copts,
-                )?;
-                if dpv.recoveries > 0 {
-                    // A worker died inside DPV: its replay restored the
-                    // forwarding state but the respawned worker's
-                    // control plane is cold, which would corrupt warm
-                    // fix points. Rebuild from the top.
-                    return Err(RuntimeError::WorkerLost {
-                        worker: u32::MAX,
-                        during: "warm-up-dpv",
-                    });
-                }
-                self.cluster.scenario_checkpoint(rib.clone())?;
-                Ok(WarmBaseline {
-                    rib,
-                    dpv,
-                    ms: sw.elapsed().as_secs_f64() * 1000.0,
-                })
-            };
-            match run() {
-                Ok(b) => return Ok(b),
-                Err(RuntimeError::WorkerLost { .. }) if attempts > 0 => {
-                    s2_obs::recorder::dump("sweep-warm-up-retry");
-                    self.cluster.recover()?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Warm verification cannot replay an IGP topology change (only
-    /// the BGP fix point runs warm), so scenarios failing a link that
-    /// carries an OSPF adjacency degrade to `undetermined`.
-    pub(crate) fn ospf_gate(&self, ports: &[(NodeId, InterfaceId)]) -> Option<String> {
-        for &(n, i) in ports {
-            let has_adj = self
-                .model
-                .ospf_adj
-                .get(n.index())
-                .is_some_and(|adj| adj.iter().any(|a| a.local_if == i));
-            if has_adj {
-                return Some("ospf-adjacency-on-failed-link".into());
-            }
-        }
-        None
-    }
-
-    /// Runs one scenario inside its fence: one deadline shared by every
-    /// attempt (retries cannot overshoot the scenario budget), bounded
-    /// retries with jittered exponential backoff, rollback to the warm
-    /// baseline on every exit path, recovery + re-warm after a lost
-    /// worker.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scenario_fenced(
-        &self,
-        baseline: &mut WarmBaseline,
-        request: &VerificationRequest,
-        waypoints: &BTreeMap<NodeId, u16>,
-        ports: &[(NodeId, InterfaceId)],
-        opts: &SweepOptions,
-        copts: &ClusterOptions,
-        manager: &mut s2_bdd::BddManager,
-    ) -> ScenarioStatus {
-        let mut attempt = 0;
-        let fence = Deadline::after(opts.scenario_deadline);
-        loop {
-            attempt += 1;
-            let result = self.run_scenario_once(
-                baseline, request, waypoints, ports, copts, &fence, manager,
-            );
-            // Whatever happened, the next scenario (or retry) starts
-            // from the fenced warm baseline.
-            let restored = self.restore_baseline();
-            match (result, restored) {
-                (Ok(verdict), Ok(())) => {
-                    return ScenarioStatus::Resolved(Box::new(verdict))
-                }
-                (Ok(_), Err(e)) | (Err(ScenarioFail::Lost(e)), _) => {
-                    // A verdict from an attempt whose cleanup lost a
-                    // worker is still trustworthy, but the warm state
-                    // is not — and without it the *next* scenario
-                    // would silently go cold. Recover, re-warm, and
-                    // retry this scenario for a verdict with an intact
-                    // baseline.
-                    s2_obs::recorder::dump("scenario-abort:worker-lost");
-                    s2_obs::event!("sweep.scenario_abort", attempt);
-                    if let Err(e2) = self.cluster.recover() {
-                        return ScenarioStatus::Undetermined {
-                            reason: format!("unrecoverable: {e2}"),
-                            attempts: attempt,
-                        };
-                    }
-                    match self.warm_up(request, waypoints, copts) {
-                        Ok(b) => *baseline = b,
-                        Err(e2) => {
-                            return ScenarioStatus::Undetermined {
-                                reason: format!("re-warm failed: {e2}"),
-                                attempts: attempt,
-                            }
-                        }
-                    }
-                    if attempt > opts.max_retries {
-                        return ScenarioStatus::Undetermined {
-                            reason: format!("worker-lost: {e}"),
-                            attempts: attempt,
-                        };
-                    }
-                }
-                (Err(ScenarioFail::Deadline), _) => {
-                    // The fence is shared by all attempts: an expired
-                    // deadline means the scenario's whole budget is
-                    // spent, so there is nothing left to retry with.
-                    s2_obs::recorder::dump("scenario-abort:deadline");
-                    return ScenarioStatus::Undetermined {
-                        reason: "deadline".into(),
-                        attempts: attempt,
-                    };
-                }
-                (Err(ScenarioFail::Fatal(reason)), _) => {
-                    return ScenarioStatus::Undetermined {
-                        reason,
-                        attempts: attempt,
-                    }
-                }
-            }
-            if fence.expired() {
-                return ScenarioStatus::Undetermined {
-                    reason: "deadline".into(),
-                    attempts: attempt,
-                };
-            }
-            std::thread::sleep(retry_backoff(opts.retry_backoff, attempt).min(fence.remaining()));
-        }
-    }
-
-    /// One attempt: fail the ports, check the transient data plane,
-    /// replay the warm BGP fix point, re-check the reconverged data
-    /// plane, and diff both stages' verdicts against the baseline.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scenario_once(
-        &self,
-        baseline: &WarmBaseline,
-        request: &VerificationRequest,
-        waypoints: &BTreeMap<NodeId, u16>,
-        ports: &[(NodeId, InterfaceId)],
-        copts: &ClusterOptions,
-        deadline: &Deadline,
-        manager: &mut s2_bdd::BddManager,
-    ) -> Result<ScenarioVerdict, ScenarioFail> {
-        let sw = Stopwatch::start();
-        self.cluster.scenario_begin(ports).map_err(classify)?;
-        // Transient stage: baseline predicates, failure mask only.
-        let transient_stats = self
-            .cluster
-            .run_scenario_dpv(
-                baseline.rib.clone(),
-                Vec::new(),
-                ports.to_vec(),
-                request.sources.clone(),
-                request.expected.clone(),
-                request.dst_space,
-                waypoints.clone(),
-            )
-            .map_err(classify)?;
-        if deadline.expired() {
-            return Err(ScenarioFail::Deadline);
-        }
-        let warm_rounds = self.cluster.run_warm_fixpoint(copts).map_err(classify)?;
-        let scen_rib = Arc::new(self.cluster.collect_full_rib().map_err(classify)?);
-        let changed = changed_nodes(&baseline.rib, &scen_rib);
-        if deadline.expired() {
-            return Err(ScenarioFail::Deadline);
-        }
-        let reconverged_stats = self
-            .cluster
-            .run_scenario_dpv(
-                scen_rib,
-                changed,
-                ports.to_vec(),
-                request.sources.clone(),
-                request.expected.clone(),
-                request.dst_space,
-                waypoints.clone(),
-            )
-            .map_err(classify)?;
-        if deadline.expired() {
-            return Err(ScenarioFail::Deadline);
-        }
-        let transient = stage_delta(manager, &baseline.dpv, &transient_stats)?;
-        let reconverged = stage_delta(manager, &baseline.dpv, &reconverged_stats)?;
-        Ok(ScenarioVerdict {
+        let baseline = fleet.baseline();
+        fleet.begin(ports)?;
+        let transient = fleet.check(baseline.rib.clone(), Vec::new(), ports)?;
+        ScenarioFail::if_expired(deadline)?;
+        let (rib, changed, warm_rounds) = fleet.reconverge()?;
+        ScenarioFail::if_expired(deadline)?;
+        let reconverged = fleet.check(rib, changed, ports)?;
+        ScenarioFail::if_expired(deadline)?;
+        let verdict = ScenarioVerdict {
             warm_rounds,
-            transient,
-            reconverged,
+            transient: stage_delta(manager, &baseline.dpv, &transient)?,
+            reconverged: stage_delta(manager, &baseline.dpv, &reconverged)?,
             elapsed_ms: sw.elapsed().as_secs_f64() * 1000.0,
-        })
-    }
-
-    /// Returns the fleet to the warm baseline: fence (discard every
-    /// in-flight frame of the aborted/finished scenario), then restore
-    /// the checkpoint and clear scenario forwarding state.
-    pub(crate) fn restore_baseline(&self) -> Result<(), RuntimeError> {
-        self.cluster.fence()?;
-        self.cluster.scenario_rollback()
+        };
+        // A verdict from an attempt whose cleanup lost a worker is
+        // still trustworthy, but the warm state is not: hand it to the
+        // fence as a loss and retry over an intact baseline.
+        fleet.restore_baseline().map_err(ScenarioFail::Lost)?;
+        Ok(verdict)
+    });
+    match outcome {
+        Ok(verdict) => ScenarioStatus::Resolved(Box::new(verdict)),
+        Err(fail) => {
+            if fail.reason == "deadline" {
+                s2_obs::recorder::dump("scenario-abort:deadline");
+            }
+            ScenarioStatus::Undetermined {
+                reason: fail.reason,
+                attempts: fail.attempts,
+            }
+        }
     }
 }
 
@@ -1055,7 +796,7 @@ fn assemble_report(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1196,28 +937,15 @@ mod tests {
         assert!(err.contains("survival."), "{err}");
     }
 
-    #[test]
-    fn retry_backoff_is_deterministic_exponential_and_jittered() {
-        let base = Duration::from_millis(100);
-        // Deterministic: same attempt, same sleep.
-        assert_eq!(retry_backoff(base, 1), retry_backoff(base, 1));
-        // Exponential growth.
-        assert!(retry_backoff(base, 3) >= 2 * retry_backoff(base, 1) - Duration::from_millis(100));
-        // Jitter: consecutive attempts never collapse onto one value.
-        assert_ne!(retry_backoff(base, 1), retry_backoff(base, 2));
-        // Saturates instead of overflowing.
-        assert!(retry_backoff(base, usize::MAX) > retry_backoff(base, 1));
-        // A zero base stays schedulable.
-        assert!(retry_backoff(Duration::ZERO, 5) > Duration::ZERO);
-    }
-
     use crate::verifier::S2Options;
     use crate::S2Verifier;
     use proptest::prelude::*;
     use s2_routing::NetworkModel;
     use s2_topogen::fattree::{generate, FatTree, FatTreeParams};
 
-    fn fattree_request(ft: &FatTree) -> VerificationRequest {
+    /// All-pair reachability among `ft`'s edge switches — the standing
+    /// request of every warm-fleet test in this crate.
+    pub(crate) fn fattree_request(ft: &FatTree) -> VerificationRequest {
         let k = ft.params.k;
         let endpoints = (0..k)
             .flat_map(|p| {

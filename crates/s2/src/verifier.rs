@@ -10,7 +10,6 @@ use s2_partition::schemes::{compute, Scheme};
 use s2_partition::Partition;
 use s2_routing::{NetworkModel, RibSnapshot};
 use s2_runtime::{Cluster, ClusterOptions, CpRunStats, FaultPlan, RuntimeConfig, RuntimeError};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Verification options.
@@ -353,20 +352,11 @@ impl S2Verifier {
     pub fn verify(&self, request: &VerificationRequest) -> Result<S2Report, S2Error> {
         let _span = s2_obs::span!("verify");
         let (rib, cp, shards) = self.simulate()?;
-        let waypoints: BTreeMap<NodeId, u16> = request
-            .transits
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u16))
-            .collect();
         let dpv = {
             let _dpv_span = s2_obs::span!("verify.dpv");
             self.cluster.run_dpv(
                 Arc::new(rib.clone()),
-                request.sources.clone(),
-                request.expected.clone(),
-                request.dst_space,
-                waypoints,
+                &request.dpv_query(),
                 &self.cluster_opts(),
             )?
         };
@@ -392,20 +382,9 @@ impl S2Verifier {
         rib: Arc<RibSnapshot>,
         request: &VerificationRequest,
     ) -> Result<s2_runtime::DpvRunStats, S2Error> {
-        let waypoints: BTreeMap<NodeId, u16> = request
-            .transits
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u16))
-            .collect();
-        Ok(self.cluster.run_dpv(
-            rib,
-            request.sources.clone(),
-            request.expected.clone(),
-            request.dst_space,
-            waypoints,
-            &self.cluster_opts(),
-        )?)
+        Ok(self
+            .cluster
+            .run_dpv(rib, &request.dpv_query(), &self.cluster_opts())?)
     }
 
     /// Checks reachability of a single prefix between two nodes — the
@@ -442,17 +421,8 @@ impl S2Verifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::fattree_request;
     use s2_topogen::fattree::{generate, FatTree, FatTreeParams};
-
-    fn fattree_request(ft: &FatTree) -> VerificationRequest {
-        let k = ft.params.k;
-        let endpoints = (0..k)
-            .flat_map(|p| {
-                (0..k / 2).map(move |e| (ft.edge(p, e), vec![FatTree::server_prefix(p, e)]))
-            })
-            .collect();
-        VerificationRequest::all_pair_reachability(endpoints, "10.0.0.0/8".parse().unwrap())
-    }
 
     #[test]
     fn fattree4_verifies_clean_on_multiple_workers() {
