@@ -14,7 +14,7 @@ use s2_bdd::{serialize as bdd_io, BddManager};
 use s2_net::policy::Protocol;
 use s2_net::{Ipv4Addr, Prefix, PrefixTrie};
 use s2_routing::{BgpRoute, Origin};
-use s2_runtime::wire;
+use s2_runtime::Wire;
 
 fn sample_route(i: u32) -> BgpRoute {
     BgpRoute {
@@ -37,14 +37,14 @@ fn bench_wire(c: &mut Criterion) {
         b.iter(|| {
             let mut buf = BytesMut::with_capacity(4096);
             for r in &routes {
-                wire::put_route(&mut buf, black_box(r));
+                black_box(r).put(&mut buf);
             }
             buf
         })
     });
     let mut buf = BytesMut::new();
     for r in &routes {
-        wire::put_route(&mut buf, r);
+        r.put(&mut buf);
     }
     let bytes = buf.freeze();
     g.bench_function("decode_64_routes", |b| {
@@ -52,7 +52,7 @@ fn bench_wire(c: &mut Criterion) {
             let mut slice = bytes.clone();
             let mut out = Vec::with_capacity(64);
             for _ in 0..64 {
-                out.push(wire::get_route(&mut slice).unwrap());
+                out.push(BgpRoute::take(&mut slice).unwrap());
             }
             out
         })

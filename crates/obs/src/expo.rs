@@ -26,7 +26,7 @@ pub const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.9
 
 /// One worker's contribution to a scrape: liveness, staleness, and the
 /// last snapshot pulled from it (`None` when none was ever received).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerSeries {
     /// Worker index (the `worker="N"` label value).
     pub id: u32,

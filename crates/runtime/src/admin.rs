@@ -13,30 +13,29 @@
 //!   peek-and-dispatch.
 //!
 //! The module also owns the on-disk **warm checkpoint**: the converged
-//! RIB snapshot plus the verdict summary, serialized with the same
-//! hand-rolled bounds-checked codecs as [`crate::remote`] (the vendored
-//! serde is a no-op stub, so nothing here can derive its way to disk),
-//! wrapped in a `magic + fnv64 checksum + length` header and written via
-//! write-temp-then-rename. A flipped byte or truncated file is detected
-//! by checksum and surfaces as [`CheckpointError::Corrupt`] — the daemon
-//! then falls back to a cold start rather than loading garbage.
+//! RIB snapshot plus the verdict summary as one [`Wire`] value (the
+//! vendored serde is a no-op stub, so nothing here can derive its way
+//! to disk), wrapped in a `magic + fnv64 checksum + length` header and
+//! written via write-temp-then-rename. A flipped byte or truncated file
+//! is detected by checksum and surfaces as
+//! [`CheckpointError::Corrupt`] — the daemon then falls back to a cold
+//! start rather than loading garbage.
 //!
-//! All decode paths are defensive in the [`crate::wire`] style: every
-//! read bounds-checked, every tag validated, a malformed peer or file
-//! yields an error — never a panic.
+//! Requests, responses and the checkpoint payload are built from the
+//! crate's one codec ([`crate::codec`]; DESIGN.md § "Byte formats" has
+//! the tag tables): a malformed peer or file yields an error — never a
+//! panic. Framed exchange is [`crate::tcp::send`]/[`crate::tcp::recv`]
+//! with the two envelope kinds below.
 
+use crate::codec::{wire_struct, Wire};
 use crate::faults::FaultState;
-use crate::tcp::{read_envelope, write_envelope};
-use crate::wire::{
-    cap, get_bool, get_final_kind, get_node_pairs, get_prefix, get_rib_snapshot, get_str, need,
-    put_bool, put_final_kind, put_node_pairs, put_prefix, put_rib_snapshot, put_str, WireError,
-};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::WireError;
+use bytes::{BufMut, Bytes, BytesMut};
 use s2_dataplane::FinalKind;
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
 use s2_routing::RibSnapshot;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Envelope kind of an admin request (client → daemon).
@@ -128,20 +127,10 @@ pub enum AdminRequest {
     Shutdown,
 }
 
-/// One worker's slot in a fleet metrics scrape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerMetrics {
-    /// Worker id (also the `worker="<id>"` exposition label).
-    pub id: u32,
-    /// Whether the worker answered this scrape.
-    pub up: bool,
-    /// Whether the snapshot is a cached one from an earlier scrape
-    /// (the worker stopped answering but its last view is still
-    /// served, flagged stale).
-    pub stale: bool,
-    /// The worker's snapshot; `None` when it never answered at all.
-    pub snapshot: Option<s2_obs::MetricsSnapshot>,
-}
+/// One worker's slot in a fleet metrics scrape: the exposition
+/// renderer's own per-worker type, so a scrape response renders without
+/// a copy.
+pub use s2_obs::expo::WorkerSeries as WorkerMetrics;
 
 /// A reply on the admin socket.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,253 +206,121 @@ pub enum AdminResponse {
     ShuttingDown,
 }
 
-// ---- field codecs (primitives live in crate::wire) ----
-
-/// Decodes a JSON-encoded metrics snapshot field.
-fn get_snapshot(buf: &mut Bytes) -> Result<s2_obs::MetricsSnapshot, WireError> {
-    let json = get_str(buf)?;
-    s2_obs::MetricsSnapshot::from_json(&json).map_err(|_| WireError::BadValue("metrics snapshot"))
-}
-
 // ---- request / response codecs ----
 
-const T_REQ_STATUS: u8 = 1;
-const T_REQ_DELTA: u8 = 2;
-const T_REQ_SHUTDOWN: u8 = 3;
-const T_REQ_METRICS: u8 = 4;
-const T_REQ_HEALTHZ: u8 = 5;
-
-const T_DELTA_LINK_DOWN: u8 = 1;
-const T_DELTA_LINK_UP: u8 = 2;
-const T_DELTA_ROUTE_MAP: u8 = 3;
-const T_DELTA_PREFIX_ADD: u8 = 4;
-const T_DELTA_PREFIX_WITHDRAW: u8 = 5;
-
-const T_RESP_COMMITTED: u8 = 1;
-const T_RESP_REJECTED: u8 = 2;
-const T_RESP_STATUS: u8 = 3;
-const T_RESP_ERROR: u8 = 4;
-const T_RESP_SHUTTING_DOWN: u8 = 5;
-const T_RESP_METRICS: u8 = 6;
-const T_RESP_HEALTHZ: u8 = 7;
-
-/// Serializes a request payload (without the envelope).
-pub fn encode_request(req: &AdminRequest) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    match req {
-        AdminRequest::Status => buf.put_u8(T_REQ_STATUS),
-        AdminRequest::ApplyDelta(delta) => {
-            buf.put_u8(T_REQ_DELTA);
-            match delta {
-                DeltaSpec::LinkDown { a, b } => {
-                    buf.put_u8(T_DELTA_LINK_DOWN);
-                    put_str(&mut buf, a);
-                    put_str(&mut buf, b);
-                }
-                DeltaSpec::LinkUp { a, b } => {
-                    buf.put_u8(T_DELTA_LINK_UP);
-                    put_str(&mut buf, a);
-                    put_str(&mut buf, b);
-                }
-                DeltaSpec::RouteMapEdit { device, config } => {
-                    buf.put_u8(T_DELTA_ROUTE_MAP);
-                    put_str(&mut buf, device);
-                    put_str(&mut buf, config);
-                }
-                DeltaSpec::PrefixAdd { device, prefix } => {
-                    buf.put_u8(T_DELTA_PREFIX_ADD);
-                    put_str(&mut buf, device);
-                    put_prefix(&mut buf, prefix);
-                }
-                DeltaSpec::PrefixWithdraw { device, prefix } => {
-                    buf.put_u8(T_DELTA_PREFIX_WITHDRAW);
-                    put_str(&mut buf, device);
-                    put_prefix(&mut buf, prefix);
-                }
+impl Wire for DeltaSpec {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            DeltaSpec::LinkDown { a, b } => {
+                1u8.put(buf);
+                a.put(buf);
+                b.put(buf);
+            }
+            DeltaSpec::LinkUp { a, b } => {
+                2u8.put(buf);
+                a.put(buf);
+                b.put(buf);
+            }
+            DeltaSpec::RouteMapEdit { device, config } => {
+                3u8.put(buf);
+                device.put(buf);
+                config.put(buf);
+            }
+            DeltaSpec::PrefixAdd { device, prefix } => {
+                4u8.put(buf);
+                device.put(buf);
+                prefix.put(buf);
+            }
+            DeltaSpec::PrefixWithdraw { device, prefix } => {
+                5u8.put(buf);
+                device.put(buf);
+                prefix.put(buf);
             }
         }
-        AdminRequest::Metrics => buf.put_u8(T_REQ_METRICS),
-        AdminRequest::Healthz => buf.put_u8(T_REQ_HEALTHZ),
-        AdminRequest::Shutdown => buf.put_u8(T_REQ_SHUTDOWN),
     }
-    buf.to_vec()
+
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(match u8::take(buf)? {
+            1 => DeltaSpec::LinkDown {
+                a: Wire::take(buf)?,
+                b: Wire::take(buf)?,
+            },
+            2 => DeltaSpec::LinkUp {
+                a: Wire::take(buf)?,
+                b: Wire::take(buf)?,
+            },
+            3 => DeltaSpec::RouteMapEdit {
+                device: Wire::take(buf)?,
+                config: Wire::take(buf)?,
+            },
+            4 => DeltaSpec::PrefixAdd {
+                device: Wire::take(buf)?,
+                prefix: Wire::take(buf)?,
+            },
+            5 => DeltaSpec::PrefixWithdraw {
+                device: Wire::take(buf)?,
+                prefix: Wire::take(buf)?,
+            },
+            t => return Err(WireError::BadTag(t)),
+        })
+    }
 }
 
-/// Parses a request payload.
-pub fn decode_request(payload: &[u8]) -> Result<AdminRequest, WireError> {
-    let mut buf = Bytes::from(payload);
-    need(&buf, 1)?;
-    let req = match buf.get_u8() {
-        T_REQ_STATUS => AdminRequest::Status,
-        T_REQ_DELTA => {
-            need(&buf, 1)?;
-            let delta = match buf.get_u8() {
-                T_DELTA_LINK_DOWN => DeltaSpec::LinkDown {
-                    a: get_str(&mut buf)?,
-                    b: get_str(&mut buf)?,
-                },
-                T_DELTA_LINK_UP => DeltaSpec::LinkUp {
-                    a: get_str(&mut buf)?,
-                    b: get_str(&mut buf)?,
-                },
-                T_DELTA_ROUTE_MAP => DeltaSpec::RouteMapEdit {
-                    device: get_str(&mut buf)?,
-                    config: get_str(&mut buf)?,
-                },
-                T_DELTA_PREFIX_ADD => DeltaSpec::PrefixAdd {
-                    device: get_str(&mut buf)?,
-                    prefix: get_prefix(&mut buf)?,
-                },
-                T_DELTA_PREFIX_WITHDRAW => DeltaSpec::PrefixWithdraw {
-                    device: get_str(&mut buf)?,
-                    prefix: get_prefix(&mut buf)?,
-                },
-                _ => return Err(WireError::BadValue("delta tag")),
-            };
-            AdminRequest::ApplyDelta(delta)
+impl Wire for AdminRequest {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            AdminRequest::Status => 1u8.put(buf),
+            AdminRequest::ApplyDelta(delta) => {
+                2u8.put(buf);
+                delta.put(buf);
+            }
+            AdminRequest::Shutdown => 3u8.put(buf),
+            AdminRequest::Metrics => 4u8.put(buf),
+            AdminRequest::Healthz => 5u8.put(buf),
         }
-        T_REQ_METRICS => AdminRequest::Metrics,
-        T_REQ_HEALTHZ => AdminRequest::Healthz,
-        T_REQ_SHUTDOWN => AdminRequest::Shutdown,
-        _ => return Err(WireError::BadValue("admin request tag")),
-    };
-    if buf.remaining() > 0 {
-        return Err(WireError::BadValue("trailing request bytes"));
     }
-    Ok(req)
+
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(match u8::take(buf)? {
+            1 => AdminRequest::Status,
+            2 => AdminRequest::ApplyDelta(Wire::take(buf)?),
+            3 => AdminRequest::Shutdown,
+            4 => AdminRequest::Metrics,
+            5 => AdminRequest::Healthz,
+            t => return Err(WireError::BadTag(t)),
+        })
+    }
 }
 
-/// Serializes a response payload (without the envelope).
-pub fn encode_response(resp: &AdminResponse) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    match resp {
-        AdminResponse::Committed {
-            generation,
-            ms,
-            changed_nodes,
-            escalated,
-            all_clear,
-        } => {
-            buf.put_u8(T_RESP_COMMITTED);
-            buf.put_u64(*generation);
-            buf.put_u64(ms.to_bits());
-            buf.put_u32(*changed_nodes);
-            put_bool(&mut buf, *escalated);
-            put_bool(&mut buf, *all_clear);
-        }
-        AdminResponse::Rejected { reason, attempts } => {
-            buf.put_u8(T_RESP_REJECTED);
-            put_str(&mut buf, reason);
-            buf.put_u32(*attempts);
-        }
-        AdminResponse::Status {
-            generation,
-            failed_links,
-            all_clear,
-            committed,
-            rejected,
-            warm_start,
-            verdict_hash,
-        } => {
-            buf.put_u8(T_RESP_STATUS);
-            buf.put_u64(*generation);
-            buf.put_u32(*failed_links);
-            put_bool(&mut buf, *all_clear);
-            buf.put_u64(*committed);
-            buf.put_u64(*rejected);
-            put_bool(&mut buf, *warm_start);
-            buf.put_u64(*verdict_hash);
-        }
-        // Snapshots cross as their canonical JSON encoding (BTreeMap
-        // order — deterministic bytes), like `Reply::Metrics` on the
-        // control channel.
-        AdminResponse::Metrics { aggregate, workers } => {
-            buf.put_u8(T_RESP_METRICS);
-            put_str(&mut buf, &aggregate.to_json());
-            buf.put_u32(workers.len() as u32);
-            for w in workers {
-                buf.put_u32(w.id);
-                put_bool(&mut buf, w.up);
-                put_bool(&mut buf, w.stale);
-                match &w.snapshot {
-                    Some(s) => {
-                        buf.put_u8(1);
-                        put_str(&mut buf, &s.to_json());
-                    }
-                    None => buf.put_u8(0),
-                }
-            }
-        }
-        AdminResponse::Healthz {
-            ok,
-            generation,
-            uptime_ms,
-            workers_up,
-            workers_total,
-            checkpoint_age_ms,
-        } => {
-            buf.put_u8(T_RESP_HEALTHZ);
-            put_bool(&mut buf, *ok);
-            buf.put_u64(*generation);
-            buf.put_u64(*uptime_ms);
-            buf.put_u32(*workers_up);
-            buf.put_u32(*workers_total);
-            match checkpoint_age_ms {
-                Some(age) => {
-                    buf.put_u8(1);
-                    buf.put_u64(*age);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        AdminResponse::Error(msg) => {
-            buf.put_u8(T_RESP_ERROR);
-            put_str(&mut buf, msg);
-        }
-        AdminResponse::ShuttingDown => buf.put_u8(T_RESP_SHUTTING_DOWN),
-    }
-    buf.to_vec()
-}
+wire_struct!(WorkerMetrics {
+    id,
+    up,
+    stale,
+    snapshot,
+});
 
-/// Parses a response payload.
-pub fn decode_response(payload: &[u8]) -> Result<AdminResponse, WireError> {
-    let mut buf = Bytes::from(payload);
-    need(&buf, 1)?;
-    let resp = match buf.get_u8() {
-        T_RESP_COMMITTED => {
-            need(&buf, 8 + 8 + 4)?;
-            let generation = buf.get_u64();
-            let ms = f64::from_bits(buf.get_u64());
-            let changed_nodes = buf.get_u32();
-            if !ms.is_finite() || ms < 0.0 {
-                return Err(WireError::BadValue("committed ms"));
-            }
+impl Wire for AdminResponse {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
             AdminResponse::Committed {
                 generation,
                 ms,
                 changed_nodes,
-                escalated: get_bool(&mut buf)?,
-                all_clear: get_bool(&mut buf)?,
+                escalated,
+                all_clear,
+            } => {
+                1u8.put(buf);
+                generation.put(buf);
+                ms.put(buf);
+                changed_nodes.put(buf);
+                escalated.put(buf);
+                all_clear.put(buf);
             }
-        }
-        T_RESP_REJECTED => {
-            let reason = get_str(&mut buf)?;
-            need(&buf, 4)?;
-            AdminResponse::Rejected {
-                reason,
-                attempts: buf.get_u32(),
+            AdminResponse::Rejected { reason, attempts } => {
+                2u8.put(buf);
+                reason.put(buf);
+                attempts.put(buf);
             }
-        }
-        T_RESP_STATUS => {
-            need(&buf, 8 + 4)?;
-            let generation = buf.get_u64();
-            let failed_links = buf.get_u32();
-            let all_clear = get_bool(&mut buf)?;
-            need(&buf, 16)?;
-            let committed = buf.get_u64();
-            let rejected = buf.get_u64();
-            let warm_start = get_bool(&mut buf)?;
-            need(&buf, 8)?;
             AdminResponse::Status {
                 generation,
                 failed_links,
@@ -471,49 +328,27 @@ pub fn decode_response(payload: &[u8]) -> Result<AdminResponse, WireError> {
                 committed,
                 rejected,
                 warm_start,
-                verdict_hash: buf.get_u64(),
+                verdict_hash,
+            } => {
+                3u8.put(buf);
+                generation.put(buf);
+                failed_links.put(buf);
+                all_clear.put(buf);
+                committed.put(buf);
+                rejected.put(buf);
+                warm_start.put(buf);
+                verdict_hash.put(buf);
             }
-        }
-        T_RESP_METRICS => {
-            let aggregate = get_snapshot(&mut buf)?;
-            need(&buf, 4)?;
-            let n = buf.get_u32() as usize;
-            let mut workers = Vec::with_capacity(cap(n));
-            for _ in 0..n {
-                need(&buf, 4)?;
-                let id = buf.get_u32();
-                let up = get_bool(&mut buf)?;
-                let stale = get_bool(&mut buf)?;
-                need(&buf, 1)?;
-                let snapshot = match buf.get_u8() {
-                    0 => None,
-                    1 => Some(get_snapshot(&mut buf)?),
-                    _ => return Err(WireError::BadValue("option discriminant")),
-                };
-                workers.push(WorkerMetrics {
-                    id,
-                    up,
-                    stale,
-                    snapshot,
-                });
+            AdminResponse::Error(msg) => {
+                4u8.put(buf);
+                msg.put(buf);
             }
-            AdminResponse::Metrics { aggregate, workers }
-        }
-        T_RESP_HEALTHZ => {
-            let ok = get_bool(&mut buf)?;
-            need(&buf, 8 + 8 + 4 + 4 + 1)?;
-            let generation = buf.get_u64();
-            let uptime_ms = buf.get_u64();
-            let workers_up = buf.get_u32();
-            let workers_total = buf.get_u32();
-            let checkpoint_age_ms = match buf.get_u8() {
-                0 => None,
-                1 => {
-                    need(&buf, 8)?;
-                    Some(buf.get_u64())
-                }
-                _ => return Err(WireError::BadValue("option discriminant")),
-            };
+            AdminResponse::ShuttingDown => 5u8.put(buf),
+            AdminResponse::Metrics { aggregate, workers } => {
+                6u8.put(buf);
+                aggregate.put(buf);
+                workers.put(buf);
+            }
             AdminResponse::Healthz {
                 ok,
                 generation,
@@ -521,54 +356,66 @@ pub fn decode_response(payload: &[u8]) -> Result<AdminResponse, WireError> {
                 workers_up,
                 workers_total,
                 checkpoint_age_ms,
+            } => {
+                7u8.put(buf);
+                ok.put(buf);
+                generation.put(buf);
+                uptime_ms.put(buf);
+                workers_up.put(buf);
+                workers_total.put(buf);
+                checkpoint_age_ms.put(buf);
             }
         }
-        T_RESP_ERROR => AdminResponse::Error(get_str(&mut buf)?),
-        T_RESP_SHUTTING_DOWN => AdminResponse::ShuttingDown,
-        _ => return Err(WireError::BadValue("admin response tag")),
-    };
-    if buf.remaining() > 0 {
-        return Err(WireError::BadValue("trailing response bytes"));
     }
-    Ok(resp)
-}
 
-fn wire_to_io(e: WireError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("admin wire: {e}"))
-}
-
-/// Writes one framed request.
-pub fn write_request(w: &mut impl Write, req: &AdminRequest) -> io::Result<()> {
-    write_envelope(w, K_ADMIN_REQUEST, &encode_request(req))
-}
-
-/// Reads one framed request. `InvalidData` on a bad kind or payload.
-pub fn read_request(r: &mut impl Read) -> io::Result<AdminRequest> {
-    let (kind, payload) = read_envelope(r, MAX_ADMIN_FRAME)?;
-    if kind != K_ADMIN_REQUEST {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected admin kind {kind}"),
-        ));
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(match u8::take(buf)? {
+            1 => {
+                let generation = Wire::take(buf)?;
+                let ms = f64::take(buf)?;
+                // The latency is rendered into JSON and fed to SLO
+                // windows: NaN, infinities and negatives stop here.
+                if !ms.is_finite() || ms < 0.0 {
+                    return Err(WireError::BadValue("committed ms"));
+                }
+                AdminResponse::Committed {
+                    generation,
+                    ms,
+                    changed_nodes: Wire::take(buf)?,
+                    escalated: Wire::take(buf)?,
+                    all_clear: Wire::take(buf)?,
+                }
+            }
+            2 => AdminResponse::Rejected {
+                reason: Wire::take(buf)?,
+                attempts: Wire::take(buf)?,
+            },
+            3 => AdminResponse::Status {
+                generation: Wire::take(buf)?,
+                failed_links: Wire::take(buf)?,
+                all_clear: Wire::take(buf)?,
+                committed: Wire::take(buf)?,
+                rejected: Wire::take(buf)?,
+                warm_start: Wire::take(buf)?,
+                verdict_hash: Wire::take(buf)?,
+            },
+            4 => AdminResponse::Error(Wire::take(buf)?),
+            5 => AdminResponse::ShuttingDown,
+            6 => AdminResponse::Metrics {
+                aggregate: Wire::take(buf)?,
+                workers: Wire::take(buf)?,
+            },
+            7 => AdminResponse::Healthz {
+                ok: Wire::take(buf)?,
+                generation: Wire::take(buf)?,
+                uptime_ms: Wire::take(buf)?,
+                workers_up: Wire::take(buf)?,
+                workers_total: Wire::take(buf)?,
+                checkpoint_age_ms: Wire::take(buf)?,
+            },
+            t => return Err(WireError::BadTag(t)),
+        })
     }
-    decode_request(&payload).map_err(wire_to_io)
-}
-
-/// Writes one framed response.
-pub fn write_response(w: &mut impl Write, resp: &AdminResponse) -> io::Result<()> {
-    write_envelope(w, K_ADMIN_RESPONSE, &encode_response(resp))
-}
-
-/// Reads one framed response. `InvalidData` on a bad kind or payload.
-pub fn read_response(r: &mut impl Read) -> io::Result<AdminResponse> {
-    let (kind, payload) = read_envelope(r, MAX_ADMIN_FRAME)?;
-    if kind != K_ADMIN_RESPONSE {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected admin kind {kind}"),
-        ));
-    }
-    decode_response(&payload).map_err(wire_to_io)
 }
 
 // ---- text dialect ----
@@ -636,26 +483,6 @@ pub fn parse_text_command(line: &str) -> Result<AdminRequest, String> {
     Ok(req)
 }
 
-/// Bridges an admin metrics response into the Prometheus exposition
-/// renderer: per-worker slots become labeled series, liveness flags
-/// become the `s2_worker_up` / `s2_worker_stale` gauges. This is the
-/// document `echo metrics | nc <daemon>` returns.
-pub fn render_exposition(
-    aggregate: &s2_obs::MetricsSnapshot,
-    workers: &[WorkerMetrics],
-) -> String {
-    let series: Vec<s2_obs::expo::WorkerSeries> = workers
-        .iter()
-        .map(|w| s2_obs::expo::WorkerSeries {
-            id: w.id,
-            up: w.up,
-            stale: w.stale,
-            snapshot: w.snapshot.clone(),
-        })
-        .collect();
-    s2_obs::expo::render(aggregate, &series)
-}
-
 /// Renders a response as one line of JSON for the text dialect — with
 /// one exception: a `Metrics` response renders as the (multi-line)
 /// Prometheus exposition document, which is the whole point of the
@@ -717,7 +544,7 @@ pub fn render_text_response(resp: &AdminResponse) -> String {
             out.push('}');
         }
         AdminResponse::Metrics { aggregate, workers } => {
-            out.push_str(&render_exposition(aggregate, workers));
+            out.push_str(&s2_obs::expo::render(aggregate, workers));
         }
         AdminResponse::Healthz {
             ok,
@@ -829,7 +656,7 @@ pub fn verdict_hash(sets: &[(NodeId, FinalKind, Vec<u8>)]) -> u64 {
     buf.put_u64(sets.len() as u64);
     for (node, kind, bytes) in sets {
         buf.put_u32(node.0);
-        put_final_kind(&mut buf, *kind);
+        kind.put(&mut buf);
         buf.put_u64(bytes.len() as u64);
         buf.put_slice(bytes);
     }
@@ -846,79 +673,22 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializes a checkpoint payload (header not included).
-pub fn encode_checkpoint(ckpt: &WarmCheckpoint) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u64(ckpt.snapshot_hash);
-    buf.put_u64(ckpt.generation);
-    put_node_pairs(&mut buf, &ckpt.failed_links);
-    put_rib_snapshot(&mut buf, &ckpt.rib);
-    let v = &ckpt.verdict;
-    buf.put_u64(v.reachable_pairs);
-    put_node_pairs(&mut buf, &v.unreachable_pairs);
-    buf.put_u32(v.multipath_violations.len() as u32);
-    for n in &v.multipath_violations {
-        buf.put_u32(n.0);
-    }
-    buf.put_u64(v.loops);
-    buf.put_u64(v.blackholes);
-    buf.put_u32(v.verdict_sets.len() as u32);
-    for (node, kind, bytes) in &v.verdict_sets {
-        buf.put_u32(node.0);
-        put_final_kind(&mut buf, *kind);
-        buf.put_u32(bytes.len() as u32);
-        buf.put_slice(bytes);
-    }
-    buf.to_vec()
-}
+wire_struct!(VerdictSummary {
+    reachable_pairs,
+    unreachable_pairs,
+    multipath_violations,
+    loops,
+    blackholes,
+    verdict_sets,
+});
 
-/// Parses a checkpoint payload.
-pub fn decode_checkpoint(payload: &[u8]) -> Result<WarmCheckpoint, WireError> {
-    let mut buf = Bytes::from(payload);
-    need(&buf, 16)?;
-    let snapshot_hash = buf.get_u64();
-    let generation = buf.get_u64();
-    let failed_links = get_node_pairs(&mut buf)?;
-    let rib = get_rib_snapshot(&mut buf)?;
-    need(&buf, 8)?;
-    let reachable_pairs = buf.get_u64();
-    let unreachable_pairs = get_node_pairs(&mut buf)?;
-    need(&buf, 4)?;
-    let n = buf.get_u32() as usize;
-    need(&buf, n * 4)?;
-    let multipath_violations = (0..n).map(|_| NodeId(buf.get_u32())).collect();
-    need(&buf, 16 + 4)?;
-    let loops = buf.get_u64();
-    let blackholes = buf.get_u64();
-    let n = buf.get_u32() as usize;
-    let mut verdict_sets = Vec::with_capacity(cap(n));
-    for _ in 0..n {
-        need(&buf, 4)?;
-        let node = NodeId(buf.get_u32());
-        let kind = get_final_kind(&mut buf)?;
-        need(&buf, 4)?;
-        let len = buf.get_u32() as usize;
-        need(&buf, len)?;
-        verdict_sets.push((node, kind, buf.copy_to_bytes(len).to_vec()));
-    }
-    if buf.remaining() > 0 {
-        return Err(WireError::BadValue("trailing checkpoint bytes"));
-    }
-    Ok(WarmCheckpoint {
-        snapshot_hash,
-        generation,
-        failed_links,
-        rib,
-        verdict: VerdictSummary {
-            reachable_pairs,
-            unreachable_pairs,
-            multipath_violations,
-            loops,
-            blackholes,
-            verdict_sets,
-        },
-    })
-}
+wire_struct!(WarmCheckpoint {
+    snapshot_hash,
+    generation,
+    failed_links,
+    rib,
+    verdict,
+});
 
 /// Frames a checkpoint payload into the on-disk file image:
 /// `magic(8) checksum(8) len(8) payload`.
@@ -967,8 +737,7 @@ pub fn write_checkpoint(
     ckpt: &WarmCheckpoint,
     faults: &FaultState,
 ) -> io::Result<()> {
-    let payload = encode_checkpoint(ckpt);
-    let mut file = frame_checkpoint(&payload);
+    let mut file = frame_checkpoint(&ckpt.to_bytes());
     let idx = faults.next_checkpoint_index();
     if faults.corrupts_checkpoint(idx) {
         if let Some(b) = file.last_mut() {
@@ -990,7 +759,8 @@ pub fn write_checkpoint(
 pub fn load_checkpoint(path: &Path) -> Result<WarmCheckpoint, CheckpointError> {
     let file = std::fs::read(path)?;
     let payload = unframe_checkpoint(&file)?;
-    decode_checkpoint(payload).map_err(|_| CheckpointError::Corrupt("payload decode"))
+    WarmCheckpoint::from_bytes(Bytes::from(payload))
+        .map_err(|_| CheckpointError::Corrupt("payload decode"))
 }
 
 #[cfg(test)]
@@ -1052,7 +822,7 @@ mod tests {
             }),
         ];
         for req in reqs {
-            assert_eq!(decode_request(&encode_request(&req)), Ok(req.clone()));
+            assert_eq!(AdminRequest::from_bytes(req.to_bytes()), Ok(req.clone()));
         }
     }
 
@@ -1090,7 +860,7 @@ mod tests {
     #[test]
     fn metrics_and_healthz_roundtrip() {
         for req in [AdminRequest::Metrics, AdminRequest::Healthz] {
-            assert_eq!(decode_request(&encode_request(&req)), Ok(req.clone()));
+            assert_eq!(AdminRequest::from_bytes(req.to_bytes()), Ok(req.clone()));
         }
         let resps = [
             sample_metrics_response(),
@@ -1112,16 +882,8 @@ mod tests {
             },
         ];
         for resp in resps {
-            let back = decode_response(&encode_response(&resp)).unwrap();
+            let back = AdminResponse::from_bytes(resp.to_bytes()).unwrap();
             assert_eq!(back, resp);
-        }
-    }
-
-    #[test]
-    fn metrics_response_truncations_error() {
-        let full = encode_response(&sample_metrics_response());
-        for cut in 0..full.len() {
-            assert!(decode_response(&full[..cut]).is_err());
         }
     }
 
@@ -1177,31 +939,8 @@ mod tests {
             AdminResponse::ShuttingDown,
         ];
         for resp in resps {
-            let back = decode_response(&encode_response(&resp)).unwrap();
+            let back = AdminResponse::from_bytes(resp.to_bytes()).unwrap();
             assert_eq!(format!("{back:?}"), format!("{resp:?}"));
-        }
-    }
-
-    #[test]
-    fn truncated_encodings_error() {
-        let req = AdminRequest::ApplyDelta(DeltaSpec::PrefixWithdraw {
-            device: "edge-1".into(),
-            prefix: Prefix::new(Ipv4Addr(0x0a000000), 8),
-        });
-        let full = encode_request(&req);
-        for cut in 0..full.len() {
-            assert!(
-                decode_request(&full[..cut]).is_err(),
-                "prefix of len {cut} must not decode"
-            );
-        }
-        let resp = AdminResponse::Rejected {
-            reason: "x".into(),
-            attempts: 1,
-        };
-        let full = encode_response(&resp);
-        for cut in 0..full.len() {
-            assert!(decode_response(&full[..cut]).is_err());
         }
     }
 
@@ -1214,7 +953,10 @@ mod tests {
             escalated: false,
             all_clear: true,
         };
-        assert!(decode_response(&encode_response(&resp)).is_err());
+        assert_eq!(
+            AdminResponse::from_bytes(resp.to_bytes()),
+            Err(WireError::BadValue("committed ms"))
+        );
     }
 
     #[test]
@@ -1269,8 +1011,8 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip() {
         let ckpt = sample_checkpoint();
-        let payload = encode_checkpoint(&ckpt);
-        assert_eq!(decode_checkpoint(&payload), Ok(ckpt.clone()));
+        let payload = ckpt.to_bytes();
+        assert_eq!(WarmCheckpoint::from_bytes(payload.clone()), Ok(ckpt));
         let file = frame_checkpoint(&payload);
         assert_eq!(unframe_checkpoint(&file).unwrap(), &payload[..]);
     }
@@ -1312,10 +1054,11 @@ mod tests {
         fn prop_arbitrary_admin_bytes_never_panic(
             raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
         ) {
-            let _ = decode_request(&raw);
-            let _ = decode_response(&raw);
-            let _ = decode_checkpoint(&raw);
             let _ = unframe_checkpoint(&raw);
+            let bytes = Bytes::from(raw);
+            let _ = AdminRequest::from_bytes(bytes.clone());
+            let _ = AdminResponse::from_bytes(bytes.clone());
+            let _ = WarmCheckpoint::from_bytes(bytes);
         }
 
         /// Any single-byte flip anywhere in a framed checkpoint is
@@ -1325,7 +1068,7 @@ mod tests {
         #[test]
         fn prop_single_byte_flip_detected(pos in 0usize..4096, bit in 0u8..8) {
             let ckpt = sample_checkpoint();
-            let mut file = frame_checkpoint(&encode_checkpoint(&ckpt));
+            let mut file = frame_checkpoint(&ckpt.to_bytes());
             let pos = pos % file.len();
             file[pos] ^= 1 << bit;
             match unframe_checkpoint(&file) {
@@ -1342,7 +1085,7 @@ mod tests {
         #[test]
         fn prop_truncation_detected(cut in 0usize..4096) {
             let ckpt = sample_checkpoint();
-            let file = frame_checkpoint(&encode_checkpoint(&ckpt));
+            let file = frame_checkpoint(&ckpt.to_bytes());
             let cut = cut % file.len();
             proptest::prop_assert!(unframe_checkpoint(&file[..cut]).is_err());
         }

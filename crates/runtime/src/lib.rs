@@ -47,6 +47,7 @@
 #![deny(missing_docs)]
 
 pub mod admin;
+pub mod codec;
 pub mod controller;
 pub mod credit;
 pub mod faults;
@@ -64,6 +65,7 @@ pub use admin::{
     AdminRequest, AdminResponse, CheckpointError, DeltaSpec, VerdictSummary, WarmCheckpoint,
     WorkerMetrics,
 };
+pub use codec::Wire;
 pub use controller::{
     Cluster, ClusterOptions, CpRunStats, DpvQuery, DpvRunStats, DpvScopedStats, FleetScrape,
     RuntimeConfig, RuntimeError,

@@ -31,6 +31,7 @@
 //! losses, so frames that died in a severed connection's kernel buffers
 //! always trigger a BGP resync and can never fake a converged round.
 
+use crate::codec::Wire;
 use crate::faults::FaultState;
 use crate::sidecar::{TrafficStats, WorkerId};
 use crate::credit::CreditLedger;
@@ -123,6 +124,23 @@ pub(crate) fn read_envelope(r: &mut impl Read, max_len: usize) -> io::Result<(u8
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok((kind, payload))
+}
+
+/// Sends one [`Wire`] value as a `kind` envelope.
+pub fn send<T: Wire>(w: &mut impl Write, kind: u8, value: &T) -> io::Result<()> {
+    write_envelope(w, kind, &value.to_bytes())
+}
+
+/// Reads one envelope and decodes its payload as a `T`. An envelope of
+/// another kind, or a payload that is not exactly one well-formed `T`,
+/// is `InvalidData`.
+pub fn recv<T: Wire>(r: &mut impl Read, kind: u8, max_len: usize) -> io::Result<T> {
+    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    let (got, payload) = read_envelope(r, max_len)?;
+    if got != kind {
+        return Err(invalid(format!("expected envelope kind {kind}, got {got}")));
+    }
+    T::from_bytes(Bytes::from(payload)).map_err(|e| invalid(format!("envelope kind {kind}: {e}")))
 }
 
 /// Recovers a poisoned std mutex guard: supervision state stays usable

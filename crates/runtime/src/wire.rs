@@ -5,7 +5,8 @@
 //! byte string and decoded on the far side. The paper uses gRPC with Java
 //! serialization; a hand-rolled codec keeps the serialization cost real
 //! and observable (the sidecar counts every byte) without pulling in an
-//! RPC stack.
+//! RPC stack. The messages are [`Wire`] values built from the crate's
+//! one codec ([`crate::codec`]); this module adds the frame around them.
 //!
 //! Layout (all integers big-endian):
 //!
@@ -30,12 +31,11 @@
 //! errors: the receiving sidecar counts and skips the bad frame rather
 //! than tearing the worker down.
 
+use crate::codec::{put_seq16, take_seq16, wire_struct, Wire};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use s2_dataplane::FinalKind;
-use s2_net::policy::Protocol;
 use s2_net::topology::{InterfaceId, NodeId};
-use s2_net::{Ipv4Addr, Prefix};
-use s2_routing::{BgpRoute, Origin, RibRoute, RibSnapshot};
+use s2_net::Prefix;
+use s2_routing::{BgpRoute, RibRoute, RibSnapshot};
 
 /// Decoded form of a cross-worker message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,356 +203,149 @@ pub fn deframe(bytes: Bytes) -> Result<Frame, WireError> {
     })
 }
 
-// ---- primitive codecs ----
+// ---- message codec ----
 //
-// The one set of field codecs every byte format in this crate is built
-// from: data frames here, the control channel (`crate::remote`), and
-// the admin protocol plus warm checkpoint (`crate::admin`).
+// Built from the crate's one codec (`crate::codec`); what is spelled
+// out here is only what deviates from its generic rules.
 
-pub(crate) fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
+impl Wire for RibRoute {
+    fn put(&self, buf: &mut BytesMut) {
+        self.prefix.put(buf);
+        self.protocol.put(buf);
+        put_seq16(&self.egress, buf);
+        self.is_local.put(buf);
+        self.as_path_len.put(buf);
+    }
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(RibRoute {
+            prefix: Wire::take(buf)?,
+            protocol: Wire::take(buf)?,
+            egress: take_seq16(buf)?,
+            is_local: Wire::take(buf)?,
+            as_path_len: Wire::take(buf)?,
+        })
     }
 }
 
-/// `with_capacity` guard: trust the declared element count only up to a
-/// sanity bound so a corrupt count cannot pre-allocate gigabytes.
-// s2-lint: sanitizer(alloc-bound): the returned count is min-capped at 64 Ki elements, so allocations sized by it are bounded regardless of the peer's declared length.
-pub(crate) fn cap(n: usize) -> usize {
-    n.min(1 << 16)
-}
+wire_struct!(RibSnapshot { per_node });
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32() as usize;
-    need(buf, n)?;
-    let raw = buf.copy_to_bytes(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadValue("utf-8 string"))
-}
-
-pub(crate) fn put_prefix(buf: &mut BytesMut, p: &Prefix) {
-    buf.put_u32(p.addr().0);
-    buf.put_u8(p.len());
-}
-
-pub(crate) fn get_prefix(buf: &mut impl Buf) -> Result<Prefix, WireError> {
-    need(buf, 5)?;
-    let addr = buf.get_u32();
-    let len = buf.get_u8();
-    if len > 32 {
-        return Err(WireError::BadValue("prefix length"));
+// Wire order differs from the struct's field order, and both attribute
+// lists are `u16`-counted.
+impl Wire for BgpRoute {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        self.prefix.put(buf);
+        self.next_hop.put(buf);
+        self.local_pref.put(buf);
+        self.med.put(buf);
+        self.origin.put(buf);
+        self.weight.put(buf);
+        self.source_protocol.put(buf);
+        put_seq16(&self.as_path, buf);
+        put_seq16(&self.communities, buf);
     }
-    Ok(Prefix::new(Ipv4Addr(addr), len))
-}
-
-pub(crate) fn put_node_pairs(buf: &mut BytesMut, pairs: &[(NodeId, NodeId)]) {
-    buf.put_u32(pairs.len() as u32);
-    for (a, b) in pairs {
-        buf.put_u32(a.0);
-        buf.put_u32(b.0);
+    #[inline]
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(BgpRoute {
+            prefix: Wire::take(buf)?,
+            next_hop: Wire::take(buf)?,
+            local_pref: Wire::take(buf)?,
+            med: Wire::take(buf)?,
+            origin: Wire::take(buf)?,
+            weight: Wire::take(buf)?,
+            source_protocol: Wire::take(buf)?,
+            as_path: take_seq16(buf)?,
+            communities: take_seq16(buf)?,
+        })
     }
 }
 
-pub(crate) fn get_node_pairs(buf: &mut impl Buf) -> Result<Vec<(NodeId, NodeId)>, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32() as usize;
-    need(buf, n * 8)?;
-    Ok((0..n).map(|_| (NodeId(buf.get_u32()), NodeId(buf.get_u32()))).collect())
-}
-
-pub(crate) fn put_bool(buf: &mut BytesMut, v: bool) {
-    buf.put_u8(u8::from(v));
-}
-
-pub(crate) fn get_bool(buf: &mut impl Buf) -> Result<bool, WireError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::BadValue("bool")),
-    }
-}
-
-pub(crate) fn put_protocol(buf: &mut BytesMut, p: Protocol) {
-    buf.put_u8(match p {
-        Protocol::Connected => 0,
-        Protocol::Static => 1,
-        Protocol::Ospf => 2,
-        Protocol::Bgp => 3,
-        Protocol::Aggregate => 4,
-    });
-}
-
-pub(crate) fn get_protocol(buf: &mut impl Buf) -> Result<Protocol, WireError> {
-    need(buf, 1)?;
-    Ok(match buf.get_u8() {
-        0 => Protocol::Connected,
-        1 => Protocol::Static,
-        2 => Protocol::Ospf,
-        3 => Protocol::Bgp,
-        4 => Protocol::Aggregate,
-        _ => return Err(WireError::BadValue("protocol")),
-    })
-}
-
-pub(crate) fn put_rib_route(buf: &mut BytesMut, r: &RibRoute) {
-    put_prefix(buf, &r.prefix);
-    put_protocol(buf, r.protocol);
-    buf.put_u16(r.egress.len() as u16);
-    for e in &r.egress {
-        buf.put_u16(e.0);
-    }
-    put_bool(buf, r.is_local);
-    buf.put_u32(r.as_path_len);
-}
-
-pub(crate) fn get_rib_route(buf: &mut impl Buf) -> Result<RibRoute, WireError> {
-    let prefix = get_prefix(buf)?;
-    let protocol = get_protocol(buf)?;
-    need(buf, 2)?;
-    let n = buf.get_u16() as usize;
-    need(buf, n * 2)?;
-    let egress = (0..n).map(|_| InterfaceId(buf.get_u16())).collect();
-    let is_local = get_bool(buf)?;
-    need(buf, 4)?;
-    let as_path_len = buf.get_u32();
-    Ok(RibRoute {
-        prefix,
-        protocol,
-        egress,
-        is_local,
-        as_path_len,
-    })
-}
-
-pub(crate) fn put_rib_snapshot(buf: &mut BytesMut, rib: &RibSnapshot) {
-    buf.put_u32(rib.per_node.len() as u32);
-    for routes in &rib.per_node {
-        buf.put_u32(routes.len() as u32);
-        for r in routes {
-            put_rib_route(buf, r);
-        }
-    }
-}
-
-pub(crate) fn get_rib_snapshot(buf: &mut impl Buf) -> Result<RibSnapshot, WireError> {
-    need(buf, 4)?;
-    let nodes = buf.get_u32() as usize;
-    let mut per_node = Vec::with_capacity(cap(nodes));
-    for _ in 0..nodes {
-        need(buf, 4)?;
-        let m = buf.get_u32() as usize;
-        let mut routes = Vec::with_capacity(cap(m));
-        for _ in 0..m {
-            routes.push(get_rib_route(buf)?);
-        }
-        per_node.push(routes);
-    }
-    Ok(RibSnapshot { per_node })
-}
-
-pub(crate) fn put_final_kind(buf: &mut BytesMut, k: FinalKind) {
-    buf.put_u8(match k {
-        FinalKind::Arrive => 0,
-        FinalKind::Exit => 1,
-        FinalKind::Blackhole => 2,
-        FinalKind::Loop => 3,
-    });
-}
-
-pub(crate) fn get_final_kind(buf: &mut impl Buf) -> Result<FinalKind, WireError> {
-    need(buf, 1)?;
-    Ok(match buf.get_u8() {
-        0 => FinalKind::Arrive,
-        1 => FinalKind::Exit,
-        2 => FinalKind::Blackhole,
-        3 => FinalKind::Loop,
-        _ => return Err(WireError::BadValue("final kind")),
-    })
-}
-
-/// Encodes one route.
-pub fn put_route(buf: &mut BytesMut, r: &BgpRoute) {
-    put_prefix(buf, &r.prefix);
-    buf.put_u32(r.next_hop.0);
-    buf.put_u32(r.local_pref);
-    buf.put_u32(r.med);
-    buf.put_u8(match r.origin {
-        Origin::Igp => 0,
-        Origin::Incomplete => 1,
-    });
-    buf.put_u32(r.weight);
-    put_protocol(buf, r.source_protocol);
-    buf.put_u16(r.as_path.len() as u16);
-    for asn in &r.as_path {
-        buf.put_u32(*asn);
-    }
-    buf.put_u16(r.communities.len() as u16);
-    for c in &r.communities {
-        buf.put_u32(*c);
-    }
-}
-
-/// Decodes one route.
-pub fn get_route(buf: &mut impl Buf) -> Result<BgpRoute, WireError> {
-    need(buf, 4 + 1 + 4 + 4 + 4 + 1 + 4 + 1 + 2)?;
-    let prefix = get_prefix(buf)?;
-    let next_hop = Ipv4Addr(buf.get_u32());
-    let local_pref = buf.get_u32();
-    let med = buf.get_u32();
-    let origin = match buf.get_u8() {
-        0 => Origin::Igp,
-        1 => Origin::Incomplete,
-        _ => return Err(WireError::BadValue("origin")),
-    };
-    let weight = buf.get_u32();
-    let source_protocol = get_protocol(buf)?;
-    let plen = buf.get_u16() as usize;
-    need(buf, plen * 4 + 2)?;
-    let as_path = (0..plen).map(|_| buf.get_u32()).collect();
-    let clen = buf.get_u16() as usize;
-    need(buf, clen * 4)?;
-    let communities = (0..clen).map(|_| buf.get_u32()).collect();
-    Ok(BgpRoute {
-        prefix,
-        next_hop,
-        as_path,
-        local_pref,
-        med,
-        origin,
-        communities,
-        weight,
-        source_protocol,
-    })
-}
-
-/// Encodes a message into a fresh byte string.
-pub fn encode(msg: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    match msg {
-        Message::BgpAdvertisement {
-            target_node,
-            target_session,
-            routes,
-        } => {
-            buf.put_u8(1);
-            buf.put_u32(target_node.0);
-            buf.put_u32(*target_session);
-            buf.put_u32(routes.len() as u32);
-            for r in routes {
-                put_route(&mut buf, r);
-            }
-        }
-        Message::OspfAdvertisement {
-            target_node,
-            via_iface,
-            entries,
-        } => {
-            buf.put_u8(2);
-            buf.put_u32(target_node.0);
-            buf.put_u16(via_iface.0);
-            buf.put_u32(entries.len() as u32);
-            for (p, cost) in entries {
-                buf.put_u32(p.addr().0);
-                buf.put_u8(p.len());
-                buf.put_u32(*cost);
-            }
-        }
-        Message::Packet {
-            src,
-            node,
-            ingress,
-            hops,
-            bdd,
-        } => {
-            buf.put_u8(3);
-            buf.put_u32(src.0);
-            buf.put_u32(node.0);
-            buf.put_u16(ingress.map(|i| i.0).unwrap_or(u16::MAX));
-            buf.put_u16(*hops);
-            buf.put_u32(bdd.len() as u32);
-            buf.put_slice(bdd);
-        }
-    }
-    buf.freeze()
-}
-
-/// Decodes a message.
-pub fn decode(mut buf: Bytes) -> Result<Message, WireError> {
-    need(&buf, 1)?;
-    match buf.get_u8() {
-        1 => {
-            need(&buf, 12)?;
-            let target_node = NodeId(buf.get_u32());
-            let target_session = buf.get_u32();
-            let n = buf.get_u32() as usize;
-            let mut routes = Vec::with_capacity(n.min(65536));
-            for _ in 0..n {
-                routes.push(get_route(&mut buf)?);
-            }
-            Ok(Message::BgpAdvertisement {
+impl Wire for Message {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Message::BgpAdvertisement {
                 target_node,
                 target_session,
                 routes,
-            })
-        }
-        2 => {
-            need(&buf, 10)?;
-            let target_node = NodeId(buf.get_u32());
-            let via_iface = InterfaceId(buf.get_u16());
-            let n = buf.get_u32() as usize;
-            let mut entries = Vec::with_capacity(n.min(65536));
-            for _ in 0..n {
-                need(&buf, 9)?;
-                let addr = buf.get_u32();
-                let len = buf.get_u8();
-                if len > 32 {
-                    return Err(WireError::BadValue("prefix length"));
-                }
-                let cost = buf.get_u32();
-                entries.push((Prefix::new(Ipv4Addr(addr), len), cost));
+            } => {
+                1u8.put(buf);
+                target_node.put(buf);
+                target_session.put(buf);
+                routes.put(buf);
             }
-            Ok(Message::OspfAdvertisement {
+            Message::OspfAdvertisement {
                 target_node,
                 via_iface,
                 entries,
-            })
-        }
-        3 => {
-            need(&buf, 16)?;
-            let src = NodeId(buf.get_u32());
-            let node = NodeId(buf.get_u32());
-            let ingress = match buf.get_u16() {
-                u16::MAX => None,
-                i => Some(InterfaceId(i)),
-            };
-            let hops = buf.get_u16();
-            let blen = buf.get_u32() as usize;
-            need(&buf, blen)?;
-            let bdd = buf.copy_to_bytes(blen);
-            Ok(Message::Packet {
+            } => {
+                2u8.put(buf);
+                target_node.put(buf);
+                via_iface.put(buf);
+                entries.put(buf);
+            }
+            Message::Packet {
                 src,
                 node,
                 ingress,
                 hops,
                 bdd,
-            })
+            } => {
+                3u8.put(buf);
+                src.put(buf);
+                node.put(buf);
+                // Not the generic `Option`: "injected, no ingress port"
+                // is the `u16::MAX` sentinel, one packet header for both.
+                ingress.map_or(u16::MAX, |i| i.0).put(buf);
+                hops.put(buf);
+                bdd.put(buf);
+            }
         }
-        t => Err(WireError::BadTag(t)),
     }
+
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(match u8::take(buf)? {
+            1 => Message::BgpAdvertisement {
+                target_node: Wire::take(buf)?,
+                target_session: Wire::take(buf)?,
+                routes: Wire::take(buf)?,
+            },
+            2 => Message::OspfAdvertisement {
+                target_node: Wire::take(buf)?,
+                via_iface: Wire::take(buf)?,
+                entries: Wire::take(buf)?,
+            },
+            3 => Message::Packet {
+                src: Wire::take(buf)?,
+                node: Wire::take(buf)?,
+                ingress: match u16::take(buf)? {
+                    u16::MAX => None,
+                    i => Some(InterfaceId(i)),
+                },
+                hops: Wire::take(buf)?,
+                bdd: Wire::take(buf)?,
+            },
+            t => return Err(WireError::BadTag(t)),
+        })
+    }
+}
+
+/// Encodes a message into a fresh byte string.
+pub fn encode(msg: &Message) -> Bytes {
+    msg.to_bytes()
+}
+
+/// Decodes a message; anything after it is an error.
+pub fn decode(buf: Bytes) -> Result<Message, WireError> {
+    Message::from_bytes(buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use s2_net::policy::Protocol;
+    use s2_net::Ipv4Addr;
+    use s2_routing::Origin;
 
     fn sample_route() -> BgpRoute {
         BgpRoute {
@@ -624,19 +417,6 @@ mod tests {
             bdd: Bytes::new(),
         };
         assert_eq!(decode(encode(&none)).unwrap(), none);
-    }
-
-    #[test]
-    fn truncation_is_detected_everywhere() {
-        let msg = Message::BgpAdvertisement {
-            target_node: NodeId(7),
-            target_session: 3,
-            routes: vec![sample_route()],
-        };
-        let bytes = encode(&msg);
-        for cut in 0..bytes.len() {
-            assert!(decode(bytes.slice(..cut)).is_err(), "cut={cut}");
-        }
     }
 
     #[test]
@@ -730,11 +510,7 @@ mod tests {
                 weight,
                 source_protocol: Protocol::Bgp,
             };
-            let mut buf = BytesMut::new();
-            put_route(&mut buf, &r);
-            let mut b = buf.freeze();
-            prop_assert_eq!(get_route(&mut b).unwrap(), r);
-            prop_assert_eq!(b.remaining(), 0);
+            prop_assert_eq!(BgpRoute::from_bytes(r.to_bytes()).unwrap(), r);
         }
 
         /// Adversarial input: random byte strings must never panic the
@@ -748,9 +524,8 @@ mod tests {
         }
 
         /// Random byte strings through the message decoder: decoding may
-        /// succeed by coincidence (the decoder ignores trailing bytes;
-        /// the frame layer owns length integrity), but it must never
-        /// panic, and anything it accepts must re-encode decodably.
+        /// succeed by coincidence, but it must never panic, and anything
+        /// it accepts must re-encode decodably.
         #[test]
         fn prop_arbitrary_bytes_never_panic_decode(
             raw in proptest::collection::vec(any::<u8>(), 0..256),
@@ -779,7 +554,7 @@ mod tests {
             let idx = byte_sel.index(raw.len());
             raw[idx] ^= 1 << bit;
             let result = deframe(Bytes::from(raw));
-            if idx < 4 || idx >= FRAME_HEADER_LEN {
+            if !(4..FRAME_HEADER_LEN).contains(&idx) {
                 // Length field or payload: must be rejected.
                 prop_assert!(result.is_err(), "idx={idx} bit={bit}");
             }

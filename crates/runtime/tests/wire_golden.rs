@@ -3,13 +3,18 @@
 //! `encode(value) == bytes` and `decode(bytes) == value`. Round-trip
 //! tests pass for any self-consistent format; these only pass for
 //! *this* one.
+//!
+//! The same vectors drive the one strictness rule of the codec: a
+//! complete encoding followed by anything is an error, and every strict
+//! prefix of one is `Truncated`.
 
 #[path = "golden/vectors.rs"]
 mod vectors;
 
 use bytes::Bytes;
-use s2_runtime::wire::WireError;
-use s2_runtime::{admin, remote, wire};
+use s2_runtime::admin::{self, CheckpointError, WarmCheckpoint};
+use s2_runtime::worker::Command;
+use s2_runtime::{wire, Wire, WireError};
 use std::fmt::Debug;
 
 fn hex(bytes: &[u8]) -> String {
@@ -17,87 +22,115 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn unhex(s: &str) -> Vec<u8> {
-    assert!(s.len() % 2 == 0, "odd hex length");
+    assert!(s.len().is_multiple_of(2), "odd hex length");
     (0..s.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit"))
         .collect()
 }
 
-/// Asserts every `(value, hex)` pair both ways. Values are compared by
-/// their `Debug` rendering: `Command`/`Reply` deliberately do not
-/// implement `PartialEq`.
-fn check<T: Debug>(
-    family: &str,
-    vectors: Vec<(T, &'static str)>,
-    encode: impl Fn(&T) -> Vec<u8>,
-    decode: impl Fn(&[u8]) -> Result<T, WireError>,
-) {
+/// `bytes ++ [0]` never decodes, and every strict prefix is `Truncated`.
+fn check_strict<T: Wire + Debug>(what: &str, bytes: &Bytes) {
+    let mut padded = bytes.to_vec();
+    padded.push(0);
+    assert_eq!(
+        T::from_bytes(Bytes::from(padded)).err(),
+        Some(WireError::BadValue("trailing bytes")),
+        "{what} + trailing byte"
+    );
+    for cut in 0..bytes.len() {
+        assert_eq!(
+            T::from_bytes(bytes.slice(..cut)).err(),
+            Some(WireError::Truncated),
+            "{what} cut at {cut}"
+        );
+    }
+}
+
+/// Asserts every `(value, hex)` pair both ways, then the strictness
+/// rule on its bytes. Values are compared by their `Debug` rendering:
+/// `Command`/`Reply` deliberately do not implement `PartialEq`.
+fn check<T: Wire + Debug>(family: &str, vectors: Vec<(T, &'static str)>) {
     for (i, (value, want)) in vectors.iter().enumerate() {
-        assert_eq!(hex(&encode(value)), *want, "{family}[{i}] encode: {value:?}");
-        let back = decode(&unhex(want)).unwrap_or_else(|e| panic!("{family}[{i}] decode: {e}"));
-        assert_eq!(format!("{back:?}"), format!("{value:?}"), "{family}[{i}] decode");
+        let what = format!("{family}[{i}]");
+        assert_eq!(hex(&value.to_bytes()), *want, "{what} encode: {value:?}");
+        let bytes = Bytes::from(unhex(want));
+        let back = T::from_bytes(bytes.clone()).unwrap_or_else(|e| panic!("{what} decode: {e}"));
+        assert_eq!(format!("{back:?}"), format!("{value:?}"), "{what} decode");
+        check_strict::<T>(&what, &bytes);
     }
 }
 
 #[test]
 fn data_frame_messages() {
-    check(
-        "message",
-        vectors::messages(),
-        |m| wire::encode(m).to_vec(),
-        |b| wire::decode(Bytes::from(b)),
-    );
+    // The two free functions `benchmark/` calls are the trait methods.
+    for (msg, want) in vectors::messages() {
+        assert_eq!(hex(&wire::encode(&msg)), want);
+        assert_eq!(wire::decode(Bytes::from(unhex(want))), Ok(msg));
+    }
+    check("message", vectors::messages());
 }
 
 #[test]
 fn handshake() {
-    check(
-        "register",
-        vectors::registers(),
-        |r| remote::encode_register(r).to_vec(),
-        |b| remote::decode_register(Bytes::from(b)),
-    );
-    check(
-        "setup",
-        vectors::setups(),
-        |s| remote::encode_setup(s).to_vec(),
-        |b| remote::decode_setup(Bytes::from(b)),
-    );
+    check("register", vectors::registers());
+    check("setup", vectors::setups());
 }
 
 #[test]
 fn commands() {
-    check(
-        "command",
-        vectors::commands(),
-        |c| remote::encode_command(c).to_vec(),
-        |b| remote::decode_command(Bytes::from(b)),
-    );
+    check("command", vectors::commands());
 }
 
 #[test]
 fn replies() {
-    check(
-        "reply",
-        vectors::replies(),
-        |r| remote::encode_reply(r).to_vec(),
-        |b| remote::decode_reply(Bytes::from(b)),
-    );
+    check("reply", vectors::replies());
 }
 
 #[test]
 fn admin_protocol() {
-    check("request", vectors::requests(), admin::encode_request, admin::decode_request);
-    check("response", vectors::responses(), admin::encode_response, admin::decode_response);
+    check("request", vectors::requests());
+    check("response", vectors::responses());
 }
 
 #[test]
 fn checkpoint_file_image() {
     let (ckpt, want) = vectors::checkpoint();
-    let file = admin::frame_checkpoint(&admin::encode_checkpoint(&ckpt));
-    assert_eq!(hex(&file), want);
+    let payload = ckpt.to_bytes();
+    assert_eq!(hex(&admin::frame_checkpoint(&payload)), want);
     let file = unhex(want);
-    let payload = admin::unframe_checkpoint(&file).expect("golden image unframes");
-    assert_eq!(admin::decode_checkpoint(payload), Ok(ckpt));
+    let unframed = admin::unframe_checkpoint(&file).expect("golden image unframes");
+    assert_eq!(unframed, &payload[..]);
+    assert_eq!(WarmCheckpoint::from_bytes(payload.clone()), Ok(ckpt));
+    check_strict::<WarmCheckpoint>("checkpoint payload", &payload);
+
+    // The file header guards the same two ways one layer out.
+    let mut padded = file.clone();
+    padded.push(0);
+    assert!(matches!(
+        admin::unframe_checkpoint(&padded),
+        Err(CheckpointError::Corrupt("length mismatch"))
+    ));
+    for cut in 0..file.len() {
+        assert!(
+            admin::unframe_checkpoint(&file[..cut]).is_err(),
+            "file cut at {cut}"
+        );
+    }
+}
+
+/// `ScenarioBegin.restore` is a bool like every other: `2` is not one.
+#[test]
+fn scenario_begin_restore_is_a_strict_bool() {
+    let (_, want) = vectors::commands()
+        .into_iter()
+        .find(|(c, _)| matches!(c, Command::ScenarioBegin { restore: true, .. }))
+        .expect("a ScenarioBegin{restore: true} vector");
+    let mut raw = unhex(want);
+    assert_eq!(raw.pop(), Some(1));
+    raw.push(2);
+    assert_eq!(
+        Command::from_bytes(Bytes::from(raw)).err(),
+        Some(WireError::BadValue("bool"))
+    );
 }

@@ -53,8 +53,10 @@ use s2_obs::{MetricsSnapshot, Registry, Stopwatch};
 use s2_routing::{NetworkModel, RibSnapshot};
 use s2_runtime::admin::{
     self, fnv1a64, parse_text_command, render_text_response, AdminRequest, AdminResponse,
-    DeltaSpec, VerdictSummary, WarmCheckpoint, WorkerMetrics,
+    DeltaSpec, VerdictSummary, WarmCheckpoint, WorkerMetrics, K_ADMIN_REQUEST, K_ADMIN_RESPONSE,
+    MAX_ADMIN_FRAME,
 };
+use s2_runtime::tcp;
 use s2_runtime::{CheckpointError, DaemonPhase, DpvRunStats, FaultPlan, FaultState};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -482,7 +484,7 @@ impl Daemon {
                     }
                 }
             } else {
-                (admin::read_request(&mut reader)?, false)
+                (tcp::recv(&mut reader, K_ADMIN_REQUEST, MAX_ADMIN_FRAME)?, false)
             };
             let idx = self.faults.next_admin_index();
             if self.faults.drops_admin_conn(idx) {
@@ -501,7 +503,7 @@ impl Daemon {
             if text {
                 writeln!(writer, "{}", render_text_response(&resp))?;
             } else {
-                admin::write_response(&mut writer, &resp)?;
+                tcp::send(&mut writer, K_ADMIN_RESPONSE, &resp)?;
             }
             if shutting_down {
                 return Ok(false);
@@ -988,8 +990,8 @@ impl Daemon {
 /// reply. Used by `s2 admin` and tests.
 pub fn admin_roundtrip(addr: &str, req: &AdminRequest) -> io::Result<AdminResponse> {
     let mut stream = TcpStream::connect(addr)?;
-    admin::write_request(&mut stream, req)?;
-    admin::read_response(&mut stream)
+    tcp::send(&mut stream, K_ADMIN_REQUEST, req)?;
+    tcp::recv(&mut stream, K_ADMIN_RESPONSE, MAX_ADMIN_FRAME)
 }
 
 #[cfg(test)]

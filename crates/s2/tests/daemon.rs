@@ -486,7 +486,7 @@ fn worker_death_degrades_scrape_with_staleness_flag() {
     // gauge flipped — a scrape of a degraded fleet is still a scrape.
     match d.metrics() {
         AdminResponse::Metrics { aggregate, workers } => {
-            let body = s2_runtime::admin::render_exposition(&aggregate, &workers);
+            let body = s2_obs::expo::render(&aggregate, &workers);
             assert!(body.contains("s2_worker_up{worker=\"1\"} 0"), "{body}");
             assert!(body.contains("s2_worker_stale{worker=\"1\"} 1"), "{body}");
             assert!(body.contains("s2_worker_up{worker=\"0\"} 1"), "{body}");

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use s2::{NetworkModel, S2Options, S2Report, S2Verifier, VerificationRequest};
 use s2_net::topology::NodeId;
-use s2_runtime::remote::encode_reply;
 use s2_runtime::worker::Reply;
+use s2_runtime::Wire;
 use s2_topogen::dcn::{self, Dcn, DcnParams};
 use s2_topogen::fattree::{self, FatTree, FatTreeParams};
 
@@ -78,7 +78,7 @@ fn rib_payload(report: &S2Report) -> Vec<u8> {
         .enumerate()
         .map(|(n, routes)| (NodeId(n as u32), routes.clone()))
         .collect();
-    encode_reply(&Reply::Rib(rows)).to_vec()
+    Reply::Rib(rows).to_bytes().to_vec()
 }
 
 fn topo_strategy() -> impl Strategy<Value = Topo> {

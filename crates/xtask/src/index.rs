@@ -38,6 +38,9 @@ pub struct FnInfo {
     pub name: String,
     /// Enclosing `impl`/`trait` type name, if any (last path segment).
     pub impl_type: Option<String>,
+    /// The trait this fn is a method of: the `Tr` of an enclosing
+    /// `impl Tr for Type` or `trait Tr` block (last path segment).
+    pub impl_trait: Option<String>,
     /// Module path: file module plus inline `mod` blocks.
     pub module: Vec<String>,
     /// Crate name (underscored).
@@ -365,7 +368,8 @@ fn emit_use(prefix: &[&str], last: Option<&str>, map: &mut BTreeMap<String, Vec<
 /// Scope kinds tracked during fn extraction.
 enum Scope {
     Mod(String),
-    Type(String),
+    /// An `impl`/`trait` block: the type name, then the trait if any.
+    Type(String, Option<String>),
     Fn(usize),
     Other,
 }
@@ -418,11 +422,13 @@ fn extract_fns(ws: &mut Workspace, file_idx: usize) {
             "impl" | "trait" if t(i).kind == TokKind::Ident => {
                 // Scan to the body '{' (or ';'), picking out the type
                 // name: for `impl Trait for Type` the segment after
-                // `for`; otherwise the last angle-depth-0 ident before
-                // `where`/`{`.
+                // `for` (the one before it is the trait); for `trait
+                // Name: Bounds` the name itself; otherwise the last
+                // angle-depth-0 ident before `where`/`{`.
+                let is_trait = text == "trait";
                 let mut j = i + 1;
                 let mut angle: i32 = 0;
-                let mut after_for = false;
+                let mut trait_name: Option<String> = None;
                 let mut name: Option<String> = None;
                 while j < n_toks {
                     let tj = t(j);
@@ -438,17 +444,16 @@ fn extract_fns(ws: &mut Workspace, file_idx: usize) {
                             }
                             break;
                         }
-                        "for" if angle <= 0 => {
-                            after_for = true;
-                            name = None;
-                        }
+                        "for" if angle <= 0 => trait_name = name.take(),
                         _ if tj.kind == TokKind::Ident && angle <= 0 => {
                             let kw = matches!(
                                 tj.text.as_str(),
                                 "dyn" | "mut" | "const" | "unsafe" | "pub" | "crate"
                             );
-                            if !kw {
-                                let _ = after_for;
+                            // A trait's name is its first ident; what
+                            // follows (`: Sized + ..`) are bounds.
+                            let bound = is_trait && name.is_some();
+                            if !kw && !bound {
                                 name = Some(tj.text.clone());
                             }
                         }
@@ -457,8 +462,11 @@ fn extract_fns(ws: &mut Workspace, file_idx: usize) {
                     j += 1;
                 }
                 if j < n_toks && t(j).text == "{" {
+                    if is_trait {
+                        trait_name = name.clone();
+                    }
                     pending = Some(match name {
-                        Some(n) => Scope::Type(n),
+                        Some(n) => Scope::Type(n, trait_name),
                         None => Scope::Other,
                     });
                     i = j;
@@ -580,10 +588,14 @@ fn extract_fns(ws: &mut Workspace, file_idx: usize) {
                     }
                     j += 1;
                 }
-                let impl_type = stack.iter().rev().find_map(|(s, _)| match s {
-                    Scope::Type(n) => Some(n.clone()),
-                    _ => None,
-                });
+                let (impl_type, impl_trait) = stack
+                    .iter()
+                    .rev()
+                    .find_map(|(s, _)| match s {
+                        Scope::Type(n, tr) => Some((Some(n.clone()), tr.clone())),
+                        _ => None,
+                    })
+                    .unwrap_or((None, None));
                 let module: Vec<String> = base_module
                     .iter()
                     .cloned()
@@ -606,6 +618,7 @@ fn extract_fns(ws: &mut Workspace, file_idx: usize) {
                 ws.fns.push(FnInfo {
                     name,
                     impl_type,
+                    impl_trait,
                     module,
                     crate_name: crate_name.clone(),
                     file: file_idx,
@@ -662,35 +675,18 @@ trait Tr {
 }
 ";
         let ws = ws_of(src);
-        let names: Vec<(String, Option<String>, Vec<String>, usize, bool)> = ws
-            .fns
-            .iter()
-            .map(|f| {
-                (
-                    f.name.clone(),
-                    f.impl_type.clone(),
-                    f.module.clone(),
-                    f.arity,
-                    f.has_self,
-                )
-            })
-            .collect();
-        assert_eq!(names.len(), 4, "{names:?}");
-        assert_eq!(names[0], ("top".into(), None, vec![], 2, false));
-        assert_eq!(
-            names[1],
-            (
-                "method".into(),
-                Some("T".into()),
-                vec!["inner".into()],
-                1,
-                true
-            )
-        );
-        assert_eq!(names[2].0, "default_method");
-        assert_eq!(names[2].1, Some("Tr".into()));
+        let shape = |i: usize| {
+            let f = &ws.fns[i];
+            (f.name.as_str(), f.impl_type.as_deref(), f.module.join("::"), f.arity, f.has_self)
+        };
+        assert_eq!(ws.fns.len(), 4);
+        assert_eq!(shape(0), ("top", None, String::new(), 2, false));
+        assert_eq!(shape(1), ("method", Some("T"), "inner".to_string(), 1, true));
+        assert_eq!(ws.fns[1].impl_trait, None);
+        assert_eq!(shape(2), ("default_method", Some("Tr"), String::new(), 0, true));
+        assert_eq!(ws.fns[2].impl_trait, Some("Tr".into()));
         // decl_only has no body.
-        assert_eq!(names[3].0, "decl_only");
+        assert_eq!(ws.fns[3].name, "decl_only");
         assert!(ws.fns[3].body.is_none());
         // Param names and return types.
         assert_eq!(ws.fns[0].param_names, vec![vec!["a".to_string()], vec!["b".into()]]);
@@ -723,7 +719,9 @@ impl<T: Clone> From<T> for Foo where T: Copy {
 ";
         let ws = ws_of(src);
         assert_eq!(ws.fns[0].impl_type, Some("Foo".into()));
+        assert_eq!(ws.fns[0].impl_trait, Some("Display".into()));
         assert_eq!(ws.fns[1].impl_type, Some("Foo".into()));
+        assert_eq!(ws.fns[1].impl_trait, Some("From".into()));
     }
 
     #[test]

@@ -227,7 +227,8 @@ impl<'a> Ctx<'a> {
     /// nothing); capped at 4 candidates to bound trait-method
     /// over-linking. Free/associated calls resolve the leading path via
     /// the file's `use` map and `crate`/`self`/`super`/`Self`, then
-    /// suffix-match against each candidate's full path.
+    /// suffix-match against each candidate's full path; a path that
+    /// names a trait method goes through [`Ctx::trait_dispatch`].
     fn resolve(
         &self,
         caller: usize,
@@ -299,7 +300,7 @@ impl<'a> Ctx<'a> {
                         && self.ws.fns[i].crate_name == caller_fn.crate_name
                 })
                 .collect();
-            return arity_pref(self.ws, picked, argc, 4);
+            return self.trait_dispatch(arity_pref(self.ws, picked, argc, 4), &cands, path, argc);
         }
         // Expand the head through the use map, then crate/self/super.
         let mut segs: Vec<String> = path.to_vec();
@@ -334,7 +335,48 @@ impl<'a> Ctx<'a> {
             .copied()
             .filter(|&i| self.fn_paths[i].ends_with(&want) || suffix_of(&want, &self.fn_paths[i]))
             .collect();
-        arity_pref(self.ws, picked, argc, 4)
+        self.trait_dispatch(arity_pref(self.ws, picked, argc, 4), &cands, path, argc)
+    }
+
+    /// Trait dispatch. `T::take(..)`, `Self::take(..)`, `u32::take(..)`
+    /// and `Wire::take(..)` name a trait method, not one function: the
+    /// path match finds nothing (a type parameter or a foreign type
+    /// heads the path) or only the trait's bodyless declaration. Such a
+    /// call resolves to *every* impl of that method — any of them may
+    /// run on the caller's data — and is deliberately uncapped: a codec
+    /// trait has one impl per wire type, and dropping the edge is what
+    /// would hide a peer-sized allocation inside a generic `Vec<T>`
+    /// impl. Multi-segment paths that matched nothing (`std::mem::take`)
+    /// stay unresolved.
+    fn trait_dispatch(
+        &self,
+        picked: Vec<usize>,
+        cands: &[usize],
+        path: &[String],
+        argc: usize,
+    ) -> Vec<usize> {
+        let fns = &self.ws.fns;
+        if picked.iter().any(|&i| fns[i].body.is_some()) {
+            return picked;
+        }
+        let declared: BTreeSet<&str> = picked
+            .iter()
+            .filter_map(|&i| fns[i].impl_trait.as_deref())
+            .collect();
+        if declared.is_empty() && !(picked.is_empty() && path.len() == 1) {
+            return picked;
+        }
+        let impls: Vec<usize> = cands
+            .iter()
+            .copied()
+            .filter(|&i| {
+                fns[i]
+                    .impl_trait
+                    .as_deref()
+                    .is_some_and(|tr| declared.is_empty() || declared.contains(tr))
+            })
+            .collect();
+        arity_pref(self.ws, impls, argc, usize::MAX)
     }
 }
 

@@ -98,6 +98,47 @@ fn cross_module_helper_flow_is_found() {
     assert!(fdg.trace.iter().any(|s| s.contains("serve")), "{:?}", fdg.trace);
 }
 
+/// The shape of `s2_runtime::codec`: every hop from the socket read to
+/// the allocation is trait dispatch. The uncapped generic `Vec<T>`
+/// decoder draws the alloc finding with the full flow; its capped twin
+/// — and the real codec, reached the same way — do not.
+#[test]
+fn generic_codec_alloc_is_found_through_trait_dispatch() {
+    let report = xtask::run(&case_root("generic_codec"), &r1_cfg(), false).unwrap();
+    assert!(report.failed, "{:?}", report.findings);
+    let live = live(&report.findings);
+    assert_eq!(live.len(), 1, "{live:?}");
+    let f = live[0];
+    assert_eq!(f.file, "crates/loose/src/lib.rs");
+    assert!(
+        f.rule == "r1-panic-freedom" && f.message.contains("with_capacity sized by peer-controlled"),
+        "{f:?}"
+    );
+    assert!(
+        f.trace[0].contains("recv") && f.trace.iter().any(|s| s.contains("from_bytes")),
+        "{:?}",
+        f.trace
+    );
+
+    // The real one: the taint pass reaches the crate's one
+    // `with_capacity(cap(n))` and finds nothing to report there.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ws = xtask::index::build(&root).unwrap();
+    let analysis = xtask::taint::analyze(&ws);
+    let take_seq = ws
+        .fns
+        .iter()
+        .position(|f| f.name == "take_seq" && f.impl_type.as_deref() == Some("Wire"))
+        .expect("s2_runtime::codec::Wire::take_seq is indexed");
+    assert!(analysis.active.contains(&take_seq), "peer bytes must reach take_seq");
+    let codec_file = ws.fns[take_seq].file;
+    assert!(
+        analysis.findings.iter().all(|f| f.file != codec_file),
+        "{:?}",
+        analysis.findings
+    );
+}
+
 #[test]
 fn validated_flow_stays_clean() {
     let report = xtask::run(&case_root("validation_killed"), &r1_cfg(), false).unwrap();
