@@ -97,7 +97,7 @@ pub struct DpvReport {
     pub reachable_pairs: usize,
     /// Pairs with missing reachability.
     pub unreachable_pairs: Vec<(NodeId, NodeId)>,
-    /// Number of loop final states observed.
+    /// Number of sources with looping traffic.
     pub loops: usize,
     /// Number of sources with blackholed traffic.
     pub blackholed_sources: usize,
@@ -245,16 +245,11 @@ pub fn run_dpv_with_failures(
             &fwd_opts,
         );
         report.steps += result.steps;
-        report.loops += result.of_kind(FinalKind::Loop).count();
-        let mut has_blackhole = false;
-        for f in result.of_kind(FinalKind::Blackhole) {
-            if !f.set.is_false() {
-                has_blackhole = true;
-            }
-        }
-        if has_blackhole {
-            report.blackholed_sources += 1;
-        }
+        // Finals are never empty, so one final of a kind is a non-empty
+        // `(src, kind)` union: the count S2's workers report.
+        let has = |kind| usize::from(result.of_kind(kind).next().is_some());
+        report.loops += has(FinalKind::Loop);
+        report.blackholed_sources += has(FinalKind::Blackhole);
         for (dst, prefixes) in expected {
             if *dst == src {
                 continue;

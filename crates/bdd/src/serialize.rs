@@ -20,7 +20,6 @@
 
 use crate::manager::{Bdd, BddManager};
 use bytes::{Buf, BufMut};
-use std::collections::BTreeMap;
 
 /// Errors from [`deserialize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,20 +53,18 @@ impl std::error::Error for DecodeError {}
 /// wire bytes must be deterministic; the chaos tests diff them).
 pub fn serialize(m: &BddManager, f: Bdd, buf: &mut impl BufMut) {
     // Topological order: children before parents. A post-order DFS gives
-    // exactly that. The node-id→slot index is a BTreeMap purely for
-    // determinism hygiene: nothing may iterate it in hash order.
+    // exactly that. The node-id→slot index is only ever probed by key:
+    // nothing may iterate it in hash order.
     let mut order: Vec<u32> = Vec::new();
-    let mut index: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut index = SlotIndex::new();
     let mut stack: Vec<(u32, bool)> = vec![(f.0, false)];
     while let Some((i, expanded)) = stack.pop() {
-        if i <= 1 || index.contains_key(&i) {
+        if i <= 1 || index.slot_of(i).is_some() {
             continue;
         }
         if expanded {
-            let slot = order.len() as u32;
-            if index.insert(i, slot).is_none() {
-                order.push(i);
-            }
+            index.insert(i, order.len() as u32);
+            order.push(i);
         } else {
             stack.push((i, true));
             let n = m.node(Bdd(i));
@@ -76,22 +73,65 @@ pub fn serialize(m: &BddManager, f: Bdd, buf: &mut impl BufMut) {
         }
     }
 
-    let encode_ref = |i: u32, index: &BTreeMap<u32, u32>| -> u32 {
-        if i <= 1 {
-            i
-        } else {
-            index[&i] + 2
-        }
+    let encode_ref = |i: u32| match index.slot_of(i) {
+        Some(slot) => slot + 2,
+        None => i, // a terminal: the DFS indexed every decision node
     };
-
     buf.put_u32(order.len() as u32);
     for &i in &order {
         let n = m.node(Bdd(i));
         buf.put_u16(n.var);
-        buf.put_u32(encode_ref(n.lo, &index));
-        buf.put_u32(encode_ref(n.hi, &index));
+        buf.put_u32(encode_ref(n.lo));
+        buf.put_u32(encode_ref(n.hi));
     }
-    buf.put_u32(encode_ref(f.0, &index));
+    buf.put_u32(encode_ref(f.0));
+}
+
+/// Node id → record slot for one [`serialize`] call: open addressing,
+/// linear probing, at most half full. It offers no iteration, so its
+/// layout cannot reach the bytes. Key 0 marks an empty cell: only decision
+/// nodes (ids above 1) are inserted, and looking a terminal up finds none.
+struct SlotIndex {
+    cells: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl SlotIndex {
+    fn new() -> Self {
+        SlotIndex {
+            cells: vec![(0, 0); 64],
+            len: 0,
+        }
+    }
+
+    /// The cell holding `id`, or the empty cell where it would go.
+    fn cell(&self, id: u32) -> usize {
+        let mask = self.cells.len() - 1;
+        let mut at = (id.wrapping_mul(0x9E37_79B9) >> 8) as usize & mask;
+        while self.cells[at].0 != 0 && self.cells[at].0 != id {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn slot_of(&self, id: u32) -> Option<u32> {
+        let (key, slot) = self.cells[self.cell(id)];
+        (key == id && id > 1).then_some(slot)
+    }
+
+    fn insert(&mut self, id: u32, slot: u32) {
+        if (self.len + 1) * 2 > self.cells.len() {
+            let doubled = vec![(0, 0); self.cells.len() * 2];
+            let old = std::mem::replace(&mut self.cells, doubled);
+            for (key, slot) in old.into_iter().filter(|c| c.0 != 0) {
+                let at = self.cell(key);
+                self.cells[at] = (key, slot);
+            }
+        }
+        let at = self.cell(id);
+        self.cells[at] = (id, slot);
+        self.len += 1;
+    }
 }
 
 /// Deserializes a BDD from `buf` into manager `m`.
@@ -239,6 +279,63 @@ mod tests {
             let assign: Vec<bool> = (0..8).map(|i| bits >> i & 1 == 1).collect();
             assert_eq!(m1.eval(f1, &assign), m2.eval(f2, &assign));
         }
+    }
+
+    /// [`serialize`] as it was before the slot index: the same DFS over a
+    /// `BTreeMap`. Kept as the byte-for-byte reference.
+    fn serialize_reference(m: &BddManager, f: Bdd) -> Vec<u8> {
+        let mut order: Vec<u32> = Vec::new();
+        let mut index: std::collections::BTreeMap<u32, u32> = Default::default();
+        let mut stack: Vec<(u32, bool)> = vec![(f.0, false)];
+        while let Some((i, expanded)) = stack.pop() {
+            if i <= 1 || index.contains_key(&i) {
+                continue;
+            }
+            if expanded {
+                index.insert(i, order.len() as u32);
+                order.push(i);
+            } else {
+                stack.push((i, true));
+                let n = m.node(Bdd(i));
+                stack.push((n.lo, false));
+                stack.push((n.hi, false));
+            }
+        }
+        let encode_ref = |i: u32| if i <= 1 { i } else { index[&i] + 2 };
+        let mut buf = Vec::new();
+        buf.put_u32(order.len() as u32);
+        for &i in &order {
+            let n = m.node(Bdd(i));
+            buf.put_u16(n.var);
+            buf.put_u32(encode_ref(n.lo));
+            buf.put_u32(encode_ref(n.hi));
+        }
+        buf.put_u32(encode_ref(f.0));
+        buf
+    }
+
+    #[test]
+    fn slot_index_growth_keeps_the_bytes() {
+        // A union of scattered 16-bit minterms: hundreds of nodes, so the
+        // index doubles several times on the way.
+        let mut m = BddManager::new(16);
+        let mut f = Bdd::FALSE;
+        let mut x: u32 = 1;
+        for _ in 0..400 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let mut term = Bdd::TRUE;
+            for v in 0..16 {
+                let lit = if x >> (v + 8) & 1 == 1 { m.var(v) } else { m.nvar(v) };
+                term = m.and(term, lit);
+            }
+            f = m.or(f, term);
+        }
+        assert!(m.size(f) > 500);
+        let bytes = to_bytes(&m, f);
+        assert_eq!(bytes, serialize_reference(&m, f));
+        let mut m2 = BddManager::new(16);
+        let g = from_bytes(&mut m2, &bytes).unwrap();
+        assert_eq!(to_bytes(&m2, g), bytes);
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl Splicer {
         m.or(outside, recomputed)
     }
 
-    /// The baseline restricted to the unscoped space: `base ∧ ¬scope`.
-    /// Cache-hot after a [`Splicer::splice`] of the same `base`.
-    pub fn outside(&self, m: &mut BddManager, base: Bdd) -> Bdd {
-        m.and(base, self.not_scope)
-    }
-
     /// Splice operations performed so far.
     pub fn ops(&self) -> u64 {
         self.ops

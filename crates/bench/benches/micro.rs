@@ -143,18 +143,17 @@ fn bench_merge_ablation(c: &mut Criterion) {
     let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(6));
     let sources: Vec<_> = (0..6).flat_map(|p| (0..3).map(move |e| (p, e))).collect();
     let srcs: Vec<_> = sources.iter().map(|&(p, e)| ft.edge(p, e)).collect();
-    let model = NetworkModel::build(ft.topology, ft.configs).unwrap();
-    let (rib, _) = simulate_control_plane(&model, &MonolithicOptions::default()).unwrap();
     let space = PacketSpace::new(0);
-    let mut mgr = space.manager();
-    let preds: Vec<NodePredicates> = model
-        .topology
-        .nodes()
-        .map(|n| NodePredicates::compile(&model, n, &Fib::from_rib(rib.node(n)), &space, &mut mgr))
-        .collect();
-    let inject = space.dst_in(&mut mgr, "10.0.0.0/8".parse::<Prefix>().unwrap());
-
-    for (name, no_merge) in [("merged", false), ("unmerged", true)] {
+    let bench = |g: &mut criterion::BenchmarkGroup<'_>, name: &str, configs, no_merge| {
+        let model = NetworkModel::build(ft.topology.clone(), configs).unwrap();
+        let (rib, _) = simulate_control_plane(&model, &MonolithicOptions::default()).unwrap();
+        let mut mgr = space.manager();
+        let preds: Vec<NodePredicates> = model
+            .topology
+            .nodes()
+            .map(|n| NodePredicates::compile(&model, n, &Fib::from_rib(rib.node(n)), &space, &mut mgr))
+            .collect();
+        let inject = space.dst_in(&mut mgr, "10.0.0.0/8".parse::<Prefix>().unwrap());
         let opts = ForwardOptions {
             no_merge,
             ..Default::default()
@@ -171,7 +170,26 @@ fn bench_merge_ablation(c: &mut Criterion) {
                 )
             })
         });
+    };
+    bench(&mut g, "merged", ft.configs.clone(), false);
+    bench(&mut g, "unmerged", ft.configs.clone(), true);
+    g.finish();
+
+    // The merged walk with the ingress *class* taken away: a port bound
+    // to a permit-all ACL under a name of its own is a class of its own,
+    // which leaves the per-port merge key forwarding had before classes.
+    let mut g = c.benchmark_group("ablation_ingress_class_merge");
+    g.sample_size(10);
+    let mut per_port = ft.configs.clone();
+    for cfg in &mut per_port {
+        for (i, iface) in cfg.interfaces.iter_mut().enumerate() {
+            let name = format!("PERMIT-{i}");
+            cfg.acls.insert(name.clone(), s2_net::acl::Acl::permit_all());
+            iface.acl_in = Some(name);
+        }
     }
+    bench(&mut g, "by_class", ft.configs.clone(), false);
+    bench(&mut g, "by_port", per_port, false);
     g.finish();
 }
 

@@ -24,7 +24,9 @@ pub struct SymbolicPacket {
     pub src: NodeId,
     /// The node currently holding the packet.
     pub node: NodeId,
-    /// The port it arrived on (`None` right after injection).
+    /// The ingress class it arrived in, named by the class's lowest port
+    /// (see [`crate::predicates::ingress_class`]); `None` right after
+    /// injection. Under `no_merge` it is the arrival port itself.
     pub ingress: Option<InterfaceId>,
     /// The set of headers, as a BDD in the engine's manager.
     pub set: Bdd,
@@ -83,8 +85,9 @@ pub struct ForwardOptions {
     /// Record traversed edges in [`ForwardResult::trace`].
     pub record_trace: bool,
     /// Disable fragment merging (ablation only): fragments are processed
-    /// path-by-path, reproducing the exponential ECMP blow-up the merge
-    /// exists to prevent. Results are identical; only cost changes.
+    /// path-by-path and keep their true ingress port, reproducing the
+    /// exponential ECMP blow-up the merge exists to prevent. Results are
+    /// identical; only cost changes.
     pub no_merge: bool,
     /// Ports failed for the current scenario (resilience sweeps): traffic
     /// a FIB still sends out a failed port is finalized as a
@@ -226,10 +229,17 @@ pub fn step_into(
                             hops: pkt.hops + 1,
                         });
                     }
+                    // The one place a fragment gets its ingress: the
+                    // class, so ECMP fan-in through ports that share an
+                    // inbound ACL merges into one fragment downstream.
+                    let class = match preds.peer_class.get(&port) {
+                        Some(&class) if !opts.no_merge => class,
+                        _ => peer_if,
+                    };
                     out.forwarded.push(SymbolicPacket {
                         src: pkt.src,
                         node: peer,
-                        ingress: Some(peer_if),
+                        ingress: Some(class),
                         set: permitted,
                         hops: pkt.hops + 1,
                     });
@@ -269,11 +279,13 @@ impl ForwardResult {
 }
 
 /// The merge key of a packet fragment: fragments with the same injection
-/// source, location, ingress port and hop count are processed identically,
-/// so their header sets can be unioned before the next hop. In ECMP-rich
-/// fabrics this collapses the per-path fragment explosion (exponential in
-/// depth) down to `O(nodes × sources × hops)`, and — in the distributed
-/// engine — slashes the number of BDDs serialized across workers.
+/// source, location, ingress class and hop count are processed identically
+/// (the class fixes the inbound ACL, the only thing a step reads from the
+/// ingress), so their header sets can be unioned before the next hop. In
+/// ECMP-rich fabrics this collapses the per-path fragment explosion
+/// (exponential in depth) down to `O(nodes × sources × hops)`, and — in
+/// the distributed engine — slashes the number of BDDs serialized across
+/// workers.
 pub type PacketKey = (NodeId, NodeId, Option<InterfaceId>, u16);
 
 /// The merge key of `pkt`.

@@ -34,6 +34,23 @@ pub struct NodePredicates {
     pub acl_in: BTreeMap<InterfaceId, Bdd>,
     /// Outbound ACL per port (TRUE when no ACL configured).
     pub acl_out: BTreeMap<InterfaceId, Bdd>,
+    /// Per connected port, the [`ingress_class`] of the port at the far
+    /// end of its link: the ingress a fragment sent out that port carries.
+    pub peer_class: BTreeMap<InterfaceId, InterfaceId>,
+}
+
+/// The ingress class of `port` at `node`, named by its lowest member: the
+/// lowest port of the node with the same inbound-ACL binding (the same ACL
+/// name, or none). `acl_in` is compiled from that binding alone, so every
+/// port of a class has the same inbound predicate and fragments arriving
+/// on any of them are stepped identically.
+pub fn ingress_class(model: &NetworkModel, node: NodeId, port: InterfaceId) -> InterfaceId {
+    let binding = |p: InterfaceId| model.iface_config(node, p).and_then(|ic| ic.acl_in.as_deref());
+    let mine = binding(port);
+    (0..port.0)
+        .map(InterfaceId)
+        .find(|&p| binding(p) == mine)
+        .unwrap_or(port)
 }
 
 impl NodePredicates {
@@ -103,6 +120,13 @@ impl NodePredicates {
             acl_out.insert(port, outp);
         }
 
+        let peer_class = model
+            .topology
+            .neighbors(node)
+            .iter()
+            .map(|&(port, peer, peer_if)| (port, ingress_class(model, peer, peer_if)))
+            .collect();
+
         NodePredicates {
             node,
             fwd,
@@ -110,6 +134,7 @@ impl NodePredicates {
             drop,
             acl_in,
             acl_out,
+            peer_class,
         }
     }
 

@@ -239,9 +239,10 @@ pub struct DpvRunStats {
     pub unreachable_pairs: Vec<(NodeId, NodeId)>,
     /// `(src, dst, transit)` waypoint violations.
     pub waypoint_violations: Vec<(NodeId, NodeId, NodeId)>,
-    /// Loop finals observed.
+    /// `(worker, source)` pairs with a non-empty `Loop` verdict union:
+    /// a count over canonical sets, so it repeats exactly run to run.
     pub loops: usize,
-    /// Blackhole finals observed.
+    /// The same count for `Blackhole`.
     pub blackholes: usize,
     /// Sources with multipath-consistency violations.
     pub multipath_violations: Vec<NodeId>,

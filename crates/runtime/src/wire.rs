@@ -66,7 +66,8 @@ pub enum Message {
         src: NodeId,
         /// Receiving node.
         node: NodeId,
-        /// Ingress port on the receiving node (`None` = injection).
+        /// Ingress class on the receiving node, as its lowest port
+        /// (`None` = injection).
         ingress: Option<InterfaceId>,
         /// Hops taken so far.
         hops: u16,

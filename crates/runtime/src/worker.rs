@@ -228,9 +228,9 @@ pub enum Reply {
     /// Final-state summary; `sets` carries `(src, kind, serialized set)`
     /// for the controller-side multipath check.
     Finals {
-        /// Loop finals observed.
+        /// Sources with a non-empty `Loop` union on this worker.
         loops: usize,
-        /// Blackhole finals observed.
+        /// Sources with a non-empty `Blackhole` union on this worker.
         blackholes: usize,
         /// Verdict-splice operations performed during this pass (zero on
         /// a full-space pass). Feeds `dpv.scoped.splice_ops`.
@@ -1224,7 +1224,7 @@ impl Worker {
     /// Processes one hop level: ingest remote fragments (re-encoding their
     /// BDDs into the private manager), step every merged fragment, stage
     /// local next-hop fragments, and ship merged remote fragments — one
-    /// serialized BDD per (worker, merge-key).
+    /// frame per merge key, one serialization per distinct BDD.
     fn forward_round(&mut self) -> (usize, usize) {
         let Some(manager) = self.manager.as_mut() else {
             return (0, 0); // guarded in handle(); kept panic-free regardless
@@ -1232,8 +1232,10 @@ impl Worker {
         {
             // Spans the ingest phase, where remote fragments cross into
             // this worker's private BDD manager (the §4.3 re-encode
-            // boundary).
+            // boundary). ECMP fan-in delivers the same payload many times
+            // in one round; each distinct payload is decoded once.
             let _reencode_span = s2_obs::span!("bdd.reencode");
+            let mut decoded: BTreeMap<Bytes, Option<s2_bdd::Bdd>> = BTreeMap::new();
             for msg in self.sidecar.drain() {
                 if let Message::Packet {
                     src,
@@ -1247,16 +1249,16 @@ impl Worker {
                     // error (counted, packet skipped), not a worker crash;
                     // the controller's disturbance tracking replays the
                     // phase.
-                    let set = match bdd_io::from_bytes(manager, &bdd) {
-                        Ok(set) => set,
-                        Err(_) => {
-                            self.sidecar
-                                .net()
-                                .stats()
-                                .wire_errors
-                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            continue;
-                        }
+                    let set = *decoded
+                        .entry(bdd)
+                        .or_insert_with_key(|bdd| bdd_io::from_bytes(manager, bdd).ok());
+                    let Some(set) = set else {
+                        self.sidecar
+                            .net()
+                            .stats()
+                            .wire_errors
+                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        continue;
                     };
                     merge_packet(
                         manager,
@@ -1326,19 +1328,33 @@ impl Worker {
                 }
             }
         }
-        for ((src, node, ingress, hops), set) in outbound {
-            let bdd = Bytes::from(bdd_io::to_bytes(manager, set));
-            self.sidecar.send(
-                node,
-                &Message::Packet {
-                    src,
+        {
+            // The outbound half of the same boundary. One egress set fans
+            // out to many (peer, class) keys; each distinct handle is
+            // serialized once and its bytes shared by every frame.
+            let _encode_span = s2_obs::span!("bdd.encode");
+            let mut encoded: BTreeMap<s2_bdd::Bdd, Bytes> = BTreeMap::new();
+            for ((src, node, ingress, hops), set) in outbound {
+                let bdd = encoded
+                    .entry(set)
+                    .or_insert_with(|| {
+                        #[cfg(test)]
+                        tests::ENCODES.with(|n| n.set(n.get() + 1));
+                        Bytes::from(bdd_io::to_bytes(manager, set))
+                    })
+                    .clone();
+                self.sidecar.send(
                     node,
-                    ingress,
-                    hops,
-                    bdd,
-                },
-            );
-            sent_remote += 1;
+                    &Message::Packet {
+                        src,
+                        node,
+                        ingress,
+                        hops,
+                        bdd,
+                    },
+                );
+                sent_remote += 1;
+            }
         }
         s2_obs::event!("bdd.encode.outbound", sent_remote);
         if scratch_reuses > 0 {
@@ -1436,15 +1452,8 @@ impl Worker {
         let meta_vars: Vec<u16> = (0..self.space.meta_bits)
             .map(|i| self.space.meta_var(i))
             .collect();
-        let mut loops = 0;
-        let mut blackholes = 0;
         let mut unions: BTreeMap<(NodeId, FinalKind), s2_bdd::Bdd> = BTreeMap::new();
         for f in &self.finals {
-            match f.kind {
-                FinalKind::Loop => loops += 1,
-                FinalKind::Blackhole => blackholes += 1,
-                _ => {}
-            }
             let stripped = manager.exists_all(f.set, meta_vars.iter().copied());
             let entry = unions.entry((f.src, f.kind)).or_insert(s2_bdd::Bdd::FALSE);
             *entry = manager.or(*entry, stripped);
@@ -1475,22 +1484,7 @@ impl Worker {
                         continue;
                     }
                     let full = splicer.splice(manager, basev, fresh);
-                    if !full.is_false() {
-                        unions.insert((src, kind), full);
-                    }
-                    // Baseline loop/blackhole material surviving outside
-                    // the scope counts as one final: fragment counts were
-                    // never run-deterministic (only the unions are), but
-                    // `loops == 0` must still mean loop-free afterwards.
-                    if matches!(kind, FinalKind::Loop | FinalKind::Blackhole)
-                        && !splicer.outside(manager, basev).is_false()
-                    {
-                        match kind {
-                            FinalKind::Loop => loops += 1,
-                            FinalKind::Blackhole => blackholes += 1,
-                            _ => {}
-                        }
-                    }
+                    unions.insert((src, kind), full);
                 }
             }
         }
@@ -1498,9 +1492,15 @@ impl Worker {
             .scopes
             .as_ref()
             .map_or(0, |s| s.values().map(Splicer::ops).sum());
+        // Event counts are taken over the same canonical sets the verdict
+        // bytes are: one per source with a non-empty union of the kind,
+        // however many fragments (a merge- and timing-dependent number)
+        // finalized into it.
+        unions.retain(|_, set| !set.is_false());
+        let count = |kind| unions.keys().filter(|(_, k)| *k == kind).count();
+        let (loops, blackholes) = (count(FinalKind::Loop), count(FinalKind::Blackhole));
         let sets = unions
             .into_iter()
-            .filter(|(_, set)| !set.is_false())
             .map(|((src, kind), set)| {
                 (src, kind, Bytes::from(bdd_io::to_bytes(manager, set)))
             })
@@ -1565,4 +1565,73 @@ fn changed_prefixes(old: &[RibRoute], new: &[RibRoute]) -> BTreeSet<Prefix> {
         .filter(|(_, (o, n))| o != n)
         .map(|(p, _)| p)
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sidecar::SidecarNet;
+    use s2_net::config::{DeviceConfig, InterfaceConfig, Vendor};
+    use s2_net::policy::Protocol;
+    use s2_net::topology::Topology;
+    use s2_net::Ipv4Addr;
+
+    thread_local! {
+        /// BDD serializations performed by `forward_round` on this thread.
+        pub(super) static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A hub on worker 0 spraying one prefix over `LEAVES` ECMP links to
+    /// leaves on worker 1: every outbound fragment of the first round
+    /// carries the same BDD handle.
+    const LEAVES: usize = 5;
+
+    #[test]
+    fn forward_round_serializes_a_shared_bdd_once() {
+        let mut topo = Topology::new();
+        let hub = topo.add_node("hub");
+        let mut configs = vec![DeviceConfig::new("hub", Vendor::A)];
+        for l in 0..LEAVES {
+            let name = format!("leaf{l}");
+            let leaf = topo.add_node(name.as_str());
+            topo.connect(hub, leaf);
+            let mut cfg = DeviceConfig::new(name, Vendor::A);
+            for (end, cfg) in [&mut configs[0], &mut cfg].into_iter().enumerate() {
+                let addr = Ipv4Addr::new(172, 16, l as u8, end as u8);
+                cfg.interfaces.push(InterfaceConfig::new(format!("e{l}"), addr, 31));
+            }
+            configs.push(cfg);
+        }
+        let model = Arc::new(NetworkModel::build(topo, configs).unwrap());
+        let mut per_node = vec![Vec::new(); LEAVES + 1];
+        per_node[0].push(RibRoute {
+            prefix: "10.9.0.0/16".parse().unwrap(),
+            protocol: Protocol::Bgp,
+            egress: (0..LEAVES as u16).map(InterfaceId).collect(),
+            is_local: false,
+            as_path_len: 0,
+        });
+
+        let mut owners = vec![1; LEAVES + 1];
+        owners[0] = 0;
+        let (net, mut inboxes) = SidecarNet::build(owners, 2);
+        let mut leaves = Sidecar::new(1, net.clone(), inboxes.remove(1));
+        let mut worker = Worker::new(Sidecar::new(0, net, inboxes.remove(0)), model, vec![hub], None);
+        worker.dp_setup(Arc::new(RibSnapshot { per_node }), 0, &BTreeMap::new(), 0);
+        worker.inject(&[(hub, "10.9.0.0/16".parse().unwrap())]);
+
+        ENCODES.with(|n| n.set(0));
+        assert_eq!(worker.forward_round(), (1, LEAVES));
+        assert_eq!(ENCODES.with(std::cell::Cell::get), 1);
+        let payloads: Vec<Bytes> = leaves
+            .drain()
+            .into_iter()
+            .map(|m| match m {
+                Message::Packet { bdd, .. } => bdd,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(payloads.len(), LEAVES);
+        assert!(payloads.iter().all(|p| *p == payloads[0]), "every frame carries the one encoding");
+    }
 }

@@ -53,7 +53,7 @@ impl S2Report {
     pub fn summary(&self) -> String {
         let mut s = format!(
             "{} nodes on {} workers, {} shards: {} routes, {} BGP rounds; \
-             reachability {}/{} pairs, {} loops, {} blackhole finals, \
+             reachability {}/{} pairs, {} loops, {} blackhole verdicts, \
              {} waypoint violations, {} multipath violations; \
              peak worker memory {} bytes; {} cross-worker messages ({} bytes)",
             self.partition.assignment.len(),

@@ -71,6 +71,14 @@ pub fn check_trace(text: &str, required: &[String], min_lanes: usize) -> Result<
                     return Err(format!("event {i} ({name}): instant missing 'ts'"));
                 }
             }
+            // The cross-lane stitch arrows: decoration on spans counted
+            // above, not events of their own.
+            "s" | "f" => {
+                if num_field(row, "ts").is_none() {
+                    return Err(format!("event {i} ({name}): flow missing 'ts'"));
+                }
+                continue;
+            }
             other => return Err(format!("event {i} ({name}): unsupported ph {other:?}")),
         }
         events += 1;
@@ -126,10 +134,11 @@ pub fn check_expo(text: &str, required: &[String]) -> Result<(usize, usize), Str
 /// an always-on metric name (e.g. the `tcp.reconnect` span vs. the
 /// `tcp.reconnects` counter) are excluded — metrics are compiled in
 /// regardless of the `obs` feature.
-pub const SPAN_NEEDLES: [&str; 7] = [
+pub const SPAN_NEEDLES: [&str; 8] = [
     "cp.round",
     "shard.wave",
     "bdd.reencode",
+    "bdd.encode",
     "verify.dpv",
     "credit.stall",
     "recovery.epoch",
@@ -161,13 +170,15 @@ mod tests {
         {"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"controller"}},
         {"name":"cp.round","ph":"X","pid":1,"tid":0,"ts":1.5,"dur":20.0,"args":{"arg":3,"depth":0}},
         {"name":"barrier","ph":"X","pid":1,"tid":1,"ts":2.0,"dur":5.0,"args":{"arg":0,"depth":1}},
-        {"name":"bdd.resize","ph":"i","s":"t","pid":1,"tid":2,"ts":4.0,"args":{"arg":16,"depth":0}}
+        {"name":"bdd.resize","ph":"i","s":"t","pid":1,"tid":2,"ts":4.0,"args":{"arg":16,"depth":0}},
+        {"ph":"s","cat":"stitch","name":"stitch","id":7,"pid":1,"tid":0,"ts":2.0},
+        {"ph":"f","bp":"e","cat":"stitch","name":"stitch","id":7,"pid":1,"tid":1,"ts":2.0}
     ]}"#;
 
     #[test]
     fn valid_trace_summarizes_names_and_lanes() {
         let s = check_trace(GOOD, &req(&["cp.round", "barrier"]), 3).unwrap();
-        assert_eq!(s.events, 3, "metadata rows are not events");
+        assert_eq!(s.events, 3, "metadata rows and stitch arrows are not events");
         assert_eq!(s.lanes, vec![0, 1, 2]);
         assert_eq!(s.names, vec!["barrier", "bdd.resize", "cp.round"]);
     }

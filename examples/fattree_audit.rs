@@ -63,7 +63,7 @@ fn main() {
     // multipath-consistency violation, exactly what that property is for.
     assert!(!r2.dpv.multipath_violations.is_empty());
     println!(
-        "CAUGHT: multipath inconsistency at {} sources ({} blackhole finals) — \
+        "CAUGHT: multipath inconsistency at {} sources ({} blackhole verdicts) — \
          traffic survives only because ECMP routes around core0\n",
         r2.dpv.multipath_violations.len(),
         r2.dpv.blackholes

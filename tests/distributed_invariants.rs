@@ -4,10 +4,15 @@
 
 use proptest::prelude::*;
 use s2::{NetworkModel, S2Options, S2Verifier, Scheme, VerificationRequest};
+use s2_baselines::{simulate_control_plane, MonolithicOptions};
+use s2_bdd::serialize::{from_bytes, to_bytes};
+use s2_bdd::Bdd;
+use s2_dataplane::{forward, Fib, FinalKind, ForwardOptions, NodePredicates, PacketSpace};
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
 use s2_partition::Partition;
 use s2_topogen::fattree::{generate as gen_ft, FatTree, FatTreeParams};
+use std::collections::BTreeMap;
 
 fn fattree4() -> (NetworkModel, VerificationRequest) {
     let ft = gen_ft(FatTreeParams::new(4));
@@ -95,6 +100,84 @@ fn oom_reports_the_overloaded_worker() {
         }) => assert_eq!(worker, 0),
         other => panic!("expected OOM, got {other:?}"),
     }
+}
+
+/// ECMP fan-in into ACL'd ingress ports across a worker boundary. Both
+/// aggregation switches of pod 2 sit alone on worker 1, so the two
+/// fragments each receives from its cores arrive as wire frames: at agg0
+/// through two ports sharing one ACL (one ingress class, merged by the
+/// sender), at agg1 through ports bound to two different ACLs (two
+/// classes). The reference is the monolithic path-by-path walk, which
+/// never merges and keeps the true ingress port.
+#[test]
+fn acl_fan_in_across_workers_matches_monolithic_verdict_bytes() {
+    let ft = gen_ft(FatTreeParams::new(4));
+    let (agg0, agg1) = (ft.agg(2, 0), ft.agg(2, 1));
+    let mut configs = ft.configs.clone();
+    s2_topogen::inject::acl_block_dst(&mut configs, "pod2-agg0", "10.2.0.0/25".parse().unwrap());
+    // agg1: the same filter on its first core-facing port only, under
+    // its own name; the second stays unbound.
+    let probe = NetworkModel::build(ft.topology.clone(), configs.clone()).unwrap();
+    let uplink = probe
+        .topology
+        .neighbors(agg1)
+        .iter()
+        .find(|(_, peer, _)| ft.cores.contains(peer))
+        .and_then(|(port, _, _)| probe.iface_binding[agg1.index()][port.index()])
+        .unwrap();
+    s2_topogen::inject::acl_block_dst(&mut configs, "pod2-agg1", "10.2.1.0/25".parse().unwrap());
+    for (i, iface) in configs[agg1.index()].interfaces.iter_mut().enumerate() {
+        if i != uplink {
+            iface.acl_in = None;
+        }
+    }
+    let model = NetworkModel::build(ft.topology.clone(), configs).unwrap();
+    let (_, request) = fattree4();
+
+    let assignment = model
+        .topology
+        .nodes()
+        .map(|n| u32::from(n == agg0 || n == agg1))
+        .collect();
+    let opts = S2Options { workers: 2, ..Default::default() };
+    let v = S2Verifier::with_partition(model.clone(), Partition::new(assignment, 2), &opts).unwrap();
+    let report = v.verify(&request).unwrap();
+    v.shutdown();
+    assert!(report.dpv.blackholes > 0, "the filters must drop something");
+
+    let space = PacketSpace::new(0);
+    let mut mgr = space.manager();
+    let (rib, _) = simulate_control_plane(&model, &MonolithicOptions::default()).unwrap();
+    let preds: Vec<NodePredicates> = model
+        .topology
+        .nodes()
+        .map(|n| NodePredicates::compile(&model, n, &Fib::from_rib(rib.node(n)), &space, &mut mgr))
+        .collect();
+    let inject = space.dst_in(&mut mgr, request.dst_space);
+    let walk = forward(
+        &model.topology,
+        &preds,
+        &space,
+        &mut mgr,
+        request.sources.iter().map(|&s| (s, inject)).collect(),
+        &ForwardOptions { no_merge: true, ..Default::default() },
+    );
+    let mut expected: BTreeMap<(NodeId, FinalKind), Bdd> = BTreeMap::new();
+    for f in &walk.finals {
+        let entry = expected.entry((f.src, f.kind)).or_insert(Bdd::FALSE);
+        *entry = mgr.or(*entry, f.set);
+    }
+    // S2 reports one set per worker that saw the (src, kind).
+    let mut got: BTreeMap<(NodeId, FinalKind), Bdd> = BTreeMap::new();
+    for (src, kind, bytes) in &report.dpv.verdict_sets {
+        let set = from_bytes(&mut mgr, bytes).unwrap();
+        let entry = got.entry((*src, *kind)).or_insert(Bdd::FALSE);
+        *entry = mgr.or(*entry, set);
+    }
+    let bytes = |sets: BTreeMap<(NodeId, FinalKind), Bdd>| -> Vec<_> {
+        sets.into_iter().map(|(key, set)| (key, to_bytes(&mgr, set))).collect()
+    };
+    assert_eq!(bytes(got), bytes(expected));
 }
 
 proptest! {
