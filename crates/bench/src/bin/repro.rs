@@ -1,226 +1,60 @@
 //! Regenerates every figure of the paper's evaluation and prints the
 //! rows/series. Run with `--release`; pass figure ids (e.g. `fig5 fig9`)
-//! to restrict, `--quick` for the small sweep.
+//! to restrict, `--quick` for the small sweep. Any other argument is
+//! rejected with exit status 2.
 //!
 //! ```text
-//! cargo run -p bench --bin repro --release            # everything
-//! cargo run -p bench --bin repro --release -- fig5    # one figure
+//! cargo run -p bench --bin repro --release                    # everything
+//! cargo run -p bench --bin repro --release -- fig5            # one figure
+//! cargo run -p bench --bin repro --release -- --quick fig9    # small sweep
 //! ```
 //!
-//! `--json` switches to the performance-trajectory mode: a pinned
-//! FatTree sweep at intra-worker thread widths 1 and 4, written as
-//! `s2-bench-trajectory/v1` JSON:
-//!
-//! ```text
-//! cargo run -p bench --bin repro --release -- --json                # k=4,6,8 -> BENCH_PR10.json
-//! cargo run -p bench --bin repro --release -- --json --smoke       # k=4 only (CI)
-//! cargo run -p bench --bin repro --release -- --json --out FILE    # custom path
-//! cargo run -p bench --bin repro -- --json --check FILE            # validate only
-//! ```
-//!
-//! `--trace-out FILE` / `--metrics-out FILE` switch to the observability
-//! mode: one pinned FatTree verification (default k=4, 4 workers) with
-//! structured tracing on, emitting a Chrome `trace_event` JSON and the
-//! unified metrics snapshot (see `cargo xtask trace-check`).
+//! Performance is measured by the pinned benchmark (`benchmark/`, see
+//! `BENCHMARK.json`); traces and metrics come from `s2 verify
+//! --trace-out/--metrics-out`.
 
-use bench::{figs, trajectory, workloads};
-use s2::{S2Options, S2Verifier};
+use bench::figs;
 use std::process::ExitCode;
 
-/// Observability mode: one pinned FatTree repro with structured tracing
-/// enabled, writing a Chrome `trace_event` JSON (`--trace-out`) and/or
-/// the unified metrics snapshot (`--metrics-out`). Selected whenever
-/// either flag is present:
-///
-/// ```text
-/// cargo run -p bench --bin repro --release -- --trace-out t.json --metrics-out m.json
-/// cargo run -p bench --bin repro --release -- --trace-out t.json --k 6 --workers 8
-/// ```
-fn run_obs_mode(args: &[String]) -> ExitCode {
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut k = 4usize;
-    let mut workers = 4u32;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| match it.next() {
-            Some(v) => Ok(v.clone()),
-            None => Err(format!("{flag} needs a value")),
-        };
-        let parsed = match a.as_str() {
-            "--trace-out" => value("--trace-out").map(|v| trace_out = Some(v)),
-            "--metrics-out" => value("--metrics-out").map(|v| metrics_out = Some(v)),
-            "--k" => value("--k").and_then(|v| {
-                v.parse().map(|n| k = n).map_err(|e| format!("--k: {e}"))
-            }),
-            "--workers" => value("--workers").and_then(|v| {
-                v.parse().map(|n| workers = n).map_err(|e| format!("--workers: {e}"))
-            }),
-            other => Err(format!("unknown obs mode flag: {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    }
-    if trace_out.is_some() {
-        s2_obs::trace::set_enabled(true);
-        s2_obs::recorder::install_panic_hook();
-    }
-    let w = workloads::fattree(k);
-    let opts = S2Options {
-        workers,
-        shards: 3,
-        ..Default::default()
-    };
-    let verifier = match S2Verifier::new(w.model.clone(), &opts) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("verifier: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match verifier.verify(&w.request) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("verify: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    verifier.shutdown();
-    if let Some(path) = &trace_out {
-        let events = s2_obs::trace::take_events();
-        let json = s2_obs::trace::export_chrome_trace(&events);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("trace: {} events -> {path}", events.len());
-    }
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, report.metrics.to_json()) {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics: -> {path}");
-    }
-    println!("{}", report.summary());
-    ExitCode::SUCCESS
+/// Every figure id `repro` knows, in print order.
+const FIGURES: [&str; 8] = ["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"];
+
+/// Parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// Small sweep instead of the full one.
+    quick: bool,
+    /// Figures to print; empty means all of them.
+    figures: Vec<String>,
 }
 
-fn run_json_mode(args: &[String]) -> ExitCode {
-    let mut out_path = "BENCH_PR10.json".to_string();
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => {}
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(p) => check = Some(p.clone()),
-                None => {
-                    eprintln!("--check needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown --json mode flag: {other}");
-                return ExitCode::from(2);
-            }
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { quick: false, figures: Vec::new() };
+    for a in args {
+        if a == "--quick" {
+            parsed.quick = true;
+        } else if FIGURES.contains(&a.as_str()) {
+            parsed.figures.push(a.clone());
+        } else if a.starts_with('-') {
+            return Err(format!("unknown flag: {a}"));
+        } else {
+            return Err(format!("unknown figure id: {a}"));
         }
     }
-    if let Some(path) = check {
-        return match std::fs::read_to_string(&path) {
-            Ok(text) => match trajectory::validate(&text) {
-                Ok(()) => {
-                    println!("{path}: valid {}", trajectory::SCHEMA);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: schema violation: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let (ks, widths): (&[usize], &[usize]) = if smoke {
-        (&[4], &[1, 2])
-    } else {
-        (&[4, 6, 8], &[1, 4])
-    };
-    let mut t = trajectory::run_sweep(ks, widths, 2);
-    // Resilience point: every single-link-failure scenario over a warm
-    // runtime, single worker (the configuration where warm replay beats
-    // the serial-full yardstick cleanly).
-    let res_k = if smoke { 4 } else { 6 };
-    eprintln!("trajectory: resilience FatTree{res_k} k<=1 ...");
-    t.resilience = Some(trajectory::run_resilience(res_k, 1, 1));
-    // Daemon point: one link-flap delta on a warm daemon vs the cold
-    // full re-verification of the same snapshot, plus restart latency.
-    let daemon_k = if smoke { 4 } else { 8 };
-    eprintln!("trajectory: daemon FatTree{daemon_k} link flap ...");
-    t.daemon = Some(trajectory::run_daemon(daemon_k, 2));
-    let json = trajectory::to_json(&t);
-    if let Err(e) = trajectory::validate(&json) {
-        eprintln!("internal error: emitted JSON fails its own schema: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("{out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    for (k, base, wide, s) in trajectory::cp_speedups(&t) {
-        println!("FatTree{k}: cp speedup x{s:.2} ({base} -> {wide} threads)");
-    }
-    if let Some(r) = &t.resilience {
-        println!(
-            "FatTree{}: resilience k<={} — {} scenarios ({} undetermined), x{:.2} vs serial full",
-            r.k, r.max_failures, r.scenarios, r.undetermined, r.speedup_vs_serial_full
-        );
-    }
-    if let Some(d) = &t.daemon {
-        println!(
-            "FatTree{}: daemon link flap {:.1} ms vs cold {:.1} ms — x{:.2}; restore {:.1} ms",
-            d.k, d.delta_ms, d.cold_verify_ms, d.speedup, d.restore_ms
-        );
-        println!(
-            "FatTree{}: scoped DPV drive {:.1} ms over {:.1}% of the dst space",
-            d.k,
-            d.scoped_delta_ms,
-            d.changed_dst_fraction * 100.0
-        );
-        println!(
-            "FatTree{}: telemetry scrape {:.1} ms, delta p99 {:.0} ms, {} stitched dpv spans",
-            d.k, d.scrape_ms, d.delta_p99_ms, d.stitched_spans
-        );
-    }
-    println!("wrote {out_path} ({} entries, host cpus: {})", t.entries.len(), t.host_cpus);
-    ExitCode::SUCCESS
+    Ok(parsed)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--json") {
-        return run_json_mode(&args);
-    }
-    if args.iter().any(|a| a == "--trace-out" || a == "--metrics-out") {
-        return run_obs_mode(&args);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
+    let Args { quick, figures } = match parse_args(&args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            eprintln!("usage: repro [--quick] [FIGURE...]; figures: {}", FIGURES.join(" "));
+            return ExitCode::from(2);
+        }
+    };
+    let want = |name: &str| figures.is_empty() || figures.iter().any(|f| f == name);
 
     let (fig5_ks, fig8_ks, fig6_workers, fig9_shards): (&[usize], &[usize], &[u32], &[usize]) =
         if quick {
@@ -254,4 +88,29 @@ fn main() -> ExitCode {
         print!("{}", figs::fig11().render());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn accepts_quick_and_known_figures() {
+        assert_eq!(parse(&[]), Ok(Args { quick: false, figures: vec![] }));
+        assert_eq!(
+            parse(&["--quick", "fig9", "fig11"]),
+            Ok(Args { quick: true, figures: vec!["fig9".into(), "fig11".into()] })
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_figures_and_flags() {
+        assert_eq!(parse(&["fig12"]), Err("unknown figure id: fig12".into()));
+        assert_eq!(parse(&["fig5", "--json"]), Err("unknown flag: --json".into()));
+        assert!(parse(&["--trace-out", "t.json"]).is_err());
+    }
 }

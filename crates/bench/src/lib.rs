@@ -12,7 +12,6 @@
 //! configurations.
 
 pub mod figs;
-pub mod trajectory;
 pub mod workloads;
 
 /// A printable result table (one per paper figure).

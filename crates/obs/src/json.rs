@@ -1,9 +1,9 @@
 //! Minimal hand-rolled JSON: a value type, a recursive-descent parser,
 //! and writer helpers.
 //!
-//! The workspace deliberately carries no JSON dependency; this module
-//! (grown out of the bench trajectory reader) is shared by the bench
-//! schema check, the metrics snapshot codec, and the Chrome-trace
+//! The workspace deliberately carries no JSON dependency; this module is
+//! shared by the metrics snapshot codec, the resilience-report schema
+//! check, the admin protocol's JSON replies, and the Chrome-trace
 //! validator in `cargo xtask trace-check`.
 
 use std::fmt::Write as _;

@@ -31,7 +31,7 @@
 //!   failures come with evidence instead of guesswork.
 //!
 //! [`json`] carries the hand-rolled JSON value/parser/writer shared by
-//! the bench trajectory schema, the metrics encoding, and the trace
+//! the metrics encoding, the resilience report, and the trace
 //! validator in `cargo xtask trace-check`.
 
 #![deny(missing_docs)]

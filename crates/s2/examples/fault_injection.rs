@@ -69,7 +69,11 @@ fn main() {
     let full_peak = full_stats.per_worker_peak.iter().copied().max().unwrap_or(0);
     let split_peak = ref_stats.per_worker_peak.iter().copied().max().unwrap_or(0);
     let budget = (full_peak + split_peak) / 2;
-    let capped = S2Options { shards: 1, memory_budget: Some(budget), ..base.clone() };
+    let capped = S2Options {
+        shards: 1,
+        runtime: RuntimeConfig { memory_budget: Some(budget), ..base.runtime.clone() },
+        ..base.clone()
+    };
     let (rib, stats, shards) = simulate(&capped);
     println!(
         "oom-capped: {} routes; budget {} bytes forced {} bisections -> {} shards",

@@ -23,8 +23,6 @@ pub struct S2Options {
     pub shards: usize,
     /// Seed for the shard planner's equal-size shuffle.
     pub shard_seed: u64,
-    /// Per-worker memory budget in modelled bytes (`None` = unlimited).
-    pub memory_budget: Option<usize>,
     /// Fix-point round budget per protocol per shard.
     pub max_rounds: usize,
     /// TTL for symbolic forwarding (0 = engine default).
@@ -43,8 +41,8 @@ pub struct S2Options {
     /// Takes precedence over `runtime.intra_worker_threads` when > 1.
     pub intra_worker_threads: usize,
     /// Fault-tolerance and transport configuration (barrier timeout,
-    /// recovery/bisection budgets, fault injection). `memory_budget`
-    /// above takes precedence over `runtime.memory_budget` when set.
+    /// recovery/bisection budgets, per-worker memory budget, fault
+    /// injection).
     pub runtime: RuntimeConfig,
 }
 
@@ -55,7 +53,6 @@ impl Default for S2Options {
             scheme: Scheme::Metis,
             shards: 1,
             shard_seed: 7,
-            memory_budget: None,
             max_rounds: s2_routing::DEFAULT_MAX_ROUNDS,
             max_hops: 0,
             parallel_shard_groups: 1,
@@ -142,7 +139,6 @@ impl S2Verifier {
     ) -> Result<Self, S2Error> {
         let model = Arc::new(model);
         let config = RuntimeConfig {
-            memory_budget: opts.memory_budget.or(opts.runtime.memory_budget),
             intra_worker_threads: opts.intra_worker_threads.max(opts.runtime.intra_worker_threads),
             ..opts.runtime.clone()
         };
@@ -174,7 +170,6 @@ impl S2Verifier {
         let partition = compute(&model.topology, opts.workers, opts.scheme);
         let model = Arc::new(model);
         let config = RuntimeConfig {
-            memory_budget: opts.memory_budget.or(opts.runtime.memory_budget),
             intra_worker_threads: opts.intra_worker_threads.max(opts.runtime.intra_worker_threads),
             ..opts.runtime.clone()
         };
@@ -277,7 +272,6 @@ impl S2Verifier {
                     .map(|(g, gplan)| {
                         let model = self.model.clone();
                         let partition = &self.partition;
-                        let budget = self.opts.memory_budget.or(self.opts.runtime.memory_budget);
                         let copts = copts.clone();
                         scope.spawn(move || {
                             // Group 0 reuses the main fleet; others get
@@ -289,7 +283,6 @@ impl S2Verifier {
                                 // Replicas never re-inject the faults the
                                 // main fleet already played out.
                                 let config = RuntimeConfig {
-                                    memory_budget: budget,
                                     faults: FaultPlan::default(),
                                     ..self.opts.runtime.clone()
                                 };
@@ -526,7 +519,7 @@ mod tests {
         let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
         let opts = S2Options {
             workers: 2,
-            memory_budget: Some(64),
+            runtime: RuntimeConfig { memory_budget: Some(64), ..Default::default() },
             ..Default::default()
         };
         let verifier = S2Verifier::new(model, &opts).unwrap();

@@ -36,6 +36,8 @@ fn gen_writes_topology_and_configs() {
 #[test]
 fn verify_clean_network_exits_zero() {
     let dir = gen_dir("verify");
+    let trace_path = dir.join("trace.json");
+    let metrics_path = dir.join("metrics.json");
     let out = s2_bin()
         .args([
             "verify",
@@ -53,12 +55,46 @@ fn verify_clean_network_exits_zero() {
             "pod2-edge1=10.2.1.0/24",
             "--dst-space",
             "10.0.0.0/8",
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
         ])
         .output()
         .expect("s2 binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("verdict: CLEAN"), "{stdout}");
+
+    // The in-process fleet traces every worker on its own lane beside
+    // the controller's.
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let tdoc = s2_obs::parse_json(&trace).expect("trace JSON parses");
+    let Some(s2_obs::Json::Arr(events)) = tdoc.get("traceEvents") else {
+        panic!("traceEvents must be an array");
+    };
+    let mut lanes = std::collections::BTreeSet::new();
+    let mut names = std::collections::BTreeSet::new();
+    for e in events {
+        if matches!(e.get("ph").and_then(|v| v.as_str()), Some("X" | "i")) {
+            lanes.insert(e.get("tid").and_then(|v| v.as_num()).expect("numeric tid") as u64);
+            names.insert(e.get("name").and_then(|v| v.as_str()).expect("string name"));
+        }
+    }
+    assert!(lanes.len() >= 3, "controller + 2 worker lanes, got {lanes:?}");
+    for span in ["verify", "cp.round"] {
+        assert!(names.contains(span), "trace missing {span}: {names:?}");
+    }
+
+    let metrics = std::fs::read_to_string(&metrics_path).expect("metrics file written");
+    let doc = s2_obs::parse_json(&metrics).expect("metrics JSON parses");
+    let lookups = doc
+        .get("aggregate")
+        .and_then(|a| a.get("counters"))
+        .and_then(|c| c.get("bdd.unique.lookups"))
+        .and_then(|v| v.as_num())
+        .unwrap_or(0.0);
+    assert!(lookups > 0.0, "metrics must carry BDD unique-table lookups");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,7 +3,7 @@
 //! partition fuzzing.
 
 use proptest::prelude::*;
-use s2::{NetworkModel, S2Options, S2Verifier, Scheme, VerificationRequest};
+use s2::{NetworkModel, RuntimeConfig, S2Options, S2Verifier, Scheme, VerificationRequest};
 use s2_baselines::{simulate_control_plane, MonolithicOptions};
 use s2_bdd::serialize::{from_bytes, to_bytes};
 use s2_bdd::Bdd;
@@ -88,7 +88,7 @@ fn oom_reports_the_overloaded_worker() {
     let partition = Partition::new(vec![0; n], 2);
     let opts = S2Options {
         workers: 2,
-        memory_budget: Some(4096),
+        runtime: RuntimeConfig { memory_budget: Some(4096), ..Default::default() },
         ..Default::default()
     };
     let verifier = S2Verifier::with_partition(model, partition, &opts).unwrap();

@@ -318,7 +318,7 @@ fn over_budget_shard_completes_via_bisection_on_fattree() {
     let budgeted = S2Options {
         workers: 2,
         shards: 1,
-        memory_budget: Some(budget),
+        runtime: RuntimeConfig { memory_budget: Some(budget), ..Default::default() },
         ..Default::default()
     };
     let verifier = S2Verifier::new(model, &budgeted).unwrap();
