@@ -5,10 +5,9 @@
 //! predicate (`p_in` / `p_out` in the paper's Eq. 1).
 
 use crate::ip::Prefix;
-use serde::{Deserialize, Serialize};
 
 /// Permit or deny.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AclAction {
     /// Matching packets pass.
     Permit,
@@ -17,7 +16,7 @@ pub enum AclAction {
 }
 
 /// An inclusive port range. `0..=65535` matches any port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortRange {
     /// Lowest matching port.
     pub lo: u16,
@@ -46,7 +45,7 @@ impl PortRange {
 }
 
 /// A single ACL entry; all fields are ANDed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AclEntry {
     /// Permit or deny matching packets.
     pub action: AclAction,
@@ -78,7 +77,7 @@ impl AclEntry {
 
 /// A named ACL: ordered entries, first match wins, implicit deny at the end
 /// (standard router semantics).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Acl {
     /// Entries in configuration order.
     pub entries: Vec<AclEntry>,

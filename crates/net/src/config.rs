@@ -9,12 +9,11 @@ use crate::acl::Acl;
 use crate::error::NetError;
 use crate::ip::{Ipv4Addr, Prefix};
 use crate::policy::{Community, PrefixList, Protocol, RemovePrivateAsMode, RouteMap};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The vendor dialect a configuration was written in. Each vendor carries
 /// its own vendor-specific behaviours (VSBs); see [`VendorQuirks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vendor {
     /// Synthetic "vendor A" dialect (IOS-flavoured).
     A,
@@ -25,7 +24,7 @@ pub enum Vendor {
 /// Vendor-specific behaviours that change protocol semantics (not just
 /// syntax). The paper reports 30% of a large provider's incidents stem from
 /// such differences (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VendorQuirks {
     /// `remove-private-as` semantics.
     pub remove_private_as: RemovePrivateAsMode,
@@ -51,7 +50,7 @@ impl Vendor {
 }
 
 /// Configuration of a single interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceConfig {
     /// Interface name (e.g. `eth0`); unique per device.
     pub name: String,
@@ -82,14 +81,14 @@ impl InterfaceConfig {
 }
 
 /// A `network` statement: a prefix the device originates into BGP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Network {
     /// The originated prefix.
     pub prefix: Prefix,
 }
 
 /// A BGP aggregate (`aggregate-address`) definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aggregate {
     /// The aggregate prefix.
     pub prefix: Prefix,
@@ -105,7 +104,7 @@ pub struct Aggregate {
 /// routes for `advertise` are exported only while the condition on
 /// `condition` holds in the local RIB. This is the second source of
 /// prefix dependency the S2 paper's sharding must respect (§4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConditionalAdvertisement {
     /// The prefix whose advertisement is gated.
     pub advertise: Prefix,
@@ -117,7 +116,7 @@ pub struct ConditionalAdvertisement {
 }
 
 /// One BGP neighbor (session endpoint).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpNeighbor {
     /// The neighbor's interface address.
     pub peer: Ipv4Addr,
@@ -133,7 +132,7 @@ pub struct BgpNeighbor {
 }
 
 /// The device's BGP process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpProcess {
     /// Local autonomous system number.
     pub asn: u32,
@@ -170,7 +169,7 @@ impl BgpProcess {
 }
 
 /// The device's OSPF process (single area 0 model).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OspfProcess {
     /// Interfaces OSPF runs on (must exist in [`DeviceConfig::interfaces`]).
     pub interfaces: Vec<String>,
@@ -180,7 +179,7 @@ pub struct OspfProcess {
 }
 
 /// A static route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticRoute {
     /// Destination prefix.
     pub prefix: Prefix,
@@ -190,7 +189,7 @@ pub struct StaticRoute {
 }
 
 /// The complete vendor-independent configuration of one device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceConfig {
     /// Hostname; unique across the network and used to bind configurations
     /// to topology nodes.

@@ -5,7 +5,6 @@
 //! can be used as BDD bit-vectors and trie keys without conversion cost.
 
 use crate::error::NetError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -20,7 +19,7 @@ macro_rules! fmt_debug_as_display {
 }
 
 /// An IPv4 address stored in host byte order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4Addr(pub u32);
 
 impl Ipv4Addr {
@@ -88,7 +87,7 @@ impl FromStr for Ipv4Addr {
 
 /// An IPv4 prefix: an address plus a mask length, always stored normalized
 /// (host bits zeroed) so that equal prefixes compare equal.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: Ipv4Addr,
     len: u8,

@@ -11,7 +11,9 @@
 //!   process, route maps ([`policy`]), ACLs ([`acl`]), aggregation,
 //! * parsers for two synthetic vendor dialects with deliberately divergent
 //!   vendor-specific behaviours ([`vendor`]), mirroring how the paper's
-//!   prototype reuses Batfish's multi-vendor parsing front end.
+//!   prototype reuses Batfish's multi-vendor parsing front end,
+//! * the seeded shuffle ([`rng`]) behind shard assignment and the
+//!   `Random` partition scheme.
 //!
 //! The model is deliberately free of any distributed-systems concern: the
 //! partitioner, runtime and verifier crates all consume these types without
@@ -24,6 +26,7 @@ pub mod config;
 pub mod error;
 pub mod ip;
 pub mod policy;
+pub mod rng;
 pub mod topology;
 pub mod trie;
 pub mod vendor;

@@ -6,7 +6,6 @@
 //! data model.
 
 use crate::ip::Prefix;
-use serde::{Deserialize, Serialize};
 
 /// A BGP community value, stored as `(high << 16) | low`.
 pub type Community = u32;
@@ -22,7 +21,7 @@ pub fn community_string(c: Community) -> String {
 }
 
 /// Whether a route-map clause permits or denies matching routes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteMapDisposition {
     /// Matching routes are accepted (after applying the clause's actions).
     Permit,
@@ -31,7 +30,7 @@ pub enum RouteMapDisposition {
 }
 
 /// A single entry of a prefix list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixListEntry {
     /// The prefix to match against.
     pub prefix: Prefix,
@@ -53,7 +52,7 @@ impl PrefixListEntry {
 }
 
 /// A named ordered prefix list. First matching entry wins; no match ⇒ deny.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PrefixList {
     /// Entries in configuration order.
     pub entries: Vec<PrefixListEntry>,
@@ -73,7 +72,7 @@ impl PrefixList {
 
 /// Conditions a route-map clause can match on. A clause matches when **all**
 /// of its conditions hold (Cisco-style AND semantics within a clause).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatchCondition {
     /// Route's prefix is permitted by the named prefix list.
     PrefixList(String),
@@ -95,7 +94,7 @@ pub enum MatchCondition {
 /// This is the vendor-specific behaviour the paper calls out (§2.1): some
 /// vendors remove *all* private ASNs, others only the private ASNs
 /// *preceding the first non-private one*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemovePrivateAsMode {
     /// Remove every private ASN in the path.
     All,
@@ -104,7 +103,7 @@ pub enum RemovePrivateAsMode {
 }
 
 /// Actions on the AS path attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AsPathAction {
     /// Prepend `asn` `count` times.
     Prepend {
@@ -121,7 +120,7 @@ pub enum AsPathAction {
 }
 
 /// Actions on the community set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommunityAction {
     /// Add a community.
     Add(Community),
@@ -132,7 +131,7 @@ pub enum CommunityAction {
 }
 
 /// A `set` action applied by a permitting clause.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyAction {
     /// Set LOCAL_PREF.
     SetLocalPref(u32),
@@ -145,7 +144,7 @@ pub enum PolicyAction {
 }
 
 /// One numbered clause of a route map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteMapClause {
     /// Sequence number; clauses are evaluated in ascending order.
     pub seq: u32,
@@ -159,7 +158,7 @@ pub struct RouteMapClause {
 
 /// A named route map: an ordered list of clauses. The first matching clause
 /// decides; if no clause matches the route is denied (Cisco semantics).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RouteMap {
     /// Clauses sorted by sequence number.
     pub clauses: Vec<RouteMapClause>,
@@ -187,7 +186,7 @@ impl RouteMap {
 
 /// Routing protocols a route can originate from; used for administrative
 /// distance and redistribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Protocol {
     /// Directly connected interface subnet.
     Connected,

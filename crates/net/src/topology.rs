@@ -4,12 +4,11 @@
 //! every other crate (partitioner, runtime, data plane) indexes its arrays
 //! with it. Hostnames are kept for diagnostics and for the vendor parsers.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of a switch in the topology.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -36,7 +35,7 @@ impl fmt::Debug for NodeId {
 ///
 /// Interface indices are dense per node; `(NodeId, InterfaceId)` globally
 /// identifies a port.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InterfaceId(pub u16);
 
 impl InterfaceId {
@@ -60,7 +59,7 @@ impl fmt::Debug for InterfaceId {
 }
 
 /// An undirected point-to-point link between two ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// One endpoint.
     pub a: (NodeId, InterfaceId),
@@ -83,7 +82,7 @@ impl Link {
 }
 
 /// The network topology: a set of named nodes and point-to-point links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     names: Vec<String>,
     by_name: HashMap<String, NodeId>,

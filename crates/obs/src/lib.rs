@@ -32,7 +32,8 @@
 //!
 //! [`json`] carries the hand-rolled JSON value/parser/writer shared by
 //! the metrics encoding, the resilience report, and the trace
-//! validator in `cargo xtask trace-check`.
+//! validator in `cargo xtask trace-check`. [`lock`] is the workspace's
+//! one mutex-lock helper.
 
 #![deny(missing_docs)]
 
@@ -46,3 +47,10 @@ pub mod trace;
 pub use json::{parse_json, Json};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use time::{Clock, Deadline, ManualClock, MonotonicClock, Stopwatch};
+
+/// Locks `m`, recovering the guard if another thread panicked while
+/// holding it: shared state stays usable after a panic, and no call
+/// site needs an `unwrap`.
+pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -12,6 +12,7 @@
 
 #[cfg(feature = "obs")]
 mod imp {
+    use crate::lock;
     use crate::trace::Event;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Mutex, OnceLock};
@@ -47,10 +48,6 @@ mod imp {
 
     static DUMP_PATH: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
     static DUMPS: AtomicU64 = AtomicU64::new(0);
-
-    fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     /// Append a trace event to the ring (called from
     /// [`crate::trace::record`] for every event).

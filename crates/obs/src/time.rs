@@ -100,7 +100,8 @@ impl Default for Stopwatch {
 }
 
 /// A point in the future to wait until. The workspace replacement for
-/// `Instant::now() + timeout` paired with `recv_deadline`.
+/// `Instant::now() + timeout`; bound a channel wait by passing
+/// [`Deadline::remaining`] to `recv_timeout`.
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
     at: Instant,

@@ -12,6 +12,7 @@
 #[cfg(feature = "obs")]
 mod imp {
     use crate::json;
+    use crate::lock;
     use crate::recorder;
     use crate::time;
     use std::cell::Cell;
@@ -110,10 +111,6 @@ mod imp {
         /// Parent adopted from a propagated cross-thread/cross-process
         /// context; used when no local span is open.
         static ADOPTED: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Whether tracing is on. The disabled fast path of every

@@ -20,13 +20,12 @@ pub mod greedy;
 pub mod schemes;
 
 use s2_net::topology::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a worker (= segment index).
 pub type WorkerId = u32;
 
 /// An assignment of every node to a worker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `assignment[node] = worker`.
     pub assignment: Vec<WorkerId>,

@@ -5,8 +5,7 @@
 use crate::estimate::{estimate_loads, role_of, FatTreeRole};
 use crate::greedy::{partition as greedy_partition, GreedyOptions};
 use crate::{Partition, WorkerId};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use s2_net::rng::SeededRng;
 use s2_net::topology::Topology;
 
 /// A partition scheme selector.
@@ -59,8 +58,7 @@ pub fn compute(topology: &Topology, num_workers: u32, scheme: Scheme) -> Partiti
         }
         Scheme::Random { seed } => {
             let mut order: Vec<usize> = (0..n).collect();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            order.shuffle(&mut rng);
+            SeededRng::seed_from_u64(seed).shuffle(&mut order);
             let mut assignment = vec![0 as WorkerId; n];
             for (pos, node) in order.into_iter().enumerate() {
                 assignment[node] = (pos % num_workers as usize) as WorkerId;

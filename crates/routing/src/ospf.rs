@@ -9,11 +9,10 @@
 use crate::model::NetworkModel;
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An OSPF route at a node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OspfRoute {
     /// Total path cost.
     pub cost: u32,

@@ -5,13 +5,12 @@ use crate::route::RibRoute;
 use s2_net::policy::Protocol;
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulates RIB routes per node; the winning route per prefix is decided
 /// by administrative distance (ties keep the first inserted, which callers
 /// exploit by inserting protocols in a fixed order).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RibStore {
     per_node: Vec<BTreeMap<Prefix, RibRoute>>,
 }
@@ -88,7 +87,7 @@ impl RibStore {
 }
 
 /// An immutable, comparable snapshot of every node's final RIB.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RibSnapshot {
     /// `per_node[n]` = node n's routes in prefix order.
     pub per_node: Vec<Vec<RibRoute>>,

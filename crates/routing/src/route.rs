@@ -3,10 +3,9 @@
 use s2_net::policy::{Community, Protocol};
 use s2_net::topology::InterfaceId;
 use s2_net::{Ipv4Addr, Prefix};
-use serde::{Deserialize, Serialize};
 
 /// BGP ORIGIN attribute (we model IGP and INCOMPLETE; lower is preferred).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Origin {
     /// Originated by a `network` statement.
     Igp = 0,
@@ -19,7 +18,7 @@ pub enum Origin {
 /// `weight` is the Cisco-style local-only attribute: locally originated
 /// routes get [`LOCAL_WEIGHT`] so they always beat learned routes; it is
 /// never advertised.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpRoute {
     /// Destination prefix.
     pub prefix: Prefix,
@@ -100,7 +99,7 @@ impl BgpRoute {
 }
 
 /// How a selected route leaves the node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Via {
     /// Locally originated (no egress; the node itself holds the prefix).
     Local,
@@ -115,7 +114,7 @@ pub enum Via {
 }
 
 /// A route installed in the final per-node RIB, ready for FIB construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RibRoute {
     /// Destination prefix.
     pub prefix: Prefix,

@@ -14,9 +14,9 @@
 //!
 //! The module also owns the on-disk **warm checkpoint**: the converged
 //! RIB snapshot plus the verdict summary as one [`Wire`] value (the
-//! vendored serde is a no-op stub, so nothing here can derive its way
-//! to disk), wrapped in a `magic + fnv64 checksum + length` header and
-//! written via write-temp-then-rename. A flipped byte or truncated file
+//! workspace has no serialization framework; the codec's field lists
+//! are the only way to disk), wrapped in a `magic + fnv64 checksum +
+//! length` header and written via write-temp-then-rename. A flipped byte or truncated file
 //! is detected by checksum and surfaces as
 //! [`CheckpointError::Corrupt`] — the daemon then falls back to a cold
 //! start rather than loading garbage.

@@ -23,8 +23,6 @@ use crate::remote;
 use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot};
 use crate::transport::{Inbox, TransportKind};
 use crate::worker::{Command, Reply, Worker};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use s2_bdd::serialize as bdd_io;
 use s2_dataplane::{FinalKind, PacketSpace};
 use s2_net::topology::{InterfaceId, NodeId};
@@ -32,9 +30,10 @@ use s2_net::Prefix;
 use s2_routing::{NetworkModel, RibSnapshot, RibStore};
 use s2_shard::ShardPlan;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use s2_obs::{Deadline, MetricsSnapshot, Stopwatch};
+use s2_obs::{lock, Deadline, MetricsSnapshot, Stopwatch};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Failures of a distributed run.
@@ -546,8 +545,8 @@ impl Cluster {
         w: u32,
         inbox: Inbox,
     ) -> (WorkerHandle, std::thread::JoinHandle<()>) {
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (reply_tx, reply_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = channel();
+        let (reply_tx, reply_rx) = channel();
         let local_nodes: Vec<NodeId> = node_owner
             .iter()
             .enumerate()
@@ -650,7 +649,7 @@ impl Cluster {
         // — and, via the proxy's `CtxWrap`, worker processes — parent
         // the spans this command opens under it.
         s2_obs::trace::publish_ctx();
-        let state = self.state.lock();
+        let state = lock(&self.state);
         for (w, h) in state.handles.iter().enumerate() {
             h.cmd.send(make()).map_err(|_| RuntimeError::WorkerLost {
                 worker: w as u32,
@@ -814,7 +813,7 @@ impl Cluster {
         let scrape_timeout = self.config.barrier_timeout.min(Duration::from_secs(1));
         let mut workers = Vec::new();
         {
-            let state = self.state.lock();
+            let state = lock(&self.state);
             for (w, h) in state.handles.iter().enumerate() {
                 while h.reply.try_recv().is_ok() {}
                 let snap = if h.cmd.send(Command::Metrics).is_ok() {
@@ -856,7 +855,7 @@ impl Cluster {
             return;
         }
         let drain_timeout = self.config.barrier_timeout.min(Duration::from_secs(1));
-        let state = self.state.lock();
+        let state = lock(&self.state);
         for h in state.handles.iter() {
             while h.reply.try_recv().is_ok() {}
             if h.cmd.send(Command::TraceDrain).is_err() {
@@ -923,7 +922,7 @@ impl Cluster {
         // A replacement worker starts with fresh switches and no
         // checkpoint: the fleet can no longer be assumed to sit at one.
         self.fleet_at_checkpoint.store(false, Ordering::Release);
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed) + 1;
         let mut dead = Vec::new();
         for (w, h) in state.handles.iter().enumerate() {
@@ -1668,7 +1667,7 @@ impl Cluster {
         let (prefixes, aggregates, deps) = self.collect_prefixes()?;
         let dpdg = s2_shard::dpdg::Dpdg::build_with_deps(&prefixes, &aggregates, &deps);
         Self::expect_ok(self.barrier("scenario-checkpoint", || Command::ScenarioCheckpoint)?)?;
-        *self.scenario_base.lock() = Some(ScenarioBase { rib, dpdg });
+        *lock(&self.scenario_base) = Some(ScenarioBase { rib, dpdg });
         self.fleet_at_checkpoint.store(true, Ordering::Release);
         Ok(())
     }
@@ -1816,7 +1815,7 @@ impl Cluster {
             }
         }
         let scopes = {
-            let base = self.scenario_base.lock();
+            let base = lock(&self.scenario_base);
             base.as_ref().map(|b| {
                 // A dependent prefix can change whenever its dependee
                 // does — close each node's diff before trusting it.
@@ -1905,7 +1904,10 @@ impl Cluster {
     /// Stops every worker and joins every thread ever spawned, including
     /// the detached predecessors of respawned workers.
     pub fn shutdown(self) {
-        let state = self.state.into_inner();
+        let state = self
+            .state
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         for h in &state.handles {
             let _ = h.cmd.send(Command::Shutdown);
         }
@@ -2221,11 +2223,15 @@ mod tests {
         let model = Arc::new(line_model());
         let (reference, _) = run_cp(&model, vec![0, 0, 1, 1], 2);
 
+        // The deadline is far beyond the time bound below, so the run can
+        // only finish in time if the barrier sees the dead worker's reply
+        // channel disconnect instead of waiting the deadline out.
         let config = RuntimeConfig {
-            barrier_timeout: Duration::from_secs(5),
+            barrier_timeout: Duration::from_secs(60),
             faults: FaultPlan::new().kill_worker(1, 6),
             ..RuntimeConfig::default()
         };
+        let clock = Stopwatch::start();
         let cluster = Cluster::with_config(model.clone(), vec![0, 0, 1, 1], 2, config);
         let switches: Vec<_> = model
             .topology
@@ -2239,6 +2245,10 @@ mod tests {
         cluster.shutdown();
         assert_eq!(rib, reference, "recovered run must be bit-identical");
         assert!(stats.recoveries >= 1, "the kill must trigger a recovery");
+        assert!(
+            clock.elapsed() < Duration::from_secs(10),
+            "a dead worker must be caught by channel disconnect, not the deadline"
+        );
     }
 
     /// A hung worker blows the barrier deadline; the controller must

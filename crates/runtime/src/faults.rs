@@ -10,11 +10,10 @@
 //! run. The chaos tests drive recovery with these plans and assert the
 //! recovered result is bit-identical to an undisturbed run.
 
-use parking_lot::Mutex;
 use s2_net::topology::NodeId;
-use s2_obs::{Clock, MonotonicClock};
+use s2_obs::{lock, Clock, MonotonicClock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Worker index (mirrors [`crate::sidecar::WorkerId`]).
@@ -234,7 +233,7 @@ impl std::fmt::Debug for FaultState {
         f.debug_struct("FaultState")
             .field("plan", &self.plan)
             .field("send_index", &self.send_index)
-            .field("partition_until_ns", &*self.partition_until_ns.lock())
+            .field("partition_until_ns", &*lock(&self.partition_until_ns))
             .finish_non_exhaustive()
     }
 }
@@ -308,7 +307,7 @@ impl FaultState {
         if let Some((_, after_nth, window)) = self.plan.partition {
             if idx == after_nth {
                 let window_ns = u64::try_from(window.as_nanos()).unwrap_or(u64::MAX);
-                *self.partition_until_ns.lock() =
+                *lock(&self.partition_until_ns) =
                     Some(self.clock.now_ns().saturating_add(window_ns));
             }
         }
@@ -364,7 +363,7 @@ impl FaultState {
         if w != src && w != dst {
             return false;
         }
-        matches!(*self.partition_until_ns.lock(), Some(until) if self.clock.now_ns() < until)
+        matches!(*lock(&self.partition_until_ns), Some(until) if self.clock.now_ns() < until)
     }
 
     /// Whether the daemon must crash on entering `phase`. Consumes the

@@ -3,9 +3,10 @@
 //!
 //! The data fabric (routes, packets) between workers is the [`crate::tcp`]
 //! transport; this module adds the *control* dimension: every
-//! [`Command`]/[`Reply`] that the in-process cluster moves over crossbeam
-//! channels is serialized into the same `kind:u8 len:u32 payload` stream
-//! envelope the data sockets use, over one TCP connection per worker.
+//! [`Command`]/[`Reply`] that the in-process cluster moves over std
+//! `mpsc` channels is serialized into the same `kind:u8 len:u32
+//! payload` stream envelope the data sockets use, over one TCP
+//! connection per worker.
 //!
 //! Handshake:
 //!
@@ -38,12 +39,12 @@ use crate::tcp::{recv, send, TcpConfig, TcpTransport, K_COMMAND, K_REGISTER, K_R
 use crate::wire::WireError;
 use crate::worker::{Command, Reply, Worker};
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use s2_net::topology::NodeId;
 use s2_routing::NetworkModel;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
@@ -530,8 +531,8 @@ pub fn spawn_proxy(
     w: u32,
     mut stream: TcpStream,
 ) -> io::Result<(Sender<Command>, Receiver<Reply>, JoinHandle<()>)> {
-    let (cmd_tx, cmd_rx) = unbounded::<Command>();
-    let (reply_tx, reply_rx) = unbounded::<Reply>();
+    let (cmd_tx, cmd_rx) = channel::<Command>();
+    let (reply_tx, reply_rx) = channel::<Reply>();
     let handle = thread::Builder::new()
         .name(format!("s2-proxy-{w}"))
         .spawn(move || {
@@ -676,8 +677,8 @@ pub fn serve(model: Arc<NetworkModel>, connect: &str, bind: &str) -> io::Result<
 
     // The worker keeps its thread-based shape; this loop is the channel
     // half of the proxy pair on the controller side.
-    let (cmd_tx, cmd_rx) = unbounded::<Command>();
-    let (reply_tx, reply_rx) = unbounded::<Reply>();
+    let (cmd_tx, cmd_rx) = channel::<Command>();
+    let (reply_tx, reply_rx) = channel::<Reply>();
     let worker_thread = thread::Builder::new()
         .name(format!("s2-worker-{}", setup.worker_id))
         .spawn(move || {

@@ -36,12 +36,12 @@ use crate::tcp::TcpTransport;
 use crate::transport::{ChannelTransport, Inbox, Transport, TransportKind};
 use crate::wire::{self, Message};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use s2_net::topology::NodeId;
+use s2_obs::lock;
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Worker index.
 pub type WorkerId = u32;
@@ -388,14 +388,14 @@ impl SidecarNet {
 
     /// Messages currently held back by injected delays.
     pub fn held_count(&self) -> usize {
-        self.held.lock().len()
+        lock(&self.held).len()
     }
 
     /// Advances injected delays by one barrier round, delivering every
     /// message whose hold expired. Returns how many were released.
     pub fn tick_delayed(&self) -> usize {
         let due: Vec<HeldMessage> = {
-            let mut held = self.held.lock();
+            let mut held = lock(&self.held);
             for h in held.iter_mut() {
                 h.rounds_left = h.rounds_left.saturating_sub(1);
             }
@@ -416,7 +416,7 @@ impl SidecarNet {
     /// Discards every held message (recovery: the resync logic re-sends
     /// fresher state than anything still in the delay queue).
     pub fn discard_held(&self) {
-        self.held.lock().clear();
+        lock(&self.held).clear();
     }
 
     /// Frames `payload` and pushes it into `dst`'s inbox, optionally
@@ -459,7 +459,7 @@ impl SidecarNet {
         }
         if let Some(rounds) = self.faults.delay_of(idx) {
             self.stats.injected_delays.fetch_add(1, Ordering::Relaxed);
-            self.held.lock().push(HeldMessage {
+            lock(&self.held).push(HeldMessage {
                 rounds_left: rounds.max(1),
                 src,
                 dst,

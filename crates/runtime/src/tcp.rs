@@ -41,9 +41,9 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use s2_obs::{Deadline, Stopwatch};
+use s2_obs::{lock, Deadline, Stopwatch};
 use std::time::Duration;
 
 /// Stream envelope kinds (`kind:u8 len:u32 payload`, length big-endian).
@@ -143,12 +143,6 @@ pub fn recv<T: Wire>(r: &mut impl Read, kind: u8, max_len: usize) -> io::Result<
     T::from_bytes(Bytes::from(payload)).map_err(|e| invalid(format!("envelope kind {kind}: {e}")))
 }
 
-/// Recovers a poisoned std mutex guard: supervision state stays usable
-/// even if some thread panicked while holding the lock.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Per-connection credit accumulator on the accepting side. Popping a
 /// frame from the inbox grants a credit here; the connection's flusher
 /// thread batches pending credits into `Credit` envelopes back to the
@@ -167,13 +161,13 @@ struct CreditState {
 
 impl CreditHandle {
     fn grant(&self, n: u32) {
-        let mut st = lock_unpoisoned(&self.state);
+        let mut st = lock(&self.state);
         st.pending += n;
         self.cond.notify_all();
     }
 
     fn close(&self) {
-        lock_unpoisoned(&self.state).closed = true;
+        lock(&self.state).closed = true;
         self.cond.notify_all();
     }
 
@@ -181,7 +175,7 @@ impl CreditHandle {
     /// Returns `None` when the connection is closed, `Some(0)` for a
     /// heartbeat, `Some(n)` for `n` credits.
     fn next_flush(&self, heartbeat: Duration) -> Option<u32> {
-        let mut st = lock_unpoisoned(&self.state);
+        let mut st = lock(&self.state);
         loop {
             if st.pending > 0 {
                 let n = st.pending;
@@ -216,7 +210,7 @@ pub struct TcpInbox {
 impl TcpInbox {
     /// Pops the next frame, granting its link credit back.
     pub fn pop(&self) -> Option<Bytes> {
-        let popped = lock_unpoisoned(&self.q).pop_front();
+        let popped = lock(&self.q).pop_front();
         popped.map(|(credit, frame)| {
             if let Some(c) = credit {
                 c.grant(1);
@@ -226,13 +220,13 @@ impl TcpInbox {
     }
 
     fn push(&self, credit: Option<Arc<CreditHandle>>, frame: Bytes) {
-        lock_unpoisoned(&self.q).push_back((credit, frame));
+        lock(&self.q).push_back((credit, frame));
     }
 
     /// Discards everything queued, still granting credits so senders'
     /// windows (and `in_flight`) do not leak (worker respawn).
     fn clear(&self) {
-        let drained: Vec<_> = lock_unpoisoned(&self.q).drain(..).collect();
+        let drained: Vec<_> = lock(&self.q).drain(..).collect();
         for (credit, _) in drained {
             if let Some(c) = credit {
                 c.grant(1);
@@ -285,7 +279,7 @@ impl Link {
     /// Outbox frames plus consumed credits: everything accepted from the
     /// sender but not yet drained by the destination worker.
     fn in_flight(&self) -> usize {
-        let st = lock_unpoisoned(&self.state);
+        let st = lock(&self.state);
         st.outbox.len() + st.ledger.outstanding()
     }
 }
@@ -407,7 +401,7 @@ impl TcpTransport {
             let handle = thread::spawn(move || {
                 accept_loop(listener, inbox, cfg, stats, closed, registry)
             });
-            lock_unpoisoned(&t.threads).push(handle);
+            lock(&t.threads).push(handle);
         }
         Ok(t)
     }
@@ -434,7 +428,7 @@ impl TcpTransport {
         self.links
             .iter()
             .flatten()
-            .map(|l| lock_unpoisoned(&l.state).outbox_peak)
+            .map(|l| lock(&l.state).outbox_peak)
             .max()
             .unwrap_or(0)
     }
@@ -459,7 +453,7 @@ impl TcpTransport {
             faults: self.faults.clone(),
         };
         let handle = thread::spawn(move || writer_loop(ctx));
-        lock_unpoisoned(&self.threads).push(handle);
+        lock(&self.threads).push(handle);
     }
 }
 
@@ -469,7 +463,7 @@ impl Transport for TcpTransport {
             return Err(TransportError::Closed);
         }
         let link = self.link(src, dst).ok_or(TransportError::Closed)?;
-        let mut st = lock_unpoisoned(&link.state);
+        let mut st = lock(&link.state);
         let deadline = Deadline::after(self.cfg.send_deadline);
         let mut stalled = false;
         while st.outbox.len() >= self.cfg.outbox_capacity && !st.closed {
@@ -521,7 +515,7 @@ impl Transport for TcpTransport {
             return;
         }
         for link in self.links.iter().flatten() {
-            lock_unpoisoned(&link.state).closed = true;
+            lock(&link.state).closed = true;
             link.cond.notify_all();
         }
         for inbox in self.inboxes.iter().flatten() {
@@ -530,7 +524,7 @@ impl Transport for TcpTransport {
         // Two passes: joining a writer closes its socket, which lets the
         // peer's reader/flusher threads (registered concurrently) exit.
         for _ in 0..2 {
-            let handles: Vec<_> = lock_unpoisoned(&self.threads).drain(..).collect();
+            let handles: Vec<_> = lock(&self.threads).drain(..).collect();
             for h in handles {
                 let _ = h.join();
             }
@@ -584,7 +578,7 @@ fn writer_loop(ctx: WriterCtx) {
     let mut last_write = Stopwatch::start();
     loop {
         let wake = {
-            let mut st = lock_unpoisoned(&link.state);
+            let mut st = lock(&link.state);
             loop {
                 if st.closed {
                     break Wake::Closed;
@@ -660,7 +654,7 @@ fn writer_loop(ctx: WriterCtx) {
                             // The fresh connection starts with a full
                             // window; spend this frame's credit now
                             // (skipped above while disconnected).
-                            lock_unpoisoned(&link.state).ledger.debit_fresh_window();
+                            lock(&link.state).ledger.debit_fresh_window();
                         }
                         None => {
                             // Shut down while dialing; frame dies with
@@ -681,7 +675,7 @@ fn writer_loop(ctx: WriterCtx) {
                     last_write = Stopwatch::start();
                     // Delivered to the socket: the consumed credit now
                     // accounts for the frame until the receiver pops it.
-                    lock_unpoisoned(&link.state).ledger.sent();
+                    lock(&link.state).ledger.sent();
                 } else {
                     // Requeue at the front: the frame is retried on the
                     // next connection in order.
@@ -696,7 +690,7 @@ fn writer_loop(ctx: WriterCtx) {
 /// Puts a frame back at the head of the outbox (connection loss or
 /// partition), returning its credit if one was consumed.
 fn requeue(link: &Arc<Link>, frame: Bytes, credit_spent: bool) {
-    let mut st = lock_unpoisoned(&link.state);
+    let mut st = lock(&link.state);
     st.outbox.push_front(frame);
     st.frames_attempted = st.frames_attempted.saturating_sub(1);
     st.ledger.requeue(credit_spent);
@@ -716,7 +710,7 @@ fn dial(ctx: &WriterCtx, reconnect: bool) -> Option<TcpStream> {
     let mut attempt: u32 = 0;
     loop {
         {
-            let st = lock_unpoisoned(&link.state);
+            let st = lock(&link.state);
             if st.closed {
                 return None;
             }
@@ -738,7 +732,7 @@ fn dial(ctx: &WriterCtx, reconnect: bool) -> Option<TcpStream> {
                     ctx.stats.reconnects.fetch_add(1, Ordering::Relaxed);
                     s2_obs::event!("tcp.reconnect", link.dst);
                 }
-                let gen = lock_unpoisoned(&link.state).ledger.reconnect();
+                let gen = lock(&link.state).ledger.reconnect();
                 if let Ok(read_half) = stream.try_clone() {
                     let (link, cfg) = (link.clone(), ctx.cfg.clone());
                     let stats = ctx.stats.clone();
@@ -777,7 +771,7 @@ fn credit_reader(
                     continue; // unreachable: length checked by the guard
                 };
                 let n = u32::from_be_bytes(bytes);
-                let mut st = lock_unpoisoned(&link.state);
+                let mut st = lock(&link.state);
                 if !st.ledger.refill(n, gen) {
                     return; // stale generation: this reader is done
                 }
@@ -788,7 +782,7 @@ fn credit_reader(
                 stats.protocol_violations.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                let mut st = lock_unpoisoned(&link.state);
+                let mut st = lock(&link.state);
                 if st.ledger.connection_lost(gen) {
                     link.cond.notify_all();
                 }
@@ -820,7 +814,7 @@ fn accept_loop(
                 let closed = closed.clone();
                 let handle =
                     thread::spawn(move || serve_connection(stream, inbox, cfg, stats, closed));
-                lock_unpoisoned(&registry).push(handle);
+                lock(&registry).push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(2));

@@ -4,7 +4,7 @@
 //! message and hands the framed bytes to a [`Transport`], which delivers
 //! them into the destination worker's [`Inbox`]. Two backends exist:
 //!
-//! * [`ChannelTransport`] — in-process crossbeam channels, the default.
+//! * [`ChannelTransport`] — in-process std `mpsc` channels, the default.
 //!   Delivery is synchronous (a frame is in the destination inbox the
 //!   moment `send` returns) and infallible; this is the seed behaviour
 //!   and what tier-1 tests run against.
@@ -21,9 +21,9 @@
 use crate::sidecar::WorkerId;
 use crate::tcp::TcpConfig;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use s2_obs::lock;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
 /// Failures of a transport send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl std::error::Error for TransportError {}
 /// Which data-fabric backend a cluster runs on.
 #[derive(Debug, Clone, Default)]
 pub enum TransportKind {
-    /// In-process crossbeam channels (the default; synchronous delivery).
+    /// In-process std `mpsc` channels (the default; synchronous delivery).
     #[default]
     Channel,
     /// Framed TCP over loopback with connection supervision; every worker
@@ -74,7 +74,7 @@ impl TransportKind {
 /// worker backpressures its senders.
 #[derive(Debug)]
 pub enum Inbox {
-    /// Receiver half of a crossbeam channel.
+    /// Receiver half of a std `mpsc` channel.
     Channel(Receiver<Bytes>),
     /// Shared queue fed by the TCP acceptor threads.
     Tcp(crate::tcp::TcpInbox),
@@ -84,10 +84,7 @@ impl Inbox {
     /// Pops the next queued frame, if any.
     pub fn try_recv(&mut self) -> Option<Bytes> {
         match self {
-            Inbox::Channel(rx) => match rx.try_recv() {
-                Ok(b) => Some(b),
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-            },
+            Inbox::Channel(rx) => rx.try_recv().ok(),
             Inbox::Tcp(q) => q.pop(),
         }
     }
@@ -132,7 +129,7 @@ impl ChannelTransport {
         let mut senders = Vec::with_capacity(num_workers as usize);
         let mut inboxes = Vec::with_capacity(num_workers as usize);
         for _ in 0..num_workers {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(Mutex::new(tx));
             inboxes.push(Inbox::Channel(rx));
         }
@@ -146,14 +143,14 @@ impl Transport for ChannelTransport {
         // out-of-range dst means a corrupt proxy frame; dropping the
         // frame is correct in both cases.
         if let Some(tx) = self.senders.get(dst as usize) {
-            let _ = tx.lock().send(frame);
+            let _ = lock(tx).send(frame);
         }
         Ok(())
     }
 
     fn replace_inbox(&self, w: WorkerId) -> Inbox {
-        let (tx, rx) = unbounded();
-        *self.senders[w as usize].lock() = tx;
+        let (tx, rx) = channel();
+        *lock(&self.senders[w as usize]) = tx;
         Inbox::Channel(rx)
     }
 

@@ -496,8 +496,8 @@ impl Worker {
     /// the controller abandons the channel so the thread stays joinable.
     pub fn run(
         mut self,
-        commands: crossbeam::channel::Receiver<Command>,
-        replies: crossbeam::channel::Sender<Reply>,
+        commands: std::sync::mpsc::Receiver<Command>,
+        replies: std::sync::mpsc::Sender<Reply>,
     ) {
         let mut processed: u64 = 0;
         while let Ok(cmd) = commands.recv() {

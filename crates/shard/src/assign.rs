@@ -3,8 +3,7 @@
 //! currently smallest shard.
 
 use crate::ShardPlan;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use s2_net::rng::SeededRng;
 use s2_net::Prefix;
 use std::collections::BTreeSet;
 
@@ -18,7 +17,7 @@ pub fn greedy_assign(components: Vec<Vec<Prefix>>, num_shards: usize, seed: u64)
     // Sort descending by size. Shuffle runs of identical size — without
     // this, components ordered by origin switch dominate shards unevenly
     // across workers (the paper observed exactly this imbalance).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::seed_from_u64(seed);
     components.sort_by_key(|c| std::cmp::Reverse(c.len()));
     let mut start = 0;
     while start < components.len() {
@@ -27,7 +26,7 @@ pub fn greedy_assign(components: Vec<Vec<Prefix>>, num_shards: usize, seed: u64)
         while end < components.len() && components[end].len() == size {
             end += 1;
         }
-        components[start..end].shuffle(&mut rng);
+        rng.shuffle(&mut components[start..end]);
         start = end;
     }
 
