@@ -14,6 +14,7 @@ use crate::route::BgpRoute;
 use crate::switch::SwitchModel;
 use s2_net::Prefix;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Why a simulation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,15 +109,19 @@ pub fn converge_bgp(
         s.begin_bgp(shard);
     }
     for round in 0..max_rounds {
-        // Phase 1: snapshot all advertisements.
+        // Phase 1: snapshot all advertisements, one shared body per
+        // export class.
         // deliveries[target_node] = (target_session, routes) list.
-        let mut deliveries: Vec<Vec<(u32, Vec<BgpRoute>)>> =
+        let mut deliveries: Vec<Vec<(u32, Arc<[BgpRoute]>)>> =
             model.topology.nodes().map(|_| Vec::new()).collect();
         for s in switches.iter() {
-            for (si, session) in s.sessions.iter().enumerate() {
-                let adv = s.bgp_export(si);
-                stats.routes_exchanged += adv.len();
-                deliveries[session.peer_node.index()].push((session.peer_session_index, adv));
+            for class in s.bgp_export() {
+                for &si in &class.sessions {
+                    let session = &s.sessions[si];
+                    stats.routes_exchanged += class.routes.len();
+                    deliveries[session.peer_node.index()]
+                        .push((session.peer_session_index, class.routes.clone()));
+                }
             }
         }
         // Phase 2: apply.

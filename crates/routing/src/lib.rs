@@ -35,4 +35,4 @@ pub use fixpoint::{converge_bgp, converge_ospf, BgpStats, RoutingError, DEFAULT_
 pub use model::{BgpSession, NetworkModel, OspfAdj, SessionDiagnostic};
 pub use rib::{RibSnapshot, RibStore};
 pub use route::{BgpRoute, Origin, RibRoute, Via};
-pub use switch::SwitchModel;
+pub use switch::{ExportClass, SwitchModel};

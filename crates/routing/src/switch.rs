@@ -6,11 +6,13 @@
 //!
 //! * [`SwitchModel::begin_bgp`] — (re)originate local routes, optionally
 //!   restricted to a prefix shard,
-//! * [`SwitchModel::bgp_export`] — compute the advertisement for one
-//!   session from the current local RIB (export policy, aggregation
-//!   suppression, `remove-private-as`, ASN prepending, next-hop rewrite),
-//! * [`SwitchModel::bgp_receive`] — import an advertisement (loop check,
-//!   vendor quirks, import policy) into the per-session Adj-RIB-In,
+//! * [`SwitchModel::bgp_export`] — compute the advertisements from the
+//!   current local RIB (export policy, aggregation suppression,
+//!   `remove-private-as`, ASN prepending), one body per [`ExportClass`]
+//!   of sessions,
+//! * [`SwitchModel::bgp_receive`] — import an advertisement (next hop,
+//!   loop check, vendor quirks, import policy) into the per-session
+//!   Adj-RIB-In,
 //! * [`SwitchModel::bgp_decide`] — rerun best-path selection and
 //!   aggregation activation over all candidates.
 //!
@@ -26,9 +28,20 @@ use crate::route::{BgpRoute, Origin, RibRoute, LOCAL_WEIGHT, DEFAULT_LOCAL_PREF}
 use s2_net::config::{DeviceConfig, VendorQuirks};
 use s2_net::policy::Protocol;
 use s2_net::topology::{InterfaceId, NodeId};
-use s2_net::Prefix;
+use s2_net::{Ipv4Addr, Prefix};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
+
+/// The sessions of one switch that advertise the same routes, and that
+/// shared body (see [`SwitchModel::bgp_export`]).
+#[derive(Debug, Clone)]
+pub struct ExportClass {
+    /// Member session indices, ascending.
+    pub sessions: Vec<usize>,
+    /// The advertised routes, next hop unspecified: the receiver writes
+    /// it on import.
+    pub routes: Arc<[BgpRoute]>,
+}
 
 /// A resolved static route: destination plus egress decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,66 +320,120 @@ impl SwitchModel {
             .collect()
     }
 
-    /// Computes the advertisement for session `si` from the current local
-    /// RIB. Pure with respect to `self`; the fix-point engine snapshots all
-    /// exports before applying any (synchronous rounds).
-    pub fn bgp_export(&self, si: usize) -> Vec<BgpRoute> {
+    /// Computes this switch's advertisements from the current local RIB,
+    /// one body per export class. Pure with respect to `self`; the
+    /// fix-point engine snapshots all exports before applying any
+    /// (synchronous rounds).
+    ///
+    /// A session's advertisement depends only on its neighbor's export
+    /// route-map, its `remove-private-as` flag, whether its interface is
+    /// failed, and the next hop. The next hop is the session's local
+    /// address, which the receiver knows as its own session's peer
+    /// address, so [`SwitchModel::bgp_receive`] writes it on import and
+    /// the body leaves it unspecified. Sessions agreeing on the other
+    /// three share one evaluation and one `Arc`'d body. Classes come in
+    /// first-session order, sessions within a class ascending.
+    pub fn bgp_export(&self) -> Vec<ExportClass> {
         let Some(bgp) = self.cfg.bgp.as_ref() else { return Vec::new() };
-        let session = &self.sessions[si];
-        // A session on a failed interface is down: it advertises nothing,
-        // which the two-phase rounds deliver to the peer as a withdrawal
-        // of everything previously advertised here.
-        if self.failed_ifaces.contains(&session.local_if) {
-            return Vec::new();
-        }
-        let neighbor = &bgp.neighbors[session.neighbor_index];
-        let suppressors = self.active_summary_aggregates();
-        let mut out = Vec::new();
-
-        for (prefix, cands) in &self.loc_rib {
-            let best = &cands[0].route;
-            // Summary-only suppression: more-specific contributors of an
-            // active aggregate are not advertised.
-            let suppressed = suppressors
-                .iter()
-                .any(|agg| agg.covers(*prefix) && *prefix != *agg);
-            if suppressed {
-                continue;
-            }
-            if !self.conditionals_allow(*prefix) {
-                continue;
-            }
-            let mut r = best.clone();
-            // Local-only attributes are not advertised.
-            r.weight = 0;
-            r.local_pref = DEFAULT_LOCAL_PREF;
-            r.med = 0;
-            if let Some(map) = &neighbor.export_policy {
-                match policy_eval::run_route_map(&self.cfg, map, &r) {
-                    PolicyVerdict::Permit(pr) => r = pr,
-                    PolicyVerdict::Deny => continue,
+        let mut keys: Vec<(Option<&str>, bool, bool)> = Vec::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for (si, session) in self.sessions.iter().enumerate() {
+            let neighbor = &bgp.neighbors[session.neighbor_index];
+            let key = (
+                neighbor.export_policy.as_deref(),
+                neighbor.remove_private_as,
+                self.failed_ifaces.contains(&session.local_if),
+            );
+            match keys.iter().position(|k| *k == key) {
+                Some(c) => members[c].push(si),
+                None => {
+                    keys.push(key);
+                    members.push(vec![si]);
                 }
             }
-            if neighbor.remove_private_as {
-                policy_eval::remove_private_as(&mut r.as_path, self.quirks.remove_private_as);
-            }
-            r.as_path.insert(0, self.asn);
-            r.next_hop = session.local_addr;
-            r.source_protocol = Protocol::Bgp;
-            out.push(r);
         }
-        out
+        // Suppression and conditional gates depend on the prefix alone:
+        // evaluated once for every class.
+        let suppressors = self.active_summary_aggregates();
+        let eligible: Vec<&BgpRoute> = self
+            .loc_rib
+            .iter()
+            .filter(|(prefix, _)| {
+                // Summary-only suppression: more-specific contributors of
+                // an active aggregate are not advertised.
+                !suppressors.iter().any(|agg| agg.covers(**prefix) && **prefix != *agg)
+                    && self.conditionals_allow(**prefix)
+            })
+            .map(|(_, cands)| &cands[0].route)
+            .collect();
+        keys.into_iter()
+            .zip(members)
+            .map(|((export_policy, remove_private_as, failed), sessions)| {
+                // A session on a failed interface is down: it advertises
+                // nothing, which the two-phase rounds deliver to the peer
+                // as a withdrawal of everything previously advertised.
+                let routes = if failed {
+                    Vec::new()
+                } else {
+                    eligible
+                        .iter()
+                        .filter_map(|best| self.export_route(best, export_policy, remove_private_as))
+                        .collect()
+                };
+                ExportClass {
+                    sessions,
+                    routes: routes.into(),
+                }
+            })
+            .collect()
+    }
+
+    /// One best route as an export class advertises it, or `None` if the
+    /// export policy denies it.
+    fn export_route(
+        &self,
+        best: &BgpRoute,
+        export_policy: Option<&str>,
+        remove_private_as: bool,
+    ) -> Option<BgpRoute> {
+        let mut r = best.clone();
+        // Local-only attributes are not advertised, and the next hop is
+        // the receiver's to write.
+        r.weight = 0;
+        r.local_pref = DEFAULT_LOCAL_PREF;
+        r.med = 0;
+        r.next_hop = Ipv4Addr::UNSPECIFIED;
+        if let Some(map) = export_policy {
+            match policy_eval::run_route_map(&self.cfg, map, &r) {
+                PolicyVerdict::Permit(pr) => r = pr,
+                PolicyVerdict::Deny => return None,
+            }
+        }
+        if remove_private_as {
+            policy_eval::remove_private_as(&mut r.as_path, self.quirks.remove_private_as);
+        }
+        r.as_path.insert(0, self.asn);
+        r.source_protocol = Protocol::Bgp;
+        Some(r)
     }
 
     /// Ingests a full advertisement from the peer on session `si`,
     /// replacing that session's Adj-RIB-In. Returns whether it changed.
+    ///
+    /// Every route's next hop becomes the session's peer address: the
+    /// peer's local address on the reciprocal session (session pairing
+    /// matches the two bit for bit), which is what the peer would have
+    /// written on export. No route-map matches or sets the next hop, so
+    /// writing it here instead of there changes no policy outcome.
     pub fn bgp_receive(&mut self, si: usize, routes: &[BgpRoute]) -> bool {
         let mut new_map: BTreeMap<Prefix, BgpRoute> = BTreeMap::new();
+        let session = &self.sessions[si];
+        let next_hop = session.peer_addr;
         let import_policy = self
             .cfg
             .bgp
             .as_ref()
-            .map(|b| b.neighbors[self.sessions[si].neighbor_index].import_policy.clone())
+            .map(|b| b.neighbors[session.neighbor_index].import_policy.clone())
             .unwrap_or(None);
         for r in routes {
             // eBGP loop prevention.
@@ -379,6 +446,7 @@ impl SwitchModel {
             }
             let mut r = r.clone();
             r.weight = 0;
+            r.next_hop = next_hop;
             if let Some(map) = &import_policy {
                 match policy_eval::run_route_map(&self.cfg, map, &r) {
                     PolicyVerdict::Permit(pr) => r = pr,
@@ -591,6 +659,7 @@ mod tests {
     use super::*;
     use crate::model::NetworkModel;
     use s2_net::config::{BgpNeighbor, BgpProcess, InterfaceConfig, Network, Vendor};
+    use s2_net::policy::{community, CommunityAction, PolicyAction, RouteMap};
     use s2_net::topology::Topology;
     use s2_net::Ipv4Addr;
 
@@ -633,12 +702,21 @@ mod tests {
         (model, sa, sb)
     }
 
+    /// The body session `si` advertises.
+    fn advert(sw: &SwitchModel, si: usize) -> Arc<[BgpRoute]> {
+        sw.bgp_export()
+            .into_iter()
+            .find(|c| c.sessions.contains(&si))
+            .map(|c| c.routes)
+            .expect("every session is in one class")
+    }
+
     fn converge_pair(sa: &mut SwitchModel, sb: &mut SwitchModel) {
         sa.begin_bgp(None);
         sb.begin_bgp(None);
         for _ in 0..8 {
-            let a_out = sa.bgp_export(0);
-            let b_out = sb.bgp_export(0);
+            let a_out = advert(sa, 0);
+            let b_out = advert(sb, 0);
             let mut changed = sb.bgp_receive(0, &a_out);
             changed |= sa.bgp_receive(0, &b_out);
             changed |= sa.bgp_decide(None);
@@ -669,7 +747,7 @@ mod tests {
         converge_pair(&mut sa, &mut sb);
         // b advertises a's own prefix back; a must reject it (path holds
         // 65001 after b's export prepends 65002 to [65001]).
-        let b_out = sb.bgp_export(0);
+        let b_out = advert(&sb, 0);
         let back: Vec<_> = b_out
             .iter()
             .filter(|r| r.prefix == "10.1.0.0/24".parse().unwrap())
@@ -688,7 +766,7 @@ mod tests {
     fn export_resets_local_attributes() {
         let (_, mut sa, _) = pair();
         sa.begin_bgp(None);
-        let out = sa.bgp_export(0);
+        let out = advert(&sa, 0);
         let r = out.iter().find(|r| r.prefix == "10.1.0.0/24".parse().unwrap()).unwrap();
         assert_eq!(r.weight, 0);
         assert_eq!(r.local_pref, DEFAULT_LOCAL_PREF);
@@ -744,8 +822,8 @@ mod tests {
         sb.set_failed_interfaces(&model, [InterfaceId(0)]);
         // Re-run rounds *without* begin_bgp: the warm state withdraws.
         for _ in 0..8 {
-            let a_out = sa.bgp_export(0);
-            let b_out = sb.bgp_export(0);
+            let a_out = advert(&sa, 0);
+            let b_out = advert(&sb, 0);
             let mut changed = sb.bgp_receive(0, &a_out);
             changed |= sa.bgp_receive(0, &b_out);
             changed |= sa.bgp_decide(None);
@@ -754,7 +832,7 @@ mod tests {
                 break;
             }
         }
-        assert!(sa.bgp_export(0).is_empty(), "failed session exports nothing");
+        assert!(advert(&sa, 0).is_empty(), "failed session exports nothing");
         assert!(!sb.loc_rib().contains_key(&p), "peer withdrew the route");
         // The connected /31 left the base RIB on both sides.
         let link: Prefix = "10.0.0.0/31".parse().unwrap();
@@ -768,8 +846,8 @@ mod tests {
         sb.set_failed_interfaces(&model, []);
         assert!(sa.failed_interfaces().is_empty());
         for _ in 0..8 {
-            let a_out = sa.bgp_export(0);
-            let b_out = sb.bgp_export(0);
+            let a_out = advert(&sa, 0);
+            let b_out = advert(&sb, 0);
             let mut changed = sb.bgp_receive(0, &a_out);
             changed |= sa.bgp_receive(0, &b_out);
             changed |= sa.bgp_decide(None);
@@ -787,5 +865,101 @@ mod tests {
         converge_pair(&mut sa, &mut sb);
         assert!(sb.loc_rib_path_count() >= 1);
         assert!(sb.approx_bgp_bytes() > 0);
+    }
+
+    /// A hub (AS 65001, originates 10.1.0.0/24) with five leaves. Leaf
+    /// sessions 0 and 1 share a plain export; 2 tags a community through
+    /// a route-map; 3 strips private ASNs; 4 is plain but on a failed
+    /// interface.
+    fn hub_and_leaves() -> (NetworkModel, Vec<SwitchModel>) {
+        const LEAVES: u8 = 5;
+        let mut topo = Topology::new();
+        let hub = topo.add_node("hub");
+        let mut hub_cfg = DeviceConfig::new("hub", Vendor::A);
+        hub_cfg.interfaces.push(InterfaceConfig::new("lo0", Ipv4Addr::new(10, 1, 0, 1), 24));
+        let mut hub_bgp = BgpProcess::new(65001, Ipv4Addr::new(1, 0, 0, 1));
+        hub_bgp.networks.push(Network { prefix: "10.1.0.0/24".parse().unwrap() });
+        let mut tag = RouteMap::permit_all();
+        tag.clauses[0]
+            .actions
+            .push(PolicyAction::Community(CommunityAction::Add(community(65001, 7))));
+        hub_cfg.route_maps.insert("TAG".into(), tag);
+        let mut configs = Vec::new();
+        for l in 0..LEAVES {
+            let name = format!("leaf{l}");
+            let leaf = topo.add_node(name.as_str());
+            topo.connect(hub, leaf);
+            let (hub_addr, leaf_addr) = (Ipv4Addr::new(172, 16, l, 0), Ipv4Addr::new(172, 16, l, 1));
+            hub_cfg.interfaces.push(InterfaceConfig::new(format!("e{l}"), hub_addr, 31));
+            hub_bgp.neighbors.push(BgpNeighbor {
+                peer: leaf_addr,
+                remote_as: 65100 + u32::from(l),
+                import_policy: None,
+                export_policy: (l == 2).then(|| "TAG".to_string()),
+                remove_private_as: l == 3,
+            });
+            let mut cfg = DeviceConfig::new(name, Vendor::A);
+            cfg.interfaces.push(InterfaceConfig::new("e0", leaf_addr, 31));
+            let mut bgp = BgpProcess::new(65100 + u32::from(l), Ipv4Addr::new(1, 0, 1, l));
+            bgp.neighbors.push(BgpNeighbor {
+                peer: hub_addr,
+                remote_as: 65001,
+                import_policy: None,
+                export_policy: None,
+                remove_private_as: false,
+            });
+            cfg.bgp = Some(bgp);
+            configs.push(cfg);
+        }
+        hub_cfg.bgp = Some(hub_bgp);
+        configs.insert(0, hub_cfg);
+        let model = NetworkModel::build(topo, configs).unwrap();
+        let switches = model.topology.nodes().map(|n| SwitchModel::new(&model, n)).collect();
+        (model, switches)
+    }
+
+    #[test]
+    fn export_classes_share_one_body_per_policy() {
+        let (model, mut sw) = hub_and_leaves();
+        let failed_if = sw[0].sessions[4].local_if;
+        sw[0].set_failed_interfaces(&model, [failed_if]);
+        for s in &mut sw {
+            s.begin_bgp(None);
+        }
+        let classes = sw[0].bgp_export();
+        // Sessions 0 and 1 are one class: one evaluation, one `Arc`.
+        let members: Vec<Vec<usize>> = classes.iter().map(|c| c.sessions.clone()).collect();
+        assert_eq!(members, vec![vec![0, 1], vec![2], vec![3], vec![4]]);
+        assert!(classes[3].routes.is_empty(), "a failed session withdraws everything");
+        assert_eq!(classes[0].routes.len(), 1);
+
+        // Each leaf's Adj-RIB-In holds what a per-session export with the
+        // session's own next hop would have delivered.
+        let p: Prefix = "10.1.0.0/24".parse().unwrap();
+        let expected = |l: u8, communities: Vec<u32>| BgpRoute {
+            prefix: p,
+            next_hop: Ipv4Addr::new(172, 16, l, 0),
+            as_path: vec![65001],
+            local_pref: DEFAULT_LOCAL_PREF,
+            med: 0,
+            origin: Origin::Igp,
+            communities,
+            weight: 0,
+            source_protocol: Protocol::Bgp,
+        };
+        for class in &classes {
+            for &si in &class.sessions {
+                let session = sw[0].sessions[si].clone();
+                let leaf = &mut sw[session.peer_node.index()];
+                leaf.bgp_receive(session.peer_session_index as usize, &class.routes);
+                let got = leaf.adj_in[session.peer_session_index as usize].get(&p).cloned();
+                let want = match si {
+                    2 => Some(expected(2, vec![community(65001, 7)])),
+                    4 => None,
+                    l => Some(expected(l as u8, Vec::new())),
+                };
+                assert_eq!(got, want, "session {si}");
+            }
+        }
     }
 }

@@ -315,6 +315,17 @@ impl<T: Wire> Wire for Arc<T> {
     }
 }
 
+/// A shared slice crosses as the list it holds.
+impl<T: Wire> Wire for Arc<[T]> {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        T::put_seq(self, buf);
+    }
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Vec::take(buf).map(Arc::from)
+    }
+}
+
 // ---- the domain vocabulary ----
 
 /// `impl Wire` for a newtype over one `Wire` field.

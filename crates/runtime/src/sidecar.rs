@@ -594,11 +594,15 @@ impl Sidecar {
         }
     }
 
-    /// Every node id carried by `msg` exists in the node→worker map.
+    /// Every node id carried by `msg` exists in the node→worker map, and
+    /// a shared-body advertisement lists at least one target.
     fn targets_known_nodes(&self, msg: &Message) -> bool {
         match msg {
             Message::BgpAdvertisement { target_node, .. }
             | Message::OspfAdvertisement { target_node, .. } => self.net.knows_node(*target_node),
+            Message::BgpClassAdvertisement { targets, .. } => {
+                !targets.is_empty() && targets.iter().all(|&(n, _)| self.net.knows_node(n))
+            }
             Message::Packet { src, node, .. } => {
                 self.net.knows_node(*src) && self.net.knows_node(*node)
             }

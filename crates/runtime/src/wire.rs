@@ -13,8 +13,9 @@
 //! ```text
 //! frame     := len:u32 src:u32 epoch:u32 seq:u64 crc:u32 message
 //! message   := tag:u8 body
-//! tag       := 1 (BGP) | 2 (OSPF) | 3 (packet)
+//! tag       := 1 (BGP) | 2 (OSPF) | 3 (packet) | 4 (BGP, shared body)
 //! bgp       := target_node:u32 target_session:u32 n:u32 route*
+//! bgp_class := t:u32 (target_node:u32 target_session:u32){t} n:u32 route*
 //! route     := prefix_addr:u32 prefix_len:u8 next_hop:u32 local_pref:u32
 //!              med:u32 origin:u8 weight:u32 proto:u8
 //!              plen:u16 asn:u32{plen} clen:u16 community:u32{clen}
@@ -36,11 +37,14 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
 use s2_routing::{BgpRoute, RibRoute, RibSnapshot};
+use std::sync::Arc;
 
 /// Decoded form of a cross-worker message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// A full per-session BGP advertisement.
+    /// A full per-session BGP advertisement. Nothing sends it any more;
+    /// it decodes into the same one-body/many-targets delivery as
+    /// [`Message::BgpClassAdvertisement`], with a single target.
     BgpAdvertisement {
         /// Receiving node.
         target_node: NodeId,
@@ -49,6 +53,17 @@ pub enum Message {
         /// Advertised routes (may be empty — "nothing to advertise" must
         /// still clear the stale Adj-RIB-In).
         routes: Vec<BgpRoute>,
+    },
+    /// A full BGP advertisement of one export class (see
+    /// `SwitchModel::bgp_export`) to every listed session on the
+    /// receiving worker: encoded once, decoded once, one shared body.
+    BgpClassAdvertisement {
+        /// `(receiving node, session index on it)`, all hosted by the
+        /// frame's destination worker; never empty.
+        targets: Vec<(NodeId, u32)>,
+        /// Advertised routes (may be empty, as for tag 1), next hop
+        /// unspecified: each receiver writes its own session's.
+        routes: Arc<[BgpRoute]>,
     },
     /// A full OSPF table advertisement.
     OspfAdvertisement {
@@ -300,6 +315,11 @@ impl Wire for Message {
                 hops.put(buf);
                 bdd.put(buf);
             }
+            Message::BgpClassAdvertisement { targets, routes } => {
+                4u8.put(buf);
+                targets.put(buf);
+                routes.put(buf);
+            }
         }
     }
 
@@ -324,6 +344,10 @@ impl Wire for Message {
                 },
                 hops: Wire::take(buf)?,
                 bdd: Wire::take(buf)?,
+            },
+            4 => Message::BgpClassAdvertisement {
+                targets: Wire::take(buf)?,
+                routes: Wire::take(buf)?,
             },
             t => return Err(WireError::BadTag(t)),
         })
@@ -385,6 +409,22 @@ mod tests {
             routes: vec![],
         };
         assert_eq!(decode(encode(&msg)).unwrap(), msg);
+    }
+
+    #[test]
+    fn bgp_class_roundtrip() {
+        let msg = Message::BgpClassAdvertisement {
+            targets: vec![(NodeId(7), 3), (NodeId(2), 0)],
+            routes: vec![sample_route()].into(),
+        };
+        assert_eq!(decode(encode(&msg)).unwrap(), msg);
+        // The route list is tag 1's, byte for byte.
+        let single = encode(&Message::BgpAdvertisement {
+            target_node: NodeId(7),
+            target_session: 3,
+            routes: vec![sample_route()],
+        });
+        assert!(encode(&msg).ends_with(&single[9..]));
     }
 
     #[test]

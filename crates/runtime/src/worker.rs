@@ -15,7 +15,7 @@
 use crate::faults::FaultState;
 use crate::memstats::{MemGauge, MemReport};
 use crate::pool::EvalPool;
-use crate::sidecar::{Sidecar, TrafficSnapshot};
+use crate::sidecar::{Sidecar, TrafficSnapshot, WorkerId};
 use crate::wire::Message;
 use bytes::Bytes;
 use s2_bdd::serialize as bdd_io;
@@ -27,7 +27,7 @@ use s2_dataplane::{
 };
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
-use s2_routing::{BgpRoute, NetworkModel, RibRoute, RibSnapshot, SwitchModel};
+use s2_routing::{BgpRoute, ExportClass, NetworkModel, RibRoute, RibSnapshot, SwitchModel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -309,11 +309,20 @@ fn note_violation(sidecar: &Sidecar) {
 /// A staged OSPF delivery: (destination node, arriving interface, routes).
 type PendingOspf = (NodeId, s2_net::topology::InterfaceId, Vec<(Prefix, u32)>);
 
+/// An advertisement body, shared by every session of one export class
+/// (see [`SwitchModel::bgp_export`]) and by every target of one frame.
+type Body = Arc<[BgpRoute]>;
+
+/// A BGP delivery: (target node, target session, body).
+type BgpDelivery = (NodeId, u32, Body);
+
 /// A restorable snapshot of the worker's converged control-plane state
 /// (resilience sweeps restore this between failure scenarios).
 struct Checkpoint {
     switches: BTreeMap<NodeId, SwitchModel>,
-    last_adv: BTreeMap<(NodeId, usize), Vec<BgpRoute>>,
+    last_adv: BTreeMap<(NodeId, usize), Body>,
+    /// The route-byte cache, current at checkpoint time.
+    route_bytes: BTreeMap<NodeId, usize>,
 }
 
 /// The baseline data-plane verdict material, stashed at
@@ -343,12 +352,20 @@ pub struct Worker {
     memory_budget: Option<usize>,
     // Same-worker deliveries staged during export, applied in the apply
     // phase (keeping the Jacobi schedule).
-    pending_bgp: Vec<(NodeId, u32, Vec<BgpRoute>)>,
-    /// Adj-RIB-Out: the last advertisement sent per (node, session).
-    /// Unchanged advertisements are not re-sent — the incremental-update
-    /// behaviour of real BGP, and what keeps cross-worker traffic
-    /// proportional to convergence activity rather than round count.
-    last_adv: BTreeMap<(NodeId, usize), Vec<BgpRoute>>,
+    pending_bgp: Vec<BgpDelivery>,
+    /// Adj-RIB-Out: the last advertisement sent per (node, session); the
+    /// sessions of one export class hold one shared body. Unchanged
+    /// advertisements are not re-sent — the incremental-update behaviour
+    /// of real BGP, and what keeps cross-worker traffic proportional to
+    /// convergence activity rather than round count.
+    last_adv: BTreeMap<(NodeId, usize), Body>,
+    /// Per local switch, the route bytes the memory gauge charges it:
+    /// Adj-RIB-Ins and local RIB, plus each distinct body of its
+    /// Adj-RIB-Out once. Entries of `bytes_dirty` switches are stale.
+    route_bytes: BTreeMap<NodeId, usize>,
+    /// Switches whose route state changed since their `route_bytes`
+    /// entry was computed.
+    bytes_dirty: BTreeSet<NodeId>,
     /// Switches whose local RIB changed since their last `bgp_export`
     /// (plus everyone after a reset or resync). `bgp_export` is a pure
     /// function of the switch, so a switch outside this set would
@@ -460,12 +477,14 @@ impl Worker {
             faults,
             model,
             local_nodes,
+            bytes_dirty: switches.keys().copied().collect(),
             switches,
             shard: None,
             gauge: MemGauge::new(),
             memory_budget,
             pending_bgp: Vec::new(),
             last_adv: BTreeMap::new(),
+            route_bytes: BTreeMap::new(),
             export_dirty: BTreeSet::new(),
             decide_dirty: BTreeSet::new(),
             pending_ospf: Vec::new(),
@@ -541,6 +560,7 @@ impl Worker {
                 // Cold start: everyone re-originates, everyone decides.
                 self.export_dirty.extend(self.local_nodes.iter().copied());
                 self.decide_dirty.extend(self.local_nodes.iter().copied());
+                self.bytes_dirty.extend(self.local_nodes.iter().copied());
                 self.update_gauge();
                 Reply::Ok
             }
@@ -652,12 +672,15 @@ impl Worker {
                 // Every advertisement must be re-sent, so every switch
                 // must re-export.
                 self.export_dirty.extend(self.local_nodes.iter().copied());
+                self.bytes_dirty.extend(self.local_nodes.iter().copied());
                 Reply::Ok
             }
             Command::ScenarioCheckpoint => {
+                self.refresh_route_bytes();
                 self.checkpoint = Some(Checkpoint {
                     switches: self.switches.clone(),
                     last_adv: self.last_adv.clone(),
+                    route_bytes: self.route_bytes.clone(),
                 });
                 // The finals of the preceding full-space pass are the
                 // splice baseline for destination-scoped scenario
@@ -836,6 +859,8 @@ impl Worker {
         };
         self.switches = cp.switches.clone();
         self.last_adv = cp.last_adv.clone();
+        self.route_bytes = cp.route_bytes.clone();
+        self.bytes_dirty.clear();
         self.pending_bgp.clear();
         // The restored pair is converged: nothing to export or decide
         // until a scenario perturbs it.
@@ -947,47 +972,68 @@ impl Worker {
         // compare below, so they are not even evaluated. The set is
         // sorted, preserving the node-id wire order of the full scan.
         let dirty: Vec<NodeId> = std::mem::take(&mut self.export_dirty).into_iter().collect();
-        // Phase 1 (parallel): per-session export policy evaluation is
-        // read-only on the switch models — the expensive part of the
-        // phase — so independent switches compute concurrently.
-        let exports: Vec<Vec<Vec<BgpRoute>>> = {
+        // Phase 1 (parallel): export policy evaluation, once per export
+        // class, is read-only on the switch models — the expensive part
+        // of the phase — so independent switches compute concurrently.
+        let exports: Vec<Vec<ExportClass>> = {
             let nodes = &dirty;
             let switches = &self.switches;
-            self.pool.map_indexed(nodes.len(), |i| {
-                let sw = &switches[&nodes[i]];
-                (0..sw.sessions.len()).map(|si| sw.bgp_export(si)).collect()
-            })
+            self.pool.map_indexed(nodes.len(), |i| switches[&nodes[i]].bgp_export())
         };
-        // Phase 2 (sequential, node-id order): Adj-RIB-Out compare,
-        // staging and wire sends — identical frame order and identical
-        // incremental-update decisions to the sequential path.
-        for (&node, advs) in dirty.iter().zip(exports) {
+        // Phase 2 (sequential, node-id then first-session order):
+        // Adj-RIB-Out compare, staging and wire sends — identical frame
+        // order and identical incremental-update decisions at any pool
+        // width.
+        for (&node, classes) in dirty.iter().zip(exports) {
+            self.bytes_dirty.insert(node);
             let sw = &self.switches[&node];
-            for (si, adv) in advs.into_iter().enumerate() {
+            for ExportClass { sessions, routes } in classes {
                 // Incremental updates: an advertisement identical to the
                 // previous round's carries no information (the receiver's
                 // replace-compare would be a no-op) and is not re-sent.
-                if self.last_adv.get(&(node, si)) == Some(&adv) {
-                    continue;
+                // Members mostly share their previous body too, so each
+                // distinct previous body is compared once.
+                let mut compared: Vec<(Body, bool)> = Vec::new();
+                let mut remote: BTreeMap<WorkerId, Vec<(NodeId, u32)>> = BTreeMap::new();
+                for si in sessions {
+                    let unchanged = self.last_adv.get(&(node, si)).is_some_and(|prev| {
+                        match compared.iter().find(|(body, _)| Arc::ptr_eq(body, prev)) {
+                            Some(&(_, same)) => same,
+                            None => {
+                                let same = **prev == *routes;
+                                compared.push((prev.clone(), same));
+                                same
+                            }
+                        }
+                    });
+                    self.last_adv.insert((node, si), routes.clone());
+                    if unchanged {
+                        continue;
+                    }
+                    let Some(session) = sw.sessions.get(si) else {
+                        continue; // unreachable: classes partition the sessions
+                    };
+                    let (peer, peer_session) = (session.peer_node, session.peer_session_index);
+                    if self.sidecar.is_local(peer) {
+                        self.pending_bgp.push((peer, peer_session, routes.clone()));
+                    } else {
+                        let owner = self.sidecar.net().owner(peer);
+                        remote.entry(owner).or_default().push((peer, peer_session));
+                    }
                 }
-                let Some(session) = sw.sessions.get(si) else {
-                    continue; // unreachable: advs has one entry per session
-                };
-                let target = session.peer_node;
-                let target_session = session.peer_session_index;
-                if self.sidecar.is_local(target) {
-                    self.pending_bgp.push((target, target_session, adv.clone()));
-                } else {
+                // One frame per destination worker, listing its targets.
+                for targets in remote.into_values() {
+                    #[cfg(test)]
+                    tests::BGP_FRAMES.with(|n| n.set(n.get() + 1));
+                    let first = targets[0].0;
                     self.sidecar.send(
-                        target,
-                        &Message::BgpAdvertisement {
-                            target_node: target,
-                            target_session,
-                            routes: adv.clone(),
+                        first,
+                        &Message::BgpClassAdvertisement {
+                            targets,
+                            routes: routes.clone(),
                         },
                     );
                 }
-                self.last_adv.insert((node, si), adv);
             }
         }
     }
@@ -996,19 +1042,25 @@ impl Worker {
         let mut changed = false;
         let mut deliveries = std::mem::take(&mut self.pending_bgp);
         for msg in self.sidecar.drain() {
-            if let Message::BgpAdvertisement {
-                target_node,
-                target_session,
-                routes,
-            } = msg
-            {
-                deliveries.push((target_node, target_session, routes));
+            match msg {
+                // Decoded once; every target shares the body.
+                Message::BgpClassAdvertisement { targets, routes } => deliveries.extend(
+                    targets
+                        .into_iter()
+                        .map(|(node, session)| (node, session, routes.clone())),
+                ),
+                Message::BgpAdvertisement {
+                    target_node,
+                    target_session,
+                    routes,
+                } => deliveries.push((target_node, target_session, routes.into())),
+                _ => {}
             }
         }
         // Validate and group per target node (arrival order preserved
         // within a node — replace-compare semantics make per-node order
         // the only order that matters).
-        let mut grouped: BTreeMap<NodeId, Vec<(usize, Vec<BgpRoute>)>> = BTreeMap::new();
+        let mut grouped: BTreeMap<NodeId, Vec<(usize, Body)>> = BTreeMap::new();
         for (node, session, routes) in deliveries {
             // Both the target node and the session index come off the
             // wire; a non-local node or out-of-range session is a peer
@@ -1055,6 +1107,7 @@ impl Worker {
             if *decided {
                 self.export_dirty.insert(*node);
             }
+            self.bytes_dirty.insert(*node);
         }
         changed
     }
@@ -1515,24 +1568,44 @@ impl Worker {
 
     // ---- bookkeeping ----
 
-    /// Bytes of the Adj-RIB-Out cache (also real per-worker state).
-    fn adj_out_bytes(&self) -> usize {
-        self.last_adv
-            .values()
-            .flatten()
-            .map(BgpRoute::approx_bytes)
-            .sum()
+    /// Route bytes charged to `node`: its switch's Adj-RIB-Ins and local
+    /// RIB plus its Adj-RIB-Out, where each distinct body counts once —
+    /// the memory the worker holds, since class members share it.
+    fn node_route_bytes(&self, node: NodeId) -> usize {
+        let switch = self.switches.get(&node).map_or(0, SwitchModel::approx_bgp_bytes);
+        let mut bodies: Vec<&Body> = Vec::new();
+        for body in self.last_adv.range((node, 0)..=(node, usize::MAX)).map(|(_, b)| b) {
+            if !bodies.iter().any(|seen| Arc::ptr_eq(seen, body)) {
+                bodies.push(body);
+            }
+        }
+        let adj_out: usize = bodies.iter().flat_map(|b| b.iter()).map(BgpRoute::approx_bytes).sum();
+        switch + adj_out
+    }
+
+    /// Recomputes the `route_bytes` entries of the switches touched since
+    /// the last refresh.
+    fn refresh_route_bytes(&mut self) {
+        for node in std::mem::take(&mut self.bytes_dirty) {
+            let bytes = self.node_route_bytes(node);
+            self.route_bytes.insert(node, bytes);
+        }
+    }
+
+    /// Route bytes held by this worker (refreshed, then summed).
+    fn route_bytes(&mut self) -> usize {
+        self.refresh_route_bytes();
+        self.route_bytes.values().sum()
     }
 
     fn update_gauge(&mut self) {
-        let routes: usize = self.switches.values().map(SwitchModel::approx_bgp_bytes).sum();
+        let routes = self.route_bytes();
         let bdd = self.manager.as_ref().map_or(0, BddManager::approx_bytes);
-        self.gauge.set(routes + self.adj_out_bytes() + bdd);
+        self.gauge.set(routes + bdd);
     }
 
-    fn mem_report(&self) -> MemReport {
-        let routes: usize = self.switches.values().map(SwitchModel::approx_bgp_bytes).sum::<usize>()
-            + self.adj_out_bytes();
+    fn mem_report(&mut self) -> MemReport {
+        let routes = self.route_bytes();
         let bdd = self.manager.as_ref().map_or(0, BddManager::approx_bytes);
         MemReport {
             route_bytes: routes,
@@ -1579,6 +1652,8 @@ mod tests {
     thread_local! {
         /// BDD serializations performed by `forward_round` on this thread.
         pub(super) static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// BGP frames `bgp_export` encoded and sent on this thread.
+        pub(super) static BGP_FRAMES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     /// A hub on worker 0 spraying one prefix over `LEAVES` ECMP links to
@@ -1633,5 +1708,229 @@ mod tests {
             .collect();
         assert_eq!(payloads.len(), LEAVES);
         assert!(payloads.iter().all(|p| *p == payloads[0]), "every frame carries the one encoding");
+    }
+
+    /// FatTree k=`k` over two workers, nodes dealt alternately so that
+    /// most sessions cross the fabric.
+    fn fattree_fleet(k: usize) -> Vec<Worker> {
+        let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(k));
+        let model = Arc::new(NetworkModel::build(ft.topology, ft.configs).unwrap());
+        let owners: Vec<u32> = (0..model.topology.node_count()).map(|i| i as u32 % 2).collect();
+        let (net, inboxes) = SidecarNet::build(owners.clone(), 2);
+        inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(w, inbox)| {
+                let nodes = model.topology.nodes().filter(|n| owners[n.index()] == w as u32).collect();
+                Worker::new(Sidecar::new(w as u32, net.clone(), inbox), model.clone(), nodes, None)
+            })
+            .collect()
+    }
+
+    /// The distinct (node, class, destination worker) triples `w`'s next
+    /// `BgpExport` has something new for.
+    fn class_triples(w: &Worker) -> BTreeSet<(NodeId, usize, WorkerId)> {
+        let mut triples = BTreeSet::new();
+        for &node in &w.export_dirty {
+            let sw = &w.switches[&node];
+            for (c, class) in sw.bgp_export().iter().enumerate() {
+                for &si in &class.sessions {
+                    let peer = sw.sessions[si].peer_node;
+                    let unchanged = w.last_adv.get(&(node, si)).is_some_and(|prev| **prev == *class.routes);
+                    if !w.sidecar.is_local(peer) && !unchanged {
+                        triples.insert((node, c, w.sidecar.net().owner(peer)));
+                    }
+                }
+            }
+        }
+        triples
+    }
+
+    #[test]
+    fn bgp_export_encodes_each_class_body_once() {
+        let mut fleet = fattree_fleet(4);
+        for w in &mut fleet {
+            w.handle(Command::BgpBegin { shard: None });
+        }
+        let (mut frames, mut remote_sessions, mut rounds) = (0, 0, 0);
+        loop {
+            for w in &mut fleet {
+                let expected = class_triples(w).len();
+                remote_sessions += w
+                    .export_dirty
+                    .iter()
+                    .flat_map(|n| &w.switches[n].sessions)
+                    .filter(|s| !w.sidecar.is_local(s.peer_node))
+                    .count();
+                BGP_FRAMES.with(|n| n.set(0));
+                w.handle(Command::BgpExport);
+                let sent = BGP_FRAMES.with(std::cell::Cell::get);
+                assert_eq!(sent, expected, "round {rounds}, worker {}", w.sidecar.worker);
+                frames += sent;
+            }
+            let changed: Vec<bool> = fleet
+                .iter_mut()
+                .map(|w| matches!(w.handle(Command::BgpApply), Reply::Changed(true)))
+                .collect();
+            rounds += 1;
+            if !changed.contains(&true) {
+                break;
+            }
+        }
+        assert!(frames > 0 && frames < remote_sessions, "{frames} frames for {remote_sessions} sessions");
+        let stats = fleet[0].sidecar.net().stats().full_snapshot();
+        assert_eq!((stats.wire_errors, stats.protocol_violations), (0, 0));
+    }
+
+    #[test]
+    fn class_frame_counts_each_bad_target_and_delivers_the_rest() {
+        let mut fleet = fattree_fleet(4);
+        let (sender, receiver) = (&fleet[0], &fleet[1]);
+        let local = receiver.local_nodes[0];
+        let remote = sender.local_nodes[0];
+        let sessions = receiver.switches[&local].sessions.len() as u32;
+        let p: Prefix = "10.99.0.0/24".parse().unwrap();
+        let route = BgpRoute {
+            as_path: vec![1],
+            ..BgpRoute::local(p, s2_routing::Origin::Igp, Protocol::Bgp)
+        };
+        let msg = Message::BgpClassAdvertisement {
+            // Valid, hosted by the sender, out-of-range session.
+            targets: vec![(local, 0), (remote, 0), (local, sessions)],
+            routes: Arc::from([route]),
+        };
+        sender.sidecar.send(local, &msg);
+        let empty = Message::BgpClassAdvertisement {
+            targets: Vec::new(),
+            routes: Arc::from([]),
+        };
+        sender.sidecar.send(local, &empty);
+        fleet[1].handle(Command::BgpBegin { shard: None });
+        fleet[1].handle(Command::BgpApply);
+        let stats = fleet[1].sidecar.net().stats().full_snapshot();
+        assert_eq!(stats.protocol_violations, 3);
+        assert_eq!(stats.wire_errors, 0);
+        assert!(fleet[1].switches[&local].loc_rib().contains_key(&p), "the valid target got it");
+    }
+
+    /// The route bytes a full walk finds, each distinct body once.
+    fn walked_route_bytes(w: &Worker) -> usize {
+        let switches: usize = w.switches.values().map(SwitchModel::approx_bgp_bytes).sum();
+        let mut bodies: Vec<&Body> = Vec::new();
+        for body in w.last_adv.values() {
+            if !bodies.iter().any(|seen| Arc::ptr_eq(seen, body)) {
+                bodies.push(body);
+            }
+        }
+        switches + bodies.iter().flat_map(|b| b.iter()).map(BgpRoute::approx_bytes).sum::<usize>()
+    }
+
+    /// Runs `cmd` on every worker; after the commands the gauge follows,
+    /// the cached route bytes must equal the full walk.
+    fn on_all(fleet: &mut [Worker], cmd: impl Fn() -> Command) -> Vec<Reply> {
+        fleet
+            .iter_mut()
+            .map(|w| {
+                let c = cmd();
+                let checked = matches!(
+                    c,
+                    Command::BgpApply
+                        | Command::ForwardRound
+                        | Command::ScenarioBegin { .. }
+                        | Command::ScenarioRollback
+                );
+                let reply = w.handle(c);
+                if checked {
+                    assert_eq!(w.route_bytes.values().sum::<usize>(), walked_route_bytes(w));
+                }
+                reply
+            })
+            .collect()
+    }
+
+    fn converge_bgp(fleet: &mut [Worker]) {
+        for _ in 0..64 {
+            on_all(fleet, || Command::BgpExport);
+            let replies = on_all(fleet, || Command::BgpApply);
+            if !replies.iter().any(|r| matches!(r, Reply::Changed(true))) {
+                return;
+            }
+        }
+        panic!("BGP did not converge");
+    }
+
+    fn collect_rib(fleet: &mut [Worker]) -> Arc<RibSnapshot> {
+        let mut store = s2_routing::RibStore::new(fleet[0].model.topology.node_count());
+        let collects: [fn() -> Command; 2] = [|| Command::CollectBaseRib, || Command::CollectBgpRib];
+        for cmd in collects {
+            for reply in on_all(fleet, cmd) {
+                let Reply::Rib(per_node) = reply else { panic!("expected a RIB") };
+                for (node, routes) in per_node {
+                    store.insert_all(node, routes);
+                }
+            }
+        }
+        Arc::new(store.snapshot())
+    }
+
+    fn forward_to_exhaustion(fleet: &mut [Worker]) {
+        let sources: Arc<Vec<(NodeId, Prefix)>> = Arc::new(
+            fleet[0]
+                .model
+                .topology
+                .nodes()
+                .map(|n| (n, "10.0.0.0/8".parse().unwrap()))
+                .collect(),
+        );
+        on_all(fleet, || Command::Inject {
+            injections: sources.clone(),
+        });
+        for _ in 0..64 {
+            let busy = on_all(fleet, || Command::ForwardRound)
+                .iter()
+                .any(|r| matches!(r, Reply::Forwarded { processed, .. } if *processed > 0));
+            if !busy {
+                return;
+            }
+        }
+        panic!("forwarding did not drain");
+    }
+
+    #[test]
+    fn route_byte_cache_matches_a_full_walk() {
+        let mut fleet = fattree_fleet(4);
+        // Cold verify.
+        on_all(&mut fleet, || Command::BgpBegin { shard: None });
+        converge_bgp(&mut fleet);
+        let rib = collect_rib(&mut fleet);
+        on_all(&mut fleet, || Command::DpSetup {
+            rib: rib.clone(),
+            meta_bits: 0,
+            waypoints: Arc::new(BTreeMap::new()),
+            max_hops: 0,
+        });
+        forward_to_exhaustion(&mut fleet);
+        // Every single-link failure, as a sweep drives it: the first
+        // scenario restores explicitly, the rest start from a rollback.
+        on_all(&mut fleet, || Command::ScenarioCheckpoint);
+        let links: Vec<_> = fleet[0].model.topology.links().to_vec();
+        for (i, link) in links.iter().enumerate() {
+            let failed = Arc::new(vec![link.a, link.b]);
+            on_all(&mut fleet, || Command::ScenarioBegin {
+                failed: failed.clone(),
+                restore: i == 0,
+            });
+            converge_bgp(&mut fleet);
+            let scenario = collect_rib(&mut fleet);
+            let changed: Arc<Vec<NodeId>> = Arc::new(fleet[0].model.topology.nodes().collect());
+            on_all(&mut fleet, || Command::DpPatch {
+                rib: scenario.clone(),
+                changed: changed.clone(),
+                failed_ports: failed.clone(),
+            });
+            on_all(&mut fleet, || Command::DpCompile);
+            forward_to_exhaustion(&mut fleet);
+            on_all(&mut fleet, || Command::ScenarioRollback);
+        }
     }
 }

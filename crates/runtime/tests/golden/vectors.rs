@@ -141,6 +141,50 @@ pub fn messages() -> Vec<(Message, &'static str)> {
             },
             "01000000000000000000000000",
         ),
+        // Added with tag 4 (one body, many targets). The route list is
+        // tag 1's byte for byte.
+        (
+            Message::BgpClassAdvertisement {
+                targets: vec![(NodeId(4), 2)],
+                routes: Arc::from([]),
+            },
+            "0400000001000000040000000200000000",
+        ),
+        (
+            Message::BgpClassAdvertisement {
+                targets: vec![(NodeId(7), 3), (NodeId(2), 0), (NodeId(9), 1)],
+                routes: Arc::from([BgpRoute::local(
+                    pfx("0.0.0.0/0"),
+                    Origin::Incomplete,
+                    Protocol::Static,
+                )]),
+            },
+            concat!(
+                "040000000300000007000000030000000200000000000000090000000100000001",
+                "000000000000000000000000640000000001000080000100000000"
+            ),
+        ),
+        (
+            Message::BgpClassAdvertisement {
+                targets: vec![(NodeId(7), 3)],
+                routes: Arc::from([BgpRoute {
+                    prefix: pfx("10.1.2.0/24"),
+                    next_hop: Ipv4Addr::UNSPECIFIED,
+                    as_path: vec![65001, 65002, 65001],
+                    local_pref: 100,
+                    med: 5,
+                    origin: Origin::Igp,
+                    communities: vec![1, 99],
+                    weight: 0,
+                    source_protocol: Protocol::Bgp,
+                }]),
+            },
+            concat!(
+                "0400000001000000070000000300000001",
+                "0a0102001800000000000000640000000500000000000300030000fde90000fdea0000fde9",
+                "00020000000100000063"
+            ),
+        ),
     ]
 }
 
