@@ -17,7 +17,7 @@
 //! and retried, so the run completes (more slowly) instead of aborting.
 
 use crate::faults::{FaultPlan, FaultState};
-use crate::memstats::{CacheStats, MemReport};
+use crate::memstats::CacheStats;
 use crate::metrics::{self, RunMetrics};
 use crate::remote;
 use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot};
@@ -39,11 +39,12 @@ use std::time::Duration;
 /// Failures of a distributed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// The fix point was not reached within the round budget.
+    /// The fix point was not reached: the round budget ran out, or a
+    /// quiet round's frames stayed in flight past the barrier timeout.
     NotConverged {
         /// Protocol that failed to converge.
         protocol: &'static str,
-        /// Exhausted round budget.
+        /// Rounds run before giving up.
         rounds: usize,
     },
     /// A worker exceeded its memory budget on a shard that adaptive
@@ -85,7 +86,7 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::NotConverged { protocol, rounds } => {
-                write!(f, "{protocol} did not converge within {rounds} rounds")
+                write!(f, "{protocol} did not converge after {rounds} rounds")
             }
             RuntimeError::OutOfMemory {
                 worker,
@@ -329,6 +330,45 @@ struct NetProbe {
     losses: u64,
 }
 
+/// One protocol's export/apply round, as [`Cluster::run_rounds`] drives
+/// it. The barrier names are what `WorkerLost.during` and flight-recorder
+/// dumps print.
+struct RoundLoop {
+    /// The protocol a [`RuntimeError::NotConverged`] names.
+    protocol: &'static str,
+    probe: &'static str,
+    export: (&'static str, fn() -> Command),
+    apply: (&'static str, fn() -> Command),
+    /// The barrier of the `BgpResync` that a lost frame or a released
+    /// delayed one forces; `None` for OSPF, which re-exports its full
+    /// table every round and so heals losses without one.
+    resync: Option<&'static str>,
+}
+
+const OSPF_ROUNDS: RoundLoop = RoundLoop {
+    protocol: "ospf",
+    probe: "ospf-probe",
+    export: ("ospf-export", || Command::OspfExport),
+    apply: ("ospf-apply", || Command::OspfApply),
+    resync: None,
+};
+
+const BGP_ROUNDS: RoundLoop = RoundLoop {
+    protocol: "bgp",
+    probe: "bgp-probe",
+    export: ("bgp-export", || Command::BgpExport),
+    apply: ("bgp-apply", || Command::BgpApply),
+    resync: Some("bgp-resync"),
+};
+
+const WARM_ROUNDS: RoundLoop = RoundLoop {
+    protocol: "bgp-warm",
+    probe: "warm-probe",
+    export: ("warm-export", || Command::BgpExport),
+    apply: ("warm-apply", || Command::BgpApply),
+    resync: Some("warm-resync"),
+};
+
 /// Mutable fleet state: live handles plus every thread ever spawned
 /// (replaced workers move to `detached` and are joined at shutdown).
 struct ClusterState {
@@ -342,6 +382,7 @@ struct ClusterState {
 /// Everything needed to resume after a worker loss without recomputing
 /// completed work: the persistent RIB store, which shards already ran
 /// (and their observed dependencies), and which are still queued.
+#[derive(Default)]
 struct Checkpoint {
     store: RibStore,
     base_done: bool,
@@ -360,16 +401,9 @@ impl Checkpoint {
     fn new(nodes: usize, plan: &ShardPlan, seed_deps: &[(Prefix, Prefix)]) -> Checkpoint {
         Checkpoint {
             store: RibStore::new(nodes),
-            base_done: false,
             queue: plan.shards.iter().cloned().collect(),
-            executed: Vec::new(),
             observed_deps: seed_deps.to_vec(),
-            ospf_rounds: 0,
-            bgp_rounds: 0,
-            resyncs: 0,
-            oom_splits: 0,
-            shard_retries: 0,
-            recoveries: 0,
+            ..Checkpoint::default()
         }
     }
 }
@@ -379,7 +413,6 @@ pub struct Cluster {
     model: Arc<NetworkModel>,
     net: SidecarNet,
     node_owner: Vec<u32>,
-    num_workers: u32,
     config: RuntimeConfig,
     faults: Arc<FaultState>,
     state: Mutex<ClusterState>,
@@ -467,7 +500,6 @@ impl Cluster {
             model,
             net,
             node_owner,
-            num_workers,
             config,
             faults,
             state: Mutex::new(ClusterState {
@@ -519,7 +551,6 @@ impl Cluster {
             model,
             net,
             node_owner,
-            num_workers,
             config,
             faults,
             state: Mutex::new(ClusterState {
@@ -580,21 +611,6 @@ impl Cluster {
             },
             thread,
         )
-    }
-
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.num_workers as usize
-    }
-
-    /// The fault-tolerance configuration this cluster runs under.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// Cross-worker traffic so far: `(messages, bytes)`.
-    pub fn traffic(&self) -> (u64, u64) {
-        self.net.stats().snapshot()
     }
 
     /// The shared traffic counters (disturbance and error accounting).
@@ -762,16 +778,31 @@ impl Cluster {
         Ok(())
     }
 
-    /// Collects per-worker memory reports.
-    pub fn mem_reports(&self) -> Result<Vec<MemReport>, RuntimeError> {
-        let mut out = Vec::new();
+    /// The memory fields of [`CpRunStats`] and [`DpvRunStats`]: per-worker
+    /// peaks, the largest BDD node table and the merged cache counters.
+    /// They are read off the unified metrics snapshots (one per worker,
+    /// merged): counter merge is summation and gauge merge is max.
+    fn mem_fold(&self) -> Result<(Vec<usize>, usize, CacheStats), RuntimeError> {
+        let mut snaps = Vec::new();
         for r in self.barrier("mem-report", || Command::MemReport)? {
             match r {
-                Reply::Mem(m) => out.push(m),
+                Reply::Mem(m) => snaps.push(metrics::mem_metrics(&m)),
                 other => return Err(Self::violation("Mem", &other)),
             }
         }
-        Ok(out)
+        let mut merged = MetricsSnapshot::default();
+        for s in &snaps {
+            merged.merge(s);
+        }
+        let peaks = snaps
+            .iter()
+            .map(|s| s.gauge_value("mem.peak_bytes") as usize)
+            .collect();
+        Ok((
+            peaks,
+            merged.gauge_value("bdd.peak_nodes") as usize,
+            metrics::cache_stats_of(&merged),
+        ))
     }
 
     /// Collects the run's unified metrics: one snapshot per worker (its
@@ -1017,33 +1048,45 @@ impl Cluster {
 
     // ---- control plane ----
 
-    /// Runs the IGP phase to convergence, returning the round count.
-    ///
-    /// A round disturbed by injected drops/delays or rejected frames
-    /// cannot prove convergence, so the fix point keeps iterating; OSPF
-    /// re-exports its full table every round, which heals losses without
-    /// any explicit resync.
-    pub fn run_ospf(&self, opts: &ClusterOptions) -> Result<usize, RuntimeError> {
+    /// Drives `lp`'s export/apply rounds to quiescence (Algorithm 1) and
+    /// returns the rounds taken. A round is quiet when every apply reply
+    /// is `Changed(false)`, no frame was lost or disturbed, and no
+    /// delayed frame was released or is still held; a disturbed round
+    /// can never prove convergence. A lost or released frame also forces
+    /// `lp.resync`, counted in `resyncs`, so a stale advertisement can
+    /// never be the last word. A quiet round with frames still in flight
+    /// is transport delay (e.g. a partition window), not protocol
+    /// iteration: it is bounded by the barrier timeout, not by
+    /// `max_rounds`, and does not count as a round.
+    fn run_rounds(
+        &self,
+        lp: &RoundLoop,
+        max_rounds: usize,
+        resyncs: &mut usize,
+    ) -> Result<usize, RuntimeError> {
         let mut round = 0;
         let mut stalled_since: Option<Stopwatch> = None;
-        while round < opts.max_rounds {
+        while round < max_rounds {
             let _round_span = s2_obs::span!("cp.round", round);
-            let before = self.probe_net("ospf-probe")?;
-            self.barrier("ospf-export", || Command::OspfExport)?;
-            let replies = self.barrier("ospf-apply", || Command::OspfApply)?;
+            let before = self.probe_net(lp.probe)?;
+            self.barrier(lp.export.0, lp.export.1)?;
+            let replies = self.barrier(lp.apply.0, lp.apply.1)?;
             let released = self.net.tick_delayed();
             self.check_wire_fatal()?;
-            let probe = self.probe_net("ospf-probe")?;
+            let probe = self.probe_net(lp.probe)?;
+            let lost = probe.losses != before.losses;
             let quiet = Self::all_unchanged(&replies)
+                && !lost
                 && probe.disturbances == before.disturbances
                 && released == 0
                 && self.net.held_count() == 0;
+            if let Some(during) = lp.resync.filter(|_| lost || released > 0) {
+                self.barrier(during, || Command::BgpResync)?;
+                *resyncs += 1;
+            }
             if quiet && probe.in_flight == 0 {
                 return Ok(round + 1);
             }
-            // A quiet round with frames still in flight is transport
-            // delay (e.g. a partition window), not protocol iteration:
-            // bound it by the barrier timeout, not the round budget.
             if quiet {
                 let since = *stalled_since.get_or_insert_with(Stopwatch::start);
                 if since.elapsed() > self.config.barrier_timeout {
@@ -1056,9 +1099,14 @@ impl Cluster {
             self.stall_for_in_flight(&probe);
         }
         Err(RuntimeError::NotConverged {
-            protocol: "ospf",
-            rounds: opts.max_rounds,
+            protocol: lp.protocol,
+            rounds: round,
         })
+    }
+
+    /// Runs the IGP phase to convergence, returning the round count.
+    pub fn run_ospf(&self, opts: &ClusterOptions) -> Result<usize, RuntimeError> {
+        self.run_rounds(&OSPF_ROUNDS, opts.max_rounds, &mut 0)
     }
 
     /// Gathers every originated prefix (and the aggregate subset) from the
@@ -1144,12 +1192,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// One shard's BGP fix point, disturbance-aware: frames lost to
-    /// injected drops or receiver rejection trigger a `BgpResync` (the
-    /// incremental adj-out caches are cleared so the next export re-sends
-    /// everything), and a disturbed round never counts as converged.
-    /// Delayed frames released into inboxes likewise force a resync so
-    /// a stale advertisement can never be the last word.
+    /// One shard's BGP fix point from a `BgpBegin` reset. The rounds run
+    /// count into `ck.bgp_rounds` whether or not the shard converged.
     fn run_bgp_fixpoint(
         &self,
         shard: &Arc<BTreeSet<Prefix>>,
@@ -1160,49 +1204,11 @@ impl Cluster {
         self.barrier("bgp-begin", || Command::BgpBegin {
             shard: Some(shard.clone()),
         })?;
-        let mut round = 0;
-        let mut stalled_since: Option<Stopwatch> = None;
-        while round < opts.max_rounds {
-            let _round_span = s2_obs::span!("cp.round", round);
-            let before = self.probe_net("bgp-probe")?;
-            self.barrier("bgp-export", || Command::BgpExport)?;
-            let replies = self.barrier("bgp-apply", || Command::BgpApply)?;
-            let released = self.net.tick_delayed();
-            self.check_wire_fatal()?;
-            let probe = self.probe_net("bgp-probe")?;
-            let lost = probe.losses != before.losses;
-            let quiet = Self::all_unchanged(&replies)
-                && !lost
-                && probe.disturbances == before.disturbances
-                && released == 0
-                && self.net.held_count() == 0;
-            if lost || released > 0 {
-                self.barrier("bgp-resync", || Command::BgpResync)?;
-                ck.resyncs += 1;
-            }
-            if quiet && probe.in_flight == 0 {
-                ck.bgp_rounds += round + 1;
-                return Ok(());
-            }
-            // A quiet round with frames still in flight is transport
-            // delay (e.g. a partition window), not protocol iteration:
-            // bound it by the barrier timeout, not the round budget.
-            if quiet {
-                let since = *stalled_since.get_or_insert_with(Stopwatch::start);
-                if since.elapsed() > self.config.barrier_timeout {
-                    break;
-                }
-            } else {
-                stalled_since = None;
-                round += 1;
-            }
-            self.stall_for_in_flight(&probe);
+        let out = self.run_rounds(&BGP_ROUNDS, opts.max_rounds, &mut ck.resyncs);
+        if let Ok(rounds) | Err(RuntimeError::NotConverged { rounds, .. }) = &out {
+            ck.bgp_rounds += rounds;
         }
-        ck.bgp_rounds += round;
-        Err(RuntimeError::NotConverged {
-            protocol: "bgp",
-            rounds: opts.max_rounds,
-        })
+        out.map(drop)
     }
 
     /// Splits an over-budget shard into two halves along dependency
@@ -1334,26 +1340,14 @@ impl Cluster {
                 Err(e) => return Err(e),
             }
         }
-        // The legacy stat fields are derived from the unified metrics
-        // snapshots (one per worker, merged): counter merge is
-        // summation and gauge merge is max, so the values are identical
-        // to the old per-struct fold.
-        let reports = self.mem_reports()?;
-        let snaps: Vec<MetricsSnapshot> = reports.iter().map(metrics::mem_metrics).collect();
-        let mut merged = MetricsSnapshot::default();
-        for s in &snaps {
-            merged.merge(s);
-        }
+        let (per_worker_peak, bdd_peak_nodes, bdd_cache) = self.mem_fold()?;
         let mut stats = CpRunStats {
             ospf_rounds: ck.ospf_rounds,
             bgp_rounds: ck.bgp_rounds,
             shards: ck.executed.len(),
-            per_worker_peak: snaps
-                .iter()
-                .map(|s| s.gauge_value("mem.peak_bytes") as usize)
-                .collect(),
-            bdd_peak_nodes: merged.gauge_value("bdd.peak_nodes") as usize,
-            bdd_cache: metrics::cache_stats_of(&merged),
+            per_worker_peak,
+            bdd_peak_nodes,
+            bdd_cache,
             recoveries: ck.recoveries,
             oom_splits: ck.oom_splits,
             shard_retries: ck.shard_retries,
@@ -1615,19 +1609,7 @@ impl Cluster {
             }
         }
 
-        // Same unified-snapshot derivation as `run_cp_full`.
-        let reports = self.mem_reports()?;
-        let snaps: Vec<MetricsSnapshot> = reports.iter().map(metrics::mem_metrics).collect();
-        let mut merged = MetricsSnapshot::default();
-        for s in &snaps {
-            merged.merge(s);
-        }
-        stats.per_worker_peak = snaps
-            .iter()
-            .map(|s| s.gauge_value("mem.peak_bytes") as usize)
-            .collect();
-        stats.bdd_peak_nodes = merged.gauge_value("bdd.peak_nodes") as usize;
-        stats.bdd_cache = metrics::cache_stats_of(&merged);
+        (stats.per_worker_peak, stats.bdd_peak_nodes, stats.bdd_cache) = self.mem_fold()?;
         stats.unreachable_pairs.sort();
         stats.waypoint_violations.sort();
         stats.verdict_sets.sort();
@@ -1714,46 +1696,11 @@ impl Cluster {
     /// Runs the BGP fix point *warm*: export/apply rounds from the
     /// workers' current state, without a `BgpBegin` reset — only the
     /// deltas induced by a scenario's failed interfaces propagate.
-    /// Returns the rounds taken (0 when already quiescent).
+    /// Returns the rounds taken (1 when already quiescent).
     pub fn run_warm_fixpoint(&self, opts: &ClusterOptions) -> Result<usize, RuntimeError> {
         let _span = s2_obs::span!("scenario.warm_fixpoint");
         self.fleet_at_checkpoint.store(false, Ordering::Release);
-        let mut round = 0;
-        let mut stalled_since: Option<Stopwatch> = None;
-        while round < opts.max_rounds {
-            let before = self.probe_net("warm-probe")?;
-            self.barrier("warm-export", || Command::BgpExport)?;
-            let replies = self.barrier("warm-apply", || Command::BgpApply)?;
-            let released = self.net.tick_delayed();
-            self.check_wire_fatal()?;
-            let probe = self.probe_net("warm-probe")?;
-            let lost = probe.losses != before.losses;
-            let quiet = Self::all_unchanged(&replies)
-                && !lost
-                && probe.disturbances == before.disturbances
-                && released == 0
-                && self.net.held_count() == 0;
-            if lost || released > 0 {
-                self.barrier("warm-resync", || Command::BgpResync)?;
-            }
-            if quiet && probe.in_flight == 0 {
-                return Ok(round + 1);
-            }
-            if quiet {
-                let since = *stalled_since.get_or_insert_with(Stopwatch::start);
-                if since.elapsed() > self.config.barrier_timeout {
-                    break;
-                }
-            } else {
-                stalled_since = None;
-                round += 1;
-            }
-            self.stall_for_in_flight(&probe);
-        }
-        Err(RuntimeError::NotConverged {
-            protocol: "bgp-warm",
-            rounds: opts.max_rounds,
-        })
+        self.run_rounds(&WARM_ROUNDS, opts.max_rounds, &mut 0)
     }
 
     /// Collects the workers' *current* RIBs (base plus BGP) into a fresh
@@ -1826,38 +1773,43 @@ impl Cluster {
             })
         };
         stats.pred_time = t0.elapsed();
+        let all_changed: BTreeSet<Prefix> = changed_dst.into_values().flatten().collect();
+        let fraction = covered_fraction(&all_changed, query.dst_space);
+        let metrics = s2_obs::Registry::global();
+        if scopes.is_some() {
+            metrics.counter("dpv.scoped.runs").inc();
+            metrics
+                .counter("dpv.scoped.changed_prefixes")
+                .add(all_changed.len() as u64);
+            metrics
+                .counter("dpv.scoped.space_permille")
+                .add((fraction * 1000.0) as u64);
+        }
+        let scopes = match scopes {
+            Some(_) if fraction >= 1.0 => {
+                // The whole destination space is perturbed: scoping would
+                // re-verify everything anyway, so skip the splice
+                // machinery (`DpPatch` already cleared the workers'
+                // scopes).
+                metrics.counter("dpv.scoped.fallback_full").inc();
+                stats.scoped = Some(DpvScopedStats {
+                    changed_prefixes: all_changed.len(),
+                    changed_dst_fraction: fraction,
+                    fallback_full: true,
+                    ..DpvScopedStats::default()
+                });
+                None
+            }
+            scopes => scopes,
+        };
         let Some(scopes) = scopes else {
-            // No checkpointed baseline to splice against: full-space
-            // (the staged overlays must be compiled whole).
+            // Full space, with no checkpointed baseline to splice against
+            // or the whole space perturbed: the staged overlays are
+            // compiled whole.
             Self::expect_ok(self.barrier("dp-compile", || Command::DpCompile)?)?;
             self.dpv_drive(&mut stats, query, None)?;
             return Ok(stats);
         };
-        let all_changed: BTreeSet<Prefix> = changed_dst.into_values().flatten().collect();
-        let fraction = covered_fraction(&all_changed, query.dst_space);
-        let metrics = s2_obs::Registry::global();
-        metrics.counter("dpv.scoped.runs").inc();
-        metrics
-            .counter("dpv.scoped.changed_prefixes")
-            .add(all_changed.len() as u64);
-        metrics
-            .counter("dpv.scoped.space_permille")
-            .add((fraction * 1000.0) as u64);
-        if fraction >= 1.0 {
-            // The whole destination space is perturbed: scoping would
-            // re-verify everything anyway, so skip the splice machinery
-            // (`DpPatch` already cleared the workers' scopes).
-            metrics.counter("dpv.scoped.fallback_full").inc();
-            stats.scoped = Some(DpvScopedStats {
-                changed_prefixes: all_changed.len(),
-                changed_dst_fraction: fraction,
-                fallback_full: true,
-                ..DpvScopedStats::default()
-            });
-            Self::expect_ok(self.barrier("dp-compile", || Command::DpCompile)?)?;
-            self.dpv_drive(&mut stats, query, None)?;
-            return Ok(stats);
-        }
         let inject: Vec<NodeId> = sources
             .iter()
             .copied()
@@ -2089,14 +2041,19 @@ mod tests {
         NetworkModel::build(topo, cfgs).unwrap()
     }
 
-    fn run_cp(model: &Arc<NetworkModel>, owners: Vec<u32>, workers: u32) -> (RibSnapshot, CpRunStats) {
-        let cluster = Cluster::new(model.clone(), owners, workers, None);
+    /// One shard holding every prefix the model originates.
+    fn line_plan(model: &Arc<NetworkModel>) -> ShardPlan {
         let switches: Vec<_> = model
             .topology
             .nodes()
             .map(|n| s2_routing::SwitchModel::new(model, n))
             .collect();
-        let plan = ShardPlan::single(s2_shard::collect_prefixes(&switches));
+        ShardPlan::single(s2_shard::collect_prefixes(&switches))
+    }
+
+    fn run_cp(model: &Arc<NetworkModel>, owners: Vec<u32>, workers: u32) -> (RibSnapshot, CpRunStats) {
+        let cluster = Cluster::new(model.clone(), owners, workers, None);
+        let plan = line_plan(model);
         let out = cluster
             .run_control_plane(&plan, &ClusterOptions::default())
             .unwrap();
@@ -2147,12 +2104,7 @@ mod tests {
     fn distributed_dpv_checks_reachability() {
         let model = Arc::new(line_model());
         let cluster = Cluster::new(model.clone(), vec![0, 0, 1, 1], 2, None);
-        let switches: Vec<_> = model
-            .topology
-            .nodes()
-            .map(|n| s2_routing::SwitchModel::new(&model, n))
-            .collect();
-        let plan = ShardPlan::single(s2_shard::collect_prefixes(&switches));
+        let plan = line_plan(&model);
         let (rib, _) = cluster
             .run_control_plane(&plan, &ClusterOptions::default())
             .unwrap();
@@ -2185,12 +2137,7 @@ mod tests {
         // bisection bottoms out and the OOM is surfaced.
         let model = Arc::new(line_model());
         let cluster = Cluster::new(model.clone(), vec![0, 0, 1, 1], 2, Some(8));
-        let switches: Vec<_> = model
-            .topology
-            .nodes()
-            .map(|n| s2_routing::SwitchModel::new(&model, n))
-            .collect();
-        let plan = ShardPlan::single(s2_shard::collect_prefixes(&switches));
+        let plan = line_plan(&model);
         let err = cluster
             .run_control_plane(&plan, &ClusterOptions::default())
             .unwrap_err();
@@ -2233,12 +2180,7 @@ mod tests {
         };
         let clock = Stopwatch::start();
         let cluster = Cluster::with_config(model.clone(), vec![0, 0, 1, 1], 2, config);
-        let switches: Vec<_> = model
-            .topology
-            .nodes()
-            .map(|n| s2_routing::SwitchModel::new(&model, n))
-            .collect();
-        let plan = ShardPlan::single(s2_shard::collect_prefixes(&switches));
+        let plan = line_plan(&model);
         let (rib, stats) = cluster
             .run_control_plane(&plan, &ClusterOptions::default())
             .unwrap();
@@ -2274,12 +2216,7 @@ mod tests {
             ..RuntimeConfig::default()
         };
         let cluster = Cluster::with_config(model.clone(), vec![0, 0, 1, 1], 2, config);
-        let switches: Vec<_> = model
-            .topology
-            .nodes()
-            .map(|n| s2_routing::SwitchModel::new(&model, n))
-            .collect();
-        let plan = ShardPlan::single(s2_shard::collect_prefixes(&switches));
+        let plan = line_plan(&model);
         let (rib, stats) = cluster
             .run_control_plane(&plan, &ClusterOptions::default())
             .unwrap();
@@ -2322,12 +2259,7 @@ mod tests {
     fn scenario_cycle_detects_partition_and_rolls_back_clean() {
         let model = Arc::new(line_model());
         let cluster = Cluster::new(model.clone(), vec![0, 0, 1, 1], 2, None);
-        let switches: Vec<_> = model
-            .topology
-            .nodes()
-            .map(|n| s2_routing::SwitchModel::new(&model, n))
-            .collect();
-        let plan = ShardPlan::single(s2_shard::collect_prefixes(&switches));
+        let plan = line_plan(&model);
         let (rib, _) = cluster
             .run_control_plane(&plan, &ClusterOptions::default())
             .unwrap();
@@ -2406,5 +2338,90 @@ mod tests {
         assert_eq!(rib, reference, "degraded run must be bit-identical");
         assert!(stats.oom_splits >= 1, "the budget must force a bisection");
         assert!(stats.shards >= 2, "the shard must have been split");
+    }
+
+    /// Each of the three fix points, out of budget, names its protocol
+    /// and the rounds it actually ran.
+    #[test]
+    fn non_convergence_names_the_protocol_and_the_rounds_run() {
+        let model = Arc::new(line_model());
+        let cluster = Cluster::new(model.clone(), vec![0, 1, 0, 1], 2, None);
+        let budget = |max_rounds| ClusterOptions {
+            max_rounds,
+            ..ClusterOptions::default()
+        };
+        let not_converged = |protocol, rounds| RuntimeError::NotConverged { protocol, rounds };
+        // The line runs no IGP, so one round would prove OSPF quiet.
+        assert_eq!(cluster.run_ospf(&budget(0)), Err(not_converged("ospf", 0)));
+        // t0's prefixes need four BGP rounds to reach t3.
+        let err = cluster
+            .run_control_plane(&line_plan(&model), &budget(2))
+            .unwrap_err();
+        assert_eq!(err, not_converged("bgp", 2));
+
+        let (rib, _) = cluster
+            .run_control_plane(&line_plan(&model), &ClusterOptions::default())
+            .unwrap();
+        cluster.scenario_checkpoint(Arc::new(rib)).unwrap();
+        // Failing t0—m1 withdraws t0's prefixes hop by hop down the line.
+        cluster
+            .scenario_begin(&link_ports(&model, NodeId(0), NodeId(1)))
+            .unwrap();
+        let err = cluster.run_warm_fixpoint(&budget(1)).unwrap_err();
+        cluster.shutdown();
+        assert_eq!(err, not_converged("bgp-warm", 1));
+    }
+
+    /// Warms the line up under `faults` — cold control plane, baseline
+    /// DPV, checkpoint — then fails t0—m1, runs the warm fix point and
+    /// collects the scenario RIB. Returns that RIB plus the cross-worker
+    /// frames sent by the end of the warm-up and by the end of the run.
+    fn warm_scenario_rib(model: &Arc<NetworkModel>, faults: FaultPlan) -> (RibSnapshot, u64, u64) {
+        let config = RuntimeConfig {
+            faults,
+            ..RuntimeConfig::default()
+        };
+        // Alternate owners: every link crosses workers.
+        let cluster = Cluster::with_config(model.clone(), vec![0, 1, 0, 1], 2, config);
+        let opts = ClusterOptions::default();
+        let (rib, _) = cluster.run_control_plane(&line_plan(model), &opts).unwrap();
+        let rib = Arc::new(rib);
+        let query = reach_t0_prefix(vec![NodeId(3)]);
+        cluster.run_dpv(rib.clone(), &query, &opts).unwrap();
+        cluster.scenario_checkpoint(rib).unwrap();
+        cluster
+            .scenario_begin(&link_ports(model, NodeId(0), NodeId(1)))
+            .unwrap();
+        let sent = || cluster.net_stats().messages.load(Ordering::Relaxed);
+        let warm_up = sent();
+        cluster.run_warm_fixpoint(&opts).unwrap();
+        let scenario = cluster.collect_full_rib().unwrap();
+        let total = sent();
+        cluster.shutdown();
+        (scenario, warm_up, total)
+    }
+
+    /// Any one frame of the warm fix point, dropped or delayed, is healed
+    /// by the warm resync: the scenario RIB equals the fault-free one,
+    /// and the resync re-sent advertisements the fault-free run
+    /// suppressed.
+    #[test]
+    fn warm_fixpoint_heals_a_dropped_or_delayed_frame() {
+        let model = Arc::new(line_model());
+        let (reference, warm_up, clean_total) = warm_scenario_rib(&model, FaultPlan::new());
+        assert!(clean_total > warm_up, "the warm fix point must send frames");
+        for faults in (warm_up..clean_total).flat_map(|nth| {
+            [
+                FaultPlan::new().drop_message(nth),
+                FaultPlan::new().delay_message(nth, 1),
+            ]
+        }) {
+            let (rib, _, total) = warm_scenario_rib(&model, faults.clone());
+            assert_eq!(rib, reference, "{faults:?} changed the scenario RIB");
+            assert!(
+                total > clean_total,
+                "{faults:?}: no resync re-sent anything"
+            );
+        }
     }
 }

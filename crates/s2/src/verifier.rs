@@ -9,7 +9,7 @@ use s2_net::{NetError, Prefix};
 use s2_partition::schemes::{compute, Scheme};
 use s2_partition::Partition;
 use s2_routing::{NetworkModel, RibSnapshot};
-use s2_runtime::{Cluster, ClusterOptions, CpRunStats, FaultPlan, RuntimeConfig, RuntimeError};
+use s2_runtime::{Cluster, ClusterOptions, CpRunStats, RuntimeConfig, RuntimeError};
 use std::sync::Arc;
 
 /// Verification options.
@@ -27,18 +27,11 @@ pub struct S2Options {
     pub max_rounds: usize,
     /// TTL for symbolic forwarding (0 = engine default).
     pub max_hops: u16,
-    /// Prefix parallelism (the §7 discussion's alternative strategy):
-    /// shards are split round-robin into this many groups and the groups
-    /// execute **concurrently**, each on its own replica of the switch
-    /// fleet. Trades memory (each group holds its own copy of the
-    /// per-switch state) for wall-clock time — orthogonal to the
-    /// switch-level parallelism of the workers, exactly as the paper
-    /// describes. `0` or `1` keeps the default sequential-shard schedule.
-    pub parallel_shard_groups: usize,
     /// Threads each worker uses to evaluate independent switches within
     /// a round (the intra-worker pool; 1 = sequential). Results are
     /// byte-identical at any width — this only trades CPU for latency.
-    /// Takes precedence over `runtime.intra_worker_threads` when > 1.
+    /// The fleet runs with the larger of this and
+    /// `runtime.intra_worker_threads`.
     pub intra_worker_threads: usize,
     /// Fault-tolerance and transport configuration (barrier timeout,
     /// recovery/bisection budgets, per-worker memory budget, fault
@@ -55,7 +48,6 @@ impl Default for S2Options {
             shard_seed: 7,
             max_rounds: s2_routing::DEFAULT_MAX_ROUNDS,
             max_hops: 0,
-            parallel_shard_groups: 1,
             intra_worker_threads: 1,
             runtime: RuntimeConfig::default(),
         }
@@ -237,107 +229,8 @@ impl S2Verifier {
                 Err(e) => return Err(e.into()),
             }
         };
-        if self.opts.parallel_shard_groups > 1 && plan.shards.len() > 1 {
-            return self.simulate_parallel(plan, &copts);
-        }
         let (rib, stats, final_plan) = self.cluster.run_control_plane_refined(plan, &copts)?;
         Ok((rib, stats, final_plan.shards.len()))
-    }
-
-    /// §7 prefix parallelism: splits the shard schedule round-robin into
-    /// `parallel_shard_groups` groups and runs each group on its own
-    /// replica fleet concurrently, merging the resulting RIBs. Shards are
-    /// independent by construction (the DPDG co-shards every dependency),
-    /// so the merged result is identical to the sequential schedule —
-    /// asserted by tests.
-    fn simulate_parallel(
-        &self,
-        plan: s2_shard::ShardPlan,
-        copts: &ClusterOptions,
-    ) -> Result<(RibSnapshot, CpRunStats, usize), S2Error> {
-        let groups = self.opts.parallel_shard_groups.min(plan.shards.len());
-        let total_shards = plan.shards.len();
-        let mut group_plans: Vec<s2_shard::ShardPlan> = (0..groups)
-            .map(|_| s2_shard::ShardPlan { shards: Vec::new() })
-            .collect();
-        for (i, shard) in plan.shards.into_iter().enumerate() {
-            group_plans[i % groups].shards.push(shard);
-        }
-
-        let results: Vec<Result<(RibSnapshot, CpRunStats), RuntimeError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = group_plans
-                    .into_iter()
-                    .enumerate()
-                    .map(|(g, gplan)| {
-                        let model = self.model.clone();
-                        let partition = &self.partition;
-                        let copts = copts.clone();
-                        scope.spawn(move || {
-                            // Group 0 reuses the main fleet; others get
-                            // their own replica (the "multiple nodes per
-                            // switch" of §7).
-                            if g == 0 {
-                                self.cluster.run_control_plane(&gplan, &copts)
-                            } else {
-                                // Replicas never re-inject the faults the
-                                // main fleet already played out.
-                                let config = RuntimeConfig {
-                                    faults: FaultPlan::default(),
-                                    ..self.opts.runtime.clone()
-                                };
-                                let cluster = Cluster::with_config(
-                                    model,
-                                    partition.assignment.clone(),
-                                    partition.num_workers,
-                                    config,
-                                );
-                                let out = cluster.run_control_plane(&gplan, &copts);
-                                cluster.shutdown();
-                                out
-                            }
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("no panics")).collect()
-            });
-
-        let mut merged: Option<(RibSnapshot, CpRunStats)> = None;
-        for r in results {
-            let (rib, stats) = r?;
-            merged = Some(match merged {
-                None => (rib, stats),
-                Some((mut acc_rib, mut acc_stats)) => {
-                    // Merge per-node tables; distinct shards produce
-                    // distinct prefixes, base routes are identical.
-                    for (node, routes) in rib.per_node.into_iter().enumerate() {
-                        let table = &mut acc_rib.per_node[node];
-                        table.extend(routes);
-                        table.sort_by_key(|r| r.prefix);
-                        table.dedup();
-                    }
-                    acc_stats.bgp_rounds += stats.bgp_rounds;
-                    acc_stats.shards += stats.shards;
-                    // Replica fleets add memory: report the sum of group
-                    // peaks per worker — the §7 trade-off made visible.
-                    for (w, peak) in stats.per_worker_peak.iter().enumerate() {
-                        acc_stats.per_worker_peak[w] += peak;
-                    }
-                    acc_stats.messages += stats.messages;
-                    acc_stats.bytes += stats.bytes;
-                    acc_stats.recoveries += stats.recoveries;
-                    acc_stats.oom_splits += stats.oom_splits;
-                    acc_stats.shard_retries += stats.shard_retries;
-                    acc_stats.resyncs += stats.resyncs;
-                    acc_stats.wire_errors += stats.wire_errors;
-                    acc_stats.traffic.merge(&stats.traffic);
-                    acc_stats.elapsed = acc_stats.elapsed.max(stats.elapsed);
-                    (acc_rib, acc_stats)
-                }
-            });
-        }
-        let (rib, stats) = merged.expect("at least one group");
-        Ok((rib, stats, total_shards))
     }
 
     /// Runs the full verification: control plane, then the data-plane
