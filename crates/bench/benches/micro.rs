@@ -99,16 +99,56 @@ fn bench_trie(c: &mut Criterion) {
 }
 
 fn bench_bgp(c: &mut Criterion) {
+    use s2_routing::bgp::{select_multipath, Candidate};
+    use s2_routing::{converge_bgp, converge_ospf, NetworkModel, SwitchModel, DEFAULT_MAX_ROUNDS};
+    use std::sync::Arc;
+
     let mut g = c.benchmark_group("micro_bgp");
-    let candidates: Vec<s2_routing::bgp::Candidate> = (0..16)
-        .map(|i| s2_routing::bgp::Candidate {
+    let candidates: Vec<Candidate> = (0..16)
+        .map(|i| Candidate {
             route: sample_route(i),
             peer: Some(Ipv4Addr(0xac100000 + i)),
             session: i,
         })
         .collect();
     g.bench_function("select_multipath_16", |b| {
-        b.iter(|| s2_routing::bgp::select_multipath(black_box(candidates.clone()), 8))
+        b.iter(|| select_multipath(black_box(candidates.iter().map(Candidate::view).collect()), 8))
+    });
+
+    // One core switch of a converged FatTree k=8 and the full body its
+    // first session's peer advertises to it.
+    let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(8));
+    let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
+    let mut switches: Vec<SwitchModel> =
+        model.topology.nodes().map(|n| SwitchModel::new(&model, n)).collect();
+    converge_ospf(&model, &mut switches, DEFAULT_MAX_ROUNDS).unwrap();
+    converge_bgp(&model, &mut switches, None, DEFAULT_MAX_ROUNDS).unwrap();
+    let mut core = switches[ft.cores[0].index()].clone();
+    let session = core.sessions[0].clone();
+    let body: Arc<[BgpRoute]> = switches[session.peer_node.index()]
+        .bgp_export()
+        .into_iter()
+        .find(|class| class.sessions.contains(&(session.peer_session_index as usize)))
+        .map(|class| class.routes)
+        .expect("every session is in one export class");
+    let empty: Arc<[BgpRoute]> = Arc::from([]);
+    // The same routes in a body of their own: the receive walks all of
+    // them against the Adj-RIB-In and finds nothing changed.
+    g.bench_function("receive_body", |b| {
+        b.iter(|| {
+            let copy: Arc<[BgpRoute]> = Arc::from(body.to_vec());
+            core.bgp_receive(0, black_box(&copy))
+        })
+    });
+    // The session withdraws everything, then re-announces it: each
+    // decide reselects every prefix the body carries.
+    g.bench_function("decide_dirty", |b| {
+        b.iter(|| {
+            core.bgp_receive(0, &empty);
+            let withdrawn = core.bgp_decide(None);
+            core.bgp_receive(0, &body);
+            withdrawn & core.bgp_decide(None)
+        })
     });
     g.finish();
 }

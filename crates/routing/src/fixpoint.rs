@@ -108,6 +108,8 @@ pub fn converge_bgp(
     for s in switches.iter_mut() {
         s.begin_bgp(shard);
     }
+    #[cfg(test)]
+    tests::check_round(switches, shard, true);
     for round in 0..max_rounds {
         // Phase 1: snapshot all advertisements, one shared body per
         // export class.
@@ -133,6 +135,8 @@ pub fn converge_bgp(
             }
             changed |= s.bgp_decide(shard);
         }
+        #[cfg(test)]
+        tests::check_round(switches, shard, false);
         let bytes: usize = switches.iter().map(SwitchModel::approx_bgp_bytes).sum();
         stats.peak_bytes = stats.peak_bytes.max(bytes);
         stats.rounds = round + 1;
@@ -154,8 +158,47 @@ mod tests {
         Aggregate, BgpNeighbor, BgpProcess, DeviceConfig, InterfaceConfig, Network, Vendor,
     };
     use s2_net::policy::community;
+    use crate::switch::oracle;
+    use s2_net::config::ConditionalAdvertisement;
     use s2_net::topology::{NodeId, Topology};
     use s2_net::Ipv4Addr;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Per switch, the dependencies the from-scratch decision process
+        /// observed since the last `begin_bgp` on this thread.
+        static ORACLE_DEPS: RefCell<Vec<BTreeSet<(Prefix, Prefix)>>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    /// Runs after `begin_bgp` (`begun`) and after every round of every
+    /// `converge_bgp` in this crate's tests: each switch's local RIB must
+    /// be the one a selection over all of its candidates builds, and its
+    /// running byte sums what a walk of the materialised state finds.
+    pub(super) fn check_round(
+        switches: &[SwitchModel],
+        shard: Option<&BTreeSet<Prefix>>,
+        begun: bool,
+    ) {
+        ORACLE_DEPS.with(|all| {
+            let mut all = all.borrow_mut();
+            if begun {
+                *all = switches
+                    .iter()
+                    .map(|s| s.prefix_dependencies().into_iter().collect())
+                    .collect();
+            }
+            for (s, deps) in switches.iter().zip(all.iter_mut()) {
+                let (rib, observed) = oracle::decide(s, shard);
+                assert_eq!(*s.loc_rib(), rib, "{}: RIB differs from a full decide", s.node);
+                // Capacities too: an aggregate route moves into the RIB
+                // as built, it is not cloned.
+                assert_eq!(oracle::rib_bytes(s.loc_rib()), oracle::rib_bytes(&rib), "{}", s.node);
+                assert_eq!(s.approx_bgp_bytes(), oracle::walked_bytes(s), "{}", s.node);
+                deps.extend(observed);
+            }
+        });
+    }
 
     /// A 4-node line: t0(65000) — m1(65001) — m2(65002) — t3(65003).
     /// t0 originates 10.0.0.0/24 and 10.0.1.0/24; m2 aggregates 10.0.0.0/16
@@ -306,6 +349,124 @@ mod tests {
         assert!(stats.routes_exchanged > 0);
         assert!(stats.peak_bytes > 0);
         assert!(stats.total_paths >= 8);
+    }
+
+    /// The conditional-advertisement fixture: primary (originates
+    /// 10.1.0.0/24) — mid — backup, which advertises 10.9.0.0/24 only
+    /// while 10.1.0.0/24 is absent from its RIB.
+    fn conditional_net() -> NetworkModel {
+        let mut topo = Topology::new();
+        let names = ["primary", "mid", "backup"];
+        let ids: Vec<NodeId> = names.iter().map(|n| topo.add_node(*n)).collect();
+        topo.connect(ids[0], ids[1]);
+        topo.connect(ids[1], ids[2]);
+        let mut cfgs: Vec<DeviceConfig> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let mut c = DeviceConfig::new(*n, Vendor::A);
+                let router_id = Ipv4Addr::new(1, 1, 1, i as u8 + 1);
+                c.bgp = Some(BgpProcess::new(65001 + i as u32, router_id));
+                c
+            })
+            .collect();
+        for (li, (i, j)) in [(0usize, 1usize), (1, 2)].into_iter().enumerate() {
+            let ai = Ipv4Addr::new(172, 16, 0, 2 * li as u8);
+            let aj = Ipv4Addr::new(172, 16, 0, 2 * li as u8 + 1);
+            cfgs[i].interfaces.push(InterfaceConfig::new(format!("e{li}a"), ai, 31));
+            cfgs[j].interfaces.push(InterfaceConfig::new(format!("e{li}b"), aj, 31));
+            for (from, peer, remote) in [(i, aj, j), (j, ai, i)] {
+                cfgs[from].bgp.as_mut().unwrap().neighbors.push(BgpNeighbor {
+                    peer,
+                    remote_as: 65001 + remote as u32,
+                    import_policy: None,
+                    export_policy: None,
+                    remove_private_as: false,
+                });
+            }
+        }
+        let p = |s: &str| -> Prefix { s.parse().unwrap() };
+        cfgs[0].bgp.as_mut().unwrap().networks.push(Network { prefix: p("10.1.0.0/24") });
+        let backup = cfgs[2].bgp.as_mut().unwrap();
+        backup.networks.push(Network { prefix: p("10.9.0.0/24") });
+        backup.conditional.push(ConditionalAdvertisement {
+            advertise: p("10.9.0.0/24"),
+            condition: p("10.1.0.0/24"),
+            when_present: false,
+        });
+        NetworkModel::build(topo, cfgs).unwrap()
+    }
+
+    /// Every round of `converge_bgp` is checked against the full decide
+    /// by `check_round`; per shard, each switch's drained dependencies
+    /// must also be the ones the full decide observed.
+    #[test]
+    fn incremental_decide_matches_a_full_decide_every_round() {
+        let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(4));
+        let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(2, 4, 2));
+        let nets = [
+            NetworkModel::build(ft.topology, ft.configs).unwrap(),
+            NetworkModel::build(dcn.topology, dcn.configs).unwrap(),
+            conditional_net(),
+        ];
+        for model in &nets {
+            let mut switches: Vec<SwitchModel> =
+                model.topology.nodes().map(|n| SwitchModel::new(model, n)).collect();
+            // Unsharded, then two shards that split aggregates from some
+            // of their contributors.
+            let all: BTreeSet<Prefix> =
+                switches.iter().flat_map(|s| s.originated_prefixes()).map(|(p, _)| p).collect();
+            let halves: [BTreeSet<Prefix>; 2] =
+                [0, 1].map(|h| all.iter().skip(h).step_by(2).copied().collect());
+            let shards = [None, Some(&halves[0]), Some(&halves[1])];
+            for shard in shards {
+                converge_bgp(model, &mut switches, shard, DEFAULT_MAX_ROUNDS).unwrap();
+                drain_and_compare_deps(&mut switches);
+            }
+            // Warm: fail every link of the first node and run the rounds
+            // on from the converged state, with no `begin_bgp` between.
+            let shard = shards[2];
+            let node = NodeId(0);
+            let ifaces: Vec<_> =
+                model.topology.neighbors(node).iter().map(|(i, _, _)| *i).collect();
+            switches[0].set_failed_interfaces(model, ifaces);
+            ORACLE_DEPS.with(|all| all.borrow_mut().iter_mut().for_each(BTreeSet::clear));
+            for _ in 0..DEFAULT_MAX_ROUNDS {
+                let mut deliveries: Vec<Vec<(u32, Arc<[BgpRoute]>)>> =
+                    vec![Vec::new(); switches.len()];
+                for s in &switches {
+                    for class in s.bgp_export() {
+                        for &si in &class.sessions {
+                            let session = &s.sessions[si];
+                            deliveries[session.peer_node.index()]
+                                .push((session.peer_session_index, class.routes.clone()));
+                        }
+                    }
+                }
+                let mut changed = false;
+                for (s, batch) in switches.iter_mut().zip(deliveries) {
+                    for (si, body) in batch {
+                        changed |= s.bgp_receive(si as usize, &body);
+                    }
+                    changed |= s.bgp_decide(shard);
+                }
+                check_round(&switches, shard, false);
+                if !changed {
+                    break;
+                }
+            }
+            drain_and_compare_deps(&mut switches);
+        }
+    }
+
+    /// Each switch's drained dependencies must be the full decide's.
+    fn drain_and_compare_deps(switches: &mut [SwitchModel]) {
+        ORACLE_DEPS.with(|all| {
+            for (s, want) in switches.iter_mut().zip(all.borrow().iter()) {
+                let got: BTreeSet<_> = s.take_observed_deps().into_iter().collect();
+                assert_eq!(got, *want, "{}: observed dependencies", s.node);
+            }
+        });
     }
 
     #[test]

@@ -96,6 +96,37 @@ impl BgpRoute {
             + self.as_path.capacity() * std::mem::size_of::<u32>()
             + self.communities.capacity() * std::mem::size_of::<Community>()
     }
+
+    /// [`BgpRoute::approx_bytes`] of a clone of this route: a clone's
+    /// vectors hold exactly their elements.
+    pub fn cloned_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.as_path.len() * std::mem::size_of::<u32>()
+            + self.communities.len() * std::mem::size_of::<Community>()
+    }
+
+    /// Equality on every attribute but the next hop.
+    pub fn same_attributes(&self, other: &BgpRoute) -> bool {
+        let BgpRoute {
+            prefix,
+            next_hop: _,
+            as_path,
+            local_pref,
+            med,
+            origin,
+            communities,
+            weight,
+            source_protocol,
+        } = other;
+        self.prefix == *prefix
+            && self.as_path == *as_path
+            && self.local_pref == *local_pref
+            && self.med == *med
+            && self.origin == *origin
+            && self.communities == *communities
+            && self.weight == *weight
+            && self.source_protocol == *source_protocol
+    }
 }
 
 /// How a selected route leaves the node.

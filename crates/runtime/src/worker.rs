@@ -316,13 +316,19 @@ type Body = Arc<[BgpRoute]>;
 /// A BGP delivery: (target node, target session, body).
 type BgpDelivery = (NodeId, u32, Body);
 
+/// An Adj-RIB-Out entry: the body last sent on a session and the route
+/// bytes it holds, summed once when the body was built.
+#[derive(Clone)]
+struct Sent {
+    body: Body,
+    bytes: usize,
+}
+
 /// A restorable snapshot of the worker's converged control-plane state
 /// (resilience sweeps restore this between failure scenarios).
 struct Checkpoint {
     switches: BTreeMap<NodeId, SwitchModel>,
-    last_adv: BTreeMap<(NodeId, usize), Body>,
-    /// The route-byte cache, current at checkpoint time.
-    route_bytes: BTreeMap<NodeId, usize>,
+    last_adv: BTreeMap<(NodeId, usize), Sent>,
 }
 
 /// The baseline data-plane verdict material, stashed at
@@ -358,14 +364,7 @@ pub struct Worker {
     /// advertisements are not re-sent — the incremental-update behaviour
     /// of real BGP, and what keeps cross-worker traffic proportional to
     /// convergence activity rather than round count.
-    last_adv: BTreeMap<(NodeId, usize), Body>,
-    /// Per local switch, the route bytes the memory gauge charges it:
-    /// Adj-RIB-Ins and local RIB, plus each distinct body of its
-    /// Adj-RIB-Out once. Entries of `bytes_dirty` switches are stale.
-    route_bytes: BTreeMap<NodeId, usize>,
-    /// Switches whose route state changed since their `route_bytes`
-    /// entry was computed.
-    bytes_dirty: BTreeSet<NodeId>,
+    last_adv: BTreeMap<(NodeId, usize), Sent>,
     /// Switches whose local RIB changed since their last `bgp_export`
     /// (plus everyone after a reset or resync). `bgp_export` is a pure
     /// function of the switch, so a switch outside this set would
@@ -477,14 +476,12 @@ impl Worker {
             faults,
             model,
             local_nodes,
-            bytes_dirty: switches.keys().copied().collect(),
             switches,
             shard: None,
             gauge: MemGauge::new(),
             memory_budget,
             pending_bgp: Vec::new(),
             last_adv: BTreeMap::new(),
-            route_bytes: BTreeMap::new(),
             export_dirty: BTreeSet::new(),
             decide_dirty: BTreeSet::new(),
             pending_ospf: Vec::new(),
@@ -560,7 +557,6 @@ impl Worker {
                 // Cold start: everyone re-originates, everyone decides.
                 self.export_dirty.extend(self.local_nodes.iter().copied());
                 self.decide_dirty.extend(self.local_nodes.iter().copied());
-                self.bytes_dirty.extend(self.local_nodes.iter().copied());
                 self.update_gauge();
                 Reply::Ok
             }
@@ -672,15 +668,12 @@ impl Worker {
                 // Every advertisement must be re-sent, so every switch
                 // must re-export.
                 self.export_dirty.extend(self.local_nodes.iter().copied());
-                self.bytes_dirty.extend(self.local_nodes.iter().copied());
                 Reply::Ok
             }
             Command::ScenarioCheckpoint => {
-                self.refresh_route_bytes();
                 self.checkpoint = Some(Checkpoint {
                     switches: self.switches.clone(),
                     last_adv: self.last_adv.clone(),
-                    route_bytes: self.route_bytes.clone(),
                 });
                 // The finals of the preceding full-space pass are the
                 // splice baseline for destination-scoped scenario
@@ -859,8 +852,6 @@ impl Worker {
         };
         self.switches = cp.switches.clone();
         self.last_adv = cp.last_adv.clone();
-        self.route_bytes = cp.route_bytes.clone();
-        self.bytes_dirty.clear();
         self.pending_bgp.clear();
         // The restored pair is converged: nothing to export or decide
         // until a scenario perturbs it.
@@ -985,9 +976,9 @@ impl Worker {
         // order and identical incremental-update decisions at any pool
         // width.
         for (&node, classes) in dirty.iter().zip(exports) {
-            self.bytes_dirty.insert(node);
             let sw = &self.switches[&node];
             for ExportClass { sessions, routes } in classes {
+                let bytes = routes.iter().map(BgpRoute::approx_bytes).sum();
                 // Incremental updates: an advertisement identical to the
                 // previous round's carries no information (the receiver's
                 // replace-compare would be a no-op) and is not re-sent.
@@ -997,16 +988,20 @@ impl Worker {
                 let mut remote: BTreeMap<WorkerId, Vec<(NodeId, u32)>> = BTreeMap::new();
                 for si in sessions {
                     let unchanged = self.last_adv.get(&(node, si)).is_some_and(|prev| {
-                        match compared.iter().find(|(body, _)| Arc::ptr_eq(body, prev)) {
+                        match compared.iter().find(|(body, _)| Arc::ptr_eq(body, &prev.body)) {
                             Some(&(_, same)) => same,
                             None => {
-                                let same = **prev == *routes;
-                                compared.push((prev.clone(), same));
+                                let same = *prev.body == *routes;
+                                compared.push((prev.body.clone(), same));
                                 same
                             }
                         }
                     });
-                    self.last_adv.insert((node, si), routes.clone());
+                    let sent = Sent {
+                        body: routes.clone(),
+                        bytes,
+                    };
+                    self.last_adv.insert((node, si), sent);
                     if unchanged {
                         continue;
                     }
@@ -1107,7 +1102,6 @@ impl Worker {
             if *decided {
                 self.export_dirty.insert(*node);
             }
-            self.bytes_dirty.insert(*node);
         }
         changed
     }
@@ -1570,32 +1564,22 @@ impl Worker {
 
     /// Route bytes charged to `node`: its switch's Adj-RIB-Ins and local
     /// RIB plus its Adj-RIB-Out, where each distinct body counts once —
-    /// the memory the worker holds, since class members share it.
+    /// the memory the worker holds, since class members share it. Both
+    /// halves are kept as running sums, so this costs O(sessions).
     fn node_route_bytes(&self, node: NodeId) -> usize {
         let switch = self.switches.get(&node).map_or(0, SwitchModel::approx_bgp_bytes);
-        let mut bodies: Vec<&Body> = Vec::new();
-        for body in self.last_adv.range((node, 0)..=(node, usize::MAX)).map(|(_, b)| b) {
-            if !bodies.iter().any(|seen| Arc::ptr_eq(seen, body)) {
-                bodies.push(body);
+        let mut bodies: Vec<&Sent> = Vec::new();
+        for sent in self.last_adv.range((node, 0)..=(node, usize::MAX)).map(|(_, s)| s) {
+            if !bodies.iter().any(|seen| Arc::ptr_eq(&seen.body, &sent.body)) {
+                bodies.push(sent);
             }
         }
-        let adj_out: usize = bodies.iter().flat_map(|b| b.iter()).map(BgpRoute::approx_bytes).sum();
-        switch + adj_out
+        switch + bodies.iter().map(|s| s.bytes).sum::<usize>()
     }
 
-    /// Recomputes the `route_bytes` entries of the switches touched since
-    /// the last refresh.
-    fn refresh_route_bytes(&mut self) {
-        for node in std::mem::take(&mut self.bytes_dirty) {
-            let bytes = self.node_route_bytes(node);
-            self.route_bytes.insert(node, bytes);
-        }
-    }
-
-    /// Route bytes held by this worker (refreshed, then summed).
-    fn route_bytes(&mut self) -> usize {
-        self.refresh_route_bytes();
-        self.route_bytes.values().sum()
+    /// Route bytes held by this worker.
+    fn route_bytes(&self) -> usize {
+        self.switches.keys().map(|&n| self.node_route_bytes(n)).sum()
     }
 
     fn update_gauge(&mut self) {
@@ -1736,7 +1720,8 @@ mod tests {
             for (c, class) in sw.bgp_export().iter().enumerate() {
                 for &si in &class.sessions {
                     let peer = sw.sessions[si].peer_node;
-                    let unchanged = w.last_adv.get(&(node, si)).is_some_and(|prev| **prev == *class.routes);
+                    let unchanged =
+                        w.last_adv.get(&(node, si)).is_some_and(|prev| *prev.body == *class.routes);
                     if !w.sidecar.is_local(peer) && !unchanged {
                         triples.insert((node, c, w.sidecar.net().owner(peer)));
                     }
@@ -1813,11 +1798,13 @@ mod tests {
         assert!(fleet[1].switches[&local].loc_rib().contains_key(&p), "the valid target got it");
     }
 
-    /// The route bytes a full walk finds, each distinct body once.
+    /// The route bytes a walk of every Adj-RIB-Out body finds, each
+    /// distinct body once (the switches' own running sums are checked
+    /// against a walk in `s2_routing`).
     fn walked_route_bytes(w: &Worker) -> usize {
         let switches: usize = w.switches.values().map(SwitchModel::approx_bgp_bytes).sum();
         let mut bodies: Vec<&Body> = Vec::new();
-        for body in w.last_adv.values() {
+        for body in w.last_adv.values().map(|s| &s.body) {
             if !bodies.iter().any(|seen| Arc::ptr_eq(seen, body)) {
                 bodies.push(body);
             }
@@ -1826,7 +1813,7 @@ mod tests {
     }
 
     /// Runs `cmd` on every worker; after the commands the gauge follows,
-    /// the cached route bytes must equal the full walk.
+    /// the running route-byte sums must equal the full walk.
     fn on_all(fleet: &mut [Worker], cmd: impl Fn() -> Command) -> Vec<Reply> {
         fleet
             .iter_mut()
@@ -1841,7 +1828,7 @@ mod tests {
                 );
                 let reply = w.handle(c);
                 if checked {
-                    assert_eq!(w.route_bytes.values().sum::<usize>(), walked_route_bytes(w));
+                    assert_eq!(w.route_bytes(), walked_route_bytes(w));
                 }
                 reply
             })
