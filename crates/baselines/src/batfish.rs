@@ -163,7 +163,7 @@ pub fn simulate_control_plane(
     }
 
     for shard in &plan.shards {
-        let bgp_stats = converge_bgp(model, &mut switches, Some(shard), opts.max_rounds)?;
+        let bgp_stats = converge_bgp(&mut switches, Some(shard), opts.max_rounds)?;
         stats.bgp_rounds += bgp_stats.rounds;
         stats.peak_route_bytes = stats.peak_route_bytes.max(bgp_stats.peak_bytes);
         stats.total_paths += bgp_stats.total_paths;

@@ -115,14 +115,21 @@ fn bench_bgp(c: &mut Criterion) {
         b.iter(|| select_multipath(black_box(candidates.iter().map(Candidate::view).collect()), 8))
     });
 
-    // One core switch of a converged FatTree k=8 and the full body its
-    // first session's peer advertises to it.
+    // A cold BGP fix point of FatTree k=8 through the round engine, from
+    // converged OSPF.
     let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(8));
     let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
     let mut switches: Vec<SwitchModel> =
         model.topology.nodes().map(|n| SwitchModel::new(&model, n)).collect();
     converge_ospf(&model, &mut switches, DEFAULT_MAX_ROUNDS).unwrap();
-    converge_bgp(&model, &mut switches, None, DEFAULT_MAX_ROUNDS).unwrap();
+    let ospf = switches.clone();
+    g.bench_function("converge_fattree8", |b| {
+        b.iter(|| converge_bgp(&mut ospf.clone(), None, DEFAULT_MAX_ROUNDS).unwrap().rounds)
+    });
+
+    // One core switch of the converged FatTree and the full body its
+    // first session's peer advertises to it.
+    converge_bgp(&mut switches, None, DEFAULT_MAX_ROUNDS).unwrap();
     let mut core = switches[ft.cores[0].index()].clone();
     let session = core.sessions[0].clone();
     let body: Arc<[BgpRoute]> = switches[session.peer_node.index()]

@@ -4,17 +4,18 @@
 //! at the start of the round, then delivered and applied. This makes the
 //! converged result independent of node iteration order and of how nodes
 //! are spread over workers — the property behind the paper's claim that S2
-//! and Batfish "output the same set of RIBs" (§5.3). The monolithic engine
-//! here is used by the Batfish-like baseline and by differential tests; the
-//! distributed runtime replays the identical schedule with worker-local
-//! round halves and sidecar-delivered remote advertisements.
+//! and Batfish "output the same set of RIBs" (§5.3). [`converge_bgp`], the
+//! Batfish-like baseline's fix point, hosts every switch in one
+//! [`BgpRounds`]; each worker hosts its own nodes in another and ships
+//! the remote deliveries. This module's tests check the engine split
+//! over two halves against the all-local run, and against a plain
+//! re-export-everything loop round by round.
 
 use crate::model::NetworkModel;
-use crate::route::BgpRoute;
+use crate::rounds::{BgpRounds, Sequential};
 use crate::switch::SwitchModel;
 use s2_net::Prefix;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Why a simulation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,9 +58,11 @@ impl std::error::Error for RoutingError {}
 pub struct BgpStats {
     /// Rounds until convergence.
     pub rounds: usize,
-    /// Advertised routes delivered in total (message volume).
+    /// Advertised routes delivered in total (message volume); a body
+    /// equal to the one last sent on a session is not delivered.
     pub routes_exchanged: usize,
-    /// Peak of the summed per-switch BGP memory estimate, in bytes.
+    /// Peak of the summed per-switch BGP memory estimate (Adj-RIB-Ins and
+    /// local RIBs, not the Adj-RIB-Out), in bytes.
     pub peak_bytes: usize,
     /// Total installed paths at convergence.
     pub total_paths: usize,
@@ -95,64 +98,42 @@ pub fn converge_ospf(
     })
 }
 
-/// Runs BGP on all switches to convergence for one (optional) prefix shard.
-/// `begin_bgp` must not have been called by the caller — this function
-/// does it.
+/// Runs BGP on all switches to convergence for one (optional) prefix
+/// shard, every peer hosted in one [`BgpRounds`]. `begin_bgp` must not
+/// have been called by the caller — this function does it. `switches`
+/// come back in node order.
 pub fn converge_bgp(
-    model: &NetworkModel,
-    switches: &mut [SwitchModel],
+    switches: &mut Vec<SwitchModel>,
     shard: Option<&BTreeSet<Prefix>>,
     max_rounds: usize,
 ) -> Result<BgpStats, RoutingError> {
-    let mut stats = BgpStats::default();
-    for s in switches.iter_mut() {
-        s.begin_bgp(shard);
-    }
+    let mut rounds = BgpRounds::new(std::mem::take(switches));
+    rounds.begin(shard);
     #[cfg(test)]
-    tests::check_round(switches, shard, true);
-    for round in 0..max_rounds {
-        // Phase 1: snapshot all advertisements, one shared body per
-        // export class.
-        // deliveries[target_node] = (target_session, routes) list.
-        let mut deliveries: Vec<Vec<(u32, Arc<[BgpRoute]>)>> =
-            model.topology.nodes().map(|_| Vec::new()).collect();
-        for s in switches.iter() {
-            for class in s.bgp_export() {
-                for &si in &class.sessions {
-                    let session = &s.sessions[si];
-                    stats.routes_exchanged += class.routes.len();
-                    deliveries[session.peer_node.index()]
-                        .push((session.peer_session_index, class.routes.clone()));
-                }
-            }
-        }
-        // Phase 2: apply.
-        let mut changed = false;
-        for (node, batch) in deliveries.into_iter().enumerate() {
-            let s = &mut switches[node];
-            for (target_session, adv) in batch {
-                changed |= s.bgp_receive(target_session as usize, &adv);
-            }
-            changed |= s.bgp_decide(shard);
-        }
+    tests::check_round(rounds.switches(), shard, true);
+    let mut stats = BgpStats::default();
+    let mut converged = false;
+    while !converged && stats.rounds < max_rounds {
+        stats.routes_exchanged += rounds.export(&Sequential, |_, _| {});
+        converged = !rounds.receive_and_decide(&Sequential, Vec::new(), shard);
         #[cfg(test)]
-        tests::check_round(switches, shard, false);
-        let bytes: usize = switches.iter().map(SwitchModel::approx_bgp_bytes).sum();
-        stats.peak_bytes = stats.peak_bytes.max(bytes);
-        stats.rounds = round + 1;
-        if !changed {
-            stats.total_paths = switches.iter().map(SwitchModel::loc_rib_path_count).sum();
-            return Ok(stats);
-        }
+        tests::check_round(rounds.switches(), shard, false);
+        stats.peak_bytes = stats.peak_bytes.max(rounds.switch_bytes());
+        stats.rounds += 1;
     }
-    Err(RoutingError::NotConverged {
-        protocol: "bgp",
-        rounds: max_rounds,
-    })
+    stats.total_paths = rounds.switches().iter().map(SwitchModel::loc_rib_path_count).sum();
+    *switches = rounds.into_switches();
+    if !converged {
+        return Err(RoutingError::NotConverged {
+            protocol: "bgp",
+            rounds: max_rounds,
+        });
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use s2_net::config::{
         Aggregate, BgpNeighbor, BgpProcess, DeviceConfig, InterfaceConfig, Network, Vendor,
@@ -274,13 +255,13 @@ mod tests {
         NetworkModel::build(topo, cfgs).unwrap()
     }
 
+    fn fresh(model: &NetworkModel) -> Vec<SwitchModel> {
+        model.topology.nodes().map(|n| SwitchModel::new(model, n)).collect()
+    }
+
     fn run(model: &NetworkModel) -> (Vec<SwitchModel>, BgpStats) {
-        let mut switches: Vec<SwitchModel> = model
-            .topology
-            .nodes()
-            .map(|n| SwitchModel::new(model, n))
-            .collect();
-        let stats = converge_bgp(model, &mut switches, None, DEFAULT_MAX_ROUNDS).unwrap();
+        let mut switches = fresh(model);
+        let stats = converge_bgp(&mut switches, None, DEFAULT_MAX_ROUNDS).unwrap();
         (switches, stats)
     }
 
@@ -327,12 +308,8 @@ mod tests {
         shard1.insert("10.0.1.0/24".parse().unwrap());
         shard1.insert("10.0.0.0/16".parse().unwrap());
 
-        let mut switches: Vec<SwitchModel> = model
-            .topology
-            .nodes()
-            .map(|n| SwitchModel::new(&model, n))
-            .collect();
-        converge_bgp(&model, &mut switches, Some(&shard1), DEFAULT_MAX_ROUNDS).unwrap();
+        let mut switches = fresh(&model);
+        converge_bgp(&mut switches, Some(&shard1), DEFAULT_MAX_ROUNDS).unwrap();
         for node in model.topology.nodes() {
             assert_eq!(
                 switches[node.index()].loc_rib(),
@@ -397,65 +374,135 @@ mod tests {
         NetworkModel::build(topo, cfgs).unwrap()
     }
 
-    /// Every round of `converge_bgp` is checked against the full decide
-    /// by `check_round`; per shard, each switch's drained dependencies
-    /// must also be the ones the full decide observed.
-    #[test]
-    fn incremental_decide_matches_a_full_decide_every_round() {
+    /// The FatTree, the DCN (aggregates, route-maps) and the conditional
+    /// advertisement.
+    fn test_nets() -> [NetworkModel; 3] {
         let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(4));
         let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(2, 4, 2));
-        let nets = [
+        [
             NetworkModel::build(ft.topology, ft.configs).unwrap(),
             NetworkModel::build(dcn.topology, dcn.configs).unwrap(),
             conditional_net(),
-        ];
-        for model in &nets {
-            let mut switches: Vec<SwitchModel> =
-                model.topology.nodes().map(|n| SwitchModel::new(model, n)).collect();
-            // Unsharded, then two shards that split aggregates from some
-            // of their contributors.
+        ]
+    }
+
+    /// The plain Jacobi round, kept as the engine's oracle:
+    /// every switch exports every class to every member's peer, and every
+    /// switch receives, then runs `decide` (its `bgp_decide`). Returns
+    /// whether anything changed.
+    pub(crate) fn reference_round(
+        switches: &mut [SwitchModel],
+        mut decide: impl FnMut(&mut SwitchModel) -> bool,
+    ) -> bool {
+        let mut deliveries: Vec<Vec<(u32, crate::rounds::Body)>> = vec![Vec::new(); switches.len()];
+        for s in switches.iter() {
+            for class in s.bgp_export() {
+                for &si in &class.sessions {
+                    let session = &s.sessions[si];
+                    deliveries[session.peer_node.index()]
+                        .push((session.peer_session_index, class.routes.clone()));
+                }
+            }
+        }
+        let mut changed = false;
+        for (s, batch) in switches.iter_mut().zip(deliveries) {
+            for (si, body) in batch {
+                changed |= s.bgp_receive(si as usize, &body);
+            }
+            changed |= decide(s);
+        }
+        changed
+    }
+
+    /// One round over engines hosting the nodes dealt alternately (node
+    /// `n` on engine `n mod len`), each remote delivery carried to the
+    /// engine hosting its target. Returns whether anything changed.
+    fn round(fleet: &mut [BgpRounds], shard: Option<&BTreeSet<Prefix>>) -> bool {
+        let len = fleet.len();
+        let mut inboxes: Vec<Vec<crate::rounds::Delivery>> = vec![Vec::new(); len];
+        for engine in fleet.iter_mut() {
+            engine.export(&Sequential, |body, targets| {
+                for &(n, s) in targets {
+                    inboxes[n.index() % len].push((n, s, body.clone()));
+                }
+            });
+        }
+        let halves = fleet.iter_mut().zip(inboxes);
+        halves.fold(false, |c, (e, inbox)| e.receive_and_decide(&Sequential, inbox, shard) | c)
+    }
+
+    /// Runs the engine and the reference from equal states to their fix
+    /// point in lockstep: every round both must report the same `changed`
+    /// and hold the same local RIBs, and the engine passes `check_round`.
+    fn lockstep(engine: &mut BgpRounds, reference: &mut [SwitchModel], shard: Option<&BTreeSet<Prefix>>) {
+        for r in 1..=DEFAULT_MAX_ROUNDS {
+            let changed = round(std::slice::from_mut(engine), shard);
+            assert_eq!(changed, reference_round(reference, |s| s.bgp_decide(shard)), "round {r}");
+            for (e, re) in engine.switches().iter().zip(reference.iter()) {
+                assert_eq!(e.loc_rib(), re.loc_rib(), "round {r}: {}", e.node);
+            }
+            check_round(engine.switches(), shard, false);
+            if !changed {
+                return;
+            }
+        }
+        panic!("no fix point in {DEFAULT_MAX_ROUNDS} rounds");
+    }
+
+    /// Unsharded, then two shards that split aggregates from some of
+    /// their contributors, then warm after failing every link of the
+    /// first node: the engine skips clean switches and unchanged bodies,
+    /// the reference does not, and no round may tell them apart.
+    #[test]
+    fn engine_matches_the_reference_round_by_round() {
+        for model in &test_nets() {
+            let mut engine = BgpRounds::new(fresh(model));
+            let mut reference = fresh(model);
             let all: BTreeSet<Prefix> =
-                switches.iter().flat_map(|s| s.originated_prefixes()).map(|(p, _)| p).collect();
+                reference.iter().flat_map(|s| s.originated_prefixes()).map(|(p, _)| p).collect();
             let halves: [BTreeSet<Prefix>; 2] =
                 [0, 1].map(|h| all.iter().skip(h).step_by(2).copied().collect());
             let shards = [None, Some(&halves[0]), Some(&halves[1])];
             for shard in shards {
-                converge_bgp(model, &mut switches, shard, DEFAULT_MAX_ROUNDS).unwrap();
-                drain_and_compare_deps(&mut switches);
+                engine.begin(shard);
+                reference.iter_mut().for_each(|s| s.begin_bgp(shard));
+                check_round(engine.switches(), shard, true);
+                lockstep(&mut engine, &mut reference, shard);
+                drain_and_compare_deps(engine.switches_mut());
+                drain_and_compare_deps(&mut reference);
             }
-            // Warm: fail every link of the first node and run the rounds
-            // on from the converged state, with no `begin_bgp` between.
-            let shard = shards[2];
             let node = NodeId(0);
-            let ifaces: Vec<_> =
-                model.topology.neighbors(node).iter().map(|(i, _, _)| *i).collect();
-            switches[0].set_failed_interfaces(model, ifaces);
+            let ports: Vec<_> =
+                model.topology.neighbors(node).iter().map(|(i, _, _)| (node, *i)).collect();
+            engine.fail_ports(model, &ports);
+            reference[0].set_failed_interfaces(model, ports.iter().map(|p| p.1));
             ORACLE_DEPS.with(|all| all.borrow_mut().iter_mut().for_each(BTreeSet::clear));
-            for _ in 0..DEFAULT_MAX_ROUNDS {
-                let mut deliveries: Vec<Vec<(u32, Arc<[BgpRoute]>)>> =
-                    vec![Vec::new(); switches.len()];
-                for s in &switches {
-                    for class in s.bgp_export() {
-                        for &si in &class.sessions {
-                            let session = &s.sessions[si];
-                            deliveries[session.peer_node.index()]
-                                .push((session.peer_session_index, class.routes.clone()));
-                        }
-                    }
-                }
-                let mut changed = false;
-                for (s, batch) in switches.iter_mut().zip(deliveries) {
-                    for (si, body) in batch {
-                        changed |= s.bgp_receive(si as usize, &body);
-                    }
-                    changed |= s.bgp_decide(shard);
-                }
-                check_round(&switches, shard, false);
-                if !changed {
-                    break;
-                }
+            lockstep(&mut engine, &mut reference, shards[2]);
+            // Only the reference: after a drain the engine re-observes a
+            // switch's aggregates at its next decide, and a warm round
+            // decides only the switches it perturbs.
+            drain_and_compare_deps(&mut reference);
+        }
+    }
+
+    /// The engine split over two node halves, the remote deliveries
+    /// carried across: the RIBs and the round count of the all-local run.
+    #[test]
+    fn split_fleet_equals_the_all_local_run() {
+        for model in &test_nets() {
+            let (local, stats) = run(model);
+            let (even, odd): (Vec<_>, Vec<_>) =
+                fresh(model).into_iter().partition(|s| s.node.index() % 2 == 0);
+            let mut fleet = [BgpRounds::new(even), BgpRounds::new(odd)];
+            fleet.iter_mut().for_each(|half| half.begin(None));
+            let rounds = (1..=DEFAULT_MAX_ROUNDS).find(|_| !round(&mut fleet, None));
+            assert_eq!(rounds, Some(stats.rounds));
+            let mut split: Vec<SwitchModel> =
+                fleet.into_iter().flat_map(BgpRounds::into_switches).collect();
+            split.sort_by_key(|s| s.node);
+            for (s, l) in split.iter().zip(&local) {
+                assert_eq!(s.loc_rib(), l.loc_rib(), "{}", s.node);
             }
-            drain_and_compare_deps(&mut switches);
         }
     }
 
@@ -472,13 +519,8 @@ mod tests {
     #[test]
     fn zero_round_budget_fails() {
         let model = line_with_aggregation();
-        let mut switches: Vec<SwitchModel> = model
-            .topology
-            .nodes()
-            .map(|n| SwitchModel::new(&model, n))
-            .collect();
         assert!(matches!(
-            converge_bgp(&model, &mut switches, None, 0),
+            converge_bgp(&mut fresh(&model), None, 0),
             Err(RoutingError::NotConverged { protocol: "bgp", .. })
         ));
     }

@@ -17,6 +17,8 @@
 //! * [`ospf`] — round-based IGP computation,
 //! * [`switch`] — the per-switch state machine (Adj-RIB-Ins, local RIB,
 //!   export/import/decide),
+//! * [`rounds`] — the BGP round engine: dirty-switch export, Adj-RIB-Out
+//!   suppression, local delivery, receive and decide,
 //! * [`fixpoint`] — Algorithm-1 rounds to convergence,
 //! * [`rib`] — the accumulated final RIBs.
 
@@ -28,11 +30,13 @@ pub mod model;
 pub mod ospf;
 pub mod policy_eval;
 pub mod rib;
+pub mod rounds;
 pub mod route;
 pub mod switch;
 
 pub use fixpoint::{converge_bgp, converge_ospf, BgpStats, RoutingError, DEFAULT_MAX_ROUNDS};
 pub use model::{BgpSession, NetworkModel, OspfAdj, SessionDiagnostic};
 pub use rib::{RibSnapshot, RibStore};
+pub use rounds::{BgpRounds, SwitchMap};
 pub use route::{BgpRoute, Origin, RibRoute, Via};
 pub use switch::{ExportClass, SwitchModel};

@@ -1122,6 +1122,11 @@ mod tests {
     fn converge_pair(sa: &mut SwitchModel, sb: &mut SwitchModel) {
         sa.begin_bgp(None);
         sb.begin_bgp(None);
+        rerun_pair(sa, sb);
+    }
+
+    /// Rounds between the pair, from its current state, until quiet.
+    fn rerun_pair(sa: &mut SwitchModel, sb: &mut SwitchModel) {
         for _ in 0..8 {
             let a_out = advert(sa, 0);
             let b_out = advert(sb, 0);
@@ -1229,17 +1234,7 @@ mod tests {
         sa.set_failed_interfaces(&model, [InterfaceId(0)]);
         sb.set_failed_interfaces(&model, [InterfaceId(0)]);
         // Re-run rounds *without* begin_bgp: the warm state withdraws.
-        for _ in 0..8 {
-            let a_out = advert(&sa, 0);
-            let b_out = advert(&sb, 0);
-            let mut changed = sb.bgp_receive(0, &a_out);
-            changed |= sa.bgp_receive(0, &b_out);
-            changed |= sa.bgp_decide(None);
-            changed |= sb.bgp_decide(None);
-            if !changed {
-                break;
-            }
-        }
+        rerun_pair(&mut sa, &mut sb);
         assert!(advert(&sa, 0).is_empty(), "failed session exports nothing");
         assert!(!sb.loc_rib().contains_key(&p), "peer withdrew the route");
         // The connected /31 left the base RIB on both sides.
@@ -1253,17 +1248,7 @@ mod tests {
         sa.set_failed_interfaces(&model, []);
         sb.set_failed_interfaces(&model, []);
         assert!(sa.failed_interfaces().is_empty());
-        for _ in 0..8 {
-            let a_out = advert(&sa, 0);
-            let b_out = advert(&sb, 0);
-            let mut changed = sb.bgp_receive(0, &a_out);
-            changed |= sa.bgp_receive(0, &b_out);
-            changed |= sa.bgp_decide(None);
-            changed |= sb.bgp_decide(None);
-            if !changed {
-                break;
-            }
-        }
+        rerun_pair(&mut sa, &mut sb);
         assert!(sb.loc_rib().contains_key(&p), "route relearned after repair");
     }
 
@@ -1490,21 +1475,7 @@ mod tests {
         }
         let (mut selections, mut full) = (0, 0);
         for _ in 0..64 {
-            let mut deliveries: Vec<Vec<(usize, Arc<[BgpRoute]>)>> = vec![Vec::new(); sw.len()];
-            for s in &sw {
-                for class in s.bgp_export() {
-                    for &si in &class.sessions {
-                        let session = &s.sessions[si];
-                        deliveries[session.peer_node.index()]
-                            .push((session.peer_session_index as usize, class.routes.clone()));
-                    }
-                }
-            }
-            let mut changed = false;
-            for (s, batch) in sw.iter_mut().zip(deliveries) {
-                for (si, body) in batch {
-                    changed |= s.bgp_receive(si, &body);
-                }
+            let changed = crate::fixpoint::tests::reference_round(&mut sw, |s| {
                 let dirty: BTreeSet<Prefix> = s.dirty.iter().copied().collect();
                 let covering = s
                     .cfg
@@ -1515,11 +1486,12 @@ mod tests {
                     .filter(|a| dirty.iter().any(|d| a.covers(*d)));
                 let expected = dirty.iter().copied().chain(covering).collect::<BTreeSet<_>>().len();
                 SELECTIONS.with(|n| n.set(0));
-                changed |= s.bgp_decide(None);
+                let changed = s.bgp_decide(None);
                 assert_eq!(SELECTIONS.with(std::cell::Cell::get), expected, "{}", s.node);
                 selections += expected;
                 full += oracle::decide(s, None).0.len();
-            }
+                changed
+            });
             if !changed {
                 assert!(
                     selections * 2 < full,

@@ -2071,7 +2071,7 @@ mod tests {
             .map(|n| s2_routing::SwitchModel::new(&model, n))
             .collect();
         s2_routing::converge_ospf(&model, &mut switches, 64).unwrap();
-        s2_routing::converge_bgp(&model, &mut switches, None, 64).unwrap();
+        s2_routing::converge_bgp(&mut switches, None, 64).unwrap();
         let mut ref_store = RibStore::new(4);
         for n in model.topology.nodes() {
             ref_store.insert_all(n, switches[n.index()].base_rib_routes());

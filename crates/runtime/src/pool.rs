@@ -4,8 +4,8 @@
 //! S2's fix-point rounds evaluate each switch independently within a
 //! round (§4: Jacobi-style two-phase rounds), so a worker that owns many
 //! switches can fan their evaluation out across threads. Determinism is
-//! preserved by construction: closures get an *index* into the worker's
-//! node-id-ordered switch list, and results are merged back in index
+//! preserved by construction: each thread takes a contiguous chunk of the
+//! worker's node-id-ordered items, and results are concatenated in chunk
 //! order before anything touches a RIB, a wire frame, or a BDD — the
 //! parallel path is byte-identical to the sequential one.
 //!
@@ -17,12 +17,11 @@
 //! and no wall-clock anywhere in this module.
 
 use s2_obs::{Counter, Registry};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use s2_routing::SwitchMap;
 use std::sync::{Arc, OnceLock};
 
-/// Registry counter for indices claimed off the shared counter by the
-/// parallel path (the pool's work-stealing volume). Cached so the hot
-/// path pays one `OnceLock` load, not a registry lookup.
+/// Registry counter for items the parallel path evaluated. Cached so the
+/// hot path pays one `OnceLock` load, not a registry lookup.
 fn tasks_claimed() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| Registry::global().counter("pool.tasks_claimed"))
@@ -34,17 +33,11 @@ fn parallel_calls() -> &'static Arc<Counter> {
     C.get_or_init(|| Registry::global().counter("pool.parallel_calls"))
 }
 
-/// A fixed-width evaluation pool. `threads == 1` (the default) is the
-/// strictly sequential path with zero thread overhead.
+/// A fixed-width evaluation pool. `threads == 1` is the strictly
+/// sequential path with zero thread overhead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalPool {
     threads: usize,
-}
-
-impl Default for EvalPool {
-    fn default() -> Self {
-        EvalPool { threads: 1 }
-    }
 }
 
 impl EvalPool {
@@ -61,80 +54,24 @@ impl EvalPool {
         self.threads
     }
 
-    /// Evaluates `f(0..len)` and returns the results in index order.
-    ///
-    /// With more than one thread, indices are claimed from a shared
-    /// atomic counter (work-stealing granularity of 1, which balances
-    /// well when per-switch cost varies) and the results are sorted back
-    /// into index order before returning — callers observe exactly the
-    /// sequential output.
-    ///
-    /// If a closure panics, the panic is resumed on the caller thread
-    /// after the scope unwinds, matching the sequential path's behavior.
-    pub fn map_indexed<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.threads == 1 || len <= 1 {
-            return (0..len).map(f).collect();
-        }
-        parallel_calls().inc();
-        tasks_claimed().add(len as u64);
-        let next = AtomicUsize::new(0);
-        let mut pairs: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads.min(len))
-                .map(|_| {
-                    let next = &next;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut acc = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= len {
-                                break;
-                            }
-                            acc.push((i, f(i)));
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(len);
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => all.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            all
-        });
-        // Deterministic merge: index order, regardless of which thread
-        // finished first.
-        pairs.sort_by_key(|(i, _)| *i);
-        pairs.into_iter().map(|(_, value)| value).collect()
-    }
+}
 
-    /// Runs `f(index, &mut item)` over every item, mutating in place, and
-    /// returns the per-item results in index order.
+/// The pool is the per-switch map of the BGP round engine and of the
+/// worker's OSPF phases.
+impl SwitchMap for EvalPool {
+    /// Runs `f` over every item, mutating in place, and returns the
+    /// per-item results in item order.
     ///
     /// The slice is split into contiguous chunks (one per thread), so
     /// each item is touched by exactly one thread and no locking is
     /// needed; chunk results are concatenated in chunk order, which *is*
-    /// index order.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
+    /// item order. If a closure panics, the panic is resumed on the
+    /// caller thread after the scope unwinds, matching the sequential
+    /// path's behavior.
+    fn map<T: Send, R: Send>(&self, items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R> {
         let len = items.len();
         if self.threads == 1 || len <= 1 {
-            return items
-                .iter_mut()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
+            return items.iter_mut().map(f).collect();
         }
         parallel_calls().inc();
         tasks_claimed().add(len as u64);
@@ -142,16 +79,9 @@ impl EvalPool {
         std::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .chunks_mut(chunk_len)
-                .enumerate()
-                .map(|(chunk_idx, chunk)| {
+                .map(|chunk| {
                     let f = &f;
-                    scope.spawn(move || {
-                        chunk
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(j, item)| f(chunk_idx * chunk_len + j, item))
-                            .collect::<Vec<R>>()
-                    })
+                    scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<R>>())
                 })
                 .collect();
             let mut out = Vec::with_capacity(len);
@@ -169,12 +99,17 @@ impl EvalPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// `f(0..len)` on `pool`, in index order.
+    fn map_range<R: Send>(pool: EvalPool, len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        pool.map(&mut (0..len).collect::<Vec<_>>(), |i| f(*i))
+    }
 
     #[test]
     fn sequential_pool_maps_in_order() {
         let pool = EvalPool::new(1);
-        assert_eq!(pool.map_indexed(4, |i| i * 10), vec![0, 10, 20, 30]);
+        assert_eq!(map_range(pool, 4, |i| i * 10), vec![0, 10, 20, 30]);
         assert_eq!(pool.threads(), 1);
     }
 
@@ -182,7 +117,7 @@ mod tests {
     fn zero_width_clamps_to_one() {
         let pool = EvalPool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.map_indexed(3, |i| i), vec![0, 1, 2]);
+        assert_eq!(map_range(pool, 3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -190,18 +125,18 @@ mod tests {
         let seq = EvalPool::new(1);
         let par = EvalPool::new(4);
         for len in [0usize, 1, 2, 3, 7, 64, 257] {
-            let expect = seq.map_indexed(len, |i| i * 3 + 1);
-            let got = par.map_indexed(len, |i| i * 3 + 1);
+            let expect = map_range(seq, len, |i| i * 3 + 1);
+            let got = map_range(par, len, |i| i * 3 + 1);
             assert_eq!(got, expect, "len {len}");
         }
     }
 
     #[test]
     fn parallel_map_uses_multiple_claims() {
-        // Every index is claimed exactly once even with contention.
+        // Every item is evaluated exactly once across the threads.
         let par = EvalPool::new(4);
         let hits = AtomicU64::new(0);
-        let out = par.map_indexed(100, |i| {
+        let out = map_range(par, 100, |i| {
             hits.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -214,9 +149,9 @@ mod tests {
         for threads in [1usize, 2, 4, 9] {
             let pool = EvalPool::new(threads);
             let mut items: Vec<u64> = (0..37).collect();
-            let results = pool.map_mut(&mut items, |i, item| {
+            let results = pool.map(&mut items, |item| {
                 *item += 1;
-                (i as u64) * 2
+                (*item - 1) * 2
             });
             assert_eq!(items, (1..38).collect::<Vec<u64>>(), "threads {threads}");
             assert_eq!(
@@ -231,16 +166,16 @@ mod tests {
     fn map_mut_handles_empty_and_tiny_slices() {
         let pool = EvalPool::new(8);
         let mut empty: Vec<u32> = Vec::new();
-        assert!(pool.map_mut(&mut empty, |_, _| 0u32).is_empty());
+        assert!(pool.map(&mut empty, |_| 0u32).is_empty());
         let mut one = vec![5u32];
-        assert_eq!(pool.map_mut(&mut one, |i, v| *v + i as u32), vec![5]);
+        assert_eq!(pool.map(&mut one, |v| *v), vec![5]);
     }
 
     #[test]
     fn uneven_work_still_merges_in_index_order() {
         // Vary per-item cost so threads finish out of order.
         let pool = EvalPool::new(3);
-        let out = pool.map_indexed(50, |i| {
+        let out = map_range(pool, 50, |i| {
             let spin = if i % 7 == 0 { 10_000 } else { 10 };
             let mut acc = i as u64;
             for k in 0..spin {

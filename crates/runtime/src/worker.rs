@@ -8,9 +8,10 @@
 //! * its private BDD manager and per-node predicates for the data plane,
 //! * a [`MemGauge`] modelling the logical server's heap.
 //!
-//! Rounds are two-phase (export, then apply) so the distributed schedule
-//! is the exact Jacobi schedule of the monolithic engine — which is what
-//! makes S2's RIBs bit-identical to the baseline's (§5.3).
+//! BGP rounds are steps of the same [`BgpRounds`] engine the monolithic
+//! baseline runs, with the local switches hosted and the remote
+//! deliveries carried by the sidecar: the exact Jacobi schedule of the
+//! baseline — which is what makes S2's RIBs bit-identical to it (§5.3).
 
 use crate::faults::FaultState;
 use crate::memstats::{MemGauge, MemReport};
@@ -27,7 +28,8 @@ use s2_dataplane::{
 };
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
-use s2_routing::{BgpRoute, ExportClass, NetworkModel, RibRoute, RibSnapshot, SwitchModel};
+use s2_routing::rounds::Delivery;
+use s2_routing::{BgpRounds, NetworkModel, RibRoute, RibSnapshot, SwitchMap, SwitchModel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -309,28 +311,6 @@ fn note_violation(sidecar: &Sidecar) {
 /// A staged OSPF delivery: (destination node, arriving interface, routes).
 type PendingOspf = (NodeId, s2_net::topology::InterfaceId, Vec<(Prefix, u32)>);
 
-/// An advertisement body, shared by every session of one export class
-/// (see [`SwitchModel::bgp_export`]) and by every target of one frame.
-type Body = Arc<[BgpRoute]>;
-
-/// A BGP delivery: (target node, target session, body).
-type BgpDelivery = (NodeId, u32, Body);
-
-/// An Adj-RIB-Out entry: the body last sent on a session and the route
-/// bytes it holds, summed once when the body was built.
-#[derive(Clone)]
-struct Sent {
-    body: Body,
-    bytes: usize,
-}
-
-/// A restorable snapshot of the worker's converged control-plane state
-/// (resilience sweeps restore this between failure scenarios).
-struct Checkpoint {
-    switches: BTreeMap<NodeId, SwitchModel>,
-    last_adv: BTreeMap<(NodeId, usize), Sent>,
-}
-
 /// The baseline data-plane verdict material, stashed at
 /// `ScenarioCheckpoint` from the finals of the preceding full-space
 /// pass. Destination-scoped passes splice against it: outside each
@@ -351,32 +331,12 @@ pub struct Worker {
     sidecar: Sidecar,
     faults: Arc<FaultState>,
     model: Arc<NetworkModel>,
-    local_nodes: Vec<NodeId>,
-    switches: BTreeMap<NodeId, SwitchModel>,
+    /// The local switches and their BGP round state (Adj-RIB-Out, dirty
+    /// marks, staged same-worker deliveries).
+    bgp: BgpRounds,
     shard: Option<Arc<BTreeSet<Prefix>>>,
     gauge: MemGauge,
     memory_budget: Option<usize>,
-    // Same-worker deliveries staged during export, applied in the apply
-    // phase (keeping the Jacobi schedule).
-    pending_bgp: Vec<BgpDelivery>,
-    /// Adj-RIB-Out: the last advertisement sent per (node, session); the
-    /// sessions of one export class hold one shared body. Unchanged
-    /// advertisements are not re-sent — the incremental-update behaviour
-    /// of real BGP, and what keeps cross-worker traffic proportional to
-    /// convergence activity rather than round count.
-    last_adv: BTreeMap<(NodeId, usize), Sent>,
-    /// Switches whose local RIB changed since their last `bgp_export`
-    /// (plus everyone after a reset or resync). `bgp_export` is a pure
-    /// function of the switch, so a switch outside this set would
-    /// recompute advertisements identical to `last_adv` — skipping it is
-    /// behaviour-preserving and keeps warm-replay rounds proportional to
-    /// the convergence frontier, not the topology.
-    export_dirty: BTreeSet<NodeId>,
-    /// Switches that must rerun `bgp_decide` on the next apply even
-    /// without fresh deliveries (after a reset). `bgp_decide` is a pure
-    /// function of local routes + Adj-RIB-Ins, so a switch with neither
-    /// deliveries nor this mark would decide into the same RIB.
-    decide_dirty: BTreeSet<NodeId>,
     pending_ospf: Vec<PendingOspf>,
     // Data plane.
     space: PacketSpace,
@@ -391,7 +351,7 @@ pub struct Worker {
     /// scopes; a `DpCompile` (full-space pass) compiles it whole.
     pending_patch: Option<(Arc<RibSnapshot>, Arc<Vec<NodeId>>)>,
     /// Control-plane snapshot for scenario restore.
-    checkpoint: Option<Checkpoint>,
+    checkpoint: Option<BgpRounds>,
     /// The RIB snapshot the data plane was compiled from — the "old"
     /// side of the next `DpPatch`'s per-prefix diff.
     dp_rib: Option<Arc<RibSnapshot>>,
@@ -419,25 +379,9 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Builds the worker's state: one switch model per local node.
-    pub fn new(
-        sidecar: Sidecar,
-        model: Arc<NetworkModel>,
-        local_nodes: Vec<NodeId>,
-        memory_budget: Option<usize>,
-    ) -> Self {
-        Self::with_faults(
-            sidecar,
-            model,
-            local_nodes,
-            memory_budget,
-            Arc::new(FaultState::default()),
-            1,
-        )
-    }
-
-    /// [`Worker::new`] with an armed fault plan (shared cluster-wide) and
-    /// an intra-worker thread count (1 = today's sequential behavior).
+    /// Builds the worker's state: one switch model per local node, an
+    /// armed fault plan (shared cluster-wide) and an intra-worker thread
+    /// count (1 = sequential).
     pub fn with_faults(
         sidecar: Sidecar,
         model: Arc<NetworkModel>,
@@ -446,44 +390,30 @@ impl Worker {
         faults: Arc<FaultState>,
         intra_worker_threads: usize,
     ) -> Self {
-        let mut switches: BTreeMap<NodeId, SwitchModel> = local_nodes
-            .iter()
-            .map(|&n| (n, SwitchModel::new(&model, n)))
-            .collect();
+        let mut bgp =
+            BgpRounds::new(local_nodes.iter().map(|&n| SwitchModel::new(&model, n)).collect());
         // Model-level link failures from the fault plan apply from
         // construction on: the control plane converges around them.
         let fail_links = faults.plan().failed_links();
-        if !fail_links.is_empty() {
-            let mut by_node: BTreeMap<NodeId, Vec<InterfaceId>> = BTreeMap::new();
-            for link in model.topology.links() {
+        let failed: Vec<(NodeId, InterfaceId)> = model
+            .topology
+            .links()
+            .iter()
+            .filter(|link| {
                 let ends = (link.a.0, link.b.0);
-                if fail_links
-                    .iter()
-                    .any(|&(a, b)| ends == (a, b) || ends == (b, a))
-                {
-                    by_node.entry(link.a.0).or_default().push(link.a.1);
-                    by_node.entry(link.b.0).or_default().push(link.b.1);
-                }
-            }
-            for (n, ifaces) in by_node {
-                if let Some(sw) = switches.get_mut(&n) {
-                    sw.set_failed_interfaces(&model, ifaces);
-                }
-            }
-        }
+                fail_links.iter().any(|&(a, b)| ends == (a, b) || ends == (b, a))
+            })
+            .flat_map(|link| [link.a, link.b])
+            .collect();
+        bgp.fail_ports(&model, &failed);
         Worker {
             sidecar,
             faults,
             model,
-            local_nodes,
-            switches,
+            bgp,
             shard: None,
             gauge: MemGauge::new(),
             memory_budget,
-            pending_bgp: Vec::new(),
-            last_adv: BTreeMap::new(),
-            export_dirty: BTreeSet::new(),
-            decide_dirty: BTreeSet::new(),
             pending_ospf: Vec::new(),
             space: PacketSpace::new(0),
             manager: None,
@@ -549,43 +479,23 @@ impl Worker {
             Command::OspfApply => Reply::Changed(self.ospf_apply()),
             Command::BgpBegin { shard } => {
                 self.shard = shard;
-                for s in self.switches.values_mut() {
-                    s.begin_bgp(self.shard.as_deref());
-                }
-                self.pending_bgp.clear();
-                self.last_adv.clear();
-                // Cold start: everyone re-originates, everyone decides.
-                self.export_dirty.extend(self.local_nodes.iter().copied());
-                self.decide_dirty.extend(self.local_nodes.iter().copied());
+                self.bgp.begin(self.shard.as_deref());
                 self.update_gauge();
                 Reply::Ok
             }
             Command::BgpExport => {
-                self.bgp_export();
+                self.bgp_send();
                 Reply::Ok
             }
             Command::BgpApply => {
                 let changed = self.bgp_apply();
-                self.update_gauge();
-                if self.gauge.over_budget(self.memory_budget) {
-                    return Reply::OutOfMemory {
-                        budget: self.memory_budget.unwrap_or(0),
-                        observed: self.gauge.current(),
-                    };
-                }
-                Reply::Changed(changed)
+                self.charged(Reply::Changed(changed))
             }
             Command::CollectBaseRib => Reply::Rib(
-                self.local_nodes
-                    .iter()
-                    .map(|&n| (n, self.switches[&n].base_rib_routes()))
-                    .collect(),
+                self.bgp.switches().iter().map(|s| (s.node, s.base_rib_routes())).collect(),
             ),
             Command::CollectBgpRib => Reply::Rib(
-                self.local_nodes
-                    .iter()
-                    .map(|&n| (n, self.switches[&n].bgp_rib_routes()))
-                    .collect(),
+                self.bgp.switches().iter().map(|s| (s.node, s.bgp_rib_routes())).collect(),
             ),
             Command::DpSetup {
                 rib,
@@ -609,17 +519,10 @@ impl Worker {
                     return Reply::Violation("ForwardRound before DpSetup".to_string());
                 }
                 let (processed, sent_remote) = self.forward_round();
-                self.update_gauge();
-                if self.gauge.over_budget(self.memory_budget) {
-                    return Reply::OutOfMemory {
-                        budget: self.memory_budget.unwrap_or(0),
-                        observed: self.gauge.current(),
-                    };
-                }
-                Reply::Forwarded {
+                self.charged(Reply::Forwarded {
                     processed,
                     sent_remote,
-                }
+                })
             }
             Command::CheckArrivals {
                 sources,
@@ -631,7 +534,7 @@ impl Worker {
                 let mut all = Vec::new();
                 let mut aggregates = Vec::new();
                 let mut deps = Vec::new();
-                for sw in self.switches.values() {
+                for sw in self.bgp.switches() {
                     for (p, proto) in sw.originated_prefixes() {
                         all.push(p);
                         if proto == s2_net::policy::Protocol::Aggregate {
@@ -648,7 +551,7 @@ impl Worker {
             }
             Command::CollectObservedDeps => {
                 let mut deps = Vec::new();
-                for sw in self.switches.values_mut() {
+                for sw in self.bgp.switches_mut() {
                     deps.extend(sw.take_observed_deps());
                 }
                 Reply::Deps(deps)
@@ -660,21 +563,15 @@ impl Worker {
                 // Staged same-worker deliveries belong to the aborted
                 // round; the recovery rerun regenerates them.
                 self.pending_ospf.clear();
-                self.pending_bgp.clear();
+                self.bgp.drop_staged();
                 Reply::Ok
             }
             Command::BgpResync => {
-                self.last_adv.clear();
-                // Every advertisement must be re-sent, so every switch
-                // must re-export.
-                self.export_dirty.extend(self.local_nodes.iter().copied());
+                self.bgp.resync();
                 Reply::Ok
             }
             Command::ScenarioCheckpoint => {
-                self.checkpoint = Some(Checkpoint {
-                    switches: self.switches.clone(),
-                    last_adv: self.last_adv.clone(),
-                });
+                self.checkpoint = Some(self.bgp.clone());
                 // The finals of the preceding full-space pass are the
                 // splice baseline for destination-scoped scenario
                 // passes. Without a data plane (or a prior pass) there
@@ -685,33 +582,19 @@ impl Worker {
                 Reply::Ok
             }
             Command::ScenarioBegin { failed, restore } => {
-                if self.checkpoint.is_none() {
+                let Some(checkpoint) = self.checkpoint.as_ref() else {
                     return Reply::Violation("ScenarioBegin before ScenarioCheckpoint".to_string());
-                }
+                };
                 if restore {
-                    self.restore_checkpoint();
+                    self.bgp.restore(checkpoint);
                 } else {
                     // The live state already equals the checkpoint; only
-                    // the staged-delivery scratch needs the same reset
-                    // `restore_checkpoint` would have applied.
-                    self.pending_bgp.clear();
-                    self.export_dirty.clear();
-                    self.decide_dirty.clear();
+                    // the round state needs the reset a restore applies.
+                    self.bgp.settle();
                 }
-                let mut by_node: BTreeMap<NodeId, Vec<InterfaceId>> = BTreeMap::new();
-                for &(n, i) in failed.iter() {
-                    by_node.entry(n).or_default().push(i);
-                }
-                let model = self.model.clone();
-                for (n, ifaces) in by_node {
-                    if let Some(sw) = self.switches.get_mut(&n) {
-                        sw.set_failed_interfaces(&model, ifaces);
-                        // Sessions on the failed ports now export empty
-                        // advertisements — only these switches' exports
-                        // change until withdrawals propagate.
-                        self.export_dirty.insert(n);
-                    }
-                }
+                // Only these switches' exports change until withdrawals
+                // propagate.
+                self.bgp.fail_ports(&self.model, &failed);
                 self.update_gauge();
                 Reply::Ok
             }
@@ -721,7 +604,9 @@ impl Worker {
                 // switches — but the forwarding overlays must still be
                 // cleared so the recovery re-warm starts clean on a
                 // mixed fleet of survivors and replacements.
-                let _ = self.restore_checkpoint();
+                if let Some(checkpoint) = self.checkpoint.as_ref() {
+                    self.bgp.restore(checkpoint);
+                }
                 self.scenario_preds.clear();
                 self.pending_patch = None;
                 self.scopes = None;
@@ -782,19 +667,12 @@ impl Worker {
                 self.fwd_opts.failed_ports = failed_ports.iter().copied().collect();
                 self.level.clear();
                 self.finals.clear();
-                self.update_gauge();
-                if self.gauge.over_budget(self.memory_budget) {
-                    return Reply::OutOfMemory {
-                        budget: self.memory_budget.unwrap_or(0),
-                        observed: self.gauge.current(),
-                    };
-                }
-                Reply::ChangedDst(
+                self.charged(Reply::ChangedDst(
                     changed_dst
                         .into_iter()
                         .map(|(n, ps)| (n, ps.into_iter().collect()))
                         .collect(),
-                )
+                ))
             }
             Command::DpScope { scopes } => {
                 let filter: BTreeSet<Prefix> =
@@ -843,36 +721,15 @@ impl Worker {
 
     // ---- control plane ----
 
-    /// Restores the scenario checkpoint (switch models + Adj-RIB-Out
-    /// cache), discarding staged deliveries of the aborted round. The
-    /// checkpoint itself is kept. Returns false when none exists.
-    fn restore_checkpoint(&mut self) -> bool {
-        let Some(cp) = self.checkpoint.as_ref() else {
-            return false;
-        };
-        self.switches = cp.switches.clone();
-        self.last_adv = cp.last_adv.clone();
-        self.pending_bgp.clear();
-        // The restored pair is converged: nothing to export or decide
-        // until a scenario perturbs it.
-        self.export_dirty.clear();
-        self.decide_dirty.clear();
-        true
-    }
-
     fn ospf_export(&mut self) {
         // Phase 1 (parallel): per-switch export is read-only on the
         // switch models, so independent switches compute concurrently.
-        let exports: Vec<Vec<(Prefix, u32)>> = {
-            let nodes = &self.local_nodes;
-            let switches = &self.switches;
-            self.pool.map_indexed(nodes.len(), |i| {
-                switches[&nodes[i]].ospf.export().into_iter().collect()
-            })
-        };
+        let mut switches: Vec<&SwitchModel> = self.bgp.switches().iter().collect();
+        let exports: Vec<Vec<(Prefix, u32)>> =
+            self.pool.map(&mut switches, |s| s.ospf.export().into_iter().collect());
         // Phase 2 (sequential, node-id order): staging and wire sends —
         // identical frame order to the sequential path.
-        for (&node, entries) in self.local_nodes.iter().zip(exports) {
+        for (node, entries) in switches.iter().map(|s| s.node).zip(exports) {
             for adj in &self.model.ospf_adj[node.index()] {
                 // The receiver applies its own interface cost; it finds the
                 // adjacency by its receiving interface.
@@ -926,7 +783,7 @@ impl Worker {
                 .and_then(|adjs| adjs.iter().find(|a| a.local_if == via_iface))
                 .map(|a| a.cost);
             let adv: BTreeMap<Prefix, u32> = entries.into_iter().collect();
-            match (cost, self.switches.contains_key(&node)) {
+            match (cost, self.bgp.switch(node).is_some()) {
                 (Some(cost), true) => {
                     grouped.entry(node).or_default().push((adv, cost, via_iface));
                 }
@@ -937,15 +794,15 @@ impl Worker {
         // OR-folded, so thread scheduling cannot affect the result.
         let pool = self.pool;
         let grouped = &grouped;
-        let mut targets: Vec<(NodeId, &mut SwitchModel)> = self
-            .switches
+        let mut targets: Vec<&mut SwitchModel> = self
+            .bgp
+            .switches_mut()
             .iter_mut()
-            .filter(|(n, _)| grouped.contains_key(n))
-            .map(|(&n, sw)| (n, sw))
+            .filter(|sw| grouped.contains_key(&sw.node))
             .collect();
-        let flags = pool.map_mut(&mut targets, |_, (node, sw)| {
+        let flags = pool.map(&mut targets, |sw| {
             let mut local_changed = false;
-            if let Some(batch) = grouped.get(node) {
+            if let Some(batch) = grouped.get(&sw.node) {
                 for (adv, cost, via_iface) in batch {
                     local_changed |= sw.ospf.receive(adv, *cost, *via_iface);
                 }
@@ -956,154 +813,52 @@ impl Worker {
         changed
     }
 
-    fn bgp_export(&mut self) {
-        // Only switches whose state changed since their last export can
-        // produce a different advertisement (`bgp_export` is pure in the
-        // switch) — everyone else would be suppressed by the Adj-RIB-Out
-        // compare below, so they are not even evaluated. The set is
-        // sorted, preserving the node-id wire order of the full scan.
-        let dirty: Vec<NodeId> = std::mem::take(&mut self.export_dirty).into_iter().collect();
-        // Phase 1 (parallel): export policy evaluation, once per export
-        // class, is read-only on the switch models — the expensive part
-        // of the phase — so independent switches compute concurrently.
-        let exports: Vec<Vec<ExportClass>> = {
-            let nodes = &dirty;
-            let switches = &self.switches;
-            self.pool.map_indexed(nodes.len(), |i| switches[&nodes[i]].bgp_export())
-        };
-        // Phase 2 (sequential, node-id then first-session order):
-        // Adj-RIB-Out compare, staging and wire sends — identical frame
-        // order and identical incremental-update decisions at any pool
-        // width.
-        for (&node, classes) in dirty.iter().zip(exports) {
-            let sw = &self.switches[&node];
-            for ExportClass { sessions, routes } in classes {
-                let bytes = routes.iter().map(BgpRoute::approx_bytes).sum();
-                // Incremental updates: an advertisement identical to the
-                // previous round's carries no information (the receiver's
-                // replace-compare would be a no-op) and is not re-sent.
-                // Members mostly share their previous body too, so each
-                // distinct previous body is compared once.
-                let mut compared: Vec<(Body, bool)> = Vec::new();
-                let mut remote: BTreeMap<WorkerId, Vec<(NodeId, u32)>> = BTreeMap::new();
-                for si in sessions {
-                    let unchanged = self.last_adv.get(&(node, si)).is_some_and(|prev| {
-                        match compared.iter().find(|(body, _)| Arc::ptr_eq(body, &prev.body)) {
-                            Some(&(_, same)) => same,
-                            None => {
-                                let same = *prev.body == *routes;
-                                compared.push((prev.body.clone(), same));
-                                same
-                            }
-                        }
-                    });
-                    let sent = Sent {
-                        body: routes.clone(),
-                        bytes,
-                    };
-                    self.last_adv.insert((node, si), sent);
-                    if unchanged {
-                        continue;
-                    }
-                    let Some(session) = sw.sessions.get(si) else {
-                        continue; // unreachable: classes partition the sessions
-                    };
-                    let (peer, peer_session) = (session.peer_node, session.peer_session_index);
-                    if self.sidecar.is_local(peer) {
-                        self.pending_bgp.push((peer, peer_session, routes.clone()));
-                    } else {
-                        let owner = self.sidecar.net().owner(peer);
-                        remote.entry(owner).or_default().push((peer, peer_session));
-                    }
-                }
-                // One frame per destination worker, listing its targets.
-                for targets in remote.into_values() {
-                    #[cfg(test)]
-                    tests::BGP_FRAMES.with(|n| n.set(n.get() + 1));
-                    let first = targets[0].0;
-                    self.sidecar.send(
-                        first,
-                        &Message::BgpClassAdvertisement {
-                            targets,
-                            routes: routes.clone(),
-                        },
-                    );
-                }
+    /// The export half of a BGP round: each class body with remote
+    /// targets goes out as one frame per destination worker.
+    fn bgp_send(&mut self) {
+        let sidecar = &self.sidecar;
+        self.bgp.export(&self.pool, |routes, targets| {
+            let mut remote: BTreeMap<WorkerId, Vec<(NodeId, u32)>> = BTreeMap::new();
+            for &(peer, session) in targets {
+                remote.entry(sidecar.net().owner(peer)).or_default().push((peer, session));
             }
-        }
+            for targets in remote.into_values() {
+                #[cfg(test)]
+                tests::BGP_FRAMES.with(|n| n.set(n.get() + 1));
+                let first = targets[0].0;
+                let routes = routes.clone();
+                sidecar.send(first, &Message::BgpClassAdvertisement { targets, routes });
+            }
+        });
     }
 
+    /// The receive half: the drained frames' deliveries, each checked
+    /// for a local target node and an in-range session.
     fn bgp_apply(&mut self) -> bool {
-        let mut changed = false;
-        let mut deliveries = std::mem::take(&mut self.pending_bgp);
+        let mut deliveries: Vec<Delivery> = Vec::new();
         for msg in self.sidecar.drain() {
             match msg {
                 // Decoded once; every target shares the body.
                 Message::BgpClassAdvertisement { targets, routes } => deliveries.extend(
-                    targets
-                        .into_iter()
-                        .map(|(node, session)| (node, session, routes.clone())),
+                    targets.into_iter().map(|(node, session)| (node, session, routes.clone())),
                 ),
-                Message::BgpAdvertisement {
-                    target_node,
-                    target_session,
-                    routes,
-                } => deliveries.push((target_node, target_session, routes.into())),
+                Message::BgpAdvertisement { target_node: node, target_session, routes } => {
+                    deliveries.push((node, target_session, routes.into()))
+                }
                 _ => {}
             }
         }
-        // Validate and group per target node (arrival order preserved
-        // within a node — replace-compare semantics make per-node order
-        // the only order that matters).
-        let mut grouped: BTreeMap<NodeId, Vec<(usize, Body)>> = BTreeMap::new();
-        for (node, session, routes) in deliveries {
-            // Both the target node and the session index come off the
-            // wire; a non-local node or out-of-range session is a peer
-            // protocol violation, not a reason to panic.
-            match self.switches.get(&node) {
-                Some(sw) if (session as usize) < sw.sessions.len() => {
-                    grouped.entry(node).or_default().push((session as usize, routes));
-                }
-                _ => note_violation(&self.sidecar),
+        // Both the target node and the session index come off the wire;
+        // a non-local node or out-of-range session is a peer protocol
+        // violation, not a reason to panic.
+        deliveries.retain(|&(node, session, _)| {
+            let valid = self.bgp.switch(node).is_some_and(|s| (session as usize) < s.sessions.len());
+            if !valid {
+                note_violation(&self.sidecar);
             }
-        }
-        // Only switches with fresh deliveries (or a pending reset mark)
-        // can decide into a different RIB — `bgp_decide` is pure in the
-        // local routes and Adj-RIB-Ins — so the others are skipped
-        // entirely. Switches whose decision changed are marked for
-        // re-export.
-        let mut decide_nodes = std::mem::take(&mut self.decide_dirty);
-        decide_nodes.extend(grouped.keys().copied());
-        // Parallel receive + decide: a switch's best-path selection reads
-        // only its own Adj-RIB-Ins, so fusing its receives with its
-        // decision keeps the exact Jacobi schedule while letting
-        // independent switches run concurrently.
-        let pool = self.pool;
-        let grouped = &grouped;
-        let shard = self.shard.clone();
-        let mut targets: Vec<(NodeId, &mut SwitchModel)> = self
-            .switches
-            .iter_mut()
-            .filter(|(n, _)| decide_nodes.contains(n))
-            .map(|(&n, sw)| (n, sw))
-            .collect();
-        let flags = pool.map_mut(&mut targets, |_, (node, sw)| {
-            let mut local_changed = false;
-            if let Some(batch) = grouped.get(node) {
-                for (si, routes) in batch {
-                    local_changed |= sw.bgp_receive(*si, routes);
-                }
-            }
-            let decided = sw.bgp_decide(shard.as_deref());
-            (local_changed | decided, decided)
+            valid
         });
-        for ((node, _), (any, decided)) in targets.iter().zip(&flags) {
-            changed |= any;
-            if *decided {
-                self.export_dirty.insert(*node);
-            }
-        }
-        changed
+        self.bgp.receive_and_decide(&self.pool, deliveries, self.shard.as_deref())
     }
 
     // ---- data plane ----
@@ -1118,12 +873,13 @@ impl Worker {
         self.space = PacketSpace::new(meta_bits);
         let mut manager = self.space.manager();
         self.preds = self
-            .local_nodes
+            .bgp
+            .switches()
             .iter()
-            .map(|&n| {
-                let fib = Fib::from_rib(rib.node(n));
-                let p = NodePredicates::compile(&self.model, n, &fib, &self.space, &mut manager);
-                (n, p)
+            .map(|s| {
+                let fib = Fib::from_rib(rib.node(s.node));
+                let p = NodePredicates::compile(&self.model, s.node, &fib, &self.space, &mut manager);
+                (s.node, p)
             })
             .collect();
         self.manager = Some(manager);
@@ -1204,14 +960,7 @@ impl Worker {
             let p = NodePredicates::compile(&self.model, n, &fib, &self.space, manager);
             self.scenario_preds.insert(n, p);
         }
-        self.update_gauge();
-        if self.gauge.over_budget(self.memory_budget) {
-            return Reply::OutOfMemory {
-                budget: self.memory_budget.unwrap_or(0),
-                observed: self.gauge.current(),
-            };
-        }
-        Reply::Ok
+        self.charged(Reply::Ok)
     }
 
     /// Installs per-source destination scopes for the next scoped drive.
@@ -1562,24 +1311,22 @@ impl Worker {
 
     // ---- bookkeeping ----
 
-    /// Route bytes charged to `node`: its switch's Adj-RIB-Ins and local
-    /// RIB plus its Adj-RIB-Out, where each distinct body counts once —
-    /// the memory the worker holds, since class members share it. Both
-    /// halves are kept as running sums, so this costs O(sessions).
-    fn node_route_bytes(&self, node: NodeId) -> usize {
-        let switch = self.switches.get(&node).map_or(0, SwitchModel::approx_bgp_bytes);
-        let mut bodies: Vec<&Sent> = Vec::new();
-        for sent in self.last_adv.range((node, 0)..=(node, usize::MAX)).map(|(_, s)| s) {
-            if !bodies.iter().any(|seen| Arc::ptr_eq(&seen.body, &sent.body)) {
-                bodies.push(sent);
-            }
-        }
-        switch + bodies.iter().map(|s| s.bytes).sum::<usize>()
+    /// Route bytes held by this worker: its switches' Adj-RIB-Ins and
+    /// local RIBs plus its Adj-RIB-Out, each distinct body once.
+    fn route_bytes(&self) -> usize {
+        self.bgp.switch_bytes() + self.bgp.adj_out_bytes()
     }
 
-    /// Route bytes held by this worker.
-    fn route_bytes(&self) -> usize {
-        self.switches.keys().map(|&n| self.node_route_bytes(n)).sum()
+    /// Updates the gauge; `ok` unless that puts the worker over budget.
+    fn charged(&mut self, ok: Reply) -> Reply {
+        self.update_gauge();
+        if self.gauge.over_budget(self.memory_budget) {
+            return Reply::OutOfMemory {
+                budget: self.memory_budget.unwrap_or(0),
+                observed: self.gauge.current(),
+            };
+        }
+        ok
     }
 
     fn update_gauge(&mut self) {
@@ -1632,11 +1379,13 @@ mod tests {
     use s2_net::policy::Protocol;
     use s2_net::topology::Topology;
     use s2_net::Ipv4Addr;
+    use s2_routing::rounds::Body;
+    use s2_routing::BgpRoute;
 
     thread_local! {
         /// BDD serializations performed by `forward_round` on this thread.
         pub(super) static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-        /// BGP frames `bgp_export` encoded and sent on this thread.
+        /// BGP frames `bgp_send` encoded and sent on this thread.
         pub(super) static BGP_FRAMES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
@@ -1675,7 +1424,8 @@ mod tests {
         owners[0] = 0;
         let (net, mut inboxes) = SidecarNet::build(owners, 2);
         let mut leaves = Sidecar::new(1, net.clone(), inboxes.remove(1));
-        let mut worker = Worker::new(Sidecar::new(0, net, inboxes.remove(0)), model, vec![hub], None);
+        let sidecar = Sidecar::new(0, net, inboxes.remove(0));
+        let mut worker = Worker::with_faults(sidecar, model, vec![hub], None, Arc::default(), 1);
         worker.dp_setup(Arc::new(RibSnapshot { per_node }), 0, &BTreeMap::new(), 0);
         worker.inject(&[(hub, "10.9.0.0/16".parse().unwrap())]);
 
@@ -1706,7 +1456,8 @@ mod tests {
             .enumerate()
             .map(|(w, inbox)| {
                 let nodes = model.topology.nodes().filter(|n| owners[n.index()] == w as u32).collect();
-                Worker::new(Sidecar::new(w as u32, net.clone(), inbox), model.clone(), nodes, None)
+                let sidecar = Sidecar::new(w as u32, net.clone(), inbox);
+                Worker::with_faults(sidecar, model.clone(), nodes, None, Arc::default(), 1)
             })
             .collect()
     }
@@ -1714,16 +1465,16 @@ mod tests {
     /// The distinct (node, class, destination worker) triples `w`'s next
     /// `BgpExport` has something new for.
     fn class_triples(w: &Worker) -> BTreeSet<(NodeId, usize, WorkerId)> {
+        let sent: BTreeMap<(NodeId, usize), &Body> =
+            w.bgp.adj_out().map(|(node, si, body)| ((node, si), body)).collect();
         let mut triples = BTreeSet::new();
-        for &node in &w.export_dirty {
-            let sw = &w.switches[&node];
+        for sw in w.bgp.export_due() {
             for (c, class) in sw.bgp_export().iter().enumerate() {
                 for &si in &class.sessions {
                     let peer = sw.sessions[si].peer_node;
-                    let unchanged =
-                        w.last_adv.get(&(node, si)).is_some_and(|prev| *prev.body == *class.routes);
+                    let unchanged = sent.get(&(sw.node, si)).is_some_and(|prev| ***prev == *class.routes);
                     if !w.sidecar.is_local(peer) && !unchanged {
-                        triples.insert((node, c, w.sidecar.net().owner(peer)));
+                        triples.insert((sw.node, c, w.sidecar.net().owner(peer)));
                     }
                 }
             }
@@ -1742,9 +1493,9 @@ mod tests {
             for w in &mut fleet {
                 let expected = class_triples(w).len();
                 remote_sessions += w
-                    .export_dirty
-                    .iter()
-                    .flat_map(|n| &w.switches[n].sessions)
+                    .bgp
+                    .export_due()
+                    .flat_map(|sw| &sw.sessions)
                     .filter(|s| !w.sidecar.is_local(s.peer_node))
                     .count();
                 BGP_FRAMES.with(|n| n.set(0));
@@ -1771,9 +1522,9 @@ mod tests {
     fn class_frame_counts_each_bad_target_and_delivers_the_rest() {
         let mut fleet = fattree_fleet(4);
         let (sender, receiver) = (&fleet[0], &fleet[1]);
-        let local = receiver.local_nodes[0];
-        let remote = sender.local_nodes[0];
-        let sessions = receiver.switches[&local].sessions.len() as u32;
+        let local = receiver.bgp.switches()[0].node;
+        let remote = sender.bgp.switches()[0].node;
+        let sessions = receiver.bgp.switch(local).unwrap().sessions.len() as u32;
         let p: Prefix = "10.99.0.0/24".parse().unwrap();
         let route = BgpRoute {
             as_path: vec![1],
@@ -1795,16 +1546,16 @@ mod tests {
         let stats = fleet[1].sidecar.net().stats().full_snapshot();
         assert_eq!(stats.protocol_violations, 3);
         assert_eq!(stats.wire_errors, 0);
-        assert!(fleet[1].switches[&local].loc_rib().contains_key(&p), "the valid target got it");
+        assert!(fleet[1].bgp.switch(local).unwrap().loc_rib().contains_key(&p), "the valid target got it");
     }
 
     /// The route bytes a walk of every Adj-RIB-Out body finds, each
     /// distinct body once (the switches' own running sums are checked
     /// against a walk in `s2_routing`).
     fn walked_route_bytes(w: &Worker) -> usize {
-        let switches: usize = w.switches.values().map(SwitchModel::approx_bgp_bytes).sum();
+        let switches: usize = w.bgp.switches().iter().map(SwitchModel::approx_bgp_bytes).sum();
         let mut bodies: Vec<&Body> = Vec::new();
-        for body in w.last_adv.values().map(|s| &s.body) {
+        for (_, _, body) in w.bgp.adj_out() {
             if !bodies.iter().any(|seen| Arc::ptr_eq(seen, body)) {
                 bodies.push(body);
             }
