@@ -38,6 +38,48 @@ impl BddManager {
         acc
     }
 
+    /// Longest-prefix-match classes of the 32-bit address field starting
+    /// at `offset`: for every class, the BDD of the addresses whose most
+    /// specific covering prefix in `prefixes` carries that class, and of
+    /// the addresses no prefix covers for `default`. Classes that end up
+    /// with no address are left out; the rest come back sorted by class.
+    ///
+    /// `prefixes` are `(addr, len, class)` triples with host bits zero, in
+    /// trie pre-order: a prefix before everything it covers, the 0-branch
+    /// before the 1-branch — ascending `(addr, len)`, no prefix twice.
+    ///
+    /// One recursive walk over the implied binary trie builds every result
+    /// bottom-up: a subtree holding no prefix is its inherited class over
+    /// TRUE, and an inner node at depth `d` merges its children's
+    /// class-sorted lists into one `mk(offset + d, lo, hi)` per class. So
+    /// no intermediate BDD is built and the manager gains only nodes of
+    /// the results.
+    pub fn encode_prefix_classes<C: Copy + Ord>(
+        &mut self,
+        offset: u16,
+        default: C,
+        prefixes: &[(u32, u8, C)],
+    ) -> Vec<(C, Bdd)> {
+        debug_assert!(
+            prefixes.iter().all(|&(addr, len, _)| len <= 32 && addr & !high_bits(len) == 0),
+            "prefixes must be /0 to /32 with host bits zero"
+        );
+        debug_assert!(
+            prefixes.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "prefixes must be distinct and in trie pre-order"
+        );
+        let mut walk = ClassWalk {
+            manager: self,
+            offset,
+            prefixes,
+            next: 0,
+            lists: Vec::new(),
+            merged: Vec::new(),
+        };
+        walk.subtree(0, 0, default);
+        walk.lists.into_iter().map(|(class, node)| (class, Bdd(node))).collect()
+    }
+
     /// BDD for "the `width`-bit field starting at `offset` is ≤ `bound`".
     pub fn encode_le(&mut self, offset: u16, width: u16, bound: u64) -> Bdd {
         debug_assert!(width <= 64);
@@ -94,6 +136,75 @@ impl BddManager {
         let ge = self.encode_ge(offset, width, lo);
         let le = self.encode_le(offset, width, hi);
         self.and(ge, le)
+    }
+}
+
+/// The mask of the `len` most significant bits of a 32-bit address.
+fn high_bits(len: u8) -> u32 {
+    u32::MAX.checked_shl(32 - len as u32).unwrap_or(0)
+}
+
+/// The state of one [`BddManager::encode_prefix_classes`] walk.
+struct ClassWalk<'a, C> {
+    manager: &'a mut BddManager,
+    offset: u16,
+    prefixes: &'a [(u32, u8, C)],
+    /// Index of the first prefix not yet visited.
+    next: usize,
+    /// The class-sorted `(class, node)` lists of finished subtrees, one
+    /// after the other; the walk's result is the one left at the end.
+    lists: Vec<(C, u32)>,
+    /// Scratch for merging two sibling lists.
+    merged: Vec<(C, u32)>,
+}
+
+impl<C: Copy + Ord> ClassWalk<'_, C> {
+    /// Visits the subtree of the addresses whose `depth` high bits are
+    /// those of `bits`, where `class` is the class of the longest prefix
+    /// strictly above it, and appends the subtree's class list to `lists`.
+    fn subtree(&mut self, depth: u8, bits: u32, mut class: C) {
+        if let Some(&(addr, len, c)) = self.prefixes.get(self.next) {
+            if len == depth && addr == bits {
+                class = c;
+                self.next += 1;
+            }
+        }
+        let below = self
+            .prefixes
+            .get(self.next)
+            .is_some_and(|&(addr, len, _)| len > depth && (addr ^ bits) & high_bits(depth) == 0);
+        if !below {
+            self.lists.push((class, Bdd::TRUE.0));
+            return;
+        }
+        // A prefix longer than `depth` exists, so `depth < 32`.
+        let start = self.lists.len();
+        self.subtree(depth + 1, bits, class);
+        let mid = self.lists.len();
+        self.subtree(depth + 1, bits | 1 << (31 - depth), class);
+
+        let var = self.offset + depth as u16;
+        let end = self.lists.len();
+        let (mut i, mut j) = (start, mid);
+        self.merged.clear();
+        loop {
+            let lo = self.lists[i..mid].first().copied();
+            let hi = self.lists[j..end].first().copied();
+            let Some(class) = lo.into_iter().chain(hi).map(|(c, _)| c).min() else {
+                break;
+            };
+            let take = |side: Option<(C, u32)>, at: &mut usize| match side {
+                Some((c, node)) if c == class => {
+                    *at += 1;
+                    node
+                }
+                _ => Bdd::FALSE.0,
+            };
+            let (l, h) = (take(lo, &mut i), take(hi, &mut j));
+            self.merged.push((class, self.manager.mk(var, l, h)));
+        }
+        self.lists.truncate(start);
+        self.lists.extend_from_slice(&self.merged);
     }
 }
 
@@ -161,7 +272,134 @@ mod tests {
         assert!(m.encode_range(0, 8, 0, 255).is_true());
     }
 
+    /// [`BddManager::encode_prefix_classes`] the slow way: prefixes
+    /// longest first, each minus the union of everything seen before.
+    fn classes_by_fold(
+        m: &mut BddManager,
+        offset: u16,
+        default: u8,
+        prefixes: &[(u32, u8, u8)],
+    ) -> Vec<(u8, Bdd)> {
+        let mut longest_first = prefixes.to_vec();
+        longest_first.sort_by_key(|&(addr, len, _)| (std::cmp::Reverse(len), addr));
+        let mut classes = std::collections::BTreeMap::new();
+        let mut covered = Bdd::FALSE;
+        for (addr, len, class) in longest_first {
+            let p = m.encode_prefix(offset, addr, len);
+            let effective = m.diff(p, covered);
+            covered = m.or(covered, p);
+            let acc = classes.entry(class).or_insert(Bdd::FALSE);
+            *acc = m.or(*acc, effective);
+        }
+        let unrouted = m.not(covered);
+        let acc = classes.entry(default).or_insert(Bdd::FALSE);
+        *acc = m.or(*acc, unrouted);
+        classes.into_iter().filter(|(_, f)| !f.is_false()).collect()
+    }
+
+    /// Distinct prefixes in trie pre-order. `pick` below the pool size
+    /// takes a pool address instead of `bits`, so prefixes nest often.
+    fn preorder(raw: Vec<(usize, u32, u8, u8)>) -> Vec<(u32, u8, u8)> {
+        const POOL: [u32; 7] =
+            [0, 0x0A00_0000, 0x0A01_0000, 0x0A01_0180, 0x8000_0000, 0xC0A8_0101, u32::MAX];
+        let mut seen = std::collections::BTreeMap::new();
+        for (pick, bits, len, class) in raw {
+            let addr = POOL.get(pick).copied().unwrap_or(bits) & high_bits(len);
+            seen.entry((addr, len)).or_insert(class);
+        }
+        seen.into_iter().map(|((addr, len), class)| (addr, len, class)).collect()
+    }
+
+    /// Decision nodes reachable from any of `roots`.
+    fn dag_nodes(m: &BddManager, roots: impl IntoIterator<Item = Bdd>) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack: Vec<Bdd> = roots.into_iter().collect();
+        while let Some(f) = stack.pop() {
+            if f.is_const() || !seen.insert(f) {
+                continue;
+            }
+            let n = m.node(f);
+            stack.push(Bdd(n.lo));
+            stack.push(Bdd(n.hi));
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn prefix_classes_follow_longest_match() {
+        let mut m = BddManager::new(32);
+        // 10/8 → 1, 10.1/16 → 2, 10.1.1.0/24 → 1, the rest → 0.
+        let got = m.encode_prefix_classes(
+            0,
+            0u8,
+            &[(0x0A00_0000, 8, 1), (0x0A01_0000, 16, 2), (0x0A01_0100, 24, 1)],
+        );
+        let classes: Vec<u8> = got.iter().map(|&(c, _)| c).collect();
+        assert_eq!(classes, vec![0, 1, 2]);
+        let class_of = |m: &BddManager, addr: u64| {
+            let hits: Vec<u8> =
+                got.iter().filter(|&&(_, f)| eval_field(m, f, 0, 32, addr)).map(|&(c, _)| c).collect();
+            assert_eq!(hits.len(), 1, "classes partition the space");
+            hits[0]
+        };
+        assert_eq!(class_of(&m, 0x0A02_0304), 1);
+        assert_eq!(class_of(&m, 0x0A01_0203), 2);
+        assert_eq!(class_of(&m, 0x0A01_01FF), 1);
+        assert_eq!(class_of(&m, 0x0B00_0000), 0);
+        // No prefix at all: one class, everything.
+        assert_eq!(m.encode_prefix_classes(0, 7u8, &[]), vec![(7, Bdd::TRUE)]);
+        // A /0 shadows the default completely.
+        assert_eq!(m.encode_prefix_classes(0, 7u8, &[(0, 0, 3)]), vec![(3, Bdd::TRUE)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pre-order")]
+    fn prefix_classes_reject_input_out_of_preorder() {
+        let mut m = BddManager::new(32);
+        m.encode_prefix_classes(0, 0u8, &[(0x0A01_0000, 16, 1), (0x0A00_0000, 8, 2)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "host bits")]
+    fn prefix_classes_reject_host_bits() {
+        let mut m = BddManager::new(32);
+        m.encode_prefix_classes(0, 0u8, &[(0x0A01_0000, 8, 1)]);
+    }
+
     proptest! {
+        /// The walk equals the longest-first fold, at offset 0 and inside
+        /// a wider variable block.
+        #[test]
+        fn prop_prefix_classes_match_fold(
+            raw in proptest::collection::vec((0usize..10, any::<u32>(), 0u8..=32, 0u8..4), 0..24),
+            default in 0u8..5,
+            wide in any::<bool>(),
+        ) {
+            let offset = if wide { 9 } else { 0 };
+            let prefixes = preorder(raw);
+            let mut m = BddManager::new(offset + 40);
+            let walked = m.encode_prefix_classes(offset, default, &prefixes);
+            prop_assert_eq!(walked, classes_by_fold(&mut m, offset, default, &prefixes));
+        }
+
+        /// The walk creates no node outside its results: in a fresh
+        /// manager the node count grows by exactly the results' shared
+        /// DAG, and a repeated walk adds nothing.
+        #[test]
+        fn prop_prefix_classes_create_only_result_nodes(
+            raw in proptest::collection::vec((0usize..10, any::<u32>(), 0u8..=32, 0u8..4), 0..24),
+        ) {
+            let prefixes = preorder(raw);
+            let mut m = BddManager::new(32);
+            let walked = m.encode_prefix_classes(0, 4u8, &prefixes);
+            let grown = m.node_count() - 2;
+            prop_assert_eq!(grown, dag_nodes(&m, walked.iter().map(|&(_, f)| f)));
+            prop_assert_eq!(m.encode_prefix_classes(0, 4u8, &prefixes), walked);
+            prop_assert_eq!(m.node_count() - 2, grown);
+        }
+
         #[test]
         fn prop_range_matches_arith(lo in 0u64..256, hi in 0u64..256, probe in 0u64..256) {
             let mut m = BddManager::new(8);

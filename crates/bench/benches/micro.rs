@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the substrate hot paths: the wire codec (every
 //! cross-worker route pays this), BDD DAG serialization (every
 //! cross-worker packet pays this), LPM trie lookups, route-map
-//! evaluation, best-path selection and graph partitioning.
+//! evaluation, best-path selection, graph partitioning and the data
+//! plane's predicate compile.
 //!
 //! These quantify the constants behind the distributed design's
 //! trade-offs: e.g. one serialized route costs ~100ns while a local
@@ -9,7 +10,7 @@
 //! fragment-merging optimizations exist.
 
 use bytes::BytesMut;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use s2_bdd::{serialize as bdd_io, BddManager};
 use s2_net::policy::Protocol;
 use s2_net::{Ipv4Addr, Prefix, PrefixTrie};
@@ -178,6 +179,41 @@ fn bench_partition(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_dpv(c: &mut Criterion) {
+    use s2_baselines::{simulate_control_plane, MonolithicOptions};
+    use s2_dataplane::{Fib, NodePredicates, PacketSpace};
+    use s2_net::config::DeviceConfig;
+    use s2_net::topology::Topology;
+    use s2_routing::NetworkModel;
+    use s2_topogen::{dcn, fattree};
+
+    let mut g = c.benchmark_group("micro_dpv");
+    g.sample_size(10);
+    // The converged FIBs of every other node — one of two workers' share —
+    // compiled into one fresh manager, as a worker's `dp_setup` does.
+    let space = PacketSpace::new(0);
+    let mut bench = |name: &str, topology: Topology, configs: Vec<DeviceConfig>| {
+        let model = NetworkModel::build(topology, configs).unwrap();
+        let (rib, _) = simulate_control_plane(&model, &MonolithicOptions::default()).unwrap();
+        let fibs: Vec<_> =
+            model.topology.nodes().step_by(2).map(|n| (n, Fib::from_rib(rib.node(n)))).collect();
+        g.bench_function(BenchmarkId::new("compile_preds", name), |b| {
+            b.iter(|| {
+                let mut mgr = space.manager();
+                for (n, fib) in &fibs {
+                    black_box(NodePredicates::compile(&model, *n, fib, &space, &mut mgr));
+                }
+                mgr.node_count()
+            })
+        });
+    };
+    let ft = fattree::generate(fattree::FatTreeParams::new(16));
+    bench("fattree16", ft.topology, ft.configs);
+    let d = dcn::generate(dcn::DcnParams::scaled(8, 16, 4));
+    bench("dcn_8_16_4", d.topology, d.configs);
+    g.finish();
+}
+
 fn bench_merge_ablation(c: &mut Criterion) {
     use s2_baselines::{simulate_control_plane, MonolithicOptions};
     use s2_dataplane::{forward, Fib, ForwardOptions, NodePredicates, PacketSpace};
@@ -247,6 +283,7 @@ criterion_group!(
     bench_trie,
     bench_bgp,
     bench_partition,
+    bench_dpv,
     bench_merge_ablation
 );
 criterion_main!(benches);

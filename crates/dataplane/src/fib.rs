@@ -59,18 +59,9 @@ impl Fib {
         self.trie.lookup(dst)
     }
 
-    /// Iterates entries in prefix order.
+    /// Iterates entries in trie pre-order (see [`PrefixTrie::iter`]).
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &FibEntry)> {
         self.trie.iter()
-    }
-
-    /// Entries sorted by descending prefix length — the order the
-    /// predicate builder consumes so "more specific shadows less specific"
-    /// falls out of a running union (see `predicates`).
-    pub fn entries_longest_first(&self) -> Vec<(Prefix, &FibEntry)> {
-        let mut v: Vec<(Prefix, &FibEntry)> = self.iter().collect();
-        v.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-        v
     }
 }
 
@@ -112,16 +103,5 @@ mod tests {
         assert!(!local.is_discard());
         assert!(discard.is_discard());
         assert!(!fwd.is_discard());
-    }
-
-    #[test]
-    fn longest_first_ordering() {
-        let fib = Fib::from_rib(&[
-            rib("10.0.0.0/8", vec![0], false),
-            rib("10.1.1.0/24", vec![1], false),
-            rib("10.1.0.0/16", vec![2], false),
-        ]);
-        let lens: Vec<u8> = fib.entries_longest_first().iter().map(|(p, _)| p.len()).collect();
-        assert_eq!(lens, vec![24, 16, 8]);
     }
 }

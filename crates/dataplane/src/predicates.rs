@@ -12,7 +12,7 @@
 //! `pkt ← pkt ∧ p1_in ∧ p2_fwd ∧ p2_out`.
 
 use crate::fib::Fib;
-use crate::packetspace::PacketSpace;
+use crate::packetspace::{PacketSpace, DST_OFFSET};
 use s2_bdd::{Bdd, BddManager};
 use s2_net::config::DeviceConfig;
 use s2_net::topology::{InterfaceId, NodeId};
@@ -57,9 +57,11 @@ impl NodePredicates {
     /// Compiles `fib` plus the node's ACL bindings into predicates, using
     /// (and populating) the worker-local `manager`.
     ///
-    /// The FIB's LPM semantics are compiled by walking entries longest
-    /// prefix first and masking each entry with the union of everything
-    /// more specific already seen.
+    /// The FIB's LPM semantics are compiled in one walk of its trie
+    /// ([`BddManager::encode_prefix_classes`]): entries are grouped into
+    /// forwarding classes — local, drop (discard routes and no route) and
+    /// one per egress set — and each class's destination set is built
+    /// bottom-up, then handed to `local`, `drop` or its egress ports.
     pub fn compile(
         model: &NetworkModel,
         node: NodeId,
@@ -68,32 +70,7 @@ impl NodePredicates {
         manager: &mut BddManager,
     ) -> Self {
         let _span = s2_obs::span!("dpv.compile_preds", fib.len());
-        let mut fwd: BTreeMap<InterfaceId, Bdd> = BTreeMap::new();
-        let mut local = Bdd::FALSE;
-        let mut drop = Bdd::FALSE;
-        let mut covered = Bdd::FALSE;
-
-        for (prefix, entry) in fib.entries_longest_first() {
-            let p = space.dst_in(manager, prefix);
-            let effective = manager.diff(p, covered);
-            covered = manager.or(covered, p);
-            if effective.is_false() {
-                continue;
-            }
-            if entry.is_local {
-                local = manager.or(local, effective);
-            } else if entry.is_discard() {
-                drop = manager.or(drop, effective);
-            } else {
-                for port in &entry.egress {
-                    let cur = fwd.entry(*port).or_insert(Bdd::FALSE);
-                    *cur = manager.or(*cur, effective);
-                }
-            }
-        }
-        // Anything not covered by any FIB entry is dropped (no route).
-        let unrouted = manager.not(covered);
-        drop = manager.or(drop, unrouted);
+        let (fwd, local, drop) = compile_forwarding(fib, manager);
 
         // ACL predicates from the interface bindings.
         let mut acl_in = BTreeMap::new();
@@ -152,15 +129,113 @@ impl NodePredicates {
     }
 }
 
+/// Forwarding class of discard routes and of addresses with no route.
+const DROP: u32 = 0;
+/// Forwarding class of local delivery.
+const LOCAL: u32 = 1;
+/// Forwarding class of the first distinct egress set; the others follow.
+const FIRST_EGRESS: u32 = 2;
+
+/// The `fwd`, `local` and `drop` predicates of `fib`, compiled by one walk
+/// of its trie. Each address takes the class of its longest matching
+/// entry, so the classes partition the space and no `covered` union is
+/// needed; forwarding classes sharing a port are joined there.
+fn compile_forwarding(
+    fib: &Fib,
+    manager: &mut BddManager,
+) -> (BTreeMap<InterfaceId, Bdd>, Bdd, Bdd) {
+    let mut egress_sets: Vec<&[InterfaceId]> = Vec::new();
+    let prefixes: Vec<(u32, u8, u32)> = fib
+        .iter()
+        .map(|(prefix, entry)| {
+            let class = if entry.is_local {
+                LOCAL
+            } else if entry.is_discard() {
+                DROP
+            } else {
+                let i = match egress_sets.iter().position(|&s| s == entry.egress.as_slice()) {
+                    Some(i) => i,
+                    None => {
+                        egress_sets.push(&entry.egress);
+                        egress_sets.len() - 1
+                    }
+                };
+                FIRST_EGRESS + i as u32
+            };
+            (prefix.addr().0, prefix.len(), class)
+        })
+        .collect();
+
+    let mut fwd: BTreeMap<InterfaceId, Bdd> = BTreeMap::new();
+    let mut local = Bdd::FALSE;
+    let mut drop = Bdd::FALSE;
+    for (class, set) in manager.encode_prefix_classes(DST_OFFSET, DROP, &prefixes) {
+        match class {
+            DROP => drop = set,
+            LOCAL => local = set,
+            _ => {
+                for port in egress_sets[(class - FIRST_EGRESS) as usize] {
+                    let cur = fwd.entry(*port).or_insert(Bdd::FALSE);
+                    *cur = manager.or(*cur, set);
+                }
+            }
+        }
+    }
+    (fwd, local, drop)
+}
+
+/// The walk [`compile_forwarding`] replaced, kept as its oracle: entries
+/// longest prefix first, each masked with the union of everything more
+/// specific already seen.
+#[cfg(test)]
+fn compile_reference(
+    fib: &Fib,
+    space: &PacketSpace,
+    manager: &mut BddManager,
+) -> (BTreeMap<InterfaceId, Bdd>, Bdd, Bdd) {
+    let mut fwd: BTreeMap<InterfaceId, Bdd> = BTreeMap::new();
+    let mut local = Bdd::FALSE;
+    let mut drop = Bdd::FALSE;
+    let mut covered = Bdd::FALSE;
+
+    let mut longest_first: Vec<_> = fib.iter().collect();
+    longest_first.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
+    for (prefix, entry) in longest_first {
+        let p = space.dst_in(manager, prefix);
+        let effective = manager.diff(p, covered);
+        covered = manager.or(covered, p);
+        if effective.is_false() {
+            continue;
+        }
+        if entry.is_local {
+            local = manager.or(local, effective);
+        } else if entry.is_discard() {
+            drop = manager.or(drop, effective);
+        } else {
+            for port in &entry.egress {
+                let cur = fwd.entry(*port).or_insert(Bdd::FALSE);
+                *cur = manager.or(*cur, effective);
+            }
+        }
+    }
+    // Anything not covered by any FIB entry is dropped (no route).
+    let unrouted = manager.not(covered);
+    drop = manager.or(drop, unrouted);
+    (fwd, local, drop)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fib::Fib;
+    use proptest::prelude::*;
     use s2_net::config::{BgpNeighbor, BgpProcess, InterfaceConfig, Network, Vendor};
     use s2_net::topology::Topology;
     use s2_net::Ipv4Addr;
     use s2_net::policy::Protocol;
-    use s2_routing::RibRoute;
+    use s2_routing::{
+        converge_bgp, converge_ospf, RibRoute, RibSnapshot, RibStore, SwitchModel, DEFAULT_MAX_ROUNDS,
+    };
 
     /// Minimal two-node model for predicate compilation.
     fn model() -> NetworkModel {
@@ -268,5 +343,87 @@ mod tests {
         let mut mgr = space.manager();
         let p = NodePredicates::compile(&m, NodeId(0), &Fib::default(), &space, &mut mgr);
         assert!(p.acl_in(Some(InterfaceId(0))).is_false());
+    }
+
+    /// Compiles `fib` with the trie walk and with the oracle into one
+    /// manager and asserts equal handles, and that `local`, `drop` and
+    /// the union of `fwd` partition the space.
+    fn assert_matches_reference(fib: &Fib, space: &PacketSpace, mgr: &mut BddManager) {
+        let (fwd, local, drop) = compile_forwarding(fib, mgr);
+        let (ref_fwd, ref_local, ref_drop) = compile_reference(fib, space, mgr);
+        assert_eq!(fwd, ref_fwd, "fwd");
+        assert_eq!(local, ref_local, "local");
+        assert_eq!(drop, ref_drop, "drop");
+
+        assert!(mgr.and(local, drop).is_false(), "local and drop overlap");
+        for (port, &f) in &fwd {
+            assert!(mgr.and(f, local).is_false(), "fwd[{port:?}] overlaps local");
+            assert!(mgr.and(f, drop).is_false(), "fwd[{port:?}] overlaps drop");
+        }
+        let forwarded = mgr.or_all(fwd.values().copied());
+        let handled = mgr.or(local, drop);
+        assert!(mgr.or(handled, forwarded).is_true(), "some packet has no fate");
+    }
+
+    /// Converged RIBs of a generated network, every prefix in one pass.
+    fn converged_ribs(topology: Topology, configs: Vec<DeviceConfig>) -> RibSnapshot {
+        let model = NetworkModel::build(topology, configs).unwrap();
+        let mut switches: Vec<SwitchModel> =
+            model.topology.nodes().map(|n| SwitchModel::new(&model, n)).collect();
+        converge_ospf(&model, &mut switches, DEFAULT_MAX_ROUNDS).unwrap();
+        converge_bgp(&mut switches, None, DEFAULT_MAX_ROUNDS).unwrap();
+        let mut store = RibStore::new(switches.len());
+        for s in &switches {
+            store.insert_all(s.node, s.base_rib_routes());
+            store.insert_all(s.node, s.bgp_rib_routes());
+        }
+        store.snapshot()
+    }
+
+    #[test]
+    fn converged_fibs_match_reference() {
+        let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(8));
+        let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(2, 4, 2));
+        let space = PacketSpace::new(0);
+        for rib in [converged_ribs(ft.topology, ft.configs), converged_ribs(dcn.topology, dcn.configs)] {
+            let mut mgr = space.manager();
+            let mut compiled = 0;
+            for routes in &rib.per_node {
+                let fib = Fib::from_rib(routes);
+                compiled += fib.len();
+                assert_matches_reference(&fib, &space, &mut mgr);
+            }
+            assert!(compiled > 10 * rib.per_node.len(), "the network converged to real FIBs");
+        }
+    }
+
+    proptest! {
+        /// Random FIBs with nesting prefixes (`/0` and `/32` included),
+        /// local, discard and ECMP entries, and egress sets repeated
+        /// across entries or listed in another order.
+        #[test]
+        fn prop_random_fibs_match_reference(
+            raw in proptest::collection::vec((0usize..9, any::<u32>(), 0u8..=32, 0usize..8), 0..30),
+        ) {
+            const POOL: [u32; 6] = [0, 0x0A00_0000, 0x0A01_0000, 0x0A01_0180, 0xC0A8_0101, u32::MAX];
+            const EGRESS: [&[u16]; 6] = [&[0], &[1], &[0, 1], &[1, 0], &[2, 3, 0], &[3]];
+            let routes: Vec<RibRoute> = raw
+                .into_iter()
+                .map(|(pick, bits, len, kind)| {
+                    let addr = POOL.get(pick).copied().unwrap_or(bits);
+                    let egress = EGRESS.get(kind).copied().unwrap_or_default();
+                    RibRoute {
+                        prefix: s2_net::Prefix::new(Ipv4Addr(addr), len),
+                        protocol: Protocol::Bgp,
+                        egress: egress.iter().copied().map(InterfaceId).collect(),
+                        is_local: kind == EGRESS.len(),
+                        as_path_len: 0,
+                    }
+                })
+                .collect();
+            let space = PacketSpace::new(0);
+            let mut mgr = space.manager();
+            assert_matches_reference(&Fib::from_rib(&routes), &space, &mut mgr);
+        }
     }
 }

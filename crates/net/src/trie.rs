@@ -175,7 +175,11 @@ impl<T> PrefixTrie<T> {
         }
     }
 
-    /// Iterates over all `(prefix, value)` pairs in address order.
+    /// Iterates over all `(prefix, value)` pairs in pre-order: a prefix
+    /// before every prefix it covers, and below any node the 0-branch
+    /// before the 1-branch. That is ascending `(address, length)`, the
+    /// order of [`Prefix`]'s `Ord`. The data plane's predicate compile
+    /// walks the FIB trie in exactly this order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
         let mut out = Vec::new();
         collect(&self.root, 0, 0, &mut out);
@@ -307,6 +311,19 @@ mod tests {
     }
 
     #[test]
+    fn iter_is_preorder() {
+        let t: PrefixTrie<()> =
+            ["128.0.0.0/1", "10.128.0.0/9", "10.0.0.0/32", "10.0.0.0/8", "0.0.0.0/0", "10.0.0.0/16"]
+                .into_iter()
+                .map(|s| (p(s), ()))
+                .collect();
+        let got: Vec<Prefix> = t.iter().map(|(p, _)| p).collect();
+        let expect =
+            ["0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/32", "10.128.0.0/9", "128.0.0.0/1"];
+        assert_eq!(got, expect.map(p));
+    }
+
+    #[test]
     fn default_route_is_storable() {
         let mut t = PrefixTrie::new();
         t.insert(Prefix::DEFAULT, 0);
@@ -352,6 +369,25 @@ mod tests {
             let got: Vec<Prefix> = t.iter().map(|(p, _)| p).collect();
             prop_assert_eq!(got, expect);
             prop_assert_eq!(t.len(), t.iter().count());
+        }
+
+        /// `iter` is a pre-order walk: no prefix comes after one it
+        /// covers, and of two disjoint prefixes the one in the 0-branch
+        /// of the node where they part comes first.
+        #[test]
+        fn prop_iter_is_preorder(entries in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..40)) {
+            let t: PrefixTrie<()> =
+                entries.into_iter().map(|(bits, len)| (Prefix::new(Ipv4Addr(bits), len), ())).collect();
+            let got: Vec<Prefix> = t.iter().map(|(p, _)| p).collect();
+            for (i, &first) in got.iter().enumerate() {
+                for &later in &got[i + 1..] {
+                    prop_assert!(!later.covers(first), "{later} covers earlier {first}");
+                    if !first.covers(later) {
+                        let parted = (0..32).find(|&b| first.bit(b) != later.bit(b)).unwrap();
+                        prop_assert!(!first.bit(parted), "{first} is in the 1-branch of {later}'s parting node");
+                    }
+                }
+            }
         }
     }
 }
