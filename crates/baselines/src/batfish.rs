@@ -9,8 +9,9 @@
 //! [`RoutingError::OutOfMemory`], which is how the benchmarks reproduce
 //! "Batfish cannot scale past FatTree40" at our scaled-down sizes.
 
+use s2_bdd::Bdd;
 use s2_dataplane::{
-    forward, FinalKind, Fib, ForwardOptions, NodePredicates, PacketSpace,
+    forward, properties, FinalKind, Fib, ForwardOptions, NodePredicates, PacketSpace,
 };
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
@@ -246,21 +247,19 @@ pub fn run_dpv_with_failures(
         );
         report.steps += result.steps;
         // Finals are never empty, so one final of a kind is a non-empty
-        // `(src, kind)` union: the count S2's workers report.
+        // `(src, kind)` union: the count S2's workers report, without
+        // building the unions.
         let has = |kind| usize::from(result.of_kind(kind).next().is_some());
         report.loops += has(FinalKind::Loop);
         report.blackholed_sources += has(FinalKind::Blackhole);
+        let arrivals = properties::arrivals(&mut manager, &result.finals);
         for (dst, prefixes) in expected {
             if *dst == src {
                 continue;
             }
-            let arrived = result.arrived_at(&mut manager, src, *dst);
-            let wanted: Vec<_> = prefixes
-                .iter()
-                .map(|p| space.dst_in(&mut manager, *p))
-                .collect();
-            let want = manager.or_all(wanted);
-            if manager.implies(want, arrived) {
+            let arrived = arrivals.get(&(src, *dst)).copied().unwrap_or(Bdd::FALSE);
+            let want = space.dst_in_any(&mut manager, prefixes);
+            if properties::judge_pair(&mut manager, &space, want, arrived, &[]).reachable {
                 report.reachable_pairs += 1;
             } else {
                 report.unreachable_pairs.push((src, *dst));

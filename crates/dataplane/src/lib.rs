@@ -10,8 +10,9 @@
 //!   `p_out`, local, drop),
 //! * [`forward`] — the per-hop symbolic transformation and the monolithic
 //!   BFS engine (the distributed runtime reuses the per-hop step),
-//! * [`properties`] — the five query families: reachability, waypoint,
-//!   multipath consistency, loop-freedom, blackhole-freedom.
+//! * [`properties`] — the one verdict judge for the five query families:
+//!   reachability, waypoint, multipath consistency, loop-freedom,
+//!   blackhole-freedom.
 
 #![deny(missing_docs)]
 
@@ -29,5 +30,6 @@ pub use forward::{
 pub use packetspace::PacketSpace;
 pub use predicates::NodePredicates;
 pub use properties::{
-    evaluate, multipath_consistency, verdict_delta, Query, QueryReport, VerdictDelta,
+    arrivals, judge_pair, kind_unions, multipath_inconsistent, verdict_delta, PairVerdict,
+    VerdictDelta,
 };

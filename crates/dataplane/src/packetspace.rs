@@ -60,6 +60,12 @@ impl PacketSpace {
         m.encode_prefix(DST_OFFSET, prefix.addr().0, prefix.len())
     }
 
+    /// Packets whose destination lies in any of `prefixes`.
+    pub fn dst_in_any(&self, m: &mut BddManager, prefixes: &[Prefix]) -> Bdd {
+        let sets: Vec<Bdd> = prefixes.iter().map(|&p| self.dst_in(m, p)).collect();
+        m.or_all(sets)
+    }
+
     /// Packets whose source lies in `prefix`.
     pub fn src_in(&self, m: &mut BddManager, prefix: Prefix) -> Bdd {
         m.encode_prefix(SRC_OFFSET, prefix.addr().0, prefix.len())

@@ -118,38 +118,11 @@ impl OspfState {
     }
 }
 
-/// Runs OSPF to convergence on the full model (monolithic helper used by
-/// the baseline verifier and by tests; the distributed runtime drives the
-/// same state machine through its own round loop).
-pub fn converge(model: &NetworkModel, max_rounds: usize) -> Result<Vec<OspfState>, crate::RoutingError> {
-    let mut states: Vec<OspfState> = model
-        .topology
-        .nodes()
-        .map(|n| OspfState::originate(model, n))
-        .collect();
-    for _ in 0..max_rounds {
-        let exports: Vec<OspfAdvertisement> = states.iter().map(OspfState::export).collect();
-        let mut changed = false;
-        for node in model.topology.nodes() {
-            for adj in &model.ospf_adj[node.index()] {
-                let adv = &exports[adj.peer_node.index()];
-                changed |= states[node.index()].receive(adv, adj.cost, adj.local_if);
-            }
-        }
-        if !changed {
-            return Ok(states);
-        }
-    }
-    Err(crate::RoutingError::NotConverged {
-        protocol: "ospf",
-        rounds: max_rounds,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::NetworkModel;
+    use crate::{converge_ospf, RoutingError, SwitchModel};
     use s2_net::config::{DeviceConfig, InterfaceConfig, OspfProcess, Vendor};
     use s2_net::topology::Topology;
     use s2_net::Ipv4Addr;
@@ -193,10 +166,19 @@ mod tests {
         NetworkModel::build(topo, vec![ca, cb, cc]).unwrap()
     }
 
+    /// Every node's OSPF state after the monolithic loop the baseline
+    /// runs, [`converge_ospf`] over one `SwitchModel` per node.
+    fn converged(model: &NetworkModel, max_rounds: usize) -> Result<Vec<OspfState>, RoutingError> {
+        let mut switches: Vec<SwitchModel> =
+            model.topology.nodes().map(|n| SwitchModel::new(model, n)).collect();
+        converge_ospf(model, &mut switches, max_rounds)?;
+        Ok(switches.into_iter().map(|s| s.ospf).collect())
+    }
+
     #[test]
     fn converges_to_shortest_paths() {
         let m = chain();
-        let states = converge(&m, 32).unwrap();
+        let states = converged(&m, 32).unwrap();
         // a reaches 10.0.1.0/31 via b at cost 1 (a's iface) + 10 (b's eth1).
         let a_route = &states[0].table[&"10.0.1.0/31".parse().unwrap()];
         assert_eq!(a_route.cost, 11);
@@ -213,7 +195,7 @@ mod tests {
     #[test]
     fn local_routes_never_overwritten() {
         let m = chain();
-        let states = converge(&m, 32).unwrap();
+        let states = converged(&m, 32).unwrap();
         for s in &states {
             for r in s.table.values() {
                 if r.is_local {
@@ -239,7 +221,7 @@ mod tests {
     #[test]
     fn receive_is_idempotent_at_fixpoint() {
         let m = chain();
-        let mut states = converge(&m, 32).unwrap();
+        let mut states = converged(&m, 32).unwrap();
         let exports: Vec<OspfAdvertisement> = states.iter().map(OspfState::export).collect();
         for node in m.topology.nodes() {
             for adj in &m.ospf_adj[node.index()] {
@@ -280,7 +262,7 @@ mod tests {
             mk("d", vec![("e0", ip(10, 0, 2, 1)), ("e1", ip(10, 0, 3, 1))]),
         ];
         let m = NetworkModel::build(topo, cfgs).unwrap();
-        let states = converge(&m, 32).unwrap();
+        let states = converged(&m, 32).unwrap();
         // From a, d's two subnets are each reachable one way at equal cost;
         // but b's far subnet (10.0.2.0/31) is cost 2 via e0 only; check a
         // reaches *some* prefix via 2 equal-cost interfaces: none here.
@@ -298,8 +280,8 @@ mod tests {
     fn not_converged_errors_out() {
         let m = chain();
         assert!(matches!(
-            converge(&m, 1),
-            Err(crate::RoutingError::NotConverged { .. })
+            converged(&m, 1),
+            Err(RoutingError::NotConverged { .. })
         ));
     }
 }

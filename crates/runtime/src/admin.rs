@@ -34,7 +34,6 @@ use bytes::{BufMut, Bytes, BytesMut};
 use s2_dataplane::FinalKind;
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
-use s2_routing::RibSnapshot;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -48,8 +47,9 @@ pub const K_ADMIN_RESPONSE: u8 = 0x11;
 /// prefix cannot ask the receiver to allocate without limit.
 pub const MAX_ADMIN_FRAME: usize = 8 << 20;
 
-/// Magic bytes opening a warm-checkpoint file (versioned).
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"S2CKPT01";
+/// Magic bytes opening a warm-checkpoint file (versioned). A file of
+/// another version fails with bad magic, and the daemon starts cold.
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"S2CKPT02";
 
 // ---- message types ----
 
@@ -616,8 +616,6 @@ pub struct WarmCheckpoint {
     pub generation: u64,
     /// Committed failed links, as model node pairs (sorted).
     pub failed_links: Vec<(NodeId, NodeId)>,
-    /// The converged RIB of the committed state.
-    pub rib: RibSnapshot,
     /// The committed verdicts.
     pub verdict: VerdictSummary,
 }
@@ -686,7 +684,6 @@ wire_struct!(WarmCheckpoint {
     snapshot_hash,
     generation,
     failed_links,
-    rib,
     verdict,
 });
 
@@ -767,28 +764,13 @@ pub fn load_checkpoint(path: &Path) -> Result<WarmCheckpoint, CheckpointError> {
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use s2_net::policy::Protocol;
-    use s2_net::topology::InterfaceId;
     use s2_net::Ipv4Addr;
-    use s2_routing::RibRoute;
 
     fn sample_checkpoint() -> WarmCheckpoint {
         WarmCheckpoint {
             snapshot_hash: 0xdead_beef_0042,
             generation: 7,
             failed_links: vec![(NodeId(1), NodeId(4))],
-            rib: RibSnapshot {
-                per_node: vec![
-                    vec![RibRoute {
-                        prefix: Prefix::new(Ipv4Addr(0x0a000000), 24),
-                        protocol: Protocol::Bgp,
-                        egress: vec![InterfaceId(2), InterfaceId(3)],
-                        is_local: false,
-                        as_path_len: 3,
-                    }],
-                    vec![],
-                ],
-            },
             verdict: VerdictSummary {
                 reachable_pairs: 12,
                 unreachable_pairs: vec![(NodeId(0), NodeId(1))],

@@ -24,7 +24,7 @@ use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot};
 use crate::transport::{Inbox, TransportKind};
 use crate::worker::{Command, Reply, Worker};
 use s2_bdd::serialize as bdd_io;
-use s2_dataplane::{FinalKind, PacketSpace};
+use s2_dataplane::{properties, FinalKind, PacketSpace};
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
 use s2_routing::{NetworkModel, RibSnapshot, RibStore};
@@ -282,6 +282,19 @@ pub struct DpvRunStats {
     /// [`Cluster::scenario_checkpoint`] stored a baseline to scope
     /// against).
     pub scoped: Option<DpvScopedStats>,
+}
+
+impl DpvRunStats {
+    /// Whether every requested property held: full reachability, no
+    /// loops, no waypoint or multipath violations. Blackholes alone are
+    /// not a violation: the injected space is usually wider than what
+    /// the network routes.
+    pub fn all_clear(&self) -> bool {
+        self.unreachable_pairs.is_empty()
+            && self.loops == 0
+            && self.waypoint_violations.is_empty()
+            && self.multipath_violations.is_empty()
+    }
 }
 
 /// How much packet space a destination-scoped scenario pass actually
@@ -625,7 +638,6 @@ impl Cluster {
             Reply::Rib(_) => "Rib",
             Reply::Prefixes { .. } => "Prefixes",
             Reply::Deps(_) => "Deps",
-            Reply::Mem(_) => "Mem",
             Reply::Forwarded { .. } => "Forwarded",
             Reply::Arrivals { .. } => "Arrivals",
             Reply::Finals { .. } => "Finals",
@@ -778,40 +790,10 @@ impl Cluster {
         Ok(())
     }
 
-    /// The memory fields of [`CpRunStats`] and [`DpvRunStats`]: per-worker
-    /// peaks, the largest BDD node table and the merged cache counters.
-    /// They are read off the unified metrics snapshots (one per worker,
-    /// merged): counter merge is summation and gauge merge is max.
-    fn mem_fold(&self) -> Result<(Vec<usize>, usize, CacheStats), RuntimeError> {
-        let mut snaps = Vec::new();
-        for r in self.barrier("mem-report", || Command::MemReport)? {
-            match r {
-                Reply::Mem(m) => snaps.push(metrics::mem_metrics(&m)),
-                other => return Err(Self::violation("Mem", &other)),
-            }
-        }
-        let mut merged = MetricsSnapshot::default();
-        for s in &snaps {
-            merged.merge(s);
-        }
-        let peaks = snaps
-            .iter()
-            .map(|s| s.gauge_value("mem.peak_bytes") as usize)
-            .collect();
-        Ok((
-            peaks,
-            merged.gauge_value("bdd.peak_nodes") as usize,
-            metrics::cache_stats_of(&merged),
-        ))
-    }
-
-    /// Collects the run's unified metrics: one snapshot per worker (its
+    /// One `Command::Metrics` snapshot per worker, in worker order: its
     /// memory gauge in registry form, barriered over the control
-    /// protocol — so this works identically in multi-process mode) plus
-    /// the aggregate, which merges the worker snapshots and folds in
-    /// the cluster-wide traffic counters and the process-global
-    /// registry exactly once.
-    pub fn collect_metrics(&self) -> Result<RunMetrics, RuntimeError> {
+    /// protocol, so this works identically in multi-process mode.
+    fn worker_metrics(&self) -> Result<Vec<MetricsSnapshot>, RuntimeError> {
         let mut per_worker = Vec::new();
         for r in self.barrier("metrics", || Command::Metrics)? {
             match r {
@@ -819,6 +801,15 @@ impl Cluster {
                 other => return Err(Self::violation("Metrics", &other)),
             }
         }
+        Ok(per_worker)
+    }
+
+    /// Collects the run's unified metrics: one snapshot per worker plus
+    /// the aggregate, which merges the worker snapshots and folds in
+    /// the cluster-wide traffic counters and the process-global
+    /// registry exactly once.
+    pub fn collect_metrics(&self) -> Result<RunMetrics, RuntimeError> {
+        let per_worker = self.worker_metrics()?;
         let mut aggregate = MetricsSnapshot::default();
         for m in &per_worker {
             aggregate.merge(m);
@@ -1340,7 +1331,8 @@ impl Cluster {
                 Err(e) => return Err(e),
             }
         }
-        let (per_worker_peak, bdd_peak_nodes, bdd_cache) = self.mem_fold()?;
+        let (per_worker_peak, bdd_peak_nodes, bdd_cache) =
+            metrics::fold_mem(&self.worker_metrics()?);
         let mut stats = CpRunStats {
             ospf_rounds: ck.ospf_rounds,
             bgp_rounds: ck.bgp_rounds,
@@ -1595,21 +1587,14 @@ impl Cluster {
             }
         }
         for (src, kinds) in by_src {
-            let kinds: Vec<_> = kinds.into_iter().collect();
-            let mut violated = false;
-            for i in 0..kinds.len() {
-                for j in (i + 1)..kinds.len() {
-                    if manager.intersects(kinds[i].1, kinds[j].1) {
-                        violated = true;
-                    }
-                }
-            }
-            if violated {
+            let sets: Vec<s2_bdd::Bdd> = kinds.into_values().collect();
+            if properties::multipath_inconsistent(&mut manager, &sets) {
                 stats.multipath_violations.push(src);
             }
         }
 
-        (stats.per_worker_peak, stats.bdd_peak_nodes, stats.bdd_cache) = self.mem_fold()?;
+        (stats.per_worker_peak, stats.bdd_peak_nodes, stats.bdd_cache) =
+            metrics::fold_mem(&self.worker_metrics()?);
         stats.unreachable_pairs.sort();
         stats.waypoint_violations.sort();
         stats.verdict_sets.sort();
@@ -2121,6 +2106,47 @@ mod tests {
         // Packets crossed the worker boundary.
         assert!(stats.remote_packets > 0);
         assert!(stats.forward_rounds >= 2);
+    }
+
+    /// A remote worker's proxy merges its process registry into the
+    /// `Metrics` reply `fold_mem` reads. After a CP and DPV run the
+    /// registry holds no `bdd.*` or `mem.*` name, so that merge moves
+    /// none of the folded memory numbers.
+    #[test]
+    fn registry_merge_leaves_the_memory_fold_unchanged() {
+        let model = Arc::new(line_model());
+        let cluster = Cluster::new(model.clone(), vec![0, 0, 1, 1], 2, None);
+        let (rib, _) = cluster
+            .run_control_plane(&line_plan(&model), &ClusterOptions::default())
+            .unwrap();
+        let query = reach_t0_prefix(vec![NodeId(0), NodeId(3)]);
+        let stats = cluster
+            .run_dpv(Arc::new(rib), &query, &ClusterOptions::default())
+            .unwrap();
+        let per_worker = cluster.worker_metrics().unwrap();
+        cluster.shutdown();
+        let registry = s2_obs::Registry::global().snapshot();
+        let names: Vec<&String> = registry
+            .counters
+            .keys()
+            .chain(registry.gauges.keys())
+            .chain(registry.histograms.keys())
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.starts_with("bdd.") && !n.starts_with("mem.")),
+            "{names:?}"
+        );
+        let proxied: Vec<MetricsSnapshot> = per_worker
+            .iter()
+            .map(|m| {
+                let mut m = m.clone();
+                m.merge(&registry);
+                m
+            })
+            .collect();
+        let folded = metrics::fold_mem(&per_worker);
+        assert_eq!(metrics::fold_mem(&proxied), folded);
+        assert_eq!(folded, (stats.per_worker_peak, stats.bdd_peak_nodes, stats.bdd_cache));
     }
 
     #[test]

@@ -92,6 +92,29 @@ pub fn cache_stats_of(s: &MetricsSnapshot) -> CacheStats {
     }
 }
 
+/// The memory fields of `CpRunStats` and `DpvRunStats` from one
+/// `Command::Metrics` snapshot per worker: the per-worker peaks, the
+/// largest BDD node table and the merged cache counters (counter merge
+/// is summation, gauge merge is max). A remote worker's proxy merges its
+/// process registry into its snapshot, but no shipped code writes a
+/// `bdd.*` or `mem.*` name there, so that merge leaves these numbers
+/// alone.
+pub(crate) fn fold_mem(per_worker: &[MetricsSnapshot]) -> (Vec<usize>, usize, CacheStats) {
+    let mut merged = MetricsSnapshot::default();
+    for s in per_worker {
+        merged.merge(s);
+    }
+    let peaks = per_worker
+        .iter()
+        .map(|s| s.gauge_value("mem.peak_bytes") as usize)
+        .collect();
+    (
+        peaks,
+        merged.gauge_value("bdd.peak_nodes") as usize,
+        cache_stats_of(&merged),
+    )
+}
+
 /// Convert a cluster-wide [`TrafficSnapshot`] into `net.*` / `tcp.*` /
 /// `dp.*` counters. Called once at the controller (the snapshot
 /// already merges local and remote sidecars), never per worker, so

@@ -33,7 +33,6 @@
 
 use crate::codec::{wire_struct, Wire};
 use crate::faults::FaultState;
-use crate::memstats::{CacheStats, MemReport};
 use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot, TrafficStats};
 use crate::tcp::{recv, send, TcpConfig, TcpTransport, K_COMMAND, K_REGISTER, K_REPLY, K_SETUP};
 use crate::wire::WireError;
@@ -115,28 +114,6 @@ wire_struct!(TrafficSnapshot {
     scratch_reuses,
 });
 
-wire_struct!(CacheStats {
-    unique_lookups,
-    unique_hits,
-    unique_probe_misses,
-    unique_resizes,
-    bin_lookups,
-    bin_hits,
-    not_lookups,
-    not_hits,
-    memo_lookups,
-    memo_hits,
-    generation_clears,
-});
-
-wire_struct!(MemReport {
-    route_bytes,
-    bdd_bytes,
-    peak_bytes,
-    bdd_peak_nodes,
-    bdd_cache,
-});
-
 // Field-by-field (not `Event::pack`): the packed form is an obs-feature
 // implementation detail of the flight-recorder ring, while this wire
 // layout must hold with obs off too.
@@ -198,7 +175,6 @@ impl Wire for Command {
             Command::CollectFinals => 12u8.put(buf),
             Command::CollectPrefixes => 13u8.put(buf),
             Command::CollectObservedDeps => 14u8.put(buf),
-            Command::MemReport => 15u8.put(buf),
             Command::Ping(nonce) => {
                 16u8.put(buf);
                 nonce.put(buf);
@@ -279,7 +255,6 @@ impl Wire for Command {
             12 => Command::CollectFinals,
             13 => Command::CollectPrefixes,
             14 => Command::CollectObservedDeps,
-            15 => Command::MemReport,
             16 => Command::Ping(Wire::take(buf)?),
             17 => Command::FlushInbox {
                 epoch: Wire::take(buf)?,
@@ -381,10 +356,6 @@ impl Wire for Reply {
                 8u8.put(buf);
                 deps.put(buf);
             }
-            Reply::Mem(report) => {
-                9u8.put(buf);
-                report.put(buf);
-            }
             Reply::OutOfMemory { budget, observed } => {
                 10u8.put(buf);
                 budget.put(buf);
@@ -450,7 +421,6 @@ impl Wire for Reply {
                 deps: Wire::take(buf)?,
             },
             8 => Reply::Deps(Wire::take(buf)?),
-            9 => Reply::Mem(Wire::take(buf)?),
             10 => Reply::OutOfMemory {
                 budget: Wire::take(buf)?,
                 observed: Wire::take(buf)?,
@@ -805,7 +775,6 @@ mod tests {
             Command::CollectFinals,
             Command::CollectPrefixes,
             Command::CollectObservedDeps,
-            Command::MemReport,
             Command::Ping(0xdead_beef),
             Command::FlushInbox { epoch: 7 },
             Command::BgpResync,
@@ -958,17 +927,6 @@ mod tests {
                 )],
             },
             Reply::Deps(vec![]),
-            Reply::Mem(MemReport {
-                route_bytes: 1,
-                bdd_bytes: 2,
-                peak_bytes: 3,
-                bdd_peak_nodes: 4,
-                bdd_cache: crate::memstats::CacheStats {
-                    unique_lookups: 5,
-                    bin_hits: 6,
-                    ..Default::default()
-                },
-            }),
             Reply::OutOfMemory {
                 budget: 100,
                 observed: 150,

@@ -23,8 +23,8 @@ use s2_bdd::serialize as bdd_io;
 use s2_bdd::splice::Splicer;
 use s2_bdd::BddManager;
 use s2_dataplane::{
-    merge_packet, step_into, Fib, FinalKind, FinalPacket, ForwardOptions, NodePredicates,
-    PacketKey, PacketSpace, StepOutput, SymbolicPacket,
+    merge_packet, properties, step_into, Fib, FinalKind, FinalPacket, ForwardOptions,
+    NodePredicates, PacketKey, PacketSpace, StepOutput, SymbolicPacket,
 };
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
@@ -97,8 +97,6 @@ pub enum Command {
     /// (aggregate activations, conditional-advertisement evaluations) —
     /// the §7 soundness input. Replies `Deps`.
     CollectObservedDeps,
-    /// Report the memory gauge.
-    MemReport,
     /// Liveness / resynchronization probe: replies `Pong` with the same
     /// nonce. The controller uses it after a failed barrier to discard
     /// stale replies until the channel is back in lockstep.
@@ -251,8 +249,6 @@ pub enum Reply {
     },
     /// Observed prefix dependencies.
     Deps(Vec<(Prefix, Prefix)>),
-    /// Memory report.
-    Mem(MemReport),
     /// The worker hit its memory budget.
     OutOfMemory {
         /// Budget in bytes.
@@ -556,7 +552,6 @@ impl Worker {
                 }
                 Reply::Deps(deps)
             }
-            Command::MemReport => Reply::Mem(self.mem_report()),
             Command::Ping(nonce) => Reply::Pong(nonce),
             Command::FlushInbox { epoch } => {
                 self.sidecar.flush(epoch);
@@ -902,26 +897,10 @@ impl Worker {
     /// of the last full-space pass). `None` without a data plane.
     fn stash_dp_baseline(&mut self) -> Option<DpBaseline> {
         let manager = self.manager.as_mut()?;
-        let meta_vars: Vec<u16> = (0..self.space.meta_bits)
-            .map(|i| self.space.meta_var(i))
-            .collect();
-        let mut base = DpBaseline::default();
-        for f in &self.finals {
-            if f.kind == FinalKind::Arrive {
-                let entry = base
-                    .arrivals
-                    .entry((f.src, f.node))
-                    .or_insert(s2_bdd::Bdd::FALSE);
-                *entry = manager.or(*entry, f.set);
-            }
-            let stripped = manager.exists_all(f.set, meta_vars.iter().copied());
-            let entry = base
-                .unions
-                .entry((f.src, f.kind))
-                .or_insert(s2_bdd::Bdd::FALSE);
-            *entry = manager.or(*entry, stripped);
-        }
-        Some(base)
+        Some(DpBaseline {
+            arrivals: properties::arrivals(manager, &self.finals),
+            unions: properties::kind_unions(manager, &self.space, &self.finals),
+        })
     }
 
     /// Compiles the overlay predicates staged by the last `DpPatch`.
@@ -1176,25 +1155,12 @@ impl Worker {
         let mut reachable = Vec::new();
         let mut unreachable = Vec::new();
         let mut waypoint_violations = Vec::new();
-        // Index arrivals once: (src, dst) -> union of arrived sets.
-        let mut arrivals: BTreeMap<(NodeId, NodeId), s2_bdd::Bdd> = BTreeMap::new();
-        for f in &self.finals {
-            if f.kind == FinalKind::Arrive {
-                let entry = arrivals
-                    .entry((f.src, f.node))
-                    .or_insert(s2_bdd::Bdd::FALSE);
-                *entry = manager.or(*entry, f.set);
-            }
-        }
+        let arrivals = properties::arrivals(manager, &self.finals);
         for (dst, prefixes) in expected {
             if !self.sidecar.is_local(*dst) {
                 continue;
             }
-            let wanted: Vec<_> = prefixes
-                .iter()
-                .map(|p| self.space.dst_in(manager, *p))
-                .collect();
-            let want = manager.or_all(wanted);
+            let want = self.space.dst_in_any(manager, prefixes);
             for &src in sources {
                 if src == *dst {
                     continue;
@@ -1221,17 +1187,13 @@ impl Worker {
                         None => manager.or(base, arrived),
                     };
                 }
-                if manager.implies(want, arrived) {
+                let verdict = properties::judge_pair(manager, &self.space, want, arrived, transits);
+                if verdict.reachable {
                     reachable.push((src, *dst));
                 } else {
                     unreachable.push((src, *dst));
                 }
-                for &(transit, bit) in transits {
-                    let visited = self.space.with_meta(manager, arrived, bit);
-                    if visited != arrived {
-                        waypoint_violations.push((src, *dst, transit));
-                    }
-                }
+                waypoint_violations.extend(verdict.missed.into_iter().map(|t| (src, *dst, t)));
             }
         }
         Reply::Arrivals {
@@ -1245,15 +1207,7 @@ impl Worker {
         let Some(manager) = self.manager.as_mut() else {
             return Reply::Violation("CollectFinals before DpSetup".to_string());
         };
-        let meta_vars: Vec<u16> = (0..self.space.meta_bits)
-            .map(|i| self.space.meta_var(i))
-            .collect();
-        let mut unions: BTreeMap<(NodeId, FinalKind), s2_bdd::Bdd> = BTreeMap::new();
-        for f in &self.finals {
-            let stripped = manager.exists_all(f.set, meta_vars.iter().copied());
-            let entry = unions.entry((f.src, f.kind)).or_insert(s2_bdd::Bdd::FALSE);
-            *entry = manager.or(*entry, stripped);
-        }
+        let mut unions = properties::kind_unions(manager, &self.space, &self.finals);
         // Destination-scoped pass: the unions above only cover the
         // scoped space — splice each (src, kind) verdict with the
         // stashed baseline into a full-space union. Semantic equality

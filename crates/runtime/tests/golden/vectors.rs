@@ -8,7 +8,11 @@
 //! They are the compatibility contract: a checkpoint written by that
 //! build must load on this one and a worker of that build must be able
 //! to talk to this controller, so a vector may only be *added* here,
-//! never edited. `wire_golden.rs` asserts each one both ways.
+//! never edited. `wire_golden.rs` asserts each one both ways. A vector
+//! whose variant or format version is retired moves, bytes unchanged,
+//! to the `retired_*` lists at the end: its bytes must then be
+//! rejected, so an old peer or file fails loudly instead of decoding as
+//! something else.
 
 use bytes::Bytes;
 use s2_dataplane::FinalKind;
@@ -24,7 +28,7 @@ use s2_runtime::admin::{
 use s2_runtime::remote::{Register, Setup};
 use s2_runtime::wire::Message;
 use s2_runtime::worker::{Command, Reply};
-use s2_runtime::{CacheStats, MemReport, TrafficSnapshot};
+use s2_runtime::TrafficSnapshot;
 use std::sync::Arc;
 
 fn pfx(s: &str) -> Prefix {
@@ -282,7 +286,6 @@ pub fn commands() -> Vec<(Command, &'static str)> {
         (Command::CollectFinals, "0c"),
         (Command::CollectPrefixes, "0d"),
         (Command::CollectObservedDeps, "0e"),
-        (Command::MemReport, "0f"),
         (Command::Ping(0xdead_beef_0000_0001), "10deadbeef00000001"),
         (Command::FlushInbox { epoch: 7 }, "1100000007"),
         (Command::BgpResync, "12"),
@@ -413,28 +416,6 @@ pub fn replies() -> Vec<(Reply, &'static str)> {
             "07000000020a000000080a01000010000000010a00000008000000010a000000080a01000010",
         ),
         (Reply::Deps(vec![(pfx("10.0.0.0/8"), pfx("10.1.0.0/16"))]), "08000000010a000000080a01000010"),
-        (
-            Reply::Mem(MemReport {
-                route_bytes: 1,
-                bdd_bytes: 2,
-                peak_bytes: 3,
-                bdd_peak_nodes: 4,
-                bdd_cache: CacheStats {
-                    unique_lookups: 5,
-                    unique_hits: 6,
-                    unique_probe_misses: 7,
-                    unique_resizes: 8,
-                    bin_lookups: 9,
-                    bin_hits: 10,
-                    not_lookups: 11,
-                    not_hits: 12,
-                    memo_lookups: 13,
-                    memo_hits: 14,
-                    generation_clears: 15,
-                },
-            }),
-            "09000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f",
-        ),
         (
             Reply::OutOfMemory {
                 budget: 100,
@@ -653,14 +634,15 @@ pub fn responses() -> Vec<(AdminResponse, &'static str)> {
 }
 
 /// One warm checkpoint and its *framed file image* (`magic + fnv64 +
-/// len + payload`), exactly what `write_checkpoint` puts on disk.
+/// len + payload`), exactly what `write_checkpoint` puts on disk:
+/// version 2 (`S2CKPT02`), the version-1 vector's checkpoint without
+/// its RIB.
 pub fn checkpoint() -> (WarmCheckpoint, &'static str) {
     (
         WarmCheckpoint {
             snapshot_hash: 0xdead_beef_0042,
             generation: 7,
             failed_links: vec![(NodeId(1), NodeId(4))],
-            rib: rib(),
             verdict: VerdictSummary {
                 reachable_pairs: 12,
                 unreachable_pairs: vec![(NodeId(0), NodeId(1))],
@@ -673,6 +655,28 @@ pub fn checkpoint() -> (WarmCheckpoint, &'static str) {
                 ],
             },
         },
-        "5332434b505430312af207f39a72434b000000000000008f0000deadbeef0042000000000000000700000001000000010000000400000002000000020a00000008030002000100040000000003c0a8070120000000010000000000000000000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000",
+        "5332434b50543032d418851134999ae100000000000000650000deadbeef00420000000000000007000000010000000100000004000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000",
     )
+}
+
+/// Retired commands and the tag each must be rejected with:
+/// `MemReport` (tag 15), replaced by the `Metrics` barrier.
+pub fn retired_commands() -> Vec<(&'static str, u8)> {
+    vec![("0f", 15)]
+}
+
+/// Retired replies and the tag each must be rejected with: `Mem`
+/// (tag 9), the answer to `MemReport`.
+pub fn retired_replies() -> Vec<(&'static str, u8)> {
+    vec![(
+        "09000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f",
+        9,
+    )]
+}
+
+/// Retired checkpoint file images, each to be rejected as corrupt
+/// ("bad magic"): version 1 (`S2CKPT01`), which also carried the
+/// committed RIB (`rib()` above).
+pub fn retired_checkpoints() -> Vec<&'static str> {
+    vec!["5332434b505430312af207f39a72434b000000000000008f0000deadbeef0042000000000000000700000001000000010000000400000002000000020a00000008030002000100040000000003c0a8070120000000010000000000000000000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000"]
 }

@@ -13,7 +13,7 @@ mod vectors;
 
 use bytes::Bytes;
 use s2_runtime::admin::{self, CheckpointError, WarmCheckpoint};
-use s2_runtime::worker::Command;
+use s2_runtime::worker::{Command, Reply};
 use s2_runtime::{wire, Wire, WireError};
 use std::fmt::Debug;
 
@@ -116,6 +116,26 @@ fn checkpoint_file_image() {
             admin::unframe_checkpoint(&file[..cut]).is_err(),
             "file cut at {cut}"
         );
+    }
+}
+
+/// A retired variant's old bytes fail on its tag, and a retired
+/// checkpoint version on its magic: neither decodes as anything else.
+#[test]
+fn retired_vectors_are_rejected() {
+    for (want, tag) in vectors::retired_commands() {
+        let bytes = Bytes::from(unhex(want));
+        assert_eq!(Command::from_bytes(bytes).err(), Some(WireError::BadTag(tag)), "command {want}");
+    }
+    for (want, tag) in vectors::retired_replies() {
+        let bytes = Bytes::from(unhex(want));
+        assert_eq!(Reply::from_bytes(bytes).err(), Some(WireError::BadTag(tag)), "reply {want}");
+    }
+    for want in vectors::retired_checkpoints() {
+        assert!(matches!(
+            admin::unframe_checkpoint(&unhex(want)),
+            Err(CheckpointError::Corrupt("bad magic"))
+        ));
     }
 }
 

@@ -25,8 +25,9 @@
 //!    full re-verification, and finally degrades to
 //!    `rejected(reason)`. The daemon never wedges: after any outcome
 //!    it is ready for the next delta.
-//! 4. **Checkpoint** — the committed state is persisted
-//!    (write-temp-then-rename, checksummed) so a `kill -9` resumes
+//! 4. **Checkpoint** — the committed generation, failed links and
+//!    verdicts are persisted (write-temp-then-rename, checksummed; no
+//!    RIB: the rebuilt fleet recomputes it) so a `kill -9` resumes
 //!    warm: on restart the checkpoint pre-seeds the committed verdicts
 //!    instantly, the fleet rebuilds with the failed links baked into
 //!    the model, and the recomputed verdict BDDs are byte-compared
@@ -133,7 +134,7 @@ impl Committed {
             generation,
             rib,
             verdict: summarize(dpv),
-            all_clear: dpv_all_clear(dpv),
+            all_clear: dpv.all_clear(),
         }
     }
 }
@@ -227,16 +228,6 @@ pub fn snapshot_hash(topology: &Topology, configs: &[DeviceConfig]) -> u64 {
     }
     let _ = write!(text, "{:?}|{configs:?}", topology.links());
     fnv1a64(text.as_bytes())
-}
-
-/// Whether a DPV outcome satisfies every requested property
-/// ([`crate::report::S2Report::all_clear`] minus session diagnostics,
-/// which are fixed at model build).
-fn dpv_all_clear(dpv: &DpvRunStats) -> bool {
-    dpv.unreachable_pairs.is_empty()
-        && dpv.loops == 0
-        && dpv.waypoint_violations.is_empty()
-        && dpv.multipath_violations.is_empty()
 }
 
 /// Extracts the persistable verdict summary of a DPV outcome.
@@ -357,7 +348,7 @@ impl Daemon {
             generation,
             rib: baseline.rib.clone(),
             verdict,
-            all_clear: dpv_all_clear(&baseline.dpv),
+            all_clear: baseline.dpv.all_clear(),
         };
         s2_obs::event!("daemon.open", committed.generation as usize);
 
@@ -969,7 +960,6 @@ impl Daemon {
             snapshot_hash: self.snapshot_hash,
             generation: self.committed.generation,
             failed_links: failed_pairs(&self.baked, &self.overlay),
-            rib: (*self.committed.rib).clone(),
             verdict: self.committed.verdict.clone(),
         };
         match admin::write_checkpoint(path, &ckpt, &self.faults) {

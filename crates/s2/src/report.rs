@@ -35,11 +35,7 @@ impl S2Report {
     /// Whether every checked property held: full reachability, no loops,
     /// no waypoint or multipath violations, and all sessions established.
     pub fn all_clear(&self) -> bool {
-        self.dpv.unreachable_pairs.is_empty()
-            && self.dpv.loops == 0
-            && self.dpv.waypoint_violations.is_empty()
-            && self.dpv.multipath_violations.is_empty()
-            && self.session_diagnostics.is_empty()
+        self.dpv.all_clear() && self.session_diagnostics.is_empty()
     }
 
     /// The paper's headline memory metric: the maximum per-worker peak.
