@@ -21,17 +21,32 @@ fn sample_route(i: u32) -> BgpRoute {
     BgpRoute {
         prefix: Prefix::new(Ipv4Addr(0x0a000000 | (i << 8)), 24),
         next_hop: Ipv4Addr(0xac100001),
-        as_path: vec![65000 + i, 65001, 65002, 65003],
+        as_path: vec![65000 + i, 65001, 65002, 65003].into(),
         local_pref: 100,
         med: 0,
         origin: Origin::Igp,
-        communities: vec![1, 2, 3],
+        communities: vec![1, 2, 3].into(),
         weight: 0,
         source_protocol: Protocol::Bgp,
     }
 }
 
+/// The first spine of a converged DCN (8 clusters of 16 ToRs, width 4:
+/// the `dcn_cold` fabric), from converged OSPF and BGP.
+fn dcn_spine() -> s2_routing::SwitchModel {
+    use s2_routing::{converge_bgp, converge_ospf, NetworkModel, SwitchModel, DEFAULT_MAX_ROUNDS};
+    let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(8, 16, 4));
+    let model = NetworkModel::build(dcn.topology, dcn.configs).unwrap();
+    let mut switches: Vec<SwitchModel> =
+        model.topology.nodes().map(|n| SwitchModel::new(&model, n)).collect();
+    converge_ospf(&model, &mut switches, DEFAULT_MAX_ROUNDS).unwrap();
+    converge_bgp(&mut switches, None, DEFAULT_MAX_ROUNDS).unwrap();
+    switches.swap_remove(dcn.spines[0].index())
+}
+
 fn bench_wire(c: &mut Criterion) {
+    use std::sync::Arc;
+
     let mut g = c.benchmark_group("micro_wire");
     let routes: Vec<BgpRoute> = (0..64).map(sample_route).collect();
     g.bench_function("encode_64_routes", |b| {
@@ -57,6 +72,13 @@ fn bench_wire(c: &mut Criterion) {
             }
             out
         })
+    });
+    // The body a DCN spine's first export class carries, as a worker
+    // decodes it off a tag-4 frame: one shared slice.
+    let body = dcn_spine().bgp_export().swap_remove(0).routes;
+    let bytes = body.to_bytes();
+    g.bench_function("decode_class_body", |b| {
+        b.iter(|| Arc::<[BgpRoute]>::from_bytes(black_box(bytes.clone())).unwrap())
     });
     g.finish();
 }
@@ -158,6 +180,10 @@ fn bench_bgp(c: &mut Criterion) {
             withdrawn & core.bgp_decide(None)
         })
     });
+    // Every export class of a converged DCN spine: export policy,
+    // aggregate suppression and the prepended AS path per route.
+    let spine = dcn_spine();
+    g.bench_function("export_class", |b| b.iter(|| black_box(&spine).bgp_export()));
     g.finish();
 }
 

@@ -133,7 +133,7 @@ mod tests {
     fn cand(path_len: usize, peer_last_octet: u8) -> Candidate {
         let mut r = BgpRoute::local(p("10.0.0.0/24"), Origin::Igp, Protocol::Bgp);
         r.weight = 0;
-        r.as_path = vec![100; path_len];
+        r.as_path = vec![100; path_len].into();
         Candidate {
             route: r,
             peer: Some(Ipv4Addr::new(10, 0, 0, peer_last_octet)),

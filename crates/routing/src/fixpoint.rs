@@ -272,8 +272,8 @@ pub(crate) mod tests {
         assert!(stats.rounds >= 3, "needs at least diameter rounds");
         let p: Prefix = "10.0.0.0/24".parse().unwrap();
         // m1 and m2 learn the specific.
-        assert_eq!(switches[1].loc_rib()[&p][0].route.as_path, vec![65000]);
-        assert_eq!(switches[2].loc_rib()[&p][0].route.as_path, vec![65001, 65000]);
+        assert_eq!(switches[1].loc_rib()[&p][0].route.as_path, vec![65000].into());
+        assert_eq!(switches[2].loc_rib()[&p][0].route.as_path, vec![65001, 65000].into());
     }
 
     #[test]
@@ -288,7 +288,7 @@ pub(crate) mod tests {
         // t3 sees only the aggregate, tagged with the community.
         assert!(!switches[3].loc_rib().contains_key(&spec));
         let t3_agg = &switches[3].loc_rib()[&agg][0].route;
-        assert_eq!(t3_agg.as_path, vec![65002]);
+        assert_eq!(t3_agg.as_path, vec![65002].into());
         assert!(t3_agg.has_community(community(65000, 99)));
         // Upstream (m1) still sees the specifics — they arrived from t0
         // directly, and the aggregate also propagates backwards.

@@ -58,8 +58,8 @@ pub struct BgpRounds {
     /// Switches whose local RIB changed since their last export (all of
     /// them after a reset or resync).
     export_dirty: Vec<bool>,
-    /// Switches that must decide on the next receive even without
-    /// deliveries (after a reset).
+    /// Switches due to decide in the next decide pass: reset, or given a
+    /// delivery since the last one.
     decide_dirty: Vec<bool>,
     /// Deliveries to hosted peers, staged by the export half and applied
     /// by the next receive (the Jacobi schedule).
@@ -159,7 +159,7 @@ impl BgpRounds {
     }
 
     /// The export half. Deliveries to hosted peers are staged for the
-    /// next [`BgpRounds::receive_and_decide`]; each class's remote
+    /// next [`BgpRounds::receive`]; each class's remote
     /// `(peer, peer session)` targets go to `remote` with the body, in
     /// node order and first-session order. Returns the number of routes
     /// delivered: advertisements equal to the Adj-RIB-Out are not.
@@ -216,38 +216,58 @@ impl BgpRounds {
 
     /// The receive half: the staged deliveries, then `remote` (whose
     /// target node and session the caller has checked are hosted and in
-    /// range), received in arrival order per switch; then every switch
+    /// range), received in arrival order per switch, then every switch
     /// that got any, or was reset, decides. Returns whether anything
-    /// changed.
+    /// changed. The same as [`BgpRounds::receive`] then
+    /// [`BgpRounds::decide`].
     pub fn receive_and_decide(
         &mut self,
         map: &impl SwitchMap,
         remote: Vec<Delivery>,
         shard: Option<&BTreeSet<Prefix>>,
     ) -> bool {
+        let received = self.receive(map, remote);
+        self.decide(map, shard) | received
+    }
+
+    /// The receive pass of [`BgpRounds::receive_and_decide`]: each
+    /// switch that gets a delivery is due to decide. Returns whether any
+    /// Adj-RIB-In changed.
+    pub fn receive(&mut self, map: &impl SwitchMap, remote: Vec<Delivery>) -> bool {
         let mut batches: Vec<Vec<(usize, Body)>> = vec![Vec::new(); self.switches.len()];
         for (node, session, body) in std::mem::take(&mut self.staged).into_iter().chain(remote) {
             if let Some(i) = self.slot(node) {
                 batches[i].push((session as usize, body));
+                self.decide_dirty[i] = true;
             }
         }
-        let reset = &self.decide_dirty;
-        let switches = self.switches.iter_mut().zip(&mut self.export_dirty).zip(batches);
-        let mut due: Vec<_> = switches
-            .enumerate()
-            .filter(|(i, (_, batch))| reset[*i] || !batch.is_empty())
-            .map(|(_, due)| due)
-            .collect();
-        let changed = map.map(&mut due, |((s, export), batch)| {
+        let mut due: Vec<_> =
+            self.switches.iter_mut().zip(batches).filter(|(_, batch)| !batch.is_empty()).collect();
+        let changed = map.map(&mut due, |(s, batch)| {
             let mut received = false;
             for (si, body) in batch.iter() {
                 received |= s.bgp_receive(*si, body);
             }
+            received
+        });
+        changed.contains(&true)
+    }
+
+    /// The decide pass: every switch due since the last one decides, and
+    /// those whose local RIB changed export next. Returns whether any
+    /// did change. Each switch decides on its own state only, so the
+    /// passes give what one receive-then-decide per switch gives.
+    pub fn decide(&mut self, map: &impl SwitchMap, shard: Option<&BTreeSet<Prefix>>) -> bool {
+        let switches = self.switches.iter_mut().zip(&mut self.export_dirty);
+        let mut due: Vec<_> = switches
+            .zip(&mut self.decide_dirty)
+            .filter_map(|(switch, due)| std::mem::take(due).then_some(switch))
+            .collect();
+        let changed = map.map(&mut due, |(s, export)| {
             let decided = s.bgp_decide(shard);
             **export |= decided;
-            received | decided
+            decided
         });
-        self.decide_dirty.fill(false);
         changed.contains(&true)
     }
 

@@ -466,30 +466,30 @@ impl SwitchModel {
     }
 
     /// One best route as an export class advertises it, or `None` if the
-    /// export policy denies it.
+    /// export policy denies it. The advertised path is built in one
+    /// allocation, own ASN first, then the old path, stripped where
+    /// configured; without a policy the old path is read from `best`.
     fn export_route(
         &self,
         best: &BgpRoute,
         export_policy: Option<&str>,
         remove_private_as: bool,
     ) -> Option<BgpRoute> {
-        let mut r = best.clone();
-        // Local-only attributes are not advertised, and the next hop is
-        // the receiver's to write.
-        r.weight = 0;
-        r.local_pref = DEFAULT_LOCAL_PREF;
-        r.med = 0;
-        r.next_hop = Ipv4Addr::UNSPECIFIED;
-        if let Some(map) = export_policy {
-            match policy_eval::run_route_map(&self.cfg, map, &r) {
-                PolicyVerdict::Permit(pr) => r = pr,
-                PolicyVerdict::Deny => return None,
+        let strip = remove_private_as.then_some(self.quirks.remove_private_as);
+        let prepended = |path: &[u32]| policy_eval::prepend_path(&[self.asn], path, strip);
+        let mut r = match export_policy {
+            None => advertised(best, prepended(&best.as_path)),
+            Some(map) => {
+                // The policy sees the route as advertised, own ASN aside.
+                let r = advertised(best, best.as_path.clone());
+                let PolicyVerdict::Permit(mut r) = policy_eval::run_route_map(&self.cfg, map, &r)
+                else {
+                    return None;
+                };
+                r.as_path = prepended(&r.as_path);
+                r
             }
-        }
-        if remove_private_as {
-            policy_eval::remove_private_as(&mut r.as_path, self.quirks.remove_private_as);
-        }
-        r.as_path.insert(0, self.asn);
+        };
         r.source_protocol = Protocol::Bgp;
         Some(r)
     }
@@ -542,7 +542,7 @@ impl SwitchModel {
                 let admitted = |r: &&BgpRoute| admission.admits(r);
                 let (old, new) = (old.iter().filter(admitted), body.iter().filter(admitted));
                 diff_sorted(old, new, &mut self.dirty);
-                let bytes = body.iter().filter(admitted).map(BgpRoute::cloned_bytes).sum();
+                let bytes = body.iter().filter(admitted).map(BgpRoute::approx_bytes).sum();
                 (AdjIn::Shared(body), bytes)
             }
             AdjIn::Filtered { policy, routes: old } => {
@@ -837,6 +837,22 @@ impl SwitchModel {
             });
         }
         out
+    }
+}
+
+/// `route` with `as_path` as a session advertises it: the local-only
+/// attributes reset, and the next hop left for the receiver to write.
+fn advertised(route: &BgpRoute, as_path: Arc<[u32]>) -> BgpRoute {
+    BgpRoute {
+        prefix: route.prefix,
+        next_hop: Ipv4Addr::UNSPECIFIED,
+        as_path,
+        local_pref: DEFAULT_LOCAL_PREF,
+        med: 0,
+        origin: route.origin,
+        communities: route.communities.clone(),
+        weight: 0,
+        source_protocol: route.source_protocol,
     }
 }
 
@@ -1149,7 +1165,7 @@ mod tests {
         assert_eq!(sa.loc_rib()[&p][0].session, u32::MAX);
         // b learned it with AS path [65001].
         let b_route = &sb.loc_rib()[&p][0];
-        assert_eq!(b_route.route.as_path, vec![65001]);
+        assert_eq!(b_route.route.as_path, vec![65001].into());
         assert_eq!(b_route.route.next_hop, Ipv4Addr::new(10, 0, 0, 0));
         assert_eq!(b_route.session, 0);
     }
@@ -1166,7 +1182,7 @@ mod tests {
             .filter(|r| r.prefix == "10.1.0.0/24".parse().unwrap())
             .collect();
         assert_eq!(back.len(), 1);
-        assert_eq!(back[0].as_path, vec![65002, 65001]);
+        assert_eq!(back[0].as_path, vec![65002, 65001].into());
         // a's adj-in for that prefix stays empty (loop check).
         assert!(!sa.bgp_receive(0, &b_out) || !sa.loc_rib()[&"10.1.0.0/24".parse().unwrap()]
             .iter()
@@ -1183,7 +1199,7 @@ mod tests {
         let r = out.iter().find(|r| r.prefix == "10.1.0.0/24".parse().unwrap()).unwrap();
         assert_eq!(r.weight, 0);
         assert_eq!(r.local_pref, DEFAULT_LOCAL_PREF);
-        assert_eq!(r.as_path, vec![65001]);
+        assert_eq!(r.as_path, vec![65001].into());
     }
 
     #[test]
@@ -1332,11 +1348,11 @@ mod tests {
         let expected = |l: u8, communities: Vec<u32>| BgpRoute {
             prefix: p,
             next_hop: Ipv4Addr::new(172, 16, l, 0),
-            as_path: vec![65001],
+            as_path: vec![65001].into(),
             local_pref: DEFAULT_LOCAL_PREF,
             med: 0,
             origin: Origin::Igp,
-            communities,
+            communities: communities.into(),
             weight: 0,
             source_protocol: Protocol::Bgp,
         };
@@ -1356,10 +1372,36 @@ mod tests {
         }
     }
 
+    /// The gauge charges a route what an owned copy holds, so a class's
+    /// exported routes (the Adj-RIB-Out) and each receiver's Adj-RIB-In
+    /// and installed copy cost the same: no allocator slack from the
+    /// exporter's prepend.
+    #[test]
+    fn exported_and_received_routes_are_charged_alike() {
+        let (_, mut sw) = hub_and_leaves();
+        for s in &mut sw {
+            s.begin_bgp(None);
+        }
+        for class in sw[0].bgp_export() {
+            let sent: usize = class.routes.iter().map(BgpRoute::approx_bytes).sum();
+            // One AS in the path; the tagged class adds one community.
+            let tagged = class.sessions == [2];
+            assert_eq!(sent, 84 + if tagged { 4 } else { 0 }, "sessions {:?}", class.sessions);
+            for &si in &class.sessions {
+                let session = sw[0].sessions[si].clone();
+                let leaf = &mut sw[session.peer_node.index()];
+                leaf.bgp_receive(session.peer_session_index as usize, &class.routes);
+                leaf.bgp_decide(None);
+                assert_eq!(oracle::rib_bytes(leaf.loc_rib()), sent, "session {si}: local RIB");
+                assert_eq!(leaf.approx_bgp_bytes(), 2 * sent, "session {si}: Adj-RIB-In + RIB");
+            }
+        }
+    }
+
     /// A route a's side could advertise to b: `prefix` with `as_path`.
     fn adv(prefix: &str, as_path: &[u32]) -> BgpRoute {
         BgpRoute {
-            as_path: as_path.to_vec(),
+            as_path: as_path.into(),
             weight: 0,
             ..BgpRoute::local(prefix.parse().unwrap(), Origin::Igp, Protocol::Bgp)
         }
@@ -1391,7 +1433,8 @@ mod tests {
             r
         };
         let heavy = BgpRoute { weight: 7, ..adv(p2, &[65001]) };
-        let tagged = BgpRoute { communities: vec![community(65001, 1)], ..adv(p3, &[65001]) };
+        let tagged =
+            BgpRoute { communities: vec![community(65001, 1)].into(), ..adv(p3, &[65001]) };
         let bodies = vec![
             // Canonical, then equal content in a fresh body: unchanged.
             vec![adv(p1, &[65001]), adv(p2, &[65001])],

@@ -809,51 +809,71 @@ impl Worker {
     }
 
     /// The export half of a BGP round: each class body with remote
-    /// targets goes out as one frame per destination worker.
+    /// targets goes out as one frame per destination worker. The frames
+    /// are collected during the export and encoded and sent after it, so
+    /// the trace splits `bgp.export` from `bgp.encode`.
     fn bgp_send(&mut self) {
-        let sidecar = &self.sidecar;
-        self.bgp.export(&self.pool, |routes, targets| {
-            let mut remote: BTreeMap<WorkerId, Vec<(NodeId, u32)>> = BTreeMap::new();
-            for &(peer, session) in targets {
-                remote.entry(sidecar.net().owner(peer)).or_default().push((peer, session));
-            }
-            for targets in remote.into_values() {
-                #[cfg(test)]
-                tests::BGP_FRAMES.with(|n| n.set(n.get() + 1));
-                let first = targets[0].0;
-                let routes = routes.clone();
-                sidecar.send(first, &Message::BgpClassAdvertisement { targets, routes });
-            }
-        });
+        let net = self.sidecar.net();
+        let mut frames: Vec<(NodeId, Message)> = Vec::new();
+        {
+            let _export = s2_obs::span!("bgp.export");
+            self.bgp.export(&self.pool, |routes, targets| {
+                let mut remote: BTreeMap<WorkerId, Vec<(NodeId, u32)>> = BTreeMap::new();
+                for &(peer, session) in targets {
+                    remote.entry(net.owner(peer)).or_default().push((peer, session));
+                }
+                for targets in remote.into_values() {
+                    let first = targets[0].0;
+                    let routes = routes.clone();
+                    frames.push((first, Message::BgpClassAdvertisement { targets, routes }));
+                }
+            });
+        }
+        let _encode = s2_obs::span!("bgp.encode");
+        for (first, msg) in &frames {
+            #[cfg(test)]
+            tests::BGP_FRAMES.with(|n| n.set(n.get() + 1));
+            self.sidecar.send(*first, msg);
+        }
     }
 
     /// The receive half: the drained frames' deliveries, each checked
-    /// for a local target node and an in-range session.
+    /// for a local target node and an in-range session, received, then
+    /// decided.
     fn bgp_apply(&mut self) -> bool {
         let mut deliveries: Vec<Delivery> = Vec::new();
-        for msg in self.sidecar.drain() {
-            match msg {
-                // Decoded once; every target shares the body.
-                Message::BgpClassAdvertisement { targets, routes } => deliveries.extend(
-                    targets.into_iter().map(|(node, session)| (node, session, routes.clone())),
-                ),
-                Message::BgpAdvertisement { target_node: node, target_session, routes } => {
-                    deliveries.push((node, target_session, routes.into()))
+        {
+            let _decode = s2_obs::span!("bgp.decode");
+            for msg in self.sidecar.drain() {
+                match msg {
+                    // Decoded once; every target shares the body.
+                    Message::BgpClassAdvertisement { targets, routes } => deliveries.extend(
+                        targets.into_iter().map(|(node, session)| (node, session, routes.clone())),
+                    ),
+                    Message::BgpAdvertisement { target_node: node, target_session, routes } => {
+                        deliveries.push((node, target_session, routes.into()))
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
-        // Both the target node and the session index come off the wire;
-        // a non-local node or out-of-range session is a peer protocol
-        // violation, not a reason to panic.
-        deliveries.retain(|&(node, session, _)| {
-            let valid = self.bgp.switch(node).is_some_and(|s| (session as usize) < s.sessions.len());
-            if !valid {
-                note_violation(&self.sidecar);
-            }
-            valid
-        });
-        self.bgp.receive_and_decide(&self.pool, deliveries, self.shard.as_deref())
+        let received = {
+            let _receive = s2_obs::span!("bgp.receive");
+            // Both the target node and the session index come off the
+            // wire; a non-local node or out-of-range session is a peer
+            // protocol violation, not a reason to panic.
+            deliveries.retain(|&(node, session, _)| {
+                let valid =
+                    self.bgp.switch(node).is_some_and(|s| (session as usize) < s.sessions.len());
+                if !valid {
+                    note_violation(&self.sidecar);
+                }
+                valid
+            });
+            self.bgp.receive(&self.pool, deliveries)
+        };
+        let _decide = s2_obs::span!("bgp.decide");
+        self.bgp.decide(&self.pool, self.shard.as_deref()) | received
     }
 
     // ---- data plane ----
@@ -1481,7 +1501,7 @@ mod tests {
         let sessions = receiver.bgp.switch(local).unwrap().sessions.len() as u32;
         let p: Prefix = "10.99.0.0/24".parse().unwrap();
         let route = BgpRoute {
-            as_path: vec![1],
+            as_path: vec![1].into(),
             ..BgpRoute::local(p, s2_routing::Origin::Igp, Protocol::Bgp)
         };
         let msg = Message::BgpClassAdvertisement {

@@ -96,11 +96,11 @@ pub fn messages() -> Vec<(Message, &'static str)> {
                     BgpRoute {
                         prefix: pfx("10.1.2.0/24"),
                         next_hop: Ipv4Addr::new(172, 16, 0, 1),
-                        as_path: vec![65001, 65002, 65001],
+                        as_path: vec![65001, 65002, 65001].into(),
                         local_pref: 200,
                         med: 5,
                         origin: Origin::Igp,
-                        communities: vec![1, 99],
+                        communities: vec![1, 99].into(),
                         weight: 7,
                         source_protocol: Protocol::Bgp,
                     },
@@ -174,11 +174,11 @@ pub fn messages() -> Vec<(Message, &'static str)> {
                 routes: Arc::from([BgpRoute {
                     prefix: pfx("10.1.2.0/24"),
                     next_hop: Ipv4Addr::UNSPECIFIED,
-                    as_path: vec![65001, 65002, 65001],
+                    as_path: vec![65001, 65002, 65001].into(),
                     local_pref: 100,
                     med: 5,
                     origin: Origin::Igp,
-                    communities: vec![1, 99],
+                    communities: vec![1, 99].into(),
                     weight: 0,
                     source_protocol: Protocol::Bgp,
                 }]),

@@ -82,7 +82,15 @@ fn verify_clean_network_exits_zero() {
         }
     }
     assert!(lanes.len() >= 3, "controller + 2 worker lanes, got {lanes:?}");
-    for span in ["verify", "cp.round"] {
+    for span in [
+        "verify",
+        "cp.round",
+        "bgp.export",
+        "bgp.encode",
+        "bgp.decode",
+        "bgp.receive",
+        "bgp.decide",
+    ] {
         assert!(names.contains(span), "trace missing {span}: {names:?}");
     }
 

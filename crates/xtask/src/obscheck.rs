@@ -134,8 +134,13 @@ pub fn check_expo(text: &str, required: &[String]) -> Result<(usize, usize), Str
 /// an always-on metric name (e.g. the `tcp.reconnect` span vs. the
 /// `tcp.reconnects` counter) are excluded — metrics are compiled in
 /// regardless of the `obs` feature.
-pub const SPAN_NEEDLES: [&str; 8] = [
+pub const SPAN_NEEDLES: [&str; 13] = [
     "cp.round",
+    "bgp.export",
+    "bgp.encode",
+    "bgp.decode",
+    "bgp.receive",
+    "bgp.decide",
     "shard.wave",
     "bdd.reencode",
     "bdd.encode",
