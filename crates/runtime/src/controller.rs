@@ -211,7 +211,7 @@ pub struct CpRunStats {
     pub resyncs: usize,
     /// Cross-worker frames rejected at the receiver.
     pub wire_errors: u64,
-    /// Full transport counters (reconnects, backpressure stalls, …),
+    /// Full transport counters (reconnects, heartbeats, …),
     /// aggregated across processes in multi-process mode.
     pub traffic: TrafficSnapshot,
     /// Largest BDD node-table high-water mark across workers (zero
@@ -264,7 +264,7 @@ pub struct DpvRunStats {
     pub replays: usize,
     /// Cross-worker frames rejected at the receiver.
     pub wire_errors: u64,
-    /// Full transport counters (reconnects, backpressure stalls, …),
+    /// Full transport counters (reconnects, heartbeats, …),
     /// aggregated across processes in multi-process mode.
     pub traffic: TrafficSnapshot,
     /// Largest BDD node-table high-water mark across workers.
@@ -728,7 +728,7 @@ impl Cluster {
     /// `NetStats` and sums the per-worker answers.
     ///
     /// `in_flight` is read strictly *before* the counters: a reconnect
-    /// bumps its loss counters before resetting the credit window (see
+    /// bumps its loss counters before resetting the unacked count (see
     /// `tcp::dial`), so sampling in this order guarantees at least one of
     /// the two probes witnesses frames that died with a connection.
     fn probe_net(&self, during: &'static str) -> Result<NetProbe, RuntimeError> {

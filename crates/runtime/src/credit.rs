@@ -1,125 +1,94 @@
-//! Pure credit-accounting state machine for the TCP transport's
-//! per-link backpressure window.
+//! Pure drain-ack accounting for one link of the TCP transport.
+//!
+//! A *credit* is a drain ack: the receiver returns one (in a `Credit`
+//! envelope) each time its **worker** pops a frame of the connection,
+//! not when the socket reads it. Credits bound nothing; they only tell
+//! the sender which frames have left the fabric, so that
+//! `TcpTransport::in_flight` can count a frame from `send` until the
+//! destination worker has it.
 //!
 //! [`CreditLedger`] holds the race-prone part of a link's sending state
-//! — the remaining credit window, the connection generation fence, and
-//! the frame-in-hand marker — with no I/O, no locking, and no clock, so
-//! the exact transition rules the writer / credit-reader / dial threads
-//! race over can be model-checked exhaustively. `tcp.rs` embeds one
-//! ledger per link under the existing link mutex; the loom test
-//! (`tests/loom.rs`, built with `RUSTFLAGS="--cfg loom"`) drives the
-//! same type through every interleaving of those three roles and checks
-//! the invariants the controller's convergence detection depends on:
+//! — the count of frames not yet acked, the connection generation
+//! fence, and the frame-in-hand marker — with no I/O, no locking, and
+//! no clock, so the exact transition rules the writer / credit-reader /
+//! dial threads race over can be model-checked exhaustively. `tcp.rs`
+//! embeds one ledger per link under the existing link mutex; the loom
+//! test (`tests/loom.rs`, built with `RUSTFLAGS="--cfg loom"`) drives
+//! the same type through every interleaving of those three roles and
+//! checks the invariants the controller's convergence detection depends
+//! on:
 //!
-//! * `credits` never exceeds `window` (refills are clamped, so a
-//!   duplicated or late credit cannot mint send capacity);
-//! * a refill or connection-death notice carrying a stale generation is
+//! * a frame is counted from the moment the writer pops it, so an ack
+//!   that races the write of its own frame always finds the frame
+//!   counted and is never lost;
+//! * an ack or connection-death notice carrying a stale generation is
 //!   a no-op (a reader of a dead connection cannot affect a newer one);
-//! * `outstanding()` — consumed credits plus the frame in the writer's
-//!   hand — never undercounts: a frame accepted from the sender is
-//!   visible in `outbox.len() + outstanding()` until the receiver
-//!   drains it, which is what keeps "cluster quiescent" honest.
+//! * `outstanding()` never undercounts: a frame accepted from the
+//!   sender is visible in `outbox.len() + outstanding()` until the
+//!   receiver drains it, which is what keeps "cluster quiescent" honest.
 
-/// Credit window, generation fence, and in-hand marker for one link.
+/// Unacked count, generation fence, and in-hand marker for one link.
 ///
 /// All methods are total and non-panicking; generation-fenced methods
 /// return whether they applied so callers can count stale events.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CreditLedger {
-    window: u32,
-    /// Remaining send credits; resets to the full window on (re)connect.
-    credits: u32,
+    /// Frames the writer popped on the current connection (the one in
+    /// hand included) whose drain ack has not come back.
+    unacked: u32,
     /// Bumped per successful dial so a stale credit reader cannot kill
-    /// or refill a newer connection.
+    /// or ack on a newer connection.
     conn_gen: u64,
     /// Set by the credit reader when the current connection died.
     conn_dead: bool,
-    /// A frame the writer popped but has not yet written or requeued —
-    /// without this, a frame parked during a partition (popped with no
-    /// credit spent) would vanish from `in_flight` and let the cluster
-    /// declare convergence with a message still pending.
+    /// A frame the writer popped but has not yet written or requeued.
+    /// A reconnect keeps it counted: it is the one frame the fresh
+    /// connection carries before any ack can come back.
     in_hand: bool,
 }
 
 impl CreditLedger {
-    /// A fresh ledger with a full window and generation 0 (no
-    /// connection has been dialed yet).
-    pub fn new(window: u32) -> Self {
-        CreditLedger {
-            window,
-            credits: window,
-            conn_gen: 0,
-            conn_dead: false,
-            in_hand: false,
-        }
-    }
-
-    /// Whether the writer may pop a frame now: always while
-    /// disconnected (the dial handshake will spend the credit), only
-    /// with credits in hand while connected.
-    pub fn can_send(&self, connected: bool) -> bool {
-        !connected || self.credits > 0
-    }
-
-    /// The writer pops a frame: marks it in hand and, on a live
-    /// connection, spends one credit. Returns whether a credit was
-    /// spent (the caller threads this through requeue on failure).
-    /// Callers must check [`can_send`](Self::can_send) first; a
-    /// connected consume with an empty window is saturating, never
-    /// underflowing.
-    pub fn begin_send(&mut self, connected: bool) -> bool {
-        if connected {
-            self.credits = self.credits.saturating_sub(1);
-        }
+    /// The writer pops a frame: it is in hand and counted until its ack
+    /// comes back or it is requeued.
+    pub fn begin_send(&mut self) {
+        self.unacked = self.unacked.saturating_add(1);
         self.in_hand = true;
-        connected
     }
 
-    /// The in-hand frame reached the socket; its consumed credit now
-    /// accounts for it until the receiver pops it and grants the credit
-    /// back.
+    /// The in-hand frame reached the socket; it stays counted until the
+    /// receiver pops it and acks.
     pub fn sent(&mut self) {
         self.in_hand = false;
     }
 
     /// The in-hand frame went back to the outbox (connection loss or
-    /// partition); returns its credit if one was spent.
-    pub fn requeue(&mut self, credit_spent: bool) {
+    /// partition), where the outbox length counts it instead.
+    pub fn requeue(&mut self) {
         self.in_hand = false;
-        if credit_spent {
-            self.credits = (self.credits + 1).min(self.window);
-        }
+        self.unacked = self.unacked.saturating_sub(1);
     }
 
     /// A successful dial: fences off every older reader by bumping the
-    /// generation, clears the death flag, and resets the window.
-    /// Returns the new generation for the connection's credit reader.
+    /// generation and clears the death flag. Frames written on the old
+    /// connection will never be acked on this one, so only the frame in
+    /// hand stays counted (losses in the old connection are exposed by
+    /// the reconnect counter instead). Returns the new generation for
+    /// the connection's credit reader.
     pub fn reconnect(&mut self) -> u64 {
         self.conn_gen += 1;
         self.conn_dead = false;
-        self.credits = self.window;
+        self.unacked = self.in_hand as u32;
         self.conn_gen
     }
 
-    /// Spends the lazily-dialed frame's credit out of the fresh window
-    /// (the pop skipped it while disconnected). Deliberately an
-    /// assignment, not a decrement: any refill that raced in between
-    /// [`reconnect`](Self::reconnect) and this call is forfeited, which
-    /// can only overstate `outstanding()` — the conservative direction
-    /// for convergence detection.
-    pub fn debit_fresh_window(&mut self) {
-        self.credits = self.window.saturating_sub(1);
-    }
-
-    /// Credit grant from the receiver, clamped to the window. Applied
-    /// only if `gen` matches the current connection; returns whether it
-    /// applied (a stale reader's grant must not mint capacity on a
-    /// newer connection).
-    pub fn refill(&mut self, n: u32, gen: u64) -> bool {
+    /// `n` drain acks from the receiver. Applied only if `gen` matches
+    /// the current connection; returns whether it applied (a stale
+    /// reader's acks must not uncount frames of a newer connection).
+    pub fn ack(&mut self, n: u32, gen: u64) -> bool {
         if self.conn_gen != gen {
             return false;
         }
-        self.credits = self.credits.saturating_add(n).min(self.window);
+        self.unacked = self.unacked.saturating_sub(n);
         true
     }
 
@@ -141,21 +110,10 @@ impl CreditLedger {
     }
 
     /// Frames accounted by this ledger: the one in the writer's hand
-    /// plus every consumed credit (sent but not yet drained by the
-    /// receiver). The link's `in_flight` is `outbox.len() + outstanding()`.
+    /// plus every frame written but not yet drained by the receiver. The
+    /// link's `in_flight` is `outbox.len() + outstanding()`.
     pub fn outstanding(&self) -> usize {
-        self.in_hand as usize + (self.window - self.credits.min(self.window)) as usize
-    }
-
-    /// Core safety invariant, asserted by the loom model after every
-    /// transition: the clamp discipline keeps the window bounded.
-    pub fn invariant_holds(&self) -> bool {
-        self.credits <= self.window
-    }
-
-    /// Remaining credits (model-check observability).
-    pub fn credits(&self) -> u32 {
-        self.credits
+        self.unacked as usize
     }
 
     /// Current connection generation (model-check observability).
@@ -170,73 +128,75 @@ mod tests {
 
     #[test]
     fn consume_refill_round_trip() {
-        let mut l = CreditLedger::new(4);
+        let mut l = CreditLedger::default();
         let gen = l.reconnect();
-        assert!(l.can_send(true));
-        assert!(l.begin_send(true));
-        l.sent();
-        assert_eq!(l.credits(), 3);
+        l.begin_send();
         assert_eq!(l.outstanding(), 1);
-        assert!(l.refill(1, gen));
-        assert_eq!(l.credits(), 4);
+        l.sent();
+        assert_eq!(l.outstanding(), 1, "written, not yet drained");
+        assert!(l.ack(1, gen));
         assert_eq!(l.outstanding(), 0);
-        assert!(l.invariant_holds());
-    }
-
-    #[test]
-    fn refill_clamps_to_window() {
-        let mut l = CreditLedger::new(2);
-        let gen = l.reconnect();
-        assert!(l.refill(100, gen));
-        assert_eq!(l.credits(), 2);
-        assert!(l.invariant_holds());
     }
 
     #[test]
     fn stale_generation_is_fenced() {
-        let mut l = CreditLedger::new(4);
+        let mut l = CreditLedger::default();
         let old = l.reconnect();
-        assert!(l.begin_send(true));
+        l.begin_send();
         l.sent();
         let fresh = l.reconnect();
         assert_ne!(old, fresh);
-        assert!(!l.refill(4, old), "stale refill must not apply");
+        l.begin_send();
+        l.sent();
+        assert!(!l.ack(4, old), "stale ack must not apply");
         assert!(!l.connection_lost(old), "stale death must not apply");
         assert!(!l.take_conn_dead());
-        assert_eq!(l.credits(), 4, "reconnect reset stands");
-    }
-
-    #[test]
-    fn exhausted_window_blocks_connected_sends() {
-        let mut l = CreditLedger::new(1);
-        l.reconnect();
-        assert!(l.begin_send(true));
-        l.sent();
-        assert!(!l.can_send(true), "window exhausted");
-        assert!(l.can_send(false), "disconnected pops are always allowed");
+        assert_eq!(
+            l.outstanding(),
+            1,
+            "the fresh connection's frame stays counted"
+        );
     }
 
     #[test]
     fn requeue_returns_only_spent_credits() {
-        let mut l = CreditLedger::new(2);
+        let mut l = CreditLedger::default();
         l.reconnect();
-        let spent = l.begin_send(true);
-        l.requeue(spent);
-        assert_eq!(l.credits(), 2);
-        assert_eq!(l.outstanding(), 0);
-        let spent = l.begin_send(false);
-        assert!(!spent);
-        l.requeue(spent);
-        assert_eq!(l.credits(), 2, "no credit minted for an unspent pop");
+        l.begin_send();
+        l.requeue();
+        assert_eq!(l.outstanding(), 0, "the outbox counts a requeued frame");
+        l.begin_send();
+        l.sent();
+        l.begin_send();
+        l.requeue();
+        assert_eq!(l.outstanding(), 1, "a requeue uncounts only its own frame");
     }
 
     #[test]
-    fn debit_fresh_window_forfeits_raced_refills() {
-        let mut l = CreditLedger::new(4);
+    fn reconnect_keeps_only_the_frame_in_hand() {
+        let mut l = CreditLedger::default();
+        l.reconnect();
+        l.begin_send();
+        l.sent();
+        l.begin_send();
+        // The connection died with one frame unacked; the frame in hand
+        // goes out on the fresh one.
         let gen = l.reconnect();
-        assert!(l.refill(2, gen), "refill racing the lazy dial");
-        l.debit_fresh_window();
-        assert_eq!(l.credits(), 3);
-        assert!(l.invariant_holds());
+        assert_eq!(l.outstanding(), 1);
+        l.sent();
+        assert!(l.ack(1, gen));
+        assert_eq!(l.outstanding(), 0);
+    }
+
+    #[test]
+    fn ack_racing_the_write_is_not_lost() {
+        let mut l = CreditLedger::default();
+        let gen = l.reconnect();
+        l.begin_send();
+        // The receiver drains and acks before the writer records the
+        // write: the frame was counted at pop, so the ack lands on it.
+        assert!(l.ack(1, gen));
+        l.sent();
+        assert_eq!(l.outstanding(), 0);
     }
 }

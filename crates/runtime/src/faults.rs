@@ -134,7 +134,7 @@ impl FaultPlan {
     }
 
     /// Slows link `src → dst` down to one data frame per `per_frame_ms`
-    /// milliseconds, so its outbox fills and senders feel backpressure.
+    /// milliseconds, so its outbox fills while the frames trickle out.
     /// TCP backend only.
     pub fn throttle_link(mut self, src: WorkerId, dst: WorkerId, per_frame_ms: u64) -> Self {
         self.throttle.push((src, dst, per_frame_ms));

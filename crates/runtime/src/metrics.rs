@@ -132,8 +132,6 @@ pub fn traffic_metrics(t: &TrafficSnapshot) -> MetricsSnapshot {
     s.counter("net.injected_corruptions", t.injected_corruptions);
     s.counter("net.injected_delays", t.injected_delays);
     s.counter("tcp.reconnects", t.reconnects);
-    s.counter("net.send_drops", t.send_drops);
-    s.counter("tcp.backpressure_stalls", t.backpressure_stalls);
     s.counter("tcp.heartbeats", t.heartbeats);
     s.counter("net.protocol_violations", t.protocol_violations);
     s.counter("dp.scratch_reuses", t.scratch_reuses);
@@ -226,26 +224,24 @@ mod tests {
             injected_corruptions: 9,
             injected_delays: 10,
             reconnects: 11,
-            send_drops: 12,
-            backpressure_stalls: 13,
-            heartbeats: 14,
-            protocol_violations: 15,
-            scratch_reuses: 16,
+            heartbeats: 12,
+            protocol_violations: 13,
+            scratch_reuses: 14,
         };
         let s = traffic_metrics(&t);
         assert_eq!(s.counter_value("net.messages"), 1);
         assert_eq!(s.counter_value("tcp.reconnects"), 11);
-        assert_eq!(s.counter_value("tcp.backpressure_stalls"), 13);
-        assert_eq!(s.counter_value("dp.scratch_reuses"), 16);
+        assert_eq!(s.counter_value("tcp.heartbeats"), 12);
+        assert_eq!(s.counter_value("dp.scratch_reuses"), 14);
         // Sum of all counters equals the sum of all fields: nothing
         // dropped in translation.
-        let total: u64 = (1..=16).sum();
+        let total: u64 = (1..=14).sum();
         let json = s.to_json();
         let parsed = s2_obs::parse_json(&json).unwrap();
         let counters = parsed.get("counters").unwrap();
         let mut sum = 0u64;
         if let s2_obs::Json::Obj(fields) = counters {
-            assert_eq!(fields.len(), 16);
+            assert_eq!(fields.len(), 14);
             for (_, v) in fields {
                 sum += v.as_num().unwrap() as u64;
             }

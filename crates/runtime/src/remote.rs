@@ -107,8 +107,6 @@ wire_struct!(TrafficSnapshot {
     injected_corruptions,
     injected_delays,
     reconnects,
-    send_drops,
-    backpressure_stalls,
     heartbeats,
     protocol_violations,
     scratch_reuses,

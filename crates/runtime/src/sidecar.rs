@@ -73,10 +73,6 @@ pub struct TrafficStats {
     /// TCP connections re-established after a failure (frames buffered in
     /// the dead connection may be lost, so reconnects count as losses).
     pub reconnects: AtomicU64,
-    /// Frames dropped because a backpressured `send` hit its deadline.
-    pub send_drops: AtomicU64,
-    /// `send` calls that had to block on a full outbox.
-    pub backpressure_stalls: AtomicU64,
     /// Keepalive probes written on idle connections.
     pub heartbeats: AtomicU64,
     /// Messages or envelopes a peer sent that violated the protocol
@@ -108,19 +104,17 @@ impl TrafficStats {
             + self.injected_delays.load(Ordering::Relaxed)
             + self.wire_errors.load(Ordering::Relaxed)
             + self.reconnects.load(Ordering::Relaxed)
-            + self.send_drops.load(Ordering::Relaxed)
             + self.protocol_violations.load(Ordering::Relaxed)
     }
 
     /// Frames lost to the receiver (injected drops, rejected frames,
-    /// reconnects with possibly-buffered frames, deadline-dropped sends,
-    /// protocol-violating messages that were skipped) — the subset of
-    /// disturbances that needs active healing.
+    /// reconnects with possibly-buffered frames, protocol-violating
+    /// messages that were skipped) — the subset of disturbances that
+    /// needs active healing.
     pub fn losses(&self) -> u64 {
         self.injected_drops.load(Ordering::Relaxed)
             + self.wire_errors.load(Ordering::Relaxed)
             + self.reconnects.load(Ordering::Relaxed)
-            + self.send_drops.load(Ordering::Relaxed)
             + self.protocol_violations.load(Ordering::Relaxed)
     }
 
@@ -139,8 +133,6 @@ impl TrafficStats {
             injected_corruptions: self.injected_corruptions.load(Ordering::Relaxed),
             injected_delays: self.injected_delays.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
-            send_drops: self.send_drops.load(Ordering::Relaxed),
-            backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
             heartbeats: self.heartbeats.load(Ordering::Relaxed),
             protocol_violations: self.protocol_violations.load(Ordering::Relaxed),
             scratch_reuses: self.scratch_reuses.load(Ordering::Relaxed),
@@ -174,10 +166,6 @@ pub struct TrafficSnapshot {
     pub injected_delays: u64,
     /// See [`TrafficStats::reconnects`].
     pub reconnects: u64,
-    /// See [`TrafficStats::send_drops`].
-    pub send_drops: u64,
-    /// See [`TrafficStats::backpressure_stalls`].
-    pub backpressure_stalls: u64,
     /// See [`TrafficStats::heartbeats`].
     pub heartbeats: u64,
     /// See [`TrafficStats::protocol_violations`].
@@ -201,8 +189,6 @@ impl TrafficSnapshot {
         self.injected_corruptions += other.injected_corruptions;
         self.injected_delays += other.injected_delays;
         self.reconnects += other.reconnects;
-        self.send_drops += other.send_drops;
-        self.backpressure_stalls += other.backpressure_stalls;
         self.heartbeats += other.heartbeats;
         self.protocol_violations += other.protocol_violations;
         self.scratch_reuses += other.scratch_reuses;
@@ -214,17 +200,12 @@ impl TrafficSnapshot {
             + self.injected_delays
             + self.wire_errors
             + self.reconnects
-            + self.send_drops
             + self.protocol_violations
     }
 
     /// Mirror of [`TrafficStats::losses`] over plain values.
     pub fn losses(&self) -> u64 {
-        self.injected_drops
-            + self.wire_errors
-            + self.reconnects
-            + self.send_drops
-            + self.protocol_violations
+        self.injected_drops + self.wire_errors + self.reconnects + self.protocol_violations
     }
 }
 
@@ -436,9 +417,8 @@ impl SidecarNet {
         } else {
             framed
         };
-        // Failures are accounted inside the transport (send_drops /
-        // backpressure) or mean shutdown; either way the frame is gone
-        // and the disturbance machinery heals real losses.
+        // A send fails only once the transport is shut down, when the
+        // frame has nowhere to go.
         let _ = self.transport.send(src, dst, framed);
     }
 

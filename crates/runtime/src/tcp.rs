@@ -1,35 +1,41 @@
 //! The framed-TCP transport backend with per-peer connection supervision.
 //!
 //! Every worker binds one loopback/LAN listener. For each (sender,
-//! receiver) pair a *link* exists on the sending side: a bounded outbox
-//! plus a writer thread that owns the connection lifecycle — dialing with
-//! exponential backoff and deterministic jitter, heartbeating when idle,
-//! requeueing the in-hand frame and redialing on any write error. The
-//! accepting side runs one reader thread per established connection that
-//! pushes data frames into the worker's [`TcpInbox`], plus a flusher
-//! thread that returns *credits* over the same connection.
+//! receiver) pair a *link* exists on the sending side: an unbounded
+//! outbox plus a writer thread that owns the connection lifecycle —
+//! dialing with exponential backoff and deterministic jitter,
+//! heartbeating when idle, requeueing the in-hand frame and redialing on
+//! any write error. The accepting side runs one reader thread per
+//! established connection that pushes data frames into the worker's
+//! [`TcpInbox`], plus a flusher thread that returns drain acks
+//! (*credits*) over the same connection.
 //!
-//! ## Credit-based flow control
+//! ## One buffering contract for both fabrics
 //!
-//! A link may have at most [`TcpConfig::credit_window`] frames
-//! outstanding: each data frame consumes one credit, and the credit is
-//! returned only when the receiving **worker** pops the frame from its
-//! inbox — not when the receiving socket reads it. A slow worker
-//! therefore backpressures its senders: their outboxes (bounded at
-//! [`TcpConfig::outbox_capacity`]) fill, their `send` calls block, and
-//! after [`TcpConfig::send_deadline`] the frame is dropped and counted in
-//! [`TrafficStats::send_drops`] — a loss the controller's resync
-//! machinery heals, instead of unbounded memory growth.
+//! Like the channel fabric, [`TcpTransport::send`] never blocks and never
+//! drops: a frame waits in the outbox, the socket, or the destination
+//! inbox until the destination worker pops it. Workers pop only at their
+//! next barrier command, so a round's whole traffic must be buffered
+//! before anyone drains it; a send window below that volume deadlocks
+//! the round, and one above it never binds. The fabric therefore has
+//! none, and the round structure bounds what is buffered.
 //!
 //! ## Supervision and convergence
 //!
 //! Delivery is asynchronous, so the controller folds
-//! [`TcpTransport::in_flight`] — queued outbox frames, the frame in the
-//! writer's hand, plus consumed credits, i.e. everything sent but not
-//! yet drained by the destination worker — into its convergence checks. On reconnect the credit window
-//! resets and [`TrafficStats::reconnects`] ticks; reconnects count as
-//! losses, so frames that died in a severed connection's kernel buffers
-//! always trigger a BGP resync and can never fake a converged round.
+//! [`TcpTransport::in_flight`] — queued outbox frames plus every frame
+//! the writer popped whose drain ack has not come back (see
+//! [`CreditLedger`]), i.e. everything sent but not yet drained by the
+//! destination worker — into its convergence checks. On reconnect the
+//! unacked count resets and [`TrafficStats::reconnects`] ticks;
+//! reconnects count as losses, so frames that died in a severed
+//! connection's kernel buffers always trigger a BGP resync and can never
+//! fake a converged round.
+//!
+//! A writer that drops a connection shuts its socket down, so the peer's
+//! reader and this link's credit reader see EOF at once instead of
+//! waiting out [`TcpConfig::peer_silence_timeout`]; shutdown joins every
+//! thread the transport spawned.
 
 use crate::codec::Wire;
 use crate::faults::FaultState;
@@ -39,11 +45,11 @@ use crate::transport::{Inbox, Transport, TransportError};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use s2_obs::{lock, Deadline, Stopwatch};
+use s2_obs::{lock, Stopwatch};
 use std::time::Duration;
 
 /// Stream envelope kinds (`kind:u8 len:u32 payload`, length big-endian).
@@ -59,14 +65,6 @@ pub(crate) const K_SETUP: u8 = 7;
 /// Tuning knobs of the TCP backend.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum frames a link may have outstanding (sent but not yet
-    /// drained by the receiving worker).
-    pub credit_window: u32,
-    /// Maximum frames queued in a link's outbox before `send` blocks.
-    pub outbox_capacity: usize,
-    /// How long a blocked `send` waits for outbox space before dropping
-    /// the frame (counted in [`TrafficStats::send_drops`]).
-    pub send_deadline: Duration,
     /// Per-attempt dial timeout.
     pub connect_timeout: Duration,
     /// First reconnect backoff; doubles per failed attempt.
@@ -87,9 +85,6 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            credit_window: 256,
-            outbox_capacity: 1024,
-            send_deadline: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(1),
             backoff_base: Duration::from_millis(5),
             backoff_max: Duration::from_millis(500),
@@ -143,8 +138,8 @@ pub fn recv<T: Wire>(r: &mut impl Read, kind: u8, max_len: usize) -> io::Result<
     T::from_bytes(Bytes::from(payload)).map_err(|e| invalid(format!("envelope kind {kind}: {e}")))
 }
 
-/// Per-connection credit accumulator on the accepting side. Popping a
-/// frame from the inbox grants a credit here; the connection's flusher
+/// Per-connection drain-ack accumulator on the accepting side. Popping
+/// a frame from the inbox grants a credit here; the connection's flusher
 /// thread batches pending credits into `Credit` envelopes back to the
 /// sender.
 #[derive(Debug, Default)]
@@ -208,7 +203,7 @@ pub struct TcpInbox {
 }
 
 impl TcpInbox {
-    /// Pops the next frame, granting its link credit back.
+    /// Pops the next frame, acking it to the sending link.
     pub fn pop(&self) -> Option<Bytes> {
         let popped = lock(&self.q).pop_front();
         popped.map(|(credit, frame)| {
@@ -223,8 +218,8 @@ impl TcpInbox {
         lock(&self.q).push_back((credit, frame));
     }
 
-    /// Discards everything queued, still granting credits so senders'
-    /// windows (and `in_flight`) do not leak (worker respawn).
+    /// Discards everything queued, still acking each frame so senders'
+    /// `in_flight` does not leak (worker respawn).
     fn clear(&self) {
         let drained: Vec<_> = lock(&self.q).drain(..).collect();
         for (credit, _) in drained {
@@ -235,16 +230,14 @@ impl TcpInbox {
     }
 }
 
-/// Sending-side state of one (src, dst) link. The race-prone credit /
+/// Sending-side state of one (src, dst) link. The race-prone ack /
 /// generation bookkeeping lives in [`CreditLedger`], a pure state
 /// machine shared with the loom model check (`tests/loom.rs`).
 #[derive(Debug)]
 struct LinkState {
     outbox: VecDeque<Bytes>,
-    /// Credit window, connection-generation fence, frame-in-hand marker.
+    /// Unacked count, connection-generation fence, frame-in-hand marker.
     ledger: CreditLedger,
-    /// Largest outbox depth ever observed (bounded-memory evidence).
-    outbox_peak: usize,
     /// Data frames handed to the writer so far (per-link fault index).
     frames_attempted: u64,
     writer_spawned: bool,
@@ -260,14 +253,13 @@ struct Link {
 }
 
 impl Link {
-    fn new(src: WorkerId, dst: WorkerId, window: u32) -> Self {
+    fn new(src: WorkerId, dst: WorkerId) -> Self {
         Link {
             src,
             dst,
             state: Mutex::new(LinkState {
                 outbox: VecDeque::new(),
-                ledger: CreditLedger::new(window),
-                outbox_peak: 0,
+                ledger: CreditLedger::default(),
                 frames_attempted: 0,
                 writer_spawned: false,
                 closed: false,
@@ -276,7 +268,7 @@ impl Link {
         }
     }
 
-    /// Outbox frames plus consumed credits: everything accepted from the
+    /// Outbox frames plus unacked ones: everything accepted from the
     /// sender but not yet drained by the destination worker.
     fn in_flight(&self) -> usize {
         let st = lock(&self.state);
@@ -376,7 +368,7 @@ impl TcpTransport {
         let links: Vec<Option<Arc<Link>>> = (0..n * n)
             .map(|i| {
                 let (src, dst) = ((i / n) as WorkerId, (i % n) as WorkerId);
-                is_local(src).then(|| Arc::new(Link::new(src, dst, cfg.credit_window)))
+                is_local(src).then(|| Arc::new(Link::new(src, dst)))
             })
             .collect();
         let inboxes: Vec<Option<TcpInbox>> = (0..num_workers)
@@ -422,17 +414,6 @@ impl TcpTransport {
             .unwrap_or_default()
     }
 
-    /// Largest outbox depth any link ever reached (bounded-memory
-    /// evidence for the backpressure tests).
-    pub fn outbox_peak(&self) -> usize {
-        self.links
-            .iter()
-            .flatten()
-            .map(|l| lock(&l.state).outbox_peak)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Ensures the link's writer thread runs (first send only).
     fn spawn_writer_if_needed(&self, link: &Arc<Link>, st: &mut LinkState) {
         if st.writer_spawned {
@@ -451,6 +432,7 @@ impl TcpTransport {
             cfg: self.cfg.clone(),
             stats: self.stats.clone(),
             faults: self.faults.clone(),
+            threads: self.threads.clone(),
         };
         let handle = thread::spawn(move || writer_loop(ctx));
         lock(&self.threads).push(handle);
@@ -464,29 +446,10 @@ impl Transport for TcpTransport {
         }
         let link = self.link(src, dst).ok_or(TransportError::Closed)?;
         let mut st = lock(&link.state);
-        let deadline = Deadline::after(self.cfg.send_deadline);
-        let mut stalled = false;
-        while st.outbox.len() >= self.cfg.outbox_capacity && !st.closed {
-            if !stalled {
-                stalled = true;
-                self.stats.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
-                s2_obs::event!("credit.stall", dst);
-            }
-            if deadline.expired() {
-                self.stats.send_drops.fetch_add(1, Ordering::Relaxed);
-                return Err(TransportError::Timeout);
-            }
-            let (g, _) = link
-                .cond
-                .wait_timeout(st, deadline.remaining())
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-        }
         if st.closed {
             return Err(TransportError::Closed);
         }
         st.outbox.push_back(frame);
-        st.outbox_peak = st.outbox_peak.max(st.outbox.len());
         self.spawn_writer_if_needed(link, &mut st);
         link.cond.notify_all();
         Ok(())
@@ -521,8 +484,11 @@ impl Transport for TcpTransport {
         for inbox in self.inboxes.iter().flatten() {
             inbox.clear();
         }
-        // Two passes: joining a writer closes its socket, which lets the
-        // peer's reader/flusher threads (registered concurrently) exit.
+        // Two passes: the first joins the acceptors and writers, which
+        // are the only threads that spawn more; a writer shuts its socket
+        // down on the way out, which lets its credit reader and the
+        // peer's reader/flusher (registered concurrently) exit for the
+        // second.
         for _ in 0..2 {
             let handles: Vec<_> = lock(&self.threads).drain(..).collect();
             for h in handles {
@@ -545,14 +511,14 @@ struct WriterCtx {
     cfg: TcpConfig,
     stats: Arc<TrafficStats>,
     faults: Arc<FaultState>,
+    /// Where the link's credit readers are registered for shutdown.
+    threads: ThreadRegistry,
 }
 
 /// What the writer decided to do after waiting on the link state.
 enum Wake {
-    /// A data frame to transmit: payload, per-link frame index, and
-    /// whether a credit was already consumed for it (requeue paths must
-    /// return it).
-    Frame(Bytes, u64, bool),
+    /// A data frame to transmit: payload and per-link frame index.
+    Frame(Bytes, u64),
     Heartbeat,
     Closed,
 }
@@ -584,20 +550,13 @@ fn writer_loop(ctx: WriterCtx) {
                     break Wake::Closed;
                 }
                 if st.ledger.take_conn_dead() {
-                    conn = None;
+                    hang_up(&mut conn);
                 }
-                // Out of credits with a live connection: wait for the
-                // receiver to drain. With no connection, proceed — the
-                // dial handshake resets the window.
-                if let Some(frame) = (st.ledger.can_send(conn.is_some()))
-                    .then(|| st.outbox.pop_front())
-                    .flatten()
-                {
-                    let credit_spent = st.ledger.begin_send(conn.is_some());
+                if let Some(frame) = st.outbox.pop_front() {
+                    st.ledger.begin_send();
                     let idx = st.frames_attempted;
                     st.frames_attempted += 1;
-                    link.cond.notify_all(); // wake senders blocked on a full outbox
-                    break Wake::Frame(frame, idx, credit_spent);
+                    break Wake::Frame(frame, idx);
                 }
                 let (g, timeout) = link
                     .cond
@@ -614,20 +573,20 @@ fn writer_loop(ctx: WriterCtx) {
         };
         match wake {
             Wake::Closed => {
-                // Dropping the socket unblocks the peer's reader.
+                hang_up(&mut conn);
                 return;
             }
             Wake::Heartbeat => {
                 if let Some(stream) = conn.as_mut() {
                     if write_envelope(stream, K_HEARTBEAT, &[]).is_err() {
-                        conn = None;
+                        hang_up(&mut conn);
                     } else {
                         ctx.stats.heartbeats.fetch_add(1, Ordering::Relaxed);
                         last_write = Stopwatch::start();
                     }
                 }
             }
-            Wake::Frame(frame, idx, credit_spent) => {
+            Wake::Frame(frame, idx) => {
                 // Fault: sever the connection carrying this link's nth
                 // data frame. The frame itself travels on the fresh
                 // connection; anything buffered in the dead one is lost
@@ -636,13 +595,13 @@ fn writer_loop(ctx: WriterCtx) {
                 // dialed lazily, so the trigger waits (`idx >= n`) for
                 // the first frame that finds one up.
                 if conn.is_some() && ctx.faults.should_sever(link.src, link.dst, idx) {
-                    conn = None;
+                    hang_up(&mut conn);
                 }
                 // Fault: partition — the link is unusable until the
                 // window elapses. Park the frame back and poll.
                 if ctx.faults.partition_active(link.src, link.dst) {
-                    conn = None;
-                    requeue(link, frame, credit_spent);
+                    hang_up(&mut conn);
+                    requeue(link, frame);
                     thread::sleep(Duration::from_millis(2));
                     continue;
                 }
@@ -651,10 +610,6 @@ fn writer_loop(ctx: WriterCtx) {
                         Some(stream) => {
                             had_conn = true;
                             conn = Some(stream);
-                            // The fresh connection starts with a full
-                            // window; spend this frame's credit now
-                            // (skipped above while disconnected).
-                            lock(&link.state).ledger.debit_fresh_window();
                         }
                         None => {
                             // Shut down while dialing; frame dies with
@@ -673,36 +628,46 @@ fn writer_loop(ctx: WriterCtx) {
                 }
                 if wrote {
                     last_write = Stopwatch::start();
-                    // Delivered to the socket: the consumed credit now
-                    // accounts for the frame until the receiver pops it.
+                    // Delivered to the socket: the frame stays counted
+                    // until the receiver pops it and acks.
                     lock(&link.state).ledger.sent();
                 } else {
                     // Requeue at the front: the frame is retried on the
                     // next connection in order.
-                    conn = None;
-                    requeue(link, frame, true);
+                    hang_up(&mut conn);
+                    requeue(link, frame);
                 }
             }
         }
     }
 }
 
+/// Drops the writer's connection. Shutting the socket down (not just
+/// closing this handle) matters: the link's credit reader holds a clone,
+/// so without it neither that reader nor the peer's would see EOF before
+/// the peer silence timeout.
+fn hang_up(conn: &mut Option<TcpStream>) {
+    if let Some(stream) = conn.take() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
 /// Puts a frame back at the head of the outbox (connection loss or
-/// partition), returning its credit if one was consumed.
-fn requeue(link: &Arc<Link>, frame: Bytes, credit_spent: bool) {
+/// partition), where the outbox length counts it again.
+fn requeue(link: &Arc<Link>, frame: Bytes) {
     let mut st = lock(&link.state);
     st.outbox.push_front(frame);
     st.frames_attempted = st.frames_attempted.saturating_sub(1);
-    st.ledger.requeue(credit_spent);
+    st.ledger.requeue();
 }
 
 /// Dials the peer with exponential backoff until it answers or the link
 /// closes; returns `None` on closure. A successful dial performs the
-/// `Hello` handshake, resets the credit window, and starts the credit
-/// reader for the new connection.
+/// `Hello` handshake, resets the unacked count, and starts (and
+/// registers) the credit reader for the new connection.
 ///
 /// When this is a *re*connect, [`TrafficStats::reconnects`] is bumped
-/// strictly before the credit window resets: the controller samples
+/// strictly before the unacked count resets: the controller samples
 /// `in_flight` before `disturbances`, so at least one of the two always
 /// exposes frames that died with the previous connection.
 fn dial(ctx: &WriterCtx, reconnect: bool) -> Option<TcpStream> {
@@ -736,7 +701,9 @@ fn dial(ctx: &WriterCtx, reconnect: bool) -> Option<TcpStream> {
                 if let Ok(read_half) = stream.try_clone() {
                     let (link, cfg) = (link.clone(), ctx.cfg.clone());
                     let stats = ctx.stats.clone();
-                    thread::spawn(move || credit_reader(link, read_half, cfg, stats, gen));
+                    let handle =
+                        thread::spawn(move || credit_reader(link, read_half, cfg, stats, gen));
+                    lock(&ctx.threads).push(handle);
                 } else {
                     attempt = attempt.saturating_add(1);
                     thread::sleep(backoff(&ctx.cfg, link.src, link.dst, attempt));
@@ -752,7 +719,8 @@ fn dial(ctx: &WriterCtx, reconnect: bool) -> Option<TcpStream> {
     }
 }
 
-/// Reads `Credit`/`Heartbeat` envelopes coming back from the receiver.
+/// Reads `Credit` (drain ack) and `Heartbeat` envelopes coming back from
+/// the receiver.
 /// Exits (marking the connection dead for the writer) on any read error,
 /// EOF, or peer silence beyond the timeout. The generation check stops a
 /// stale reader from killing a newer connection.
@@ -771,11 +739,9 @@ fn credit_reader(
                     continue; // unreachable: length checked by the guard
                 };
                 let n = u32::from_be_bytes(bytes);
-                let mut st = lock(&link.state);
-                if !st.ledger.refill(n, gen) {
+                if !lock(&link.state).ledger.ack(n, gen) {
                     return; // stale generation: this reader is done
                 }
-                link.cond.notify_all();
             }
             Ok((K_HEARTBEAT, _)) => {}
             Ok(_) => {
@@ -875,7 +841,7 @@ fn serve_connection(
     let _ = flusher.join();
 }
 
-/// Batches granted credits into `Credit` envelopes; heartbeats when idle
+/// Batches drain acks into `Credit` envelopes; heartbeats when idle
 /// so the sender's silence detector stays quiet.
 fn credit_flusher(
     mut stream: TcpStream,
@@ -900,6 +866,7 @@ fn credit_flusher(
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
+    use s2_obs::Deadline;
 
     fn mesh(n: u32, cfg: TcpConfig) -> (Arc<TcpTransport>, Vec<Inbox>) {
         TcpTransport::mesh(
@@ -922,6 +889,15 @@ mod tests {
         None
     }
 
+    /// Waits until every popped frame's drain ack is back.
+    fn wait_drained(t: &TcpTransport) {
+        let deadline = Deadline::after(Duration::from_secs(5));
+        while t.in_flight() > 0 && !deadline.expired() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(t.in_flight(), 0, "every drained frame was acked");
+    }
+
     #[test]
     fn frames_cross_the_mesh_in_order() {
         let (t, mut inboxes) = mesh(2, TcpConfig::default());
@@ -932,39 +908,58 @@ mod tests {
             let got = pop_within(&mut inboxes[1], Duration::from_secs(5)).expect("frame arrives");
             assert_eq!(got.as_ref(), &[i]);
         }
-        let deadline = Deadline::after(Duration::from_secs(5));
-        while t.in_flight() > 0 && !deadline.expired() {
-            thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(t.in_flight(), 0, "credits all returned");
+        wait_drained(&t);
         t.shutdown();
     }
 
+    /// A worker pops only at its next barrier command, so one round's
+    /// whole burst must be accepted while the receiver does not drain:
+    /// no send may block or drop, however large the burst.
     #[test]
-    fn credits_replenish_past_the_window() {
-        let cfg = TcpConfig {
-            credit_window: 4,
-            outbox_capacity: 4,
-            ..TcpConfig::default()
-        };
-        let (t, mut inboxes) = mesh(2, cfg);
-        // 3 * window frames only fit if credits flow back as we pop.
-        let total = 12u8;
-        let sender = {
-            let t = t.clone();
-            thread::spawn(move || {
-                for i in 0..total {
-                    t.send(0, 1, Bytes::from(vec![i])).unwrap();
-                }
-            })
-        };
-        for i in 0..total {
-            let got = pop_within(&mut inboxes[1], Duration::from_secs(5)).expect("frame arrives");
-            assert_eq!(got.as_ref(), &[i]);
+    fn undrained_burst_never_blocks_send() {
+        let (t, mut inboxes) = mesh(2, TcpConfig::default());
+        let burst = 4096u32;
+        let started = Stopwatch::start();
+        for i in 0..burst {
+            assert_eq!(
+                t.send(0, 1, Bytes::from(i.to_be_bytes().to_vec())),
+                Ok(()),
+                "send {i} of an undrained burst"
+            );
         }
-        sender.join().unwrap();
-        assert!(t.outbox_peak() <= 4, "outbox stayed bounded");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the burst blocked for {:?}",
+            started.elapsed()
+        );
+        assert!(t.in_flight() > 0, "nothing was drained yet");
+        for i in 0..burst {
+            let got = pop_within(&mut inboxes[1], Duration::from_secs(5)).expect("frame arrives");
+            assert_eq!(got.as_ref(), &i.to_be_bytes(), "frame {i} in order");
+        }
+        wait_drained(&t);
         t.shutdown();
+    }
+
+    /// A writer that exits shuts its socket down, so the peer's reader
+    /// sees EOF at once: shutdown does not wait out the silence timeout.
+    #[test]
+    fn connected_mesh_shuts_down_promptly() {
+        let cfg = TcpConfig::default();
+        let bound = cfg.peer_silence_timeout / 2;
+        let (t, mut inboxes) = mesh(2, cfg);
+        for (src, dst) in [(0, 1), (1, 0)] {
+            t.send(src, dst, Bytes::from_static(b"x")).unwrap();
+            assert!(pop_within(&mut inboxes[dst as usize], Duration::from_secs(5)).is_some());
+        }
+        wait_drained(&t);
+        let started = Stopwatch::start();
+        t.shutdown();
+        assert!(
+            started.elapsed() < bound,
+            "shutdown took {:?} (bound {bound:?})",
+            started.elapsed()
+        );
     }
 
     #[test]
@@ -980,11 +975,7 @@ mod tests {
         }
         assert!(t.in_flight() > 0);
         assert!(pop_within(&mut inboxes[1], Duration::from_secs(5)).is_some());
-        let deadline = Deadline::after(Duration::from_secs(5));
-        while t.in_flight() > 0 && !deadline.expired() {
-            thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(t.in_flight(), 0);
+        wait_drained(&t);
         t.shutdown();
     }
 

@@ -10,10 +10,10 @@
 //!   and what tier-1 tests run against.
 //! * [`TcpTransport`](crate::tcp::TcpTransport) — length-prefixed framed
 //!   TCP with per-peer connection supervision: heartbeats, automatic
-//!   reconnect with exponential backoff and jitter, bounded per-link
-//!   outboxes and credit-based flow control. Delivery is asynchronous;
-//!   the controller compensates by folding [`Transport::in_flight`] into
-//!   its convergence checks.
+//!   reconnect with exponential backoff and jitter. Like the channels it
+//!   buffers without bound and never blocks a send; delivery is
+//!   asynchronous, and the controller compensates by folding
+//!   [`Transport::in_flight`] into its convergence checks.
 //!
 //! The backend is chosen per cluster through [`TransportKind`] in
 //! [`RuntimeConfig`](crate::RuntimeConfig).
@@ -30,17 +30,12 @@ use std::sync::{Arc, Mutex};
 pub enum TransportError {
     /// The transport (or the destination inbox) is shut down.
     Closed,
-    /// The frame could not be queued before the send deadline expired
-    /// (sustained backpressure); the frame was dropped and the caller
-    /// must count it as a loss so the disturbance machinery heals it.
-    Timeout,
 }
 
 impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::Closed => write!(f, "transport closed"),
-            TransportError::Timeout => write!(f, "send deadline expired under backpressure"),
         }
     }
 }
@@ -68,10 +63,9 @@ impl TransportKind {
 
 /// A handle a sidecar drains frames from.
 ///
-/// For the TCP backend, popping a frame also returns link credit to the
-/// sending peer — the receiving *worker* (not merely the receiving
-/// socket) is what replenishes the sender's credit window, so a slow
-/// worker backpressures its senders.
+/// For the TCP backend, popping a frame also acks it to the sending peer
+/// — the frame counts as in flight until the receiving *worker* (not
+/// merely the receiving socket) has it.
 #[derive(Debug)]
 pub enum Inbox {
     /// Receiver half of a std `mpsc` channel.
@@ -94,8 +88,8 @@ impl Inbox {
 /// inboxes.
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Queues `frame` (sent by worker `src`) for delivery to `dst`'s
-    /// inbox. May block under backpressure up to the backend's send
-    /// deadline.
+    /// inbox. Never blocks: a round's traffic is buffered until the
+    /// destination drains it at its next barrier command.
     fn send(&self, src: WorkerId, dst: WorkerId, frame: Bytes) -> Result<(), TransportError>;
 
     /// Replaces worker `w`'s inbox with a fresh, empty one and returns it

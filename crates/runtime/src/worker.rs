@@ -681,7 +681,7 @@ impl Worker {
             Command::NetStats => {
                 // `in_flight` strictly before the counter snapshot: a
                 // concurrent reconnect bumps `reconnects` before resetting
-                // the credit window (see `tcp::dial`), so sampling in this
+                // the unacked count (see `tcp::dial`), so sampling in this
                 // order means at least one of the two witnesses it.
                 let in_flight = self.sidecar.net().in_flight() as u64;
                 let traffic = self.sidecar.net().stats().full_snapshot();

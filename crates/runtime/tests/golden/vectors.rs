@@ -9,10 +9,10 @@
 //! build must load on this one and a worker of that build must be able
 //! to talk to this controller, so a vector may only be *added* here,
 //! never edited. `wire_golden.rs` asserts each one both ways. A vector
-//! whose variant or format version is retired moves, bytes unchanged,
-//! to the `retired_*` lists at the end: its bytes must then be
-//! rejected, so an old peer or file fails loudly instead of decoding as
-//! something else.
+//! whose variant or format version is retired, or whose variant lost
+//! fields, moves, bytes unchanged, to the `retired_*` lists at the end:
+//! its bytes must then be rejected, so an old peer or file fails loudly
+//! instead of decoding as something else.
 
 use bytes::Bytes;
 use s2_dataplane::FinalKind;
@@ -28,7 +28,7 @@ use s2_runtime::admin::{
 use s2_runtime::remote::{Register, Setup};
 use s2_runtime::wire::Message;
 use s2_runtime::worker::{Command, Reply};
-use s2_runtime::TrafficSnapshot;
+use s2_runtime::{TrafficSnapshot, WireError};
 use std::sync::Arc;
 
 fn pfx(s: &str) -> Prefix {
@@ -424,30 +424,6 @@ pub fn replies() -> Vec<(Reply, &'static str)> {
             "0a00000000000000640000000000000096",
         ),
         (Reply::Pong(42), "0b000000000000002a"),
-        (
-            Reply::Net {
-                traffic: TrafficSnapshot {
-                    messages: 1,
-                    bytes: 2,
-                    wire_errors: 3,
-                    dup_skips: 4,
-                    seq_gaps: 5,
-                    stale_drops: 6,
-                    injected_drops: 7,
-                    injected_dups: 8,
-                    injected_corruptions: 9,
-                    injected_delays: 10,
-                    reconnects: 11,
-                    send_drops: 12,
-                    backpressure_stalls: 13,
-                    heartbeats: 14,
-                    protocol_violations: 15,
-                    scratch_reuses: 16,
-                },
-                in_flight: 3,
-            },
-            "0c000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000003",
-        ),
         (Reply::Violation("bad phase".to_string()), "0d00000009626164207068617365"),
         (Reply::Metrics(snapshot()), "0e000000947b0a202022736368656d61223a202273322d6d6574726963732f7631222c0a202022636f756e74657273223a207b0a20202020226264642e756e697175652e68697473223a2034320a20207d2c0a202022676175676573223a207b0a20202020226d656d2e7065616b5f6279746573223a20313034383537360a20207d2c0a202022686973746f6772616d73223a207b7d0a7d0a"),
         (
@@ -490,6 +466,31 @@ pub fn replies() -> Vec<(Reply, &'static str)> {
                 }],
             },
             "100000000000000007000000010000000161000000010000000001000000000000000000010000000000000002000000000000000300000000000000040000000000000000",
+        ),
+        // `Net` after the TCP fabric dropped `send_drops` and
+        // `backpressure_stalls`; the 16-counter form is in
+        // `retired_replies`.
+        (
+            Reply::Net {
+                traffic: TrafficSnapshot {
+                    messages: 1,
+                    bytes: 2,
+                    wire_errors: 3,
+                    dup_skips: 4,
+                    seq_gaps: 5,
+                    stale_drops: 6,
+                    injected_drops: 7,
+                    injected_dups: 8,
+                    injected_corruptions: 9,
+                    injected_delays: 10,
+                    reconnects: 11,
+                    heartbeats: 12,
+                    protocol_violations: 13,
+                    scratch_reuses: 14,
+                },
+                in_flight: 3,
+            },
+            "0c000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e0000000000000003",
         ),
     ]
 }
@@ -665,13 +666,21 @@ pub fn retired_commands() -> Vec<(&'static str, u8)> {
     vec![("0f", 15)]
 }
 
-/// Retired replies and the tag each must be rejected with: `Mem`
-/// (tag 9), the answer to `MemReport`.
-pub fn retired_replies() -> Vec<(&'static str, u8)> {
-    vec![(
-        "09000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f",
-        9,
-    )]
+/// Retired replies and the error each must be rejected with: `Mem`
+/// (tag 9), the answer to `MemReport`, fails on its tag; `Net` with 16
+/// traffic counters (before `send_drops` and `backpressure_stalls` were
+/// dropped) decodes as today's `Net` with 16 bytes left over.
+pub fn retired_replies() -> Vec<(&'static str, WireError)> {
+    vec![
+        (
+            "09000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f",
+            WireError::BadTag(9),
+        ),
+        (
+            "0c000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000003",
+            WireError::BadValue("trailing bytes"),
+        ),
+    ]
 }
 
 /// Retired checkpoint file images, each to be rejected as corrupt

@@ -1,4 +1,4 @@
-//! Exhaustive model checks of the TCP transport's credit accounting.
+//! Exhaustive model checks of the TCP transport's drain-ack accounting.
 //!
 //! Built only with `RUSTFLAGS="--cfg loom"`:
 //!
@@ -9,159 +9,133 @@
 //! The production writer / credit-reader / dial threads all mutate one
 //! [`CreditLedger`] under the link mutex; what the chaos tests can only
 //! sample, these models explore exhaustively — every interleaving of
-//! the consume, refill, requeue, and epoch-fence (reconnect) operations
+//! the pop, write, ack, requeue, and epoch-fence (reconnect) operations
 //! — and assert the invariants the controller's convergence detection
 //! depends on after every step:
 //!
-//! * **Bounded window**: `credits <= window` in every reachable state
-//!   (no interleaving of refills and requeues can mint send capacity).
+//! * **An ack racing the write is never lost**: the writer writes a
+//!   frame outside the lock and records it after, so the receiver can
+//!   drain and ack in between; the frame was counted when it was popped,
+//!   so the ack always finds it and the count returns to exactly zero.
+//! * **No undercount**: a frame on the wire and not yet acked is always
+//!   in `outstanding()`, so `in_flight` can never report quiescence
+//!   while a frame is still pending.
 //! * **Epoch fence**: a credit reader holding a stale connection
-//!   generation can neither refill nor kill a newer connection, in any
+//!   generation can neither ack on nor kill a newer connection, in any
 //!   ordering of its delivery relative to the reconnect.
-//! * **Conservation / no undercount**: `outstanding()` always accounts
-//!   for every frame consumed-but-not-refilled, so `in_flight` can
-//!   never report quiescence while a frame is still pending.
 //!
 //! The models mirror the lock discipline of `tcp.rs`: every ledger
 //! transition happens under one mutex, and the schedule points are the
-//! lock acquisitions — exactly the granularity at which the real
-//! threads interleave.
+//! lock acquisitions and the socket write — exactly the granularity at
+//! which the real threads interleave.
 
 #![cfg(loom)]
 
+use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::{Arc, Mutex};
 use loom::thread;
 use s2_runtime::credit::CreditLedger;
 
-const WINDOW: u32 = 2;
-
-fn check(l: &CreditLedger, what: &str) {
-    assert!(
-        l.invariant_holds(),
-        "credits exceeded window after {what}: {l:?}"
-    );
-}
-
-/// Writer consumes frames while the receiver refills: in every
-/// interleaving the window stays bounded and every consumed credit is
-/// visible in `outstanding()` until refilled.
+/// The writer pops, writes and records a frame; the receiver drains
+/// and acks it if it finds it on the wire, possibly between the write
+/// and the writer's `sent()`. In every interleaving the frame is counted
+/// when its ack lands, and it stays counted exactly when it was never
+/// acked.
 #[test]
-fn consume_refill_window_stays_bounded() {
+fn ack_racing_the_write_is_never_lost() {
     loom::model(|| {
-        let ledger = Arc::new(Mutex::new(CreditLedger::new(WINDOW)));
+        let ledger = Arc::new(Mutex::new(CreditLedger::default()));
         let gen = ledger.lock().unwrap().reconnect();
+        // Set once the frame is written to the socket, where the
+        // receiver can drain it.
+        let written = Arc::new(AtomicBool::new(false));
 
-        // Writer: send up to two frames, skipping when the window is dry
-        // (the real writer blocks on the condvar; the model just moves on
-        // — the interleavings where it retries later are explored via the
-        // scheduler anyway).
         let writer = {
-            let ledger = ledger.clone();
+            let (ledger, written) = (ledger.clone(), written.clone());
             thread::spawn(move || {
-                let mut sent = 0u32;
-                for _ in 0..2 {
-                    let mut l = ledger.lock().unwrap();
-                    if l.can_send(true) {
-                        let spent = l.begin_send(true);
-                        assert!(spent, "connected sends always spend");
-                        check(&l, "begin_send");
-                        l.sent();
-                        check(&l, "sent");
-                        sent += 1;
-                    }
-                }
-                sent
+                ledger.lock().unwrap().begin_send();
+                // The write happens outside the link lock.
+                written.store(true, Ordering::SeqCst);
+                ledger.lock().unwrap().sent();
             })
         };
 
-        // Credit reader: the receiver drains two frames, granting one
-        // credit each (possibly before the writer even sent them — the
-        // clamp must absorb that).
-        let reader = {
-            let ledger = ledger.clone();
+        let receiver = {
+            let (ledger, written) = (ledger.clone(), written.clone());
             thread::spawn(move || {
-                for _ in 0..2 {
-                    let mut l = ledger.lock().unwrap();
-                    l.refill(1, gen);
-                    check(&l, "refill");
+                if !written.load(Ordering::SeqCst) {
+                    return false;
                 }
+                let mut l = ledger.lock().unwrap();
+                assert_eq!(l.outstanding(), 1, "a frame on the wire was not counted");
+                assert!(l.ack(1, gen));
+                true
             })
         };
 
-        let sent = writer.join().unwrap();
-        reader.join().unwrap();
+        writer.join().unwrap();
+        let acked = receiver.join().unwrap();
 
         let l = ledger.lock().unwrap();
-        check(&l, "quiescence");
-        // Conservation: consumed minus refunded, clamped at zero (extra
-        // refills are absorbed by the clamp), never *under*counted.
-        assert!(
-            l.outstanding() <= sent as usize,
-            "outstanding {} exceeds frames actually sent {}",
+        assert_eq!(
             l.outstanding(),
-            sent
-        );
-        // With at most `window` sends and one credit granted per drain,
-        // credits + outstanding can never drop below the window:
-        // capacity is only clamped, never lost.
-        assert!(
-            l.credits() as usize + l.outstanding() >= WINDOW as usize,
-            "credits {} + outstanding {} lost capacity below the window",
-            l.credits(),
-            l.outstanding()
+            usize::from(!acked),
+            "acked: {acked}; an ack was lost or a frame uncounted"
         );
     });
 }
 
 /// A stale credit reader (from a connection that died) races the
-/// reconnect and the new connection's refills: in no interleaving may
-/// its refill mint credit on the new window, nor its death notice kill
-/// the new connection *after* the writer has observed the reconnect.
+/// redial: in no interleaving may its ack uncount the frame the fresh
+/// connection carries, nor its death notice kill the new connection.
 #[test]
 fn stale_reader_is_epoch_fenced() {
     loom::model(|| {
-        let ledger = Arc::new(Mutex::new(CreditLedger::new(WINDOW)));
-        let old_gen = ledger.lock().unwrap().reconnect();
+        let ledger = Arc::new(Mutex::new(CreditLedger::default()));
+        // One frame written on the old connection, not yet acked.
+        let old_gen = {
+            let mut l = ledger.lock().unwrap();
+            let old_gen = l.reconnect();
+            l.begin_send();
+            l.sent();
+            old_gen
+        };
 
-        // Writer consumes one credit on the old connection, then the
-        // connection dies and the writer redials (new generation).
+        // Writer: pops the next frame, finds the connection dead,
+        // redials and writes it on the new one.
         let dialer = {
             let ledger = ledger.clone();
             thread::spawn(move || {
-                {
-                    let mut l = ledger.lock().unwrap();
-                    let spent = l.begin_send(true);
-                    check(&l, "old-gen begin_send");
-                    // The write fails: requeue, credit comes back.
-                    l.requeue(spent);
-                    check(&l, "old-gen requeue");
-                }
-                let mut l = ledger.lock().unwrap();
-                let new_gen = l.reconnect();
-                check(&l, "reconnect");
+                ledger.lock().unwrap().begin_send();
+                let new_gen = ledger.lock().unwrap().reconnect();
+                ledger.lock().unwrap().sent();
                 new_gen
             })
         };
 
-        // Stale reader: delivers a huge refill and then a death notice
-        // with the old generation, interleaved arbitrarily with the
-        // reconnect above.
+        // Stale reader: acks the old connection's frame, then reports
+        // the old connection dead, interleaved arbitrarily with the
+        // redial above.
         let stale = {
             let ledger = ledger.clone();
             thread::spawn(move || {
                 {
                     let mut l = ledger.lock().unwrap();
-                    let applied = l.refill(100, old_gen);
-                    check(&l, "stale refill");
-                    if applied {
+                    if l.ack(1, old_gen) {
                         // Only legal before the reconnect happened.
                         assert_eq!(l.generation(), old_gen);
                     }
                 }
                 let mut l = ledger.lock().unwrap();
-                let applied = l.connection_lost(old_gen);
-                if applied {
+                if l.connection_lost(old_gen) {
                     assert_eq!(l.generation(), old_gen);
+                }
+                if l.generation() != old_gen {
+                    assert_eq!(
+                        l.outstanding(),
+                        1,
+                        "a stale reader uncounted the new connection's frame"
+                    );
                 }
             })
         };
@@ -170,12 +144,11 @@ fn stale_reader_is_epoch_fenced() {
         stale.join().unwrap();
 
         let mut l = ledger.lock().unwrap();
-        check(&l, "quiescence");
         assert_eq!(l.generation(), new_gen);
         assert_eq!(
-            l.credits(),
-            WINDOW,
-            "stale refill/death leaked past the reconnect fence"
+            l.outstanding(),
+            1,
+            "the new connection's unacked frame must stay counted"
         );
         // A death notice that raced in *before* the reconnect was
         // already cleared by it; one arriving after was fenced. Either
@@ -183,75 +156,6 @@ fn stale_reader_is_epoch_fenced() {
         assert!(
             !l.take_conn_dead(),
             "stale reader killed the new connection"
-        );
-    });
-}
-
-/// The lazy-dial path: the writer pops a frame while disconnected (no
-/// credit spent), dials, and debits the fresh window, racing the new
-/// connection's first refill. The forfeit-on-race rule must only ever
-/// overstate `outstanding()`, never understate it, and the window must
-/// stay bounded.
-#[test]
-fn lazy_dial_debit_races_refill_conservatively() {
-    loom::model(|| {
-        let ledger = Arc::new(Mutex::new(CreditLedger::new(WINDOW)));
-
-        // Writer: disconnected pop (no credit spent), then dial + debit.
-        let writer = {
-            let ledger = ledger.clone();
-            thread::spawn(move || {
-                {
-                    let mut l = ledger.lock().unwrap();
-                    assert!(l.can_send(false));
-                    let spent = l.begin_send(false);
-                    assert!(!spent, "disconnected pops spend no credit");
-                    check(&l, "disconnected begin_send");
-                }
-                let gen = {
-                    let mut l = ledger.lock().unwrap();
-                    let gen = l.reconnect();
-                    check(&l, "reconnect");
-                    gen
-                };
-                {
-                    let mut l = ledger.lock().unwrap();
-                    l.debit_fresh_window();
-                    check(&l, "debit_fresh_window");
-                }
-                let mut l = ledger.lock().unwrap();
-                l.sent();
-                check(&l, "sent");
-                gen
-            })
-        };
-
-        // Receiver: the frame arrives and is drained; its credit grant
-        // races the debit above. (Generation 1 is the writer's dial —
-        // the model exposes the race by running this refill at any
-        // point relative to it; pre-dial deliveries are fenced.)
-        let reader = {
-            let ledger = ledger.clone();
-            thread::spawn(move || {
-                let mut l = ledger.lock().unwrap();
-                l.refill(1, 1);
-                check(&l, "refill");
-            })
-        };
-
-        writer.join().unwrap();
-        reader.join().unwrap();
-
-        let l = ledger.lock().unwrap();
-        check(&l, "quiescence");
-        // One frame was sent and at most one credit granted back; the
-        // forfeit rule may leave the ledger claiming an extra frame
-        // outstanding (conservative) but never fewer than zero, and
-        // never a window overflow.
-        assert!(
-            l.outstanding() <= 1,
-            "more outstanding than frames ever sent: {}",
-            l.outstanding()
         );
     });
 }

@@ -545,8 +545,8 @@ fn cmd_simulate(args: Args) -> Result<(), String> {
     println!("protocol histogram: {:?}", rib.protocol_histogram());
     let t = &stats.traffic;
     println!(
-        "transport: {} messages ({} bytes), {} reconnects, {} send drops, {} backpressure stalls, {} heartbeats, {} protocol violations",
-        t.messages, t.bytes, t.reconnects, t.send_drops, t.backpressure_stalls, t.heartbeats, t.protocol_violations
+        "transport: {} messages ({} bytes), {} reconnects, {} heartbeats, {} protocol violations",
+        t.messages, t.bytes, t.reconnects, t.heartbeats, t.protocol_violations
     );
     Ok(())
 }

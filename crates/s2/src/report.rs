@@ -77,17 +77,10 @@ impl S2Report {
             ));
         }
         let t = self.traffic();
-        if t.reconnects + t.send_drops + t.backpressure_stalls + t.protocol_violations > 0
-            || t.heartbeats > 0
-        {
+        if t.reconnects + t.protocol_violations + t.heartbeats > 0 {
             s.push_str(&format!(
-                "; transport: {} reconnects, {} send drops, \
-                 {} backpressure stalls, {} heartbeats, {} protocol violations",
-                t.reconnects,
-                t.send_drops,
-                t.backpressure_stalls,
-                t.heartbeats,
-                t.protocol_violations,
+                "; transport: {} reconnects, {} heartbeats, {} protocol violations",
+                t.reconnects, t.heartbeats, t.protocol_violations,
             ));
         }
         s

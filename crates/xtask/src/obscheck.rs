@@ -134,7 +134,7 @@ pub fn check_expo(text: &str, required: &[String]) -> Result<(usize, usize), Str
 /// an always-on metric name (e.g. the `tcp.reconnect` span vs. the
 /// `tcp.reconnects` counter) are excluded — metrics are compiled in
 /// regardless of the `obs` feature.
-pub const SPAN_NEEDLES: [&str; 13] = [
+pub const SPAN_NEEDLES: [&str; 12] = [
     "cp.round",
     "bgp.export",
     "bgp.encode",
@@ -145,7 +145,6 @@ pub const SPAN_NEEDLES: [&str; 13] = [
     "bdd.reencode",
     "bdd.encode",
     "verify.dpv",
-    "credit.stall",
     "recovery.epoch",
     "dpv.compile_preds",
 ];
@@ -234,9 +233,9 @@ mod tests {
 
     #[test]
     fn symbol_scan_finds_only_present_needles() {
-        let image = b"...rodata...cp.round...more...credit.stall...";
+        let image = b"...rodata...cp.round...more...recovery.epoch...";
         let hits = find_symbols(image, &SPAN_NEEDLES);
-        assert_eq!(hits, vec!["cp.round", "credit.stall"]);
+        assert_eq!(hits, vec!["cp.round", "recovery.epoch"]);
         assert!(find_symbols(b"clean binary", &SPAN_NEEDLES).is_empty());
     }
 }

@@ -1,17 +1,18 @@
 //! Chaos tests for the TCP transport: the framed-TCP fabric must produce
-//! RIBs bit-identical to the in-process channel fabric, survive a severed
-//! connection mid-fixpoint via supervised reconnect, heal a timed
-//! partition, and keep sender memory bounded under a throttled link
-//! (credit-based backpressure instead of unbounded buffering).
+//! RIBs and verdicts bit-identical to the in-process channel fabric —
+//! including at a scale where one round's traffic exceeds any send
+//! window, which only works because the fabric, like the channels,
+//! buffers a round without bound — survive a severed connection
+//! mid-fixpoint via supervised reconnect, heal a timed partition, and
+//! keep the verdict under a throttled link.
 
 use s2::{NetworkModel, S2Options, S2Verifier, VerificationRequest};
 use s2_net::config::{BgpNeighbor, BgpProcess, DeviceConfig, InterfaceConfig, Network, Vendor};
 use s2_net::topology::{NodeId, Topology};
 use s2_net::Ipv4Addr;
 use s2_routing::RibSnapshot;
-use s2_runtime::{
-    Cluster, ClusterOptions, FaultPlan, RuntimeConfig, TcpConfig, TransportKind,
-};
+use s2_runtime::admin::verdict_hash;
+use s2_runtime::{Cluster, ClusterOptions, FaultPlan, RuntimeConfig, TransportKind};
 use s2_shard::ShardPlan;
 use s2_topogen::fattree::{generate as gen_ft, FatTree, FatTreeParams};
 use std::sync::atomic::Ordering;
@@ -220,19 +221,12 @@ fn throttled_link_backpressures_sender_without_unbounded_buffering() {
     let reference = verifier.verify(&request).unwrap();
     verifier.shutdown();
 
-    // A tiny outbox over a slow 0→1 link: export bursts outpace the
-    // 3ms-per-frame writer, so senders must stall on flow control
-    // (bounded memory) rather than queue without limit — while the
-    // ample credit window lets the writer keep draining, so every stall
-    // is brief and the verdict must not change. (Shrinking the credit
-    // window *as well* would let an export burst exceed everything the
-    // fabric can buffer while the receiver sits at the same barrier —
-    // progress would then rely on send-deadline drops + resyncs.)
+    // A slow 0→1 link: export bursts outpace the 3ms-per-frame writer,
+    // so frames queue in the outbox and trickle out while the receiver
+    // waits at its barrier; `in_flight` must hold every round open until
+    // they are drained, and the verdict must not change.
     let mut tcp_opts = channel_opts.clone();
-    tcp_opts.runtime.transport = TransportKind::Tcp(TcpConfig {
-        outbox_capacity: 2,
-        ..TcpConfig::default()
-    });
+    tcp_opts.runtime.transport = TransportKind::tcp();
     tcp_opts.runtime.faults = FaultPlan::new().throttle_link(0, 1, 3);
     let verifier = S2Verifier::new(model, &tcp_opts).unwrap();
     let report = verifier.verify(&request).unwrap();
@@ -240,14 +234,55 @@ fn throttled_link_backpressures_sender_without_unbounded_buffering() {
 
     assert_eq!(report.rib, reference.rib, "throttle changed the verdict");
     assert!(report.all_clear(), "{}", report.summary());
-    let t = report.traffic();
-    assert!(
-        t.backpressure_stalls > 0,
-        "the tiny window over a slow link must stall the sender \
-         (messages={}, stalls={})",
-        t.messages,
-        t.backpressure_stalls
+}
+
+/// FatTree k=12 on 2 workers: one forwarding round sends more frames
+/// between the two workers than a 256-frame send window plus a
+/// 1024-frame outbox hold, and neither worker drains before the
+/// barrier, so a send-side bound of that size stalls the round. The
+/// TCP fabric must finish well inside the barrier timeout with the
+/// channel run's RIBs and verdicts.
+#[test]
+fn fattree12_over_tcp_matches_channel_verdict_hash() {
+    let ft = gen_ft(FatTreeParams::new(12));
+    let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
+    let request = fattree_request(&ft);
+    let opts = |transport: TransportKind| {
+        let mut opts = S2Options {
+            workers: 2,
+            ..Default::default()
+        };
+        opts.runtime.transport = transport;
+        opts.runtime.barrier_timeout = Duration::from_secs(20);
+        opts
+    };
+
+    let verifier = S2Verifier::new(model.clone(), &opts(TransportKind::Channel)).unwrap();
+    let reference = verifier.verify(&request).unwrap();
+    verifier.shutdown();
+
+    // The TCP run reports from its own thread, before its shutdown: a
+    // stalled fabric fails the test at the deadline instead of hanging
+    // it in a shutdown that waits on stalled sends.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tcp_run = std::thread::spawn(move || {
+        let verifier = S2Verifier::new(model, &opts(TransportKind::tcp())).unwrap();
+        let _ = tx.send(verifier.verify(&request).map_err(|e| e.to_string()));
+        verifier.shutdown();
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the TCP run finishes")
+        .expect("the TCP run verifies");
+    tcp_run.join().expect("the TCP run shuts down");
+
+    assert_eq!(report.rib, reference.rib, "TCP RIBs must be bit-identical");
+    assert_eq!(
+        verdict_hash(&report.dpv.verdict_sets),
+        verdict_hash(&reference.dpv.verdict_sets),
+        "TCP verdicts must be bit-identical"
     );
+    assert!(report.all_clear(), "{}", report.summary());
 }
 
 #[test]
