@@ -1,8 +1,10 @@
 //! Micro-benchmarks of the substrate hot paths: the wire codec (every
 //! cross-worker route pays this), BDD DAG serialization (every
 //! cross-worker packet pays this), LPM trie lookups, route-map
-//! evaluation, best-path selection, graph partitioning and the data
-//! plane's predicate compile.
+//! evaluation, best-path selection, graph partitioning, the data
+//! plane's predicate compile and the two fixed steps of a warm sweep
+//! scenario (scoping its changed destinations, restoring the
+//! checkpoint).
 //!
 //! These quantify the constants behind the distributed design's
 //! trade-offs: e.g. one serialized route costs ~100ns while a local
@@ -302,6 +304,96 @@ fn bench_merge_ablation(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two per-scenario steps of a warm sweep on FatTree k=12, on four
+/// single-link scenarios (edge-aggregation and aggregation-core links):
+/// the destination scope walk over the checkpointed RIB, and the
+/// checkpoint restore of a one-worker engine after each scenario
+/// converged.
+fn bench_sweep(c: &mut Criterion) {
+    use s2_net::topology::{InterfaceId, NodeId};
+    use s2_routing::rounds::Sequential;
+    use s2_routing::{converge_ospf, BgpRounds, NetworkModel, RibRoute, RibSnapshot, RibStore};
+    use s2_routing::{SwitchModel, DEFAULT_MAX_ROUNDS};
+    use s2_runtime::scope::{scope_sources, ScopeIndex};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn converge(engine: &mut BgpRounds) {
+        engine.export(&Sequential, |_, _| {});
+        while engine.receive_and_decide(&Sequential, Vec::new(), None) {
+            engine.export(&Sequential, |_, _| {});
+        }
+    }
+    fn rib(engine: &BgpRounds, nodes: usize) -> RibSnapshot {
+        let mut store = RibStore::new(nodes);
+        for s in engine.switches() {
+            store.insert_all(s.node, s.base_rib_routes());
+            store.insert_all(s.node, s.bgp_rib_routes());
+        }
+        store.snapshot()
+    }
+    /// Per node, the prefixes whose routes moved or that left by a
+    /// failed port: what `DpPatch` reports.
+    fn changed_dst(
+        base: &RibSnapshot,
+        scenario: &RibSnapshot,
+        failed: &[(NodeId, InterfaceId)],
+    ) -> BTreeMap<NodeId, BTreeSet<Prefix>> {
+        let by_prefix = |routes: &[RibRoute]| {
+            let mut m: BTreeMap<Prefix, Vec<RibRoute>> = BTreeMap::new();
+            routes.iter().for_each(|r| m.entry(r.prefix).or_default().push(r.clone()));
+            m
+        };
+        let mut out: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
+        for (n, (old, new)) in base.per_node.iter().zip(&scenario.per_node).enumerate() {
+            let (old, new) = (by_prefix(old), by_prefix(new));
+            let moved = old.keys().chain(new.keys()).filter(|p| old.get(p) != new.get(p));
+            out.entry(NodeId(n as u32)).or_default().extend(moved);
+        }
+        for &(n, iface) in failed {
+            let routes = base.node(n).iter().chain(scenario.node(n));
+            let gone = routes.filter(|r| r.egress.contains(&iface)).map(|r| r.prefix);
+            out.entry(n).or_default().extend(gone);
+        }
+        out.retain(|_, ps| !ps.is_empty());
+        out
+    }
+
+    let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(12));
+    let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
+    let nodes = model.topology.node_count();
+    let mut switches: Vec<SwitchModel> =
+        model.topology.nodes().map(|n| SwitchModel::new(&model, n)).collect();
+    converge_ospf(&model, &mut switches, DEFAULT_MAX_ROUNDS).unwrap();
+    let mut checkpoint = BgpRounds::new(switches);
+    checkpoint.begin(None);
+    converge(&mut checkpoint);
+    let base = rib(&checkpoint, nodes);
+    let links = model.topology.links();
+    let mut scenarios: Vec<BgpRounds> = Vec::new();
+    let mut changed: Vec<BTreeMap<NodeId, BTreeSet<Prefix>>> = Vec::new();
+    for link in links.iter().step_by(links.len() / 4).take(4) {
+        let failed = [link.a, link.b];
+        let mut engine = checkpoint.clone();
+        engine.fail_ports(&model, &failed);
+        converge(&mut engine);
+        changed.push(changed_dst(&base, &rib(&engine, nodes), &failed));
+        scenarios.push(engine);
+    }
+    let sources: Vec<NodeId> =
+        (0..12).flat_map(|p| (0..6).map(move |e| (p, e))).map(|(p, e)| ft.edge(p, e)).collect();
+
+    let mut g = c.benchmark_group("micro_sweep");
+    g.bench_function("scope_index", |b| b.iter(|| ScopeIndex::build(&model, &base)));
+    let index = ScopeIndex::build(&model, &base);
+    g.bench_function("scope_sources", |b| {
+        b.iter(|| changed.iter().map(|c| scope_sources(&index, c, &sources).len()).sum::<usize>())
+    });
+    g.bench_function("restore", |b| {
+        b.iter(|| scenarios.iter_mut().for_each(|engine| engine.restore(&checkpoint)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_wire,
@@ -310,6 +402,7 @@ criterion_group!(
     bench_bgp,
     bench_partition,
     bench_dpv,
-    bench_merge_ablation
+    bench_merge_ablation,
+    bench_sweep
 );
 criterion_main!(benches);

@@ -50,7 +50,8 @@ pub fn kind_unions(
 /// The judgement of one `(source, destination)` pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairVerdict {
-    /// Every wanted header arrived: `want ⊆ arrived`.
+    /// Every wanted header arrived: `want ⊆ ∃meta. arrived`, whatever
+    /// transits it crossed.
     pub reachable: bool,
     /// The transits whose metadata bit some arrived header lacks, in
     /// `transits` order: the waypoint violations.
@@ -58,8 +59,12 @@ pub struct PairVerdict {
 }
 
 /// Judges one pair: `want` is the header set the destination must
-/// receive, `arrived` its `Arrive` union from [`arrivals`] (metadata
-/// kept), `transits` each waypoint with its metadata bit.
+/// receive (metadata free), `arrived` its `Arrive` union from
+/// [`arrivals`] (metadata kept), `transits` each waypoint with its
+/// metadata bit. Reachability is judged on `arrived` with the metadata
+/// quantified away, as [`kind_unions`] builds it: a header whose every
+/// copy crossed a transit, or none did, still arrived. Only the
+/// waypoint test reads the metadata.
 pub fn judge_pair(
     manager: &mut BddManager,
     space: &PacketSpace,
@@ -67,7 +72,8 @@ pub fn judge_pair(
     arrived: Bdd,
     transits: &[(NodeId, u16)],
 ) -> PairVerdict {
-    let reachable = manager.implies(want, arrived);
+    let stripped = manager.exists_all(arrived, (0..space.meta_bits).map(|i| space.meta_var(i)));
+    let reachable = manager.implies(want, stripped);
     let mut missed = Vec::new();
     for &(transit, bit) in transits {
         if space.with_meta(manager, arrived, bit) != arrived {
@@ -313,11 +319,10 @@ mod tests {
         ribs[0] = vec![rib("10.9.0.0/16", vec![0], false)]; // only via l
         let judged = run(&model, ribs, vec![NodeId(1)], 1);
         assert_eq!(kinds(&judged), vec![FinalKind::Arrive]);
-        // No transit missed. `want` leaves the metadata bits free and
-        // every arrived header carries the l-bit, so `want ⊆ arrived`
-        // fails: reachability with a transit that every path takes reads
-        // false today (an open item in ROADMAP).
-        assert_eq!(judged.pair, PairVerdict { reachable: false, missed: vec![] });
+        // No transit missed, and every arrived header carries the l-bit:
+        // reachability quantifies the bit away, so the pair is reachable
+        // although `want`, which leaves the bit free, is not ⊆ `arrived`.
+        assert_eq!(judged.pair, PairVerdict { reachable: true, missed: vec![] });
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn converge_bgp(
         stats.peak_bytes = stats.peak_bytes.max(rounds.switch_bytes());
         stats.rounds += 1;
     }
-    stats.total_paths = rounds.switches().iter().map(SwitchModel::loc_rib_path_count).sum();
+    stats.total_paths = rounds.switches().map(SwitchModel::loc_rib_path_count).sum();
     *switches = rounds.into_switches();
     if !converged {
         return Err(RoutingError::NotConverged {
@@ -156,8 +156,8 @@ pub(crate) mod tests {
     /// `converge_bgp` in this crate's tests: each switch's local RIB must
     /// be the one a selection over all of its candidates builds, and its
     /// running byte sums what a walk of the materialised state finds.
-    pub(super) fn check_round(
-        switches: &[SwitchModel],
+    pub(super) fn check_round<'a>(
+        switches: impl Iterator<Item = &'a SwitchModel> + Clone,
         shard: Option<&BTreeSet<Prefix>>,
         begun: bool,
     ) {
@@ -165,11 +165,11 @@ pub(crate) mod tests {
             let mut all = all.borrow_mut();
             if begun {
                 *all = switches
-                    .iter()
+                    .clone()
                     .map(|s| s.prefix_dependencies().into_iter().collect())
                     .collect();
             }
-            for (s, deps) in switches.iter().zip(all.iter_mut()) {
+            for (s, deps) in switches.zip(all.iter_mut()) {
                 let (rib, observed) = oracle::decide(s, shard);
                 assert_eq!(*s.loc_rib(), rib, "{}: RIB differs from a full decide", s.node);
                 // Capacities too: an aggregate route moves into the RIB
@@ -438,7 +438,7 @@ pub(crate) mod tests {
         for r in 1..=DEFAULT_MAX_ROUNDS {
             let changed = round(std::slice::from_mut(engine), shard);
             assert_eq!(changed, reference_round(reference, |s| s.bgp_decide(shard)), "round {r}");
-            for (e, re) in engine.switches().iter().zip(reference.iter()) {
+            for (e, re) in engine.switches().zip(reference.iter()) {
                 assert_eq!(e.loc_rib(), re.loc_rib(), "round {r}: {}", e.node);
             }
             check_round(engine.switches(), shard, false);
@@ -468,8 +468,8 @@ pub(crate) mod tests {
                 reference.iter_mut().for_each(|s| s.begin_bgp(shard));
                 check_round(engine.switches(), shard, true);
                 lockstep(&mut engine, &mut reference, shard);
-                drain_and_compare_deps(engine.switches_mut());
-                drain_and_compare_deps(&mut reference);
+                drain_and_compare_deps(engine.switches_mut(|_| true));
+                drain_and_compare_deps(reference.iter_mut());
             }
             let node = NodeId(0);
             let ports: Vec<_> =
@@ -481,7 +481,7 @@ pub(crate) mod tests {
             // Only the reference: after a drain the engine re-observes a
             // switch's aggregates at its next decide, and a warm round
             // decides only the switches it perturbs.
-            drain_and_compare_deps(&mut reference);
+            drain_and_compare_deps(reference.iter_mut());
         }
     }
 
@@ -507,9 +507,9 @@ pub(crate) mod tests {
     }
 
     /// Each switch's drained dependencies must be the full decide's.
-    fn drain_and_compare_deps(switches: &mut [SwitchModel]) {
+    fn drain_and_compare_deps<'a>(switches: impl Iterator<Item = &'a mut SwitchModel>) {
         ORACLE_DEPS.with(|all| {
-            for (s, want) in switches.iter_mut().zip(all.borrow().iter()) {
+            for (s, want) in switches.zip(all.borrow().iter()) {
                 let got: BTreeSet<_> = s.take_observed_deps().into_iter().collect();
                 assert_eq!(got, *want, "{}: observed dependencies", s.node);
             }

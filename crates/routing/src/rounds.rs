@@ -48,13 +48,17 @@ struct Sent {
 }
 
 /// The hosted switches and their round state. `Clone` is the checkpoint:
-/// switches and Adj-RIB-Out together.
+/// switches and Adj-RIB-Out together, copy-on-write. A clone shares
+/// every switch and every switch's Adj-RIB-Out row with its source, and
+/// each write goes through [`Arc::make_mut`], so the first write to a
+/// switch or row after a clone or a [`BgpRounds::restore`] copies that
+/// one alone: a restore costs what the scenario touched.
 #[derive(Clone)]
 pub struct BgpRounds {
     /// In node order.
-    switches: Vec<SwitchModel>,
+    switches: Vec<Arc<SwitchModel>>,
     /// Per switch and session, the body last sent.
-    adj_out: Vec<Vec<Option<Sent>>>,
+    adj_out: Vec<Arc<Vec<Option<Sent>>>>,
     /// Switches whose local RIB changed since their last export (all of
     /// them after a reset or resync).
     export_dirty: Vec<bool>,
@@ -72,8 +76,8 @@ impl BgpRounds {
         switches.sort_by_key(|s| s.node);
         let n = switches.len();
         BgpRounds {
-            adj_out: switches.iter().map(|s| vec![None; s.sessions.len()]).collect(),
-            switches,
+            adj_out: switches.iter().map(|s| Arc::new(vec![None; s.sessions.len()])).collect(),
+            switches: switches.into_iter().map(Arc::new).collect(),
             export_dirty: vec![false; n],
             decide_dirty: vec![false; n],
             staged: Vec::new(),
@@ -82,18 +86,23 @@ impl BgpRounds {
 
     /// The hosted switches, in node order.
     pub fn into_switches(self) -> Vec<SwitchModel> {
-        self.switches
+        self.switches.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     /// The hosted switches, in node order.
-    pub fn switches(&self) -> &[SwitchModel] {
-        &self.switches
+    pub fn switches(&self) -> impl ExactSizeIterator<Item = &SwitchModel> + Clone {
+        self.switches.iter().map(|s| &**s)
     }
 
-    /// The hosted switches, mutably (OSPF, dependency draining). A change
-    /// to a switch's BGP state must go through this type.
-    pub fn switches_mut(&mut self) -> &mut [SwitchModel] {
-        &mut self.switches
+    /// The hosted switches of the nodes `which` selects, mutably (OSPF,
+    /// dependency draining), in node order. Each is copied here if a
+    /// checkpoint shares it. A change to a switch's BGP state must go
+    /// through this type.
+    pub fn switches_mut(
+        &mut self,
+        which: impl Fn(NodeId) -> bool,
+    ) -> impl Iterator<Item = &mut SwitchModel> {
+        self.switches.iter_mut().filter(move |s| which(s.node)).map(Arc::make_mut)
     }
 
     fn slot(&self, node: NodeId) -> Option<usize> {
@@ -102,14 +111,14 @@ impl BgpRounds {
 
     /// The hosted switch of `node`.
     pub fn switch(&self, node: NodeId) -> Option<&SwitchModel> {
-        self.slot(node).map(|i| &self.switches[i])
+        self.slot(node).map(|i| &*self.switches[i])
     }
 
     /// Resets BGP and originates the routes of `shard` on every switch;
     /// every switch then exports and decides in the next round.
     pub fn begin(&mut self, shard: Option<&BTreeSet<Prefix>>) {
         for s in &mut self.switches {
-            s.begin_bgp(shard);
+            Arc::make_mut(s).begin_bgp(shard);
         }
         self.staged.clear();
         self.resync();
@@ -118,7 +127,9 @@ impl BgpRounds {
 
     /// Forgets the Adj-RIB-Out, so the next export re-sends every body.
     pub fn resync(&mut self) {
-        self.adj_out.iter_mut().flatten().for_each(|sent| *sent = None);
+        for row in &mut self.adj_out {
+            *row = Arc::new(vec![None; row.len()]);
+        }
         self.export_dirty.fill(true);
     }
 
@@ -128,15 +139,11 @@ impl BgpRounds {
     }
 
     /// Returns to `checkpoint`, a converged clone: nothing is due until
-    /// something perturbs it.
+    /// something perturbs it. Every switch and row is shared with
+    /// `checkpoint` again, so this copies nothing; it frees the copies
+    /// the writes since the last restore made.
     pub fn restore(&mut self, checkpoint: &BgpRounds) {
         *self = checkpoint.clone();
-        self.settle();
-    }
-
-    /// Marks a converged state as such: no staged delivery, nothing to
-    /// export or decide.
-    pub fn settle(&mut self) {
         self.staged.clear();
         self.export_dirty.fill(false);
         self.decide_dirty.fill(false);
@@ -152,7 +159,7 @@ impl BgpRounds {
         }
         for (node, ifaces) in by_node {
             if let Some(i) = self.slot(node) {
-                self.switches[i].set_failed_interfaces(model, ifaces);
+                Arc::make_mut(&mut self.switches[i]).set_failed_interfaces(model, ifaces);
                 self.export_dirty[i] = true;
             }
         }
@@ -171,7 +178,7 @@ impl BgpRounds {
         let dirty: Vec<usize> = (0..self.switches.len())
             .filter(|&i| std::mem::take(&mut self.export_dirty[i]))
             .collect();
-        let mut due: Vec<&SwitchModel> = dirty.iter().map(|&i| &self.switches[i]).collect();
+        let mut due: Vec<&SwitchModel> = dirty.iter().map(|&i| &*self.switches[i]).collect();
         let exports = map.map(&mut due, |s| s.bgp_export());
         let mut delivered = 0;
         for (&i, classes) in dirty.iter().zip(exports) {
@@ -182,7 +189,7 @@ impl BgpRounds {
                 let mut compared: Vec<(Body, bool)> = Vec::new();
                 let mut targets = Vec::new();
                 for si in sessions {
-                    let sent = &mut self.adj_out[i][si];
+                    let sent = &mut Arc::make_mut(&mut self.adj_out[i])[si];
                     let unchanged = sent.as_ref().is_some_and(|prev| {
                         match compared.iter().find(|(body, _)| Arc::ptr_eq(body, &prev.body)) {
                             Some(&(_, same)) => same,
@@ -244,6 +251,7 @@ impl BgpRounds {
         let mut due: Vec<_> =
             self.switches.iter_mut().zip(batches).filter(|(_, batch)| !batch.is_empty()).collect();
         let changed = map.map(&mut due, |(s, batch)| {
+            let s = Arc::make_mut(s);
             let mut received = false;
             for (si, body) in batch.iter() {
                 received |= s.bgp_receive(*si, body);
@@ -264,7 +272,7 @@ impl BgpRounds {
             .filter_map(|(switch, due)| std::mem::take(due).then_some(switch))
             .collect();
         let changed = map.map(&mut due, |(s, export)| {
-            let decided = s.bgp_decide(shard);
+            let decided = Arc::make_mut(s).bgp_decide(shard);
             **export |= decided;
             decided
         });
@@ -273,7 +281,7 @@ impl BgpRounds {
 
     /// Route bytes of the switches' Adj-RIB-Ins and local RIBs.
     pub fn switch_bytes(&self) -> usize {
-        self.switches.iter().map(SwitchModel::approx_bgp_bytes).sum()
+        self.switches.iter().map(|s| s.approx_bgp_bytes()).sum()
     }
 
     /// Route bytes of the Adj-RIB-Out, each distinct body of a switch
@@ -294,7 +302,12 @@ impl BgpRounds {
 
     /// The switches due to export in the next round.
     pub fn export_due(&self) -> impl Iterator<Item = &SwitchModel> {
-        self.switches.iter().zip(&self.export_dirty).filter(|(_, d)| **d).map(|(s, _)| s)
+        self.switches.iter().zip(&self.export_dirty).filter(|(_, d)| **d).map(|(s, _)| &**s)
+    }
+
+    /// The switches due to decide in the next decide pass.
+    pub fn decide_due(&self) -> impl Iterator<Item = &SwitchModel> {
+        self.switches.iter().zip(&self.decide_dirty).filter(|(_, d)| **d).map(|(s, _)| &**s)
     }
 
     /// The Adj-RIB-Out: `(node, session, body last sent)`.

@@ -20,6 +20,7 @@ use crate::faults::{FaultPlan, FaultState};
 use crate::memstats::CacheStats;
 use crate::metrics::{self, RunMetrics};
 use crate::remote;
+use crate::scope::{scope_sources, ScopeIndex};
 use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot};
 use crate::transport::{Inbox, TransportKind};
 use crate::worker::{Command, Reply, Worker};
@@ -28,10 +29,11 @@ use s2_dataplane::{properties, FinalKind, PacketSpace};
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
 use s2_routing::{NetworkModel, RibSnapshot, RibStore};
+use s2_shard::impact::Components;
 use s2_shard::ShardPlan;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use s2_obs::{lock, Deadline, MetricsSnapshot, Stopwatch};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -435,25 +437,18 @@ pub struct Cluster {
     /// cannot be respawned, so recovery is unsupported.
     remote: bool,
     /// The warm baseline scenario passes scope against: the checkpointed
-    /// RIB (the reverse-reachability forwarding graph) and the prefix
-    /// dependency graph (changed-set closure). `None` until
+    /// RIB's reverse forwarding graph, indexed by prefix, and the
+    /// components of the prefix dependency graph (changed-set closure),
+    /// indexed by prefix. `None` until
     /// [`Cluster::scenario_checkpoint`] stores one; scenario passes then
     /// run full-space, unscoped.
     scenario_base: Mutex<Option<ScenarioBase>>,
-    /// Whether every worker's live control-plane state is known to equal
-    /// its scenario checkpoint: true right after `scenario_checkpoint`
-    /// or a successful `scenario_rollback`, false as soon as anything
-    /// mutates switch state (a scenario begin, a fix point, a recovery).
-    /// When true, the next [`Cluster::scenario_begin`] skips the
-    /// per-switch checkpoint restore — the dominant fixed cost of a
-    /// warm delta on large fabrics.
-    fleet_at_checkpoint: AtomicBool,
 }
 
 /// See [`Cluster::scenario_base`].
 struct ScenarioBase {
-    rib: Arc<RibSnapshot>,
-    dpdg: s2_shard::dpdg::Dpdg,
+    index: ScopeIndex,
+    components: Components,
 }
 
 impl Cluster {
@@ -523,7 +518,6 @@ impl Cluster {
             nonce: AtomicU64::new(0),
             remote: false,
             scenario_base: Mutex::new(None),
-            fleet_at_checkpoint: AtomicBool::new(false),
         }
     }
 
@@ -574,7 +568,6 @@ impl Cluster {
             nonce: AtomicU64::new(0),
             remote: true,
             scenario_base: Mutex::new(None),
-            fleet_at_checkpoint: AtomicBool::new(false),
         })
     }
 
@@ -941,9 +934,6 @@ impl Cluster {
             });
         }
         let _span = s2_obs::span!("recovery");
-        // A replacement worker starts with fresh switches and no
-        // checkpoint: the fleet can no longer be assumed to sit at one.
-        self.fleet_at_checkpoint.store(false, Ordering::Release);
         let mut state = lock(&self.state);
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed) + 1;
         let mut dead = Vec::new();
@@ -1314,7 +1304,6 @@ impl Cluster {
         seed_deps: &[(Prefix, Prefix)],
     ) -> Result<(RibSnapshot, CpRunStats, ShardPlan, Vec<(Prefix, Prefix)>), RuntimeError> {
         let start = Stopwatch::start();
-        self.fleet_at_checkpoint.store(false, Ordering::Release);
         let mut ck = Checkpoint::new(self.model.topology.node_count(), plan, seed_deps);
         let mut attempts_left = self.config.max_recoveries;
         loop {
@@ -1627,15 +1616,17 @@ impl Cluster {
     /// `run_dpv` — the workers also stash their full-space finals as
     /// the splice baseline of destination-scoped scenario passes.
     ///
-    /// `rib` is the warm baseline RIB the DPV pass ran against; it
-    /// becomes the reverse-reachability forwarding graph that decides
-    /// which sources a changed destination set can perturb.
-    pub fn scenario_checkpoint(&self, rib: Arc<RibSnapshot>) -> Result<(), RuntimeError> {
+    /// `rib` is the warm baseline RIB the DPV pass ran against; its
+    /// reverse forwarding graph, indexed once here, decides which
+    /// sources a changed destination set can perturb.
+    pub fn scenario_checkpoint(&self, rib: &RibSnapshot) -> Result<(), RuntimeError> {
         let (prefixes, aggregates, deps) = self.collect_prefixes()?;
         let dpdg = s2_shard::dpdg::Dpdg::build_with_deps(&prefixes, &aggregates, &deps);
         Self::expect_ok(self.barrier("scenario-checkpoint", || Command::ScenarioCheckpoint)?)?;
-        *lock(&self.scenario_base) = Some(ScenarioBase { rib, dpdg });
-        self.fleet_at_checkpoint.store(true, Ordering::Release);
+        *lock(&self.scenario_base) = Some(ScenarioBase {
+            index: ScopeIndex::build(&self.model, rib),
+            components: Components::of(&dpdg),
+        });
         Ok(())
     }
 
@@ -1644,14 +1635,8 @@ impl Cluster {
     /// with [`Cluster::run_warm_fixpoint`] to re-converge incrementally.
     pub fn scenario_begin(&self, failed: &[(NodeId, InterfaceId)]) -> Result<(), RuntimeError> {
         let failed = Arc::new(failed.to_vec());
-        // When the last state-changing barrier was the checkpoint itself
-        // or a rollback, the live state already equals the checkpoint and
-        // the per-switch restore clone is pure overhead. Either way the
-        // fleet leaves this call perturbed (failed ports applied).
-        let restore = !self.fleet_at_checkpoint.swap(false, Ordering::AcqRel);
         Self::expect_ok(self.barrier("scenario-begin", || Command::ScenarioBegin {
             failed: failed.clone(),
-            restore,
         })?)
     }
 
@@ -1661,9 +1646,7 @@ impl Cluster {
     /// a checkpoint (freshly respawned mid-sweep) only the overlays are
     /// cleared — its switches are already healthy.
     pub fn scenario_rollback(&self) -> Result<(), RuntimeError> {
-        Self::expect_ok(self.barrier("scenario-rollback", || Command::ScenarioRollback)?)?;
-        self.fleet_at_checkpoint.store(true, Ordering::Release);
-        Ok(())
+        Self::expect_ok(self.barrier("scenario-rollback", || Command::ScenarioRollback)?)
     }
 
     /// Fences the fabric between scenarios: bumps the epoch (frames in
@@ -1684,7 +1667,6 @@ impl Cluster {
     /// Returns the rounds taken (1 when already quiescent).
     pub fn run_warm_fixpoint(&self, opts: &ClusterOptions) -> Result<usize, RuntimeError> {
         let _span = s2_obs::span!("scenario.warm_fixpoint");
-        self.fleet_at_checkpoint.store(false, Ordering::Release);
         self.run_rounds(&WARM_ROUNDS, opts.max_rounds, &mut 0)
     }
 
@@ -1752,9 +1734,9 @@ impl Cluster {
                 // A dependent prefix can change whenever its dependee
                 // does — close each node's diff before trusting it.
                 for set in changed_dst.values_mut() {
-                    s2_shard::impact::close_over_components(set, &b.dpdg);
+                    b.components.close(set);
                 }
-                scope_sources(&self.model, &b.rib, &changed_dst, sources)
+                scope_sources(&b.index, &changed_dst, sources)
             })
         };
         stats.pred_time = t0.elapsed();
@@ -1861,71 +1843,6 @@ impl Cluster {
         // threads and close its sockets (no-op for the channel backend).
         self.net.shutdown_transport();
     }
-}
-
-/// Per-source changed-destination scopes: changed prefix `p` lands in
-/// `scope(s)` iff `s` can reach a node whose forwarding for `p` changed,
-/// walking the *baseline* forwarding graph restricted to routes whose
-/// prefix overlaps `p` — every hop a packet destined into `p` could
-/// take before the first changed node. Outside its scope a source
-/// provably forwards exactly as the baseline did: any path from `s` to
-/// a destination not in `scope(s)` crosses only nodes whose behaviour
-/// for that destination is unchanged, so the baseline verdict stands.
-fn scope_sources(
-    model: &NetworkModel,
-    base: &RibSnapshot,
-    changed_dst: &BTreeMap<NodeId, BTreeSet<Prefix>>,
-    sources: &[NodeId],
-) -> BTreeMap<NodeId, BTreeSet<Prefix>> {
-    let nodes = base.per_node.len();
-    // Invert: changed prefix → the nodes changed for it.
-    let mut by_prefix: BTreeMap<Prefix, Vec<NodeId>> = BTreeMap::new();
-    for (&n, ps) in changed_dst {
-        for &p in ps {
-            by_prefix.entry(p).or_default().push(n);
-        }
-    }
-    let mut scopes: BTreeMap<NodeId, BTreeSet<Prefix>> =
-        sources.iter().map(|&s| (s, BTreeSet::new())).collect();
-    for (&p, seeds) in &by_prefix {
-        // Reverse adjacency of the p-overlap forwarding graph.
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        for m in 0..nodes {
-            let from = NodeId(m as u32);
-            for r in base.node(from) {
-                if !r.prefix.overlaps(p) {
-                    continue;
-                }
-                for &e in &r.egress {
-                    if let Some((n, _)) = model.topology.peer_of(from, e) {
-                        rev[n.index()].push(m as u32);
-                    }
-                }
-            }
-        }
-        let mut reached = vec![false; nodes];
-        let mut queue: Vec<u32> = Vec::new();
-        for &s in seeds {
-            if s.index() < nodes && !reached[s.index()] {
-                reached[s.index()] = true;
-                queue.push(s.0);
-            }
-        }
-        while let Some(n) = queue.pop() {
-            for &m in &rev[n as usize] {
-                if !reached[m as usize] {
-                    reached[m as usize] = true;
-                    queue.push(m);
-                }
-            }
-        }
-        for (s, scope) in scopes.iter_mut() {
-            if reached.get(s.index()).copied().unwrap_or(false) {
-                scope.insert(p);
-            }
-        }
-    }
-    scopes
 }
 
 /// Fraction of `space`'s addresses covered by `prefixes`, interval-
@@ -2296,7 +2213,7 @@ mod tests {
             .run_dpv(rib.clone(), &query, &ClusterOptions::default())
             .unwrap();
         assert_eq!(baseline.reachable_pairs, 1);
-        cluster.scenario_checkpoint(rib.clone()).unwrap();
+        cluster.scenario_checkpoint(&rib).unwrap();
 
         // Fail m1—m2: the only t0↔t3 path. Warm rounds must propagate the
         // withdrawal, and the patched DPV must see the partition.
@@ -2388,7 +2305,7 @@ mod tests {
         let (rib, _) = cluster
             .run_control_plane(&line_plan(&model), &ClusterOptions::default())
             .unwrap();
-        cluster.scenario_checkpoint(Arc::new(rib)).unwrap();
+        cluster.scenario_checkpoint(&rib).unwrap();
         // Failing t0—m1 withdraws t0's prefixes hop by hop down the line.
         cluster
             .scenario_begin(&link_ports(&model, NodeId(0), NodeId(1)))
@@ -2414,7 +2331,7 @@ mod tests {
         let rib = Arc::new(rib);
         let query = reach_t0_prefix(vec![NodeId(3)]);
         cluster.run_dpv(rib.clone(), &query, &opts).unwrap();
-        cluster.scenario_checkpoint(rib).unwrap();
+        cluster.scenario_checkpoint(&rib).unwrap();
         cluster
             .scenario_begin(&link_ports(model, NodeId(0), NodeId(1)))
             .unwrap();

@@ -55,6 +55,7 @@ pub mod memstats;
 pub mod metrics;
 pub mod pool;
 pub mod remote;
+pub mod scope;
 pub mod sidecar;
 pub mod tcp;
 pub mod transport;

@@ -186,10 +186,9 @@ impl Wire for Command {
             Command::Shutdown => 20u8.put(buf),
             Command::Metrics => 21u8.put(buf),
             Command::ScenarioCheckpoint => 22u8.put(buf),
-            Command::ScenarioBegin { failed, restore } => {
+            Command::ScenarioBegin { failed } => {
                 23u8.put(buf);
                 failed.put(buf);
-                restore.put(buf);
             }
             Command::ScenarioRollback => 24u8.put(buf),
             Command::DpPatch {
@@ -264,7 +263,6 @@ impl Wire for Command {
             22 => Command::ScenarioCheckpoint,
             23 => Command::ScenarioBegin {
                 failed: Wire::take(buf)?,
-                restore: Wire::take(buf)?,
             },
             24 => Command::ScenarioRollback,
             25 => Command::DpPatch {
@@ -837,7 +835,6 @@ mod tests {
 
         let cmd = Command::ScenarioBegin {
             failed: Arc::new(vec![(NodeId(4), InterfaceId(1)), (NodeId(9), InterfaceId(0))]),
-            restore: false,
         };
         let decoded = Command::from_bytes(cmd.to_bytes()).unwrap();
         assert_eq!(format!("{cmd:?}"), format!("{decoded:?}"));

@@ -115,19 +115,16 @@ pub enum Command {
     /// Resilience sweeps: snapshot the converged control-plane state of
     /// every local switch (plus the Adj-RIB-Out cache) so failure
     /// scenarios can restore it. Overwrites any previous checkpoint.
+    /// The snapshot shares every switch with the live state until one
+    /// side writes it (see [`BgpRounds`]).
     ScenarioCheckpoint,
     /// Resilience sweeps: restore the checkpoint, then mark the locally
     /// hosted `failed` ports as down. The next `BgpExport`/`BgpApply`
     /// rounds replay the warm state incrementally around the failure.
+    /// The restore costs what the previous scenario touched.
     ScenarioBegin {
         /// Failed ports, cluster-wide (non-local entries are ignored).
         failed: Arc<Vec<(NodeId, InterfaceId)>>,
-        /// Whether the checkpoint must be restored first. The controller
-        /// sends `false` when the fleet is already at the checkpoint (a
-        /// rollback or the checkpoint itself was the last state-changing
-        /// barrier), skipping the per-switch state clone on the scenario
-        /// hot path. A checkpoint must exist either way.
-        restore: bool,
     },
     /// Resilience sweeps: restore the checkpoint (healthy state, no
     /// failed ports) and drop any scenario data-plane overlay. The
@@ -488,10 +485,10 @@ impl Worker {
                 self.charged(Reply::Changed(changed))
             }
             Command::CollectBaseRib => Reply::Rib(
-                self.bgp.switches().iter().map(|s| (s.node, s.base_rib_routes())).collect(),
+                self.bgp.switches().map(|s| (s.node, s.base_rib_routes())).collect(),
             ),
             Command::CollectBgpRib => Reply::Rib(
-                self.bgp.switches().iter().map(|s| (s.node, s.bgp_rib_routes())).collect(),
+                self.bgp.switches().map(|s| (s.node, s.bgp_rib_routes())).collect(),
             ),
             Command::DpSetup {
                 rib,
@@ -547,7 +544,7 @@ impl Worker {
             }
             Command::CollectObservedDeps => {
                 let mut deps = Vec::new();
-                for sw in self.bgp.switches_mut() {
+                for sw in self.bgp.switches_mut(|_| true) {
                     deps.extend(sw.take_observed_deps());
                 }
                 Reply::Deps(deps)
@@ -576,17 +573,11 @@ impl Worker {
                 self.dp_base = self.stash_dp_baseline();
                 Reply::Ok
             }
-            Command::ScenarioBegin { failed, restore } => {
+            Command::ScenarioBegin { failed } => {
                 let Some(checkpoint) = self.checkpoint.as_ref() else {
                     return Reply::Violation("ScenarioBegin before ScenarioCheckpoint".to_string());
                 };
-                if restore {
-                    self.bgp.restore(checkpoint);
-                } else {
-                    // The live state already equals the checkpoint; only
-                    // the round state needs the reset a restore applies.
-                    self.bgp.settle();
-                }
+                self.bgp.restore(checkpoint);
                 // Only these switches' exports change until withdrawals
                 // propagate.
                 self.bgp.fail_ports(&self.model, &failed);
@@ -719,7 +710,7 @@ impl Worker {
     fn ospf_export(&mut self) {
         // Phase 1 (parallel): per-switch export is read-only on the
         // switch models, so independent switches compute concurrently.
-        let mut switches: Vec<&SwitchModel> = self.bgp.switches().iter().collect();
+        let mut switches: Vec<&SwitchModel> = self.bgp.switches().collect();
         let exports: Vec<Vec<(Prefix, u32)>> =
             self.pool.map(&mut switches, |s| s.ospf.export().into_iter().collect());
         // Phase 2 (sequential, node-id order): staging and wire sends —
@@ -789,12 +780,8 @@ impl Worker {
         // OR-folded, so thread scheduling cannot affect the result.
         let pool = self.pool;
         let grouped = &grouped;
-        let mut targets: Vec<&mut SwitchModel> = self
-            .bgp
-            .switches_mut()
-            .iter_mut()
-            .filter(|sw| grouped.contains_key(&sw.node))
-            .collect();
+        let mut targets: Vec<&mut SwitchModel> =
+            self.bgp.switches_mut(|node| grouped.contains_key(&node)).collect();
         let flags = pool.map(&mut targets, |sw| {
             let mut local_changed = false;
             if let Some(batch) = grouped.get(&sw.node) {
@@ -890,7 +877,6 @@ impl Worker {
         self.preds = self
             .bgp
             .switches()
-            .iter()
             .map(|s| {
                 let fib = Fib::from_rib(rib.node(s.node));
                 let p = NodePredicates::compile(&self.model, s.node, &fib, &self.space, &mut manager);
@@ -1421,10 +1407,25 @@ mod tests {
     /// FatTree k=`k` over two workers, nodes dealt alternately so that
     /// most sessions cross the fabric.
     fn fattree_fleet(k: usize) -> Vec<Worker> {
+        fleet(fattree_model(k), 2)
+    }
+
+    fn fattree_model(k: usize) -> Arc<NetworkModel> {
         let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(k));
-        let model = Arc::new(NetworkModel::build(ft.topology, ft.configs).unwrap());
-        let owners: Vec<u32> = (0..model.topology.node_count()).map(|i| i as u32 % 2).collect();
-        let (net, inboxes) = SidecarNet::build(owners.clone(), 2);
+        Arc::new(NetworkModel::build(ft.topology, ft.configs).unwrap())
+    }
+
+    /// A small two-cluster DCN whose clusters announce aggregates over
+    /// their ToR prefixes: its RIBs hold nested prefixes.
+    fn dcn_model() -> Arc<NetworkModel> {
+        let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(2, 4, 2));
+        Arc::new(NetworkModel::build(dcn.topology, dcn.configs).unwrap())
+    }
+
+    /// `model` over `workers` workers, nodes dealt round-robin.
+    fn fleet(model: Arc<NetworkModel>, workers: u32) -> Vec<Worker> {
+        let owners: Vec<u32> = (0..model.topology.node_count()).map(|i| i as u32 % workers).collect();
+        let (net, inboxes) = SidecarNet::build(owners.clone(), workers);
         inboxes
             .into_iter()
             .enumerate()
@@ -1496,8 +1497,8 @@ mod tests {
     fn class_frame_counts_each_bad_target_and_delivers_the_rest() {
         let mut fleet = fattree_fleet(4);
         let (sender, receiver) = (&fleet[0], &fleet[1]);
-        let local = receiver.bgp.switches()[0].node;
-        let remote = sender.bgp.switches()[0].node;
+        let local = receiver.bgp.switches().next().unwrap().node;
+        let remote = sender.bgp.switches().next().unwrap().node;
         let sessions = receiver.bgp.switch(local).unwrap().sessions.len() as u32;
         let p: Prefix = "10.99.0.0/24".parse().unwrap();
         let route = BgpRoute {
@@ -1527,7 +1528,7 @@ mod tests {
     /// distinct body once (the switches' own running sums are checked
     /// against a walk in `s2_routing`).
     fn walked_route_bytes(w: &Worker) -> usize {
-        let switches: usize = w.bgp.switches().iter().map(SwitchModel::approx_bgp_bytes).sum();
+        let switches: usize = w.bgp.switches().map(SwitchModel::approx_bgp_bytes).sum();
         let mut bodies: Vec<&Body> = Vec::new();
         for (_, _, body) in w.bgp.adj_out() {
             if !bodies.iter().any(|seen| Arc::ptr_eq(seen, body)) {
@@ -1622,15 +1623,13 @@ mod tests {
             max_hops: 0,
         });
         forward_to_exhaustion(&mut fleet);
-        // Every single-link failure, as a sweep drives it: the first
-        // scenario restores explicitly, the rest start from a rollback.
+        // Every single-link failure, as a sweep drives it.
         on_all(&mut fleet, || Command::ScenarioCheckpoint);
         let links: Vec<_> = fleet[0].model.topology.links().to_vec();
-        for (i, link) in links.iter().enumerate() {
+        for link in &links {
             let failed = Arc::new(vec![link.a, link.b]);
             on_all(&mut fleet, || Command::ScenarioBegin {
                 failed: failed.clone(),
-                restore: i == 0,
             });
             converge_bgp(&mut fleet);
             let scenario = collect_rib(&mut fleet);
@@ -1643,6 +1642,142 @@ mod tests {
             on_all(&mut fleet, || Command::DpCompile);
             forward_to_exhaustion(&mut fleet);
             on_all(&mut fleet, || Command::ScenarioRollback);
+        }
+    }
+
+    /// Everything a restore must bring back, copied out by value: each
+    /// switch's full state (RIBs included), the Adj-RIB-Out bodies and
+    /// the export and decide marks.
+    #[derive(Debug, PartialEq)]
+    struct EngineState {
+        switches: Vec<String>,
+        adj_out: Vec<(NodeId, usize, Vec<BgpRoute>)>,
+        export_due: Vec<NodeId>,
+        decide_due: Vec<NodeId>,
+    }
+
+    fn engine_state(bgp: &BgpRounds) -> EngineState {
+        EngineState {
+            switches: bgp.switches().map(|s| format!("{s:?}")).collect(),
+            adj_out: bgp.adj_out().map(|(n, si, body)| (n, si, body.to_vec())).collect(),
+            export_due: bgp.export_due().map(|s| s.node).collect(),
+            decide_due: bgp.decide_due().map(|s| s.node).collect(),
+        }
+    }
+
+    /// Converges `model` cold over `workers` workers and checkpoints it.
+    fn checkpointed_fleet(model: &Arc<NetworkModel>, workers: u32) -> Vec<Worker> {
+        let mut fleet = fleet(model.clone(), workers);
+        on_all(&mut fleet, || Command::BgpBegin { shard: None });
+        converge_bgp(&mut fleet);
+        on_all(&mut fleet, || Command::ScenarioCheckpoint);
+        fleet
+    }
+
+    /// After every single-link scenario, the rollback leaves each
+    /// worker's engine equal to a copy of its checkpoint taken before
+    /// the first scenario. A begin straight after another scenario, as
+    /// the daemon issues it, restores too: each scenario then converges
+    /// to the RIB it reaches from a rollback.
+    #[test]
+    fn rollback_restores_the_checkpoint_exactly() {
+        for model in [fattree_model(4), dcn_model()] {
+            for workers in [1, 2] {
+                let mut fleet = checkpointed_fleet(&model, workers);
+                let saved: Vec<EngineState> =
+                    fleet.iter().map(|w| engine_state(w.checkpoint.as_ref().unwrap())).collect();
+                let mut ribs = Vec::new();
+                for link in model.topology.links() {
+                    let failed = Arc::new(vec![link.a, link.b]);
+                    on_all(&mut fleet, || Command::ScenarioBegin {
+                        failed: failed.clone(),
+                    });
+                    converge_bgp(&mut fleet);
+                    ribs.push(collect_rib(&mut fleet));
+                    on_all(&mut fleet, || Command::ScenarioRollback);
+                    for (w, want) in fleet.iter().zip(&saved) {
+                        assert_eq!(engine_state(&w.bgp), *want, "after failing {link:?}");
+                    }
+                }
+                for (link, rib) in model.topology.links().iter().zip(&ribs) {
+                    let failed = Arc::new(vec![link.a, link.b]);
+                    on_all(&mut fleet, || Command::ScenarioBegin {
+                        failed: failed.clone(),
+                    });
+                    converge_bgp(&mut fleet);
+                    assert_eq!(collect_rib(&mut fleet), *rib, "{link:?} after the previous scenario");
+                }
+            }
+        }
+    }
+
+    /// The indexed scope walk equals the scan it replaced on every
+    /// scenario of at most two failed links, its changed destinations
+    /// taken from `DpPatch` and closed over the prefix dependency graph
+    /// as the controller does. On the DCN some changed prefix overlaps
+    /// another routed one, so the covering and covered lookups both run.
+    #[test]
+    fn indexed_scopes_equal_the_scan_on_every_double_failure() {
+        for (model, nested) in [(fattree_model(4), false), (dcn_model(), true)] {
+            let mut fleet = checkpointed_fleet(&model, 2);
+            let base = collect_rib(&mut fleet);
+            on_all(&mut fleet, || Command::DpSetup {
+                rib: base.clone(),
+                meta_bits: 0,
+                waypoints: Arc::new(BTreeMap::new()),
+                max_hops: 0,
+            });
+            let (mut all, mut aggregates, mut deps) = (BTreeSet::new(), BTreeSet::new(), Vec::new());
+            for reply in on_all(&mut fleet, || Command::CollectPrefixes) {
+                let Reply::Prefixes { all: a, aggregates: g, deps: d } = reply else { panic!("expected prefixes") };
+                all.extend(a);
+                aggregates.extend(g);
+                deps.extend(d);
+            }
+            let dpdg = s2_shard::dpdg::Dpdg::build_with_deps(&all, &aggregates, &deps);
+            let components = s2_shard::impact::Components::of(&dpdg);
+            let index = crate::scope::ScopeIndex::build(&model, &base);
+            let routed: BTreeSet<Prefix> = base.per_node.iter().flatten().map(|r| r.prefix).collect();
+            let sources: Vec<NodeId> = model.topology.nodes().collect();
+            let changed: Arc<Vec<NodeId>> = Arc::new(sources.clone());
+            let links = model.topology.links();
+            let mut overlapped = false;
+            for (i, first) in links.iter().enumerate() {
+                for second in std::iter::once(None).chain(links[i + 1..].iter().map(Some)) {
+                    let mut failed = vec![first.a, first.b];
+                    failed.extend(second.into_iter().flat_map(|l| [l.a, l.b]));
+                    let failed = Arc::new(failed);
+                    on_all(&mut fleet, || Command::ScenarioBegin {
+                        failed: failed.clone(),
+                    });
+                    converge_bgp(&mut fleet);
+                    let rib = collect_rib(&mut fleet);
+                    let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
+                    for reply in on_all(&mut fleet, || Command::DpPatch {
+                        rib: rib.clone(),
+                        changed: changed.clone(),
+                        failed_ports: failed.clone(),
+                    }) {
+                        let Reply::ChangedDst(entries) = reply else { panic!("expected ChangedDst") };
+                        for (n, ps) in entries {
+                            changed_dst.entry(n).or_default().extend(ps);
+                        }
+                    }
+                    for set in changed_dst.values_mut() {
+                        components.close(set);
+                    }
+                    overlapped |= changed_dst.values().flatten().any(|&p| {
+                        routed.iter().any(|&q| q != p && q.overlaps(p))
+                    });
+                    assert_eq!(
+                        crate::scope::scope_sources(&index, &changed_dst, &sources),
+                        crate::scope::scope_sources_scan(&model, &base, &changed_dst, &sources),
+                        "failed {failed:?}"
+                    );
+                    on_all(&mut fleet, || Command::ScenarioRollback);
+                }
+            }
+            assert_eq!(overlapped, nested, "nested changed prefixes");
         }
     }
 }

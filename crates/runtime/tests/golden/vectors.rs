@@ -293,20 +293,8 @@ pub fn commands() -> Vec<(Command, &'static str)> {
         (Command::Shutdown, "14"),
         (Command::Metrics, "15"),
         (Command::ScenarioCheckpoint, "16"),
-        (
-            Command::ScenarioBegin {
-                failed: Arc::new(vec![(NodeId(4), InterfaceId(1)), (NodeId(9), InterfaceId(0))]),
-                restore: false,
-            },
-            "170000000200000004000100000009000000",
-        ),
-        (
-            Command::ScenarioBegin {
-                failed: Arc::new(vec![]),
-                restore: true,
-            },
-            "170000000001",
-        ),
+        // The two `ScenarioBegin` vectors with a `restore` flag moved to
+        // `retired_commands`; today's form is the last vector below.
         (Command::ScenarioRollback, "18"),
         (
             Command::DpPatch {
@@ -364,6 +352,12 @@ pub fn commands() -> Vec<(Command, &'static str)> {
                 inner: Box::new(Command::Metrics),
             },
             "1c000000000000000500000000000000060000000115",
+        ),
+        (
+            Command::ScenarioBegin {
+                failed: Arc::new(vec![(NodeId(4), InterfaceId(1)), (NodeId(9), InterfaceId(0))]),
+            },
+            "1700000002000000040001000000090000",
         ),
     ]
 }
@@ -660,10 +654,17 @@ pub fn checkpoint() -> (WarmCheckpoint, &'static str) {
     )
 }
 
-/// Retired commands and the tag each must be rejected with:
-/// `MemReport` (tag 15), replaced by the `Metrics` barrier.
-pub fn retired_commands() -> Vec<(&'static str, u8)> {
-    vec![("0f", 15)]
+/// Retired commands and the error each must be rejected with:
+/// `MemReport` (tag 15), replaced by the `Metrics` barrier, fails on its
+/// tag; `ScenarioBegin` with a `restore` flag (`false`, then `true`),
+/// from before every begin restored, decodes as today's `ScenarioBegin`
+/// with the flag's byte left over.
+pub fn retired_commands() -> Vec<(&'static str, WireError)> {
+    vec![
+        ("0f", WireError::BadTag(15)),
+        ("170000000200000004000100000009000000", WireError::BadValue("trailing bytes")),
+        ("170000000001", WireError::BadValue("trailing bytes")),
+    ]
 }
 
 /// Retired replies and the error each must be rejected with: `Mem`

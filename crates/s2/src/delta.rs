@@ -317,7 +317,7 @@ fn build_baseline(
                     during: "warm-up-dpv",
                 });
             }
-            cluster.scenario_checkpoint(rib.clone())?;
+            cluster.scenario_checkpoint(&rib)?;
             Ok(WarmBaseline {
                 rib,
                 dpv,

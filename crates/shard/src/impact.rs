@@ -102,14 +102,40 @@ impl ScenarioImpact {
 ///
 /// Shared by the sweep's impact classes and the destination-scoped DPV
 /// patcher, which both need the same "what else can this perturb"
-/// closure before trusting a changed-prefix set.
+/// closure before trusting a changed-prefix set. To close many sets
+/// over one graph, build its [`Components`] once.
 pub fn close_over_components(affected: &mut BTreeSet<Prefix>, dpdg: &Dpdg) {
-    if affected.is_empty() {
-        return;
+    if !affected.is_empty() {
+        Components::of(dpdg).close(affected);
     }
-    for component in dpdg.weakly_connected_components() {
-        if component.iter().any(|p| affected.contains(p)) {
-            affected.extend(component);
+}
+
+/// The weakly connected components of a DPDG, indexed by prefix: a set
+/// closes over them in time proportional to its size and to the
+/// components it touches, not to the graph.
+#[derive(Debug, Clone)]
+pub struct Components {
+    members: Vec<Vec<Prefix>>,
+    of: BTreeMap<Prefix, usize>,
+}
+
+impl Components {
+    /// Computes and indexes the components of `dpdg`.
+    pub fn of(dpdg: &Dpdg) -> Components {
+        let members = dpdg.weakly_connected_components();
+        let of = members
+            .iter()
+            .enumerate()
+            .flat_map(|(c, ps)| ps.iter().map(move |&p| (p, c)))
+            .collect();
+        Components { members, of }
+    }
+
+    /// [`close_over_components`] over the indexed graph.
+    pub fn close(&self, affected: &mut BTreeSet<Prefix>) {
+        let touched: BTreeSet<usize> = affected.iter().filter_map(|p| self.of.get(p).copied()).collect();
+        for c in touched {
+            affected.extend(self.members[c].iter().copied());
         }
     }
 }
@@ -204,6 +230,31 @@ mod tests {
         let solo = scenario_impact(&[used], &usage(), &dpdg);
         let padded = scenario_impact(&[used, unused], &usage(), &dpdg);
         assert_eq!(solo.relevant, padded.relevant);
+    }
+
+    #[test]
+    fn indexed_components_close_as_the_component_scan() {
+        // Two aggregates over two contributors each, a lone prefix, and
+        // a prefix outside the graph.
+        let set: BTreeSet<Prefix> =
+            ["10.0.0.0/16", "10.0.0.0/24", "10.0.1.0/24", "10.1.0.0/16", "10.1.0.0/24", "172.16.0.0/24"]
+                .into_iter()
+                .map(p)
+                .collect();
+        let aggs: BTreeSet<Prefix> = [p("10.0.0.0/16"), p("10.1.0.0/16")].into_iter().collect();
+        let dpdg = Dpdg::build(&set, &aggs);
+        let components = Components::of(&dpdg);
+        for affected in [&[][..], &["10.0.1.0/24"], &["10.1.0.0/16", "172.16.0.0/24"], &["192.168.0.0/24"]] {
+            let mut got: BTreeSet<Prefix> = affected.iter().map(|s| p(s)).collect();
+            let mut want = got.clone();
+            components.close(&mut got);
+            for component in dpdg.weakly_connected_components() {
+                if component.iter().any(|q| want.contains(q)) {
+                    want.extend(component);
+                }
+            }
+            assert_eq!(got, want, "{affected:?}");
+        }
     }
 
     #[test]

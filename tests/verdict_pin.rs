@@ -236,3 +236,36 @@ fn acl_misconfig_verdicts_are_pinned() {
         Baseline { reachable: 56, unreachable: Vec::new(), loops: 0 }
     );
 }
+
+/// A waypoint no path crosses: the intra-pod pair never leaves pod 0,
+/// so every arrived header lacks the core's bit. The pair is reachable
+/// (as the baseline, which ignores waypoints, finds) and violates the
+/// waypoint.
+#[test]
+fn waypoint_no_path_crosses_keeps_the_pair_reachable() {
+    let ft = gen_ft(FatTreeParams::new(4));
+    let (src, dst) = (ft.edge(0, 0), ft.edge(0, 1));
+    let request =
+        VerificationRequest::single_pair(src, dst, FatTree::server_prefix(0, 1)).via(ft.cores[0]);
+    let model = fattree_model(&ft);
+    let baseline = baseline_judge(&model, &request);
+    assert_eq!(baseline, Baseline { reachable: 1, unreachable: Vec::new(), loops: 0 });
+    let s2 = s2_judge(&model, &request, S2Options::default());
+    assert_eq!((s2.reachable, &s2.unreachable), (baseline.reachable, &baseline.unreachable));
+    assert_eq!(s2.waypoint_violations, vec![(src, dst, ft.cores[0])]);
+}
+
+/// A waypoint every path crosses: the source itself, whose bit every
+/// injected header takes. The pair is reachable and keeps the waypoint.
+#[test]
+fn waypoint_every_path_crosses_keeps_the_pair_reachable() {
+    let ft = gen_ft(FatTreeParams::new(4));
+    let (src, dst) = (ft.edge(0, 0), ft.edge(1, 0));
+    let request = VerificationRequest::single_pair(src, dst, FatTree::server_prefix(1, 0)).via(src);
+    let model = fattree_model(&ft);
+    let baseline = baseline_judge(&model, &request);
+    assert_eq!(baseline, Baseline { reachable: 1, unreachable: Vec::new(), loops: 0 });
+    let s2 = s2_judge(&model, &request, S2Options::default());
+    assert_eq!((s2.reachable, &s2.unreachable), (baseline.reachable, &baseline.unreachable));
+    assert!(s2.waypoint_violations.is_empty(), "{:?}", s2.waypoint_violations);
+}
