@@ -1,10 +1,10 @@
-//! Micro-benchmarks of the substrate hot paths: the wire codec (every
-//! cross-worker route pays this), BDD DAG serialization (every
-//! cross-worker packet pays this), LPM trie lookups, route-map
-//! evaluation, best-path selection, graph partitioning, the data
-//! plane's predicate compile and the two fixed steps of a warm sweep
-//! scenario (scoping its changed destinations, restoring the
-//! checkpoint).
+//! Micro-benchmarks of the substrate hot paths: the wire codec and the
+//! frame checksum (every cross-worker route pays these), BDD DAG
+//! serialization (every cross-worker packet pays this), LPM trie
+//! lookups, route-map evaluation, best-path selection, graph
+//! partitioning, the data plane's predicate compile and the two fixed
+//! steps of a warm sweep scenario (scoping its changed destinations,
+//! restoring the checkpoint).
 //!
 //! These quantify the constants behind the distributed design's
 //! trade-offs: e.g. one serialized route costs ~100ns while a local
@@ -82,6 +82,10 @@ fn bench_wire(c: &mut Criterion) {
     g.bench_function("decode_class_body", |b| {
         b.iter(|| Arc::<[BgpRoute]>::from_bytes(black_box(bytes.clone())).unwrap())
     });
+    // The frame checksum over one Ethernet-MTU payload; every frame pays
+    // it twice (sender and receiver).
+    let payload: Vec<u8> = (0..1500u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    g.bench_function("crc32_1500", |b| b.iter(|| s2_runtime::wire::crc32(black_box(&payload))));
     g.finish();
 }
 

@@ -423,12 +423,17 @@ impl SidecarNet {
     }
 
     /// Routes an encoded message from worker `src` to the worker owning
-    /// `target`. The counters only tick for genuinely remote deliveries;
-    /// callers short-circuit local traffic before encoding (real-node
-    /// fast path). Fault-plan hooks apply here, indexed by a cluster-wide
-    /// attempt counter.
+    /// `target` (see [`SidecarNet::send_to_worker`]).
     pub fn send_to_node(&self, src: WorkerId, target: NodeId, payload: Bytes) {
-        let dst = self.owner(target);
+        self.send_to_worker(src, self.owner(target), payload);
+    }
+
+    /// Routes an encoded message from worker `src` to worker `dst`. The
+    /// counters only tick for genuinely remote deliveries; callers
+    /// short-circuit local traffic before encoding (real-node fast
+    /// path). Fault-plan hooks apply here, indexed by a cluster-wide
+    /// attempt counter.
+    pub fn send_to_worker(&self, src: WorkerId, dst: WorkerId, payload: Bytes) {
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
 
@@ -511,6 +516,12 @@ impl Sidecar {
         self.net.send_to_node(self.worker, target, wire::encode(msg));
     }
 
+    /// Sends `msg` to worker `dst` (must be another worker).
+    pub fn send_to_worker(&self, dst: WorkerId, msg: &Message) {
+        debug_assert_ne!(dst, self.worker, "local traffic must not use the sidecar");
+        self.net.send_to_worker(self.worker, dst, wire::encode(msg));
+    }
+
     /// Discards everything queued in the inbox, adopts `epoch` as
     /// current, and resets sequence tracking — the receiver half of the
     /// controller's recovery protocol.
@@ -575,7 +586,8 @@ impl Sidecar {
     }
 
     /// Every node id carried by `msg` exists in the node→worker map, and
-    /// a shared-body advertisement lists at least one target.
+    /// a shared-body advertisement lists at least one target. A packet
+    /// batch naming one unknown node is rejected whole.
     fn targets_known_nodes(&self, msg: &Message) -> bool {
         match msg {
             Message::BgpAdvertisement { target_node, .. }
@@ -583,9 +595,9 @@ impl Sidecar {
             Message::BgpClassAdvertisement { targets, .. } => {
                 !targets.is_empty() && targets.iter().all(|&(n, _)| self.net.knows_node(n))
             }
-            Message::Packet { src, node, .. } => {
-                self.net.knows_node(*src) && self.net.knows_node(*node)
-            }
+            Message::PacketBatch { packets, .. } => packets
+                .iter()
+                .all(|p| self.net.knows_node(p.src) && self.net.knows_node(p.node)),
         }
     }
 }
@@ -737,6 +749,30 @@ mod tests {
         sidecars2[0].send(NodeId(2), &bgp_msg(1));
         assert!(sidecars2[1].drain().is_empty());
         assert_eq!(net2.stats().stale_drops.load(Ordering::Relaxed), 1);
+    }
+
+    /// A batch naming one node outside the map is one protocol
+    /// violation, and none of its packets is delivered.
+    #[test]
+    fn batch_naming_an_unknown_node_is_one_violation() {
+        use crate::wire::PacketRef;
+        let (net, mut sidecars) = two_worker_net();
+        let packet = |node| PacketRef {
+            src: NodeId(0),
+            node: NodeId(node),
+            ingress: None,
+            hops: 1,
+            bdd: 0,
+        };
+        let batch = |nodes: &[u32]| Message::PacketBatch {
+            bdds: vec![Bytes::from_static(&[0])],
+            packets: nodes.iter().map(|&n| packet(n)).collect(),
+        };
+        sidecars[0].send_to_worker(1, &batch(&[2, 3, 2]));
+        sidecars[0].send_to_worker(1, &batch(&[2]));
+        assert_eq!(sidecars[1].drain(), vec![batch(&[2])]);
+        assert_eq!(net.stats().protocol_violations.load(Ordering::Relaxed), 1);
+        assert_eq!(net.stats().wire_errors.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -13,15 +13,19 @@
 //! ```text
 //! frame     := len:u32 src:u32 epoch:u32 seq:u64 crc:u32 message
 //! message   := tag:u8 body
-//! tag       := 1 (BGP) | 2 (OSPF) | 3 (packet) | 4 (BGP, shared body)
+//! tag       := 1 (BGP) | 2 (OSPF) | 4 (BGP, shared body) | 5 (packet batch)
 //! bgp       := target_node:u32 target_session:u32 n:u32 route*
 //! bgp_class := t:u32 (target_node:u32 target_session:u32){t} n:u32 route*
 //! route     := prefix_addr:u32 prefix_len:u8 next_hop:u32 local_pref:u32
 //!              med:u32 origin:u8 weight:u32 proto:u8
 //!              plen:u16 asn:u32{plen} clen:u16 community:u32{clen}
 //! ospf      := target_node:u32 via_iface:u16 n:u32 (addr:u32 len:u8 cost:u32)*
-//! packet    := src:u32 node:u32 ingress:u16 hops:u16 bddlen:u32 bdd-bytes
+//! batch     := n:u32 (bddlen:u32 bdd-bytes){n} m:u32 packet{m}
+//! packet    := src:u32 node:u32 ingress:u16 hops:u16 bdd_index:u32
 //! ```
+//!
+//! Tag 3 (one symbolic packet per frame, its BDD inline) is retired: its
+//! bytes fail as an unknown tag.
 //!
 //! Every message travelling between sidecars is wrapped in a *frame*
 //! carrying the sending worker, the controller epoch it was sent in, a
@@ -74,21 +78,31 @@ pub enum Message {
         /// `(prefix, cost)` pairs.
         entries: Vec<(Prefix, u32)>,
     },
-    /// A symbolic packet; the BDD payload must be re-encoded into the
-    /// receiving worker's manager.
-    Packet {
-        /// Injection node.
-        src: NodeId,
-        /// Receiving node.
-        node: NodeId,
-        /// Ingress class on the receiving node, as its lowest port
-        /// (`None` = injection).
-        ingress: Option<InterfaceId>,
-        /// Hops taken so far.
-        hops: u16,
-        /// Serialized BDD (see [`s2_bdd::serialize`]).
-        bdd: Bytes,
+    /// One forward round's symbolic packets for every node of the
+    /// destination worker: each distinct BDD once, re-encoded into the
+    /// receiving worker's manager once per frame.
+    PacketBatch {
+        /// Serialized BDDs (see [`s2_bdd::serialize`]).
+        bdds: Vec<Bytes>,
+        /// The packets, each naming its BDD by index into `bdds`.
+        packets: Vec<PacketRef>,
     },
+}
+
+/// One symbolic packet of a [`Message::PacketBatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketRef {
+    /// Injection node.
+    pub src: NodeId,
+    /// Receiving node.
+    pub node: NodeId,
+    /// Ingress class on the receiving node, as its lowest port
+    /// (`None` = injection).
+    pub ingress: Option<InterfaceId>,
+    /// Hops taken so far.
+    pub hops: u16,
+    /// Index of the packet's set in the batch's `bdds`.
+    pub bdd: u32,
 }
 
 /// Decoding failures.
@@ -139,8 +153,11 @@ impl std::error::Error for WireError {}
 /// Size of the frame header preceding the message bytes.
 pub const FRAME_HEADER_LEN: usize = 4 + 4 + 4 + 8 + 4;
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables: `CRC32_TABLES[0]` is the bytewise table,
+/// and `CRC32_TABLES[k][b]` is `CRC32_TABLES[0][b]` carried through `k`
+/// more zero bytes, so eight lookups advance the CRC by eight bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -149,17 +166,42 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE 802.3 polynomial) over `data`.
+/// CRC-32 (IEEE 802.3 polynomial) over `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let byte = |x: u32, shift: u32| ((x >> shift) & 0xff) as usize;
+    let (words, rest) = data.as_chunks::<8>();
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        c = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in rest {
+        c = t[0][byte(c ^ u32::from(b), 0)] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -282,6 +324,45 @@ impl Wire for BgpRoute {
 /// empty list counts.
 const MIN_ROUTE_WIRE: usize = 27;
 
+// Not the generic `Option`: "injected, no ingress port" is the
+// `u16::MAX` sentinel, one fixed packet header for both.
+impl Wire for PacketRef {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        self.src.put(buf);
+        self.node.put(buf);
+        self.ingress.map_or(u16::MAX, |i| i.0).put(buf);
+        self.hops.put(buf);
+        self.bdd.put(buf);
+    }
+    #[inline]
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(PacketRef {
+            src: Wire::take(buf)?,
+            node: Wire::take(buf)?,
+            ingress: match u16::take(buf)? {
+                u16::MAX => None,
+                i => Some(InterfaceId(i)),
+            },
+            hops: Wire::take(buf)?,
+            bdd: Wire::take(buf)?,
+        })
+    }
+    /// A count beyond the bytes of that many packets fails before it
+    /// sizes anything.
+    fn take_seq(buf: &mut Bytes, n: usize) -> Result<Vec<Self>, WireError> {
+        need(buf, n.saturating_mul(PACKET_REF_WIRE))?;
+        let mut packets = Vec::with_capacity(cap(n));
+        for _ in 0..n {
+            packets.push(Self::take(buf)?);
+        }
+        Ok(packets)
+    }
+}
+
+/// The bytes of one packet of a batch.
+const PACKET_REF_WIRE: usize = 16;
+
 /// One route; an attribute list equal to `prev`'s is `prev`'s list.
 fn take_route(buf: &mut Bytes, prev: Option<&BgpRoute>) -> Result<BgpRoute, WireError> {
     Ok(BgpRoute {
@@ -335,26 +416,15 @@ impl Wire for Message {
                 via_iface.put(buf);
                 entries.put(buf);
             }
-            Message::Packet {
-                src,
-                node,
-                ingress,
-                hops,
-                bdd,
-            } => {
-                3u8.put(buf);
-                src.put(buf);
-                node.put(buf);
-                // Not the generic `Option`: "injected, no ingress port"
-                // is the `u16::MAX` sentinel, one packet header for both.
-                ingress.map_or(u16::MAX, |i| i.0).put(buf);
-                hops.put(buf);
-                bdd.put(buf);
-            }
             Message::BgpClassAdvertisement { targets, routes } => {
                 4u8.put(buf);
                 targets.put(buf);
                 routes.put(buf);
+            }
+            Message::PacketBatch { bdds, packets } => {
+                5u8.put(buf);
+                bdds.put(buf);
+                packets.put(buf);
             }
         }
     }
@@ -371,20 +441,18 @@ impl Wire for Message {
                 via_iface: Wire::take(buf)?,
                 entries: Wire::take(buf)?,
             },
-            3 => Message::Packet {
-                src: Wire::take(buf)?,
-                node: Wire::take(buf)?,
-                ingress: match u16::take(buf)? {
-                    u16::MAX => None,
-                    i => Some(InterfaceId(i)),
-                },
-                hops: Wire::take(buf)?,
-                bdd: Wire::take(buf)?,
-            },
             4 => Message::BgpClassAdvertisement {
                 targets: Wire::take(buf)?,
                 routes: Wire::take(buf)?,
             },
+            5 => {
+                let bdds: Vec<Bytes> = Wire::take(buf)?;
+                let packets: Vec<PacketRef> = Wire::take(buf)?;
+                if packets.iter().any(|p| p.bdd as usize >= bdds.len()) {
+                    return Err(WireError::BadValue("packet bdd index"));
+                }
+                Message::PacketBatch { bdds, packets }
+            }
             t => return Err(WireError::BadTag(t)),
         })
     }
@@ -537,29 +605,81 @@ mod tests {
         assert_eq!(decode(encode(&msg)).unwrap(), msg);
     }
 
-    #[test]
-    fn packet_roundtrip() {
-        let msg = Message::Packet {
+    /// Two packets sharing one payload, one of them injected.
+    fn sample_batch() -> Message {
+        let packet = |node: u32, ingress: Option<u16>, bdd: u32| PacketRef {
             src: NodeId(1),
-            node: NodeId(9),
-            ingress: Some(InterfaceId(4)),
+            node: NodeId(node),
+            ingress: ingress.map(InterfaceId),
             hops: 3,
-            bdd: Bytes::from_static(&[1, 2, 3, 4]),
+            bdd,
         };
+        Message::PacketBatch {
+            bdds: vec![Bytes::from_static(&[1, 2, 3, 4]), Bytes::from_static(&[5])],
+            packets: vec![packet(9, Some(4), 0), packet(2, None, 0), packet(9, Some(7), 1)],
+        }
+    }
+
+    #[test]
+    fn packet_batch_roundtrip() {
+        let msg = sample_batch();
         assert_eq!(decode(encode(&msg)).unwrap(), msg);
-        let none = Message::Packet {
-            src: NodeId(1),
-            node: NodeId(9),
-            ingress: None,
-            hops: 0,
-            bdd: Bytes::new(),
+        let empty = Message::PacketBatch {
+            bdds: vec![],
+            packets: vec![],
         };
-        assert_eq!(decode(encode(&none)).unwrap(), none);
+        assert_eq!(decode(encode(&empty)).unwrap(), empty);
+    }
+
+    /// A packet count far beyond the bytes fails before it sizes
+    /// anything; a payload count sizes its list only through `cap`.
+    /// Both are `Truncated`. (`wire_golden` cuts the pinned batches at
+    /// every strict prefix.)
+    #[test]
+    fn oversized_packet_batch_counts_fail() {
+        let huge_packets = [5u8, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1];
+        assert_eq!(decode(Bytes::from(huge_packets.to_vec())), Err(WireError::Truncated));
+        let huge_bdds = [5u8, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0];
+        assert_eq!(decode(Bytes::from(huge_bdds.to_vec())), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn packet_batch_index_out_of_range_is_a_bad_value() {
+        let Message::PacketBatch { bdds, mut packets } = sample_batch() else {
+            unreachable!()
+        };
+        packets[1].bdd = 2;
+        let bad = encode(&Message::PacketBatch { bdds, packets });
+        assert_eq!(decode(bad), Err(WireError::BadValue("packet bdd index")));
     }
 
     #[test]
     fn bad_tag_rejected() {
         assert_eq!(decode(Bytes::from_static(&[9])), Err(WireError::BadTag(9)));
+    }
+
+    /// The bytewise CRC-32 loop `crc32` replaced: the oracle.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    /// Slicing-by-8 equals the bytewise loop on random lengths 0..=4096
+    /// from unaligned starts, so every tail length and alignment meets
+    /// the eight-byte loop.
+    #[test]
+    fn crc32_equals_the_bytewise_loop() {
+        let mut rng = s2_net::rng::SeededRng::seed_from_u64(0x5eed_c3c3);
+        let data: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        let lens: Vec<usize> = (0..200).map(|_| rng.next_u64() as usize % 4097).collect();
+        for len in (0..=64).chain(lens) {
+            let start = rng.next_u64() as usize % 8;
+            let slice = &data[start..start + len];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "len {len} start {start}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::faults::FaultState;
 use crate::memstats::{MemGauge, MemReport};
 use crate::pool::EvalPool;
 use crate::sidecar::{Sidecar, TrafficSnapshot, WorkerId};
-use crate::wire::Message;
+use crate::wire::{Message, PacketRef};
 use bytes::Bytes;
 use s2_bdd::serialize as bdd_io;
 use s2_bdd::splice::Splicer;
@@ -299,6 +299,15 @@ fn note_violation(sidecar: &Sidecar) {
         .stats()
         .protocol_violations
         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+}
+
+/// One destination worker's outbound packets of a forward round: each
+/// distinct BDD handle serialized once, at the index its packets name.
+#[derive(Default)]
+struct Batch {
+    index: BTreeMap<s2_bdd::Bdd, u32>,
+    bdds: Vec<Bytes>,
+    packets: Vec<PacketRef>,
 }
 
 /// A staged OSPF delivery: (destination node, arriving interface, routes).
@@ -1005,7 +1014,7 @@ impl Worker {
     /// Processes one hop level: ingest remote fragments (re-encoding their
     /// BDDs into the private manager), step every merged fragment, stage
     /// local next-hop fragments, and ship merged remote fragments — one
-    /// frame per merge key, one serialization per distinct BDD.
+    /// frame per destination worker, each distinct BDD once per frame.
     fn forward_round(&mut self) -> (usize, usize) {
         let Some(manager) = self.manager.as_mut() else {
             return (0, 0); // guarded in handle(); kept panic-free regardless
@@ -1013,43 +1022,42 @@ impl Worker {
         {
             // Spans the ingest phase, where remote fragments cross into
             // this worker's private BDD manager (the §4.3 re-encode
-            // boundary). ECMP fan-in delivers the same payload many times
-            // in one round; each distinct payload is decoded once.
+            // boundary). A batch carries each distinct payload once, and
+            // each is decoded once.
             let _reencode_span = s2_obs::span!("bdd.reencode");
-            let mut decoded: BTreeMap<Bytes, Option<s2_bdd::Bdd>> = BTreeMap::new();
             for msg in self.sidecar.drain() {
-                if let Message::Packet {
-                    src,
-                    node,
-                    ingress,
-                    hops,
-                    bdd,
-                } = msg
-                {
-                    // An undecodable BDD payload is a per-message wire
-                    // error (counted, packet skipped), not a worker crash;
-                    // the controller's disturbance tracking replays the
-                    // phase.
-                    let set = *decoded
-                        .entry(bdd)
-                        .or_insert_with_key(|bdd| bdd_io::from_bytes(manager, bdd).ok());
-                    let Some(set) = set else {
-                        self.sidecar
-                            .net()
-                            .stats()
-                            .wire_errors
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Message::PacketBatch { bdds, packets } = msg else {
+                    continue;
+                };
+                // An undecodable BDD payload is a per-message wire error
+                // (counted, its packets skipped), not a worker crash; the
+                // controller's disturbance tracking replays the phase.
+                let sets: Vec<Option<s2_bdd::Bdd>> = bdds
+                    .iter()
+                    .map(|bdd| bdd_io::from_bytes(manager, bdd).ok())
+                    .collect();
+                let bad = sets.iter().filter(|set| set.is_none()).count();
+                if bad > 0 {
+                    self.sidecar
+                        .net()
+                        .stats()
+                        .wire_errors
+                        .fetch_add(bad as u64, std::sync::atomic::Ordering::Relaxed);
+                }
+                for p in packets {
+                    // The decoder checked every index against `bdds`.
+                    let Some(&Some(set)) = sets.get(p.bdd as usize) else {
                         continue;
                     };
                     merge_packet(
                         manager,
                         &mut self.level,
                         SymbolicPacket {
-                            src,
-                            node,
-                            ingress,
+                            src: p.src,
+                            node: p.node,
+                            ingress: p.ingress,
                             set,
-                            hops,
+                            hops: p.hops,
                         },
                     );
                 }
@@ -1057,7 +1065,6 @@ impl Worker {
         }
 
         let mut processed = 0;
-        let mut sent_remote = 0;
         let mut scratch_reuses: u64 = 0;
         let mut next: BTreeMap<PacketKey, s2_bdd::Bdd> = BTreeMap::new();
         let mut outbound: BTreeMap<PacketKey, s2_bdd::Bdd> = BTreeMap::new();
@@ -1109,35 +1116,36 @@ impl Worker {
                 }
             }
         }
+        let sent_remote = outbound.len();
         {
             // The outbound half of the same boundary. One egress set fans
-            // out to many (peer, class) keys; each distinct handle is
-            // serialized once and its bytes shared by every frame.
+            // out to many (peer, class) keys; each destination worker gets
+            // one batch holding each distinct handle's bytes once.
             let _encode_span = s2_obs::span!("bdd.encode");
-            let mut encoded: BTreeMap<s2_bdd::Bdd, Bytes> = BTreeMap::new();
+            let mut batches: BTreeMap<WorkerId, Batch> = BTreeMap::new();
             for ((src, node, ingress, hops), set) in outbound {
-                let bdd = encoded
-                    .entry(set)
-                    .or_insert_with(|| {
-                        #[cfg(test)]
-                        tests::ENCODES.with(|n| n.set(n.get() + 1));
-                        Bytes::from(bdd_io::to_bytes(manager, set))
-                    })
-                    .clone();
-                self.sidecar.send(
+                let batch = batches.entry(self.sidecar.net().owner(node)).or_default();
+                let bdds = &mut batch.bdds;
+                let bdd = *batch.index.entry(set).or_insert_with(|| {
+                    #[cfg(test)]
+                    tests::ENCODES.with(|n| n.set(n.get() + 1));
+                    bdds.push(Bytes::from(bdd_io::to_bytes(manager, set)));
+                    (bdds.len() - 1) as u32
+                });
+                batch.packets.push(PacketRef {
+                    src,
                     node,
-                    &Message::Packet {
-                        src,
-                        node,
-                        ingress,
-                        hops,
-                        bdd,
-                    },
-                );
-                sent_remote += 1;
+                    ingress,
+                    hops,
+                    bdd,
+                });
+            }
+            s2_obs::event!("bdd.encode.outbound", batches.len());
+            for (dst, Batch { bdds, packets, .. }) in batches {
+                self.sidecar
+                    .send_to_worker(dst, &Message::PacketBatch { bdds, packets });
             }
         }
-        s2_obs::event!("bdd.encode.outbound", sent_remote);
         if scratch_reuses > 0 {
             self.sidecar
                 .net()
@@ -1350,12 +1358,12 @@ mod tests {
     }
 
     /// A hub on worker 0 spraying one prefix over `LEAVES` ECMP links to
-    /// leaves on worker 1: every outbound fragment of the first round
-    /// carries the same BDD handle.
+    /// leaves dealt alternately to workers 1 and 2: every outbound
+    /// fragment of the first round carries the same BDD handle.
     const LEAVES: usize = 5;
 
     #[test]
-    fn forward_round_serializes_a_shared_bdd_once() {
+    fn forward_round_sends_one_batch_per_destination_worker() {
         let mut topo = Topology::new();
         let hub = topo.add_node("hub");
         let mut configs = vec![DeviceConfig::new("hub", Vendor::A)];
@@ -1380,28 +1388,33 @@ mod tests {
             as_path_len: 0,
         });
 
-        let mut owners = vec![1; LEAVES + 1];
-        owners[0] = 0;
-        let (net, mut inboxes) = SidecarNet::build(owners, 2);
-        let mut leaves = Sidecar::new(1, net.clone(), inboxes.remove(1));
-        let sidecar = Sidecar::new(0, net, inboxes.remove(0));
+        let owners: Vec<WorkerId> = (0..=LEAVES as u32).map(|n| if n == 0 { 0 } else { 1 + n % 2 }).collect();
+        let (net, inboxes) = SidecarNet::build(owners.clone(), 3);
+        let mut inboxes = inboxes.into_iter();
+        let sidecar = Sidecar::new(0, net.clone(), inboxes.next().unwrap());
+        let mut receivers: Vec<Sidecar> =
+            inboxes.zip(1..).map(|(inbox, w)| Sidecar::new(w, net.clone(), inbox)).collect();
         let mut worker = Worker::with_faults(sidecar, model, vec![hub], None, Arc::default(), 1);
         worker.dp_setup(Arc::new(RibSnapshot { per_node }), 0, &BTreeMap::new(), 0);
         worker.inject(&[(hub, "10.9.0.0/16".parse().unwrap())]);
 
         ENCODES.with(|n| n.set(0));
-        assert_eq!(worker.forward_round(), (1, LEAVES));
-        assert_eq!(ENCODES.with(std::cell::Cell::get), 1);
-        let payloads: Vec<Bytes> = leaves
-            .drain()
-            .into_iter()
-            .map(|m| match m {
-                Message::Packet { bdd, .. } => bdd,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(payloads.len(), LEAVES);
-        assert!(payloads.iter().all(|p| *p == payloads[0]), "every frame carries the one encoding");
+        assert_eq!(worker.forward_round(), (1, LEAVES), "every packet is counted");
+        assert_eq!(ENCODES.with(std::cell::Cell::get), 2, "one encoding per destination");
+        assert_eq!(net.stats().snapshot().0, 2, "one frame per destination");
+        let mut payloads = Vec::new();
+        for receiver in &mut receivers {
+            let frames = receiver.drain();
+            let [Message::PacketBatch { bdds, packets }] = frames.as_slice() else {
+                panic!("worker {}: expected one batch, got {frames:?}", receiver.worker);
+            };
+            assert_eq!(bdds.len(), 1, "the shared BDD once per frame");
+            assert!(packets.iter().all(|p| p.bdd == 0 && owners[p.node.index()] == receiver.worker));
+            let leaves = owners.iter().filter(|&&w| w == receiver.worker).count();
+            assert_eq!(packets.len(), leaves, "one packet per hosted leaf");
+            payloads.push(bdds[0].clone());
+        }
+        assert_eq!(payloads[0], payloads[1], "both frames carry the one encoding");
     }
 
     /// FatTree k=`k` over two workers, nodes dealt alternately so that

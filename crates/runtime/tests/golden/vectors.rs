@@ -26,7 +26,7 @@ use s2_runtime::admin::{
     AdminRequest, AdminResponse, DeltaSpec, VerdictSummary, WarmCheckpoint, WorkerMetrics,
 };
 use s2_runtime::remote::{Register, Setup};
-use s2_runtime::wire::Message;
+use s2_runtime::wire::{Message, PacketRef};
 use s2_runtime::worker::{Command, Reply};
 use s2_runtime::{TrafficSnapshot, WireError};
 use std::sync::Arc;
@@ -85,7 +85,8 @@ fn event(name: u16, kind: u8) -> Event {
 }
 
 /// Data-frame messages: one of each kind, the BGP one with non-empty
-/// `as_path` and `communities`, the packet with and without an ingress.
+/// `as_path` and `communities`, the packet batch empty and with two
+/// packets that share one payload, one forwarded and one injected.
 pub fn messages() -> Vec<(Message, &'static str)> {
     vec![
         (
@@ -116,26 +117,6 @@ pub fn messages() -> Vec<(Message, &'static str)> {
                 entries: vec![(pfx("10.0.0.0/31"), 1), (pfx("1.1.1.1/32"), 10)],
             },
             "02000000020005000000020a0000001f0000000101010101200000000a",
-        ),
-        (
-            Message::Packet {
-                src: NodeId(1),
-                node: NodeId(9),
-                ingress: Some(InterfaceId(4)),
-                hops: 3,
-                bdd: Bytes::from_static(&[1, 2, 3, 4]),
-            },
-            "030000000100000009000400030000000401020304",
-        ),
-        (
-            Message::Packet {
-                src: NodeId(1),
-                node: NodeId(9),
-                ingress: None,
-                hops: 0,
-                bdd: Bytes::new(),
-            },
-            "030000000100000009ffff000000000000",
         ),
         (
             Message::BgpAdvertisement {
@@ -187,6 +168,42 @@ pub fn messages() -> Vec<(Message, &'static str)> {
                 "0400000001000000070000000300000001",
                 "0a0102001800000000000000640000000500000000000300030000fde90000fdea0000fde9",
                 "00020000000100000063"
+            ),
+        ),
+        // Added with tag 5 (one frame of packets per destination worker,
+        // each distinct BDD once), which retired tag 3.
+        (
+            Message::PacketBatch {
+                bdds: vec![],
+                packets: vec![],
+            },
+            "050000000000000000",
+        ),
+        (
+            Message::PacketBatch {
+                bdds: vec![Bytes::from_static(&[1, 2, 3, 4])],
+                packets: vec![
+                    PacketRef {
+                        src: NodeId(1),
+                        node: NodeId(9),
+                        ingress: Some(InterfaceId(4)),
+                        hops: 3,
+                        bdd: 0,
+                    },
+                    PacketRef {
+                        src: NodeId(1),
+                        node: NodeId(2),
+                        ingress: None,
+                        hops: 0,
+                        bdd: 0,
+                    },
+                ],
+            },
+            concat!(
+                "05000000010000000401020304",
+                "00000002",
+                "000000010000000900040003", "00000000",
+                "0000000100000002ffff0000", "00000000"
             ),
         ),
     ]
@@ -652,6 +669,17 @@ pub fn checkpoint() -> (WarmCheckpoint, &'static str) {
         },
         "5332434b50543032d418851134999ae100000000000000650000deadbeef00420000000000000007000000010000000100000004000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000",
     )
+}
+
+/// Retired data-frame messages and the error each must be rejected
+/// with: `Packet` (tag 3), one symbolic packet per frame with its BDD
+/// inline, replaced by the tag-5 `PacketBatch`, fails on its tag (with
+/// an ingress, then injected).
+pub fn retired_messages() -> Vec<(&'static str, WireError)> {
+    vec![
+        ("030000000100000009000400030000000401020304", WireError::BadTag(3)),
+        ("030000000100000009ffff000000000000", WireError::BadTag(3)),
+    ]
 }
 
 /// Retired commands and the error each must be rejected with:

@@ -124,6 +124,10 @@ fn checkpoint_file_image() {
 /// checkpoint version on its magic: none decodes as anything else.
 #[test]
 fn retired_vectors_are_rejected() {
+    for (want, err) in vectors::retired_messages() {
+        let bytes = Bytes::from(unhex(want));
+        assert_eq!(wire::decode(bytes).err(), Some(err), "message {want}");
+    }
     for (want, err) in vectors::retired_commands() {
         let bytes = Bytes::from(unhex(want));
         assert_eq!(Command::from_bytes(bytes).err(), Some(err), "command {want}");
