@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the substrate hot paths: the wire codec and the
 //! frame checksum (every cross-worker route pays these), BDD DAG
 //! serialization (every cross-worker packet pays this), LPM trie
-//! lookups, route-map evaluation, best-path selection, graph
+//! lookups, route-map evaluation, best-path selection and the BGP
+//! fix point (FatTree k=8, and k=16 over three shards), graph
 //! partitioning, the data plane's predicate compile and the two fixed
 //! steps of a warm sweep scenario (scoping its changed destinations,
 //! restoring the checkpoint).
@@ -154,6 +155,23 @@ fn bench_bgp(c: &mut Criterion) {
     let ospf = switches.clone();
     g.bench_function("converge_fattree8", |b| {
         b.iter(|| converge_bgp(&mut ospf.clone(), None, DEFAULT_MAX_ROUNDS).unwrap().rounds)
+    });
+    // The same at k=16 over three prefix shards, as the monolithic
+    // baseline runs it: one fix point per shard on the same switches.
+    let ft16 = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(16));
+    let model16 = NetworkModel::build(ft16.topology, ft16.configs).unwrap();
+    let mut ospf16: Vec<SwitchModel> =
+        model16.topology.nodes().map(|n| SwitchModel::new(&model16, n)).collect();
+    converge_ospf(&model16, &mut ospf16, DEFAULT_MAX_ROUNDS).unwrap();
+    let plan = s2_shard::plan(&ospf16, 3, 7);
+    g.bench_function("converge_fattree16_3shards", |b| {
+        b.iter(|| {
+            let mut switches = ospf16.clone();
+            let rounds = plan.shards.iter().map(|shard| {
+                converge_bgp(&mut switches, Some(shard), DEFAULT_MAX_ROUNDS).unwrap().rounds
+            });
+            rounds.sum::<usize>()
+        })
     });
 
     // One core switch of the converged FatTree and the full body its

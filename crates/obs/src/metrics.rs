@@ -255,6 +255,11 @@ impl Registry {
         Arc::clone(lock(&self.hists).entry(name.to_string()).or_default())
     }
 
+    /// The value of counter `name`, zero if absent (and it stays absent).
+    pub fn counter_value(&self, name: &str) -> u64 {
+        lock(&self.counters).get(name).map_or(0, |c| c.get())
+    }
+
     /// Freeze every metric into a snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -479,6 +484,19 @@ fn field_u64(v: &Json, key: &str, path: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A read agrees with the snapshot and leaves an absent counter
+    /// absent, so reading does not change what a scrape shows.
+    #[test]
+    fn counter_value_reads_without_creating() {
+        let reg = Registry::new();
+        reg.counter("a").add(3);
+        assert_eq!(reg.counter_value("a"), 3);
+        assert_eq!(reg.counter_value("b"), 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.keys().collect::<Vec<_>>(), ["a"]);
+        assert_eq!(snap.counter_value("a"), reg.counter_value("a"));
+    }
 
     #[test]
     fn bucket_boundaries() {

@@ -594,21 +594,25 @@ macro_rules! event {
     };
 }
 
-/// No-op `span!`: the tokens (including the name literal) are
-/// discarded at expansion, so they never reach the binary.
+/// No-op `span!`: the name literal is discarded at expansion, so it
+/// never reaches the binary. The argument is type-checked in a closure
+/// that is never called: a value read only by instrumentation still
+/// counts as used, and none of it is evaluated.
 #[cfg(not(feature = "obs"))]
 #[macro_export]
 macro_rules! span {
-    ($name:literal $(, $arg:expr)?) => {
-        ()
-    };
+    ($name:literal $(, $arg:expr)?) => {{
+        $(let _ = || $arg;)?
+    }};
 }
 
 /// No-op `event!` (see [`span!`](crate::span)).
 #[cfg(not(feature = "obs"))]
 #[macro_export]
 macro_rules! event {
-    ($name:literal $(, $arg:expr)?) => {};
+    ($name:literal $(, $arg:expr)?) => {{
+        $(let _ = || $arg;)?
+    }};
 }
 
 #[cfg(all(test, feature = "obs"))]

@@ -5,8 +5,9 @@ use s2_net::Ipv4Addr;
 use std::cmp::Ordering;
 
 /// A best-path candidate: a route plus the identity of the advertising
-/// peer (used for the final deterministic tie-break). The owned form the
-/// local RIB installs; selection runs over [`CandidateRef`]s.
+/// peer (used for the final deterministic tie-break). The owned form a
+/// local-RIB entry keeps of its best member; selection runs over
+/// [`CandidateRef`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Candidate {
     /// The route after import processing.

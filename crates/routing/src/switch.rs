@@ -44,6 +44,20 @@ pub struct ExportClass {
     pub routes: Arc<[BgpRoute]>,
 }
 
+/// A local-RIB entry: a prefix's multipath selection, stored as what is
+/// read of it. Export and the final RIB read the best member; of the
+/// others only the session (the egress) and the route bytes are read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Installed {
+    /// The best member, next hop written.
+    pub best: Candidate,
+    /// Every member's session, in selection order, best first;
+    /// `u32::MAX` for a local or aggregate route.
+    pub sessions: Box<[u32]>,
+    /// The route bytes of every member (see [`BgpRoute::approx_bytes`]).
+    pub bytes: usize,
+}
+
 /// One session's Adj-RIB-In: the latest advertisement from that peer.
 #[derive(Debug, Clone)]
 enum AdjIn {
@@ -64,14 +78,15 @@ enum AdjIn {
 }
 
 impl AdjIn {
-    /// The admitted route for `prefix`, next hop aside.
-    fn get(&self, prefix: Prefix, admission: Admission) -> Option<&BgpRoute> {
+    /// The admitted route for `prefix`, next hop aside. A shared body is
+    /// searched from `cursor`, which is left on the first route not below
+    /// `prefix`, so ascending lookups walk the body once.
+    fn get(&self, prefix: Prefix, admission: Admission, cursor: &mut usize) -> Option<&BgpRoute> {
         match self {
-            AdjIn::Shared(body) => body
-                .binary_search_by_key(&prefix, |r| r.prefix)
-                .ok()
-                .and_then(|i| body.get(i))
-                .filter(|r| admission.admits(r)),
+            AdjIn::Shared(body) => {
+                *cursor = seek(body, *cursor, prefix);
+                body.get(*cursor).filter(|r| r.prefix == prefix && admission.admits(r))
+            }
             AdjIn::Filtered { routes, .. } => routes.get(&prefix),
         }
     }
@@ -82,6 +97,25 @@ impl AdjIn {
             AdjIn::Filtered { routes, .. } => routes.clear(),
         }
     }
+}
+
+/// The index of the first route of `body` (sorted by prefix) not below
+/// `prefix`, searched from `from`: galloping forward, so a walk of
+/// ascending prefixes costs what their distances in `body` do, or anew
+/// when `prefix` lies behind `from`.
+fn seek(body: &[BgpRoute], from: usize, prefix: Prefix) -> usize {
+    let (behind, rest) = body.split_at(from.min(body.len()));
+    if behind.last().is_some_and(|r| r.prefix >= prefix) {
+        return behind.partition_point(|r| r.prefix < prefix);
+    }
+    // Every route before `step / 2` in `rest` is below `prefix`.
+    let mut step = 1;
+    while rest.get(step - 1).is_some_and(|r| r.prefix < prefix) {
+        step *= 2;
+    }
+    let lo = step / 2;
+    let window = rest.get(lo..step.min(rest.len())).unwrap_or_default();
+    behind.len() + lo + window.partition_point(|r| r.prefix < prefix)
 }
 
 /// The import checks every received route passes before it is a
@@ -126,8 +160,8 @@ pub struct SwitchModel {
     adj_bytes: Vec<usize>,
     /// Locally originated routes for the current shard.
     local_routes: BTreeMap<Prefix, BgpRoute>,
-    /// The local RIB: selected multipath candidates per prefix.
-    loc_rib: BTreeMap<Prefix, Vec<Candidate>>,
+    /// The local RIB: each prefix's multipath selection.
+    loc_rib: BTreeMap<Prefix, Installed>,
     /// The bytes the local RIB's routes hold.
     rib_bytes: usize,
     /// Prefixes whose candidates changed since the last
@@ -441,7 +475,7 @@ impl SwitchModel {
                 !suppressors.iter().any(|agg| agg.covers(**prefix) && **prefix != *agg)
                     && self.conditionals_allow(**prefix)
             })
-            .map(|(_, cands)| &cands[0].route)
+            .map(|(_, entry)| &entry.best.route)
             .collect();
         keys.into_iter()
             .zip(members)
@@ -599,10 +633,13 @@ impl SwitchModel {
             .collect();
         aggs.sort_by(|a, b| b.prefix.len().cmp(&a.prefix.len()).then(a.prefix.cmp(&b.prefix)));
 
+        // One cursor per session into its shared body: the plain pass
+        // looks prefixes up in ascending order.
+        let mut cursors = vec![0; self.adj_in.len()];
         let mut changed = false;
         for &prefix in &dirty {
             if !aggs.iter().any(|a| a.prefix == prefix) {
-                changed |= self.reselect(prefix, &[]);
+                changed |= self.reselect(prefix, &[], &mut cursors);
             }
         }
         // An aggregate's entry depends on its own candidates and on which
@@ -616,7 +653,7 @@ impl SwitchModel {
             // the first one not below it.
             let first = dirty.partition_point(|d| *d < prefix);
             if dirty.get(first).is_some_and(|d| prefix.covers(*d)) {
-                changed |= self.reselect(prefix, group);
+                changed |= self.reselect(prefix, group, &mut cursors);
             }
         }
         if std::mem::take(&mut self.reobserve) {
@@ -639,31 +676,44 @@ impl SwitchModel {
     }
 
     /// Every candidate for `prefix`, borrowed: the local route first,
-    /// then the sessions' admitted routes in session order.
-    fn candidates(&self, prefix: Prefix) -> Vec<CandidateRef<'_>> {
+    /// then the sessions' admitted routes in session order. `cursors`
+    /// holds one position per session (see [`AdjIn::get`]).
+    fn candidates(&self, prefix: Prefix, cursors: &mut [usize]) -> Vec<CandidateRef<'_>> {
         let admission = self.admission();
         let local = self.local_routes.get(&prefix).map(|route| CandidateRef {
             route,
             peer: None,
             session: u32::MAX,
         });
-        let learned = self.adj_in.iter().zip(&self.sessions).enumerate().filter_map(
-            |(si, (adj, s))| {
-                adj.get(prefix, admission).map(|route| CandidateRef {
-                    route,
-                    peer: Some(s.peer_addr),
-                    session: si as u32,
-                })
-            },
-        );
-        local.into_iter().chain(learned).collect()
+        let sessions = self.adj_in.iter().zip(&self.sessions).zip(cursors);
+        let learned = sessions.enumerate().filter_map(|(si, ((adj, s), cursor))| {
+            adj.get(prefix, admission, cursor).map(|route| CandidateRef {
+                route,
+                peer: Some(s.peer_addr),
+                session: si as u32,
+            })
+        });
+        // Sized for every session up front, so it never grows.
+        let mut out = Vec::with_capacity(1 + self.adj_in.len());
+        out.extend(local);
+        out.extend(learned);
+        out
     }
 
     /// Selects `prefix`'s multipath set anew, then lets each of
     /// `aggregates` (all for `prefix`, in configuration order) join it if
     /// it has contributors. Installs the result unless it equals the
     /// installed entry; returns whether it did.
-    fn reselect(&mut self, prefix: Prefix, aggregates: &[&Aggregate]) -> bool {
+    ///
+    /// Only the best member is stored whole, so a non-best member whose
+    /// attributes change but whose bytes do not leaves the entry as it
+    /// is: what the switch exports and forwards on is the same.
+    fn reselect(
+        &mut self,
+        prefix: Prefix,
+        aggregates: &[&Aggregate],
+        cursors: &mut [usize],
+    ) -> bool {
         #[cfg(test)]
         tests::SELECTIONS.with(|n| n.set(n.get() + 1));
         let contributors = if aggregates.is_empty() {
@@ -679,7 +729,7 @@ impl SwitchModel {
             }
             aggregates.iter().map(|a| aggregate_route(a)).collect()
         };
-        let mut selection = select_multipath(self.candidates(prefix), self.max_ecmp);
+        let mut selection = select_multipath(self.candidates(prefix, cursors), self.max_ecmp);
         for route in &agg_routes {
             selection.push(CandidateRef {
                 route,
@@ -688,57 +738,41 @@ impl SwitchModel {
             });
             selection = select_multipath(selection, self.max_ecmp);
         }
-        let unchanged = match self.loc_rib.get(&prefix) {
-            Some(installed) => {
-                installed.len() == selection.len()
-                    && selection.iter().zip(installed).all(|(c, i)| c.matches(i))
+        let bytes: usize = selection.iter().map(|c| c.route.approx_bytes()).sum();
+        let sessions = selection.iter().map(|c| c.session);
+        let unchanged = match (self.loc_rib.get(&prefix), selection.first()) {
+            (Some(installed), Some(best)) => {
+                installed.bytes == bytes
+                    && installed.sessions.iter().copied().eq(sessions.clone())
+                    && best.matches(&installed.best)
             }
-            None => selection.is_empty(),
+            (installed, best) => installed.is_none() && best.is_none(),
         };
         if unchanged {
             return false;
         }
-        // Clone the selected routes, except aggregate routes, which were
-        // built for this entry and move in whole.
-        let picks: Vec<Result<usize, Candidate>> = selection
-            .iter()
-            .map(|c| {
-                let aggregate = agg_routes.iter().position(|r| std::ptr::eq(r, c.route));
-                aggregate.ok_or_else(|| c.materialise())
-            })
-            .collect();
-        let mut agg_routes: Vec<Option<BgpRoute>> = agg_routes.into_iter().map(Some).collect();
-        let entry: Vec<Candidate> = picks
-            .into_iter()
-            .filter_map(|pick| match pick {
-                Ok(k) => agg_routes[k].take().map(|route| Candidate {
-                    route,
-                    peer: None,
-                    session: u32::MAX,
-                }),
-                Err(c) => Some(c),
-            })
-            .collect();
-        let added: usize = entry.iter().map(|c| c.route.approx_bytes()).sum();
-        let old = if entry.is_empty() {
-            self.loc_rib.remove(&prefix)
-        } else {
-            self.loc_rib.insert(prefix, entry)
+        let entry = selection.first().map(|best| Installed {
+            best: best.materialise(),
+            sessions: sessions.collect(),
+            bytes,
+        });
+        let old = match entry {
+            Some(entry) => self.loc_rib.insert(prefix, entry),
+            None => self.loc_rib.remove(&prefix),
         };
-        let removed: usize = old.iter().flatten().map(|c| c.route.approx_bytes()).sum();
-        self.rib_bytes = self.rib_bytes + added - removed;
+        self.rib_bytes = self.rib_bytes + bytes - old.map_or(0, |e| e.bytes);
         true
     }
 
     /// Read access to the local RIB (tests, diagnostics).
-    pub fn loc_rib(&self) -> &BTreeMap<Prefix, Vec<Candidate>> {
+    pub fn loc_rib(&self) -> &BTreeMap<Prefix, Installed> {
         &self.loc_rib
     }
 
     /// Number of paths (prefix × ECMP alternatives) in the local RIB —
     /// the paper's "number of routes" metric.
     pub fn loc_rib_path_count(&self) -> usize {
-        self.loc_rib.values().map(Vec::len).sum()
+        self.loc_rib.values().map(|e| e.sessions.len()).sum()
     }
 
     /// Approximate bytes held by BGP state (Adj-RIB-Ins + local RIB), the
@@ -753,8 +787,8 @@ impl SwitchModel {
     /// after convergence).
     pub fn bgp_rib_routes(&self) -> Vec<RibRoute> {
         let mut out = Vec::new();
-        for (prefix, cands) in &self.loc_rib {
-            let best = &cands[0];
+        for (prefix, entry) in &self.loc_rib {
+            let best = &entry.best;
             let protocol = best.route.source_protocol;
             // A locally *redistributed* route (OSPF/static/connected pulled
             // into BGP) exists for advertisement only; the source
@@ -768,10 +802,11 @@ impl SwitchModel {
                 continue;
             }
             let is_local = best.session == u32::MAX && protocol != Protocol::Aggregate;
-            let mut egress: Vec<InterfaceId> = cands
+            let mut egress: Vec<InterfaceId> = entry
+                .sessions
                 .iter()
-                .filter(|c| c.session != u32::MAX)
-                .map(|c| self.sessions[c.session as usize].local_if)
+                .filter(|&&si| si != u32::MAX)
+                .map(|&si| self.sessions[si as usize].local_if)
                 .filter(|i| !self.failed_ifaces.contains(i))
                 .collect();
             egress.sort();
@@ -973,19 +1008,17 @@ pub(crate) mod oracle {
     }
 
     /// The bytes the routes of a local RIB hold.
-    pub(crate) fn rib_bytes(rib: &LocRib) -> usize {
-        rib.values().flatten().map(|c| c.route.approx_bytes()).sum()
+    pub(crate) fn rib_bytes(rib: &BTreeMap<Prefix, Installed>) -> usize {
+        rib.values().map(|e| e.bytes).sum()
     }
 
-    /// A local RIB.
-    pub(crate) type LocRib = BTreeMap<Prefix, Vec<Candidate>>;
-
     /// The local RIB a selection over every candidate and every
-    /// aggregate builds, and the aggregate dependencies it observes.
+    /// aggregate builds, each selection as the entry it installs, and
+    /// the aggregate dependencies it observes.
     pub(crate) fn decide(
         sw: &SwitchModel,
         shard: Option<&BTreeSet<Prefix>>,
-    ) -> (LocRib, BTreeSet<(Prefix, Prefix)>) {
+    ) -> (BTreeMap<Prefix, Installed>, BTreeSet<(Prefix, Prefix)>) {
         let mut deps = BTreeSet::new();
         let mut cands: BTreeMap<Prefix, Vec<Candidate>> = BTreeMap::new();
         for r in sw.local_routes.values() {
@@ -1041,7 +1074,17 @@ pub(crate) mod oracle {
                 *entry = select(std::mem::take(entry), sw.max_ecmp);
             }
         }
-        (new_rib, deps)
+        let installed = new_rib.into_iter().map(|(p, selection)| (p, install(selection)));
+        (installed.collect(), deps)
+    }
+
+    /// The entry a non-empty `selection` installs.
+    fn install(selection: Vec<Candidate>) -> Installed {
+        Installed {
+            sessions: selection.iter().map(|c| c.session).collect(),
+            bytes: selection.iter().map(|c| c.route.approx_bytes()).sum(),
+            best: selection.into_iter().next().expect("a selection is never empty"),
+        }
     }
 
     /// The bytes a walk of the materialised state finds: every admitted
@@ -1162,9 +1205,9 @@ mod tests {
         converge_pair(&mut sa, &mut sb);
         let p: Prefix = "10.1.0.0/24".parse().unwrap();
         // a holds its network locally.
-        assert_eq!(sa.loc_rib()[&p][0].session, u32::MAX);
+        assert_eq!(sa.loc_rib()[&p].best.session, u32::MAX);
         // b learned it with AS path [65001].
-        let b_route = &sb.loc_rib()[&p][0];
+        let b_route = &sb.loc_rib()[&p].best;
         assert_eq!(b_route.route.as_path, vec![65001].into());
         assert_eq!(b_route.route.next_hop, Ipv4Addr::new(10, 0, 0, 0));
         assert_eq!(b_route.session, 0);
@@ -1185,8 +1228,9 @@ mod tests {
         assert_eq!(back[0].as_path, vec![65002, 65001].into());
         // a's adj-in for that prefix stays empty (loop check).
         assert!(!sa.bgp_receive(0, &b_out) || !sa.loc_rib()[&"10.1.0.0/24".parse().unwrap()]
+            .sessions
             .iter()
-            .any(|c| c.session != u32::MAX));
+            .any(|&si| si != u32::MAX));
         let changed = sa.bgp_decide(None);
         assert!(!changed, "loop-rejected route must not alter the RIB");
     }
@@ -1502,6 +1546,64 @@ mod tests {
         filtered.begin_bgp(None);
         assert!(filtered.bgp_receive(0, &body));
         assert_eq!(Arc::strong_count(&body), before + 1);
+    }
+
+    /// From every start, behind or ahead of the target, `seek` finds
+    /// what a search of the whole body finds.
+    #[test]
+    fn seek_finds_the_first_route_not_below_from_any_cursor() {
+        let body: Vec<BgpRoute> =
+            (1..=9).map(|i| adv(&format!("10.{}.0.0/16", 2 * i), &[65001])).collect();
+        for target in 0..=20 {
+            let prefix: Prefix = format!("10.{target}.0.0/16").parse().unwrap();
+            let want = body.partition_point(|r| r.prefix < prefix);
+            for from in 0..=body.len() + 1 {
+                assert_eq!(seek(&body, from, prefix), want, "from {from} to 10.{target}/16");
+            }
+        }
+        assert_eq!(seek(&[], 3, "10.0.0.0/8".parse().unwrap()), 0);
+    }
+
+    /// The hub learns one prefix from leaves 0 and 1 at equal cost; leaf
+    /// 0's lower peer address makes it best. When the other member's
+    /// communities change, its bytes do and so does the entry; when its
+    /// AS path changes at equal length, nothing the switch stores, exports
+    /// or forwards on does.
+    #[test]
+    fn a_non_best_member_is_stored_as_its_session_and_bytes() {
+        let (_, mut sw) = hub_and_leaves();
+        let mut hub = sw.swap_remove(0);
+        hub.max_ecmp = 4;
+        hub.begin_bgp(None);
+        let p: Prefix = "10.7.0.0/24".parse().unwrap();
+        let body = |route: BgpRoute| Arc::from([route]);
+        hub.bgp_receive(0, &body(adv("10.7.0.0/24", &[65100])));
+        hub.bgp_receive(1, &body(adv("10.7.0.0/24", &[65101])));
+        assert!(hub.bgp_decide(None));
+        let check = |hub: &SwitchModel| {
+            assert_eq!(*hub.loc_rib(), oracle::decide(hub, None).0);
+            assert_eq!(hub.approx_bgp_bytes(), oracle::walked_bytes(hub));
+        };
+        check(&hub);
+        assert_eq!(*hub.loc_rib()[&p].sessions, [0, 1]);
+        assert_eq!(hub.loc_rib()[&p].bytes, 2 * 84);
+
+        let tagged = |as_path: &[u32]| BgpRoute {
+            communities: vec![community(65101, 1)].into(),
+            ..adv("10.7.0.0/24", as_path)
+        };
+        let before = hub.approx_bgp_bytes();
+        assert!(hub.bgp_receive(1, &body(tagged(&[65101]))));
+        assert!(hub.bgp_decide(None), "the member's bytes changed");
+        check(&hub);
+        assert_eq!(hub.loc_rib()[&p].bytes, 2 * 84 + 4);
+        assert_eq!(hub.approx_bgp_bytes(), before + 2 * 4, "its Adj-RIB-In and the entry");
+
+        let exported = advert(&hub, 2);
+        assert!(hub.bgp_receive(1, &body(tagged(&[65102]))));
+        assert!(!hub.bgp_decide(None), "a non-best AS path of equal length and bytes");
+        check(&hub);
+        assert_eq!(*advert(&hub, 2), *exported);
     }
 
     /// On the DCN (aggregates, communities, route-maps), every decide

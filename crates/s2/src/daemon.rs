@@ -638,10 +638,10 @@ impl Daemon {
                 reg.counter("daemon.delta.committed").inc();
                 reg.histogram("daemon.delta.ms").record(*ms as u64);
                 self.refresh_gauges();
-                // One stderr line per commit, rendered from a frozen
-                // registry snapshot so the log and the metrics endpoint
-                // can never disagree. Keys stay grep-compatible
-                // (`dpv.scoped.runs=N`) for operators and CI.
+                // One stderr line per commit, read from the registry the
+                // metrics endpoint serves, so the two never disagree.
+                // Keys stay grep-compatible (`dpv.scoped.runs=N`) for
+                // operators and CI.
                 eprintln!("{}", self.commit_log(*ms));
             }
             AdminResponse::Rejected { reason, attempts } => {
@@ -658,10 +658,11 @@ impl Daemon {
         Ok(resp)
     }
 
-    /// Renders the per-commit stderr line from a registry snapshot —
-    /// one source of truth with the scrape endpoint.
+    /// Renders the per-commit stderr line from the global registry —
+    /// one source of truth with the scrape endpoint. Reads the four
+    /// counters alone, not a snapshot of every metric.
     fn commit_log(&self, ms: f64) -> String {
-        let snap = Registry::global().snapshot();
+        let reg = Registry::global();
         let mut line = format!(
             "daemon: delta committed gen={} ms={ms:.1}",
             self.committed.generation
@@ -672,7 +673,7 @@ impl Daemon {
             "dpv.scoped.splice_ops",
             "dpv.scoped.fallback_full",
         ] {
-            let _ = write!(line, " {key}={}", snap.counter_value(key));
+            let _ = write!(line, " {key}={}", reg.counter_value(key));
         }
         line
     }
