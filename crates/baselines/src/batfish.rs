@@ -184,7 +184,7 @@ pub fn simulate_control_plane(
     }
 
     stats.elapsed = start.elapsed();
-    Ok((store.snapshot(), stats))
+    Ok((store.into_snapshot(), stats))
 }
 
 /// Runs data-plane verification on a single BDD manager: compiles every

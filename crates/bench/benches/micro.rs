@@ -326,15 +326,21 @@ fn bench_merge_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// The two per-scenario steps of a warm sweep on FatTree k=12, on four
+/// The per-scenario steps of a warm sweep on FatTree k=12, on four
 /// single-link scenarios (edge-aggregation and aggregation-core links):
 /// the destination scope walk over the checkpointed RIB, and the
 /// checkpoint restore of a one-worker engine after each scenario
-/// converged.
+/// converged. `scenario_rib` builds the first scenario's RIB and
+/// changed nodes both ways: `collect` gathers every switch's routes
+/// into a store and diffs the whole snapshot against the baseline (the
+/// path before patched rows), `patch` rebuilds only the switches that
+/// moved and shares every other row with the baseline.
 fn bench_sweep(c: &mut Criterion) {
     use s2_net::topology::{InterfaceId, NodeId};
     use s2_routing::rounds::Sequential;
-    use s2_routing::{converge_ospf, BgpRounds, NetworkModel, RibRoute, RibSnapshot, RibStore};
+    use s2_routing::{
+        converge_ospf, merge_row, BgpRounds, NetworkModel, RibRoute, RibRow, RibSnapshot, RibStore,
+    };
     use s2_routing::{SwitchModel, DEFAULT_MAX_ROUNDS};
     use s2_runtime::scope::{scope_sources, ScopeIndex};
     use std::collections::{BTreeMap, BTreeSet};
@@ -351,7 +357,18 @@ fn bench_sweep(c: &mut Criterion) {
             store.insert_all(s.node, s.base_rib_routes());
             store.insert_all(s.node, s.bgp_rib_routes());
         }
-        store.snapshot()
+        store.into_snapshot()
+    }
+    /// The rows of the switches that moved since the checkpoint and
+    /// differ from `base`, as a worker's `DpPatch` builds them.
+    fn patched_rows(engine: &BgpRounds, base: &RibSnapshot) -> Vec<(NodeId, RibRow)> {
+        engine
+            .rib_moved()
+            .filter_map(|s| {
+                let row = merge_row(s.base_rib_routes().into_iter().chain(s.bgp_rib_routes()));
+                (*row != *base.node(s.node)).then_some((s.node, row))
+            })
+            .collect()
     }
     /// Per node, the prefixes whose routes moved or that left by a
     /// failed port: what `DpPatch` reports.
@@ -386,9 +403,10 @@ fn bench_sweep(c: &mut Criterion) {
     let mut switches: Vec<SwitchModel> =
         model.topology.nodes().map(|n| SwitchModel::new(&model, n)).collect();
     converge_ospf(&model, &mut switches, DEFAULT_MAX_ROUNDS).unwrap();
-    let mut checkpoint = BgpRounds::new(switches);
-    checkpoint.begin(None);
-    converge(&mut checkpoint);
+    let mut engine = BgpRounds::new(switches);
+    engine.begin(None);
+    converge(&mut engine);
+    let checkpoint = engine.checkpoint();
     let base = rib(&checkpoint, nodes);
     let links = model.topology.links();
     let mut scenarios: Vec<BgpRounds> = Vec::new();
@@ -410,6 +428,26 @@ fn bench_sweep(c: &mut Criterion) {
     g.bench_function("scope_sources", |b| {
         b.iter(|| changed.iter().map(|c| scope_sources(&index, c, &sources).len()).sum::<usize>())
     });
+    let scenario = &scenarios[0];
+    g.bench_function("scenario_rib/collect", |b| {
+        b.iter(|| {
+            let rib = rib(scenario, nodes);
+            base.changed_nodes(&rib).len()
+        })
+    });
+    g.bench_function("scenario_rib/patch", |b| {
+        b.iter(|| {
+            let rows = patched_rows(scenario, &base);
+            let changed: Vec<NodeId> = rows.iter().map(|(n, _)| *n).collect();
+            black_box(base.patched(rows));
+            changed.len()
+        })
+    });
+    assert_eq!(
+        base.patched(patched_rows(scenario, &base)),
+        rib(scenario, nodes),
+        "the patched RIB is the collected one"
+    );
     g.bench_function("restore", |b| {
         b.iter(|| scenarios.iter_mut().for_each(|engine| engine.restore(&checkpoint)))
     });

@@ -377,7 +377,7 @@ mod tests {
             store.insert_all(s.node, s.base_rib_routes());
             store.insert_all(s.node, s.bgp_rib_routes());
         }
-        store.snapshot()
+        store.into_snapshot()
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod switch;
 
 pub use fixpoint::{converge_bgp, converge_ospf, BgpStats, RoutingError, DEFAULT_MAX_ROUNDS};
 pub use model::{BgpSession, NetworkModel, OspfAdj, SessionDiagnostic};
-pub use rib::{RibSnapshot, RibStore};
+pub use rib::{merge_row, RibRow, RibSnapshot, RibStore};
 pub use rounds::{BgpRounds, SwitchMap};
 pub use route::{BgpRoute, Origin, RibRoute, Via};
 pub use switch::{ExportClass, SwitchModel};

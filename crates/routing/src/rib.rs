@@ -6,10 +6,42 @@ use s2_net::policy::Protocol;
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// One node's winning routes in prefix order. Shared: a scenario
+/// snapshot holds the rows it did not patch by reference to its
+/// baseline's.
+pub type RibRow = Arc<[RibRoute]>;
+
+/// Whether `new` displaces `held` for their prefix: the one merge rule
+/// of every RIB. The lower administrative distance wins and ties keep
+/// the route inserted first, which callers exploit by inserting
+/// protocols in a fixed order.
+fn displaces(new: &RibRoute, held: &RibRoute) -> bool {
+    new.protocol.admin_distance() < held.protocol.admin_distance()
+}
+
+/// One node's row from its routes in insertion order (base, then BGP),
+/// merged by the rule [`RibStore::insert`] applies. A stable sort keeps
+/// each prefix's routes in insertion order, and the merge keeps the
+/// first of them that no later one displaces.
+pub fn merge_row(routes: impl IntoIterator<Item = RibRoute>) -> RibRow {
+    let mut row: Vec<RibRoute> = routes.into_iter().collect();
+    row.sort_by_key(|r| r.prefix);
+    row.dedup_by(|later, kept| {
+        if later.prefix != kept.prefix {
+            return false;
+        }
+        if displaces(later, kept) {
+            std::mem::swap(later, kept);
+        }
+        true
+    });
+    row.into()
+}
 
 /// Accumulates RIB routes per node; the winning route per prefix is decided
-/// by administrative distance (ties keep the first inserted, which callers
-/// exploit by inserting protocols in a fixed order).
+/// by administrative distance (see [`displaces`]).
 #[derive(Debug, Clone, Default)]
 pub struct RibStore {
     per_node: Vec<BTreeMap<Prefix, RibRoute>>,
@@ -37,8 +69,7 @@ impl RibStore {
             return;
         };
         match table.get(&route.prefix) {
-            Some(existing)
-                if existing.protocol.admin_distance() <= route.protocol.admin_distance() => {}
+            Some(held) if !displaces(&route, held) => {}
             _ => {
                 table.insert(route.prefix, route);
             }
@@ -63,14 +94,10 @@ impl RibStore {
     }
 
     /// Freezes the store into a snapshot for equality comparison and FIB
-    /// construction.
-    pub fn snapshot(&self) -> RibSnapshot {
+    /// construction. The routes move: nothing is copied.
+    pub fn into_snapshot(self) -> RibSnapshot {
         RibSnapshot {
-            per_node: self
-                .per_node
-                .iter()
-                .map(|t| t.values().cloned().collect())
-                .collect(),
+            per_node: self.per_node.into_iter().map(|t| t.into_values().collect()).collect(),
         }
     }
 
@@ -90,10 +117,34 @@ impl RibStore {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RibSnapshot {
     /// `per_node[n]` = node n's routes in prefix order.
-    pub per_node: Vec<Vec<RibRoute>>,
+    pub per_node: Vec<RibRow>,
 }
 
 impl RibSnapshot {
+    /// This snapshot with `rows` in place of their nodes' rows; every
+    /// other row is shared with `self`, so the copy costs a reference
+    /// count per node and nothing per route.
+    pub fn patched(&self, rows: impl IntoIterator<Item = (NodeId, RibRow)>) -> RibSnapshot {
+        let mut per_node = self.per_node.clone();
+        for (node, row) in rows {
+            per_node[node.index()] = row;
+        }
+        RibSnapshot { per_node }
+    }
+
+    /// Nodes whose row differs between `self` and `other`, in node
+    /// order. A row shared between the two compares by pointer, so two
+    /// patches of one baseline compare only their patched rows.
+    pub fn changed_nodes(&self, other: &RibSnapshot) -> Vec<NodeId> {
+        self.per_node
+            .iter()
+            .zip(&other.per_node)
+            .enumerate()
+            .filter(|(_, (a, b))| !Arc::ptr_eq(a, b) && a != b)
+            .map(|(i, _)| NodeId(i as u32))
+            .collect()
+    }
+
     /// Routes of one node.
     pub fn node(&self, node: NodeId) -> &[RibRoute] {
         &self.per_node[node.index()]
@@ -101,13 +152,13 @@ impl RibSnapshot {
 
     /// Total route count.
     pub fn total_routes(&self) -> usize {
-        self.per_node.iter().map(Vec::len).sum()
+        self.per_node.iter().map(|row| row.len()).sum()
     }
 
     /// Count of routes per protocol, for diagnostics.
     pub fn protocol_histogram(&self) -> BTreeMap<Protocol, usize> {
         let mut h = BTreeMap::new();
-        for r in self.per_node.iter().flatten() {
+        for r in self.per_node.iter().flat_map(|row| row.iter()) {
             *h.entry(r.protocol).or_insert(0) += 1;
         }
         h
@@ -152,7 +203,7 @@ mod tests {
         let mut s2 = RibStore::new(2);
         s2.insert(NodeId(0), route("10.0.1.0/24", Protocol::Bgp));
         s2.insert(NodeId(0), route("10.0.0.0/24", Protocol::Bgp));
-        assert_eq!(s1.snapshot(), s2.snapshot());
+        assert_eq!(s1.into_snapshot(), s2.into_snapshot());
     }
 
     #[test]
@@ -163,7 +214,48 @@ mod tests {
         b.insert(NodeId(1), route("10.0.1.0/24", Protocol::Bgp));
         a.merge(b);
         assert_eq!(a.total_routes(), 2);
-        assert_eq!(a.snapshot().node(NodeId(1)).len(), 1);
+        assert_eq!(a.into_snapshot().node(NodeId(1)).len(), 1);
+    }
+
+    /// A row merged from base then BGP routes equals what the store
+    /// keeps for them, duplicates and distance ties included.
+    #[test]
+    fn merge_row_keeps_what_the_store_keeps() {
+        let tied = |len| RibRoute { as_path_len: len, ..route("10.0.3.0/24", Protocol::Ospf) };
+        let routes = vec![
+            route("10.0.1.0/24", Protocol::Ospf),
+            tied(1),
+            route("10.0.0.0/24", Protocol::Connected),
+            route("10.0.1.0/24", Protocol::Static),
+            tied(2),
+            route("10.0.0.0/24", Protocol::Bgp),
+            route("10.0.1.0/24", Protocol::Bgp),
+            route("10.0.2.0/24", Protocol::Aggregate),
+            tied(3),
+        ];
+        let mut store = RibStore::new(1);
+        store.insert_all(NodeId(0), routes.clone());
+        let row = merge_row(routes);
+        assert_eq!(*row, *store.into_snapshot().node(NodeId(0)));
+        // Of equal distances, the first inserted holds.
+        assert_eq!(row.iter().map(|r| r.as_path_len).collect::<Vec<_>>(), [0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn a_patch_shares_the_rows_it_does_not_replace() {
+        let mut store = RibStore::new(3);
+        store.insert(NodeId(0), route("10.0.0.0/24", Protocol::Bgp));
+        store.insert(NodeId(2), route("10.0.2.0/24", Protocol::Bgp));
+        let base = store.into_snapshot();
+        let row = merge_row([route("10.0.9.0/24", Protocol::Bgp)]);
+        let patch = base.patched([(NodeId(1), row.clone())]);
+        assert!(Arc::ptr_eq(&patch.per_node[0], &base.per_node[0]));
+        assert!(Arc::ptr_eq(&patch.per_node[1], &row));
+        assert_eq!(base.changed_nodes(&patch), vec![NodeId(1)]);
+        // Equal contents behind distinct rows are unchanged.
+        let same = base.patched([(NodeId(2), base.per_node[2].to_vec().into())]);
+        assert_eq!(base.changed_nodes(&same), Vec::<NodeId>::new());
+        assert_eq!(same.changed_nodes(&patch), vec![NodeId(1)]);
     }
 
     #[test]
@@ -171,7 +263,7 @@ mod tests {
         let mut s = RibStore::new(1);
         s.insert(NodeId(0), route("10.0.0.0/24", Protocol::Bgp));
         s.insert(NodeId(0), route("10.0.1.0/24", Protocol::Connected));
-        let h = s.snapshot().protocol_histogram();
+        let h = s.into_snapshot().protocol_histogram();
         assert_eq!(h[&Protocol::Bgp], 1);
         assert_eq!(h[&Protocol::Connected], 1);
     }

@@ -65,6 +65,12 @@ pub struct BgpRounds {
     /// Switches due to decide in the next decide pass: reset, or given a
     /// delivery since the last one.
     decide_dirty: Vec<bool>,
+    /// Switches whose forwarding row may have moved since the last
+    /// [`BgpRounds::checkpoint`] or [`BgpRounds::restore`]: reset,
+    /// decided a local-RIB change, failed ports or written through
+    /// [`BgpRounds::switches_mut`] (OSPF). A superset of the switches
+    /// whose row differs from the checkpoint's.
+    rib_moved: Vec<bool>,
     /// Deliveries to hosted peers, staged by the export half and applied
     /// by the next receive (the Jacobi schedule).
     staged: Vec<Delivery>,
@@ -80,6 +86,7 @@ impl BgpRounds {
             switches: switches.into_iter().map(Arc::new).collect(),
             export_dirty: vec![false; n],
             decide_dirty: vec![false; n],
+            rib_moved: vec![false; n],
             staged: Vec::new(),
         }
     }
@@ -97,12 +104,18 @@ impl BgpRounds {
     /// The hosted switches of the nodes `which` selects, mutably (OSPF,
     /// dependency draining), in node order. Each is copied here if a
     /// checkpoint shares it. A change to a switch's BGP state must go
-    /// through this type.
+    /// through this type. Each one yielded counts as moved (see
+    /// [`BgpRounds::rib_moved`]).
     pub fn switches_mut(
         &mut self,
         which: impl Fn(NodeId) -> bool,
     ) -> impl Iterator<Item = &mut SwitchModel> {
-        self.switches.iter_mut().filter(move |s| which(s.node)).map(Arc::make_mut)
+        self.switches.iter_mut().zip(&mut self.rib_moved).filter(move |(s, _)| which(s.node)).map(
+            |(s, moved)| {
+                *moved = true;
+                Arc::make_mut(s)
+            },
+        )
     }
 
     fn slot(&self, node: NodeId) -> Option<usize> {
@@ -123,6 +136,7 @@ impl BgpRounds {
         self.staged.clear();
         self.resync();
         self.decide_dirty.fill(true);
+        self.rib_moved.fill(true);
     }
 
     /// Forgets the Adj-RIB-Out, so the next export re-sends every body.
@@ -138,15 +152,23 @@ impl BgpRounds {
         self.staged.clear();
     }
 
+    /// The checkpoint of a converged engine: a clone that shares every
+    /// switch and row. Nothing has moved since it.
+    pub fn checkpoint(&mut self) -> BgpRounds {
+        self.rib_moved.fill(false);
+        self.clone()
+    }
+
     /// Returns to `checkpoint`, a converged clone: nothing is due until
-    /// something perturbs it. Every switch and row is shared with
-    /// `checkpoint` again, so this copies nothing; it frees the copies
-    /// the writes since the last restore made.
+    /// something perturbs it, and nothing has moved. Every switch and
+    /// row is shared with `checkpoint` again, so this copies nothing;
+    /// it frees the copies the writes since the last restore made.
     pub fn restore(&mut self, checkpoint: &BgpRounds) {
         *self = checkpoint.clone();
         self.staged.clear();
         self.export_dirty.fill(false);
         self.decide_dirty.fill(false);
+        self.rib_moved.fill(false);
     }
 
     /// Makes `ports` the failed interfaces of each hosted switch they
@@ -161,6 +183,7 @@ impl BgpRounds {
             if let Some(i) = self.slot(node) {
                 Arc::make_mut(&mut self.switches[i]).set_failed_interfaces(model, ifaces);
                 self.export_dirty[i] = true;
+                self.rib_moved[i] = true;
             }
         }
     }
@@ -266,14 +289,16 @@ impl BgpRounds {
     /// did change. Each switch decides on its own state only, so the
     /// passes give what one receive-then-decide per switch gives.
     pub fn decide(&mut self, map: &impl SwitchMap, shard: Option<&BTreeSet<Prefix>>) -> bool {
-        let switches = self.switches.iter_mut().zip(&mut self.export_dirty);
+        let marks = self.export_dirty.iter_mut().zip(&mut self.rib_moved);
+        let switches = self.switches.iter_mut().zip(marks);
         let mut due: Vec<_> = switches
             .zip(&mut self.decide_dirty)
             .filter_map(|(switch, due)| std::mem::take(due).then_some(switch))
             .collect();
-        let changed = map.map(&mut due, |(s, export)| {
+        let changed = map.map(&mut due, |(s, (export, moved))| {
             let decided = Arc::make_mut(s).bgp_decide(shard);
             **export |= decided;
+            **moved |= decided;
             decided
         });
         changed.contains(&true)
@@ -303,6 +328,13 @@ impl BgpRounds {
     /// The switches due to export in the next round.
     pub fn export_due(&self) -> impl Iterator<Item = &SwitchModel> {
         self.switches.iter().zip(&self.export_dirty).filter(|(_, d)| **d).map(|(s, _)| &**s)
+    }
+
+    /// The switches whose forwarding row may have moved since the last
+    /// checkpoint or restore, in node order: every switch whose row
+    /// differs from the checkpoint's is among them.
+    pub fn rib_moved(&self) -> impl Iterator<Item = &SwitchModel> {
+        self.switches.iter().zip(&self.rib_moved).filter(|(_, m)| **m).map(|(s, _)| &**s)
     }
 
     /// The switches due to decide in the next decide pass.

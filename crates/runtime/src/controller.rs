@@ -23,12 +23,12 @@ use crate::remote;
 use crate::scope::{scope_sources, ScopeIndex};
 use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot};
 use crate::transport::{Inbox, TransportKind};
-use crate::worker::{Command, Reply, Worker};
+use crate::worker::{Command, PatchStage, Reply, Worker};
 use s2_bdd::serialize as bdd_io;
 use s2_dataplane::{properties, FinalKind, PacketSpace};
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
-use s2_routing::{NetworkModel, RibSnapshot, RibStore};
+use s2_routing::{NetworkModel, RibRow, RibSnapshot, RibStore};
 use s2_shard::impact::Components;
 use s2_shard::ShardPlan;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -436,19 +436,31 @@ pub struct Cluster {
     /// control sockets through per-worker proxy threads). Remote workers
     /// cannot be respawned, so recovery is unsupported.
     remote: bool,
-    /// The warm baseline scenario passes scope against: the checkpointed
-    /// RIB's reverse forwarding graph, indexed by prefix, and the
-    /// components of the prefix dependency graph (changed-set closure),
-    /// indexed by prefix. `None` until
-    /// [`Cluster::scenario_checkpoint`] stores one; scenario passes then
-    /// run full-space, unscoped.
+    /// The warm baseline scenario passes patch and scope against: the
+    /// checkpointed RIB, its reverse forwarding graph, indexed by
+    /// prefix, and the components of the prefix dependency graph
+    /// (changed-set closure), indexed by prefix. `None` until
+    /// [`Cluster::scenario_checkpoint`] stores one; a scenario pass
+    /// before it is a protocol violation.
     scenario_base: Mutex<Option<ScenarioBase>>,
 }
 
 /// See [`Cluster::scenario_base`].
 struct ScenarioBase {
+    rib: Arc<RibSnapshot>,
     index: ScopeIndex,
     components: Components,
+}
+
+/// A scenario DPV pass: its outcome and the RIB it verified.
+#[derive(Debug)]
+pub struct ScenarioPass {
+    /// The pass's DPV outcome.
+    pub dpv: DpvRunStats,
+    /// The scenario RIB: the checkpointed baseline with the rows the
+    /// workers patched (those that differ from it) in place of its own;
+    /// every other row is the baseline's.
+    pub rib: Arc<RibSnapshot>,
 }
 
 impl Cluster {
@@ -638,7 +650,7 @@ impl Cluster {
             Reply::Pong(_) => "Pong",
             Reply::Net { .. } => "Net",
             Reply::Metrics(_) => "Metrics",
-            Reply::ChangedDst(_) => "ChangedDst",
+            Reply::ChangedDst { .. } => "ChangedDst",
             Reply::TraceEvents { .. } => "TraceEvents",
             Reply::Violation(_) => "Violation",
         }
@@ -1347,7 +1359,7 @@ impl Cluster {
         let mut deps = ck.observed_deps;
         deps.sort_unstable();
         deps.dedup();
-        Ok((ck.store.snapshot(), stats, executed, deps))
+        Ok((ck.store.into_snapshot(), stats, executed, deps))
     }
 
     /// The §7 extension: runs the control plane under `plan`, collects the
@@ -1616,14 +1628,16 @@ impl Cluster {
     /// `run_dpv` — the workers also stash their full-space finals as
     /// the splice baseline of destination-scoped scenario passes.
     ///
-    /// `rib` is the warm baseline RIB the DPV pass ran against; its
+    /// `rib` is the warm baseline RIB the DPV pass ran against: a
+    /// scenario RIB is it with the workers' patched rows, and its
     /// reverse forwarding graph, indexed once here, decides which
     /// sources a changed destination set can perturb.
-    pub fn scenario_checkpoint(&self, rib: &RibSnapshot) -> Result<(), RuntimeError> {
+    pub fn scenario_checkpoint(&self, rib: &Arc<RibSnapshot>) -> Result<(), RuntimeError> {
         let (prefixes, aggregates, deps) = self.collect_prefixes()?;
         let dpdg = s2_shard::dpdg::Dpdg::build_with_deps(&prefixes, &aggregates, &deps);
         Self::expect_ok(self.barrier("scenario-checkpoint", || Command::ScenarioCheckpoint)?)?;
         *lock(&self.scenario_base) = Some(ScenarioBase {
+            rib: rib.clone(),
             index: ScopeIndex::build(&self.model, rib),
             components: Components::of(&dpdg),
         });
@@ -1671,23 +1685,68 @@ impl Cluster {
     }
 
     /// Collects the workers' *current* RIBs (base plus BGP) into a fresh
-    /// snapshot — the scenario counterpart of the checkpointed collection
-    /// inside `run_control_plane`, with failed interfaces filtered out by
-    /// the switch models themselves.
+    /// snapshot, with failed interfaces filtered out by the switch models
+    /// themselves. No verification path calls it: a scenario pass
+    /// assembles its RIB from the rows the workers patch (see
+    /// [`Cluster::run_scenario_dpv`]), and this whole-RIB round trip is
+    /// the tests' oracle for that RIB.
     pub fn collect_full_rib(&self) -> Result<RibSnapshot, RuntimeError> {
         let mut store = RibStore::new(self.model.topology.node_count());
         self.collect_rib("collect-base-rib", || Command::CollectBaseRib, &mut store)?;
         self.collect_rib("collect-bgp-rib", || Command::CollectBgpRib, &mut store)?;
-        Ok(store.snapshot())
+        Ok(store.into_snapshot())
     }
 
-    /// A scenario DPV pass over warm forwarding state: patches only the
-    /// `changed` nodes' predicates from `rib` (reusing the baseline
-    /// packet space and BDD manager), masks `failed_ports` in the
-    /// forwarding step, then re-verifies **only the changed packet
-    /// space** — exactly like [`Cluster::run_dpv`] but without the
-    /// full `DpSetup` recompile and without internal replay (the sweep
-    /// layer owns retries, fencing, and rollback).
+    /// The `DpPatch` barrier of a scenario pass at `stage`: the changed
+    /// destinations per node, and the scenario RIB assembled from the
+    /// checkpointed baseline and the rows the workers returned.
+    #[allow(clippy::type_complexity)]
+    fn dp_patch(
+        &self,
+        stage: PatchStage,
+        failed_ports: &Arc<Vec<(NodeId, InterfaceId)>>,
+    ) -> Result<(BTreeMap<NodeId, BTreeSet<Prefix>>, Arc<RibSnapshot>), RuntimeError> {
+        let Some(base) = lock(&self.scenario_base).as_ref().map(|b| b.rib.clone()) else {
+            return Err(RuntimeError::ProtocolViolation {
+                expected: "a scenario checkpoint",
+                got: "a scenario pass before it".to_string(),
+            });
+        };
+        let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
+        let mut rows: Vec<(NodeId, RibRow)> = Vec::new();
+        for reply in self.barrier("dp-patch", || Command::DpPatch {
+            stage,
+            failed_ports: failed_ports.clone(),
+        })? {
+            match reply {
+                Reply::ChangedDst { dst, rows: patched } => {
+                    for (n, ps) in dst {
+                        changed_dst.entry(n).or_default().extend(ps);
+                    }
+                    rows.extend(patched);
+                }
+                other => return Err(Self::violation("ChangedDst", &other)),
+            }
+        }
+        if rows.iter().any(|(n, _)| n.index() >= base.per_node.len()) {
+            return Err(RuntimeError::ProtocolViolation {
+                expected: "rows of the model's nodes",
+                got: "a row of an unknown node".to_string(),
+            });
+        }
+        let rib = if rows.is_empty() { base } else { Arc::new(base.patched(rows)) };
+        Ok((changed_dst, rib))
+    }
+
+    /// A scenario DPV pass over warm forwarding state at `stage`: the
+    /// workers patch the predicates of the nodes whose row moved off the
+    /// checkpointed baseline (none at the transient stage), reusing the
+    /// baseline packet space and BDD manager, mask `failed_ports` in the
+    /// forwarding step, then re-verify **only the changed packet space**
+    /// — exactly like [`Cluster::run_dpv`] but without the full
+    /// `DpSetup` recompile and without internal replay (the sweep layer
+    /// owns retries, fencing, and rollback). Needs a
+    /// [`Cluster::scenario_checkpoint`].
     ///
     /// Destination scoping: the patch barrier returns each node's
     /// changed destination prefixes (RIB diffs plus failed-port route
@@ -1698,85 +1757,55 @@ impl Cluster {
     /// scope are skipped entirely — and the workers splice
     /// `(old ∧ ¬changed) ∨ recomputed`, so the returned verdicts are
     /// byte-identical to a cold full-space pass. When the changed space
-    /// covers all of `dst_space`, or when no baseline was stored by
-    /// [`Cluster::scenario_checkpoint`], the pass falls back to a plain
+    /// covers all of `dst_space`, the pass falls back to a plain
     /// full-space drive.
     pub fn run_scenario_dpv(
         &self,
-        rib: Arc<RibSnapshot>,
-        changed: Vec<NodeId>,
+        stage: PatchStage,
         failed_ports: Vec<(NodeId, InterfaceId)>,
         query: &DpvQuery,
-    ) -> Result<DpvRunStats, RuntimeError> {
+    ) -> Result<ScenarioPass, RuntimeError> {
         let sources = &query.sources;
         let mut stats = DpvRunStats::default();
         let t0 = Stopwatch::start();
-        let changed = Arc::new(changed);
-        let failed_ports = Arc::new(failed_ports);
-        let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
-        for reply in self.barrier("dp-patch", || Command::DpPatch {
-            rib: rib.clone(),
-            changed: changed.clone(),
-            failed_ports: failed_ports.clone(),
-        })? {
-            match reply {
-                Reply::ChangedDst(entries) => {
-                    for (n, ps) in entries {
-                        changed_dst.entry(n).or_default().extend(ps);
-                    }
-                }
-                other => return Err(Self::violation("ChangedDst", &other)),
-            }
-        }
+        let (mut changed_dst, rib) = self.dp_patch(stage, &Arc::new(failed_ports))?;
         let scopes = {
             let base = lock(&self.scenario_base);
-            base.as_ref().map(|b| {
-                // A dependent prefix can change whenever its dependee
-                // does — close each node's diff before trusting it.
-                for set in changed_dst.values_mut() {
-                    b.components.close(set);
-                }
-                scope_sources(&b.index, &changed_dst, sources)
-            })
+            let b = base.as_ref().expect("checked by the patch");
+            // A dependent prefix can change whenever its dependee
+            // does — close each node's diff before trusting it.
+            for set in changed_dst.values_mut() {
+                b.components.close(set);
+            }
+            scope_sources(&b.index, &changed_dst, sources)
         };
         stats.pred_time = t0.elapsed();
         let all_changed: BTreeSet<Prefix> = changed_dst.into_values().flatten().collect();
         let fraction = covered_fraction(&all_changed, query.dst_space);
         let metrics = s2_obs::Registry::global();
-        if scopes.is_some() {
-            metrics.counter("dpv.scoped.runs").inc();
-            metrics
-                .counter("dpv.scoped.changed_prefixes")
-                .add(all_changed.len() as u64);
-            metrics
-                .counter("dpv.scoped.space_permille")
-                .add((fraction * 1000.0) as u64);
-        }
-        let scopes = match scopes {
-            Some(_) if fraction >= 1.0 => {
-                // The whole destination space is perturbed: scoping would
-                // re-verify everything anyway, so skip the splice
-                // machinery (`DpPatch` already cleared the workers'
-                // scopes).
-                metrics.counter("dpv.scoped.fallback_full").inc();
-                stats.scoped = Some(DpvScopedStats {
-                    changed_prefixes: all_changed.len(),
-                    changed_dst_fraction: fraction,
-                    fallback_full: true,
-                    ..DpvScopedStats::default()
-                });
-                None
-            }
-            scopes => scopes,
-        };
-        let Some(scopes) = scopes else {
-            // Full space, with no checkpointed baseline to splice against
-            // or the whole space perturbed: the staged overlays are
-            // compiled whole.
+        metrics.counter("dpv.scoped.runs").inc();
+        metrics
+            .counter("dpv.scoped.changed_prefixes")
+            .add(all_changed.len() as u64);
+        metrics
+            .counter("dpv.scoped.space_permille")
+            .add((fraction * 1000.0) as u64);
+        if fraction >= 1.0 {
+            // The whole destination space is perturbed: scoping would
+            // re-verify everything anyway, so skip the splice machinery
+            // (`DpPatch` already cleared the workers' scopes) and
+            // compile the staged overlays whole.
+            metrics.counter("dpv.scoped.fallback_full").inc();
+            stats.scoped = Some(DpvScopedStats {
+                changed_prefixes: all_changed.len(),
+                changed_dst_fraction: fraction,
+                fallback_full: true,
+                ..DpvScopedStats::default()
+            });
             Self::expect_ok(self.barrier("dp-compile", || Command::DpCompile)?)?;
             self.dpv_drive(&mut stats, query, None)?;
-            return Ok(stats);
-        };
+            return Ok(ScenarioPass { dpv: stats, rib });
+        }
         let inject: Vec<NodeId> = sources
             .iter()
             .copied()
@@ -1817,7 +1846,7 @@ impl Cluster {
         if let Some(s) = stats.scoped.as_ref() {
             metrics.counter("dpv.scoped.splice_ops").add(s.splice_ops);
         }
-        Ok(stats)
+        Ok(ScenarioPass { dpv: stats, rib })
     }
 
     /// Stops every worker and joins every thread ever spawned, including
@@ -1979,7 +2008,7 @@ mod tests {
             ref_store.insert_all(n, switches[n.index()].base_rib_routes());
             ref_store.insert_all(n, switches[n.index()].bgp_rib_routes());
         }
-        let reference = ref_store.snapshot();
+        let reference = ref_store.into_snapshot();
 
         for owners in [vec![0, 0, 0, 0], vec![0, 0, 1, 1], vec![0, 1, 2, 3], vec![1, 0, 1, 0]] {
             let workers = owners.iter().max().unwrap() + 1;
@@ -2223,25 +2252,25 @@ mod tests {
             .run_warm_fixpoint(&ClusterOptions::default())
             .unwrap();
         assert!(rounds >= 1);
-        let scen_rib = Arc::new(cluster.collect_full_rib().unwrap());
-        assert_ne!(*scen_rib, *rib, "failure must change the RIBs");
-        let all_nodes: Vec<NodeId> = model.topology.nodes().collect();
         let scen = cluster
-            .run_scenario_dpv(scen_rib, all_nodes, failed.clone(), &query)
+            .run_scenario_dpv(PatchStage::Reconverged, failed.clone(), &query)
             .unwrap();
-        assert_eq!(scen.reachable_pairs, 0, "partitioned line must lose t3→t0");
-        assert_eq!(scen.unreachable_pairs, vec![(NodeId(3), NodeId(0))]);
+        assert_ne!(*scen.rib, *rib, "failure must change the RIBs");
+        assert_eq!(*scen.rib, cluster.collect_full_rib().unwrap());
+        assert_eq!(scen.dpv.reachable_pairs, 0, "partitioned line must lose t3→t0");
+        assert_eq!(scen.dpv.unreachable_pairs, vec![(NodeId(3), NodeId(0))]);
 
         // Fence + rollback, then a patch-free pass over the baseline RIB:
         // verdicts must be byte-identical to the warm baseline.
         cluster.fence().unwrap();
         cluster.scenario_rollback().unwrap();
         let again = cluster
-            .run_scenario_dpv(rib.clone(), Vec::new(), Vec::new(), &query)
+            .run_scenario_dpv(PatchStage::Transient, Vec::new(), &query)
             .unwrap();
         cluster.shutdown();
-        assert_eq!(again.reachable_pairs, 1);
-        assert_eq!(again.verdict_sets, baseline.verdict_sets);
+        assert!(Arc::ptr_eq(&again.rib, &rib), "the transient stage patches no row");
+        assert_eq!(again.dpv.reachable_pairs, 1);
+        assert_eq!(again.dpv.verdict_sets, baseline.verdict_sets);
     }
 
     #[test]
@@ -2305,7 +2334,7 @@ mod tests {
         let (rib, _) = cluster
             .run_control_plane(&line_plan(&model), &ClusterOptions::default())
             .unwrap();
-        cluster.scenario_checkpoint(&rib).unwrap();
+        cluster.scenario_checkpoint(&Arc::new(rib)).unwrap();
         // Failing t0—m1 withdraws t0's prefixes hop by hop down the line.
         cluster
             .scenario_begin(&link_ports(&model, NodeId(0), NodeId(1)))
@@ -2313,6 +2342,57 @@ mod tests {
         let err = cluster.run_warm_fixpoint(&budget(1)).unwrap_err();
         cluster.shutdown();
         assert_eq!(err, not_converged("bgp-warm", 1));
+    }
+
+    /// Every scenario of at most two failed links, on FatTree k=4 and a
+    /// small DCN over one and two workers: the scenario RIB the
+    /// controller assembles from the patched rows equals a whole-RIB
+    /// collection of the same fleet state, the patched rows are exactly
+    /// the nodes whose collected row differs from the baseline, and the
+    /// transient stage patches no row.
+    #[test]
+    fn patched_scenario_ribs_equal_the_collected_ones() {
+        let fattree = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(4));
+        let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(2, 4, 2));
+        let opts = ClusterOptions::default();
+        for (topology, configs) in [(fattree.topology, fattree.configs), (dcn.topology, dcn.configs)] {
+            let model = Arc::new(NetworkModel::build(topology, configs).unwrap());
+            let nodes = model.topology.node_count();
+            let query = reach_t0_prefix(vec![NodeId(0)]);
+            for workers in [1, 2] {
+                let owners = (0..nodes as u32).map(|n| n % workers).collect();
+                let cluster = Cluster::new(model.clone(), owners, workers, None);
+                cluster.run_ospf(&opts).unwrap();
+                let plan = cluster.plan_shards(1, 0).unwrap();
+                let (base, _) = cluster.run_control_plane(&plan, &opts).unwrap();
+                let base = Arc::new(base);
+                cluster.run_dpv(base.clone(), &query, &opts).unwrap();
+                cluster.scenario_checkpoint(&base).unwrap();
+                let links = model.topology.links();
+                for (i, first) in links.iter().enumerate() {
+                    for second in std::iter::once(None).chain(links[i + 1..].iter().map(Some)) {
+                        let mut failed = vec![first.a, first.b];
+                        failed.extend(second.into_iter().flat_map(|l| [l.a, l.b]));
+                        let failed = Arc::new(failed);
+                        cluster.scenario_begin(&failed).unwrap();
+                        let (_, transient) = cluster.dp_patch(PatchStage::Transient, &failed).unwrap();
+                        assert!(Arc::ptr_eq(&transient, &base), "{failed:?}");
+                        cluster.run_warm_fixpoint(&opts).unwrap();
+                        let (_, patched) = cluster.dp_patch(PatchStage::Reconverged, &failed).unwrap();
+                        let full = cluster.collect_full_rib().unwrap();
+                        let rows: Vec<NodeId> = model
+                            .topology
+                            .nodes()
+                            .filter(|n| !Arc::ptr_eq(&patched.per_node[n.index()], &base.per_node[n.index()]))
+                            .collect();
+                        assert_eq!(rows, base.changed_nodes(&full), "{failed:?}");
+                        assert_eq!(*patched, full, "{failed:?} on {workers} workers");
+                        cluster.scenario_rollback().unwrap();
+                    }
+                }
+                cluster.shutdown();
+            }
+        }
     }
 
     /// Warms the line up under `faults` — cold control plane, baseline

@@ -69,7 +69,7 @@ pub use admin::{
 pub use codec::Wire;
 pub use controller::{
     Cluster, ClusterOptions, CpRunStats, DpvQuery, DpvRunStats, DpvScopedStats, FleetScrape,
-    RuntimeConfig, RuntimeError,
+    RuntimeConfig, RuntimeError, ScenarioPass,
 };
 pub use faults::{DaemonPhase, FaultPlan, FaultState};
 pub use memstats::{CacheStats, MemGauge, MemReport};
@@ -79,3 +79,4 @@ pub use sidecar::{Sidecar, SidecarNet, TrafficSnapshot, TrafficStats};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{ChannelTransport, Inbox, Transport, TransportError, TransportKind};
 pub use wire::{Message, WireError};
+pub use worker::PatchStage;

@@ -36,7 +36,7 @@ use crate::faults::FaultState;
 use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot, TrafficStats};
 use crate::tcp::{recv, send, TcpConfig, TcpTransport, K_COMMAND, K_REGISTER, K_REPLY, K_SETUP};
 use crate::wire::WireError;
-use crate::worker::{Command, Reply, Worker};
+use crate::worker::{Command, PatchStage, Reply, Worker};
 use bytes::{Bytes, BytesMut};
 use s2_net::topology::NodeId;
 use s2_routing::NetworkModel;
@@ -48,7 +48,8 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 /// Upper bound on a control-channel envelope. `DpSetup` ships the full
-/// converged RIB snapshot, so this is far larger than the data-plane
+/// converged RIB snapshot (a scenario's `ChangedDst` only the rows that
+/// moved), so this is far larger than the data-plane
 /// frame cap — but still bounded, so a corrupt length prefix cannot ask
 /// the receiver to allocate without limit.
 pub const MAX_CONTROL_FRAME: usize = 256 << 20;
@@ -130,6 +131,22 @@ wire_struct!(s2_obs::trace::Event {
 /// Tag byte of [`Command::CtxWrap`].
 const T_CTX_WRAP: u8 = 28;
 
+impl Wire for PatchStage {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            PatchStage::Transient => 0u8.put(buf),
+            PatchStage::Reconverged => 1u8.put(buf),
+        }
+    }
+    fn take(buf: &mut Bytes) -> Result<Self, WireError> {
+        match u8::take(buf)? {
+            0 => Ok(PatchStage::Transient),
+            1 => Ok(PatchStage::Reconverged),
+            _ => Err(WireError::BadValue("patch stage")),
+        }
+    }
+}
+
 impl Wire for Command {
     fn put(&self, buf: &mut BytesMut) {
         match self {
@@ -192,13 +209,11 @@ impl Wire for Command {
             }
             Command::ScenarioRollback => 24u8.put(buf),
             Command::DpPatch {
-                rib,
-                changed,
+                stage,
                 failed_ports,
             } => {
-                25u8.put(buf);
-                rib.put(buf);
-                changed.put(buf);
+                30u8.put(buf);
+                stage.put(buf);
                 failed_ports.put(buf);
             }
             Command::DpScope { scopes } => {
@@ -265,9 +280,8 @@ impl Wire for Command {
                 failed: Wire::take(buf)?,
             },
             24 => Command::ScenarioRollback,
-            25 => Command::DpPatch {
-                rib: Wire::take(buf)?,
-                changed: Wire::take(buf)?,
+            30 => Command::DpPatch {
+                stage: Wire::take(buf)?,
                 failed_ports: Wire::take(buf)?,
             },
             26 => Command::DpScope {
@@ -374,9 +388,10 @@ impl Wire for Reply {
                 14u8.put(buf);
                 snapshot.put(buf);
             }
-            Reply::ChangedDst(entries) => {
-                15u8.put(buf);
-                entries.put(buf);
+            Reply::ChangedDst { dst, rows } => {
+                17u8.put(buf);
+                dst.put(buf);
+                rows.put(buf);
             }
             Reply::TraceEvents {
                 now_ns,
@@ -428,7 +443,10 @@ impl Wire for Reply {
             },
             13 => Reply::Violation(Wire::take(buf)?),
             14 => Reply::Metrics(Wire::take(buf)?),
-            15 => Reply::ChangedDst(Wire::take(buf)?),
+            17 => Reply::ChangedDst {
+                dst: Wire::take(buf)?,
+                rows: Wire::take(buf)?,
+            },
             16 => {
                 let now_ns = Wire::take(buf)?;
                 let names: Vec<String> = Wire::take(buf)?;
@@ -801,7 +819,7 @@ mod tests {
         }
 
         let rib = RibSnapshot {
-            per_node: vec![vec![sample_rib_route()], vec![]],
+            per_node: vec![Arc::from([sample_rib_route()]), Arc::from([])],
         };
         let waypoints: BTreeMap<NodeId, u16> = [(NodeId(1), 2u16)].into_iter().collect();
         let cmd = Command::DpSetup {
@@ -840,10 +858,7 @@ mod tests {
         assert_eq!(format!("{cmd:?}"), format!("{decoded:?}"));
 
         let cmd = Command::DpPatch {
-            rib: Arc::new(RibSnapshot {
-                per_node: vec![vec![], vec![sample_rib_route()]],
-            }),
-            changed: Arc::new(vec![NodeId(1)]),
+            stage: PatchStage::Reconverged,
             failed_ports: Arc::new(vec![(NodeId(1), InterfaceId(4))]),
         };
         let decoded = Command::from_bytes(cmd.to_bytes()).unwrap();
@@ -942,10 +957,10 @@ mod tests {
                 m.gauge_max("mem.peak_bytes", 1 << 20);
                 m
             }),
-            Reply::ChangedDst(vec![
-                (NodeId(2), vec!["10.0.0.0/24".parse().unwrap()]),
-                (NodeId(5), vec![]),
-            ]),
+            Reply::ChangedDst {
+                dst: vec![(NodeId(2), vec!["10.0.0.0/24".parse().unwrap()]), (NodeId(5), vec![])],
+                rows: vec![(NodeId(2), Arc::from([sample_rib_route()]))],
+            },
             Reply::TraceEvents {
                 now_ns: 123_456_789,
                 names: vec!["dpv.verdict".to_string(), "cp.round".to_string()],

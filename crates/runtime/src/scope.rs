@@ -181,6 +181,7 @@ mod tests {
     use s2_net::policy::Protocol;
     use s2_net::topology::{InterfaceId, Topology};
     use s2_routing::RibRoute;
+    use std::sync::Arc;
 
     fn pfx(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -269,13 +270,13 @@ mod tests {
         };
         let base = RibSnapshot {
             per_node: vec![
-                vec![route("10.1.0.0/16", vec![via(n[0], n[1])])],
-                vec![
+                Arc::from([route("10.1.0.0/16", vec![via(n[0], n[1])])]),
+                Arc::from([
                     route("10.0.0.0/8", vec![via(n[1], n[0])]),
                     route("10.1.0.0/16", vec![via(n[1], n[2])]),
                     route("10.1.7.0/24", vec![via(n[1], n[2])]),
-                ],
-                vec![],
+                ]),
+                Arc::from([]),
             ],
         };
         let index = ScopeIndex::build(&model, &base);

@@ -29,7 +29,9 @@ use s2_dataplane::{
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
 use s2_routing::rounds::Delivery;
-use s2_routing::{BgpRounds, NetworkModel, RibRoute, RibSnapshot, SwitchMap, SwitchModel};
+use s2_routing::{
+    merge_row, BgpRounds, NetworkModel, RibRoute, RibRow, RibSnapshot, SwitchMap, SwitchModel,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -131,20 +133,20 @@ pub enum Command {
     /// checkpoint is kept for the next scenario.
     ScenarioRollback,
     /// Resilience sweeps: patch the data plane for the current scenario
-    /// *in the warm BDD manager*: stage the `changed` local nodes for an
-    /// overlay recompile (consulted before the baseline predicates),
-    /// install the failed-port mask, and clear the packet level and
-    /// finals for a fresh forwarding run. The compile itself is deferred
-    /// to the following `DpScope` (restricted to the pass's destination
-    /// scopes) or `DpCompile` (full-space) — the reply's changed-prefix
-    /// extraction is what the controller needs to decide between them.
-    /// An empty `changed` list patches nothing but the mask — the
-    /// transient (pre-reconvergence) stage.
+    /// *in the warm BDD manager*. At the reconverged stage the worker
+    /// builds the row of each hosted switch that moved since the
+    /// scenario checkpoint, keeps those that differ from its `DpSetup`
+    /// baseline and stages them for an overlay recompile (consulted
+    /// before the baseline predicates); the transient stage patches no
+    /// row. Either stage installs the failed-port mask and clears the
+    /// packet level and finals for a fresh forwarding run. The compile
+    /// itself is deferred to the following `DpScope` (restricted to the
+    /// pass's destination scopes) or `DpCompile` (full-space) — the
+    /// reply's changed-prefix extraction is what the controller needs
+    /// to decide between them. Replies `ChangedDst`.
     DpPatch {
-        /// The scenario RIBs (only `changed` nodes are read).
-        rib: Arc<RibSnapshot>,
-        /// Nodes whose RIB differs from baseline.
-        changed: Arc<Vec<NodeId>>,
+        /// Which stage's rows to patch.
+        stage: PatchStage,
         /// Failed ports for the forwarding mask.
         failed_ports: Arc<Vec<(NodeId, InterfaceId)>>,
     },
@@ -195,6 +197,15 @@ pub enum Command {
     TraceDrain,
     /// Terminate the worker thread.
     Shutdown,
+}
+
+/// The scenario stage a `DpPatch` prepares the data plane for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PatchStage {
+    /// Before reconvergence: the baseline rows under the failure mask.
+    Transient,
+    /// After the warm fix point: the rows that moved off the baseline.
+    Reconverged,
 }
 
 /// Replies from workers to the controller.
@@ -265,12 +276,19 @@ pub enum Reply {
     },
     /// This worker's unified metrics snapshot.
     Metrics(s2_obs::MetricsSnapshot),
-    /// `DpPatch` outcome: per hosted node, the prefixes whose forwarding
-    /// behavior changed against the `DpSetup` baseline — the old-vs-new
-    /// route-set diff of the patched nodes plus the prefixes of routes
-    /// egressing locally owned failed ports. Nodes with no changes are
-    /// omitted; an empty vector means the patch is a forwarding no-op.
-    ChangedDst(Vec<(NodeId, Vec<Prefix>)>),
+    /// `DpPatch` outcome against the `DpSetup` baseline.
+    ChangedDst {
+        /// Per hosted node, the prefixes whose forwarding behavior
+        /// changed: the old-vs-new route-set diff of the patched rows
+        /// plus the prefixes of routes egressing locally owned failed
+        /// ports. Nodes with no changes are omitted; an empty vector
+        /// means the patch is a forwarding no-op.
+        dst: Vec<(NodeId, Vec<Prefix>)>,
+        /// The patched rows: each hosted node whose row differs from
+        /// the baseline, with its whole new row, in node order. Empty
+        /// at the transient stage.
+        rows: Vec<(NodeId, RibRow)>,
+    },
     /// A drained batch of worker-process trace events (`TraceDrain`).
     /// Event `name` fields index `names`; `now_ns` is the worker
     /// process's clock at drain time, the anchor the controller uses
@@ -347,15 +365,16 @@ pub struct Worker {
     /// Scenario overlay: predicates recompiled for the current failure
     /// scenario, consulted before `preds`. Cleared on rollback.
     scenario_preds: BTreeMap<NodeId, NodePredicates>,
-    /// The material of a `DpPatch` whose overlay compile was deferred:
-    /// the scenario RIB and the changed node list. The following
-    /// `DpScope` compiles it restricted to the pass's destination
-    /// scopes; a `DpCompile` (full-space pass) compiles it whole.
-    pending_patch: Option<(Arc<RibSnapshot>, Arc<Vec<NodeId>>)>,
+    /// The rows of a `DpPatch` whose overlay compile was deferred. The
+    /// following `DpScope` compiles them restricted to the pass's
+    /// destination scopes; a `DpCompile` (full-space pass) compiles
+    /// them whole.
+    pending_patch: Option<Vec<(NodeId, RibRow)>>,
     /// Control-plane snapshot for scenario restore.
     checkpoint: Option<BgpRounds>,
     /// The RIB snapshot the data plane was compiled from — the "old"
-    /// side of the next `DpPatch`'s per-prefix diff.
+    /// side of the next `DpPatch`'s row and per-prefix diffs (only the
+    /// hosted rows are read).
     dp_rib: Option<Arc<RibSnapshot>>,
     /// Baseline verdict stash for splicing (see [`DpBaseline`]). Taken
     /// at `ScenarioCheckpoint`, invalidated by `DpSetup` (the manager
@@ -369,6 +388,14 @@ pub struct Worker {
     /// [`s2_dataplane::PacketKey`]); merging before processing and before
     /// sending is what keeps the cross-worker BDD traffic polynomial.
     level: BTreeMap<PacketKey, s2_bdd::Bdd>,
+    /// Fragments a peer sent in the current forward round, drained
+    /// before this worker stepped it: they join the next level, so each
+    /// fragment is stepped in the round its `hops` names, whatever the
+    /// threads' timing.
+    early: BTreeMap<PacketKey, s2_bdd::Bdd>,
+    /// Forward rounds run since the last `Inject`: the `hops` of the
+    /// fragments this round steps.
+    round: u16,
     finals: Vec<FinalPacket>,
     /// Intra-worker evaluation pool (width 1 = sequential).
     pool: EvalPool,
@@ -428,6 +455,8 @@ impl Worker {
             scopes: None,
             fwd_opts: ForwardOptions::default(),
             level: BTreeMap::new(),
+            early: BTreeMap::new(),
+            round: 0,
             finals: Vec::new(),
             pool: EvalPool::new(intra_worker_threads),
             step_scratch: StepOutput::default(),
@@ -572,7 +601,7 @@ impl Worker {
                 Reply::Ok
             }
             Command::ScenarioCheckpoint => {
-                self.checkpoint = Some(self.bgp.clone());
+                self.checkpoint = Some(self.bgp.checkpoint());
                 // The finals of the preceding full-space pass are the
                 // splice baseline for destination-scoped scenario
                 // passes. Without a data plane (or a prior pass) there
@@ -607,51 +636,53 @@ impl Worker {
                 self.scopes = None;
                 self.fwd_opts.failed_ports.clear();
                 self.level.clear();
+                self.early.clear();
                 self.finals.clear();
                 self.update_gauge();
                 Reply::Ok
             }
-            Command::DpPatch {
-                rib,
-                changed,
-                failed_ports,
-            } => {
-                if self.manager.is_none() {
+            Command::DpPatch { stage, failed_ports } => {
+                let Some(base) = self.dp_rib.clone() else {
                     return Reply::Violation("DpPatch before DpSetup".to_string());
-                }
+                };
                 self.scenario_preds.clear();
                 self.scopes = None;
-                // Per hosted node: extract the prefixes whose route set
-                // actually moved against the `DpSetup` baseline — the
-                // raw material of the controller's changed-destination
-                // scoping. The overlay compile is deferred to the
-                // `DpScope`/`DpCompile` that follows, once the
+                // Only a switch that moved since the checkpoint can
+                // differ from the baseline; of those, the rows that do
+                // differ are patched and sent back.
+                let rows: Vec<(NodeId, RibRow)> = match stage {
+                    PatchStage::Transient => Vec::new(),
+                    PatchStage::Reconverged => self
+                        .bgp
+                        .rib_moved()
+                        .filter_map(|s| {
+                            let routes = s.base_rib_routes().into_iter().chain(s.bgp_rib_routes());
+                            let row = merge_row(routes);
+                            (*row != *base.node(s.node)).then_some((s.node, row))
+                        })
+                        .collect(),
+                };
+                // Per patched node: the prefixes whose route set moved —
+                // the raw material of the controller's changed-
+                // destination scoping. The overlay compile is deferred to
+                // the `DpScope`/`DpCompile` that follows, once the
                 // controller knows how much of the space it needs.
-                let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
-                for &n in changed.iter() {
-                    if !self.preds.contains_key(&n) {
-                        continue; // not hosted here
-                    }
-                    if let Some(base) = self.dp_rib.as_deref() {
-                        let moved = changed_prefixes(base.node(n), rib.node(n));
-                        if !moved.is_empty() {
-                            changed_dst.entry(n).or_default().extend(moved);
-                        }
-                    }
-                }
-                self.pending_patch = Some((rib.clone(), changed.clone()));
+                let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = rows
+                    .iter()
+                    .map(|(n, row)| (*n, changed_prefixes(base.node(*n), row)))
+                    .collect();
                 // Routes egressing a failed port change forwarding even
                 // when the owning node's RIB does not (the transient,
                 // pre-reconvergence stage): attribute their prefixes to
-                // the port owner. Both the baseline and the patched RIB
+                // the port owner. Both the baseline and the patched row
                 // are scanned — a route present on either side of the
                 // mask flip perturbs its prefix.
                 for &(n, iface) in failed_ports.iter() {
                     if !self.preds.contains_key(&n) {
                         continue;
                     }
-                    let sides = [self.dp_rib.as_deref().map(|r| r.node(n)), Some(rib.node(n))];
-                    for routes in sides.into_iter().flatten() {
+                    let patched = rows.iter().find(|(m, _)| *m == n).map(|(_, row)| &**row);
+                    for routes in [Some(base.node(n)), patched].into_iter().flatten() {
                         for r in routes {
                             if r.egress.contains(&iface) {
                                 changed_dst.entry(n).or_default().insert(r.prefix);
@@ -659,15 +690,13 @@ impl Worker {
                         }
                     }
                 }
+                self.pending_patch = Some(rows.clone());
                 self.fwd_opts.failed_ports = failed_ports.iter().copied().collect();
                 self.level.clear();
+                self.early.clear();
                 self.finals.clear();
-                self.charged(Reply::ChangedDst(
-                    changed_dst
-                        .into_iter()
-                        .map(|(n, ps)| (n, ps.into_iter().collect()))
-                        .collect(),
-                ))
+                let dst = changed_dst.into_iter().map(|(n, ps)| (n, ps.into_iter().collect())).collect();
+                self.charged(Reply::ChangedDst { dst, rows })
             }
             Command::DpScope { scopes } => {
                 let filter: BTreeSet<Prefix> =
@@ -905,6 +934,7 @@ impl Worker {
             ..Default::default()
         };
         self.level.clear();
+        self.early.clear();
         self.finals.clear();
     }
 
@@ -927,32 +957,22 @@ impl Worker {
     /// such a destination overlaps the filter and is kept). Without a
     /// filter the whole FIB is compiled — the full-space fallbacks.
     fn compile_overlays(&mut self, filter: Option<&BTreeSet<Prefix>>) -> Reply {
-        let Some((rib, changed)) = self.pending_patch.clone() else {
+        let Some(rows) = self.pending_patch.clone() else {
             // Nothing staged: a scope-only pass over an unpatched data
-            // plane (e.g. the transient stage with no changed nodes).
+            // plane.
             return Reply::Ok;
         };
         let Some(manager) = self.manager.as_mut() else {
             return Reply::Violation("DpCompile before DpSetup".to_string());
         };
-        for &n in changed.iter() {
-            if !self.preds.contains_key(&n) {
-                continue; // not hosted here
-            }
-            let routes = rib.node(n);
+        let filter = filter.map(|f| (f, prefix_lengths(f)));
+        for (n, routes) in &rows {
             let fib = match filter {
-                Some(f) => {
-                    let kept: Vec<RibRoute> = routes
-                        .iter()
-                        .filter(|r| f.iter().any(|p| p.overlaps(r.prefix)))
-                        .cloned()
-                        .collect();
-                    Fib::from_rib(&kept)
-                }
+                Some((f, ref lengths)) => Fib::from_rib(&overlapping(routes, f, lengths)),
                 None => Fib::from_rib(routes),
             };
-            let p = NodePredicates::compile(&self.model, n, &fib, &self.space, manager);
-            self.scenario_preds.insert(n, p);
+            let p = NodePredicates::compile(&self.model, *n, &fib, &self.space, manager);
+            self.scenario_preds.insert(*n, p);
         }
         self.charged(Reply::Ok)
     }
@@ -981,6 +1001,7 @@ impl Worker {
         let Some(manager) = self.manager.as_mut() else {
             return; // guarded in handle(); kept panic-free regardless
         };
+        self.round = 0;
         for &(src, dst_space) in injections {
             if !self.sidecar.is_local(src) {
                 continue;
@@ -1015,6 +1036,12 @@ impl Worker {
     /// BDDs into the private manager), step every merged fragment, stage
     /// local next-hop fragments, and ship merged remote fragments — one
     /// frame per destination worker, each distinct BDD once per frame.
+    ///
+    /// Round `r` steps the fragments of `hops` at most `r`. A peer that
+    /// finished round `r` before this worker drained its inbox has
+    /// already sent fragments of `hops` `r + 1`; they are held for the
+    /// next level, so the fragments stepped, and the frames sent, do not
+    /// depend on which worker ran first.
     fn forward_round(&mut self) -> (usize, usize) {
         let Some(manager) = self.manager.as_mut() else {
             return (0, 0); // guarded in handle(); kept panic-free regardless
@@ -1049,9 +1076,10 @@ impl Worker {
                     let Some(&Some(set)) = sets.get(p.bdd as usize) else {
                         continue;
                     };
+                    let level = if p.hops > self.round { &mut self.early } else { &mut self.level };
                     merge_packet(
                         manager,
-                        &mut self.level,
+                        level,
                         SymbolicPacket {
                             src: p.src,
                             node: p.node,
@@ -1154,6 +1182,17 @@ impl Worker {
                 .fetch_add(scratch_reuses, std::sync::atomic::Ordering::Relaxed);
         }
         self.level = next;
+        for ((src, node, ingress, hops), set) in std::mem::take(&mut self.early) {
+            let pkt = SymbolicPacket {
+                src,
+                node,
+                ingress,
+                set,
+                hops,
+            };
+            merge_packet(manager, &mut self.level, pkt);
+        }
+        self.round = self.round.saturating_add(1);
         (processed, sent_remote)
     }
 
@@ -1320,6 +1359,36 @@ impl Worker {
     }
 }
 
+/// The distinct lengths of `filter`'s prefixes, ascending.
+fn prefix_lengths(filter: &BTreeSet<Prefix>) -> Vec<u8> {
+    let lengths: BTreeSet<u8> = filter.iter().map(|p| p.len()).collect();
+    lengths.into_iter().collect()
+}
+
+/// The routes whose prefix overlaps some prefix of `filter` (whose
+/// distinct `lengths` are given), in one walk: a filter prefix covering
+/// a route is one lookup per shorter-or-equal length, and the filter
+/// prefixes a route covers are one range, `(address, length)` order
+/// putting them between the route's prefix and its last host.
+fn overlapping(routes: &[RibRoute], filter: &BTreeSet<Prefix>, lengths: &[u8]) -> Vec<RibRoute> {
+    routes
+        .iter()
+        .filter(|r| {
+            let p = r.prefix;
+            let mut covering = lengths.iter().take_while(|&&len| len <= p.len());
+            covering.any(|&len| filter.contains(&Prefix::new(p.addr(), len)))
+                || filter.range(p..=Prefix::host(p.last_addr())).next().is_some()
+        })
+        .cloned()
+        .collect()
+}
+
+/// The all-pairs scan [`overlapping`] replaced, kept as its oracle.
+#[cfg(test)]
+fn overlapping_scan(routes: &[RibRoute], filter: &BTreeSet<Prefix>) -> Vec<RibRoute> {
+    routes.iter().filter(|r| filter.iter().any(|p| p.overlaps(r.prefix))).cloned().collect()
+}
+
 /// The prefixes whose route set differs between `old` and `new`,
 /// including prefixes present on only one side. Route order within a
 /// prefix participates in the comparison: RIB snapshots are
@@ -1395,6 +1464,7 @@ mod tests {
         let mut receivers: Vec<Sidecar> =
             inboxes.zip(1..).map(|(inbox, w)| Sidecar::new(w, net.clone(), inbox)).collect();
         let mut worker = Worker::with_faults(sidecar, model, vec![hub], None, Arc::default(), 1);
+        let per_node = per_node.into_iter().map(Into::into).collect();
         worker.dp_setup(Arc::new(RibSnapshot { per_node }), 0, &BTreeMap::new(), 0);
         worker.inject(&[(hub, "10.9.0.0/16".parse().unwrap())]);
 
@@ -1415,6 +1485,39 @@ mod tests {
             payloads.push(bdds[0].clone());
         }
         assert_eq!(payloads[0], payloads[1], "both frames carry the one encoding");
+    }
+
+    /// The one-walk overlay filter keeps exactly the routes the scan
+    /// keeps, on random prefixes packed into a small space so that most
+    /// route and filter prefixes nest.
+    #[test]
+    fn overlapping_routes_equal_the_scan() {
+        let mut rng = s2_net::rng::SeededRng::seed_from_u64(7);
+        let mut prefix = || {
+            let bits = rng.next_u64();
+            let addr = Ipv4Addr::new(10, (bits % 4) as u8, (bits >> 8) as u8 % 4, (bits >> 16) as u8 % 8);
+            Prefix::new(addr, 8 + ((bits >> 24) % 25) as u8)
+        };
+        let (mut kept, mut dropped) = (0, 0);
+        for _ in 0..200 {
+            let routes: BTreeSet<Prefix> = (0..60).map(|_| prefix()).collect();
+            let routes: Vec<RibRoute> = routes
+                .into_iter()
+                .map(|prefix| RibRoute {
+                    prefix,
+                    protocol: Protocol::Bgp,
+                    egress: Vec::new(),
+                    is_local: false,
+                    as_path_len: 0,
+                })
+                .collect();
+            let filter: BTreeSet<Prefix> = (0..6).map(|_| prefix()).collect();
+            let want = overlapping_scan(&routes, &filter);
+            assert_eq!(overlapping(&routes, &filter, &prefix_lengths(&filter)), want, "{filter:?}");
+            kept += want.len();
+            dropped += routes.len() - want.len();
+        }
+        assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
     }
 
     /// FatTree k=`k` over two workers, nodes dealt alternately so that
@@ -1596,7 +1699,7 @@ mod tests {
                 }
             }
         }
-        Arc::new(store.snapshot())
+        Arc::new(store.into_snapshot())
     }
 
     fn forward_to_exhaustion(fleet: &mut [Worker]) {
@@ -1645,11 +1748,8 @@ mod tests {
                 failed: failed.clone(),
             });
             converge_bgp(&mut fleet);
-            let scenario = collect_rib(&mut fleet);
-            let changed: Arc<Vec<NodeId>> = Arc::new(fleet[0].model.topology.nodes().collect());
             on_all(&mut fleet, || Command::DpPatch {
-                rib: scenario.clone(),
-                changed: changed.clone(),
+                stage: PatchStage::Reconverged,
                 failed_ports: failed.clone(),
             });
             on_all(&mut fleet, || Command::DpCompile);
@@ -1750,9 +1850,8 @@ mod tests {
             let dpdg = s2_shard::dpdg::Dpdg::build_with_deps(&all, &aggregates, &deps);
             let components = s2_shard::impact::Components::of(&dpdg);
             let index = crate::scope::ScopeIndex::build(&model, &base);
-            let routed: BTreeSet<Prefix> = base.per_node.iter().flatten().map(|r| r.prefix).collect();
+            let routed: BTreeSet<Prefix> = base.per_node.iter().flat_map(|row| row.iter()).map(|r| r.prefix).collect();
             let sources: Vec<NodeId> = model.topology.nodes().collect();
-            let changed: Arc<Vec<NodeId>> = Arc::new(sources.clone());
             let links = model.topology.links();
             let mut overlapped = false;
             for (i, first) in links.iter().enumerate() {
@@ -1764,15 +1863,13 @@ mod tests {
                         failed: failed.clone(),
                     });
                     converge_bgp(&mut fleet);
-                    let rib = collect_rib(&mut fleet);
                     let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
                     for reply in on_all(&mut fleet, || Command::DpPatch {
-                        rib: rib.clone(),
-                        changed: changed.clone(),
+                        stage: PatchStage::Reconverged,
                         failed_ports: failed.clone(),
                     }) {
-                        let Reply::ChangedDst(entries) = reply else { panic!("expected ChangedDst") };
-                        for (n, ps) in entries {
+                        let Reply::ChangedDst { dst, .. } = reply else { panic!("expected ChangedDst") };
+                        for (n, ps) in dst {
                             changed_dst.entry(n).or_default().extend(ps);
                         }
                     }

@@ -27,7 +27,7 @@ use s2_runtime::admin::{
 };
 use s2_runtime::remote::{Register, Setup};
 use s2_runtime::wire::{Message, PacketRef};
-use s2_runtime::worker::{Command, Reply};
+use s2_runtime::worker::{Command, PatchStage, Reply};
 use s2_runtime::{TrafficSnapshot, WireError};
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ fn rib_route() -> RibRoute {
 fn rib() -> RibSnapshot {
     RibSnapshot {
         per_node: vec![
-            vec![
+            Arc::from([
                 rib_route(),
                 RibRoute {
                     prefix: pfx("192.168.7.1/32"),
@@ -57,8 +57,8 @@ fn rib() -> RibSnapshot {
                     is_local: true,
                     as_path_len: 0,
                 },
-            ],
-            vec![],
+            ]),
+            Arc::from([]),
         ],
     }
 }
@@ -314,14 +314,6 @@ pub fn commands() -> Vec<(Command, &'static str)> {
         // `retired_commands`; today's form is the last vector below.
         (Command::ScenarioRollback, "18"),
         (
-            Command::DpPatch {
-                rib: Arc::new(rib()),
-                changed: Arc::new(vec![NodeId(1), NodeId(0)]),
-                failed_ports: Arc::new(vec![(NodeId(1), InterfaceId(4))]),
-            },
-            "1900000002000000020a00000008030002000100040000000003c0a807012000000001000000000000000000000002000000010000000000000001000000010004",
-        ),
-        (
             Command::DpScope {
                 scopes: Arc::new(vec![(NodeId(0), vec![pfx("10.0.0.0/24")]), (NodeId(7), vec![])]),
             },
@@ -375,6 +367,23 @@ pub fn commands() -> Vec<(Command, &'static str)> {
                 failed: Arc::new(vec![(NodeId(4), InterfaceId(1)), (NodeId(9), InterfaceId(0))]),
             },
             "1700000002000000040001000000090000",
+        ),
+        // `DpPatch` naming its stage (tag 30); the form carrying the
+        // scenario RIB and changed nodes (tag 25) is in
+        // `retired_commands`.
+        (
+            Command::DpPatch {
+                stage: PatchStage::Reconverged,
+                failed_ports: Arc::new(vec![(NodeId(1), InterfaceId(4))]),
+            },
+            "1e0100000001000000010004",
+        ),
+        (
+            Command::DpPatch {
+                stage: PatchStage::Transient,
+                failed_ports: Arc::new(vec![]),
+            },
+            "1e0000000000",
         ),
     ]
 }
@@ -438,10 +447,6 @@ pub fn replies() -> Vec<(Reply, &'static str)> {
         (Reply::Violation("bad phase".to_string()), "0d00000009626164207068617365"),
         (Reply::Metrics(snapshot()), "0e000000947b0a202022736368656d61223a202273322d6d6574726963732f7631222c0a202022636f756e74657273223a207b0a20202020226264642e756e697175652e68697473223a2034320a20207d2c0a202022676175676573223a207b0a20202020226d656d2e7065616b5f6279746573223a20313034383537360a20207d2c0a202022686973746f6772616d73223a207b7d0a7d0a"),
         (
-            Reply::ChangedDst(vec![(NodeId(2), vec![pfx("10.0.0.0/24")]), (NodeId(5), vec![])]),
-            "0f0000000200000002000000010a000000180000000500000000",
-        ),
-        (
             Reply::TraceEvents {
                 now_ns: 123_456_789,
                 names: vec!["dpv.verdict".to_string(), "cp.round".to_string()],
@@ -459,7 +464,6 @@ pub fn replies() -> Vec<(Reply, &'static str)> {
         ),
         // The samples of the per-file truncation loops this suite replaced.
         (Reply::Rib(vec![(NodeId(4), vec![rib_route()])]), "030000000100000004000000010a00000008030002000100040000000003"),
-        (Reply::ChangedDst(vec![(NodeId(3), vec![pfx("10.1.0.0/16")])]), "0f0000000100000003000000010a01000010"),
         (
             Reply::TraceEvents {
                 now_ns: 7,
@@ -502,6 +506,22 @@ pub fn replies() -> Vec<(Reply, &'static str)> {
                 in_flight: 3,
             },
             "0c000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e0000000000000003",
+        ),
+        // `ChangedDst` returning the patched rows (tag 17); the form
+        // with changed prefixes alone (tag 15) is in `retired_replies`.
+        (
+            Reply::ChangedDst {
+                dst: vec![(NodeId(2), vec![pfx("10.0.0.0/24")])],
+                rows: vec![(NodeId(2), Arc::from([rib_route()]))],
+            },
+            "110000000100000002000000010a000000180000000100000002000000010a00000008030002000100040000000003",
+        ),
+        (
+            Reply::ChangedDst {
+                dst: vec![],
+                rows: vec![],
+            },
+            "110000000000000000",
         ),
     ]
 }
@@ -686,19 +706,27 @@ pub fn retired_messages() -> Vec<(&'static str, WireError)> {
 /// `MemReport` (tag 15), replaced by the `Metrics` barrier, fails on its
 /// tag; `ScenarioBegin` with a `restore` flag (`false`, then `true`),
 /// from before every begin restored, decodes as today's `ScenarioBegin`
-/// with the flag's byte left over.
+/// with the flag's byte left over; `DpPatch` carrying the scenario RIB
+/// and its changed nodes (tag 25), from before the workers patched
+/// their own rows, fails on its tag.
 pub fn retired_commands() -> Vec<(&'static str, WireError)> {
     vec![
         ("0f", WireError::BadTag(15)),
         ("170000000200000004000100000009000000", WireError::BadValue("trailing bytes")),
         ("170000000001", WireError::BadValue("trailing bytes")),
+        (
+            "1900000002000000020a00000008030002000100040000000003c0a807012000000001000000000000000000000002000000010000000000000001000000010004",
+            WireError::BadTag(25),
+        ),
     ]
 }
 
 /// Retired replies and the error each must be rejected with: `Mem`
 /// (tag 9), the answer to `MemReport`, fails on its tag; `Net` with 16
 /// traffic counters (before `send_drops` and `backpressure_stalls` were
-/// dropped) decodes as today's `Net` with 16 bytes left over.
+/// dropped) decodes as today's `Net` with 16 bytes left over;
+/// `ChangedDst` with changed prefixes alone (tag 15), the answer to the
+/// retired `DpPatch`, fails on its tag.
 pub fn retired_replies() -> Vec<(&'static str, WireError)> {
     vec![
         (
@@ -709,6 +737,8 @@ pub fn retired_replies() -> Vec<(&'static str, WireError)> {
             "0c000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000003",
             WireError::BadValue("trailing bytes"),
         ),
+        ("0f0000000200000002000000010a000000180000000500000000", WireError::BadTag(15)),
+        ("0f0000000100000003000000010a01000010", WireError::BadTag(15)),
     ]
 }
 

@@ -44,7 +44,7 @@
 //! [`FaultPlan::drop_admin_conn`]: s2_runtime::FaultPlan::drop_admin_conn
 //! [`FaultPlan::corrupt_checkpoint`]: s2_runtime::FaultPlan::corrupt_checkpoint
 
-use crate::delta::{changed_nodes, FenceBudget, ScenarioFail, WarmFleet};
+use crate::delta::{FenceBudget, ScenarioFail, WarmFleet};
 use crate::query::VerificationRequest;
 use crate::sweep::{scenario_ports, LinkKey};
 use crate::verifier::{S2Error, S2Options, S2Verifier};
@@ -58,7 +58,7 @@ use s2_runtime::admin::{
     MAX_ADMIN_FRAME,
 };
 use s2_runtime::tcp;
-use s2_runtime::{CheckpointError, DaemonPhase, DpvRunStats, FaultPlan, FaultState};
+use s2_runtime::{CheckpointError, DaemonPhase, DpvRunStats, FaultPlan, FaultState, PatchStage};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -824,14 +824,15 @@ impl Daemon {
                 fleet.begin(&ports)?;
                 crash(DaemonPhase::Replay)?;
                 ScenarioFail::if_expired(deadline)?;
-                let (rib, changed, _) = fleet.reconverge()?;
+                fleet.reconverge()?;
                 ScenarioFail::if_expired(deadline)?;
                 record_ms("daemon.delta.stage_ms", &stage_sw);
                 crash(DaemonPhase::Dpv)?;
                 let dpv_sw = Stopwatch::start();
-                let dpv = fleet.check(rib.clone(), changed, &ports);
+                let pass = fleet.check(PatchStage::Reconverged, &ports);
                 record_ms("daemon.delta.dpv_ms", &dpv_sw);
-                Ok((rib, dpv?))
+                let pass = pass?;
+                Ok((pass.rib, pass.dpv))
             });
             if let Some(crash) = crashed {
                 return Err(crash);
@@ -935,7 +936,9 @@ impl Daemon {
         self.crash(DaemonPhase::Commit)?;
         let generation = self.committed.generation + 1;
         let committed = install(self, generation);
-        let changed = changed_nodes(&self.committed.rib, &committed.rib).len() as u32;
+        // Warm commits share every unpatched row with the warm
+        // baseline, so this compares the patched rows alone.
+        let changed = self.committed.rib.changed_nodes(&committed.rib).len() as u32;
         let all_clear = committed.all_clear;
         self.committed = committed;
         record_ms("daemon.delta.commit_ms", &commit_sw);

@@ -14,15 +14,17 @@ use crate::verifier::{S2Error, S2Verifier};
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_obs::{Deadline, Stopwatch};
 use s2_routing::RibSnapshot;
-use s2_runtime::{Cluster, ClusterOptions, DpvQuery, DpvRunStats, RuntimeError};
+use s2_runtime::{
+    Cluster, ClusterOptions, DpvQuery, DpvRunStats, PatchStage, RuntimeError, ScenarioPass,
+};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The warm baseline a fleet re-verifies against.
 pub(crate) struct WarmBaseline {
-    /// Converged RIBs, collected through the same path as scenario
-    /// RIBs so diffs are representation-exact.
+    /// Converged RIBs: every scenario RIB is this one with the rows the
+    /// workers patched.
     pub(crate) rib: Arc<RibSnapshot>,
     /// Full baseline DPV outcome (verdict sets, unreachable pairs,
     /// multipath violations).
@@ -66,19 +68,6 @@ fn classify(e: RuntimeError) -> ScenarioFail {
         RuntimeError::NotConverged { .. } => ScenarioFail::Fatal("not-converged".into()),
         other => ScenarioFail::Fatal(format!("runtime-error: {other}")),
     }
-}
-
-/// Nodes whose RIB differs between `baseline` and `scenario` — the
-/// only nodes whose forwarding predicates need recompiling.
-pub(crate) fn changed_nodes(baseline: &RibSnapshot, scenario: &RibSnapshot) -> Vec<NodeId> {
-    baseline
-        .per_node
-        .iter()
-        .zip(scenario.per_node.iter())
-        .enumerate()
-        .filter(|(_, (b, s))| b != s)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
 }
 
 /// Deterministic retry backoff: exponential in the attempt number with
@@ -185,29 +174,24 @@ impl<V: Borrow<S2Verifier>> WarmFleet<V> {
         self.cluster().scenario_begin(ports).map_err(classify)
     }
 
-    /// Step: replay the warm BGP fix point and collect what it
-    /// converged to — the scenario RIB, the nodes whose RIB moved off
-    /// the baseline, and the rounds taken.
-    pub(crate) fn reconverge(
-        &self,
-    ) -> Result<(Arc<RibSnapshot>, Vec<NodeId>, usize), ScenarioFail> {
-        let rounds = self.cluster().run_warm_fixpoint(&self.copts).map_err(classify)?;
-        let rib = Arc::new(self.cluster().collect_full_rib().map_err(classify)?);
-        let changed = changed_nodes(&self.baseline.rib, &rib);
-        Ok((rib, changed, rounds))
+    /// Step: replay the warm BGP fix point; returns the rounds taken.
+    /// What it converged to stays on the workers until [`Self::check`].
+    pub(crate) fn reconverge(&self) -> Result<usize, ScenarioFail> {
+        self.cluster().run_warm_fixpoint(&self.copts).map_err(classify)
     }
 
-    /// Step: re-check the data plane under `rib` with `ports` masked,
-    /// recompiling only the `changed` nodes' predicates and
-    /// re-verifying only the destination space they perturb.
+    /// Step: re-check the data plane at `stage` with `ports` masked:
+    /// the transient stage under the baseline rows, the reconverged one
+    /// recompiling only the rows that moved off the baseline. Either
+    /// re-verifies only the destination space the stage perturbs, and
+    /// returns the stage's RIB with its outcome.
     pub(crate) fn check(
         &self,
-        rib: Arc<RibSnapshot>,
-        changed: Vec<NodeId>,
+        stage: PatchStage,
         ports: &[(NodeId, InterfaceId)],
-    ) -> Result<DpvRunStats, ScenarioFail> {
+    ) -> Result<ScenarioPass, ScenarioFail> {
         self.cluster()
-            .run_scenario_dpv(rib, changed, ports.to_vec(), &self.query)
+            .run_scenario_dpv(stage, ports.to_vec(), &self.query)
             .map_err(classify)
     }
 
@@ -304,8 +288,7 @@ fn build_baseline(
             cluster.scenario_rollback()?;
             cluster.run_ospf(copts)?;
             let plan = cluster.plan_shards(1, verifier.opts.shard_seed)?;
-            cluster.run_control_plane(&plan, copts)?;
-            let rib = Arc::new(cluster.collect_full_rib()?);
+            let rib = Arc::new(cluster.run_control_plane(&plan, copts)?.0);
             let dpv = cluster.run_dpv(rib.clone(), query, copts)?;
             if dpv.recoveries > 0 {
                 // A worker died inside DPV: its replay restored the

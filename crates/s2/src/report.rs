@@ -3,12 +3,14 @@
 use s2_partition::Partition;
 use s2_routing::{RibSnapshot, SessionDiagnostic};
 use s2_runtime::{CpRunStats, DpvRunStats, RunMetrics};
+use std::sync::Arc;
 
 /// Everything a verification run produced.
 #[derive(Debug)]
 pub struct S2Report {
-    /// The converged RIBs of every node.
-    pub rib: RibSnapshot,
+    /// The converged RIBs of every node (the snapshot the data plane
+    /// was verified against).
+    pub rib: Arc<RibSnapshot>,
     /// The partition used.
     pub partition: Partition,
     /// Control-plane phase statistics (rounds, shards, per-worker peaks,

@@ -23,7 +23,7 @@ use crate::sweep::tests::fattree_request;
 use crate::sweep::{enumerate_failure_sets, scenario_ports, LinkKey};
 use crate::verifier::{S2Options, S2Verifier};
 use s2_routing::{NetworkModel, RibSnapshot};
-use s2_runtime::DpvRunStats;
+use s2_runtime::{DpvRunStats, PatchStage};
 use s2_shard::impact::link_key;
 use s2_topogen::fattree::{generate, FatTree, FatTreeParams};
 use std::sync::Arc;
@@ -43,10 +43,10 @@ fn warm_fleet(model: NetworkModel, workers: u32, request: &VerificationRequest) 
 fn warm_scenario(fleet: &WarmFleet, links: &[LinkKey]) -> (Arc<RibSnapshot>, DpvRunStats) {
     let ports = scenario_ports(links);
     fleet.begin(&ports).unwrap();
-    let (rib, changed, _) = fleet.reconverge().unwrap();
-    let stats = fleet.check(rib.clone(), changed, &ports).unwrap();
+    fleet.reconverge().unwrap();
+    let pass = fleet.check(PatchStage::Reconverged, &ports).unwrap();
     fleet.restore_baseline().unwrap();
-    (rib, stats)
+    (pass.rib, pass.dpv)
 }
 
 /// Cold oracle: a full-space DPV of `rib` on a fleet with no scenario

@@ -32,7 +32,7 @@ use s2_dataplane::{verdict_delta, PacketSpace};
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_obs::json::{parse_json, push_f64, push_str, Json};
 use s2_obs::Stopwatch;
-use s2_runtime::DpvRunStats;
+use s2_runtime::{DpvRunStats, PatchStage};
 use s2_shard::dpdg::Dpdg;
 use s2_shard::impact::{link_key, scenario_impact, LinkUsage};
 pub use s2_shard::impact::LinkKey;
@@ -636,11 +636,11 @@ fn run_scenario(
         let sw = Stopwatch::start();
         let baseline = fleet.baseline();
         fleet.begin(ports)?;
-        let transient = fleet.check(baseline.rib.clone(), Vec::new(), ports)?;
+        let transient = fleet.check(PatchStage::Transient, ports)?.dpv;
         ScenarioFail::if_expired(deadline)?;
-        let (rib, changed, warm_rounds) = fleet.reconverge()?;
+        let warm_rounds = fleet.reconverge()?;
         ScenarioFail::if_expired(deadline)?;
-        let reconverged = fleet.check(rib, changed, ports)?;
+        let reconverged = fleet.check(PatchStage::Reconverged, ports)?.dpv;
         ScenarioFail::if_expired(deadline)?;
         let verdict = ScenarioVerdict {
             warm_rounds,

@@ -238,13 +238,11 @@ impl S2Verifier {
     pub fn verify(&self, request: &VerificationRequest) -> Result<S2Report, S2Error> {
         let _span = s2_obs::span!("verify");
         let (rib, cp, shards) = self.simulate()?;
+        // One RIB, shared by the workers' data plane and the report.
+        let rib = Arc::new(rib);
         let dpv = {
             let _dpv_span = s2_obs::span!("verify.dpv");
-            self.cluster.run_dpv(
-                Arc::new(rib.clone()),
-                &request.dpv_query(),
-                &self.cluster_opts(),
-            )?
+            self.cluster.run_dpv(rib.clone(), &request.dpv_query(), &self.cluster_opts())?
         };
         // Collected immediately after the data-plane phase, so the
         // aggregate BDD counters equal the DpvRunStats cache stats.
@@ -336,7 +334,7 @@ mod tests {
         let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
         let request = fattree_request(&ft);
 
-        let mut reference: Option<RibSnapshot> = None;
+        let mut reference: Option<Arc<RibSnapshot>> = None;
         for (workers, scheme, shards) in [
             (1, Scheme::Metis, 1),
             (2, Scheme::Random { seed: 3 }, 2),

@@ -76,7 +76,7 @@ fn rib_payload(report: &S2Report) -> Vec<u8> {
         .per_node
         .iter()
         .enumerate()
-        .map(|(n, routes)| (NodeId(n as u32), routes.clone()))
+        .map(|(n, routes)| (NodeId(n as u32), routes.to_vec()))
         .collect();
     Reply::Rib(rows).to_bytes().to_vec()
 }

@@ -45,7 +45,7 @@ impl LinkUsage {
         let mut by_port: BTreeMap<(NodeId, InterfaceId), BTreeSet<Prefix>> = BTreeMap::new();
         for (n, routes) in rib.per_node.iter().enumerate() {
             let node = NodeId(n as u32);
-            for r in routes {
+            for r in routes.iter() {
                 for &e in &r.egress {
                     by_port.entry((node, e)).or_default().insert(r.prefix);
                 }
@@ -191,7 +191,7 @@ mod tests {
     /// the 1—2 link carries nothing.
     fn usage() -> LinkUsage {
         LinkUsage::from_baseline(&RibSnapshot {
-            per_node: vec![vec![route("10.0.0.0/24", &[0])], vec![], vec![]],
+            per_node: [vec![route("10.0.0.0/24", &[0])], vec![], vec![]].map(Into::into).into(),
         })
     }
 

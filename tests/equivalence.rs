@@ -94,7 +94,7 @@ fn route_counts_match_the_quadratic_growth() {
         let bgp_routes: usize = rib
             .per_node
             .iter()
-            .flatten()
+            .flat_map(|row| row.iter())
             .filter(|r| r.protocol == s2_net::policy::Protocol::Bgp)
             .count();
         assert_eq!(bgp_routes, nodes * prefixes, "k={k}");
