@@ -3,9 +3,14 @@
 //! serialization (every cross-worker packet pays this), LPM trie
 //! lookups, route-map evaluation, best-path selection and the BGP
 //! fix point (FatTree k=8, and k=16 over three shards), graph
-//! partitioning, the data plane's predicate compile and the two fixed
+//! partitioning, the data plane's predicate compile, the two fixed
 //! steps of a warm sweep scenario (scoping its changed destinations,
-//! restoring the checkpoint).
+//! restoring the checkpoint) and a daemon link-down on top of committed
+//! ones.
+//!
+//! `cargo bench -p bench --bench micro -- NAME` runs only the bodies
+//! whose `group/label` contains `NAME`; a group none of whose bodies
+//! match skips its set-up too.
 //!
 //! These quantify the constants behind the distributed design's
 //! trade-offs: e.g. one serialized route costs ~100ns while a local
@@ -50,6 +55,10 @@ fn dcn_spine() -> s2_routing::SwitchModel {
 fn bench_wire(c: &mut Criterion) {
     use std::sync::Arc;
 
+    let labels = ["encode_64_routes", "decode_64_routes", "decode_class_body", "crc32_1500"];
+    if !c.any_selected("micro_wire", &labels) {
+        return;
+    }
     let mut g = c.benchmark_group("micro_wire");
     let routes: Vec<BgpRoute> = (0..64).map(sample_route).collect();
     g.bench_function("encode_64_routes", |b| {
@@ -91,6 +100,10 @@ fn bench_wire(c: &mut Criterion) {
 }
 
 fn bench_bdd_serialize(c: &mut Criterion) {
+    let labels = ["serialize_packet_set", "reencode_packet_set", "and_packet_sets"];
+    if !c.any_selected("micro_bdd", &labels) {
+        return;
+    }
     let mut g = c.benchmark_group("micro_bdd");
     // A realistic symbolic packet: union of 32 /24 destination prefixes.
     let mut m = BddManager::new(104);
@@ -118,6 +131,9 @@ fn bench_bdd_serialize(c: &mut Criterion) {
 }
 
 fn bench_trie(c: &mut Criterion) {
+    if !c.any_selected("micro_trie", &["lpm_lookup_1k_entries"]) {
+        return;
+    }
     let mut g = c.benchmark_group("micro_trie");
     let trie: PrefixTrie<u32> = (0..1024u32)
         .map(|i| (Prefix::new(Ipv4Addr(0x0a000000 | (i << 8)), 24), i))
@@ -133,6 +149,17 @@ fn bench_bgp(c: &mut Criterion) {
     use s2_routing::{converge_bgp, converge_ospf, NetworkModel, SwitchModel, DEFAULT_MAX_ROUNDS};
     use std::sync::Arc;
 
+    let labels = [
+        "select_multipath_16",
+        "converge_fattree8",
+        "converge_fattree16_3shards",
+        "receive_body",
+        "decide_dirty",
+        "export_class",
+    ];
+    if !c.any_selected("micro_bgp", &labels) {
+        return;
+    }
     let mut g = c.benchmark_group("micro_bgp");
     let candidates: Vec<Candidate> = (0..16)
         .map(|i| Candidate {
@@ -212,6 +239,9 @@ fn bench_bgp(c: &mut Criterion) {
 }
 
 fn bench_partition(c: &mut Criterion) {
+    if !c.any_selected("micro_partition", &["greedy_kl_fattree10_8way"]) {
+        return;
+    }
     let mut g = c.benchmark_group("micro_partition");
     g.sample_size(10);
     let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(10));
@@ -237,6 +267,9 @@ fn bench_dpv(c: &mut Criterion) {
     use s2_routing::NetworkModel;
     use s2_topogen::{dcn, fattree};
 
+    if !c.any_selected("micro_dpv", &["compile_preds/fattree16", "compile_preds/dcn_8_16_4"]) {
+        return;
+    }
     let mut g = c.benchmark_group("micro_dpv");
     g.sample_size(10);
     // The converged FIBs of every other node — one of two workers' share —
@@ -269,6 +302,13 @@ fn bench_merge_ablation(c: &mut Criterion) {
     use s2_dataplane::{forward, Fib, ForwardOptions, NodePredicates, PacketSpace};
     use s2_routing::NetworkModel;
 
+    let ablations = [
+        ("ablation_fragment_merging", ["merged", "unmerged"]),
+        ("ablation_ingress_class_merge", ["by_class", "by_port"]),
+    ];
+    if !ablations.iter().any(|(group, labels)| c.any_selected(group, labels)) {
+        return;
+    }
     let mut g = c.benchmark_group("ablation_fragment_merging");
     g.sample_size(10);
     // All-pair injection over the DCN-like dense fabric is where merging
@@ -397,6 +437,11 @@ fn bench_sweep(c: &mut Criterion) {
         out
     }
 
+    let labels =
+        ["scope_index", "scope_sources", "scenario_rib/collect", "scenario_rib/patch", "restore"];
+    if !c.any_selected("micro_sweep", &labels) {
+        return;
+    }
     let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(12));
     let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
     let nodes = model.topology.node_count();
@@ -414,7 +459,7 @@ fn bench_sweep(c: &mut Criterion) {
     for link in links.iter().step_by(links.len() / 4).take(4) {
         let failed = [link.a, link.b];
         let mut engine = checkpoint.clone();
-        engine.fail_ports(&model, &failed);
+        engine.set_failed_ports(&model, &failed);
         converge(&mut engine);
         changed.push(changed_dst(&base, &rib(&engine, nodes), &failed));
         scenarios.push(engine);
@@ -454,6 +499,50 @@ fn bench_sweep(c: &mut Criterion) {
     g.finish();
 }
 
+/// One daemon link-down on FatTree k=12 over two workers, on top of no
+/// committed link-down (`link_down_depth/1`) and on top of two
+/// (`link_down_depth/3`): the same edge-aggregation link each time, after
+/// one flap of it, so the two differ only in what is already committed.
+fn bench_daemon(c: &mut Criterion) {
+    use s2::{Daemon, DaemonConfig, S2Options, VerificationRequest};
+    use s2_runtime::admin::{AdminResponse, DeltaSpec};
+    use s2_topogen::fattree::{generate, FatTree, FatTreeParams};
+
+    if !c.any_selected("micro_daemon", &["link_down_depth/1", "link_down_depth/3"]) {
+        return;
+    }
+    let k = 12;
+    let ft = generate(FatTreeParams::new(k));
+    let endpoints = (0..k)
+        .flat_map(|p| (0..k / 2).map(move |e| (p, e)))
+        .map(|(p, e)| (ft.edge(p, e), vec![FatTree::server_prefix(p, e)]))
+        .collect();
+    let space = "10.0.0.0/8".parse().unwrap();
+    let request = VerificationRequest::all_pair_reachability(endpoints, space);
+    let mut cfg = DaemonConfig::new(ft.topology.clone(), ft.configs.clone(), request);
+    cfg.opts = S2Options { workers: 2, shards: 1, intra_worker_threads: 1, ..Default::default() };
+    let down = |a: &str, b: &str| DeltaSpec::LinkDown { a: a.into(), b: b.into() };
+    let link = down("pod0-edge0", "pod0-agg0");
+    let flap = [link.clone(), DeltaSpec::LinkUp { a: "pod0-edge0".into(), b: "pod0-agg0".into() }];
+    let below = [down("pod3-agg2", "core13"), down("pod7-edge4", "pod7-agg5")];
+
+    let mut g = c.benchmark_group("micro_daemon");
+    for depth in [1, 3] {
+        let mut daemon = Daemon::open(cfg.clone()).unwrap();
+        for delta in flap.iter().chain(&below[..depth - 1]) {
+            daemon.apply(delta).unwrap();
+        }
+        g.bench_function(BenchmarkId::new("link_down_depth", depth), |b| {
+            b.iter(|| {
+                let committed = daemon.apply(&link).unwrap();
+                assert!(matches!(committed, AdminResponse::Committed { escalated: false, .. }));
+            })
+        });
+        daemon.shutdown();
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_wire,
@@ -463,6 +552,7 @@ criterion_group!(
     bench_partition,
     bench_dpv,
     bench_merge_ablation,
-    bench_sweep
+    bench_sweep,
+    bench_daemon
 );
 criterion_main!(benches);

@@ -12,7 +12,7 @@
 //! * [`FinalKind::Loop`] — TTL exhausted.
 
 use crate::packetspace::PacketSpace;
-use crate::predicates::NodePredicates;
+use crate::predicates::{NodePredicates, Overlay};
 use s2_bdd::{Bdd, BddManager};
 use s2_net::topology::{InterfaceId, NodeId, Topology};
 use std::collections::BTreeMap;
@@ -245,6 +245,33 @@ pub fn step_into(
                     });
                 }
             }
+        }
+    }
+}
+
+/// [`step_into`] at a node that may carry an [`Overlay`]: the part of
+/// the fragment inside the overlay's region steps with the overlay's
+/// predicates and the rest with `preds`. Neither predicate set is
+/// materialized over the other; only the fragment is split.
+#[allow(clippy::too_many_arguments)]
+pub fn step_overlaid_into(
+    topology: &Topology,
+    preds: &NodePredicates,
+    overlay: Option<&Overlay>,
+    space: &PacketSpace,
+    manager: &mut BddManager,
+    pkt: SymbolicPacket,
+    opts: &ForwardOptions,
+    out: &mut StepOutput,
+) {
+    let Some(overlay) = overlay else {
+        return step_into(topology, preds, space, manager, pkt, opts, out);
+    };
+    let inside = manager.and(pkt.set, overlay.region);
+    let outside = manager.diff(pkt.set, overlay.region);
+    for (preds, set) in [(&overlay.preds, inside), (preds, outside)] {
+        if !set.is_false() {
+            step_into(topology, preds, space, manager, SymbolicPacket { set, ..pkt }, opts, out);
         }
     }
 }

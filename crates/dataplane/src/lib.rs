@@ -24,11 +24,12 @@ pub mod properties;
 
 pub use fib::{Fib, FibEntry};
 pub use forward::{
-    forward, merge_packet, packet_key, step, step_into, FinalKind, FinalPacket, ForwardOptions,
-    ForwardResult, PacketKey, StepOutput, SymbolicPacket, TraceStep, DEFAULT_MAX_HOPS,
+    forward, merge_packet, packet_key, step, step_into, step_overlaid_into, FinalKind,
+    FinalPacket, ForwardOptions, ForwardResult, PacketKey, StepOutput, SymbolicPacket, TraceStep,
+    DEFAULT_MAX_HOPS,
 };
 pub use packetspace::PacketSpace;
-pub use predicates::NodePredicates;
+pub use predicates::{NodePredicates, Overlay};
 pub use properties::{
     arrivals, judge_pair, kind_unions, multipath_inconsistent, verdict_delta, PairVerdict,
     VerdictDelta,

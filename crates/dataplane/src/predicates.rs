@@ -129,6 +129,22 @@ impl NodePredicates {
     }
 }
 
+/// A node's forwarding where its routes left the row its
+/// [`NodePredicates`] were compiled from. `preds` decide the packets
+/// whose destination lies in `region`, the destinations of the prefixes
+/// whose routes differ, and may be compiled from only the routes that
+/// overlap it: every route matching such a destination overlaps the
+/// region, so longest-prefix match inside it is the full row's. Outside
+/// the region no covering prefix changed, so the node's own predicates
+/// still hold there ([`crate::forward::step_overlaid_into`]).
+#[derive(Debug, Clone)]
+pub struct Overlay {
+    /// The destinations whose forwarding `preds` decide.
+    pub region: Bdd,
+    /// The node's predicates inside `region`.
+    pub preds: NodePredicates,
+}
+
 /// Forwarding class of discard routes and of addresses with no route.
 const DROP: u32 = 0;
 /// Forwarding class of local delivery.

@@ -471,7 +471,7 @@ pub(crate) mod tests {
             let node = NodeId(0);
             let ports: Vec<_> =
                 model.topology.neighbors(node).iter().map(|(i, _, _)| (node, *i)).collect();
-            engine.fail_ports(model, &ports);
+            engine.set_failed_ports(model, &ports);
             reference[0].set_failed_interfaces(model, ports.iter().map(|p| p.1));
             ORACLE_DEPS.with(|all| all.borrow_mut().iter_mut().for_each(BTreeSet::clear));
             lockstep(&mut engine, &mut reference, shards[2]);

@@ -171,16 +171,22 @@ impl BgpRounds {
         self.rib_moved.fill(false);
     }
 
-    /// Makes `ports` the failed interfaces of each hosted switch they
-    /// name (replacing its failure set). Its sessions on them now export
-    /// empty bodies, so it exports next.
-    pub fn fail_ports(&mut self, model: &NetworkModel, ports: &[(NodeId, InterfaceId)]) {
-        let mut by_node: BTreeMap<NodeId, Vec<InterfaceId>> = BTreeMap::new();
+    /// Makes `ports` the exact failure sets of the hosted switches: a
+    /// switch gets the interfaces `ports` names for it, and a switch it
+    /// does not name gets none. Only a switch whose set changes is
+    /// touched: its sessions on a failed interface now export empty
+    /// bodies and those on a repaired one full ones, so it exports next.
+    pub fn set_failed_ports(&mut self, model: &NetworkModel, ports: &[(NodeId, InterfaceId)]) {
+        let mut by_node: BTreeMap<NodeId, BTreeSet<InterfaceId>> = BTreeMap::new();
         for &(node, iface) in ports {
-            by_node.entry(node).or_default().push(iface);
+            by_node.entry(node).or_default().insert(iface);
         }
-        for (node, ifaces) in by_node {
-            if let Some(i) = self.slot(node) {
+        let none = BTreeSet::new();
+        for i in 0..self.switches.len() {
+            let wanted = by_node.get(&self.switches[i].node).unwrap_or(&none);
+            let failed = self.switches[i].failed_interfaces();
+            if failed.len() != wanted.len() || !wanted.iter().all(|i| failed.contains(i)) {
+                let ifaces = wanted.iter().copied();
                 Arc::make_mut(&mut self.switches[i]).set_failed_interfaces(model, ifaces);
                 self.export_dirty[i] = true;
                 self.rib_moved[i] = true;

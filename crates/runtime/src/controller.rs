@@ -436,10 +436,11 @@ pub struct Cluster {
     /// control sockets through per-worker proxy threads). Remote workers
     /// cannot be respawned, so recovery is unsupported.
     remote: bool,
-    /// The warm baseline scenario passes patch and scope against: the
-    /// checkpointed RIB, its reverse forwarding graph, indexed by
-    /// prefix, and the components of the prefix dependency graph
-    /// (changed-set closure), indexed by prefix. `None` until
+    /// The baseline scenario passes patch and scope against: the
+    /// checkpointed RIB (the warm-up one, then each committed
+    /// scenario's), its reverse forwarding graph, indexed by prefix, and
+    /// the components of the prefix dependency graph (changed-set
+    /// closure), indexed by prefix. `None` until
     /// [`Cluster::scenario_checkpoint`] stores one; a scenario pass
     /// before it is a protocol violation.
     scenario_base: Mutex<Option<ScenarioBase>>,
@@ -1630,8 +1631,9 @@ impl Cluster {
     ///
     /// `rib` is the warm baseline RIB the DPV pass ran against: a
     /// scenario RIB is it with the workers' patched rows, and its
-    /// reverse forwarding graph, indexed once here, decides which
-    /// sources a changed destination set can perturb.
+    /// reverse forwarding graph, indexed here (and patched by each
+    /// [`Cluster::scenario_commit`]), decides which sources a changed
+    /// destination set can perturb.
     pub fn scenario_checkpoint(&self, rib: &Arc<RibSnapshot>) -> Result<(), RuntimeError> {
         let (prefixes, aggregates, deps) = self.collect_prefixes()?;
         let dpdg = s2_shard::dpdg::Dpdg::build_with_deps(&prefixes, &aggregates, &deps);
@@ -1644,8 +1646,10 @@ impl Cluster {
         Ok(())
     }
 
-    /// Restores the checkpoint on every worker and marks the given
-    /// `(node, interface)` ports as failed in the routing model. Follow
+    /// Restores the checkpoint on every worker and makes the given
+    /// `(node, interface)` ports, with the model-level failures of the
+    /// fault plan, the exact failed ports of the routing model: a port
+    /// failed at the checkpoint and not named here is repaired. Follow
     /// with [`Cluster::run_warm_fixpoint`] to re-converge incrementally.
     pub fn scenario_begin(&self, failed: &[(NodeId, InterfaceId)]) -> Result<(), RuntimeError> {
         let failed = Arc::new(failed.to_vec());
@@ -1654,13 +1658,36 @@ impl Cluster {
         })?)
     }
 
-    /// Restores the checkpoint and clears all scenario forwarding state
-    /// (predicate overlays, failed-port masks, in-flight packets),
-    /// returning the workers to the warm baseline. On a worker without
-    /// a checkpoint (freshly respawned mid-sweep) only the overlays are
-    /// cleared — its switches are already healthy.
+    /// Restores the checkpoint and clears the current pass's forwarding
+    /// state (patched rows and their overlays, the pass's failed-port
+    /// mask, in-flight packets), returning the workers to the committed
+    /// state. On a worker without a checkpoint (freshly respawned
+    /// mid-sweep) only the pass's state is cleared.
     pub fn scenario_rollback(&self) -> Result<(), RuntimeError> {
         Self::expect_ok(self.barrier("scenario-rollback", || Command::ScenarioRollback)?)
+    }
+
+    /// Commits the scenario the fleet just verified, whose RIB is `rib`
+    /// (a [`ScenarioPass::rib`]): every worker re-checkpoints its control
+    /// plane and promotes the pass's rows, overlays, mask and spliced
+    /// verdicts (see [`Command::ScenarioCommit`]), and the controller's
+    /// baseline becomes `rib`, its scope index patched by the rows that
+    /// changed. The next scenario then replays only what differs from
+    /// this one. Neither the prefix dependency graph, which links do not
+    /// change, nor the index is rebuilt.
+    pub fn scenario_commit(&self, rib: &Arc<RibSnapshot>) -> Result<(), RuntimeError> {
+        let _span = s2_obs::span!("scenario.commit");
+        Self::expect_ok(self.barrier("scenario-commit", || Command::ScenarioCommit)?)?;
+        let mut base = lock(&self.scenario_base);
+        let Some(b) = base.as_mut() else {
+            return Err(RuntimeError::ProtocolViolation {
+                expected: "a scenario checkpoint",
+                got: "a scenario commit before it".to_string(),
+            });
+        };
+        b.index.patch(&self.model, &b.rib, rib);
+        b.rib = rib.clone();
+        Ok(())
     }
 
     /// Fences the fabric between scenarios: bumps the epoch (frames in
@@ -1793,8 +1820,8 @@ impl Cluster {
         if fraction >= 1.0 {
             // The whole destination space is perturbed: scoping would
             // re-verify everything anyway, so skip the splice machinery
-            // (`DpPatch` already cleared the workers' scopes) and
-            // compile the staged overlays whole.
+            // (`DpPatch` already cleared the workers' scopes; its
+            // overlays are exact over the whole space).
             metrics.counter("dpv.scoped.fallback_full").inc();
             stats.scoped = Some(DpvScopedStats {
                 changed_prefixes: all_changed.len(),
@@ -1802,7 +1829,6 @@ impl Cluster {
                 fallback_full: true,
                 ..DpvScopedStats::default()
             });
-            Self::expect_ok(self.barrier("dp-compile", || Command::DpCompile)?)?;
             self.dpv_drive(&mut stats, query, None)?;
             return Ok(ScenarioPass { dpv: stats, rib });
         }
@@ -2390,6 +2416,68 @@ mod tests {
                         cluster.scenario_rollback().unwrap();
                     }
                 }
+                cluster.shutdown();
+            }
+        }
+    }
+
+    /// Stacked scenarios, each committed on top of the last (a non-LIFO
+    /// sequence reaching three failed links), on FatTree k=4 and a small
+    /// DCN over one and two workers: after every commit the scope index
+    /// the controller patched equals one built from the committed RIB,
+    /// and that RIB equals a whole-RIB collection of the fleet.
+    #[test]
+    fn committed_scope_index_equals_a_rebuild() {
+        let fattree = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(4));
+        let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(2, 4, 2));
+        let opts = ClusterOptions::default();
+        for (topology, configs) in [(fattree.topology, fattree.configs), (dcn.topology, dcn.configs)] {
+            let model = Arc::new(NetworkModel::build(topology, configs).unwrap());
+            let nodes = model.topology.node_count();
+            let query = reach_t0_prefix(model.topology.nodes().collect());
+            let links = model.topology.links();
+            let pick = |i: usize| links[i * links.len() / 4];
+            let (a, b, c, d) = (pick(0), pick(1), pick(2), pick(3));
+            let steps = [
+                (a, true),
+                (b, true),
+                (c, true),
+                (b, false),
+                (d, true),
+                (a, false),
+                (c, false),
+                (d, false),
+            ];
+            for workers in [1, 2] {
+                let owners = (0..nodes as u32).map(|n| n % workers).collect();
+                let cluster = Cluster::new(model.clone(), owners, workers, None);
+                cluster.run_ospf(&opts).unwrap();
+                let plan = cluster.plan_shards(1, 0).unwrap();
+                let (base, _) = cluster.run_control_plane(&plan, &opts).unwrap();
+                let base = Arc::new(base);
+                cluster.run_dpv(base.clone(), &query, &opts).unwrap();
+                cluster.scenario_checkpoint(&base).unwrap();
+                let mut down = Vec::new();
+                for (link, fail) in steps {
+                    if fail {
+                        down.push(link);
+                    } else {
+                        down.retain(|l| *l != link);
+                    }
+                    let failed: Vec<_> = down.iter().flat_map(|l| [l.a, l.b]).collect();
+                    cluster.scenario_begin(&failed).unwrap();
+                    cluster.run_warm_fixpoint(&opts).unwrap();
+                    let stage = PatchStage::Reconverged;
+                    let pass = cluster.run_scenario_dpv(stage, failed.clone(), &query).unwrap();
+                    cluster.scenario_commit(&pass.rib).unwrap();
+                    let held = lock(&cluster.scenario_base);
+                    let held = held.as_ref().unwrap();
+                    assert!(Arc::ptr_eq(&held.rib, &pass.rib));
+                    assert_eq!(held.index, ScopeIndex::build(&model, &pass.rib), "{down:?}");
+                    assert_eq!(*pass.rib, cluster.collect_full_rib().unwrap(), "{down:?}");
+                }
+                assert!(down.is_empty());
+                assert_eq!(*lock(&cluster.scenario_base).as_ref().unwrap().rib, *base);
                 cluster.shutdown();
             }
         }

@@ -220,7 +220,7 @@ impl Wire for Command {
                 26u8.put(buf);
                 scopes.put(buf);
             }
-            Command::DpCompile => 27u8.put(buf),
+            Command::ScenarioCommit => 31u8.put(buf),
             Command::CtxWrap {
                 epoch,
                 parent,
@@ -287,7 +287,7 @@ impl Wire for Command {
             26 => Command::DpScope {
                 scopes: Wire::take(buf)?,
             },
-            27 => Command::DpCompile,
+            31 => Command::ScenarioCommit,
             T_CTX_WRAP => {
                 let epoch = Wire::take(buf)?;
                 let parent = Wire::take(buf)?;
@@ -796,7 +796,7 @@ mod tests {
             Command::Metrics,
             Command::ScenarioCheckpoint,
             Command::ScenarioRollback,
-            Command::DpCompile,
+            Command::ScenarioCommit,
             Command::TraceDrain,
             Command::Shutdown,
         ] {
@@ -902,7 +902,7 @@ mod tests {
         let ok = Command::CtxWrap {
             epoch: 1,
             parent: 2,
-            inner: Box::new(Command::DpCompile),
+            inner: Box::new(Command::ScenarioCommit),
         };
         assert!(Command::from_bytes(ok.to_bytes()).is_ok());
     }

@@ -2,21 +2,44 @@
 //! destination set can perturb, walked backwards over the baseline
 //! forwarding graph.
 //!
-//! [`ScopeIndex`] is built once per scenario checkpoint, so a scenario
-//! walks only the edges of routes whose prefix overlaps a changed one,
-//! not every route of the baseline RIB.
+//! [`ScopeIndex`] is built once per warm-up checkpoint and patched at
+//! each commit, so a scenario walks only the edges of routes whose
+//! prefix overlaps a changed one, not every route of the baseline RIB.
 
+use crate::worker::changed_prefixes;
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
-use s2_routing::{NetworkModel, RibSnapshot};
+use s2_routing::{NetworkModel, RibRoute, RibSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The baseline forwarding graph reversed, by route prefix: for each
 /// prefix some baseline route carries, one `(peer, node)` edge per
 /// egress of each such route, where `node` forwards into `peer`, sorted.
+#[derive(Debug, PartialEq)]
 pub struct ScopeIndex {
     nodes: usize,
     edges: BTreeMap<Prefix, Vec<(u32, u32)>>,
+}
+
+/// Per local interface of `node`, the peer it faces.
+fn peers(model: &NetworkModel, node: NodeId) -> Vec<Option<u32>> {
+    let mut peer = vec![None; model.topology.interface_count(node) as usize];
+    for &(local, n, _) in model.topology.neighbors(node) {
+        peer[local.0 as usize] = Some(n.0);
+    }
+    peer
+}
+
+/// The reverse edges of `route` at `node`: one `(peer, node)` per egress
+/// facing a peer.
+fn route_edges<'a>(
+    peer: &'a [Option<u32>],
+    node: NodeId,
+    route: &'a RibRoute,
+) -> impl Iterator<Item = (u32, u32)> + 'a {
+    let peers = route.egress.iter().filter_map(|e| peer.get(e.0 as usize).copied().flatten());
+    peers.map(move |n| (n, node.0))
 }
 
 impl ScopeIndex {
@@ -25,18 +48,9 @@ impl ScopeIndex {
         let mut edges: BTreeMap<Prefix, Vec<(u32, u32)>> = BTreeMap::new();
         for (m, routes) in base.per_node.iter().enumerate() {
             let from = NodeId(m as u32);
-            // Per local interface, the peer it faces.
-            let mut peer = vec![None; model.topology.interface_count(from) as usize];
-            for &(local, n, _) in model.topology.neighbors(from) {
-                peer[local.0 as usize] = Some(n.0);
-            }
+            let peer = peers(model, from);
             for r in routes.iter().filter(|r| !r.egress.is_empty()) {
-                let list = edges.entry(r.prefix).or_default();
-                let peers = r
-                    .egress
-                    .iter()
-                    .filter_map(|e| peer.get(e.0 as usize).copied().flatten());
-                list.extend(peers.map(|n| (n, m as u32)));
+                edges.entry(r.prefix).or_default().extend(route_edges(&peer, from, r));
             }
         }
         edges.retain(|_, list| !list.is_empty());
@@ -44,6 +58,44 @@ impl ScopeIndex {
         ScopeIndex {
             nodes: base.per_node.len(),
             edges,
+        }
+    }
+
+    /// Moves the index of `old` to that of `new`, a patch of it: only
+    /// the rows `new` does not share with `old` are diffed, and of each
+    /// changed prefix only the edges its route gained or lost there move.
+    pub fn patch(&mut self, model: &NetworkModel, old: &RibSnapshot, new: &RibSnapshot) {
+        for (m, (was, now)) in old.per_node.iter().zip(&new.per_node).enumerate() {
+            if Arc::ptr_eq(was, now) {
+                continue;
+            }
+            let node = NodeId(m as u32);
+            let peer = peers(model, node);
+            // A row holds one route per prefix, in prefix order.
+            let edges = |row: &[RibRoute], p: Prefix| -> Vec<(u32, u32)> {
+                match row.binary_search_by_key(&p, |r| r.prefix) {
+                    Ok(i) => route_edges(&peer, node, &row[i]).collect(),
+                    Err(_) => Vec::new(),
+                }
+            };
+            for p in changed_prefixes(was, now) {
+                let mut came = edges(now, p);
+                let list = self.edges.entry(p).or_default();
+                for e in edges(was, p) {
+                    if let Some(k) = came.iter().position(|&c| c == e) {
+                        came.swap_remove(k);
+                    } else if let Ok(i) = list.binary_search(&e) {
+                        list.remove(i);
+                    }
+                }
+                for e in came {
+                    let i = list.binary_search(&e).unwrap_or_else(|i| i);
+                    list.insert(i, e);
+                }
+                if list.is_empty() {
+                    self.edges.remove(&p);
+                }
+            }
         }
     }
 

@@ -23,8 +23,8 @@ use s2_bdd::serialize as bdd_io;
 use s2_bdd::splice::Splicer;
 use s2_bdd::BddManager;
 use s2_dataplane::{
-    merge_packet, properties, step_into, Fib, FinalKind, FinalPacket, ForwardOptions,
-    NodePredicates, PacketKey, PacketSpace, StepOutput, SymbolicPacket,
+    merge_packet, properties, step_overlaid_into, Fib, FinalKind, FinalPacket, ForwardOptions,
+    NodePredicates, Overlay, PacketKey, PacketSpace, StepOutput, SymbolicPacket,
 };
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
@@ -120,30 +120,40 @@ pub enum Command {
     /// The snapshot shares every switch with the live state until one
     /// side writes it (see [`BgpRounds`]).
     ScenarioCheckpoint,
-    /// Resilience sweeps: restore the checkpoint, then mark the locally
-    /// hosted `failed` ports as down. The next `BgpExport`/`BgpApply`
-    /// rounds replay the warm state incrementally around the failure.
-    /// The restore costs what the previous scenario touched.
+    /// Scenarios: restore the checkpoint, then make `failed` (with the
+    /// fault plan's model-level link failures) the exact failure set of
+    /// every hosted switch: a switch the list no longer names is
+    /// repaired, and only a switch whose set changed exports. The next
+    /// `BgpExport`/`BgpApply` rounds replay the warm state
+    /// incrementally around the change, so one command serves a delta
+    /// from a committed checkpoint and a replay of a whole overlay from
+    /// the warm-up one. The restore costs what the previous scenario
+    /// touched. A worker without a checkpoint (fresh or respawned) only
+    /// sets the failure sets.
     ScenarioBegin {
         /// Failed ports, cluster-wide (non-local entries are ignored).
         failed: Arc<Vec<(NodeId, InterfaceId)>>,
     },
-    /// Resilience sweeps: restore the checkpoint (healthy state, no
-    /// failed ports) and drop any scenario data-plane overlay. The
-    /// checkpoint is kept for the next scenario.
+    /// Scenarios: restore the checkpoint and drop the current pass's
+    /// data-plane patch, returning the forwarding state to the
+    /// committed one. The checkpoint is kept for the next scenario.
     ScenarioRollback,
-    /// Resilience sweeps: patch the data plane for the current scenario
-    /// *in the warm BDD manager*. At the reconverged stage the worker
-    /// builds the row of each hosted switch that moved since the
-    /// scenario checkpoint, keeps those that differ from its `DpSetup`
-    /// baseline and stages them for an overlay recompile (consulted
-    /// before the baseline predicates); the transient stage patches no
-    /// row. Either stage installs the failed-port mask and clears the
-    /// packet level and finals for a fresh forwarding run. The compile
-    /// itself is deferred to the following `DpScope` (restricted to the
-    /// pass's destination scopes) or `DpCompile` (full-space) — the
-    /// reply's changed-prefix extraction is what the controller needs
-    /// to decide between them. Replies `ChangedDst`.
+    /// Scenarios: make the verified current state the committed one.
+    /// The control plane is re-checkpointed; the pass's patched rows and
+    /// their overlays join the committed ones, its failed-port mask
+    /// becomes the committed mask, and its verdicts, spliced over the
+    /// whole space for every pair of the old baseline and of the pass,
+    /// become the splice baseline of the next pass.
+    ScenarioCommit,
+    /// Scenarios: patch the data plane for the current scenario *in the
+    /// warm BDD manager*. At the reconverged stage the worker builds the
+    /// row of each hosted switch that moved since the scenario
+    /// checkpoint and patches those that differ from the committed row:
+    /// each gets an overlay over its *region*, the prefixes whose routes
+    /// differ from the `DpSetup` row (see [`Overlay`]). The transient
+    /// stage patches no row. Either stage installs the failed-port mask
+    /// and clears the packet level and finals for a fresh forwarding
+    /// run. Replies `ChangedDst`.
     DpPatch {
         /// Which stage's rows to patch.
         stage: PatchStage,
@@ -152,9 +162,9 @@ pub enum Command {
     },
     /// Destination-scoped DPV: install per-source scope predicates for
     /// the coming pass. Each source's verdicts are recomputed only over
-    /// `dst_space ∧ scope` and spliced with the baseline stashed at
-    /// `ScenarioCheckpoint` as `(base ∧ ¬scope) ∨ recomputed`. Cleared
-    /// by the next `DpPatch`, `DpSetup`, or `ScenarioRollback`; a plain
+    /// `dst_space ∧ scope` and spliced with the committed verdicts as
+    /// `(base ∧ ¬scope) ∨ recomputed`. Cleared by the next `DpPatch`,
+    /// `DpSetup`, `ScenarioRollback` or `ScenarioCommit`; a plain
     /// full-space pass simply never sends this command.
     DpScope {
         /// `(source, changed prefixes)` for **every** source of the
@@ -163,12 +173,6 @@ pub enum Command {
         /// baseline).
         scopes: Arc<Vec<(NodeId, Vec<Prefix>)>>,
     },
-    /// Compile the overlay predicates staged by the last `DpPatch` over
-    /// the *full* FIB of every changed node — the unscoped companion of
-    /// `DpScope` (which compiles only routes overlapping the coming
-    /// pass's destination scopes). Sent before a full-space scenario
-    /// drive: the no-baseline and everything-changed fallbacks.
-    DpCompile,
     /// Report the worker-side transport counters and in-flight frame
     /// count. Replies `Net`. In multi-process mode this is how the
     /// controller folds remote disturbances into its convergence checks.
@@ -202,9 +206,10 @@ pub enum Command {
 /// The scenario stage a `DpPatch` prepares the data plane for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatchStage {
-    /// Before reconvergence: the baseline rows under the failure mask.
+    /// Before reconvergence: the committed rows under the failure mask.
     Transient,
-    /// After the warm fix point: the rows that moved off the baseline.
+    /// After the warm fix point: the rows that moved off the committed
+    /// ones.
     Reconverged,
 }
 
@@ -276,17 +281,17 @@ pub enum Reply {
     },
     /// This worker's unified metrics snapshot.
     Metrics(s2_obs::MetricsSnapshot),
-    /// `DpPatch` outcome against the `DpSetup` baseline.
+    /// `DpPatch` outcome against the committed data plane.
     ChangedDst {
         /// Per hosted node, the prefixes whose forwarding behavior
-        /// changed: the old-vs-new route-set diff of the patched rows
-        /// plus the prefixes of routes egressing locally owned failed
-        /// ports. Nodes with no changes are omitted; an empty vector
-        /// means the patch is a forwarding no-op.
+        /// changed: the committed-vs-new route-set diff of the patched
+        /// rows plus the prefixes of routes egressing locally owned
+        /// ports whose mask flipped. Nodes with no changes are omitted;
+        /// an empty vector means the patch is a forwarding no-op.
         dst: Vec<(NodeId, Vec<Prefix>)>,
         /// The patched rows: each hosted node whose row differs from
-        /// the baseline, with its whole new row, in node order. Empty
-        /// at the transient stage.
+        /// its committed row, with its whole new row, in node order.
+        /// Empty at the transient stage.
         rows: Vec<(NodeId, RibRow)>,
     },
     /// A drained batch of worker-process trace events (`TraceDrain`).
@@ -331,11 +336,12 @@ struct Batch {
 /// A staged OSPF delivery: (destination node, arriving interface, routes).
 type PendingOspf = (NodeId, s2_net::topology::InterfaceId, Vec<(Prefix, u32)>);
 
-/// The baseline data-plane verdict material, stashed at
-/// `ScenarioCheckpoint` from the finals of the preceding full-space
-/// pass. Destination-scoped passes splice against it: outside each
-/// source's scope the baseline forwarding is provably unperturbed, so
-/// its verdicts are reused verbatim.
+/// The committed data-plane verdict material: stashed at
+/// `ScenarioCheckpoint` from the verdicts of the preceding full-space
+/// pass, then replaced by each `ScenarioCommit`. Destination-scoped
+/// passes splice against it: outside each source's scope the committed
+/// forwarding is provably unperturbed, so its verdicts are reused
+/// verbatim.
 #[derive(Default)]
 struct DpBaseline {
     /// Per-(src, dst) `Arrive` unions with metadata bits **kept** —
@@ -361,28 +367,43 @@ pub struct Worker {
     // Data plane.
     space: PacketSpace,
     manager: Option<BddManager>,
+    /// The `DpSetup` predicates.
     preds: BTreeMap<NodeId, NodePredicates>,
-    /// Scenario overlay: predicates recompiled for the current failure
-    /// scenario, consulted before `preds`. Cleared on rollback.
-    scenario_preds: BTreeMap<NodeId, NodePredicates>,
-    /// The rows of a `DpPatch` whose overlay compile was deferred. The
-    /// following `DpScope` compiles them restricted to the pass's
-    /// destination scopes; a `DpCompile` (full-space pass) compiles
-    /// them whole.
-    pending_patch: Option<Vec<(NodeId, RibRow)>>,
-    /// Control-plane snapshot for scenario restore.
+    /// The committed rows that differ from the `DpSetup` ones, each with
+    /// its overlay over `preds`. Empty after `DpSetup`; a commit
+    /// replaces the rows its pass patched.
+    committed: BTreeMap<NodeId, (RibRow, Overlay)>,
+    /// The committed failed-port mask: the one the committed verdicts
+    /// were computed under.
+    committed_mask: BTreeSet<(NodeId, InterfaceId)>,
+    /// The current pass's patched rows (those that differ from the
+    /// committed ones), each with its overlay, or `None` where the row
+    /// is the `DpSetup` one again. Consulted before `committed`.
+    patch: BTreeMap<NodeId, (RibRow, Option<Overlay>)>,
+    /// Control-plane snapshot for scenario restore: the warm-up state,
+    /// then each committed scenario's.
     checkpoint: Option<BgpRounds>,
-    /// The RIB snapshot the data plane was compiled from — the "old"
-    /// side of the next `DpPatch`'s row and per-prefix diffs (only the
-    /// hosted rows are read).
+    /// The fault plan's model-level failed ports, hosted or not: part of
+    /// every failure set `ScenarioBegin` installs.
+    baked: Vec<(NodeId, InterfaceId)>,
+    /// The RIB snapshot `preds` were compiled from: the side a patched
+    /// row's region is diffed against, and the committed row of a node
+    /// `committed` does not hold (only the hosted rows are read).
     dp_rib: Option<Arc<RibSnapshot>>,
-    /// Baseline verdict stash for splicing (see [`DpBaseline`]). Taken
-    /// at `ScenarioCheckpoint`, invalidated by `DpSetup` (the manager
-    /// that owns its handles is recreated).
+    /// Committed verdict stash for splicing (see [`DpBaseline`]): the
+    /// last pass's verdicts, taken at `ScenarioCheckpoint` and at
+    /// `ScenarioCommit`, invalidated by `DpSetup` (the manager that owns
+    /// its handles is recreated).
     dp_base: Option<DpBaseline>,
     /// Per-source splicers of the active destination-scoped pass
     /// (`None` = full-space pass, no surgery).
     scopes: Option<BTreeMap<NodeId, Splicer>>,
+    /// The current pass's full-space arrivals, as `CheckArrivals`
+    /// spliced them: half of what `ScenarioCommit` promotes.
+    pass_arrivals: Option<BTreeMap<(NodeId, NodeId), s2_bdd::Bdd>>,
+    /// The current pass's full-space unions, as `CollectFinals` spliced
+    /// them: the other half.
+    pass_unions: Option<BTreeMap<(NodeId, FinalKind), s2_bdd::Bdd>>,
     fwd_opts: ForwardOptions,
     /// The current hop level's merged fragments (see
     /// [`s2_dataplane::PacketKey`]); merging before processing and before
@@ -424,7 +445,7 @@ impl Worker {
         // Model-level link failures from the fault plan apply from
         // construction on: the control plane converges around them.
         let fail_links = faults.plan().failed_links();
-        let failed: Vec<(NodeId, InterfaceId)> = model
+        let baked: Vec<(NodeId, InterfaceId)> = model
             .topology
             .links()
             .iter()
@@ -434,7 +455,7 @@ impl Worker {
             })
             .flat_map(|link| [link.a, link.b])
             .collect();
-        bgp.fail_ports(&model, &failed);
+        bgp.set_failed_ports(&model, &baked);
         Worker {
             sidecar,
             faults,
@@ -447,12 +468,16 @@ impl Worker {
             space: PacketSpace::new(0),
             manager: None,
             preds: BTreeMap::new(),
-            scenario_preds: BTreeMap::new(),
-            pending_patch: None,
+            committed: BTreeMap::new(),
+            committed_mask: BTreeSet::new(),
+            patch: BTreeMap::new(),
             checkpoint: None,
+            baked,
             dp_rib: None,
             dp_base: None,
             scopes: None,
+            pass_arrivals: None,
+            pass_unions: None,
             fwd_opts: ForwardOptions::default(),
             level: BTreeMap::new(),
             early: BTreeMap::new(),
@@ -602,111 +627,44 @@ impl Worker {
             }
             Command::ScenarioCheckpoint => {
                 self.checkpoint = Some(self.bgp.checkpoint());
-                // The finals of the preceding full-space pass are the
+                // The verdicts of the preceding full-space pass are the
                 // splice baseline for destination-scoped scenario
                 // passes. Without a data plane (or a prior pass) there
                 // is nothing to stash; scoped passes then splice
                 // against ∅, which is only reachable through a fresh
                 // worker that will be driven full-space anyway.
-                self.dp_base = self.stash_dp_baseline();
+                self.dp_base = self.take_pass_verdicts();
                 Reply::Ok
             }
             Command::ScenarioBegin { failed } => {
-                let Some(checkpoint) = self.checkpoint.as_ref() else {
-                    return Reply::Violation("ScenarioBegin before ScenarioCheckpoint".to_string());
-                };
-                self.bgp.restore(checkpoint);
-                // Only these switches' exports change until withdrawals
-                // propagate.
-                self.bgp.fail_ports(&self.model, &failed);
+                if let Some(checkpoint) = self.checkpoint.as_ref() {
+                    self.bgp.restore(checkpoint);
+                }
+                // Only the switches whose failure set changed export
+                // until withdrawals and re-advertisements propagate.
+                let mut ports = self.baked.clone();
+                ports.extend(failed.iter().copied());
+                self.bgp.set_failed_ports(&self.model, &ports);
                 self.update_gauge();
                 Reply::Ok
             }
             Command::ScenarioRollback => {
                 // Without a checkpoint there is nothing to restore — a
                 // worker respawned mid-sweep starts from fresh (healthy)
-                // switches — but the forwarding overlays must still be
-                // cleared so the recovery re-warm starts clean on a
-                // mixed fleet of survivors and replacements.
+                // switches — but the pass's patch must still be dropped
+                // so the recovery re-warm starts clean on a mixed fleet
+                // of survivors and replacements.
                 if let Some(checkpoint) = self.checkpoint.as_ref() {
                     self.bgp.restore(checkpoint);
                 }
-                self.scenario_preds.clear();
-                self.pending_patch = None;
-                self.scopes = None;
-                self.fwd_opts.failed_ports.clear();
-                self.level.clear();
-                self.early.clear();
-                self.finals.clear();
+                self.clear_pass();
+                self.fwd_opts.failed_ports = self.committed_mask.clone();
                 self.update_gauge();
                 Reply::Ok
             }
-            Command::DpPatch { stage, failed_ports } => {
-                let Some(base) = self.dp_rib.clone() else {
-                    return Reply::Violation("DpPatch before DpSetup".to_string());
-                };
-                self.scenario_preds.clear();
-                self.scopes = None;
-                // Only a switch that moved since the checkpoint can
-                // differ from the baseline; of those, the rows that do
-                // differ are patched and sent back.
-                let rows: Vec<(NodeId, RibRow)> = match stage {
-                    PatchStage::Transient => Vec::new(),
-                    PatchStage::Reconverged => self
-                        .bgp
-                        .rib_moved()
-                        .filter_map(|s| {
-                            let routes = s.base_rib_routes().into_iter().chain(s.bgp_rib_routes());
-                            let row = merge_row(routes);
-                            (*row != *base.node(s.node)).then_some((s.node, row))
-                        })
-                        .collect(),
-                };
-                // Per patched node: the prefixes whose route set moved —
-                // the raw material of the controller's changed-
-                // destination scoping. The overlay compile is deferred to
-                // the `DpScope`/`DpCompile` that follows, once the
-                // controller knows how much of the space it needs.
-                let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = rows
-                    .iter()
-                    .map(|(n, row)| (*n, changed_prefixes(base.node(*n), row)))
-                    .collect();
-                // Routes egressing a failed port change forwarding even
-                // when the owning node's RIB does not (the transient,
-                // pre-reconvergence stage): attribute their prefixes to
-                // the port owner. Both the baseline and the patched row
-                // are scanned — a route present on either side of the
-                // mask flip perturbs its prefix.
-                for &(n, iface) in failed_ports.iter() {
-                    if !self.preds.contains_key(&n) {
-                        continue;
-                    }
-                    let patched = rows.iter().find(|(m, _)| *m == n).map(|(_, row)| &**row);
-                    for routes in [Some(base.node(n)), patched].into_iter().flatten() {
-                        for r in routes {
-                            if r.egress.contains(&iface) {
-                                changed_dst.entry(n).or_default().insert(r.prefix);
-                            }
-                        }
-                    }
-                }
-                self.pending_patch = Some(rows.clone());
-                self.fwd_opts.failed_ports = failed_ports.iter().copied().collect();
-                self.level.clear();
-                self.early.clear();
-                self.finals.clear();
-                let dst = changed_dst.into_iter().map(|(n, ps)| (n, ps.into_iter().collect())).collect();
-                self.charged(Reply::ChangedDst { dst, rows })
-            }
-            Command::DpScope { scopes } => {
-                let filter: BTreeSet<Prefix> =
-                    scopes.iter().flat_map(|(_, ps)| ps.iter().copied()).collect();
-                match self.compile_overlays(Some(&filter)) {
-                    Reply::Ok => self.set_scopes(&scopes),
-                    other => other,
-                }
-            }
-            Command::DpCompile => self.compile_overlays(None),
+            Command::ScenarioCommit => self.scenario_commit(),
+            Command::DpPatch { stage, failed_ports } => self.dp_patch(stage, &failed_ports),
+            Command::DpScope { scopes } => self.set_scopes(&scopes),
             Command::NetStats => {
                 // `in_flight` strictly before the counter snapshot: a
                 // concurrent reconnect bumps `reconnects` before resetting
@@ -926,55 +884,118 @@ impl Worker {
         // the new RIB is the diff baseline for the next `DpPatch`.
         self.dp_rib = Some(rib);
         self.dp_base = None;
-        self.pending_patch = None;
-        self.scopes = None;
+        self.committed.clear();
+        self.committed_mask.clear();
+        self.clear_pass();
         self.fwd_opts = ForwardOptions {
             max_hops,
             waypoint_bits: waypoints.clone(),
             ..Default::default()
         };
+    }
+
+    /// The current pass's full-space verdicts as its `CheckArrivals`
+    /// and `CollectFinals` left them (spliced, on a scoped pass, for
+    /// every pair and kind of the committed verdicts and of the pass).
+    /// `None` before both ran.
+    fn take_pass_verdicts(&mut self) -> Option<DpBaseline> {
+        let (arrivals, unions) = (self.pass_arrivals.take()?, self.pass_unions.take()?);
+        Some(DpBaseline { arrivals, unions })
+    }
+
+    /// The `DpPatch` of a scenario pass at `stage` (see
+    /// [`Command::DpPatch`]): patches the rows that moved off the
+    /// committed ones and reports, per hosted node, the prefixes whose
+    /// forwarding may differ from the committed forwarding.
+    fn dp_patch(&mut self, stage: PatchStage, failed_ports: &[(NodeId, InterfaceId)]) -> Reply {
+        self.clear_pass();
+        let (Some(setup), Some(manager)) = (self.dp_rib.as_deref(), self.manager.as_mut()) else {
+            return Reply::Violation("DpPatch before DpSetup".to_string());
+        };
+        let committed_row =
+            |n: NodeId| self.committed.get(&n).map_or(setup.node(n), |(row, _)| &**row);
+        // Per patched node: the prefixes whose route set moved off the
+        // committed row, the raw material of the controller's changed-
+        // destination scoping.
+        let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
+        let mut rows: Vec<(NodeId, RibRow)> = Vec::new();
+        if stage == PatchStage::Reconverged {
+            // Only a switch that moved since the checkpoint can differ
+            // from its committed row.
+            for s in self.bgp.rib_moved() {
+                let row = merge_row(s.base_rib_routes().into_iter().chain(s.bgp_rib_routes()));
+                let changed = changed_prefixes(committed_row(s.node), &row);
+                if changed.is_empty() {
+                    continue;
+                }
+                // The overlay's region is where the row left the
+                // `DpSetup` one, which is the committed one unless an
+                // earlier commit moved it.
+                let region = match self.committed.contains_key(&s.node) {
+                    true => changed_prefixes(setup.node(s.node), &row),
+                    false => changed.clone(),
+                };
+                let overlay = (!region.is_empty()).then(|| {
+                    compile_overlay(&self.model, &self.space, manager, s.node, &row, &region)
+                });
+                changed_dst.insert(s.node, changed);
+                self.patch.insert(s.node, (row.clone(), overlay));
+                rows.push((s.node, row));
+            }
+        }
+        // Routes egressing a port whose mask flips change forwarding
+        // even when the owning node's RIB does not (the transient,
+        // pre-reconvergence stage): attribute their prefixes to the port
+        // owner. Both the committed and the patched row are scanned — a
+        // route present on either side of the flip perturbs its prefix.
+        let mask: BTreeSet<(NodeId, InterfaceId)> = failed_ports.iter().copied().collect();
+        for &(n, iface) in mask.symmetric_difference(&self.committed_mask) {
+            if !self.preds.contains_key(&n) {
+                continue;
+            }
+            let patched = self.patch.get(&n).map(|(row, _)| &**row);
+            for routes in [Some(committed_row(n)), patched].into_iter().flatten() {
+                for r in routes.iter().filter(|r| r.egress.contains(&iface)) {
+                    changed_dst.entry(n).or_default().insert(r.prefix);
+                }
+            }
+        }
+        self.fwd_opts.failed_ports = mask;
+        let dst = changed_dst.into_iter().map(|(n, ps)| (n, ps.into_iter().collect())).collect();
+        self.charged(Reply::ChangedDst { dst, rows })
+    }
+
+    /// [`Command::ScenarioCommit`].
+    fn scenario_commit(&mut self) -> Reply {
+        if self.checkpoint.is_none() {
+            return Reply::Violation("ScenarioCommit before ScenarioCheckpoint".to_string());
+        }
+        let Some(verdicts) = self.take_pass_verdicts() else {
+            return Reply::Violation("ScenarioCommit before a checked pass".to_string());
+        };
+        self.dp_base = Some(verdicts);
+        self.checkpoint = Some(self.bgp.checkpoint());
+        for (n, (row, overlay)) in std::mem::take(&mut self.patch) {
+            match overlay {
+                Some(overlay) => self.committed.insert(n, (row, overlay)),
+                None => self.committed.remove(&n),
+            };
+        }
+        self.committed_mask = self.fwd_opts.failed_ports.clone();
+        self.clear_pass();
+        self.charged(Reply::Ok)
+    }
+
+    /// Drops the current pass's data-plane state: its patch, scopes,
+    /// spliced verdicts and packets.
+    fn clear_pass(&mut self) {
+        self.patch.clear();
+        self.scopes = None;
+        self.pass_arrivals = None;
+        self.pass_unions = None;
         self.level.clear();
         self.early.clear();
         self.finals.clear();
-    }
-
-    /// Builds the splice baseline from the current finals (the verdicts
-    /// of the last full-space pass). `None` without a data plane.
-    fn stash_dp_baseline(&mut self) -> Option<DpBaseline> {
-        let manager = self.manager.as_mut()?;
-        Some(DpBaseline {
-            arrivals: properties::arrivals(manager, &self.finals),
-            unions: properties::kind_unions(manager, &self.space, &self.finals),
-        })
-    }
-
-    /// Compiles the overlay predicates staged by the last `DpPatch`.
-    /// With a `filter` (the union of the coming pass's destination
-    /// scopes) only routes overlapping it are compiled: the scoped
-    /// drive never forwards a destination outside the filter, and for
-    /// every destination *inside* it longest-prefix match over the
-    /// filtered FIB equals LPM over the full FIB (any route matching
-    /// such a destination overlaps the filter and is kept). Without a
-    /// filter the whole FIB is compiled — the full-space fallbacks.
-    fn compile_overlays(&mut self, filter: Option<&BTreeSet<Prefix>>) -> Reply {
-        let Some(rows) = self.pending_patch.clone() else {
-            // Nothing staged: a scope-only pass over an unpatched data
-            // plane.
-            return Reply::Ok;
-        };
-        let Some(manager) = self.manager.as_mut() else {
-            return Reply::Violation("DpCompile before DpSetup".to_string());
-        };
-        let filter = filter.map(|f| (f, prefix_lengths(f)));
-        for (n, routes) in &rows {
-            let fib = match filter {
-                Some((f, ref lengths)) => Fib::from_rib(&overlapping(routes, f, lengths)),
-                None => Fib::from_rib(routes),
-            };
-            let p = NodePredicates::compile(&self.model, *n, &fib, &self.space, manager);
-            self.scenario_preds.insert(*n, p);
-        }
-        self.charged(Reply::Ok)
     }
 
     /// Installs per-source destination scopes for the next scoped drive.
@@ -1100,15 +1121,15 @@ impl Worker {
             // The packet's location came off the wire for remote
             // fragments; a node this worker does not host is a peer
             // protocol violation — count it and drop the fragment (the
-            // disturbance machinery forces a replay). The scenario
-            // overlay shadows the baseline predicates when present.
-            let Some(preds) = self
-                .scenario_preds
-                .get(&node)
-                .or_else(|| self.preds.get(&node))
-            else {
+            // disturbance machinery forces a replay). The pass's overlay,
+            // else the committed one, decides inside its region.
+            let Some(preds) = self.preds.get(&node) else {
                 note_violation(&self.sidecar);
                 continue;
+            };
+            let overlay = match self.patch.get(&node) {
+                Some((_, overlay)) => overlay.as_ref(),
+                None => self.committed.get(&node).map(|(_, overlay)| overlay),
             };
             let pkt = SymbolicPacket {
                 src,
@@ -1125,9 +1146,10 @@ impl Worker {
             } else {
                 self.scratch_primed = true;
             }
-            step_into(
+            step_overlaid_into(
                 &self.model.topology,
                 preds,
+                overlay,
                 &self.space,
                 manager,
                 pkt,
@@ -1208,7 +1230,16 @@ impl Worker {
         let mut reachable = Vec::new();
         let mut unreachable = Vec::new();
         let mut waypoint_violations = Vec::new();
-        let arrivals = properties::arrivals(manager, &self.finals);
+        let mut arrivals = properties::arrivals(manager, &self.finals);
+        // Destination-scoped pass: the finals only cover the scoped
+        // space — splice the committed arrivals back in, for every pair,
+        // before judging reachability and waypoints, so the verdicts are
+        // full-space ones.
+        if let Some(scopes) = self.scopes.as_mut() {
+            let empty = BTreeMap::new();
+            let base = self.dp_base.as_ref().map_or(&empty, |b| &b.arrivals);
+            arrivals = splice_all(manager, scopes, base, arrivals);
+        }
         for (dst, prefixes) in expected {
             if !self.sidecar.is_local(*dst) {
                 continue;
@@ -1218,28 +1249,7 @@ impl Worker {
                 if src == *dst {
                     continue;
                 }
-                let mut arrived = arrivals
-                    .get(&(src, *dst))
-                    .copied()
-                    .unwrap_or(s2_bdd::Bdd::FALSE);
-                // Destination-scoped pass: the finals only cover the
-                // scoped space — splice the baseline arrival back in
-                // before judging reachability and waypoints, so the
-                // verdict is a full-space one.
-                if let Some(scopes) = self.scopes.as_mut() {
-                    let base = self
-                        .dp_base
-                        .as_ref()
-                        .and_then(|b| b.arrivals.get(&(src, *dst)))
-                        .copied()
-                        .unwrap_or(s2_bdd::Bdd::FALSE);
-                    arrived = match scopes.get_mut(&src) {
-                        Some(splicer) => splicer.splice(manager, base, arrived),
-                        // No scope recorded for this source: nothing was
-                        // injected for it, the baseline is all there is.
-                        None => manager.or(base, arrived),
-                    };
-                }
+                let arrived = arrivals.get(&(src, *dst)).copied().unwrap_or(s2_bdd::Bdd::FALSE);
                 let verdict = properties::judge_pair(manager, &self.space, want, arrived, transits);
                 if verdict.reachable {
                     reachable.push((src, *dst));
@@ -1249,6 +1259,7 @@ impl Worker {
                 waypoint_violations.extend(verdict.missed.into_iter().map(|t| (src, *dst, t)));
             }
         }
+        self.pass_arrivals = Some(arrivals);
         Reply::Arrivals {
             reachable,
             unreachable,
@@ -1263,33 +1274,13 @@ impl Worker {
         let mut unions = properties::kind_unions(manager, &self.space, &self.finals);
         // Destination-scoped pass: the unions above only cover the
         // scoped space — splice each (src, kind) verdict with the
-        // stashed baseline into a full-space union. Semantic equality
-        // plus canonical serialization makes the result byte-identical
-        // to a cold full-space recompute.
+        // committed one into a full-space union. Semantic equality plus
+        // canonical serialization makes the result byte-identical to a
+        // cold full-space recompute.
         if let Some(scopes) = self.scopes.as_mut() {
-            let scoped = std::mem::take(&mut unions);
-            let empty = DpBaseline::default();
-            let base = self.dp_base.as_ref().unwrap_or(&empty);
-            for (&src, splicer) in scopes.iter_mut() {
-                for kind in [
-                    FinalKind::Arrive,
-                    FinalKind::Exit,
-                    FinalKind::Blackhole,
-                    FinalKind::Loop,
-                ] {
-                    let fresh = scoped.get(&(src, kind)).copied().unwrap_or(s2_bdd::Bdd::FALSE);
-                    let basev = base
-                        .unions
-                        .get(&(src, kind))
-                        .copied()
-                        .unwrap_or(s2_bdd::Bdd::FALSE);
-                    if fresh.is_false() && basev.is_false() {
-                        continue;
-                    }
-                    let full = splicer.splice(manager, basev, fresh);
-                    unions.insert((src, kind), full);
-                }
-            }
+            let empty = BTreeMap::new();
+            let base = self.dp_base.as_ref().map_or(&empty, |b| &b.unions);
+            unions = splice_all(manager, scopes, base, unions);
         }
         let splices = self
             .scopes
@@ -1303,11 +1294,12 @@ impl Worker {
         let count = |kind| unions.keys().filter(|(_, k)| *k == kind).count();
         let (loops, blackholes) = (count(FinalKind::Loop), count(FinalKind::Blackhole));
         let sets = unions
-            .into_iter()
-            .map(|((src, kind), set)| {
+            .iter()
+            .map(|(&(src, kind), &set)| {
                 (src, kind, Bytes::from(bdd_io::to_bytes(manager, set)))
             })
             .collect();
+        self.pass_unions = Some(unions);
         Reply::Finals {
             loops,
             blackholes,
@@ -1389,11 +1381,84 @@ fn overlapping_scan(routes: &[RibRoute], filter: &BTreeSet<Prefix>) -> Vec<RibRo
     routes.iter().filter(|r| filter.iter().any(|p| p.overlaps(r.prefix))).cloned().collect()
 }
 
+/// `node`'s overlay for its current `row` over `region`, the prefixes
+/// whose routes differ from its `DpSetup` row: compiled from only the
+/// routes that overlap the region (see [`Overlay`]).
+fn compile_overlay(
+    model: &NetworkModel,
+    space: &PacketSpace,
+    manager: &mut BddManager,
+    node: NodeId,
+    row: &[RibRoute],
+    region: &BTreeSet<Prefix>,
+) -> Overlay {
+    let routes = overlapping(row, region, &prefix_lengths(region));
+    let preds = NodePredicates::compile(model, node, &Fib::from_rib(&routes), space, manager);
+    let region: Vec<Prefix> = region.iter().copied().collect();
+    Overlay { region: space.dst_in_any(manager, &region), preds }
+}
+
+/// The full-space verdicts of a scoped pass: each verdict of `base` (the
+/// committed ones) and of `fresh` (the pass's finals, which cover only
+/// the scopes), keyed by source first, spliced by its source's scope. A verdict only `fresh`
+/// holds lies inside the scope already; a source with no scope injected
+/// nothing, so its base verdicts stand.
+fn splice_all<T: Ord + Copy>(
+    manager: &mut BddManager,
+    scopes: &mut BTreeMap<NodeId, Splicer>,
+    base: &BTreeMap<(NodeId, T), s2_bdd::Bdd>,
+    mut fresh: BTreeMap<(NodeId, T), s2_bdd::Bdd>,
+) -> BTreeMap<(NodeId, T), s2_bdd::Bdd> {
+    let mut out = BTreeMap::new();
+    for (&k, &b) in base {
+        let f = fresh.remove(&k).unwrap_or(s2_bdd::Bdd::FALSE);
+        let set = match scopes.get_mut(&k.0) {
+            Some(splicer) => splicer.splice(manager, b, f),
+            None => manager.or(b, f),
+        };
+        out.insert(k, set);
+    }
+    out.extend(fresh);
+    out
+}
+
 /// The prefixes whose route set differs between `old` and `new`,
-/// including prefixes present on only one side. Route order within a
-/// prefix participates in the comparison: RIB snapshots are
-/// deterministic, so an order change implies a selection change.
-fn changed_prefixes(old: &[RibRoute], new: &[RibRoute]) -> BTreeSet<Prefix> {
+/// including prefixes present on only one side. Both rows hold one
+/// route per prefix in prefix order (what [`merge_row`] and a
+/// [`s2_routing::RibStore`] snapshot leave), so one merge walk of the
+/// two finds them.
+pub(crate) fn changed_prefixes(old: &[RibRoute], new: &[RibRoute]) -> BTreeSet<Prefix> {
+    let mut changed = BTreeSet::new();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        match (old.get(i), new.get(j)) {
+            (None, None) => return changed,
+            (Some(o), Some(n)) if o.prefix == n.prefix => {
+                if o != n {
+                    changed.insert(o.prefix);
+                }
+                (i, j) = (i + 1, j + 1);
+            }
+            (Some(o), Some(n)) if o.prefix > n.prefix => {
+                changed.insert(n.prefix);
+                j += 1;
+            }
+            (Some(o), _) => {
+                changed.insert(o.prefix);
+                i += 1;
+            }
+            (None, Some(n)) => {
+                changed.insert(n.prefix);
+                j += 1;
+            }
+        }
+    }
+}
+
+/// The per-prefix map diff [`changed_prefixes`] replaced, kept as its
+/// oracle; it also holds for rows with several routes per prefix.
+#[cfg(test)]
+fn changed_prefixes_map(old: &[RibRoute], new: &[RibRoute]) -> BTreeSet<Prefix> {
     let mut by_prefix: BTreeMap<Prefix, (Vec<&RibRoute>, Vec<&RibRoute>)> = BTreeMap::new();
     for r in old {
         by_prefix.entry(r.prefix).or_default().0.push(r);
@@ -1518,6 +1583,160 @@ mod tests {
             dropped += routes.len() - want.len();
         }
         assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
+    }
+
+    /// The merge walk finds exactly the prefixes the per-prefix map diff
+    /// finds, on random rows (one route per prefix, in prefix order) and
+    /// random edits of them: routes dropped, added and re-routed.
+    #[test]
+    fn changed_prefixes_equal_the_map_diff() {
+        let mut rng = s2_net::rng::SeededRng::seed_from_u64(11);
+        let row = |rng: &mut s2_net::rng::SeededRng| -> Vec<RibRoute> {
+            let prefixes: BTreeSet<Prefix> = (0..40)
+                .map(|_| {
+                    let bits = rng.next_u64();
+                    let addr = Ipv4Addr::new(10, (bits % 8) as u8, (bits >> 8) as u8 % 4, 0);
+                    Prefix::new(addr, 16 + (bits >> 16) as u8 % 9)
+                })
+                .collect();
+            prefixes
+                .into_iter()
+                .map(|prefix| RibRoute {
+                    prefix,
+                    protocol: Protocol::Bgp,
+                    egress: vec![InterfaceId((rng.next_u64() % 3) as u16)],
+                    is_local: false,
+                    as_path_len: 2,
+                })
+                .collect()
+        };
+        let mut changed = 0;
+        for _ in 0..300 {
+            let old = row(&mut rng);
+            let mut new: Vec<RibRoute> = Vec::new();
+            for r in &old {
+                match rng.next_u64() % 8 {
+                    0 => {}
+                    1 => new.push(RibRoute { egress: vec![InterfaceId(7)], ..r.clone() }),
+                    _ => new.push(r.clone()),
+                }
+            }
+            for r in row(&mut rng) {
+                if rng.next_u64().is_multiple_of(8) {
+                    new.push(r);
+                }
+            }
+            new.sort_by_key(|r| r.prefix);
+            new.dedup_by_key(|r| r.prefix);
+            let want = changed_prefixes_map(&old, &new);
+            assert_eq!(changed_prefixes(&old, &new), want);
+            assert_eq!(changed_prefixes(&new, &old), want);
+            changed += want.len();
+        }
+        assert!(changed > 0);
+    }
+
+    /// Each hosted node's forwarding as a pass steps it — the overlay
+    /// (the pass's, else the committed one) inside its region, the
+    /// `DpSetup` predicates outside — equals a compile of the node's
+    /// whole current row in `rib`, for every port, `local` and `drop`.
+    /// The view is materialized here only.
+    fn assert_overlays_exact(w: &mut Worker, rib: &RibSnapshot, what: &str) {
+        let Worker { manager, preds, patch, committed, model, space, .. } = w;
+        let manager = manager.as_mut().unwrap();
+        for (&node, preds) in preds.iter() {
+            let overlay = match patch.get(&node) {
+                Some((_, overlay)) => overlay.as_ref(),
+                None => committed.get(&node).map(|(_, overlay)| overlay),
+            };
+            let fib = Fib::from_rib(rib.node(node));
+            let full = NodePredicates::compile(model, node, &fib, space, manager);
+            let region = overlay.map_or(s2_bdd::Bdd::FALSE, |o| o.region);
+            let inside = overlay.map(|o| &o.preds);
+            let mut view = |pick: &dyn Fn(&NodePredicates) -> s2_bdd::Bdd| {
+                let inside = inside.map_or(s2_bdd::Bdd::FALSE, pick);
+                manager.ite(region, inside, pick(preds))
+            };
+            assert_eq!(view(&|p| p.local), full.local, "{what}: {node:?} local");
+            assert_eq!(view(&|p| p.drop), full.drop, "{what}: {node:?} drop");
+            let ports = model.topology.neighbors(node).iter().map(|&(port, _, _)| port);
+            for port in ports {
+                let fwd =
+                    |p: &NodePredicates| p.fwd.get(&port).copied().unwrap_or(s2_bdd::Bdd::FALSE);
+                assert_eq!(view(&fwd), fwd(&full), "{what}: {node:?} port {port:?}");
+            }
+        }
+    }
+
+    /// Stacked scenarios, each committed on top of the last (down A, B,
+    /// C; up B; down D; up A, C, D), on FatTree k=4 and the DCN over one
+    /// and two workers: after every `DpPatch` and every commit the
+    /// overlaid predicates equal a full compile of the current rows.
+    #[test]
+    fn overlaid_predicates_equal_the_full_compile_on_stacked_commits() {
+        for model in [fattree_model(4), dcn_model()] {
+            let links = model.topology.links().to_vec();
+            let pick = |i: usize| links[i * links.len() / 4];
+            let (a, b, c, d) = (pick(0), pick(1), pick(2), pick(3));
+            let steps = [
+                (a, true),
+                (b, true),
+                (c, true),
+                (b, false),
+                (d, true),
+                (a, false),
+                (c, false),
+                (d, false),
+            ];
+            for workers in [1, 2] {
+                let mut fleet = checkpointed_fleet(&model, workers);
+                let base = collect_rib(&mut fleet);
+                on_all(&mut fleet, || Command::DpSetup {
+                    rib: base.clone(),
+                    meta_bits: 0,
+                    waypoints: Arc::new(BTreeMap::new()),
+                    max_hops: 0,
+                });
+                let mut overlays = 0;
+                let mut down = Vec::new();
+                for (link, fail) in steps {
+                    if fail {
+                        down.push(link);
+                    } else {
+                        down.retain(|l| *l != link);
+                    }
+                    let failed: Arc<Vec<_>> =
+                        Arc::new(down.iter().flat_map(|l| [l.a, l.b]).collect());
+                    on_all(&mut fleet, || Command::ScenarioBegin { failed: failed.clone() });
+                    converge_bgp(&mut fleet);
+                    on_all(&mut fleet, || Command::DpPatch {
+                        stage: PatchStage::Reconverged,
+                        failed_ports: failed.clone(),
+                    });
+                    let rib = collect_rib(&mut fleet);
+                    for w in &mut fleet {
+                        assert_overlays_exact(w, &rib, &format!("patched {down:?}"));
+                        overlays += w.patch.values().filter(|(_, o)| o.is_some()).count();
+                    }
+                    on_all(&mut fleet, || Command::CheckArrivals {
+                        sources: Arc::new(Vec::new()),
+                        expected: Arc::new(Vec::new()),
+                        transits: Arc::new(Vec::new()),
+                    });
+                    on_all(&mut fleet, || Command::CollectFinals);
+                    for reply in on_all(&mut fleet, || Command::ScenarioCommit) {
+                        assert!(matches!(reply, Reply::Ok), "{reply:?}");
+                    }
+                    for w in &mut fleet {
+                        assert_overlays_exact(w, &rib, &format!("committed {down:?}"));
+                    }
+                }
+                assert!(overlays > 0);
+                for w in &fleet {
+                    assert!(w.committed.is_empty(), "every row is the `DpSetup` one again");
+                }
+            }
+        }
     }
 
     /// FatTree k=`k` over two workers, nodes dealt alternately so that
@@ -1752,7 +1971,6 @@ mod tests {
                 stage: PatchStage::Reconverged,
                 failed_ports: failed.clone(),
             });
-            on_all(&mut fleet, || Command::DpCompile);
             forward_to_exhaustion(&mut fleet);
             on_all(&mut fleet, || Command::ScenarioRollback);
         }

@@ -319,7 +319,7 @@ pub fn commands() -> Vec<(Command, &'static str)> {
             },
             "1a0000000200000000000000010a000000180000000700000000",
         ),
-        (Command::DpCompile, "1b"),
+        // `DpCompile` (tag 27) is in `retired_commands`.
         (
             Command::CtxWrap {
                 epoch: 3,
@@ -385,6 +385,7 @@ pub fn commands() -> Vec<(Command, &'static str)> {
             },
             "1e0000000000",
         ),
+        (Command::ScenarioCommit, "1f"),
     ]
 }
 
@@ -708,7 +709,9 @@ pub fn retired_messages() -> Vec<(&'static str, WireError)> {
 /// from before every begin restored, decodes as today's `ScenarioBegin`
 /// with the flag's byte left over; `DpPatch` carrying the scenario RIB
 /// and its changed nodes (tag 25), from before the workers patched
-/// their own rows, fails on its tag.
+/// their own rows, fails on its tag; `DpCompile` (tag 27), from before
+/// `DpPatch` compiled each overlay over its own region, fails on its
+/// tag.
 pub fn retired_commands() -> Vec<(&'static str, WireError)> {
     vec![
         ("0f", WireError::BadTag(15)),
@@ -718,6 +721,7 @@ pub fn retired_commands() -> Vec<(&'static str, WireError)> {
             "1900000002000000020a00000008030002000100040000000003c0a807012000000001000000000000000000000002000000010000000000000001000000010004",
             WireError::BadTag(25),
         ),
+        ("1b", WireError::BadTag(27)),
     ]
 }
 

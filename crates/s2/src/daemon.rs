@@ -10,18 +10,19 @@
 //! 1. **Validate** — resolve names against the model; malformed or
 //!    inapplicable deltas are rejected without touching the fleet.
 //! 2. **Stage/Replay/Dpv** — link deltas run as a *warm scenario*:
-//!    the cumulative failed-link overlay is replayed from the workers'
-//!    scenario checkpoint with the delta engine's steps
-//!    ([`crate::delta`]: `begin → reconverge → check`) inside its
-//!    fence. A verified scenario is left in place — it is the state
-//!    being committed, and the next delta's `begin` restores the
-//!    checkpoint anyway. Config-content deltas (and link deltas the
+//!    the new cumulative failed-link overlay is installed on the
+//!    workers' scenario checkpoint, the last committed state, with the
+//!    delta engine's steps ([`crate::delta`]: `begin → reconverge →
+//!    check`) inside its fence, so only the delta's own link replays.
+//!    A verified scenario is left in place — it is the state being
+//!    committed. Config-content deltas (and link deltas the
 //!    warm path cannot verify, e.g. an OSPF adjacency on the failed
 //!    link) **escalate**: a blue/green rebuild warms a fresh fleet for
 //!    the new snapshot while the old fleet keeps serving.
 //! 3. **Commit** — only a fully verified candidate replaces the
 //!    committed RIB + verdict state, atomically, bumping the
-//!    generation. A warm delta the fence gives up on escalates to a
+//!    generation; a warm one also becomes the fleet's checkpoint. A
+//!    warm delta the fence gives up on escalates to a
 //!    full re-verification, and finally degrades to
 //!    `rejected(reason)`. The daemon never wedges: after any outcome
 //!    it is ready for the next delta.
@@ -151,9 +152,9 @@ enum Action {
 /// delta lifecycle.
 pub struct Daemon {
     cfg: DaemonConfig,
-    /// The serving fleet, warm for `cfg.request`. Under a non-empty
-    /// overlay the committed state differs from the fleet's baseline
-    /// (the overlay is re-applied as a scenario per delta).
+    /// The serving fleet, warm for `cfg.request`. Its checkpoint is the
+    /// committed state (or, after a worker loss, the warm-up one, which
+    /// the next delta replays the whole overlay from).
     fleet: WarmFleet,
     committed: Committed,
     /// Links failed into the model of the current fleet (escalated
@@ -793,56 +794,54 @@ impl Daemon {
         sw: &Stopwatch,
     ) -> Result<AdminResponse, DaemonCrash> {
         self.crash(DaemonPhase::Stage)?;
-        let outcome = if new_overlay.is_empty() {
-            // Every failed link restored: the committed state *is* the
-            // warm baseline — nothing to execute.
-            let baseline = self.fleet.baseline();
-            Ok((baseline.rib.clone(), baseline.dpv.clone()))
-        } else {
-            let budget = FenceBudget {
-                deadline: self.cfg.delta_deadline,
-                max_retries: self.cfg.max_retries,
-                backoff: self.cfg.retry_backoff,
-                lost_dump: "daemon-delta-worker-lost",
-            };
-            let ports = scenario_ports(&new_overlay);
-            let (faults, abort) = (&self.faults, self.abort_on_crash);
-            let mut crashed = None;
-            let mut crash = |phase| {
-                crash_point(faults, abort, phase).map_err(|c| {
-                    crashed = Some(c);
-                    ScenarioFail::Crash
-                })
-            };
-            // On success the fleet is left in the scenario state it
-            // just verified — the state being committed. The next
-            // staging's `begin` restores the checkpoint before
-            // replaying, so a rollback here would be a wasted barrier
-            // on the delta hot path.
-            let outcome = self.fleet.fenced(&budget, |fleet, deadline| {
-                let stage_sw = Stopwatch::start();
-                fleet.begin(&ports)?;
-                crash(DaemonPhase::Replay)?;
-                ScenarioFail::if_expired(deadline)?;
-                fleet.reconverge()?;
-                ScenarioFail::if_expired(deadline)?;
-                record_ms("daemon.delta.stage_ms", &stage_sw);
-                crash(DaemonPhase::Dpv)?;
-                let dpv_sw = Stopwatch::start();
-                let pass = fleet.check(PatchStage::Reconverged, &ports);
-                record_ms("daemon.delta.dpv_ms", &dpv_sw);
-                let pass = pass?;
-                Ok((pass.rib, pass.dpv))
-            });
-            if let Some(crash) = crashed {
-                return Err(crash);
-            }
-            outcome
+        let budget = FenceBudget {
+            deadline: self.cfg.delta_deadline,
+            max_retries: self.cfg.max_retries,
+            backoff: self.cfg.retry_backoff,
+            lost_dump: "daemon-delta-worker-lost",
         };
+        // The whole new overlay: from the committed checkpoint it
+        // changes the delta's link alone, and from the warm-up one (after
+        // a re-warm) it replays every failed link.
+        let ports = scenario_ports(&new_overlay);
+        let (faults, abort) = (&self.faults, self.abort_on_crash);
+        let mut crashed = None;
+        let mut crash = |phase| {
+            crash_point(faults, abort, phase).map_err(|c| {
+                crashed = Some(c);
+                ScenarioFail::Crash
+            })
+        };
+        // On success the fleet is left in the scenario state it just
+        // verified — the state being committed, which the commit makes
+        // the fleet's checkpoint.
+        let outcome = self.fleet.fenced(&budget, |fleet, deadline| {
+            let stage_sw = Stopwatch::start();
+            fleet.begin(&ports)?;
+            crash(DaemonPhase::Replay)?;
+            ScenarioFail::if_expired(deadline)?;
+            fleet.reconverge()?;
+            ScenarioFail::if_expired(deadline)?;
+            record_ms("daemon.delta.stage_ms", &stage_sw);
+            crash(DaemonPhase::Dpv)?;
+            let dpv_sw = Stopwatch::start();
+            let pass = fleet.check(PatchStage::Reconverged, &ports);
+            record_ms("daemon.delta.dpv_ms", &dpv_sw);
+            pass
+        });
+        if let Some(crash) = crashed {
+            return Err(crash);
+        }
         match outcome {
-            Ok((rib, dpv)) => self.commit(sw, false, |daemon, generation| {
+            Ok(pass) => self.commit(sw, false, |daemon, generation| {
+                if let Err(e) = daemon.fleet.commit(&pass) {
+                    // The delta stands verified; the next one finds the
+                    // fleet broken and recovers it inside its fence.
+                    s2_obs::recorder::dump("daemon-commit-recovery-failed");
+                    s2_obs::event!("daemon.commit_error", e.to_string().len());
+                }
                 daemon.overlay = new_overlay;
-                Committed::new(generation, rib, &dpv)
+                Committed::new(generation, pass.rib, &pass.dpv)
             }),
             Err(fail) => {
                 // The warm path is out of budget; a full re-verification
@@ -936,8 +935,8 @@ impl Daemon {
         self.crash(DaemonPhase::Commit)?;
         let generation = self.committed.generation + 1;
         let committed = install(self, generation);
-        // Warm commits share every unpatched row with the warm
-        // baseline, so this compares the patched rows alone.
+        // A warm commit shares every unpatched row with the committed
+        // RIB it patched, so this compares the patched rows alone.
         let changed = self.committed.rib.changed_nodes(&committed.rib).len() as u32;
         let all_clear = committed.all_clear;
         self.committed = committed;

@@ -103,9 +103,12 @@ pub(crate) struct FenceFail {
 }
 
 /// A verifier plus everything that makes its fleet warm for one
-/// standing query. `V` is `S2Verifier` where the fleet is owned (the
-/// daemon swaps whole fleets on escalation) and `&S2Verifier` where it
-/// is borrowed for one call (a sweep).
+/// standing query. Its checkpoint is the warm-up state until
+/// [`WarmFleet::commit`] makes a verified scenario the next one; the
+/// steps below diff and splice against whichever it holds, and the
+/// warm baseline stays the warm-up outcome. `V` is `S2Verifier` where
+/// the fleet is owned (the daemon swaps whole fleets on escalation) and
+/// `&S2Verifier` where it is borrowed for one call (a sweep).
 pub(crate) struct WarmFleet<V: Borrow<S2Verifier> = S2Verifier> {
     verifier: V,
     copts: ClusterOptions,
@@ -169,7 +172,9 @@ impl<V: Borrow<S2Verifier>> WarmFleet<V> {
             .then(|| "ospf-adjacency-on-failed-link".into())
     }
 
-    /// Step: put the fleet on its checkpoint and fail `ports`.
+    /// Step: put the fleet on its checkpoint and make `ports` (besides
+    /// the model-level failures) exactly the failed ports: a port failed
+    /// at the checkpoint and not in `ports` is repaired.
     pub(crate) fn begin(&self, ports: &[(NodeId, InterfaceId)]) -> Result<(), ScenarioFail> {
         self.cluster().scenario_begin(ports).map_err(classify)
     }
@@ -195,9 +200,24 @@ impl<V: Borrow<S2Verifier>> WarmFleet<V> {
             .map_err(classify)
     }
 
-    /// Step: return the fleet to the warm baseline — fence (discard
-    /// every in-flight frame of the finished or aborted scenario),
-    /// then restore the checkpoint and clear scenario forwarding state.
+    /// Step: commit the scenario `pass` verified. The fleet's current
+    /// state becomes its checkpoint, so the next [`Self::begin`]
+    /// restores it and replays only what differs from it. If a worker
+    /// is lost on the way the fleet is recovered and re-warmed, which
+    /// leaves the warm-up checkpoint; a begin with the whole set of
+    /// failed ports replays from that one just as well.
+    pub(crate) fn commit(&mut self, pass: &ScenarioPass) -> Result<(), S2Error> {
+        if self.cluster().scenario_commit(&pass.rib).is_ok() {
+            return Ok(());
+        }
+        s2_obs::recorder::dump("delta-commit-worker-lost");
+        self.cluster().recover()?;
+        self.rewarm()
+    }
+
+    /// Step: return the fleet to its checkpoint — fence (discard every
+    /// in-flight frame of the finished or aborted scenario), then
+    /// restore the checkpoint and clear the pass's forwarding state.
     pub(crate) fn restore_baseline(&self) -> Result<(), RuntimeError> {
         self.cluster().fence()?;
         self.cluster().scenario_rollback()
@@ -282,10 +302,11 @@ fn build_baseline(
     loop {
         attempts -= 1;
         let run = || -> Result<WarmBaseline, RuntimeError> {
-            // Survivors of an aborted scenario may still carry its
-            // failed interfaces; roll everyone back before the cold
-            // rebuild (a no-op reset on freshly respawned workers).
-            cluster.scenario_rollback()?;
+            // Survivors may still carry the failed interfaces of an
+            // aborted or a committed scenario; give every switch the
+            // model's own failure set before the cold rebuild (a no-op
+            // on freshly respawned workers).
+            cluster.scenario_begin(&[])?;
             cluster.run_ospf(copts)?;
             let plan = cluster.plan_shards(1, verifier.opts.shard_seed)?;
             let rib = Arc::new(cluster.run_control_plane(&plan, copts)?.0);

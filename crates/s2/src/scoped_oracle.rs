@@ -13,7 +13,9 @@
 //! handful of k=6 singles, the empty-changed-set edge (a spare link
 //! carrying no routes: zero injections, baseline passthrough), and the
 //! everything-changed edge (a dst space fully covered by the change:
-//! scoping falls back to an unscoped full drive).
+//! scoping falls back to an unscoped full drive). Stacked scenarios, each
+//! committed on top of the last, are compared with a second fleet that
+//! replays the whole overlay from its warm-up checkpoint.
 //!
 //! [`Cluster::run_dpv`]: s2_runtime::Cluster::run_dpv
 
@@ -201,4 +203,67 @@ fn full_space_change_falls_back_to_unscoped_full_drive() {
     let cold = cold_oracle(&oracle, &request, rib);
     oracle.shutdown();
     assert_byte_identical(&scenario, &warm, &cold);
+}
+
+/// Stacked commits: a non-LIFO sequence of link deltas (down A, B, C;
+/// up B; down D; up A, C, D) over edge-aggregation and
+/// aggregation-core links of four pods, each verified and committed on
+/// top of the last. After every commit the committed RIB equals the RIB
+/// a second fleet converges to when it replays the whole overlay from
+/// its warm-up checkpoint, and the spliced verdicts equal a cold
+/// full-space pass over it, byte for byte.
+#[test]
+fn stacked_commits_equal_a_replay_from_warm_up() {
+    let ft = generate(FatTreeParams::new(4));
+    let model = NetworkModel::build(ft.topology.clone(), ft.configs.clone()).unwrap();
+    let request = fattree_request(&ft);
+    let topo = &ft.topology;
+    let link = |x: &str, y: &str| {
+        let (x, y) = (topo.node_by_name(x).unwrap(), topo.node_by_name(y).unwrap());
+        let l = topo.links().iter().find(|l| (l.a.0, l.b.0) == (x, y) || (l.a.0, l.b.0) == (y, x));
+        link_key(l.unwrap())
+    };
+    let (a, b) = (link("pod0-edge0", "pod0-agg0"), link("pod1-agg1", "core3"));
+    let (c, d) = (link("pod2-edge1", "pod2-agg0"), link("pod3-agg0", "core1"));
+    let steps = [
+        (a, true),
+        (b, true),
+        (c, true),
+        (b, false),
+        (d, true),
+        (a, false),
+        (c, false),
+        (d, false),
+    ];
+    for workers in [1, 2] {
+        let mut fleet = warm_fleet(model.clone(), workers, &request);
+        let replay = warm_fleet(model.clone(), workers, &request);
+        let oracle = verifier(model.clone(), workers);
+        let mut overlay: Vec<LinkKey> = Vec::new();
+        for &(l, fail) in &steps {
+            if fail {
+                overlay.push(l);
+            } else {
+                overlay.retain(|&k| k != l);
+            }
+            let ports = scenario_ports(&overlay);
+            fleet.begin(&ports).unwrap();
+            fleet.reconverge().unwrap();
+            let pass = fleet.check(PatchStage::Reconverged, &ports).unwrap();
+            assert!(pass.dpv.scoped.is_some(), "{overlay:?}: the pass was not scoped");
+            fleet.commit(&pass).unwrap();
+
+            replay.begin(&ports).unwrap();
+            replay.reconverge().unwrap();
+            let replayed = replay.verifier().cluster.collect_full_rib().unwrap();
+            replay.restore_baseline().unwrap();
+            assert_eq!(*pass.rib, replayed, "workers={workers} {overlay:?}: committed RIB");
+            let cold = cold_oracle(&oracle, &request, pass.rib.clone());
+            assert_byte_identical(&overlay, &pass.dpv, &cold);
+        }
+        assert!(overlay.is_empty());
+        for v in [fleet.into_verifier(), replay.into_verifier(), oracle] {
+            v.shutdown();
+        }
+    }
 }

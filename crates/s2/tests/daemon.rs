@@ -20,7 +20,12 @@ fn ckpt_path(name: &str) -> PathBuf {
 
 /// FatTree k=4 daemon config with the standard all-pair edge request.
 fn ft_config() -> DaemonConfig {
-    let k = 4;
+    fattree_config(4, 2)
+}
+
+/// FatTree k=`k` daemon config over `workers` workers with the
+/// standard all-pair edge request.
+fn fattree_config(k: usize, workers: u32) -> DaemonConfig {
     let ft = generate(FatTreeParams::new(k));
     let ft_ref = &ft;
     let endpoints = (0..k)
@@ -31,7 +36,7 @@ fn ft_config() -> DaemonConfig {
     let request =
         VerificationRequest::all_pair_reachability(endpoints, "10.0.0.0/8".parse().unwrap());
     let mut cfg = DaemonConfig::new(ft.topology.clone(), ft.configs.clone(), request);
-    cfg.opts = S2Options { workers: 2, ..Default::default() };
+    cfg.opts = S2Options { workers, ..Default::default() };
     cfg
 }
 
@@ -91,6 +96,85 @@ fn link_flap_commits_warm_and_restores_verdicts() {
     assert!(!escalated);
     assert_eq!(d.verdict_hash(), h0, "restoring the link must restore the baseline verdicts");
     d.shutdown();
+}
+
+/// Stacked link deltas, each committed warm on top of the last: a
+/// non-LIFO sequence reaching three links down, over edge-aggregation and
+/// aggregation-core links of four pods. After every commit the verdicts
+/// equal a cold open with the committed links failed in the model, the
+/// nodes the commit reports moved are those whose row differs between
+/// the cold RIBs before and after it (all-pair verdicts alone do not see
+/// which links carry the traffic), and the sequence ends on the open's
+/// verdicts.
+#[test]
+fn stacked_deltas_match_a_cold_open_after_every_commit() {
+    let links = [
+        ("pod0-edge0", "pod0-agg0"),
+        ("pod1-agg1", "core3"),
+        ("pod2-edge1", "pod2-agg0"),
+        ("pod3-agg0", "core1"),
+    ];
+    let (a, b, c, d) = (links[0], links[1], links[2], links[3]);
+    let steps = [
+        (a, true),
+        (b, true),
+        (c, true),
+        (b, false),
+        (d, true),
+        (a, false),
+        (c, false),
+        (d, false),
+    ];
+    for k in [4, 6] {
+        for workers in [1, 2] {
+            let mut daemon = Daemon::open(fattree_config(k, workers)).unwrap();
+            let open = daemon.verdict_hash();
+            let mut down: Vec<(&str, &str)> = Vec::new();
+            let mut deepest = 0;
+            let mut rib = cold_rib(fattree_config(k, workers));
+            for (generation, &(link, fail)) in (1..).zip(&steps) {
+                let delta = if fail { link_down(link.0, link.1) } else { link_up(link.0, link.1) };
+                let moved = match daemon.apply(&delta).expect("no injected crash") {
+                    AdminResponse::Committed { generation: g, escalated, changed_nodes, .. } => {
+                        assert_eq!((g, escalated), (generation, false));
+                        changed_nodes as usize
+                    }
+                    other => panic!("k={k} w={workers} {delta:?}: {other:?}"),
+                };
+                if fail {
+                    down.push(link);
+                } else {
+                    down.retain(|&l| l != link);
+                }
+                deepest = deepest.max(down.len());
+                let mut cfg = fattree_config(k, workers);
+                let topo = &cfg.topology;
+                let node = |name: &str| topo.node_by_name(name).unwrap();
+                cfg.opts.runtime.faults = down
+                    .iter()
+                    .fold(FaultPlan::new(), |plan, &(x, y)| plan.fail_link(node(x), node(y)));
+                let next = cold_rib(cfg.clone());
+                let what = format!("k={k} w={workers}: after {delta:?} with {down:?} down");
+                assert_eq!(moved, rib.changed_nodes(&next).len(), "{what}: moved nodes");
+                rib = next;
+                let oracle = Daemon::open(cfg).unwrap();
+                assert_eq!(daemon.verdict_hash(), oracle.verdict_hash(), "{what}");
+                oracle.shutdown();
+            }
+            assert_eq!(deepest, 3);
+            assert_eq!(daemon.verdict_hash(), open, "k={k} w={workers}: back to the open verdicts");
+            daemon.shutdown();
+        }
+    }
+}
+
+/// The RIB a cold verify of `cfg`'s snapshot converges to.
+fn cold_rib(cfg: DaemonConfig) -> std::sync::Arc<s2::RibSnapshot> {
+    let model = s2::NetworkModel::build(cfg.topology, cfg.configs).unwrap();
+    let verifier = s2::S2Verifier::new(model, &cfg.opts).unwrap();
+    let rib = verifier.verify(&cfg.request).unwrap().rib;
+    verifier.shutdown();
+    rib
 }
 
 /// Malformed or inapplicable deltas are rejected without touching the
