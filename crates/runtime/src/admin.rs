@@ -12,11 +12,12 @@
 //!   [`render_text_response`] implement it; the daemon only does the
 //!   peek-and-dispatch.
 //!
-//! The module also owns the on-disk **warm checkpoint**: the converged
-//! RIB snapshot plus the verdict summary as one [`Wire`] value (the
-//! workspace has no serialization framework; the codec's field lists
-//! are the only way to disk), wrapped in a `magic + fnv64 checksum +
-//! length` header and written via write-temp-then-rename. A flipped byte or truncated file
+//! The module also owns the on-disk **warm checkpoint**, a journal of
+//! the committed state a restart reads back (snapshot hash, generation,
+//! failed links) as one [`Wire`] value (the workspace has no
+//! serialization framework; the codec's field lists are the only way to
+//! disk), wrapped in a `magic + fnv64 checksum + length` header and
+//! written via write-temp-then-rename. A flipped byte or truncated file
 //! is detected by checksum and surfaces as
 //! [`CheckpointError::Corrupt`] — the daemon then falls back to a cold
 //! start rather than loading garbage.
@@ -49,7 +50,7 @@ pub const MAX_ADMIN_FRAME: usize = 8 << 20;
 
 /// Magic bytes opening a warm-checkpoint file (versioned). A file of
 /// another version fails with bad magic, and the daemon starts cold.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"S2CKPT02";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"S2CKPT03";
 
 // ---- message types ----
 
@@ -585,28 +586,10 @@ pub fn render_text_response(resp: &AdminResponse) -> String {
 
 // ---- warm checkpoint ----
 
-/// The verdict summary persisted alongside the RIB snapshot: everything
-/// the daemon needs to answer status/queries and to prove byte-identity
-/// against a cold oracle after a restart.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VerdictSummary {
-    /// `(src, dst)` pairs whose expected prefixes fully arrived.
-    pub reachable_pairs: u64,
-    /// Pairs with missing reachability.
-    pub unreachable_pairs: Vec<(NodeId, NodeId)>,
-    /// Sources with multipath-consistency violations.
-    pub multipath_violations: Vec<NodeId>,
-    /// Loop finals observed.
-    pub loops: u64,
-    /// Blackhole finals observed.
-    pub blackholes: u64,
-    /// Serialized per-(source, kind) verdict BDDs, sorted. ROBDD
-    /// serialization is canonical across managers, so byte equality
-    /// here is semantic equality.
-    pub verdict_sets: Vec<(NodeId, FinalKind, Vec<u8>)>,
-}
-
-/// A complete on-disk warm checkpoint.
+/// A complete on-disk warm checkpoint: the journal of committed state.
+/// A restart rebuilds the fleet from the snapshot with these links
+/// failed in the model, which recomputes the RIB and the verdicts, so
+/// neither is stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmCheckpoint {
     /// Hash of the snapshot (topology + configs) this state belongs to;
@@ -616,8 +599,6 @@ pub struct WarmCheckpoint {
     pub generation: u64,
     /// Committed failed links, as model node pairs (sorted).
     pub failed_links: Vec<(NodeId, NodeId)>,
-    /// The committed verdicts.
-    pub verdict: VerdictSummary,
 }
 
 /// Why a checkpoint failed to load.
@@ -671,20 +652,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-wire_struct!(VerdictSummary {
-    reachable_pairs,
-    unreachable_pairs,
-    multipath_violations,
-    loops,
-    blackholes,
-    verdict_sets,
-});
-
 wire_struct!(WarmCheckpoint {
     snapshot_hash,
     generation,
     failed_links,
-    verdict,
 });
 
 /// Frames a checkpoint payload into the on-disk file image:
@@ -771,17 +742,6 @@ mod tests {
             snapshot_hash: 0xdead_beef_0042,
             generation: 7,
             failed_links: vec![(NodeId(1), NodeId(4))],
-            verdict: VerdictSummary {
-                reachable_pairs: 12,
-                unreachable_pairs: vec![(NodeId(0), NodeId(1))],
-                multipath_violations: vec![NodeId(5)],
-                loops: 1,
-                blackholes: 2,
-                verdict_sets: vec![
-                    (NodeId(0), FinalKind::Arrive, vec![1, 2, 3]),
-                    (NodeId(1), FinalKind::Loop, vec![]),
-                ],
-            },
         }
     }
 

@@ -63,8 +63,7 @@ pub mod wire;
 pub mod worker;
 
 pub use admin::{
-    AdminRequest, AdminResponse, CheckpointError, DeltaSpec, VerdictSummary, WarmCheckpoint,
-    WorkerMetrics,
+    AdminRequest, AdminResponse, CheckpointError, DeltaSpec, WarmCheckpoint, WorkerMetrics,
 };
 pub use codec::Wire;
 pub use controller::{

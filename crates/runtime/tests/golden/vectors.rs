@@ -22,9 +22,7 @@ use s2_net::{Ipv4Addr, Prefix};
 use s2_obs::trace::Event;
 use s2_obs::MetricsSnapshot;
 use s2_routing::{BgpRoute, Origin, RibRoute, RibSnapshot};
-use s2_runtime::admin::{
-    AdminRequest, AdminResponse, DeltaSpec, VerdictSummary, WarmCheckpoint, WorkerMetrics,
-};
+use s2_runtime::admin::{AdminRequest, AdminResponse, DeltaSpec, WarmCheckpoint, WorkerMetrics};
 use s2_runtime::remote::{Register, Setup};
 use s2_runtime::wire::{Message, PacketRef};
 use s2_runtime::worker::{Command, PatchStage, Reply};
@@ -668,27 +666,16 @@ pub fn responses() -> Vec<(AdminResponse, &'static str)> {
 
 /// One warm checkpoint and its *framed file image* (`magic + fnv64 +
 /// len + payload`), exactly what `write_checkpoint` puts on disk:
-/// version 2 (`S2CKPT02`), the version-1 vector's checkpoint without
-/// its RIB.
+/// version 3 (`S2CKPT03`), the journal of committed state — the
+/// version-2 vector's checkpoint without its verdict summary.
 pub fn checkpoint() -> (WarmCheckpoint, &'static str) {
     (
         WarmCheckpoint {
             snapshot_hash: 0xdead_beef_0042,
             generation: 7,
             failed_links: vec![(NodeId(1), NodeId(4))],
-            verdict: VerdictSummary {
-                reachable_pairs: 12,
-                unreachable_pairs: vec![(NodeId(0), NodeId(1))],
-                multipath_violations: vec![NodeId(5), NodeId(6)],
-                loops: 1,
-                blackholes: 2,
-                verdict_sets: vec![
-                    (NodeId(0), FinalKind::Arrive, vec![1, 2, 3]),
-                    (NodeId(1), FinalKind::Loop, vec![]),
-                ],
-            },
         },
-        "5332434b50543032d418851134999ae100000000000000650000deadbeef00420000000000000007000000010000000100000004000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000",
+        "5332434b505430336f8bb77d147b3010000000000000001c0000deadbeef00420000000000000007000000010000000100000004",
     )
 }
 
@@ -748,7 +735,13 @@ pub fn retired_replies() -> Vec<(&'static str, WireError)> {
 
 /// Retired checkpoint file images, each to be rejected as corrupt
 /// ("bad magic"): version 1 (`S2CKPT01`), which also carried the
-/// committed RIB (`rib()` above).
+/// committed RIB (`rib()` above), and version 2 (`S2CKPT02`), which
+/// also carried a verdict summary (reachable pairs 12, unreachable
+/// `(0, 1)`, multipath violations at 5 and 6, one loop, two blackholes,
+/// verdict sets `(0, Arrive, [1, 2, 3])` and `(1, Loop, [])`).
 pub fn retired_checkpoints() -> Vec<&'static str> {
-    vec!["5332434b505430312af207f39a72434b000000000000008f0000deadbeef0042000000000000000700000001000000010000000400000002000000020a00000008030002000100040000000003c0a8070120000000010000000000000000000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000"]
+    vec![
+        "5332434b505430312af207f39a72434b000000000000008f0000deadbeef0042000000000000000700000001000000010000000400000002000000020a00000008030002000100040000000003c0a8070120000000010000000000000000000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000",
+        "5332434b50543032d418851134999ae100000000000000650000deadbeef00420000000000000007000000010000000100000004000000000000000c0000000100000000000000010000000200000005000000060000000000000001000000000000000200000002000000000000000003010203000000010300000000",
+    ]
 }

@@ -385,7 +385,8 @@ fn cmd_sweep(args: Args) -> Result<(), String> {
 }
 
 /// Runs the incremental verification daemon: verify the snapshot once
-/// (or restore a warm checkpoint), then serve verify-then-commit deltas
+/// (with a matching journal's failed links baked in, at its
+/// generation), then serve verify-then-commit deltas
 /// over the `--admin` TCP socket until a `shutdown` request.
 fn cmd_daemon(args: Args) -> Result<(), String> {
     let (model, request) = load_model_request(&args)?;
@@ -409,7 +410,7 @@ fn cmd_daemon(args: Args) -> Result<(), String> {
     eprintln!(
         "daemon: generation {} ({}) baseline {:.1} ms verdict-hash {:016x}",
         daemon.generation(),
-        if daemon.warm_start() { "warm restart" } else { "cold start" },
+        if daemon.warm_start() { "journal adopted" } else { "cold start" },
         daemon.baseline_ms(),
         daemon.verdict_hash(),
     );

@@ -26,15 +26,13 @@
 //!    full re-verification, and finally degrades to
 //!    `rejected(reason)`. The daemon never wedges: after any outcome
 //!    it is ready for the next delta.
-//! 4. **Checkpoint** — the committed generation, failed links and
-//!    verdicts are persisted (write-temp-then-rename, checksummed; no
-//!    RIB: the rebuilt fleet recomputes it) so a `kill -9` resumes
-//!    warm: on restart the checkpoint pre-seeds the committed verdicts
-//!    instantly, the fleet rebuilds with the failed links baked into
-//!    the model, and the recomputed verdict BDDs are byte-compared
-//!    against the checkpoint (canonical ROBDD serialization makes
-//!    byte equality semantic equality). A corrupt or mismatched
-//!    checkpoint falls back to a cold start — never loads garbage.
+//! 4. **Checkpoint** — the committed generation and failed links are
+//!    journaled (write-temp-then-rename, checksummed), so a `kill -9`
+//!    resumes the committed state: on restart a journal that matches
+//!    the snapshot is adopted, and the fleet rebuilds with its failed
+//!    links baked into the model, which recomputes the RIB and the
+//!    verdicts, at the journaled generation. A corrupt or mismatched
+//!    journal falls back to a cold start — never loads garbage.
 //!
 //! Chaos hooks: [`FaultPlan::crash_daemon`] aborts the daemon at any
 //! phase above, [`FaultPlan::drop_admin_conn`] severs admin
@@ -55,8 +53,7 @@ use s2_obs::{MetricsSnapshot, Registry, Stopwatch};
 use s2_routing::{NetworkModel, RibSnapshot};
 use s2_runtime::admin::{
     self, fnv1a64, parse_text_command, render_text_response, AdminRequest, AdminResponse,
-    DeltaSpec, VerdictSummary, WarmCheckpoint, WorkerMetrics, K_ADMIN_REQUEST, K_ADMIN_RESPONSE,
-    MAX_ADMIN_FRAME,
+    DeltaSpec, WarmCheckpoint, WorkerMetrics, K_ADMIN_REQUEST, K_ADMIN_RESPONSE, MAX_ADMIN_FRAME,
 };
 use s2_runtime::tcp;
 use s2_runtime::{CheckpointError, DaemonPhase, DpvRunStats, FaultPlan, FaultState, PatchStage};
@@ -120,24 +117,13 @@ impl std::fmt::Display for DaemonCrash {
     }
 }
 
-/// The committed (serving) state: what `status` reports, what the
-/// checkpoint persists, what the next delta is diffed against.
+/// The committed (serving) state: what `status` reports, what the next
+/// delta is diffed against. The checkpoint journals its generation.
 struct Committed {
     generation: u64,
     rib: Arc<RibSnapshot>,
-    verdict: VerdictSummary,
-    all_clear: bool,
-}
-
-impl Committed {
-    fn new(generation: u64, rib: Arc<RibSnapshot>, dpv: &DpvRunStats) -> Committed {
-        Committed {
-            generation,
-            rib,
-            verdict: summarize(dpv),
-            all_clear: dpv.all_clear(),
-        }
-    }
+    /// The DPV outcome of the pass that committed it.
+    dpv: DpvRunStats,
 }
 
 /// What validation decided to do with a delta.
@@ -158,7 +144,7 @@ pub struct Daemon {
     fleet: WarmFleet,
     committed: Committed,
     /// Links failed into the model of the current fleet (escalated
-    /// commits and checkpoint restores land here).
+    /// commits and adopted journals land here).
     baked: Vec<(NodeId, NodeId)>,
     /// Links failed on top of the baked model as a warm overlay.
     overlay: Vec<LinkKey>,
@@ -167,10 +153,8 @@ pub struct Daemon {
     /// connections, corrupted checkpoints). Built from the same plan as
     /// the cluster's state but counts independently.
     faults: FaultState,
+    /// Whether `open` adopted a journal that matched the snapshot.
     warm_start: bool,
-    /// Milliseconds until checkpointed verdicts were servable again
-    /// (warm restarts only) — the honest "resumes warm" metric.
-    restore_ms: Option<f64>,
     committed_count: u64,
     rejected_count: u64,
     /// `serve` mode: injected crashes abort the process instead of
@@ -231,18 +215,6 @@ pub fn snapshot_hash(topology: &Topology, configs: &[DeviceConfig]) -> u64 {
     fnv1a64(text.as_bytes())
 }
 
-/// Extracts the persistable verdict summary of a DPV outcome.
-fn summarize(dpv: &DpvRunStats) -> VerdictSummary {
-    VerdictSummary {
-        reachable_pairs: dpv.reachable_pairs as u64,
-        unreachable_pairs: dpv.unreachable_pairs.clone(),
-        multipath_violations: dpv.multipath_violations.clone(),
-        loops: dpv.loops as u64,
-        blackholes: dpv.blackholes as u64,
-        verdict_sets: dpv.verdict_sets.clone(),
-    }
-}
-
 /// Normalised node pair of a link (smaller id first).
 fn node_pair(key: &LinkKey) -> (NodeId, NodeId) {
     let (a, b) = (key.0 .0, key.1 .0);
@@ -255,7 +227,7 @@ fn node_pair(key: &LinkKey) -> (NodeId, NodeId) {
 
 /// Every failed link as a node pair: the model-baked ones plus the
 /// warm overlay, sorted and deduplicated — what a rebuild bakes into
-/// the model and what the checkpoint persists.
+/// the model and what the checkpoint journals.
 fn failed_pairs(baked: &[(NodeId, NodeId)], overlay: &[LinkKey]) -> Vec<(NodeId, NodeId)> {
     let mut all = baked.to_vec();
     all.extend(overlay.iter().map(node_pair));
@@ -286,16 +258,16 @@ fn crash_point(faults: &FaultState, abort: bool, phase: DaemonPhase) -> Result<(
 }
 
 impl Daemon {
-    /// Starts the daemon: restores the warm checkpoint when one exists
-    /// and matches the snapshot (corrupt or stale checkpoints fall back
-    /// to a cold start), spawns the fleet, and builds the warm
-    /// baseline.
+    /// Starts the daemon: adopts the journal when one exists and
+    /// matches the snapshot (corrupt or stale journals fall back to a
+    /// cold start at generation 0), spawns the fleet with the journaled
+    /// links failed in the model, and builds the warm baseline.
     pub fn open(cfg: DaemonConfig) -> Result<Daemon, S2Error> {
         let _span = s2_obs::span!("daemon.open");
         let sw = Stopwatch::start();
         let snapshot_hash = snapshot_hash(&cfg.topology, &cfg.configs);
         let faults = FaultState::new(cfg.opts.runtime.faults.clone());
-        let restore = cfg.checkpoint.as_deref().and_then(|path| {
+        let journal = cfg.checkpoint.as_deref().and_then(|path| {
             match admin::load_checkpoint(path) {
                 Ok(ckpt) if ckpt.snapshot_hash == snapshot_hash => Some(ckpt),
                 Ok(_) => {
@@ -311,46 +283,17 @@ impl Daemon {
             }
         });
 
-        let baked: Vec<(NodeId, NodeId)> =
-            restore.as_ref().map(|c| c.failed_links.clone()).unwrap_or_default();
+        let warm_start = journal.is_some();
+        let (generation, baked) =
+            journal.map_or((0, Vec::new()), |j| (j.generation, j.failed_links));
         let mut opts = cfg.opts.clone();
         opts.runtime.faults = baked.iter().fold(opts.runtime.faults, |p, &(a, b)| p.fail_link(a, b));
         let model = NetworkModel::build(cfg.topology.clone(), cfg.configs.clone())?;
         let verifier = S2Verifier::new(model, &opts)?;
-
-        // A matching checkpoint makes the committed verdicts servable
-        // before the fleet even finishes warming — that gap is the
-        // restore latency worth reporting.
-        let (generation, checkpointed, restore_ms) = match restore {
-            Some(ckpt) => (
-                ckpt.generation,
-                Some(ckpt.verdict),
-                Some(sw.elapsed().as_secs_f64() * 1000.0),
-            ),
-            None => (0, None, None),
-        };
-        let warm_start = checkpointed.is_some();
-
         let fleet = WarmFleet::warm_up(verifier, &cfg.request).map_err(|(_, e)| e)?;
         let baseline = fleet.baseline();
-        // Determinism check: the rebuilt fleet's verdict BDDs must be
-        // byte-identical to the checkpointed ones. If they are not, the
-        // recomputation is the truth — adopt it loudly.
-        let verdict = match checkpointed {
-            Some(verdict) if verdict.verdict_sets == baseline.dpv.verdict_sets => verdict,
-            Some(_) => {
-                s2_obs::recorder::dump("daemon-restore-verdict-drift");
-                s2_obs::event!("daemon.restore_drift", 1);
-                summarize(&baseline.dpv)
-            }
-            None => summarize(&baseline.dpv),
-        };
-        let committed = Committed {
-            generation,
-            rib: baseline.rib.clone(),
-            verdict,
-            all_clear: baseline.dpv.all_clear(),
-        };
+        let committed =
+            Committed { generation, rib: baseline.rib.clone(), dpv: baseline.dpv.clone() };
         s2_obs::event!("daemon.open", committed.generation as usize);
 
         let daemon = Daemon {
@@ -362,7 +305,6 @@ impl Daemon {
             snapshot_hash,
             faults,
             warm_start,
-            restore_ms,
             committed_count: 0,
             rejected_count: 0,
             abort_on_crash: false,
@@ -371,8 +313,8 @@ impl Daemon {
             slo_window: VecDeque::new(),
             worker_cache: BTreeMap::new(),
         };
-        // Persist generation 0 immediately: a `kill -9` before the first
-        // delta must still restart warm.
+        // Journal generation 0 at once, so that a restart after a
+        // `kill -9` before the first delta adopts it too.
         if !daemon.warm_start {
             daemon.checkpoint_now();
         }
@@ -385,25 +327,22 @@ impl Daemon {
         self.committed.generation
     }
 
-    /// Whether this instance restored from a warm checkpoint.
+    /// Whether this instance adopted a journal: a checkpoint that
+    /// matched the snapshot, whose generation and failed links it
+    /// resumed.
     pub fn warm_start(&self) -> bool {
         self.warm_start
     }
 
-    /// Milliseconds until checkpointed verdicts were servable (warm
-    /// restarts only).
-    pub fn restore_ms(&self) -> Option<f64> {
-        self.restore_ms
-    }
-
-    /// The committed verdict summary.
-    pub fn verdict(&self) -> &VerdictSummary {
-        &self.committed.verdict
+    /// The committed verdicts: the DPV outcome of the pass that
+    /// committed them.
+    pub fn verdict(&self) -> &DpvRunStats {
+        &self.committed.dpv
     }
 
     /// Canonical hash of the committed verdict BDDs.
     pub fn verdict_hash(&self) -> u64 {
-        admin::verdict_hash(&self.committed.verdict.verdict_sets)
+        admin::verdict_hash(&self.committed.dpv.verdict_sets)
     }
 
     /// Wall time of the last warm baseline build — the cold-verify cost
@@ -616,7 +555,7 @@ impl Daemon {
         AdminResponse::Status {
             generation: self.committed.generation,
             failed_links: (self.baked.len() + self.overlay.len()) as u32,
-            all_clear: self.committed.all_clear,
+            all_clear: self.committed.dpv.all_clear(),
             committed: self.committed_count,
             rejected: self.rejected_count,
             warm_start: self.warm_start,
@@ -841,7 +780,7 @@ impl Daemon {
                     s2_obs::event!("daemon.commit_error", e.to_string().len());
                 }
                 daemon.overlay = new_overlay;
-                Committed::new(generation, pass.rib, &pass.dpv)
+                Committed { generation, rib: pass.rib, dpv: pass.dpv }
             }),
             Err(fail) => {
                 // The warm path is out of budget; a full re-verification
@@ -909,7 +848,7 @@ impl Daemon {
                     daemon.baked = baked;
                     daemon.overlay = Vec::new();
                     let baseline = daemon.fleet.baseline();
-                    Committed::new(generation, baseline.rib.clone(), &baseline.dpv)
+                    Committed { generation, rib: baseline.rib.clone(), dpv: baseline.dpv.clone() }
                 })
             }
             Err((verifier, e)) => {
@@ -938,7 +877,7 @@ impl Daemon {
         // A warm commit shares every unpatched row with the committed
         // RIB it patched, so this compares the patched rows alone.
         let changed = self.committed.rib.changed_nodes(&committed.rib).len() as u32;
-        let all_clear = committed.all_clear;
+        let all_clear = committed.dpv.all_clear();
         self.committed = committed;
         record_ms("daemon.delta.commit_ms", &commit_sw);
         self.crash(DaemonPhase::Checkpoint)?;
@@ -954,7 +893,7 @@ impl Daemon {
         })
     }
 
-    /// Persists the committed state (best effort — a failed write is
+    /// Journals the committed state (best effort — a failed write is
     /// recorded, not fatal: the daemon keeps serving and the previous
     /// checkpoint file, if any, stays valid thanks to temp-then-rename).
     fn checkpoint_now(&self) {
@@ -963,7 +902,6 @@ impl Daemon {
             snapshot_hash: self.snapshot_hash,
             generation: self.committed.generation,
             failed_links: failed_pairs(&self.baked, &self.overlay),
-            verdict: self.committed.verdict.clone(),
         };
         match admin::write_checkpoint(path, &ckpt, &self.faults) {
             Ok(()) => self.last_checkpoint_ns.set(Some(s2_obs::time::now_ns())),

@@ -305,9 +305,9 @@ fn worker_kill_mid_delta_recovers_and_commits() {
 }
 
 /// Chaos: an injected daemon crash at every delta phase, followed by a
-/// restart from the warm checkpoint. The restarted daemon must come up
-/// warm at the pre-delta generation with verdicts byte-identical to a
-/// cold oracle of the same snapshot.
+/// restart from the journal. The restarted daemon must adopt it at the
+/// pre-delta generation with verdicts byte-identical to a cold oracle of
+/// the same snapshot.
 #[test]
 fn crash_at_every_phase_restarts_warm_with_oracle_verdicts() {
     let oracle = Daemon::open(ft_config()).unwrap();
@@ -345,7 +345,6 @@ fn crash_at_every_phase_restarts_warm_with_oracle_verdicts() {
             h0,
             "crash at {phase:?}: post-recovery verdicts must match the cold oracle"
         );
-        assert!(d.restore_ms().is_some());
         d.shutdown();
         let _ = std::fs::remove_file(&path);
     }
@@ -353,34 +352,58 @@ fn crash_at_every_phase_restarts_warm_with_oracle_verdicts() {
 
 /// Restarting after a committed link-down resumes at the committed
 /// generation with the failed link baked in — verdicts byte-identical
-/// to a cold oracle verifying the degraded snapshot.
+/// to a cold oracle verifying the degraded snapshot — and the link-up
+/// that follows moves exactly the rows that differ between the cold
+/// RIBs of the degraded and the clean snapshot, back to the open's
+/// verdicts. Restarted on the journal writer's worker count and on one
+/// worker over a two-worker journal: the journal holds no verdicts, so
+/// nothing in it depends on the partition.
 #[test]
 fn restart_resumes_committed_overlay_and_matches_degraded_oracle() {
-    let path = ckpt_path("overlay");
-    let mut cfg = ft_config();
-    cfg.checkpoint = Some(path.clone());
-    let mut d = Daemon::open(cfg).unwrap();
-    must_commit(&mut d, &link_down("pod0-edge0", "pod0-agg0"));
-    // No clean shutdown request: the commit already checkpointed.
-    d.shutdown();
+    for (written, restarted) in [(2, 2), (2, 1)] {
+        let what = format!("journal of {written} workers, restart on {restarted}");
+        let path = ckpt_path("overlay");
+        let mut cfg = fattree_config(4, written);
+        cfg.checkpoint = Some(path.clone());
+        let mut d = Daemon::open(cfg).unwrap();
+        must_commit(&mut d, &link_down("pod0-edge0", "pod0-agg0"));
+        // No clean shutdown request: the commit already checkpointed.
+        d.shutdown();
 
-    let mut cfg = ft_config();
-    cfg.checkpoint = Some(path.clone());
-    let d = Daemon::open(cfg).unwrap();
-    assert!(d.warm_start());
-    assert_eq!(d.generation(), 1);
-    let restarted = d.verdict_hash();
-    d.shutdown();
+        // Cold oracles on the restart's worker count: the snapshot with
+        // the link failed at the model level, and the clean one.
+        let clean = fattree_config(4, restarted);
+        let mut degraded = clean.clone();
+        let a = degraded.topology.node_by_name("pod0-edge0").unwrap();
+        let b = degraded.topology.node_by_name("pod0-agg0").unwrap();
+        degraded.opts.runtime.faults = FaultPlan::new().fail_link(a, b);
+        let oracle = Daemon::open(degraded.clone()).unwrap();
+        let degraded_hash = oracle.verdict_hash();
+        oracle.shutdown();
+        let oracle = Daemon::open(clean.clone()).unwrap();
+        let open_hash = oracle.verdict_hash();
+        oracle.shutdown();
+        let moved = cold_rib(degraded).changed_nodes(&cold_rib(clean.clone())).len();
 
-    // Cold oracle: same snapshot with the link failed at the model level.
-    let mut cfg = ft_config();
-    let a = cfg.topology.node_by_name("pod0-edge0").unwrap();
-    let b = cfg.topology.node_by_name("pod0-agg0").unwrap();
-    cfg.opts.runtime.faults = FaultPlan::new().fail_link(a, b);
-    let oracle = Daemon::open(cfg).unwrap();
-    assert_eq!(restarted, oracle.verdict_hash(), "restart must match the degraded cold oracle");
-    oracle.shutdown();
-    let _ = std::fs::remove_file(&path);
+        let mut cfg = clean;
+        cfg.checkpoint = Some(path.clone());
+        let mut d = Daemon::open(cfg).unwrap();
+        assert!(d.warm_start(), "{what}: the journal must be adopted");
+        assert_eq!(d.generation(), 1, "{what}");
+        let restart_hash = d.verdict_hash();
+        assert_eq!(restart_hash, degraded_hash, "{what}: restart must match the degraded oracle");
+        match d.apply(&link_up("pod0-edge0", "pod0-agg0")).expect("no injected crash") {
+            AdminResponse::Committed { generation, changed_nodes, all_clear, .. } => {
+                assert_eq!(generation, 2, "{what}");
+                assert_eq!(changed_nodes as usize, moved, "{what}: moved nodes");
+                assert!(all_clear, "{what}");
+            }
+            other => panic!("{what}: link-up should commit, got {other:?}"),
+        }
+        assert_eq!(d.verdict_hash(), open_hash, "{what}: back to the open verdicts");
+        d.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// A corrupted checkpoint is detected by checksum on restart and the
