@@ -257,7 +257,8 @@ pub fn run_dpv_with_failures(
             if *dst == src {
                 continue;
             }
-            let arrived = arrivals.get(&(src, *dst)).copied().unwrap_or(Bdd::FALSE);
+            let arrived = arrivals.get(dst).copied().unwrap_or(Bdd::FALSE);
+            let arrived = result.of_source(&mut manager, src, arrived);
             let want = space.dst_in_any(&mut manager, prefixes);
             if properties::judge_pair(&mut manager, &space, want, arrived, &[]).reachable {
                 report.reachable_pairs += 1;

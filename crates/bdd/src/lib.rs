@@ -29,4 +29,4 @@ pub mod sat;
 pub mod serialize;
 pub mod splice;
 
-pub use manager::{Bdd, BddManager, CacheConfig, CacheStats};
+pub use manager::{Bdd, BddManager, CacheConfig, CacheStats, Mark};

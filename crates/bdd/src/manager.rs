@@ -15,6 +15,11 @@
 //! costs recomputation, never correctness. Each entry carries a generation
 //! tag so [`clear_caches`](BddManager::clear_caches) is O(1): it bumps the
 //! generation and every stale entry misses by tag mismatch.
+//!
+//! Nodes are appended and never collected one by one, but a run of work
+//! whose results are all dropped can be undone whole:
+//! [`release`](BddManager::release) truncates the node table back to a
+//! [`Mark`], since a node only points at older ones.
 
 /// A handle to a BDD rooted at some node of a [`BddManager`].
 ///
@@ -50,6 +55,10 @@ impl Bdd {
         self.0 <= 1
     }
 }
+
+/// A length of a manager's node table (see [`BddManager::mark`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark(u32);
 
 /// One decision node. Terminals live at indices 0 and 1 with `var == u16::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -414,8 +423,8 @@ impl BddManager {
             self.peak_nodes = self.nodes.len();
         }
         // Keep load factor under 3/4; doubling re-derives every slot from
-        // the node table (no stored hashes, no tombstones — nodes are
-        // never removed).
+        // the node table (no stored hashes, no tombstones — `release`
+        // only drops the newest nodes, which displaced no older one).
         if (self.nodes.len() - 2) * 4 >= self.unique_slots.len() * 3 {
             self.grow_unique();
         }
@@ -437,6 +446,46 @@ impl BddManager {
         }
         self.unique_slots = slots;
         self.unique_mask = mask;
+    }
+
+    /// The current end of the node table, for [`release`](Self::release).
+    pub fn mark(&self) -> Mark {
+        Mark(self.nodes.len() as u32)
+    }
+
+    /// Drops every node interned since `mark`, and every computed-cache
+    /// entry that names one; what existed at `mark` keeps its handle and
+    /// its cache entries. O(nodes dropped + cache size).
+    ///
+    /// The caller must hold no handle created after `mark`: a released
+    /// index is handed out again by the next `mk`. A mark past the end
+    /// of the table (taken before an earlier release) drops nothing.
+    pub fn release(&mut self, mark: Mark) {
+        let keep = mark.0;
+        // The table is laid out as if the nodes were inserted in index
+        // order (a resize re-inserts them so), and an insert moves no
+        // older entry: emptying the newest nodes' slots, newest first,
+        // leaves the table the older nodes alone would have built.
+        for idx in (keep as usize..self.nodes.len()).rev() {
+            let n = self.nodes[idx];
+            let mut slot = hash3(n.var as u64, n.lo as u64, n.hi as u64) & self.unique_mask;
+            while self.unique_slots[slot] != idx as u32 {
+                slot = (slot + 1) & self.unique_mask;
+            }
+            self.unique_slots[slot] = EMPTY;
+        }
+        self.nodes.truncate(keep as usize);
+        for e in &mut self.bin_cache {
+            if e.f >= keep || e.g >= keep || e.result >= keep {
+                *e = BinEntry::default();
+            }
+        }
+        for e in &mut self.not_cache {
+            if e.f >= keep || e.result >= keep {
+                *e = NotEntry::default();
+            }
+        }
+        // Memo entries never outlive their call (see `memo_begin`).
     }
 
     /// Looks up `(op, f, g)` in the direct-mapped binary computed cache.
@@ -633,6 +682,104 @@ mod tests {
         }
         // No node was duplicated: 2 terminals + 512 vars.
         assert_eq!(m.node_count(), 514);
+    }
+
+    /// A release drops what came after the mark and only that: the
+    /// table is canonical again (rebuilding a kept node finds it, a
+    /// dropped one is rebuilt fresh), and no cache entry answers with a
+    /// released index that now names another node.
+    #[test]
+    fn release_drops_exactly_the_nodes_after_the_mark() {
+        let config = CacheConfig {
+            unique_bits: 2,
+            ..CacheConfig::default()
+        };
+        let mut m = BddManager::with_config(16, config);
+        let vars: Vec<Bdd> = (0..16).map(|v| m.var(v)).collect();
+        let kept = m.or(vars[0], vars[5]);
+        let mark = m.mark();
+        let count = m.node_count();
+        // Enough nodes to shift probe runs and double the table.
+        let mut parity = Bdd::FALSE;
+        for pair in vars.windows(2) {
+            let p = m.and(pair[0], pair[1]);
+            parity = m.xor(parity, p);
+        }
+        let gone = m.and(kept, parity);
+        let gone_size = m.size(gone);
+        assert!(m.node_count() > count + 16);
+        m.release(mark);
+        assert_eq!((m.node_count(), m.mark()), (count, mark));
+        assert_table_holds_exactly_the_nodes(&m);
+        for (v, &h) in vars.iter().enumerate() {
+            assert_eq!(m.var(v as u16), h);
+        }
+        assert_eq!(m.or(vars[0], vars[5]), kept);
+        assert_eq!(m.node_count(), count);
+        // The released indices are reused by other functions; the cached
+        // `and(kept, parity)` must not resurface under them.
+        let other = m.and(vars[3], vars[9]);
+        assert_eq!(other.0 as usize, count, "the first released index is reused");
+        let mut again = Bdd::FALSE;
+        for pair in vars.windows(2) {
+            let p = m.and(pair[0], pair[1]);
+            again = m.xor(again, p);
+        }
+        let rebuilt = m.and(kept, again);
+        let expected = (0..1u32 << 16).all(|bits| {
+            let a: Vec<bool> = (0..16).map(|i| bits >> i & 1 == 1).collect();
+            let adjacent = (0..15).filter(|&i| a[i] && a[i + 1]).count();
+            m.eval(rebuilt, &a) == ((a[0] || a[5]) && adjacent % 2 == 1)
+        });
+        assert!(expected);
+        assert_eq!(m.size(rebuilt), gone_size);
+        // A stale mark past the end drops nothing.
+        let end = m.node_count();
+        m.release(Mark(end as u32 + 5));
+        assert_eq!(m.node_count(), end);
+    }
+
+    /// Every node is in the unique table once, reachable from its home
+    /// slot, and the table holds nothing else.
+    fn assert_table_holds_exactly_the_nodes(m: &BddManager) {
+        let live = m.unique_slots.iter().filter(|&&i| i != EMPTY).count();
+        assert_eq!(live, m.node_count() - 2);
+        for idx in 2..m.node_count() as u32 {
+            let n = m.nodes[idx as usize];
+            let mut slot = hash3(n.var as u64, n.lo as u64, n.hi as u64) & m.unique_mask;
+            while m.unique_slots[slot] != idx {
+                assert_ne!(m.unique_slots[slot], EMPTY, "node {idx} unreachable");
+                slot = (slot + 1) & m.unique_mask;
+            }
+        }
+    }
+
+    /// Releases into a crowded table, where dropped and kept nodes share
+    /// probe runs: after each, every kept node is still found (the same
+    /// handle, no new node) and the table holds nothing else.
+    #[test]
+    fn release_keeps_every_older_node_reachable() {
+        let mut m = BddManager::new(40);
+        let vars: Vec<Bdd> = (0..40).map(|v| m.var(v)).collect();
+        let pairs: Vec<(usize, usize)> =
+            (0..40).flat_map(|i| (i + 1..40).map(move |j| (i, j))).collect();
+        let mut kept = Vec::new();
+        for round in 0..6 {
+            for &(i, j) in pairs.iter().skip(round).step_by(6) {
+                kept.push(((i, j), m.and(vars[i], vars[j])));
+            }
+            let (mark, count) = (m.mark(), m.node_count());
+            for &(i, j) in &pairs {
+                m.or(vars[i], vars[j]);
+            }
+            m.release(mark);
+            assert_eq!(m.node_count(), count, "round {round}");
+            assert_table_holds_exactly_the_nodes(&m);
+            for &((i, j), f) in &kept {
+                assert_eq!(m.and(vars[i], vars[j]), f, "round {round}: {i} ∧ {j}");
+            }
+            assert_eq!(m.node_count(), count, "round {round}");
+        }
     }
 
     #[test]

@@ -204,6 +204,43 @@ impl BddManager {
         r
     }
 
+    /// Restricts every variable of the cube `lits` to its value in one
+    /// walk: `f[v₁:=b₁, …, vₖ:=bₖ]`. `lits` is sorted by variable, each
+    /// variable at most once. Memoized like [`restrict`](Self::restrict):
+    /// which literals still apply below a node is fixed by the node's
+    /// variable, so one memo scope serves the whole walk.
+    pub fn restrict_cube(&mut self, f: Bdd, lits: &[(u16, bool)]) -> Bdd {
+        debug_assert!(lits.windows(2).all(|w| w[0].0 < w[1].0), "unsorted cube");
+        if lits.is_empty() {
+            return f;
+        }
+        self.memo_begin();
+        Bdd(self.restrict_cube_rec(f.0, lits))
+    }
+
+    fn restrict_cube_rec(&mut self, f: u32, lits: &[(u16, bool)]) -> u32 {
+        if f <= 1 {
+            return f;
+        }
+        let n = self.nodes[f as usize];
+        let lits = &lits[lits.partition_point(|&(v, _)| v < n.var)..];
+        let Some(&(var, value)) = lits.first() else {
+            return f;
+        };
+        if let Some(r) = self.memo_get(f) {
+            return r;
+        }
+        let r = if n.var == var {
+            self.restrict_cube_rec(if value { n.hi } else { n.lo }, &lits[1..])
+        } else {
+            let lo = self.restrict_cube_rec(n.lo, lits);
+            let hi = self.restrict_cube_rec(n.hi, lits);
+            self.mk(n.var, lo, hi)
+        };
+        self.memo_put(f, r);
+        r
+    }
+
     /// Existentially quantifies variable `var`: `f[var:=0] ∨ f[var:=1]`.
     pub fn exists(&mut self, f: Bdd, var: u16) -> Bdd {
         let lo = self.restrict(f, var, false);
@@ -306,6 +343,25 @@ mod tests {
         assert_eq!(m.restrict(ab, 0, false), Bdd::FALSE);
         // Restricting a variable not in the support is a no-op.
         assert_eq!(m.restrict(ab, 7, true), ab);
+    }
+
+    #[test]
+    fn restrict_cube_equals_chained_restricts() {
+        let mut m = BddManager::new(8);
+        let v: Vec<Bdd> = (0..8).map(|i| m.var(i)).collect();
+        let (x, y) = (m.xor(v[1], v[6]), m.and(v[0], v[7]));
+        let z = m.or(x, y);
+        let f = m.ite(v[3], z, v[5]);
+        for lits in [
+            vec![],
+            vec![(6, true)],
+            vec![(0, false), (7, true)],
+            vec![(1, true), (3, true), (6, false), (7, true)],
+            vec![(2, true), (4, false)],
+        ] {
+            let chained = lits.iter().fold(f, |acc, &(var, b)| m.restrict(acc, var, b));
+            assert_eq!(m.restrict_cube(f, &lits), chained, "{lits:?}");
+        }
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Splicer {
         }
     }
 
-    /// The scope predicate this splicer was built for.
-    pub fn scope(&self) -> Bdd {
-        self.scope
-    }
-
     /// Whether the scope is the empty set (a fully skipped source: the
     /// splice degenerates to passing the baseline through unchanged).
     pub fn is_empty_scope(&self) -> bool {

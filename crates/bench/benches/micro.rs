@@ -226,9 +226,9 @@ fn bench_bgp(c: &mut Criterion) {
     g.bench_function("decide_dirty", |b| {
         b.iter(|| {
             core.bgp_receive(0, &empty);
-            let withdrawn = core.bgp_decide(None);
+            let withdrawn = core.bgp_decide(None, &mut Vec::new());
             core.bgp_receive(0, &body);
-            withdrawn & core.bgp_decide(None)
+            withdrawn & core.bgp_decide(None, &mut Vec::new())
         })
     });
     // Every export class of a converged DCN spine: export policy,
@@ -299,7 +299,7 @@ fn bench_dpv(c: &mut Criterion) {
 
 fn bench_merge_ablation(c: &mut Criterion) {
     use s2_baselines::{simulate_control_plane, MonolithicOptions};
-    use s2_dataplane::{forward, Fib, ForwardOptions, NodePredicates, PacketSpace};
+    use s2_dataplane::{forward, Fib, ForwardOptions, NodePredicates, PacketSpace, Sources};
     use s2_routing::NetworkModel;
 
     let ablations = [
@@ -316,7 +316,7 @@ fn bench_merge_ablation(c: &mut Criterion) {
     let ft = s2_topogen::fattree::generate(s2_topogen::fattree::FatTreeParams::new(6));
     let sources: Vec<_> = (0..6).flat_map(|p| (0..3).map(move |e| (p, e))).collect();
     let srcs: Vec<_> = sources.iter().map(|&(p, e)| ft.edge(p, e)).collect();
-    let space = PacketSpace::new(0);
+    let space = PacketSpace::with_sources(0, &Sources::new(srcs.iter().copied()));
     let bench = |g: &mut criterion::BenchmarkGroup<'_>, name: &str, configs, no_merge| {
         let model = NetworkModel::build(ft.topology.clone(), configs).unwrap();
         let (rib, _) = simulate_control_plane(&model, &MonolithicOptions::default()).unwrap();
@@ -404,7 +404,7 @@ fn bench_sweep(c: &mut Criterion) {
     fn patched_rows(engine: &BgpRounds, base: &RibSnapshot) -> Vec<(NodeId, RibRow)> {
         engine
             .rib_moved()
-            .filter_map(|s| {
+            .filter_map(|(s, _)| {
                 let row = merge_row(s.base_rib_routes().into_iter().chain(s.bgp_rib_routes()));
                 (*row != *base.node(s.node)).then_some((s.node, row))
             })
@@ -494,7 +494,7 @@ fn bench_sweep(c: &mut Criterion) {
         "the patched RIB is the collected one"
     );
     g.bench_function("restore", |b| {
-        b.iter(|| scenarios.iter_mut().for_each(|engine| engine.restore(&checkpoint)))
+        b.iter(|| scenarios.iter_mut().for_each(|engine| drop(engine.restore(&checkpoint))))
     });
     g.finish();
 }

@@ -10,8 +10,12 @@
 //! * [`FinalKind::Exit`] — sent out an unconnected (edge) port,
 //! * [`FinalKind::Blackhole`] — no route / discard route / ACL deny,
 //! * [`FinalKind::Loop`] — TTL exhausted.
+//!
+//! A packet carries no source: its header set holds the source-id bits
+//! of every source whose traffic it is (see [`crate::packetspace`]), so
+//! one step serves all of them.
 
-use crate::packetspace::PacketSpace;
+use crate::packetspace::{PacketSpace, Sources};
 use crate::predicates::{NodePredicates, Overlay};
 use s2_bdd::{Bdd, BddManager};
 use s2_net::topology::{InterfaceId, NodeId, Topology};
@@ -20,15 +24,14 @@ use std::collections::BTreeMap;
 /// A symbolic packet in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SymbolicPacket {
-    /// The node the packet was injected at.
-    pub src: NodeId,
     /// The node currently holding the packet.
     pub node: NodeId,
     /// The ingress class it arrived in, named by the class's lowest port
     /// (see [`crate::predicates::ingress_class`]); `None` right after
     /// injection. Under `no_merge` it is the arrival port itself.
     pub ingress: Option<InterfaceId>,
-    /// The set of headers, as a BDD in the engine's manager.
+    /// The set of headers, source-id bits included, as a BDD in the
+    /// engine's manager.
     pub set: Bdd,
     /// Hops taken so far.
     pub hops: u16,
@@ -50,21 +53,17 @@ pub enum FinalKind {
 /// A packet set that reached a final state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinalPacket {
-    /// Injection node.
-    pub src: NodeId,
     /// Node where the final state was reached.
     pub node: NodeId,
     /// The terminal classification.
     pub kind: FinalKind,
-    /// The header set.
+    /// The header set, source-id bits included.
     pub set: Bdd,
 }
 
 /// One traversed edge, for path reconstruction (Fig. 11 style output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStep {
-    /// Injection node of the packet.
-    pub src: NodeId,
     /// Sending node.
     pub from: NodeId,
     /// Receiving node.
@@ -163,7 +162,6 @@ pub fn step_into(
     let finalize = |kind: FinalKind, set: Bdd, out: &mut StepOutput| {
         if !set.is_false() {
             out.finals.push(FinalPacket {
-                src: pkt.src,
                 node: pkt.node,
                 kind,
                 set,
@@ -223,7 +221,6 @@ pub fn step_into(
                 } else {
                     if opts.record_trace {
                         out.trace.push(TraceStep {
-                            src: pkt.src,
                             from: pkt.node,
                             to: peer,
                             hops: pkt.hops + 1,
@@ -237,7 +234,6 @@ pub fn step_into(
                         _ => peer_if,
                     };
                     out.forwarded.push(SymbolicPacket {
-                        src: pkt.src,
                         node: peer,
                         ingress: Some(class),
                         set: permitted,
@@ -285,18 +281,33 @@ pub struct ForwardResult {
     pub steps: usize,
     /// Traversed edges (when tracing was enabled).
     pub trace: Vec<TraceStep>,
+    /// The injection sources, whose ids the finals' sets carry.
+    pub sources: Sources,
+    /// The packet space the run tagged its sources in.
+    pub space: PacketSpace,
 }
 
 impl ForwardResult {
+    /// The part of `set` (a final's set, or a union of them) that `src`
+    /// injected, without the source-id bits; `FALSE` if `src` injected
+    /// nothing.
+    pub fn of_source(&self, manager: &mut BddManager, src: NodeId, set: Bdd) -> Bdd {
+        match self.sources.index(src) {
+            Some(index) => self.space.of_source(manager, set, index),
+            None => Bdd::FALSE,
+        }
+    }
+
     /// Union of all `Arrive` sets at `node` injected at `src`.
     pub fn arrived_at(&self, manager: &mut BddManager, src: NodeId, node: NodeId) -> Bdd {
         let sets = self
             .finals
             .iter()
-            .filter(|f| f.kind == FinalKind::Arrive && f.src == src && f.node == node)
+            .filter(|f| f.kind == FinalKind::Arrive && f.node == node)
             .map(|f| f.set)
             .collect::<Vec<_>>();
-        manager.or_all(sets)
+        let all = manager.or_all(sets);
+        self.of_source(manager, src, all)
     }
 
     /// All finals of a given kind.
@@ -305,19 +316,20 @@ impl ForwardResult {
     }
 }
 
-/// The merge key of a packet fragment: fragments with the same injection
-/// source, location, ingress class and hop count are processed identically
-/// (the class fixes the inbound ACL, the only thing a step reads from the
-/// ingress), so their header sets can be unioned before the next hop. In
+/// The merge key of a packet fragment: fragments with the same location,
+/// ingress class and hop count are processed identically (the class
+/// fixes the inbound ACL, the only thing a step reads from the ingress;
+/// no step reads the source-id bits), so their header sets can be
+/// unioned before the next hop, whichever sources they carry. In
 /// ECMP-rich fabrics this collapses the per-path fragment explosion
-/// (exponential in depth) down to `O(nodes × sources × hops)`, and — in
-/// the distributed engine — slashes the number of BDDs serialized across
+/// (exponential in depth) down to `O(nodes × hops)`, and — in the
+/// distributed engine — slashes the number of BDDs serialized across
 /// workers.
-pub type PacketKey = (NodeId, NodeId, Option<InterfaceId>, u16);
+pub type PacketKey = (NodeId, Option<InterfaceId>, u16);
 
 /// The merge key of `pkt`.
 pub fn packet_key(pkt: &SymbolicPacket) -> PacketKey {
-    (pkt.src, pkt.node, pkt.ingress, pkt.hops)
+    (pkt.node, pkt.ingress, pkt.hops)
 }
 
 /// Merges `pkt` into a level map, unioning header sets per [`PacketKey`].
@@ -330,14 +342,18 @@ pub fn merge_packet(
     *entry = manager.or(*entry, pkt.set);
 }
 
-/// Runs the monolithic forwarding engine: injects each `(source, set)` and
-/// processes fragments level-synchronously (by hop count), merging
-/// same-context fragments between levels, until every set reaches a final
-/// state.
+/// Runs the monolithic forwarding engine: injects each `(source, set)`,
+/// tagged with its source-id, and processes fragments level-synchronously
+/// (by hop count), merging same-context fragments of all sources between
+/// levels, until every set reaches a final state.
 ///
 /// The distributed runtime replaces this loop with per-worker level maps
 /// and serialized cross-worker packets, but reuses [`step`] and the same
 /// merge discipline, so both engines do identical symbolic work.
+///
+/// # Panics
+/// Panics if `space` has fewer source-id bits than the injections'
+/// distinct sources need ([`PacketSpace::with_sources`]).
 pub fn forward(
     topology: &Topology,
     preds: &[NodePredicates],
@@ -346,15 +362,24 @@ pub fn forward(
     injections: Vec<(NodeId, Bdd)>,
     opts: &ForwardOptions,
 ) -> ForwardResult {
-    let mut result = ForwardResult::default();
+    let sources = Sources::new(injections.iter().map(|&(src, _)| src));
+    assert!(
+        space.src_bits >= sources.bits(),
+        "{} sources need {} source-id bits, the space has {}",
+        sources.nodes().len(),
+        sources.bits(),
+        space.src_bits
+    );
     let mut level: std::collections::BTreeMap<PacketKey, Bdd> = std::collections::BTreeMap::new();
     for (src, set) in injections {
+        let index = sources.index(src).expect("indexed above");
+        let id = space.src_is(manager, index);
+        let set = manager.and(set, id);
         if !set.is_false() {
             merge_packet(
                 manager,
                 &mut level,
                 SymbolicPacket {
-                    src,
                     node: src,
                     ingress: None,
                     set,
@@ -363,13 +388,17 @@ pub fn forward(
             );
         }
     }
+    let mut result = ForwardResult {
+        sources,
+        space: *space,
+        ..ForwardResult::default()
+    };
 
     if opts.no_merge {
         // Ablation path: plain BFS over individual fragments.
         let mut queue: std::collections::VecDeque<SymbolicPacket> = level
             .into_iter()
-            .map(|((src, node, ingress, hops), set)| SymbolicPacket {
-                src,
+            .map(|((node, ingress, hops), set)| SymbolicPacket {
                 node,
                 ingress,
                 set,
@@ -388,9 +417,8 @@ pub fn forward(
 
     while !level.is_empty() {
         let mut next = std::collections::BTreeMap::new();
-        for ((src, node, ingress, hops), set) in std::mem::take(&mut level) {
+        for ((node, ingress, hops), set) in std::mem::take(&mut level) {
             let pkt = SymbolicPacket {
-                src,
                 node,
                 ingress,
                 set,

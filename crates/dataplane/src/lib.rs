@@ -28,7 +28,7 @@ pub use forward::{
     FinalPacket, ForwardOptions, ForwardResult, PacketKey, StepOutput, SymbolicPacket, TraceStep,
     DEFAULT_MAX_HOPS,
 };
-pub use packetspace::PacketSpace;
+pub use packetspace::{PacketSpace, Sources};
 pub use predicates::{NodePredicates, Overlay};
 pub use properties::{
     arrivals, judge_pair, kind_unions, multipath_inconsistent, verdict_delta, PairVerdict,

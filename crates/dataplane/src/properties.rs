@@ -6,44 +6,67 @@
 //! verdict is decided: the workers, the controller and the monolithic
 //! baseline all index their finals with [`arrivals`] and [`kind_unions`]
 //! and judge them with [`judge_pair`] and [`multipath_inconsistent`].
+//!
+//! The unions keep the source-id bits: they hold every source's traffic
+//! at once. A per-source answer is their cofactor
+//! ([`PacketSpace::of_source`]), taken where a verdict is decided.
 
 use crate::forward::{FinalKind, FinalPacket};
 use crate::packetspace::PacketSpace;
+use s2_bdd::splice::Splicer;
 use s2_bdd::{Bdd, BddManager};
 use s2_net::topology::NodeId;
 use std::collections::BTreeMap;
 
-/// Per-`(source, node)` union of the `Arrive` finals. Metadata bits are
-/// kept: the waypoint check reads them.
-pub fn arrivals(
-    manager: &mut BddManager,
-    finals: &[FinalPacket],
-) -> BTreeMap<(NodeId, NodeId), Bdd> {
-    let mut out: BTreeMap<(NodeId, NodeId), Bdd> = BTreeMap::new();
+/// Per-node union of the `Arrive` finals, every source's at once.
+/// Metadata and source-id bits are kept: the waypoint check reads the
+/// metadata, and a pair's arrivals are the cofactor on its source.
+pub fn arrivals(manager: &mut BddManager, finals: &[FinalPacket]) -> BTreeMap<NodeId, Bdd> {
+    let mut out: BTreeMap<NodeId, Bdd> = BTreeMap::new();
     for f in finals.iter().filter(|f| f.kind == FinalKind::Arrive) {
-        let entry = out.entry((f.src, f.node)).or_insert(Bdd::FALSE);
+        let entry = out.entry(f.node).or_insert(Bdd::FALSE);
         *entry = manager.or(*entry, f.set);
     }
     out
 }
 
-/// Per-`(source, kind)` union of the finals with the metadata bits
-/// existentially quantified away: two fragments that took different
-/// paths differ in waypoint bits even when they carry the same 5-tuple,
-/// and the loop, blackhole and multipath verdicts are about the 5-tuple.
-/// These are the sets the verdict bytes serialize.
+/// Per-kind union of the finals with the metadata bits existentially
+/// quantified away: two fragments that took different paths differ in
+/// waypoint bits even when they carry the same 5-tuple, and the loop,
+/// blackhole and multipath verdicts are about the 5-tuple. The source-id
+/// bits are kept; a source's cofactor of a union is the set its verdict
+/// bytes serialize.
 pub fn kind_unions(
     manager: &mut BddManager,
     space: &PacketSpace,
     finals: &[FinalPacket],
-) -> BTreeMap<(NodeId, FinalKind), Bdd> {
-    let meta_vars: Vec<u16> = (0..space.meta_bits).map(|i| space.meta_var(i)).collect();
-    let mut out: BTreeMap<(NodeId, FinalKind), Bdd> = BTreeMap::new();
+) -> BTreeMap<FinalKind, Bdd> {
+    let mut out: BTreeMap<FinalKind, Bdd> = BTreeMap::new();
     for f in finals {
-        let stripped = manager.exists_all(f.set, meta_vars.iter().copied());
-        let entry = out.entry((f.src, f.kind)).or_insert(Bdd::FALSE);
+        let stripped = space.strip_meta(manager, f.set);
+        let entry = out.entry(f.kind).or_insert(Bdd::FALSE);
         *entry = manager.or(*entry, stripped);
     }
+    out
+}
+
+/// The full-space unions of a destination-scoped pass: each union of
+/// `base` (the committed ones) and of `fresh` (the pass's, which cover
+/// only the mask) spliced against the pass's one mask
+/// (`PacketSpace::scope_mask`), `(base ∧ ¬mask) ∨ fresh`. A union only
+/// `fresh` holds lies inside the mask already.
+pub fn splice_unions<K: Ord + Copy>(
+    manager: &mut BddManager,
+    splicer: &mut Splicer,
+    base: &BTreeMap<K, Bdd>,
+    mut fresh: BTreeMap<K, Bdd>,
+) -> BTreeMap<K, Bdd> {
+    let mut out = BTreeMap::new();
+    for (&k, &b) in base {
+        let f = fresh.remove(&k).unwrap_or(Bdd::FALSE);
+        out.insert(k, splicer.splice(manager, b, f));
+    }
+    out.extend(fresh);
     out
 }
 
@@ -72,7 +95,7 @@ pub fn judge_pair(
     arrived: Bdd,
     transits: &[(NodeId, u16)],
 ) -> PairVerdict {
-    let stripped = manager.exists_all(arrived, (0..space.meta_bits).map(|i| space.meta_var(i)));
+    let stripped = space.strip_meta(manager, arrived);
     let reachable = manager.implies(want, stripped);
     let mut missed = Vec::new();
     for &(transit, bit) in transits {
@@ -237,7 +260,7 @@ mod tests {
     /// after forwarding all of 10.9/16 from s.
     struct Judged {
         pair: PairVerdict,
-        unions: BTreeMap<(NodeId, FinalKind), Bdd>,
+        unions: BTreeMap<FinalKind, Bdd>,
         multipath: bool,
     }
 
@@ -266,12 +289,13 @@ mod tests {
             ..Default::default()
         };
         let res = forward(&model.topology, &preds, &space, &mut mgr, vec![(s, h)], &opts);
-        let arrived = arrivals(&mut mgr, &res.finals)
-            .get(&(s, d))
-            .copied()
-            .unwrap_or(Bdd::FALSE);
+        let arrived = arrivals(&mut mgr, &res.finals).get(&d).copied().unwrap_or(Bdd::FALSE);
+        let arrived = res.of_source(&mut mgr, s, arrived);
         let pair = judge_pair(&mut mgr, &space, want, arrived, &transits);
-        let unions = kind_unions(&mut mgr, &space, &res.finals);
+        let unions: BTreeMap<FinalKind, Bdd> = kind_unions(&mut mgr, &space, &res.finals)
+            .into_iter()
+            .map(|(kind, set)| (kind, res.of_source(&mut mgr, s, set)))
+            .collect();
         let sets: Vec<Bdd> = unions.values().copied().collect();
         let multipath = multipath_inconsistent(&mut mgr, &sets);
         Judged { pair, unions, multipath }
@@ -287,7 +311,7 @@ mod tests {
     }
 
     fn kinds(judged: &Judged) -> Vec<FinalKind> {
-        judged.unions.keys().map(|&(_, kind)| kind).collect()
+        judged.unions.keys().copied().collect()
     }
 
     #[test]

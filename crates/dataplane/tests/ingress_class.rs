@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use s2_bdd::{Bdd, BddManager};
 use s2_dataplane::predicates::ingress_class;
 use s2_dataplane::{
-    forward, Fib, FinalKind, ForwardOptions, ForwardResult, NodePredicates, PacketSpace,
+    forward, Fib, FinalKind, ForwardOptions, ForwardResult, NodePredicates, PacketSpace, Sources,
 };
 use s2_net::acl::{Acl, AclAction, AclEntry, PortRange};
 use s2_net::config::{DeviceConfig, InterfaceConfig, Vendor};
@@ -109,11 +109,22 @@ fn run(
     forward(&model.topology, &preds, space, mgr, injections, opts)
 }
 
+/// Per `(source, node, kind)`, the finals' union: each source's cofactor
+/// of the per-`(node, kind)` union.
 fn unions(res: &ForwardResult, mgr: &mut BddManager) -> BTreeMap<(NodeId, NodeId, FinalKind), Bdd> {
-    let mut out = BTreeMap::new();
+    let mut merged = BTreeMap::new();
     for f in &res.finals {
-        let entry = out.entry((f.src, f.node, f.kind)).or_insert(Bdd::FALSE);
+        let entry = merged.entry((f.node, f.kind)).or_insert(Bdd::FALSE);
         *entry = mgr.or(*entry, f.set);
+    }
+    let mut out = BTreeMap::new();
+    for ((node, kind), set) in merged {
+        for &src in res.sources.nodes() {
+            let part = res.of_source(mgr, src, set);
+            if !part.is_false() {
+                out.insert((src, node, kind), part);
+            }
+        }
     }
     out
 }
@@ -223,7 +234,7 @@ proptest! {
             })
             .collect();
 
-        let space = PacketSpace::new(0);
+        let space = PacketSpace::with_sources(0, &Sources::new([NodeId(0), NodeId(1)]));
         let mut mgr = space.manager();
         // A short TTL bounds the unmerged walk on looping routes.
         let merged = ForwardOptions { max_hops: 4, ..Default::default() };

@@ -434,7 +434,8 @@ pub(crate) mod tests {
     fn lockstep(engine: &mut BgpRounds, reference: &mut [SwitchModel], shard: Option<&BTreeSet<Prefix>>) {
         for r in 1..=DEFAULT_MAX_ROUNDS {
             let changed = round(std::slice::from_mut(engine), shard);
-            assert_eq!(changed, reference_round(reference, |s| s.bgp_decide(shard)), "round {r}");
+            let decided = reference_round(reference, |s| s.bgp_decide(shard, &mut Vec::new()));
+            assert_eq!(changed, decided, "round {r}");
             for (e, re) in engine.switches().zip(reference.iter()) {
                 assert_eq!(e.loc_rib(), re.loc_rib(), "round {r}: {}", e.node);
             }

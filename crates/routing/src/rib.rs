@@ -40,6 +40,42 @@ pub fn merge_row(routes: impl IntoIterator<Item = RibRoute>) -> RibRow {
     row.into()
 }
 
+/// The entry of one prefix's row from its routes in insertion order
+/// (base, then BGP): the first that no later one displaces, the rule
+/// [`merge_row`] applies per prefix. `None` without routes.
+pub fn merge_entry(routes: impl IntoIterator<Item = RibRoute>) -> Option<RibRoute> {
+    let mut kept: Option<RibRoute> = None;
+    for route in routes {
+        if kept.as_ref().is_none_or(|held| displaces(&route, held)) {
+            kept = Some(route);
+        }
+    }
+    kept
+}
+
+/// The entry `row` (one route per prefix, in prefix order) holds for
+/// `prefix`.
+pub fn row_entry(row: &[RibRoute], prefix: Prefix) -> Option<&RibRoute> {
+    row.binary_search_by_key(&prefix, |r| r.prefix).ok().map(|i| &row[i])
+}
+
+/// `row` (one route per prefix, in prefix order) with the entry of each
+/// prefix of `entries` (ascending, each once) replaced, `None` dropping
+/// it: one walk that copies the untouched runs.
+pub fn patch_row(row: &[RibRoute], entries: Vec<(Prefix, Option<RibRoute>)>) -> RibRow {
+    let mut out = Vec::with_capacity(row.len() + entries.len());
+    let mut rest = row;
+    for (prefix, entry) in entries {
+        let at = rest.partition_point(|r| r.prefix < prefix);
+        out.extend_from_slice(&rest[..at]);
+        let held = rest.get(at).is_some_and(|r| r.prefix == prefix);
+        rest = &rest[at + usize::from(held)..];
+        out.extend(entry);
+    }
+    out.extend_from_slice(rest);
+    out.into()
+}
+
 /// Accumulates RIB routes per node; the winning route per prefix is decided
 /// by administrative distance (see [`displaces`]).
 #[derive(Debug, Clone, Default)]
@@ -239,6 +275,41 @@ mod tests {
         assert_eq!(*row, *store.into_snapshot().node(NodeId(0)));
         // Of equal distances, the first inserted holds.
         assert_eq!(row.iter().map(|r| r.as_path_len).collect::<Vec<_>>(), [0, 0, 0, 1]);
+    }
+
+    /// Patching a row at the prefixes whose routes changed builds the
+    /// row `merge_row` builds from all the new routes: replaced, added
+    /// (before, between and after the held ones) and dropped entries.
+    #[test]
+    fn patched_rows_equal_the_merged_ones() {
+        let old = vec![
+            route("10.0.1.0/24", Protocol::Ospf),
+            route("10.0.1.0/24", Protocol::Bgp),
+            route("10.0.3.0/24", Protocol::Bgp),
+            route("10.0.5.0/24", Protocol::Bgp),
+        ];
+        let new = vec![
+            route("10.0.0.0/24", Protocol::Bgp),
+            route("10.0.1.0/24", Protocol::Ospf),
+            route("10.0.2.0/24", Protocol::Aggregate),
+            route("10.0.3.0/24", Protocol::Static),
+            route("10.0.3.0/24", Protocol::Bgp),
+            route("10.0.9.0/24", Protocol::Bgp),
+        ];
+        let moved: Vec<Prefix> = ["10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24", "10.0.5.0/24"]
+            .iter()
+            .chain(["10.0.9.0/24"].iter())
+            .map(|p| p.parse().unwrap())
+            .collect();
+        let entries = moved
+            .iter()
+            .map(|&p| (p, merge_entry(new.iter().filter(|r| r.prefix == p).cloned())))
+            .collect();
+        let old_row = merge_row(old);
+        assert_eq!(row_entry(&old_row, moved[3]).map(|r| r.protocol), Some(Protocol::Bgp));
+        assert!(row_entry(&old_row, moved[0]).is_none());
+        assert_eq!(*patch_row(&old_row, entries), *merge_row(new));
+        assert_eq!(*patch_row(&old_row, Vec::new()), *old_row);
     }
 
     #[test]

@@ -40,6 +40,38 @@ impl SwitchMap for Sequential {
     }
 }
 
+/// What may have moved in one switch's forwarding row since the last
+/// checkpoint or restore (see [`BgpRounds::rib_moved`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum RowMove {
+    /// Nothing: the row is the checkpoint's.
+    #[default]
+    Still,
+    /// At most the entries of these prefixes, whose local-RIB entries
+    /// decides changed (in decide order, possibly repeated): the base
+    /// routes are the checkpoint's.
+    Prefixes(Vec<Prefix>),
+    /// Anything: the row is to be rebuilt whole.
+    Whole,
+}
+
+impl RowMove {
+    fn whole(&mut self) {
+        *self = RowMove::Whole;
+    }
+
+    fn prefixes(&mut self, moved: &[Prefix]) {
+        if moved.is_empty() {
+            return;
+        }
+        match self {
+            RowMove::Still => *self = RowMove::Prefixes(moved.to_vec()),
+            RowMove::Prefixes(ps) => ps.extend_from_slice(moved),
+            RowMove::Whole => {}
+        }
+    }
+}
+
 /// An Adj-RIB-Out entry: a body and its route bytes, summed once.
 #[derive(Clone)]
 struct Sent {
@@ -65,12 +97,13 @@ pub struct BgpRounds {
     /// Switches due to decide in the next decide pass: reset, or given a
     /// delivery since the last one.
     decide_dirty: Vec<bool>,
-    /// Switches whose forwarding row may have moved since the last
-    /// [`BgpRounds::checkpoint`] or [`BgpRounds::restore`]: reset,
-    /// decided a local-RIB change, failed ports or written through
-    /// [`BgpRounds::switches_mut`] (OSPF). A superset of the switches
-    /// whose row differs from the checkpoint's.
-    rib_moved: Vec<bool>,
+    /// Per switch, what of its forwarding row may have moved since the
+    /// last [`BgpRounds::checkpoint`] or [`BgpRounds::restore`]: the
+    /// prefixes of the local-RIB entries decides changed, or the whole
+    /// row after a reset, failed ports or a write through
+    /// [`BgpRounds::switches_mut`] (OSPF). A superset of what differs
+    /// from the checkpoint's row.
+    rib_moved: Vec<RowMove>,
     /// Deliveries to hosted peers, staged by the export half and applied
     /// by the next receive (the Jacobi schedule).
     staged: Vec<Delivery>,
@@ -86,7 +119,7 @@ impl BgpRounds {
             switches: switches.into_iter().map(Arc::new).collect(),
             export_dirty: vec![false; n],
             decide_dirty: vec![false; n],
-            rib_moved: vec![false; n],
+            rib_moved: vec![RowMove::Still; n],
             staged: Vec::new(),
         }
     }
@@ -112,7 +145,7 @@ impl BgpRounds {
     ) -> impl Iterator<Item = &mut SwitchModel> {
         self.switches.iter_mut().zip(&mut self.rib_moved).filter(move |(s, _)| which(s.node)).map(
             |(s, moved)| {
-                *moved = true;
+                moved.whole();
                 Arc::make_mut(s)
             },
         )
@@ -136,7 +169,7 @@ impl BgpRounds {
         self.staged.clear();
         self.resync();
         self.decide_dirty.fill(true);
-        self.rib_moved.fill(true);
+        self.rib_moved.fill(RowMove::Whole);
     }
 
     /// Forgets the Adj-RIB-Out, so the next export re-sends every body.
@@ -155,20 +188,22 @@ impl BgpRounds {
     /// The checkpoint of a converged engine: a clone that shares every
     /// switch and row. Nothing has moved since it.
     pub fn checkpoint(&mut self) -> BgpRounds {
-        self.rib_moved.fill(false);
+        self.rib_moved.fill(RowMove::Still);
         self.clone()
     }
 
     /// Returns to `checkpoint`, a converged clone: nothing is due until
     /// something perturbs it, and nothing has moved. Every switch and
-    /// row is shared with `checkpoint` again, so this copies nothing;
-    /// it frees the copies the writes since the last restore made.
-    pub fn restore(&mut self, checkpoint: &BgpRounds) {
-        *self = checkpoint.clone();
+    /// row is shared with `checkpoint` again, so this copies nothing.
+    /// Returns the state it replaced: dropping that frees the copies the
+    /// writes since the last restore made, which a caller may defer.
+    pub fn restore(&mut self, checkpoint: &BgpRounds) -> BgpRounds {
+        let replaced = std::mem::replace(self, checkpoint.clone());
         self.staged.clear();
         self.export_dirty.fill(false);
         self.decide_dirty.fill(false);
-        self.rib_moved.fill(false);
+        self.rib_moved.fill(RowMove::Still);
+        replaced
     }
 
     /// Makes `ports` the exact failure sets of the hosted switches: a
@@ -189,7 +224,7 @@ impl BgpRounds {
                 let ifaces = wanted.iter().copied();
                 Arc::make_mut(&mut self.switches[i]).set_failed_interfaces(model, ifaces);
                 self.export_dirty[i] = true;
-                self.rib_moved[i] = true;
+                self.rib_moved[i].whole();
             }
         }
     }
@@ -302,9 +337,10 @@ impl BgpRounds {
             .filter_map(|(switch, due)| std::mem::take(due).then_some(switch))
             .collect();
         let changed = map.map(&mut due, |(s, (export, moved))| {
-            let decided = Arc::make_mut(s).bgp_decide(shard);
+            let mut prefixes = Vec::new();
+            let decided = Arc::make_mut(s).bgp_decide(shard, &mut prefixes);
             **export |= decided;
-            **moved |= decided;
+            moved.prefixes(&prefixes);
             decided
         });
         changed.contains(&true)
@@ -337,10 +373,12 @@ impl BgpRounds {
     }
 
     /// The switches whose forwarding row may have moved since the last
-    /// checkpoint or restore, in node order: every switch whose row
-    /// differs from the checkpoint's is among them.
-    pub fn rib_moved(&self) -> impl Iterator<Item = &SwitchModel> {
-        self.switches.iter().zip(&self.rib_moved).filter(|(_, m)| **m).map(|(s, _)| &**s)
+    /// checkpoint or restore, in node order, each with what of it may
+    /// have: every switch whose row differs from the checkpoint's is
+    /// among them.
+    pub fn rib_moved(&self) -> impl Iterator<Item = (&SwitchModel, &RowMove)> {
+        let moved = self.switches.iter().zip(&self.rib_moved);
+        moved.filter(|(_, m)| **m != RowMove::Still).map(|(s, m)| (&**s, m))
     }
 
     /// The switches due to decide in the next decide pass.

@@ -165,7 +165,8 @@ pub struct SwitchModel {
     /// The bytes the local RIB's routes hold.
     rib_bytes: usize,
     /// Prefixes whose candidates changed since the last
-    /// [`SwitchModel::bgp_decide`], which drains it.
+    /// [`SwitchModel::bgp_decide`], which drains it: ascending, each
+    /// once, however many sessions carried it (see [`mark_dirty`]).
     dirty: Vec<Prefix>,
     /// Whether the next [`SwitchModel::bgp_decide`] re-observes the
     /// contributors of every active aggregate, not just of those it
@@ -418,7 +419,7 @@ impl SwitchModel {
         }
         // Install the initial local RIB.
         self.dirty.extend(self.local_routes.keys().copied());
-        self.bgp_decide(shard);
+        self.bgp_decide(shard, &mut Vec::new());
     }
 
     /// Active summary-only aggregate prefixes (present in the local RIB).
@@ -555,7 +556,7 @@ impl SwitchModel {
     /// weights zeroed.
     pub fn bgp_receive(&mut self, si: usize, routes: &Arc<[BgpRoute]>) -> bool {
         let admission = self.admission();
-        let before = self.dirty.len();
+        let mut changed = Vec::new();
         let (adj, bytes) = match &self.adj_in[si] {
             AdjIn::Shared(old) => {
                 if Arc::ptr_eq(old, routes) {
@@ -575,7 +576,7 @@ impl SwitchModel {
                 };
                 let admitted = |r: &&BgpRoute| admission.admits(r);
                 let (old, new) = (old.iter().filter(admitted), body.iter().filter(admitted));
-                diff_sorted(old, new, &mut self.dirty);
+                diff_sorted(old, new, &mut changed);
                 let bytes = body.iter().filter(admitted).map(BgpRoute::approx_bytes).sum();
                 (AdjIn::Shared(body), bytes)
             }
@@ -592,8 +593,8 @@ impl SwitchModel {
                     }
                     new_map.entry(r.prefix).or_insert(r);
                 }
-                diff_sorted(old.values(), new_map.values(), &mut self.dirty);
-                if self.dirty.len() == before {
+                diff_sorted(old.values(), new_map.values(), &mut changed);
+                if changed.is_empty() {
                     return false;
                 }
                 let bytes = new_map.values().map(BgpRoute::approx_bytes).sum();
@@ -609,19 +610,20 @@ impl SwitchModel {
         };
         self.adj_in[si] = adj;
         self.adj_bytes[si] = bytes;
-        self.dirty.len() > before
+        mark_dirty(&mut self.dirty, &changed);
+        !changed.is_empty()
     }
 
     /// Reruns best-path selection for the prefixes received since the
     /// last call, and aggregation for the aggregates covering them.
-    /// Returns whether the local RIB changed.
+    /// Pushes each prefix whose local-RIB entry changed onto `moved` and
+    /// returns whether any did.
     ///
     /// `shard` must be the one given to [`SwitchModel::begin_bgp`]: it
     /// selects the aggregates that may activate.
-    pub fn bgp_decide(&mut self, shard: Option<&BTreeSet<Prefix>>) -> bool {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable();
-        dirty.dedup();
+    pub fn bgp_decide(&mut self, shard: Option<&BTreeSet<Prefix>>, moved: &mut Vec<Prefix>) -> bool {
+        let dirty = std::mem::take(&mut self.dirty);
+        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty list unsorted");
         let cfg = self.cfg.clone();
         // Most specific aggregates first so aggregates can contribute to
         // covering aggregates.
@@ -636,10 +638,10 @@ impl SwitchModel {
         // One cursor per session into its shared body: the plain pass
         // looks prefixes up in ascending order.
         let mut cursors = vec![0; self.adj_in.len()];
-        let mut changed = false;
+        let before = moved.len();
         for &prefix in &dirty {
-            if !aggs.iter().any(|a| a.prefix == prefix) {
-                changed |= self.reselect(prefix, &[], &mut cursors);
+            if !aggs.iter().any(|a| a.prefix == prefix) && self.reselect(prefix, &[], &mut cursors) {
+                moved.push(prefix);
             }
         }
         // An aggregate's entry depends on its own candidates and on which
@@ -652,8 +654,10 @@ impl SwitchModel {
             // The dirty prefixes `prefix` covers are the sorted run from
             // the first one not below it.
             let first = dirty.partition_point(|d| *d < prefix);
-            if dirty.get(first).is_some_and(|d| prefix.covers(*d)) {
-                changed |= self.reselect(prefix, group, &mut cursors);
+            if dirty.get(first).is_some_and(|d| prefix.covers(*d))
+                && self.reselect(prefix, group, &mut cursors)
+            {
+                moved.push(prefix);
             }
         }
         if std::mem::take(&mut self.reobserve) {
@@ -663,7 +667,7 @@ impl SwitchModel {
                 }
             }
         }
-        changed
+        moved.len() > before
     }
 
     /// The prefixes in the local RIB strictly covered by `prefix`.
@@ -786,44 +790,44 @@ impl SwitchModel {
     /// Extracts the BGP portion of the final RIB (call once per shard,
     /// after convergence).
     pub fn bgp_rib_routes(&self) -> Vec<RibRoute> {
-        let mut out = Vec::new();
-        for (prefix, entry) in &self.loc_rib {
-            let best = &entry.best;
-            let protocol = best.route.source_protocol;
-            // A locally *redistributed* route (OSPF/static/connected pulled
-            // into BGP) exists for advertisement only; the source
-            // protocol's entry — emitted by `base_rib_routes` — carries the
-            // real forwarding state on this router. Installing the BGP
-            // copy would wrongly claim local delivery and, with BGP's
-            // lower administrative distance, shadow the IGP route.
-            if best.session == u32::MAX
-                && !matches!(protocol, Protocol::Bgp | Protocol::Aggregate)
-            {
-                continue;
-            }
-            let is_local = best.session == u32::MAX && protocol != Protocol::Aggregate;
-            let mut egress: Vec<InterfaceId> = entry
-                .sessions
-                .iter()
-                .filter(|&&si| si != u32::MAX)
-                .map(|&si| self.sessions[si as usize].local_if)
-                .filter(|i| !self.failed_ifaces.contains(i))
-                .collect();
-            egress.sort();
-            egress.dedup();
-            out.push(RibRoute {
-                prefix: *prefix,
-                protocol: if protocol == Protocol::Aggregate {
-                    Protocol::Aggregate
-                } else {
-                    Protocol::Bgp
-                },
-                egress,
-                is_local,
-                as_path_len: best.route.as_path.len() as u32,
-            });
+        self.loc_rib.iter().filter_map(|(&prefix, entry)| self.bgp_rib_route(prefix, entry)).collect()
+    }
+
+    /// The forwarding route of the local-RIB entry of `prefix`, if it
+    /// installs one.
+    fn bgp_rib_route(&self, prefix: Prefix, entry: &Installed) -> Option<RibRoute> {
+        let best = &entry.best;
+        let protocol = best.route.source_protocol;
+        // A locally *redistributed* route (OSPF/static/connected pulled
+        // into BGP) exists for advertisement only; the source
+        // protocol's entry — emitted by `base_rib_routes` — carries the
+        // real forwarding state on this router. Installing the BGP
+        // copy would wrongly claim local delivery and, with BGP's
+        // lower administrative distance, shadow the IGP route.
+        if best.session == u32::MAX && !matches!(protocol, Protocol::Bgp | Protocol::Aggregate) {
+            return None;
         }
-        out
+        let is_local = best.session == u32::MAX && protocol != Protocol::Aggregate;
+        let mut egress: Vec<InterfaceId> = entry
+            .sessions
+            .iter()
+            .filter(|&&si| si != u32::MAX)
+            .map(|&si| self.sessions[si as usize].local_if)
+            .filter(|i| !self.failed_ifaces.contains(i))
+            .collect();
+        egress.sort();
+        egress.dedup();
+        Some(RibRoute {
+            prefix,
+            protocol: if protocol == Protocol::Aggregate {
+                Protocol::Aggregate
+            } else {
+                Protocol::Bgp
+            },
+            egress,
+            is_local,
+            as_path_len: best.route.as_path.len() as u32,
+        })
     }
 
     /// Extracts the non-BGP portion of the final RIB: connected, static and
@@ -831,47 +835,72 @@ impl SwitchModel {
     pub fn base_rib_routes(&self) -> Vec<RibRoute> {
         let mut out = Vec::new();
         for i in &self.cfg.interfaces {
-            if self.failed_connected.contains(&i.prefix) {
-                continue;
-            }
-            out.push(RibRoute {
-                prefix: i.prefix,
-                protocol: Protocol::Connected,
-                egress: Vec::new(),
-                is_local: true,
-                as_path_len: 0,
-            });
+            out.extend(self.connected_route(i.prefix));
         }
-        for (p, via) in &self.statics {
-            out.push(RibRoute {
-                prefix: *p,
-                protocol: Protocol::Static,
-                egress: match via {
-                    StaticVia::Interface(i) if !self.failed_ifaces.contains(i) => vec![*i],
-                    _ => Vec::new(),
-                },
-                is_local: false,
-                as_path_len: 0,
-            });
+        for &(p, via) in &self.statics {
+            out.push(self.static_route(p, via));
         }
-        for (p, r) in &self.ospf.table {
-            if r.is_local {
-                continue; // covered by connected
-            }
-            out.push(RibRoute {
-                prefix: *p,
-                protocol: Protocol::Ospf,
-                egress: r
-                    .egress
-                    .iter()
-                    .copied()
-                    .filter(|e| !self.failed_ifaces.contains(e))
-                    .collect(),
-                is_local: false,
-                as_path_len: 0,
-            });
+        for (&p, r) in &self.ospf.table {
+            out.extend(self.ospf_route(p, r));
         }
         out
+    }
+
+    /// The routes of `prefix` alone, in the order [`base_rib_routes`]
+    /// then [`bgp_rib_routes`] yield them: what the row entry of
+    /// `prefix` is merged from (see [`crate::rib::merge_entry`]).
+    ///
+    /// [`base_rib_routes`]: SwitchModel::base_rib_routes
+    /// [`bgp_rib_routes`]: SwitchModel::bgp_rib_routes
+    pub fn rib_routes_at(&self, prefix: Prefix) -> Vec<RibRoute> {
+        let mut out = Vec::new();
+        for i in self.cfg.interfaces.iter().filter(|i| i.prefix == prefix) {
+            out.extend(self.connected_route(i.prefix));
+        }
+        for &(p, via) in self.statics.iter().filter(|(p, _)| *p == prefix) {
+            out.push(self.static_route(p, via));
+        }
+        if let Some(r) = self.ospf.table.get(&prefix) {
+            out.extend(self.ospf_route(prefix, r));
+        }
+        if let Some(entry) = self.loc_rib.get(&prefix) {
+            out.extend(self.bgp_rib_route(prefix, entry));
+        }
+        out
+    }
+
+    fn connected_route(&self, prefix: Prefix) -> Option<RibRoute> {
+        (!self.failed_connected.contains(&prefix)).then_some(RibRoute {
+            prefix,
+            protocol: Protocol::Connected,
+            egress: Vec::new(),
+            is_local: true,
+            as_path_len: 0,
+        })
+    }
+
+    fn static_route(&self, prefix: Prefix, via: StaticVia) -> RibRoute {
+        RibRoute {
+            prefix,
+            protocol: Protocol::Static,
+            egress: match via {
+                StaticVia::Interface(i) if !self.failed_ifaces.contains(&i) => vec![i],
+                _ => Vec::new(),
+            },
+            is_local: false,
+            as_path_len: 0,
+        }
+    }
+
+    fn ospf_route(&self, prefix: Prefix, r: &crate::ospf::OspfRoute) -> Option<RibRoute> {
+        // A local OSPF entry is covered by the connected route.
+        (!r.is_local).then(|| RibRoute {
+            prefix,
+            protocol: Protocol::Ospf,
+            egress: r.egress.iter().copied().filter(|e| !self.failed_ifaces.contains(e)).collect(),
+            is_local: false,
+            as_path_len: 0,
+        })
     }
 }
 
@@ -901,10 +930,35 @@ fn aggregate_route(agg: &Aggregate) -> BgpRoute {
     route
 }
 
+/// Merges `run` into `dirty`, both ascending with no prefix twice, so a
+/// prefix that several sessions carried is marked once: the decide pass
+/// then neither sorts nor deduplicates. A run past the last mark, the
+/// usual first receive of a round, is appended.
+fn mark_dirty(dirty: &mut Vec<Prefix>, run: &[Prefix]) {
+    match (dirty.last(), run.first()) {
+        (_, None) => return,
+        (Some(last), Some(first)) if last >= first => {}
+        _ => return dirty.extend(run),
+    }
+    let old = std::mem::take(dirty);
+    let mut out = Vec::with_capacity(old.len() + run.len());
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < run.len() {
+        let step = old[i].cmp(&run[j]);
+        out.push(if step == Ordering::Greater { run[j] } else { old[i] });
+        i += usize::from(step != Ordering::Greater);
+        j += usize::from(step != Ordering::Less);
+    }
+    out.extend(&old[i..]);
+    out.extend(&run[j..]);
+    *dirty = out;
+}
+
 /// Walks one session's old and new admitted routes, each sorted by prefix
 /// with no prefix twice, in one merge pass and pushes every prefix whose
-/// route differs or is present on one side only onto `dirty`. Next hops
-/// are not compared: the session's peer address replaces them all.
+/// route differs or is present on one side only onto `dirty`, in
+/// ascending order. Next hops are not compared: the session's peer
+/// address replaces them all.
 fn diff_sorted<'a>(
     old: impl Iterator<Item = &'a BgpRoute>,
     new: impl Iterator<Item = &'a BgpRoute>,
@@ -1191,8 +1245,8 @@ mod tests {
             let b_out = advert(sb, 0);
             let mut changed = sb.bgp_receive(0, &a_out);
             changed |= sa.bgp_receive(0, &b_out);
-            changed |= sa.bgp_decide(None);
-            changed |= sb.bgp_decide(None);
+            changed |= sa.bgp_decide(None, &mut Vec::new());
+            changed |= sb.bgp_decide(None, &mut Vec::new());
             if !changed {
                 break;
             }
@@ -1231,7 +1285,7 @@ mod tests {
             .sessions
             .iter()
             .any(|&si| si != u32::MAX));
-        let changed = sa.bgp_decide(None);
+        let changed = sa.bgp_decide(None, &mut Vec::new());
         assert!(!changed, "loop-rejected route must not alter the RIB");
     }
 
@@ -1435,7 +1489,7 @@ mod tests {
                 let session = sw[0].sessions[si].clone();
                 let leaf = &mut sw[session.peer_node.index()];
                 leaf.bgp_receive(session.peer_session_index as usize, &class.routes);
-                leaf.bgp_decide(None);
+                leaf.bgp_decide(None, &mut Vec::new());
                 assert_eq!(oracle::rib_bytes(leaf.loc_rib()), sent, "session {si}: local RIB");
                 assert_eq!(leaf.approx_bgp_bytes(), 2 * sent, "session {si}: Adj-RIB-In + RIB");
             }
@@ -1463,7 +1517,7 @@ mod tests {
             let changed = b.bgp_receive(0, &Arc::from(body.as_slice()));
             assert_eq!(oracle::adj_view(&b, 0), want, "body {i}: admitted view");
             assert_eq!(changed, want != before, "body {i}: changed flag");
-            b.bgp_decide(None);
+            b.bgp_decide(None, &mut Vec::new());
             assert_eq!(*b.loc_rib(), oracle::decide(&b, None).0, "body {i}: local RIB");
             assert_eq!(b.approx_bgp_bytes(), oracle::walked_bytes(&b), "body {i}: bytes");
         }
@@ -1579,7 +1633,7 @@ mod tests {
         let body = |route: BgpRoute| Arc::from([route]);
         hub.bgp_receive(0, &body(adv("10.7.0.0/24", &[65100])));
         hub.bgp_receive(1, &body(adv("10.7.0.0/24", &[65101])));
-        assert!(hub.bgp_decide(None));
+        assert!(hub.bgp_decide(None, &mut Vec::new()));
         let check = |hub: &SwitchModel| {
             assert_eq!(*hub.loc_rib(), oracle::decide(hub, None).0);
             assert_eq!(hub.approx_bgp_bytes(), oracle::walked_bytes(hub));
@@ -1594,14 +1648,14 @@ mod tests {
         };
         let before = hub.approx_bgp_bytes();
         assert!(hub.bgp_receive(1, &body(tagged(&[65101]))));
-        assert!(hub.bgp_decide(None), "the member's bytes changed");
+        assert!(hub.bgp_decide(None, &mut Vec::new()), "the member's bytes changed");
         check(&hub);
         assert_eq!(hub.loc_rib()[&p].bytes, 2 * 84 + 4);
         assert_eq!(hub.approx_bgp_bytes(), before + 2 * 4, "its Adj-RIB-In and the entry");
 
         let exported = advert(&hub, 2);
         assert!(hub.bgp_receive(1, &body(tagged(&[65102]))));
-        assert!(!hub.bgp_decide(None), "a non-best AS path of equal length and bytes");
+        assert!(!hub.bgp_decide(None, &mut Vec::new()), "a non-best AS path of equal length and bytes");
         check(&hub);
         assert_eq!(*advert(&hub, 2), *exported);
     }
@@ -1609,6 +1663,7 @@ mod tests {
     /// On the DCN (aggregates, communities, route-maps), every decide
     /// runs one selection per dirty prefix plus one per aggregate
     /// covering one, and those are far fewer than a full decide runs.
+    /// The dirty list it drains holds each prefix once.
     #[test]
     fn decide_selects_only_dirty_prefixes_and_covering_aggregates() {
         let dcn = s2_topogen::dcn::generate(s2_topogen::dcn::DcnParams::scaled(2, 4, 2));
@@ -1622,6 +1677,9 @@ mod tests {
         for _ in 0..64 {
             let changed = crate::fixpoint::tests::reference_round(&mut sw, |s| {
                 let dirty: BTreeSet<Prefix> = s.dirty.iter().copied().collect();
+                // Each prefix is marked once, however many sessions
+                // carried it, and in order.
+                assert!(s.dirty.iter().eq(&dirty), "{}: a prefix marked twice", s.node);
                 let covering = s
                     .cfg
                     .bgp
@@ -1631,7 +1689,7 @@ mod tests {
                     .filter(|a| dirty.iter().any(|d| a.covers(*d)));
                 let expected = dirty.iter().copied().chain(covering).collect::<BTreeSet<_>>().len();
                 SELECTIONS.with(|n| n.set(0));
-                let changed = s.bgp_decide(None);
+                let changed = s.bgp_decide(None, &mut Vec::new());
                 assert_eq!(SELECTIONS.with(std::cell::Cell::get), expected, "{}", s.node);
                 selections += expected;
                 full += oracle::decide(s, None).0.len();

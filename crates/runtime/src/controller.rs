@@ -1465,6 +1465,7 @@ impl Cluster {
             meta_bits: query.waypoints.len() as u16,
             waypoints: query.waypoints.clone(),
             max_hops: opts.max_hops,
+            sources: query.sources.clone(),
         })?;
         stats.pred_time = t0.elapsed();
         self.dpv_drive(&mut stats, query, None)?;

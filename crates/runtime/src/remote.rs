@@ -165,12 +165,14 @@ impl Wire for Command {
                 meta_bits,
                 waypoints,
                 max_hops,
+                sources,
             } => {
                 8u8.put(buf);
                 rib.put(buf);
                 meta_bits.put(buf);
                 waypoints.put(buf);
                 max_hops.put(buf);
+                sources.put(buf);
             }
             Command::Inject { injections } => {
                 9u8.put(buf);
@@ -254,6 +256,7 @@ impl Wire for Command {
                 meta_bits: Wire::take(buf)?,
                 waypoints: Wire::take(buf)?,
                 max_hops: Wire::take(buf)?,
+                sources: Wire::take(buf)?,
             },
             9 => Command::Inject {
                 injections: Wire::take(buf)?,
@@ -827,6 +830,7 @@ mod tests {
             meta_bits: 3,
             waypoints: Arc::new(waypoints.clone()),
             max_hops: 64,
+            sources: Arc::new(vec![NodeId(0), NodeId(1)]),
         };
         match Command::from_bytes(cmd.to_bytes()).unwrap() {
             Command::DpSetup {
@@ -834,11 +838,13 @@ mod tests {
                 meta_bits,
                 waypoints: w,
                 max_hops,
+                sources,
             } => {
                 assert_eq!(r.per_node, rib.per_node);
                 assert_eq!(meta_bits, 3);
                 assert_eq!(*w, waypoints);
                 assert_eq!(max_hops, 64);
+                assert_eq!(*sources, vec![NodeId(0), NodeId(1)]);
             }
             other => panic!("wrong decode: {other:?}"),
         }

@@ -595,9 +595,9 @@ impl Sidecar {
             Message::BgpClassAdvertisement { targets, .. } => {
                 !targets.is_empty() && targets.iter().all(|&(n, _)| self.net.knows_node(n))
             }
-            Message::PacketBatch { packets, .. } => packets
-                .iter()
-                .all(|p| self.net.knows_node(p.src) && self.net.knows_node(p.node)),
+            Message::PacketBatch { packets, .. } => {
+                packets.iter().all(|p| self.net.knows_node(p.node))
+            }
         }
     }
 }
@@ -758,7 +758,6 @@ mod tests {
         use crate::wire::PacketRef;
         let (net, mut sidecars) = two_worker_net();
         let packet = |node| PacketRef {
-            src: NodeId(0),
             node: NodeId(node),
             ingress: None,
             hops: 1,

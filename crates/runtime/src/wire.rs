@@ -13,7 +13,7 @@
 //! ```text
 //! frame     := len:u32 src:u32 epoch:u32 seq:u64 crc:u32 message
 //! message   := tag:u8 body
-//! tag       := 1 (BGP) | 2 (OSPF) | 4 (BGP, shared body) | 5 (packet batch)
+//! tag       := 1 (BGP) | 2 (OSPF) | 4 (BGP, shared body) | 6 (packet batch)
 //! bgp       := target_node:u32 target_session:u32 n:u32 route*
 //! bgp_class := t:u32 (target_node:u32 target_session:u32){t} n:u32 route*
 //! route     := prefix_addr:u32 prefix_len:u8 next_hop:u32 local_pref:u32
@@ -21,11 +21,13 @@
 //!              plen:u16 asn:u32{plen} clen:u16 community:u32{clen}
 //! ospf      := target_node:u32 via_iface:u16 n:u32 (addr:u32 len:u8 cost:u32)*
 //! batch     := n:u32 (bddlen:u32 bdd-bytes){n} m:u32 packet{m}
-//! packet    := src:u32 node:u32 ingress:u16 hops:u16 bdd_index:u32
+//! packet    := node:u32 ingress:u16 hops:u16 bdd_index:u32
 //! ```
 //!
-//! Tag 3 (one symbolic packet per frame, its BDD inline) is retired: its
-//! bytes fail as an unknown tag.
+//! Tag 3 (one symbolic packet per frame, its BDD inline) and tag 5 (a
+//! batch whose packets also named their injection source, from before a
+//! packet carried every source's traffic in its source-id bits) are
+//! retired: their bytes fail as an unknown tag.
 //!
 //! Every message travelling between sidecars is wrapped in a *frame*
 //! carrying the sending worker, the controller epoch it was sent in, a
@@ -80,7 +82,8 @@ pub enum Message {
     },
     /// One forward round's symbolic packets for every node of the
     /// destination worker: each distinct BDD once, re-encoded into the
-    /// receiving worker's manager once per frame.
+    /// receiving worker's manager once per frame. Each BDD carries the
+    /// source-id bits of the sources whose traffic it is.
     PacketBatch {
         /// Serialized BDDs (see [`s2_bdd::serialize`]).
         bdds: Vec<Bytes>,
@@ -92,8 +95,6 @@ pub enum Message {
 /// One symbolic packet of a [`Message::PacketBatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketRef {
-    /// Injection node.
-    pub src: NodeId,
     /// Receiving node.
     pub node: NodeId,
     /// Ingress class on the receiving node, as its lowest port
@@ -329,7 +330,6 @@ const MIN_ROUTE_WIRE: usize = 27;
 impl Wire for PacketRef {
     #[inline]
     fn put(&self, buf: &mut BytesMut) {
-        self.src.put(buf);
         self.node.put(buf);
         self.ingress.map_or(u16::MAX, |i| i.0).put(buf);
         self.hops.put(buf);
@@ -338,7 +338,6 @@ impl Wire for PacketRef {
     #[inline]
     fn take(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(PacketRef {
-            src: Wire::take(buf)?,
             node: Wire::take(buf)?,
             ingress: match u16::take(buf)? {
                 u16::MAX => None,
@@ -361,7 +360,7 @@ impl Wire for PacketRef {
 }
 
 /// The bytes of one packet of a batch.
-const PACKET_REF_WIRE: usize = 16;
+const PACKET_REF_WIRE: usize = 12;
 
 /// One route; an attribute list equal to `prev`'s is `prev`'s list.
 fn take_route(buf: &mut Bytes, prev: Option<&BgpRoute>) -> Result<BgpRoute, WireError> {
@@ -422,7 +421,7 @@ impl Wire for Message {
                 routes.put(buf);
             }
             Message::PacketBatch { bdds, packets } => {
-                5u8.put(buf);
+                6u8.put(buf);
                 bdds.put(buf);
                 packets.put(buf);
             }
@@ -445,7 +444,7 @@ impl Wire for Message {
                 targets: Wire::take(buf)?,
                 routes: Wire::take(buf)?,
             },
-            5 => {
+            6 => {
                 let bdds: Vec<Bytes> = Wire::take(buf)?;
                 let packets: Vec<PacketRef> = Wire::take(buf)?;
                 if packets.iter().any(|p| p.bdd as usize >= bdds.len()) {
@@ -608,7 +607,6 @@ mod tests {
     /// Two packets sharing one payload, one of them injected.
     fn sample_batch() -> Message {
         let packet = |node: u32, ingress: Option<u16>, bdd: u32| PacketRef {
-            src: NodeId(1),
             node: NodeId(node),
             ingress: ingress.map(InterfaceId),
             hops: 3,
@@ -637,9 +635,9 @@ mod tests {
     /// every strict prefix.)
     #[test]
     fn oversized_packet_batch_counts_fail() {
-        let huge_packets = [5u8, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1];
+        let huge_packets = [6u8, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1];
         assert_eq!(decode(Bytes::from(huge_packets.to_vec())), Err(WireError::Truncated));
-        let huge_bdds = [5u8, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0];
+        let huge_bdds = [6u8, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0];
         assert_eq!(decode(Bytes::from(huge_bdds.to_vec())), Err(WireError::Truncated));
     }
 

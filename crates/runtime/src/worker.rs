@@ -21,16 +21,17 @@ use crate::wire::{Message, PacketRef};
 use bytes::Bytes;
 use s2_bdd::serialize as bdd_io;
 use s2_bdd::splice::Splicer;
-use s2_bdd::BddManager;
+use s2_bdd::{Bdd, BddManager, Mark};
 use s2_dataplane::{
     merge_packet, properties, step_overlaid_into, Fib, FinalKind, FinalPacket, ForwardOptions,
-    NodePredicates, Overlay, PacketKey, PacketSpace, StepOutput, SymbolicPacket,
+    NodePredicates, Overlay, PacketKey, PacketSpace, Sources, StepOutput, SymbolicPacket,
 };
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::Prefix;
 use s2_routing::rounds::Delivery;
 use s2_routing::{
-    merge_row, BgpRounds, NetworkModel, RibRoute, RibRow, RibSnapshot, SwitchMap, SwitchModel,
+    merge_entry, merge_row, patch_row, row_entry, BgpRounds, NetworkModel, RibRoute, RibRow,
+    RibSnapshot, RowMove, SwitchMap, SwitchModel,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -66,11 +67,15 @@ pub enum Command {
         waypoints: Arc<BTreeMap<NodeId, u16>>,
         /// TTL for forwarding.
         max_hops: u16,
+        /// The request's injection sources: each gets a source-id in the
+        /// packet space (see [`Sources`]).
+        sources: Arc<Vec<NodeId>>,
     },
     /// Inject the header space at each locally hosted source.
     Inject {
         /// `(source node, destination space)` pairs; non-local ones are
-        /// ignored (every worker receives the full list).
+        /// ignored (every worker receives the full list). Each source
+        /// must be one of `DpSetup`'s.
         injections: Arc<Vec<(NodeId, Prefix)>>,
     },
     /// Drain the inbox and process the local packet queue to exhaustion.
@@ -160,10 +165,11 @@ pub enum Command {
         /// Failed ports for the forwarding mask.
         failed_ports: Arc<Vec<(NodeId, InterfaceId)>>,
     },
-    /// Destination-scoped DPV: install per-source scope predicates for
-    /// the coming pass. Each source's verdicts are recomputed only over
-    /// `dst_space ∧ scope` and spliced with the committed verdicts as
-    /// `(base ∧ ¬scope) ∨ recomputed`. Cleared by the next `DpPatch`,
+    /// Destination-scoped DPV: install the scope of the coming pass, one
+    /// mask `M = ∨ₛ (src-id = s ∧ scope(s))` over every source. Each
+    /// source's verdicts are recomputed only over `dst_space ∧ scope(s)`
+    /// and spliced with the committed verdicts as `(base ∧ ¬M) ∨
+    /// recomputed`. Cleared by the next `DpPatch`,
     /// `DpSetup`, `ScenarioRollback` or `ScenarioCommit`; a plain
     /// full-space pass simply never sends this command.
     DpScope {
@@ -245,8 +251,9 @@ pub enum Reply {
         loops: usize,
         /// Sources with a non-empty `Blackhole` union on this worker.
         blackholes: usize,
-        /// Verdict-splice operations performed during this pass (zero on
-        /// a full-space pass). Feeds `dpv.scoped.splice_ops`.
+        /// Verdict-splice operations performed during this pass, one per
+        /// spliced node arrival and per spliced kind union (zero on a
+        /// full-space pass). Feeds `dpv.scoped.splice_ops`.
         splices: u64,
         /// Serialized per-(source, kind) unions.
         sets: Vec<(NodeId, FinalKind, Bytes)>,
@@ -342,14 +349,51 @@ type PendingOspf = (NodeId, s2_net::topology::InterfaceId, Vec<(Prefix, u32)>);
 /// passes splice against it: outside each source's scope the committed
 /// forwarding is provably unperturbed, so its verdicts are reused
 /// verbatim.
-#[derive(Default)]
 struct DpBaseline {
-    /// Per-(src, dst) `Arrive` unions with metadata bits **kept** —
-    /// spliced arrivals feed the waypoint check, which inspects meta.
-    arrivals: BTreeMap<(NodeId, NodeId), s2_bdd::Bdd>,
-    /// Per-(src, kind) meta-stripped verdict unions (what
-    /// `collect_finals` serializes).
-    unions: BTreeMap<(NodeId, FinalKind), s2_bdd::Bdd>,
+    arrivals: ArrivalVerdicts,
+    finals: FinalVerdicts,
+}
+
+/// What a pass's `CheckArrivals` built and decided.
+struct ArrivalVerdicts {
+    /// Per-node `Arrive` unions of every source, metadata and source-id
+    /// bits kept: the waypoint check reads the metadata, and a pair's
+    /// arrivals are the cofactor on its source.
+    unions: BTreeMap<NodeId, Bdd>,
+    /// The sources and transits the destinations were judged for.
+    sources: Arc<Vec<NodeId>>,
+    transits: Arc<Vec<(NodeId, u16)>>,
+    /// Per judged destination, its verdicts.
+    judged: BTreeMap<NodeId, Arc<DstVerdicts>>,
+}
+
+/// The verdicts of every pair into one destination.
+struct DstVerdicts {
+    /// The prefixes the destination must receive.
+    want: Vec<Prefix>,
+    reachable: Vec<(NodeId, NodeId)>,
+    unreachable: Vec<(NodeId, NodeId)>,
+    waypoint_violations: Vec<(NodeId, NodeId, NodeId)>,
+}
+
+/// What a pass's `CollectFinals` built and sent.
+struct FinalVerdicts {
+    /// Per-kind unions of every source, metadata quantified away,
+    /// source-id bits kept.
+    unions: BTreeMap<FinalKind, Bdd>,
+    /// Per `(source, kind)`, the non-empty cofactor of its kind's union
+    /// and its verdict bytes.
+    sets: BTreeMap<(NodeId, FinalKind), (Bdd, Bytes)>,
+}
+
+/// The scope of a destination-scoped pass.
+struct PassScope {
+    /// Splices against the mask `∨ₛ (src-id = s ∧ scope(s))`: the one
+    /// mask of every source's changed space.
+    splicer: Splicer,
+    /// Per source-id, its scope (`FALSE` = skipped): what its injection
+    /// is cut to, and whether the pass can move its verdicts at all.
+    scopes: Vec<Bdd>,
 }
 
 /// The worker's mutable state.
@@ -365,6 +409,8 @@ pub struct Worker {
     memory_budget: Option<usize>,
     pending_ospf: Vec<PendingOspf>,
     // Data plane.
+    /// The `DpSetup` sources, whose ids the packet space carries.
+    sources: Sources,
     space: PacketSpace,
     manager: Option<BddManager>,
     /// The `DpSetup` predicates.
@@ -395,25 +441,31 @@ pub struct Worker {
     /// `ScenarioCommit`, invalidated by `DpSetup` (the manager that owns
     /// its handles is recreated).
     dp_base: Option<DpBaseline>,
-    /// Per-source splicers of the active destination-scoped pass
-    /// (`None` = full-space pass, no surgery).
-    scopes: Option<BTreeMap<NodeId, Splicer>>,
-    /// The current pass's full-space arrivals, as `CheckArrivals`
-    /// spliced them: half of what `ScenarioCommit` promotes.
-    pass_arrivals: Option<BTreeMap<(NodeId, NodeId), s2_bdd::Bdd>>,
-    /// The current pass's full-space unions, as `CollectFinals` spliced
-    /// them: the other half.
-    pass_unions: Option<BTreeMap<(NodeId, FinalKind), s2_bdd::Bdd>>,
+    /// The manager's node mark at the last `ScenarioCheckpoint` or
+    /// `ScenarioCommit`: every handle the worker keeps across scenarios
+    /// is older, so `ScenarioRollback` releases the nodes after it and a
+    /// sweep's manager stays the size of one scenario's work.
+    scenario_mark: Option<Mark>,
+    /// The scope of the active destination-scoped pass (`None` =
+    /// full-space pass, no surgery).
+    scope: Option<PassScope>,
+    /// The current pass's full-space arrivals and their verdicts, as
+    /// `CheckArrivals` spliced and judged them: half of what
+    /// `ScenarioCommit` promotes.
+    pass_arrivals: Option<ArrivalVerdicts>,
+    /// The current pass's full-space unions and verdict sets, as
+    /// `CollectFinals` spliced and serialized them: the other half.
+    pass_finals: Option<FinalVerdicts>,
     fwd_opts: ForwardOptions,
     /// The current hop level's merged fragments (see
     /// [`s2_dataplane::PacketKey`]); merging before processing and before
     /// sending is what keeps the cross-worker BDD traffic polynomial.
-    level: BTreeMap<PacketKey, s2_bdd::Bdd>,
+    level: BTreeMap<PacketKey, Bdd>,
     /// Fragments a peer sent in the current forward round, drained
     /// before this worker stepped it: they join the next level, so each
     /// fragment is stepped in the round its `hops` names, whatever the
     /// threads' timing.
-    early: BTreeMap<PacketKey, s2_bdd::Bdd>,
+    early: BTreeMap<PacketKey, Bdd>,
     /// Forward rounds run since the last `Inject`: the `hops` of the
     /// fragments this round steps.
     round: u16,
@@ -426,6 +478,11 @@ pub struct Worker {
     /// Whether `step_scratch` has served at least one step (the first
     /// use allocates; every later one is a counted reuse).
     scratch_primed: bool,
+    /// State a command replaced (a checkpoint, a restored engine's
+    /// copies, committed verdicts and overlays): freed when the worker
+    /// waits for its next command, so the free overlaps the
+    /// controller's work between barriers instead of delaying a reply.
+    retired: Vec<Box<dyn std::any::Any + Send>>,
 }
 
 impl Worker {
@@ -465,6 +522,7 @@ impl Worker {
             gauge: MemGauge::new(),
             memory_budget,
             pending_ospf: Vec::new(),
+            sources: Sources::default(),
             space: PacketSpace::new(0),
             manager: None,
             preds: BTreeMap::new(),
@@ -475,9 +533,10 @@ impl Worker {
             baked,
             dp_rib: None,
             dp_base: None,
-            scopes: None,
+            scenario_mark: None,
+            scope: None,
             pass_arrivals: None,
-            pass_unions: None,
+            pass_finals: None,
             fwd_opts: ForwardOptions::default(),
             level: BTreeMap::new(),
             early: BTreeMap::new(),
@@ -486,6 +545,7 @@ impl Worker {
             pool: EvalPool::new(intra_worker_threads),
             step_scratch: StepOutput::default(),
             scratch_primed: false,
+            retired: Vec::new(),
         }
     }
 
@@ -502,7 +562,18 @@ impl Worker {
         replies: std::sync::mpsc::Sender<Reply>,
     ) {
         let mut processed: u64 = 0;
-        while let Ok(cmd) = commands.recv() {
+        loop {
+            let cmd = match commands.try_recv() {
+                Ok(cmd) => cmd,
+                Err(std::sync::mpsc::TryRecvError::Empty) => {
+                    self.retired.clear();
+                    match commands.recv() {
+                        Ok(cmd) => cmd,
+                        Err(_) => break,
+                    }
+                }
+                Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
+            };
             processed += 1;
             if self.faults.should_kill(self.sidecar.worker, processed) {
                 return;
@@ -558,18 +629,13 @@ impl Worker {
                 meta_bits,
                 waypoints,
                 max_hops,
+                sources,
             } => {
-                self.dp_setup(rib, meta_bits, &waypoints, max_hops);
+                self.dp_setup(rib, meta_bits, &waypoints, max_hops, &sources);
                 self.update_gauge();
                 Reply::Ok
             }
-            Command::Inject { injections } => {
-                if self.manager.is_none() {
-                    return Reply::Violation("Inject before DpSetup".to_string());
-                }
-                self.inject(&injections);
-                Reply::Ok
-            }
+            Command::Inject { injections } => self.inject(&injections),
             Command::ForwardRound => {
                 if self.manager.is_none() {
                     return Reply::Violation("ForwardRound before DpSetup".to_string());
@@ -634,11 +700,12 @@ impl Worker {
                 // against ∅, which is only reachable through a fresh
                 // worker that will be driven full-space anyway.
                 self.dp_base = self.take_pass_verdicts();
+                self.mark_scenario();
                 Reply::Ok
             }
             Command::ScenarioBegin { failed } => {
                 if let Some(checkpoint) = self.checkpoint.as_ref() {
-                    self.bgp.restore(checkpoint);
+                    self.retired.push(Box::new(self.bgp.restore(checkpoint)));
                 }
                 // Only the switches whose failure set changed export
                 // until withdrawals and re-advertisements propagate.
@@ -655,16 +722,23 @@ impl Worker {
                 // so the recovery re-warm starts clean on a mixed fleet
                 // of survivors and replacements.
                 if let Some(checkpoint) = self.checkpoint.as_ref() {
-                    self.bgp.restore(checkpoint);
+                    self.retired.push(Box::new(self.bgp.restore(checkpoint)));
                 }
                 self.clear_pass();
+                self.release_scenario();
                 self.fwd_opts.failed_ports = self.committed_mask.clone();
                 self.update_gauge();
                 Reply::Ok
             }
-            Command::ScenarioCommit => self.scenario_commit(),
+            Command::ScenarioCommit => {
+                let _span = s2_obs::span!("dpv.commit");
+                self.scenario_commit()
+            }
             Command::DpPatch { stage, failed_ports } => self.dp_patch(stage, &failed_ports),
-            Command::DpScope { scopes } => self.set_scopes(&scopes),
+            Command::DpScope { scopes } => {
+                let _span = s2_obs::span!("dpv.scope_mask", scopes.len());
+                self.set_scopes(&scopes)
+            }
             Command::NetStats => {
                 // `in_flight` strictly before the counter snapshot: a
                 // concurrent reconnect bumps `reconnects` before resetting
@@ -867,8 +941,10 @@ impl Worker {
         meta_bits: u16,
         waypoints: &BTreeMap<NodeId, u16>,
         max_hops: u16,
+        sources: &[NodeId],
     ) {
-        self.space = PacketSpace::new(meta_bits);
+        self.sources = Sources::new(sources.iter().copied());
+        self.space = PacketSpace::with_sources(meta_bits, &self.sources);
         let mut manager = self.space.manager();
         self.preds = self
             .bgp
@@ -884,6 +960,7 @@ impl Worker {
         // the new RIB is the diff baseline for the next `DpPatch`.
         self.dp_rib = Some(rib);
         self.dp_base = None;
+        self.scenario_mark = None;
         self.committed.clear();
         self.committed_mask.clear();
         self.clear_pass();
@@ -899,8 +976,8 @@ impl Worker {
     /// every pair and kind of the committed verdicts and of the pass).
     /// `None` before both ran.
     fn take_pass_verdicts(&mut self) -> Option<DpBaseline> {
-        let (arrivals, unions) = (self.pass_arrivals.take()?, self.pass_unions.take()?);
-        Some(DpBaseline { arrivals, unions })
+        let (arrivals, finals) = (self.pass_arrivals.take()?, self.pass_finals.take()?);
+        Some(DpBaseline { arrivals, finals })
     }
 
     /// The `DpPatch` of a scenario pass at `stage` (see
@@ -920,14 +997,13 @@ impl Worker {
         let mut changed_dst: BTreeMap<NodeId, BTreeSet<Prefix>> = BTreeMap::new();
         let mut rows: Vec<(NodeId, RibRow)> = Vec::new();
         if stage == PatchStage::Reconverged {
+            let _span = s2_obs::span!("dpv.patch_rows");
             // Only a switch that moved since the checkpoint can differ
-            // from its committed row.
-            for s in self.bgp.rib_moved() {
-                let row = merge_row(s.base_rib_routes().into_iter().chain(s.bgp_rib_routes()));
-                let changed = changed_prefixes(committed_row(s.node), &row);
-                if changed.is_empty() {
+            // from its committed row, which is the checkpoint's.
+            for (s, moved) in self.bgp.rib_moved() {
+                let Some((row, changed)) = moved_row(s, moved, committed_row(s.node)) else {
                     continue;
-                }
+                };
                 // The overlay's region is where the row left the
                 // `DpSetup` one, which is the committed one unless an
                 // earlier commit moved it.
@@ -973,77 +1049,101 @@ impl Worker {
         let Some(verdicts) = self.take_pass_verdicts() else {
             return Reply::Violation("ScenarioCommit before a checked pass".to_string());
         };
-        self.dp_base = Some(verdicts);
-        self.checkpoint = Some(self.bgp.checkpoint());
+        // What the commit replaces is freed after the reply (see
+        // `retired`): the old checkpoint holds the pre-commit copy of
+        // every switch the pass wrote.
+        let base = self.dp_base.replace(verdicts);
+        let checkpoint = self.checkpoint.replace(self.bgp.checkpoint());
+        let mut overlays = Vec::new();
         for (n, (row, overlay)) in std::mem::take(&mut self.patch) {
-            match overlay {
+            overlays.extend(match overlay {
                 Some(overlay) => self.committed.insert(n, (row, overlay)),
                 None => self.committed.remove(&n),
-            };
+            });
         }
+        self.retired.push(Box::new((base, checkpoint, overlays)));
         self.committed_mask = self.fwd_opts.failed_ports.clone();
         self.clear_pass();
+        self.mark_scenario();
         self.charged(Reply::Ok)
     }
 
-    /// Drops the current pass's data-plane state: its patch, scopes,
+    /// Marks the manager's nodes as the ones every later scenario keeps:
+    /// what the checkpoint or commit just took.
+    fn mark_scenario(&mut self) {
+        self.scenario_mark = self.manager.as_ref().map(BddManager::mark);
+    }
+
+    /// Releases the nodes the rolled-back scenario built after the mark;
+    /// the pass state that held them is cleared first.
+    fn release_scenario(&mut self) {
+        if let (Some(manager), Some(mark)) = (self.manager.as_mut(), self.scenario_mark) {
+            manager.release(mark);
+        }
+    }
+
+    /// Drops the current pass's data-plane state: its patch, scope,
     /// spliced verdicts and packets.
     fn clear_pass(&mut self) {
         self.patch.clear();
-        self.scopes = None;
+        self.scope = None;
         self.pass_arrivals = None;
-        self.pass_unions = None;
+        self.pass_finals = None;
         self.level.clear();
         self.early.clear();
         self.finals.clear();
     }
 
-    /// Installs per-source destination scopes for the next scoped drive.
-    /// Every source gets an entry; an empty prefix list means "skipped"
-    /// (its splicer passes the baseline through untouched).
+    /// Installs the scope of the next scoped drive: one mask over every
+    /// source. A source with an empty prefix list is skipped (outside
+    /// the mask, its committed verdicts pass through untouched).
     fn set_scopes(&mut self, scopes: &[(NodeId, Vec<Prefix>)]) -> Reply {
         let Some(manager) = self.manager.as_mut() else {
             return Reply::Violation("DpScope before DpSetup".to_string());
         };
-        let mut map = BTreeMap::new();
-        for (src, prefixes) in scopes {
-            let parts: Vec<s2_bdd::Bdd> = prefixes
-                .iter()
-                .map(|&p| self.space.dst_in(manager, p))
-                .collect();
-            let scope = manager.or_all(parts);
-            map.insert(*src, Splicer::new(manager, scope));
-        }
-        self.scopes = Some(map);
+        let scopes = match self.space.source_scopes(manager, &self.sources, scopes) {
+            Ok(scopes) => scopes,
+            Err(src) => return Reply::Violation(format!("DpScope of {src}, not a DpSetup source")),
+        };
+        let mask = self.space.scope_mask(manager, &scopes);
+        self.scope = Some(PassScope {
+            splicer: Splicer::new(manager, mask),
+            scopes,
+        });
         Reply::Ok
     }
 
-    fn inject(&mut self, injections: &[(NodeId, Prefix)]) {
+    /// Injects the destination space of each hosted source, tagged with
+    /// its source-id (and, on a scoped pass, cut to its scope).
+    fn inject(&mut self, injections: &[(NodeId, Prefix)]) -> Reply {
         let Some(manager) = self.manager.as_mut() else {
-            return; // guarded in handle(); kept panic-free regardless
+            return Reply::Violation("Inject before DpSetup".to_string());
         };
         self.round = 0;
+        let clear = self.space.meta_clear(manager);
         for &(src, dst_space) in injections {
             if !self.sidecar.is_local(src) {
                 continue;
             }
-            let dst = self.space.dst_in(manager, dst_space);
-            let clear = self.space.meta_clear(manager);
-            let mut set = manager.and(dst, clear);
+            let Some(index) = self.sources.index(src) else {
+                return Reply::Violation(format!("Inject at {src}, not a DpSetup source"));
+            };
+            let mut dst = self.space.dst_in(manager, dst_space);
             // Destination-scoped pass: only the changed packet space is
             // re-verified; a source whose scope is empty injects nothing.
-            if let Some(scopes) = self.scopes.as_ref() {
-                let scope = scopes.get(&src).map_or(s2_bdd::Bdd::FALSE, Splicer::scope);
-                set = manager.and(set, scope);
-                if set.is_false() {
+            if let Some(scope) = self.scope.as_ref() {
+                dst = manager.and(dst, scope.scopes[index]);
+                if dst.is_false() {
                     continue;
                 }
             }
+            let id = self.space.src_is(manager, index);
+            let tagged = manager.and(dst, id);
+            let set = manager.and(tagged, clear);
             merge_packet(
                 manager,
                 &mut self.level,
                 SymbolicPacket {
-                    src,
                     node: src,
                     ingress: None,
                     set,
@@ -1051,6 +1151,7 @@ impl Worker {
                 },
             );
         }
+        Reply::Ok
     }
 
     /// Processes one hop level: ingest remote fragments (re-encoding their
@@ -1080,7 +1181,7 @@ impl Worker {
                 // An undecodable BDD payload is a per-message wire error
                 // (counted, its packets skipped), not a worker crash; the
                 // controller's disturbance tracking replays the phase.
-                let sets: Vec<Option<s2_bdd::Bdd>> = bdds
+                let sets: Vec<Option<Bdd>> = bdds
                     .iter()
                     .map(|bdd| bdd_io::from_bytes(manager, bdd).ok())
                     .collect();
@@ -1102,7 +1203,6 @@ impl Worker {
                         manager,
                         level,
                         SymbolicPacket {
-                            src: p.src,
                             node: p.node,
                             ingress: p.ingress,
                             set,
@@ -1115,54 +1215,58 @@ impl Worker {
 
         let mut processed = 0;
         let mut scratch_reuses: u64 = 0;
-        let mut next: BTreeMap<PacketKey, s2_bdd::Bdd> = BTreeMap::new();
-        let mut outbound: BTreeMap<PacketKey, s2_bdd::Bdd> = BTreeMap::new();
-        for ((src, node, ingress, hops), set) in std::mem::take(&mut self.level) {
-            // The packet's location came off the wire for remote
-            // fragments; a node this worker does not host is a peer
-            // protocol violation — count it and drop the fragment (the
-            // disturbance machinery forces a replay). The pass's overlay,
-            // else the committed one, decides inside its region.
-            let Some(preds) = self.preds.get(&node) else {
-                note_violation(&self.sidecar);
-                continue;
-            };
-            let overlay = match self.patch.get(&node) {
-                Some((_, overlay)) => overlay.as_ref(),
-                None => self.committed.get(&node).map(|(_, overlay)| overlay),
-            };
-            let pkt = SymbolicPacket {
-                src,
-                node,
-                ingress,
-                set,
-                hops,
-            };
-            // Reusable per-worker scratch instead of three fresh Vecs
-            // per switch; each reuse is counted as a saved allocation.
-            self.step_scratch.clear();
-            if self.scratch_primed {
-                scratch_reuses += 1;
-            } else {
-                self.scratch_primed = true;
-            }
-            step_overlaid_into(
-                &self.model.topology,
-                preds,
-                overlay,
-                &self.space,
-                manager,
-                pkt,
-                &self.fwd_opts,
-                &mut self.step_scratch,
-            );
-            processed += 1;
-            self.finals.append(&mut self.step_scratch.finals);
-            for fwd in self.step_scratch.forwarded.drain(..) {
-                if self.sidecar.is_local(fwd.node) {
-                    merge_packet(manager, &mut next, fwd);
+        let mut next: BTreeMap<PacketKey, Bdd> = BTreeMap::new();
+        let mut outbound: BTreeMap<PacketKey, Bdd> = BTreeMap::new();
+        // The step phase: one step per (node, ingress class, hops) key,
+        // for every source the key's set carries.
+        {
+            let _step_span = s2_obs::span!("dpv.step", self.level.len());
+            for ((node, ingress, hops), set) in std::mem::take(&mut self.level) {
+                // The packet's location came off the wire for remote
+                // fragments; a node this worker does not host is a peer
+                // protocol violation — count it and drop the fragment (the
+                // disturbance machinery forces a replay). The pass's overlay,
+                // else the committed one, decides inside its region.
+                let Some(preds) = self.preds.get(&node) else {
+                    note_violation(&self.sidecar);
+                    continue;
+                };
+                let overlay = match self.patch.get(&node) {
+                    Some((_, overlay)) => overlay.as_ref(),
+                    None => self.committed.get(&node).map(|(_, overlay)| overlay),
+                };
+                let pkt = SymbolicPacket {
+                    node,
+                    ingress,
+                    set,
+                    hops,
+                };
+                // Reusable per-worker scratch instead of three fresh Vecs
+                // per switch; each reuse is counted as a saved allocation.
+                self.step_scratch.clear();
+                if self.scratch_primed {
+                    scratch_reuses += 1;
                 } else {
-                    merge_packet(manager, &mut outbound, fwd);
+                    self.scratch_primed = true;
+                }
+                step_overlaid_into(
+                    &self.model.topology,
+                    preds,
+                    overlay,
+                    &self.space,
+                    manager,
+                    pkt,
+                    &self.fwd_opts,
+                    &mut self.step_scratch,
+                );
+                processed += 1;
+                self.finals.append(&mut self.step_scratch.finals);
+                for fwd in self.step_scratch.forwarded.drain(..) {
+                    if self.sidecar.is_local(fwd.node) {
+                        merge_packet(manager, &mut next, fwd);
+                    } else {
+                        merge_packet(manager, &mut outbound, fwd);
+                    }
                 }
             }
         }
@@ -1173,7 +1277,7 @@ impl Worker {
             // one batch holding each distinct handle's bytes once.
             let _encode_span = s2_obs::span!("bdd.encode");
             let mut batches: BTreeMap<WorkerId, Batch> = BTreeMap::new();
-            for ((src, node, ingress, hops), set) in outbound {
+            for ((node, ingress, hops), set) in outbound {
                 let batch = batches.entry(self.sidecar.net().owner(node)).or_default();
                 let bdds = &mut batch.bdds;
                 let bdd = *batch.index.entry(set).or_insert_with(|| {
@@ -1183,7 +1287,6 @@ impl Worker {
                     (bdds.len() - 1) as u32
                 });
                 batch.packets.push(PacketRef {
-                    src,
                     node,
                     ingress,
                     hops,
@@ -1204,9 +1307,8 @@ impl Worker {
                 .fetch_add(scratch_reuses, std::sync::atomic::Ordering::Relaxed);
         }
         self.level = next;
-        for ((src, node, ingress, hops), set) in std::mem::take(&mut self.early) {
+        for ((node, ingress, hops), set) in std::mem::take(&mut self.early) {
             let pkt = SymbolicPacket {
-                src,
                 node,
                 ingress,
                 set,
@@ -1218,93 +1320,131 @@ impl Worker {
         (processed, sent_remote)
     }
 
+    /// Judges every pair into each hosted destination of `expected`.
+    /// A destination whose spliced arrivals are the committed ones,
+    /// judged for the same query, keeps its committed verdicts.
     fn check_arrivals(
         &mut self,
-        sources: &[NodeId],
+        sources: &Arc<Vec<NodeId>>,
         expected: &[(NodeId, Vec<Prefix>)],
-        transits: &[(NodeId, u16)],
+        transits: &Arc<Vec<(NodeId, u16)>>,
     ) -> Reply {
         let Some(manager) = self.manager.as_mut() else {
             return Reply::Violation("CheckArrivals before DpSetup".to_string());
         };
-        let mut reachable = Vec::new();
-        let mut unreachable = Vec::new();
-        let mut waypoint_violations = Vec::new();
-        let mut arrivals = properties::arrivals(manager, &self.finals);
+        let _span = s2_obs::span!("dpv.check_arrivals", expected.len());
+        let base = self.dp_base.as_ref().map(|b| &b.arrivals);
+        let mut unions = properties::arrivals(manager, &self.finals);
         // Destination-scoped pass: the finals only cover the scoped
-        // space — splice the committed arrivals back in, for every pair,
+        // space — splice the committed arrivals back in, for every node,
         // before judging reachability and waypoints, so the verdicts are
         // full-space ones.
-        if let Some(scopes) = self.scopes.as_mut() {
+        if let Some(scope) = self.scope.as_mut() {
             let empty = BTreeMap::new();
-            let base = self.dp_base.as_ref().map_or(&empty, |b| &b.arrivals);
-            arrivals = splice_all(manager, scopes, base, arrivals);
+            let base = base.map_or(&empty, |b| &b.unions);
+            unions = properties::splice_unions(manager, &mut scope.splicer, base, unions);
         }
+        let committed = base.filter(|b| b.sources == *sources && b.transits == *transits);
+        let mut judged: BTreeMap<NodeId, Arc<DstVerdicts>> = BTreeMap::new();
+        let mut reply = (Vec::new(), Vec::new(), Vec::new());
         for (dst, prefixes) in expected {
             if !self.sidecar.is_local(*dst) {
                 continue;
             }
-            let want = self.space.dst_in_any(manager, prefixes);
-            for &src in sources {
-                if src == *dst {
-                    continue;
-                }
-                let arrived = arrivals.get(&(src, *dst)).copied().unwrap_or(s2_bdd::Bdd::FALSE);
-                let verdict = properties::judge_pair(manager, &self.space, want, arrived, transits);
-                if verdict.reachable {
-                    reachable.push((src, *dst));
-                } else {
-                    unreachable.push((src, *dst));
-                }
-                waypoint_violations.extend(verdict.missed.into_iter().map(|t| (src, *dst, t)));
-            }
+            let arrived = unions.get(dst).copied().unwrap_or(Bdd::FALSE);
+            let kept = committed
+                .filter(|b| b.unions.get(dst).copied().unwrap_or(Bdd::FALSE) == arrived)
+                .and_then(|b| b.judged.get(dst))
+                .filter(|v| v.want == *prefixes);
+            let verdicts = match kept {
+                Some(v) => v.clone(),
+                None => Arc::new(judge_dst(
+                    manager,
+                    &self.space,
+                    &self.sources,
+                    (*dst, prefixes),
+                    arrived,
+                    sources,
+                    transits,
+                )),
+            };
+            reply.0.extend_from_slice(&verdicts.reachable);
+            reply.1.extend_from_slice(&verdicts.unreachable);
+            reply.2.extend_from_slice(&verdicts.waypoint_violations);
+            judged.insert(*dst, verdicts);
         }
-        self.pass_arrivals = Some(arrivals);
+        self.pass_arrivals = Some(ArrivalVerdicts {
+            unions,
+            sources: sources.clone(),
+            transits: transits.clone(),
+            judged,
+        });
         Reply::Arrivals {
-            reachable,
-            unreachable,
-            waypoint_violations,
+            reachable: reply.0,
+            unreachable: reply.1,
+            waypoint_violations: reply.2,
         }
     }
 
+    /// Serializes each source's cofactor of each per-kind union. Where a
+    /// kind's spliced union is the committed one, or a source lies
+    /// outside the pass's scope, the committed set and bytes stand; a
+    /// recomputed set equal to the committed one keeps its bytes.
     fn collect_finals(&mut self) -> Reply {
         let Some(manager) = self.manager.as_mut() else {
             return Reply::Violation("CollectFinals before DpSetup".to_string());
         };
+        let _span = s2_obs::span!("dpv.collect_finals", self.finals.len());
+        let base = self.dp_base.as_ref().map(|b| &b.finals);
         let mut unions = properties::kind_unions(manager, &self.space, &self.finals);
         // Destination-scoped pass: the unions above only cover the
-        // scoped space — splice each (src, kind) verdict with the
-        // committed one into a full-space union. Semantic equality plus
-        // canonical serialization makes the result byte-identical to a
-        // cold full-space recompute.
-        if let Some(scopes) = self.scopes.as_mut() {
+        // scoped space — splice each kind's union with the committed one
+        // into a full-space union. Semantic equality plus canonical
+        // serialization makes each cofactor byte-identical to a cold
+        // full-space recompute.
+        if let Some(scope) = self.scope.as_mut() {
             let empty = BTreeMap::new();
-            let base = self.dp_base.as_ref().map_or(&empty, |b| &b.unions);
-            unions = splice_all(manager, scopes, base, unions);
+            let base = base.map_or(&empty, |b| &b.unions);
+            unions = properties::splice_unions(manager, &mut scope.splicer, base, unions);
         }
-        let splices = self
-            .scopes
-            .as_ref()
-            .map_or(0, |s| s.values().map(Splicer::ops).sum());
+        let splices = self.scope.as_ref().map_or(0, |s| s.splicer.ops());
+        let mut sets: BTreeMap<(NodeId, FinalKind), (Bdd, Bytes)> = BTreeMap::new();
+        for (&kind, &union) in &unions {
+            let kind_unmoved = base.is_some_and(|b| b.unions.get(&kind) == Some(&union));
+            for (index, &src) in self.sources.nodes().iter().enumerate() {
+                let committed = base.and_then(|b| b.sets.get(&(src, kind)));
+                let unscoped = self.scope.as_ref().is_some_and(|s| s.scopes[index].is_false());
+                if kind_unmoved || unscoped {
+                    if let Some(c) = committed {
+                        sets.insert((src, kind), c.clone());
+                    }
+                    continue;
+                }
+                let set = self.space.of_source(manager, union, index);
+                if set.is_false() {
+                    continue;
+                }
+                let bytes = match committed {
+                    Some((old, bytes)) if *old == set => bytes.clone(),
+                    _ => Bytes::from(bdd_io::to_bytes(manager, set)),
+                };
+                sets.insert((src, kind), (set, bytes));
+            }
+        }
         // Event counts are taken over the same canonical sets the verdict
-        // bytes are: one per source with a non-empty union of the kind,
+        // bytes are: one per source with a non-empty set of the kind,
         // however many fragments (a merge- and timing-dependent number)
         // finalized into it.
-        unions.retain(|_, set| !set.is_false());
-        let count = |kind| unions.keys().filter(|(_, k)| *k == kind).count();
+        let count = |kind| sets.keys().filter(|(_, k)| *k == kind).count();
         let (loops, blackholes) = (count(FinalKind::Loop), count(FinalKind::Blackhole));
-        let sets = unions
-            .iter()
-            .map(|(&(src, kind), &set)| {
-                (src, kind, Bytes::from(bdd_io::to_bytes(manager, set)))
-            })
-            .collect();
-        self.pass_unions = Some(unions);
+        let reply_sets =
+            sets.iter().map(|(&(src, kind), (_, bytes))| (src, kind, bytes.clone())).collect();
+        self.pass_finals = Some(FinalVerdicts { unions, sets });
         Reply::Finals {
             loops,
             blackholes,
             splices,
-            sets,
+            sets: reply_sets,
         }
     }
 
@@ -1398,28 +1538,69 @@ fn compile_overlay(
     Overlay { region: space.dst_in_any(manager, &region), preds }
 }
 
-/// The full-space verdicts of a scoped pass: each verdict of `base` (the
-/// committed ones) and of `fresh` (the pass's finals, which cover only
-/// the scopes), keyed by source first, spliced by its source's scope. A verdict only `fresh`
-/// holds lies inside the scope already; a source with no scope injected
-/// nothing, so its base verdicts stand.
-fn splice_all<T: Ord + Copy>(
-    manager: &mut BddManager,
-    scopes: &mut BTreeMap<NodeId, Splicer>,
-    base: &BTreeMap<(NodeId, T), s2_bdd::Bdd>,
-    mut fresh: BTreeMap<(NodeId, T), s2_bdd::Bdd>,
-) -> BTreeMap<(NodeId, T), s2_bdd::Bdd> {
-    let mut out = BTreeMap::new();
-    for (&k, &b) in base {
-        let f = fresh.remove(&k).unwrap_or(s2_bdd::Bdd::FALSE);
-        let set = match scopes.get_mut(&k.0) {
-            Some(splicer) => splicer.splice(manager, b, f),
-            None => manager.or(b, f),
-        };
-        out.insert(k, set);
+/// The row of a switch that `moved` since the checkpoint, whose row is
+/// `committed`, and the prefixes where the two differ; `None` when they
+/// do not. A row that moved at some prefixes is patched there; one that
+/// moved whole is rebuilt from all the switch's routes.
+fn moved_row(
+    s: &SwitchModel,
+    moved: &RowMove,
+    committed: &[RibRoute],
+) -> Option<(RibRow, BTreeSet<Prefix>)> {
+    match moved {
+        RowMove::Prefixes(prefixes) => {
+            let mut prefixes = prefixes.clone();
+            prefixes.sort_unstable();
+            prefixes.dedup();
+            let entries: Vec<(Prefix, Option<RibRoute>)> = prefixes
+                .into_iter()
+                .map(|p| (p, merge_entry(s.rib_routes_at(p))))
+                .filter(|(p, entry)| row_entry(committed, *p) != entry.as_ref())
+                .collect();
+            let changed: BTreeSet<Prefix> = entries.iter().map(|&(p, _)| p).collect();
+            // A decide that changed no installed entry copies no row.
+            (!changed.is_empty()).then(|| (patch_row(committed, entries), changed))
+        }
+        RowMove::Whole | RowMove::Still => {
+            let row = merge_row(s.base_rib_routes().into_iter().chain(s.bgp_rib_routes()));
+            let changed = changed_prefixes(committed, &row);
+            (!changed.is_empty()).then_some((row, changed))
+        }
     }
-    out.extend(fresh);
-    out
+}
+
+/// The verdicts of every pair `(src, dst)` of `sources`: each source's
+/// cofactor of `arrived`, the destination's `Arrive` union, judged
+/// against the destination's wanted prefixes.
+fn judge_dst(
+    manager: &mut BddManager,
+    space: &PacketSpace,
+    ids: &Sources,
+    (dst, prefixes): (NodeId, &[Prefix]),
+    arrived: Bdd,
+    sources: &[NodeId],
+    transits: &[(NodeId, u16)],
+) -> DstVerdicts {
+    let want = space.dst_in_any(manager, prefixes);
+    let mut v = DstVerdicts {
+        want: prefixes.to_vec(),
+        reachable: Vec::new(),
+        unreachable: Vec::new(),
+        waypoint_violations: Vec::new(),
+    };
+    for &src in sources.iter().filter(|&&src| src != dst) {
+        let arrived = match ids.index(src) {
+            Some(index) => space.of_source(manager, arrived, index),
+            None => Bdd::FALSE,
+        };
+        let verdict = properties::judge_pair(manager, space, want, arrived, transits);
+        match verdict.reachable {
+            true => v.reachable.push((src, dst)),
+            false => v.unreachable.push((src, dst)),
+        }
+        v.waypoint_violations.extend(verdict.missed.into_iter().map(|t| (src, dst, t)));
+    }
+    v
 }
 
 /// The prefixes whose route set differs between `old` and `new`,
@@ -1530,7 +1711,7 @@ mod tests {
             inboxes.zip(1..).map(|(inbox, w)| Sidecar::new(w, net.clone(), inbox)).collect();
         let mut worker = Worker::with_faults(sidecar, model, vec![hub], None, Arc::default(), 1);
         let per_node = per_node.into_iter().map(Into::into).collect();
-        worker.dp_setup(Arc::new(RibSnapshot { per_node }), 0, &BTreeMap::new(), 0);
+        worker.dp_setup(Arc::new(RibSnapshot { per_node }), 0, &BTreeMap::new(), 0, &[hub]);
         worker.inject(&[(hub, "10.9.0.0/16".parse().unwrap())]);
 
         ENCODES.with(|n| n.set(0));
@@ -1696,6 +1877,7 @@ mod tests {
                     meta_bits: 0,
                     waypoints: Arc::new(BTreeMap::new()),
                     max_hops: 0,
+                    sources: Arc::default(),
                 });
                 let mut overlays = 0;
                 let mut down = Vec::new();
@@ -1951,11 +2133,13 @@ mod tests {
         on_all(&mut fleet, || Command::BgpBegin { shard: None });
         converge_bgp(&mut fleet);
         let rib = collect_rib(&mut fleet);
+        let sources: Arc<Vec<NodeId>> = Arc::new(fleet[0].model.topology.nodes().collect());
         on_all(&mut fleet, || Command::DpSetup {
             rib: rib.clone(),
             meta_bits: 0,
             waypoints: Arc::new(BTreeMap::new()),
             max_hops: 0,
+            sources: sources.clone(),
         });
         forward_to_exhaustion(&mut fleet);
         // Every single-link failure, as a sweep drives it.
@@ -2057,6 +2241,7 @@ mod tests {
                 meta_bits: 0,
                 waypoints: Arc::new(BTreeMap::new()),
                 max_hops: 0,
+                sources: Arc::default(),
             });
             let (mut all, mut aggregates, mut deps) = (BTreeSet::new(), BTreeSet::new(), Vec::new());
             for reply in on_all(&mut fleet, || Command::CollectPrefixes) {

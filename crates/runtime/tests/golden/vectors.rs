@@ -168,28 +168,28 @@ pub fn messages() -> Vec<(Message, &'static str)> {
                 "00020000000100000063"
             ),
         ),
-        // Added with tag 5 (one frame of packets per destination worker,
-        // each distinct BDD once), which retired tag 3.
+        // Tag 5 (one frame of packets per destination worker, each
+        // distinct BDD once, each packet naming its source) is in
+        // `retired_messages`; tag 6 is the same batch with packets that
+        // carry every source's traffic in their sets' source-id bits.
         (
             Message::PacketBatch {
                 bdds: vec![],
                 packets: vec![],
             },
-            "050000000000000000",
+            "060000000000000000",
         ),
         (
             Message::PacketBatch {
                 bdds: vec![Bytes::from_static(&[1, 2, 3, 4])],
                 packets: vec![
                     PacketRef {
-                        src: NodeId(1),
                         node: NodeId(9),
                         ingress: Some(InterfaceId(4)),
                         hops: 3,
                         bdd: 0,
                     },
                     PacketRef {
-                        src: NodeId(1),
                         node: NodeId(2),
                         ingress: None,
                         hops: 0,
@@ -198,10 +198,10 @@ pub fn messages() -> Vec<(Message, &'static str)> {
                 ],
             },
             concat!(
-                "05000000010000000401020304",
+                "06000000010000000401020304",
                 "00000002",
-                "000000010000000900040003", "00000000",
-                "0000000100000002ffff0000", "00000000"
+                "0000000900040003", "00000000",
+                "00000002ffff0000", "00000000"
             ),
         ),
     ]
@@ -268,14 +268,19 @@ pub fn commands() -> Vec<(Command, &'static str)> {
         (Command::BgpApply, "05"),
         (Command::CollectBaseRib, "06"),
         (Command::CollectBgpRib, "07"),
+        // `DpSetup` without its sources is in `retired_commands`.
         (
             Command::DpSetup {
                 rib: Arc::new(rib()),
                 meta_bits: 3,
                 waypoints: Arc::new([(NodeId(9), 1u16), (NodeId(1), 2u16)].into_iter().collect()),
                 max_hops: 64,
+                sources: Arc::new(vec![NodeId(0), NodeId(9)]),
             },
-            "0800000002000000020a00000008030002000100040000000003c0a80701200000000100000000000000000003000000020000000100020000000900010040",
+            concat!(
+                "0800000002000000020a00000008030002000100040000000003c0a80701200000000100000000000000000003000000020000000100020000000900010040",
+                "000000020000000000000009"
+            ),
         ),
         (
             Command::Inject {
@@ -682,11 +687,23 @@ pub fn checkpoint() -> (WarmCheckpoint, &'static str) {
 /// Retired data-frame messages and the error each must be rejected
 /// with: `Packet` (tag 3), one symbolic packet per frame with its BDD
 /// inline, replaced by the tag-5 `PacketBatch`, fails on its tag (with
-/// an ingress, then injected).
+/// an ingress, then injected); so does the tag-5 `PacketBatch` (empty,
+/// then two packets of source 1 sharing one BDD), whose packets named
+/// their injection source, replaced by tag 6.
 pub fn retired_messages() -> Vec<(&'static str, WireError)> {
     vec![
         ("030000000100000009000400030000000401020304", WireError::BadTag(3)),
         ("030000000100000009ffff000000000000", WireError::BadTag(3)),
+        ("050000000000000000", WireError::BadTag(5)),
+        (
+            concat!(
+                "05000000010000000401020304",
+                "00000002",
+                "000000010000000900040003", "00000000",
+                "0000000100000002ffff0000", "00000000"
+            ),
+            WireError::BadTag(5),
+        ),
     ]
 }
 
@@ -698,7 +715,8 @@ pub fn retired_messages() -> Vec<(&'static str, WireError)> {
 /// and its changed nodes (tag 25), from before the workers patched
 /// their own rows, fails on its tag; `DpCompile` (tag 27), from before
 /// `DpPatch` compiled each overlay over its own region, fails on its
-/// tag.
+/// tag; `DpSetup` without the request's sources, from before each
+/// source had a source-id in the packet space, is cut short.
 pub fn retired_commands() -> Vec<(&'static str, WireError)> {
     vec![
         ("0f", WireError::BadTag(15)),
@@ -709,6 +727,10 @@ pub fn retired_commands() -> Vec<(&'static str, WireError)> {
             WireError::BadTag(25),
         ),
         ("1b", WireError::BadTag(27)),
+        (
+            "0800000002000000020a00000008030002000100040000000003c0a80701200000000100000000000000000003000000020000000100020000000900010040",
+            WireError::Truncated,
+        ),
     ]
 }
 

@@ -69,18 +69,7 @@ fn verify_clean_network_exits_zero() {
     // The in-process fleet traces every worker on its own lane beside
     // the controller's.
     let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let tdoc = s2_obs::parse_json(&trace).expect("trace JSON parses");
-    let Some(s2_obs::Json::Arr(events)) = tdoc.get("traceEvents") else {
-        panic!("traceEvents must be an array");
-    };
-    let mut lanes = std::collections::BTreeSet::new();
-    let mut names = std::collections::BTreeSet::new();
-    for e in events {
-        if matches!(e.get("ph").and_then(|v| v.as_str()), Some("X" | "i")) {
-            lanes.insert(e.get("tid").and_then(|v| v.as_num()).expect("numeric tid") as u64);
-            names.insert(e.get("name").and_then(|v| v.as_str()).expect("string name"));
-        }
-    }
+    let (lanes, names) = lanes_and_names(&trace);
     assert!(lanes.len() >= 3, "controller + 2 worker lanes, got {lanes:?}");
     for span in [
         "verify",
@@ -90,6 +79,9 @@ fn verify_clean_network_exits_zero() {
         "bgp.decode",
         "bgp.receive",
         "bgp.decide",
+        "dpv.step",
+        "dpv.check_arrivals",
+        "dpv.collect_finals",
     ] {
         assert!(names.contains(span), "trace missing {span}: {names:?}");
     }
@@ -103,6 +95,48 @@ fn verify_clean_network_exits_zero() {
         .and_then(|v| v.as_num())
         .unwrap_or(0.0);
     assert!(lookups > 0.0, "metrics must carry BDD unique-table lookups");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The lanes and the span and event names of a Chrome trace.
+fn lanes_and_names(
+    trace: &str,
+) -> (std::collections::BTreeSet<u64>, std::collections::BTreeSet<String>) {
+    let tdoc = s2_obs::parse_json(trace).expect("trace JSON parses");
+    let Some(s2_obs::Json::Arr(events)) = tdoc.get("traceEvents") else {
+        panic!("traceEvents must be an array");
+    };
+    let mut lanes = std::collections::BTreeSet::new();
+    let mut names = std::collections::BTreeSet::new();
+    for e in events {
+        if matches!(e.get("ph").and_then(|v| v.as_str()), Some("X" | "i")) {
+            lanes.insert(e.get("tid").and_then(|v| v.as_num()).expect("numeric tid") as u64);
+            names.insert(e.get("name").and_then(|v| v.as_str()).expect("string name").to_string());
+        }
+    }
+    (lanes, names)
+}
+
+/// A traced sweep carries the spans of the warm pass's worker commands
+/// (`ScenarioCommit`'s `dpv.commit` is the daemon's: CI's daemon smoke
+/// test requires it).
+#[test]
+fn sweep_traces_the_warm_pass_spans() {
+    let dir = std::env::temp_dir().join(format!("s2-cli-test-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("trace.json");
+    let out = s2_bin()
+        .args(["sweep", "--fattree", "4", "--max-failures", "1", "--trace-out"])
+        .arg(&trace_path)
+        .output()
+        .expect("s2 binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let (_, names) = lanes_and_names(&trace);
+    let warm = ["dpv.patch_rows", "dpv.scope_mask", "dpv.step", "dpv.check_arrivals"];
+    for span in warm.into_iter().chain(["dpv.collect_finals"]) {
+        assert!(names.contains(span), "trace missing {span}: {names:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

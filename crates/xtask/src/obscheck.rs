@@ -134,7 +134,7 @@ pub fn check_expo(text: &str, required: &[String]) -> Result<(usize, usize), Str
 /// an always-on metric name (e.g. the `tcp.reconnect` span vs. the
 /// `tcp.reconnects` counter) are excluded — metrics are compiled in
 /// regardless of the `obs` feature.
-pub const SPAN_NEEDLES: [&str; 12] = [
+pub const SPAN_NEEDLES: [&str; 18] = [
     "cp.round",
     "bgp.export",
     "bgp.encode",
@@ -147,6 +147,12 @@ pub const SPAN_NEEDLES: [&str; 12] = [
     "verify.dpv",
     "recovery.epoch",
     "dpv.compile_preds",
+    "dpv.patch_rows",
+    "dpv.scope_mask",
+    "dpv.step",
+    "dpv.check_arrivals",
+    "dpv.collect_finals",
+    "dpv.commit",
 ];
 
 /// Scans `bytes` (a compiled binary) for `needles`; returns the ones

@@ -7,7 +7,7 @@ use s2::{NetworkModel, RuntimeConfig, S2Options, S2Verifier, Scheme, Verificatio
 use s2_baselines::{simulate_control_plane, MonolithicOptions};
 use s2_bdd::serialize::{from_bytes, to_bytes};
 use s2_bdd::{Bdd, BddManager};
-use s2_dataplane::{forward, Fib, FinalKind, ForwardOptions, NodePredicates, PacketSpace};
+use s2_dataplane::{forward, Fib, FinalKind, ForwardOptions, NodePredicates, PacketSpace, Sources};
 use s2_net::topology::NodeId;
 use s2_net::Prefix;
 use s2_partition::Partition;
@@ -162,7 +162,7 @@ fn acl_fan_in_across_workers_matches_monolithic_verdict_bytes() {
     v.shutdown();
     assert!(report.dpv.blackholes > 0, "the filters must drop something");
 
-    let space = PacketSpace::new(0);
+    let space = PacketSpace::with_sources(0, &Sources::new(request.sources.iter().copied()));
     let mut mgr = space.manager();
     let (rib, _) = simulate_control_plane(&model, &MonolithicOptions::default()).unwrap();
     let preds: Vec<NodePredicates> = model
@@ -179,10 +179,19 @@ fn acl_fan_in_across_workers_matches_monolithic_verdict_bytes() {
         request.sources.iter().map(|&s| (s, inject)).collect(),
         &ForwardOptions { no_merge: true, ..Default::default() },
     );
-    let mut expected: BTreeMap<(NodeId, FinalKind), Bdd> = BTreeMap::new();
+    let mut by_kind: BTreeMap<FinalKind, Bdd> = BTreeMap::new();
     for f in &walk.finals {
-        let entry = expected.entry((f.src, f.kind)).or_insert(Bdd::FALSE);
+        let entry = by_kind.entry(f.kind).or_insert(Bdd::FALSE);
         *entry = mgr.or(*entry, f.set);
+    }
+    let mut expected: BTreeMap<(NodeId, FinalKind), Bdd> = BTreeMap::new();
+    for (kind, set) in by_kind {
+        for &src in walk.sources.nodes() {
+            let part = walk.of_source(&mut mgr, src, set);
+            if !part.is_false() {
+                expected.insert((src, kind), part);
+            }
+        }
     }
     // S2 reports one set per worker that saw the (src, kind).
     let got = verdict_unions(&mut mgr, &report.dpv.verdict_sets);
