@@ -205,7 +205,6 @@ pub fn run_dpv(
 /// [`run_dpv`] with a set of failed ports masked in the forwarding step
 /// (traffic whose egress lands on a failed port blackholes there) — the
 /// data-plane half of the resilience-sweep oracle.
-#[allow(clippy::too_many_arguments)]
 pub fn run_dpv_with_failures(
     model: &NetworkModel,
     rib: &RibSnapshot,

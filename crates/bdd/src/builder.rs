@@ -312,7 +312,7 @@ mod tests {
 
     /// Decision nodes reachable from any of `roots`.
     fn dag_nodes(m: &BddManager, roots: impl IntoIterator<Item = Bdd>) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut stack: Vec<Bdd> = roots.into_iter().collect();
         while let Some(f) = stack.pop() {
             if f.is_const() || !seen.insert(f) {

@@ -366,6 +366,7 @@ impl BddManager {
 
     /// The number of decision nodes reachable from `f` (excluding
     /// terminals); the standard "BDD size" metric.
+    #[expect(clippy::disallowed_types, reason = "a visited set, only counted")]
     pub fn size(&self, f: Bdd) -> usize {
         let mut seen = std::collections::HashSet::new();
         let mut stack = vec![f.0];

@@ -1,5 +1,10 @@
 //! Satisfying-assignment counting and enumeration.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "memo tables keyed by node id, probed and never iterated: no order reaches an output"
+)]
+
 use crate::manager::{Bdd, BddManager};
 use std::collections::HashMap;
 

@@ -18,6 +18,11 @@
 //! hash-consing constructor, so shared subgraphs stay shared and the result
 //! is canonical in the destination manager.
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::manager::{Bdd, BddManager};
 use bytes::{Buf, BufMut};
 
@@ -96,6 +101,10 @@ struct SlotIndex {
     len: usize,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every cell index is masked by `cells.len() - 1`, and the length is a power of two"
+)]
 impl SlotIndex {
     fn new() -> Self {
         SlotIndex {
@@ -140,6 +149,11 @@ pub fn deserialize(m: &mut BddManager, buf: &mut impl Buf) -> Result<Bdd, Decode
         return Err(DecodeError::Truncated);
     }
     let count = buf.get_u32() as usize;
+    // Each record takes 10 bytes: a count the buffer cannot hold is
+    // rejected before it sizes the allocation.
+    if count > buf.remaining() / 10 {
+        return Err(DecodeError::Truncated);
+    }
     let mut handles: Vec<Bdd> = Vec::with_capacity(count + 2);
     handles.push(Bdd::FALSE);
     handles.push(Bdd::TRUE);
@@ -153,10 +167,9 @@ pub fn deserialize(m: &mut BddManager, buf: &mut impl Buf) -> Result<Bdd, Decode
         }
         let lo = buf.get_u32() as usize;
         let hi = buf.get_u32() as usize;
-        if lo >= handles.len() || hi >= handles.len() {
+        let (Some(&lo), Some(&hi)) = (handles.get(lo), handles.get(hi)) else {
             return Err(DecodeError::ForwardReference);
-        }
-        let (lo, hi) = (handles[lo], handles[hi]);
+        };
         let node = m.mk(var, lo.0, hi.0);
         handles.push(Bdd(node));
     }
@@ -164,10 +177,7 @@ pub fn deserialize(m: &mut BddManager, buf: &mut impl Buf) -> Result<Bdd, Decode
         return Err(DecodeError::Truncated);
     }
     let root = buf.get_u32() as usize;
-    if root >= handles.len() {
-        return Err(DecodeError::ForwardReference);
-    }
-    Ok(handles[root])
+    handles.get(root).copied().ok_or(DecodeError::ForwardReference)
 }
 
 /// Convenience: serializes to a fresh byte vector.
@@ -349,6 +359,22 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(from_bytes(&mut m2, &bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// A peer's node count sizes nothing it cannot back with bytes:
+    /// `u32::MAX` records (43 GB of them) used to abort the process on
+    /// the allocation before the first record was read.
+    #[test]
+    fn a_count_the_bytes_cannot_hold_is_truncated() {
+        let mut m = BddManager::new(4);
+        assert_eq!(from_bytes(&mut m, &[0xff; 4]), Err(DecodeError::Truncated));
+        let mut padded = vec![0xff; 4];
+        padded.resize(4 + 64, 0);
+        assert_eq!(from_bytes(&mut m, &padded), Err(DecodeError::Truncated));
+        // Exactly as many records as the bytes hold still decodes.
+        let mut one = vec![0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1];
+        one.extend([0, 0, 0, 2]);
+        assert!(from_bytes(&mut m, &one).is_ok());
     }
 
     #[test]

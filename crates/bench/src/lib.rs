@@ -39,6 +39,9 @@ impl Table {
     }
 
     /// Appends a row.
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     pub fn push(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.header.len(), "row arity mismatch");
         self.rows.push(row);

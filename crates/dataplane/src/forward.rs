@@ -148,7 +148,6 @@ pub fn step(
 /// buffers. Hot loops keep one `StepOutput` per worker and [`clear`]
 /// (`StepOutput::clear`) it between switches, avoiding three Vec
 /// allocations per step.
-#[allow(clippy::too_many_arguments)]
 pub fn step_into(
     topology: &Topology,
     preds: &NodePredicates,
@@ -249,7 +248,7 @@ pub fn step_into(
 /// the fragment inside the overlay's region steps with the overlay's
 /// predicates and the rest with `preds`. Neither predicate set is
 /// materialized over the other; only the fragment is split.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "`step_into`'s arguments plus the overlay")]
 pub fn step_overlaid_into(
     topology: &Topology,
     preds: &NodePredicates,

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 /// The vendor dialect a configuration was written in. Each vendor carries
 /// its own vendor-specific behaviours (VSBs); see [`VendorQuirks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Vendor {
     /// Synthetic "vendor A" dialect (IOS-flavoured).
     A,
@@ -241,7 +241,7 @@ impl DeviceConfig {
     /// Validates internal consistency: interface name uniqueness and that
     /// every referenced route map / prefix list / ACL exists.
     pub fn validate(&self) -> Result<(), NetError> {
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for i in &self.interfaces {
             if !names.insert(&i.name) {
                 return Err(NetError::Inconsistent(format!(

@@ -123,7 +123,7 @@ impl Prefix {
     }
 
     /// The mask length in bits.
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(clippy::len_without_is_empty, reason = "a mask length, not a container size")]
     pub const fn len(self) -> u8 {
         self.len
     }

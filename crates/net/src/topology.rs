@@ -4,7 +4,6 @@
 //! every other crate (partitioner, runtime, data plane) indexes its arrays
 //! with it. Hostnames are kept for diagnostics and for the vendor parsers.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of a switch in the topology.
@@ -85,7 +84,11 @@ impl Link {
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     names: Vec<String>,
-    by_name: HashMap<String, NodeId>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "name lookups only; never iterated, so hash order reaches no output"
+    )]
+    by_name: std::collections::HashMap<String, NodeId>,
     links: Vec<Link>,
     /// `adjacency[n]` lists `(local ifid, peer node, peer ifid)` for node n.
     adjacency: Vec<Vec<(InterfaceId, NodeId, InterfaceId)>>,

@@ -86,11 +86,16 @@ impl<T> PrefixTrie<T> {
     }
 
     /// Returns the value stored exactly at `prefix`.
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     pub fn get(&self, prefix: Prefix) -> Option<&T> {
         let mut node = &self.root;
         for i in 0..prefix.len() {
             let b = prefix.bit(i) as usize;
-            node = node.children[b].as_deref()?;
+            #[expect(clippy::indexing_slicing, reason = "a bit (0 or 1) into two children")]
+            let child = node.children[b].as_deref();
+            node = child?;
         }
         node.value.as_ref()
     }

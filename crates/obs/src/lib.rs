@@ -51,6 +51,9 @@ pub use time::{Clock, Deadline, ManualClock, MonotonicClock, Stopwatch};
 /// Locks `m`, recovering the guard if another thread panicked while
 /// holding it: shared state stays usable after a panic, and no call
 /// site needs an `unwrap`.
+// r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

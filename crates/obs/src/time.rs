@@ -2,11 +2,16 @@
 //!
 //! `std::time::Instant` is quarantined here: every other crate measures
 //! elapsed time through [`Stopwatch`], bounds a wait through
-//! [`Deadline`], and timestamps trace events through a [`Clock`]. The
-//! `r5-obs-clock` lint bans the `Instant`/`SystemTime` identifiers
-//! everywhere else, which keeps the r3-no-wallclock-rng determinism
-//! story honest: code outside this module cannot observe a clock
-//! except through these narrow, test-substitutable wrappers.
+//! [`Deadline`], and timestamps trace events through a [`Clock`].
+//! `clippy.toml` bans the `Instant`/`SystemTime` types everywhere else
+//! (rules r3 and r5), which keeps the determinism story honest: code
+//! outside this module cannot observe a clock except through these
+//! narrow, test-substitutable wrappers.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one module that reads the monotonic clock; every other crate goes through it"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

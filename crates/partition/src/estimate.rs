@@ -45,7 +45,7 @@ pub fn fattree_load(k: u64, role: FatTreeRole) -> u64 {
 /// Infers the FatTree parameter k from the topology, assuming the
 /// generator's naming convention: k = number of distinct pods.
 fn infer_k(topology: &Topology) -> Option<u64> {
-    let mut pods = std::collections::HashSet::new();
+    let mut pods = std::collections::BTreeSet::new();
     for n in topology.nodes() {
         let name = topology.name(n);
         if let Some(rest) = name.strip_prefix("pod") {

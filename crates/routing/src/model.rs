@@ -12,7 +12,7 @@
 use s2_net::config::DeviceConfig;
 use s2_net::topology::{InterfaceId, NodeId, Topology};
 use s2_net::{Ipv4Addr, NetError, Prefix};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A resolved, mutually agreed eBGP session endpoint on one node.
@@ -106,7 +106,8 @@ impl NetworkModel {
     /// hostname; every node must have exactly one configuration.
     pub fn build(topology: Topology, configs: Vec<DeviceConfig>) -> Result<Self, NetError> {
         // Bind configurations to nodes by hostname.
-        let mut by_host: HashMap<&str, &DeviceConfig> = HashMap::new();
+        #[expect(clippy::disallowed_types, reason = "hostname lookups only; never iterated")]
+        let mut by_host = std::collections::HashMap::<&str, &DeviceConfig>::new();
         for c in &configs {
             if by_host.insert(c.hostname.as_str(), c).is_some() {
                 return Err(NetError::Inconsistent(format!(

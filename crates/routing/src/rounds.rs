@@ -35,6 +35,9 @@ pub trait SwitchMap {
 pub struct Sequential;
 
 impl SwitchMap for Sequential {
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     fn map<T: Send, R: Send>(&self, items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R> {
         items.iter_mut().map(f).collect()
     }

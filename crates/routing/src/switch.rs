@@ -30,7 +30,7 @@ use s2_net::policy::Protocol;
 use s2_net::topology::{InterfaceId, NodeId};
 use s2_net::{Ipv4Addr, Prefix};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The sessions of one switch that advertise the same routes, and that
@@ -184,10 +184,10 @@ pub struct SwitchModel {
     /// chaos plans). A session on a failed interface exports nothing —
     /// the peer sees a full withdrawal — and the interface's connected
     /// route leaves the base RIB.
-    failed_ifaces: HashSet<InterfaceId>,
+    failed_ifaces: BTreeSet<InterfaceId>,
     /// Connected prefixes of the failed interfaces (precomputed so
     /// `base_rib_routes` needs no model access).
-    failed_connected: HashSet<Prefix>,
+    failed_connected: BTreeSet<Prefix>,
 }
 
 impl SwitchModel {
@@ -252,8 +252,8 @@ impl SwitchModel {
             reobserve: true,
             statics,
             observed_deps: std::collections::BTreeSet::new(),
-            failed_ifaces: HashSet::new(),
-            failed_connected: HashSet::new(),
+            failed_ifaces: BTreeSet::new(),
+            failed_connected: BTreeSet::new(),
             cfg,
         }
     }
@@ -279,7 +279,7 @@ impl SwitchModel {
     }
 
     /// The interfaces currently failed on this switch.
-    pub fn failed_interfaces(&self) -> &HashSet<InterfaceId> {
+    pub fn failed_interfaces(&self) -> &BTreeSet<InterfaceId> {
         &self.failed_ifaces
     }
 

@@ -28,6 +28,11 @@
 //! panic. Framed exchange is [`crate::tcp::send`]/[`crate::tcp::recv`]
 //! with the two envelope kinds below.
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::codec::{wire_struct, Wire};
 use crate::faults::FaultState;
 use crate::wire::WireError;

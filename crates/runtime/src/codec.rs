@@ -21,6 +21,11 @@
 //! rejects trailing bytes. A malformed peer or file yields a
 //! [`WireError`] — never a panic, never an unbounded allocation.
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::wire::WireError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use s2_dataplane::FinalKind;
@@ -33,6 +38,27 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// A value with a byte format.
+///
+/// Raw BDD handles never cross the wire (r4): a [`s2_bdd::Bdd`] is an
+/// index into one worker's private manager, so neither it nor the
+/// [`s2_bdd::BddManager`] has a byte format. A BDD crosses only as
+/// `s2_bdd::serialize` bytes, re-encoded into the receiver's manager.
+///
+/// ```
+/// fn wire<T: s2_runtime::Wire>() {}
+/// wire::<Vec<u8>>();
+/// let (_, _) = (s2_bdd::Bdd::TRUE, s2_bdd::BddManager::new(1));
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn wire<T: s2_runtime::Wire>() {}
+/// wire::<s2_bdd::Bdd>();
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn wire<T: s2_runtime::Wire>() {}
+/// wire::<s2_bdd::BddManager>();
+/// ```
 pub trait Wire: Sized {
     /// Appends this value's encoding to `buf`.
     fn put(&self, buf: &mut BytesMut);
@@ -56,7 +82,7 @@ pub trait Wire: Sized {
     /// override this with one bulk `remaining()` check instead.
     #[inline]
     fn take_seq(buf: &mut Bytes, n: usize) -> Result<Vec<Self>, WireError> {
-        let mut items = Vec::with_capacity(cap(n));
+        let mut items = Vec::with_capacity(cap(n, buf));
         for _ in 0..n {
             items.push(Self::take(buf)?);
         }
@@ -98,11 +124,14 @@ pub(crate) fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
     }
 }
 
-/// `with_capacity` guard: trust the declared element count only up to a
-/// sanity bound so a corrupt count cannot pre-allocate gigabytes.
-// s2-lint: sanitizer(alloc-bound): the returned count is min-capped at 64 Ki elements, so allocations sized by it are bounded regardless of the peer's declared length.
-pub(crate) fn cap(n: usize) -> usize {
-    n.min(1 << 16)
+/// `with_capacity` guard: trust the declared element count only as far
+/// as the bytes left in `buf` (every element takes at least one) and a
+/// sanity bound of 64 Ki elements, so a corrupt count cannot
+/// pre-allocate gigabytes. An allocation sized by it is bounded by the
+/// input's length whatever the peer declared; `tests/decode_bounds.rs`
+/// checks that.
+pub(crate) fn cap(n: usize, buf: &Bytes) -> usize {
+    n.min(buf.remaining()).min(1 << 16)
 }
 
 // ---- scalars ----

@@ -541,6 +541,9 @@ impl Cluster {
     /// control-socket envelopes. The orchestration code above notices no
     /// difference; worker loss is fatal (a remote process cannot be
     /// respawned from here).
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     pub fn connect_remote(
         model: Arc<NetworkModel>,
         node_owner: Vec<u32>,
@@ -584,7 +587,7 @@ impl Cluster {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one worker's whole start-up state, passed once")]
     fn spawn_worker(
         model: &Arc<NetworkModel>,
         node_owner: &[u32],
@@ -1106,7 +1109,7 @@ impl Cluster {
     /// Gathers every originated prefix (and the aggregate subset) from the
     /// workers — the §4.5 prefix-collection step, run after OSPF so
     /// redistribution targets are included.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "prefixes, aggregates and their dependency edges")]
     pub fn collect_prefixes(
         &self,
     ) -> Result<(BTreeSet<Prefix>, BTreeSet<Prefix>, Vec<(Prefix, Prefix)>), RuntimeError> {
@@ -1211,7 +1214,7 @@ impl Cluster {
     /// components are binned greedily, so no dependency is ever severed.
     /// Returns `None` when the shard is a single component — splitting it
     /// would be unsound, so its OOM is final.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "the two halves of a shard, or none")]
     fn bisect_shard(
         &self,
         shard: &BTreeSet<Prefix>,
@@ -1309,7 +1312,10 @@ impl Cluster {
     /// The checkpointed control-plane driver: retries `cp_attempt` across
     /// worker losses (within the recovery budget) and assembles the final
     /// snapshot, stats, executed plan, and observed dependencies.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the RIB with the stats, plan and dependencies that made it"
+    )]
     fn run_cp_full(
         &self,
         plan: &ShardPlan,
@@ -1728,7 +1734,7 @@ impl Cluster {
     /// The `DpPatch` barrier of a scenario pass at `stage`: the changed
     /// destinations per node, and the scenario RIB assembled from the
     /// checkpointed baseline and the rows the workers returned.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "the changed prefixes per node and the patched RIB")]
     fn dp_patch(
         &self,
         stage: PatchStage,

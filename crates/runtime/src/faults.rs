@@ -344,6 +344,9 @@ impl FaultState {
     /// asks when a live connection exists to sever, and connections are
     /// dialed lazily, so the planned frame itself may be the one that
     /// establishes the connection. Consumes the trigger.
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     pub fn should_sever(&self, src: WorkerId, dst: WorkerId, idx: u64) -> bool {
         self.plan
             .sever
@@ -356,6 +359,9 @@ impl FaultState {
 
     /// Whether link `src → dst` is currently inside an armed partition
     /// window (either endpoint being the partitioned worker).
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     pub fn partition_active(&self, src: WorkerId, dst: WorkerId) -> bool {
         let Some((w, _, _)) = self.plan.partition else {
             return false;
@@ -398,6 +404,9 @@ impl FaultState {
     }
 
     /// The per-frame delay (ms) scheduled for link `src → dst`, if any.
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     pub fn throttle_of(&self, src: WorkerId, dst: WorkerId) -> Option<u64> {
         self.plan
             .throttle

@@ -68,6 +68,9 @@ impl SwitchMap for EvalPool {
     /// item order. If a closure panics, the panic is resumed on the
     /// caller thread after the scope unwinds, matching the sequential
     /// path's behavior.
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     fn map<T: Send, R: Send>(&self, items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R> {
         let len = items.len();
         if self.threads == 1 || len <= 1 {

@@ -31,6 +31,11 @@
 //! "Byte formats" has the tag tables): a malformed peer yields a
 //! `WireError` — never a panic.
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::codec::{wire_struct, Wire};
 use crate::faults::FaultState;
 use crate::sidecar::{Sidecar, SidecarNet, TrafficSnapshot, TrafficStats};
@@ -40,7 +45,6 @@ use crate::worker::{Command, PatchStage, Reply, Worker};
 use bytes::{Bytes, BytesMut};
 use s2_net::topology::NodeId;
 use s2_routing::NetworkModel;
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -570,11 +574,6 @@ fn drain_trace_events() -> Reply {
     let mut ids: Vec<u16> = events.iter().map(|e| e.name).collect();
     ids.sort_unstable();
     ids.dedup();
-    let index: BTreeMap<u16, u16> = ids
-        .iter()
-        .enumerate()
-        .map(|(dense, &id)| (id, dense as u16))
-        .collect();
     Reply::TraceEvents {
         now_ns: s2_obs::time::now_ns(),
         names: ids
@@ -584,7 +583,8 @@ fn drain_trace_events() -> Reply {
         events: events
             .into_iter()
             .map(|mut e| {
-                e.name = index[&e.name];
+                // `ids` holds every event's name, so the search always hits.
+                e.name = ids.binary_search(&e.name).map_or(e.name, |dense| dense as u16);
                 e
             })
             .collect(),
@@ -739,6 +739,7 @@ pub fn serve(model: Arc<NetworkModel>, connect: &str, bind: &str) -> io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use bytes::BufMut;
     use s2_dataplane::FinalKind;
     use s2_net::policy::Protocol;

@@ -31,6 +31,11 @@
 //! dead worker's inbox for a fresh channel so a respawned worker starts
 //! from a clean slate.
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::faults::FaultState;
 use crate::tcp::TcpTransport;
 use crate::transport::{ChannelTransport, Inbox, Transport, TransportKind};
@@ -332,8 +337,13 @@ impl SidecarNet {
 
     /// The worker hosting `node`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "wire-supplied node ids are range-checked against node_owner in \
+                  Sidecar::drain before surfacing; all other callers pass locally-owned \
+                  topology ids that node_owner covers by construction"
+    )]
     pub fn owner(&self, node: NodeId) -> WorkerId {
-        // s2-lint: allow(r1-panic-freedom): wire-supplied node ids are range-checked against node_owner in Sidecar::drain before surfacing; all other callers pass locally-owned topology ids that node_owner covers by construction.
         self.node_owner[node.index()]
     }
 
@@ -403,7 +413,12 @@ impl SidecarNet {
     /// Frames `payload` and pushes it into `dst`'s inbox, optionally
     /// corrupted.
     fn deliver(&self, src: WorkerId, dst: WorkerId, payload: &Bytes, corrupt: bool) {
-        // s2-lint: allow(r1-panic-freedom): src is this process's own worker id and dst comes from node_owner, validated against num_workers at setup (remote::serve) or built locally by the controller; seq is num_workers².
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "src is this process's own worker id and dst comes from node_owner, \
+                      validated against num_workers at setup (remote::serve) or built \
+                      locally by the controller; seq is num_workers²"
+        )]
         let seq = self.seq[src as usize][dst as usize].fetch_add(1, Ordering::Relaxed);
         let framed = wire::frame(src, self.epoch(), seq, payload);
         let framed = if corrupt {
@@ -463,7 +478,11 @@ impl SidecarNet {
             self.stats.injected_dups.fetch_add(1, Ordering::Relaxed);
             // Replay the frame verbatim (fresh frame, same intent): the
             // receiver must drop it by sequence number.
-            // s2-lint: allow(r1-panic-freedom): same bounds argument as `deliver` above — src/dst are setup-validated worker ids.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "same bounds argument as `deliver` above: src/dst are \
+                          setup-validated worker ids"
+            )]
             let seq = self.seq[src as usize][dst as usize].load(Ordering::Relaxed) - 1;
             let framed = wire::frame(src, self.epoch(), seq, &payload);
             let _ = self.transport.send(src, dst, framed);

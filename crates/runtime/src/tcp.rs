@@ -37,6 +37,11 @@
 //! waiting out [`TcpConfig::peer_silence_timeout`]; shutdown joins every
 //! thread the transport spawned.
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::codec::Wire;
 use crate::faults::FaultState;
 use crate::sidecar::{TrafficStats, WorkerId};

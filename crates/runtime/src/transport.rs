@@ -18,6 +18,11 @@
 //! The backend is chosen per cluster through [`TransportKind`] in
 //! [`RuntimeConfig`](crate::RuntimeConfig).
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::sidecar::WorkerId;
 use crate::tcp::TcpConfig;
 use bytes::Bytes;
@@ -142,6 +147,10 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "only the controller respawns a worker, and it names one of its own"
+    )]
     fn replace_inbox(&self, w: WorkerId) -> Inbox {
         let (tx, rx) = channel();
         *lock(&self.senders[w as usize]) = tx;

@@ -38,6 +38,11 @@
 //! errors: the receiving sidecar counts and skips the bad frame rather
 //! than tearing the worker down.
 
+// r1: peer bytes reach this module, so nothing here may panic on them
+// (DESIGN.md § "Static analysis"); tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use crate::codec::{cap, need, put_seq16, take_seq16, wire_struct, Wire};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use s2_net::topology::{InterfaceId, NodeId};
@@ -157,6 +162,10 @@ pub const FRAME_HEADER_LEN: usize = 4 + 4 + 4 + 8 + 4;
 /// The slicing-by-8 tables: `CRC32_TABLES[0]` is the bytewise table,
 /// and `CRC32_TABLES[k][b]` is `CRC32_TABLES[0][b]` carried through `k`
 /// more zero bytes, so eight lookups advance the CRC by eight bytes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evaluated at compile time over constant bounds: i < 256, k < 8, a masked byte"
+)]
 const CRC32_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -184,6 +193,10 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE 802.3 polynomial) over `data`, eight bytes per step.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "constant table rows and `byte` masks to 0..=255: every index is in bounds"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let byte = |x: u32, shift: u32| ((x >> shift) & 0xff) as usize;
@@ -312,7 +325,7 @@ impl Wire for BgpRoute {
     /// fails before it sizes anything.
     fn take_shared(buf: &mut Bytes, n: usize) -> Result<Arc<[Self]>, WireError> {
         need(buf, n.saturating_mul(MIN_ROUTE_WIRE))?;
-        let mut routes: Vec<BgpRoute> = Vec::with_capacity(cap(n));
+        let mut routes: Vec<BgpRoute> = Vec::with_capacity(cap(n, buf));
         for _ in 0..n {
             let route = take_route(buf, routes.last())?;
             routes.push(route);
@@ -351,7 +364,7 @@ impl Wire for PacketRef {
     /// sizes anything.
     fn take_seq(buf: &mut Bytes, n: usize) -> Result<Vec<Self>, WireError> {
         need(buf, n.saturating_mul(PACKET_REF_WIRE))?;
-        let mut packets = Vec::with_capacity(cap(n));
+        let mut packets = Vec::with_capacity(cap(n, buf));
         for _ in 0..n {
             packets.push(Self::take(buf)?);
         }
@@ -644,7 +657,7 @@ mod tests {
     #[test]
     fn packet_batch_index_out_of_range_is_a_bad_value() {
         let Message::PacketBatch { bdds, mut packets } = sample_batch() else {
-            unreachable!()
+            panic!("sample_batch is a packet batch")
         };
         packets[1].bdd = 2;
         let bad = encode(&Message::PacketBatch { bdds, packets });

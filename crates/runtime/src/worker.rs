@@ -597,6 +597,9 @@ impl Worker {
         }
     }
 
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     fn handle(&mut self, cmd: Command) -> Reply {
         match cmd {
             Command::OspfExport => {
@@ -2039,6 +2042,42 @@ mod tests {
         assert_eq!(stats.protocol_violations, 3);
         assert_eq!(stats.wire_errors, 0);
         assert!(fleet[1].bgp.switch(local).unwrap().loc_rib().contains_key(&p), "the valid target got it");
+    }
+
+    /// A peer's packet batch whose BDD declares `u32::MAX` nodes in four
+    /// bytes is one counted wire error: the receiver skips its packet and
+    /// answers the next command (the decoder used to abort the process on
+    /// the allocation).
+    #[test]
+    fn an_oversized_bdd_count_is_a_wire_error_not_a_crash() {
+        let mut fleet = fattree_fleet(4);
+        on_all(&mut fleet, || Command::BgpBegin { shard: None });
+        converge_bgp(&mut fleet);
+        let rib = collect_rib(&mut fleet);
+        let sources: Arc<Vec<NodeId>> = Arc::new(fleet[0].model.topology.nodes().collect());
+        on_all(&mut fleet, || Command::DpSetup {
+            rib: rib.clone(),
+            meta_bits: 0,
+            waypoints: Arc::new(BTreeMap::new()),
+            max_hops: 0,
+            sources: sources.clone(),
+        });
+        let node = fleet[1].bgp.switches().next().unwrap().node;
+        let batch = Message::PacketBatch {
+            bdds: vec![Bytes::from_static(&[0xff; 4])],
+            packets: vec![PacketRef {
+                node,
+                ingress: None,
+                hops: 0,
+                bdd: 0,
+            }],
+        };
+        fleet[0].sidecar.send_to_worker(1, &batch);
+        let reply = fleet[1].handle(Command::ForwardRound);
+        assert!(matches!(reply, Reply::Forwarded { processed: 0, .. }), "{reply:?}");
+        assert_eq!(fleet[1].sidecar.net().stats().full_snapshot().wire_errors, 1);
+        let next = fleet[1].handle(Command::ForwardRound);
+        assert!(matches!(next, Reply::Forwarded { .. }), "{next:?}");
     }
 
     /// The route bytes a walk of every Adj-RIB-Out body finds, each

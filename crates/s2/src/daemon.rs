@@ -387,16 +387,15 @@ impl Daemon {
 
     /// Handles one admin connection (both dialects); `Ok(false)` means
     /// a shutdown was requested.
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     fn handle_conn(&mut self, stream: TcpStream) -> io::Result<bool> {
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
         loop {
-            let first = {
-                let buf = reader.fill_buf()?;
-                if buf.is_empty() {
-                    return Ok(true);
-                }
-                buf[0]
+            let Some(&first) = reader.fill_buf()?.first() else {
+                return Ok(true);
             };
             // Text dialect: any printable first byte starts a command
             // line (`echo status | nc`); envelope kinds are < 0x20.
@@ -443,6 +442,9 @@ impl Daemon {
     }
 
     /// Dispatches one admin request.
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     pub fn handle(&mut self, req: &AdminRequest) -> Result<AdminResponse, DaemonCrash> {
         match req {
             AdminRequest::Status => Ok(self.status()),

@@ -52,7 +52,7 @@ pub fn parse(text: &str) -> Result<Topology, NetError> {
 /// nodes get explicit `node` lines).
 pub fn emit(topo: &Topology) -> String {
     let mut out = String::new();
-    let mut connected = std::collections::HashSet::new();
+    let mut connected = std::collections::BTreeSet::new();
     for l in topo.links() {
         out.push_str(&format!("link {} {}\n", topo.name(l.a.0), topo.name(l.b.0)));
         connected.insert(l.a.0);

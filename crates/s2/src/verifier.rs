@@ -78,18 +78,27 @@ impl std::fmt::Display for S2Error {
 impl std::error::Error for S2Error {}
 
 impl From<NetError> for S2Error {
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     fn from(e: NetError) -> Self {
         S2Error::Model(e)
     }
 }
 
 impl From<RuntimeError> for S2Error {
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     fn from(e: RuntimeError) -> Self {
         S2Error::Runtime(e)
     }
 }
 
 impl From<std::io::Error> for S2Error {
+    // r1: peer bytes reach this function (DESIGN.md § "Static analysis").
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+    #[deny(clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
     fn from(e: std::io::Error) -> Self {
         S2Error::Io(e)
     }

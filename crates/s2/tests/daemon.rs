@@ -629,7 +629,7 @@ fn worker_dpv_spans_stitch_under_daemon_delta() {
     // Index spans by id, then walk a worker-lane dpv span's parent
     // chain; it must pass through the daemon.delta (or daemon.open
     // warm-up) root rather than floating unparented.
-    let by_span: std::collections::HashMap<u64, &s2_obs::trace::Event> =
+    let by_span: std::collections::BTreeMap<u64, &s2_obs::trace::Event> =
         events.iter().filter(|e| e.span != 0).map(|e| (e.span, e)).collect();
     let reaches_delta = |mut span: u64| -> bool {
         for _ in 0..64 {

@@ -454,10 +454,10 @@ mod tests {
     #[test]
     fn vendors_and_ecmp_are_mixed() {
         let dcn = generate(DcnParams::small());
-        let vendors: std::collections::HashSet<_> =
+        let vendors: std::collections::BTreeSet<_> =
             dcn.configs.iter().map(|c| c.vendor).collect();
         assert_eq!(vendors.len(), 2);
-        let ecmps: std::collections::HashSet<_> = dcn
+        let ecmps: std::collections::BTreeSet<_> = dcn
             .configs
             .iter()
             .map(|c| c.bgp.as_ref().unwrap().max_ecmp)

@@ -1,443 +1,11 @@
-//! s2-lint: the S2 workspace static-analysis pass.
+//! Workspace automation behind `cargo xtask` (see the `xtask` alias in
+//! `.cargo/config.toml`): [`obscheck`] validates the observability
+//! artifacts CI produces — Chrome traces, Prometheus scrapes, and the
+//! obs-off binary's symbol table.
 //!
-//! Run as `cargo xtask lint` (see the `xtask` alias in
-//! `.cargo/config.toml`); `cargo xtask trace-check` / `obs-symbols`
-//! validate observability artifacts (see [`obscheck`]). The lint pass
-//! enforces the source-level invariants
-//! S2's distributed-correctness story depends on — panic-freedom on
-//! peer-input paths, deterministic iteration on wire-encoding paths, no
-//! ambient time/randomness in the pure crates, and the BDD re-encode
-//! boundary — as machine-checked rules over the token stream of each
-//! configured file. See DESIGN.md § "Static analysis" for the rule ↔
-//! paper-invariant mapping and `s2-lint.toml` for the scope of each
-//! rule.
-//!
-//! v2 adds a workspace pass: [`index`] parses every crate into a
-//! function/call index and [`taint`] runs an interprocedural taint
-//! analysis from transport deframe entry points to panic/allocation
-//! sinks. The scopes of R1, R2, and R4 are *derived* from that call
-//! graph (taint-reachable functions, wire-emitting files) instead of
-//! hand-maintained path lists; configured paths remain honored
-//! additively, and a path whose files are all inside the derived scope
-//! draws a `config-subsumed-scope` finding.
+//! The workspace invariants (r1-r5) are not checked here: they are
+//! clippy configuration and types, in `clippy.toml`, the root
+//! `Cargo.toml`'s `[workspace.lints]` and per-module attributes.
+//! DESIGN.md § "Static analysis" has the rule table.
 
-pub mod config;
-pub mod index;
-pub mod lexer;
 pub mod obscheck;
-pub mod rules;
-pub mod taint;
-
-use config::{Config, Level};
-use rules::Finding;
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-
-/// Outcome of a lint run.
-#[derive(Debug)]
-pub struct LintReport {
-    /// Every finding (live and suppressed), in file/line order.
-    pub findings: Vec<Finding>,
-    /// Files scanned (repo-relative), for `--verbose`-style output.
-    pub files_scanned: usize,
-    /// Whether any live finding belongs to a deny-level rule.
-    pub failed: bool,
-}
-
-/// Runs every configured rule over the tree rooted at `root`.
-///
-/// `deny_all` promotes warn-level rules to deny (the CI mode).
-pub fn run(root: &Path, cfg: &Config, deny_all: bool) -> Result<LintReport, String> {
-    let mut findings: Vec<Finding> = Vec::new();
-
-    // file path -> scanned tokens, shared across rules scoping the file.
-    let mut cache: Vec<(String, lexer::Scanned)> = Vec::new();
-
-    for (rule, rc) in &cfg.rules {
-        if !rules::RULES.contains(&rule.as_str()) {
-            return Err(format!(
-                "unknown rule {rule:?} in config (known: {})",
-                rules::RULES.join(", ")
-            ));
-        }
-        for (pi, path) in rc.paths.iter().enumerate() {
-            let rels = match expand(root, path) {
-                Ok(rels) => rels,
-                Err(_) => {
-                    // A configured path that no longer exists is a lint
-                    // finding against the config itself, not a crash:
-                    // the tree moved and s2-lint.toml went stale.
-                    let mut f = rules::finding(
-                        rules::RULE_STALE_PATH,
-                        "s2-lint.toml",
-                        rc.path_lines.get(pi).copied().unwrap_or(0),
-                        1,
-                        format!("rule {rule}: configured path {path:?} does not exist"),
-                    );
-                    if !deny_all {
-                        f.suppressed_by = Some("(warn-level rule)".into());
-                    }
-                    findings.push(f);
-                    continue;
-                }
-            };
-            for rel in rels {
-                let idx = match cache.iter().position(|(p, _)| p == &rel) {
-                    Some(i) => i,
-                    None => {
-                        let text = std::fs::read_to_string(root.join(&rel))
-                            .map_err(|e| format!("{rel}: {e}"))?;
-                        cache.push((rel.clone(), lexer::scan(&text)));
-                        cache.len() - 1
-                    }
-                };
-                let (file, s) = &cache[idx];
-                let before = findings.len();
-                rules::run_rule(rule, file, s, &mut findings);
-                if rc.level == Level::Warn && !deny_all {
-                    tag_warn(&mut findings[before..]);
-                }
-            }
-        }
-    }
-
-    // Workspace pass: index every crate and run the call-graph taint
-    // analysis. Absent a `crates/` dir (fixture trees, scoped runs on a
-    // subdirectory) the index is empty and this is a no-op.
-    let ws = index::build(root)?;
-    let analysis = if ws.fns.is_empty() {
-        None
-    } else {
-        Some(taint::analyze(&ws))
-    };
-
-    if let Some(a) = &analysis {
-        // Taint findings are R1: a peer-controlled byte flow reaching a
-        // panic/allocation sink anywhere in the workspace.
-        let r1_level = level_of(cfg, "r1-panic-freedom");
-        let before = findings.len();
-        for tf in &a.findings {
-            let entry = &ws.files[tf.file];
-            if entry.scanned.in_test_code(tf.line) {
-                continue;
-            }
-            let mut f = rules::finding(
-                "r1-panic-freedom",
-                &entry.path,
-                tf.line,
-                tf.col,
-                tf.message.clone(),
-            );
-            f.trace = tf.trace.clone();
-            if let Some(p) = entry.scanned.pragma_for("r1-panic-freedom", tf.line) {
-                if !p.justification.is_empty() {
-                    f.suppressed_by = Some(p.justification.clone());
-                }
-            }
-            findings.push(f);
-        }
-        if r1_level == Level::Warn && !deny_all {
-            tag_warn(&mut findings[before..]);
-        }
-
-        // Derived R2 scope: whole files that contain a taint-reached or
-        // wire-emitting function (HashMap/HashSet idents live in use
-        // lines and struct fields, so the scope is file-granular).
-        let r2_level = level_of(cfg, "r2-deterministic-iteration");
-        for &fi in &a.scope_r2_files {
-            let entry = &ws.files[fi];
-            let before = findings.len();
-            rules::run_rule(
-                "r2-deterministic-iteration",
-                &entry.path,
-                &entry.scanned,
-                &mut findings,
-            );
-            if r2_level == Level::Warn && !deny_all {
-                tag_warn(&mut findings[before..]);
-            }
-        }
-
-        // Derived R4 scope: function-granular (signature + body) so a
-        // crate that legitimately owns BDD managers is not dragged in
-        // by an unrelated taint-reached helper in the same file.
-        let r4_level = level_of(cfg, "r4-bdd-node-boundary");
-        for &id in &a.scope_r4 {
-            let fi = &ws.fns[id];
-            let entry = &ws.files[fi.file];
-            let Some((lo, hi)) = fn_tok_range(fi, &entry.scanned) else {
-                continue;
-            };
-            let before = findings.len();
-            rules::run_rule_range(
-                "r4-bdd-node-boundary",
-                &entry.path,
-                &entry.scanned,
-                lo,
-                hi,
-                &mut findings,
-            );
-            if r4_level == Level::Warn && !deny_all {
-                tag_warn(&mut findings[before..]);
-            }
-        }
-
-        // Configured paths fully covered by the derived scopes are
-        // stale config: flag them so the path lists shrink instead of
-        // accreting.
-        let derived_r1: BTreeSet<&str> = a
-            .scope_r1
-            .iter()
-            .map(|&id| ws.files[ws.fns[id].file].path.as_str())
-            .collect();
-        let derived_r2: BTreeSet<&str> = a
-            .scope_r2_files
-            .iter()
-            .map(|&fi| ws.files[fi].path.as_str())
-            .collect();
-        let derived_r4: BTreeSet<&str> = a
-            .scope_r4
-            .iter()
-            .map(|&id| ws.files[ws.fns[id].file].path.as_str())
-            .collect();
-        for (rule, derived) in [
-            ("r1-panic-freedom", &derived_r1),
-            ("r2-deterministic-iteration", &derived_r2),
-            ("r4-bdd-node-boundary", &derived_r4),
-        ] {
-            let Some(rc) = cfg.rules.get(rule) else {
-                continue;
-            };
-            for (pi, path) in rc.paths.iter().enumerate() {
-                let Ok(rels) = expand(root, path) else {
-                    continue; // already reported as stale
-                };
-                if !rels.is_empty() && rels.iter().all(|r| derived.contains(r.as_str())) {
-                    let mut f = rules::finding(
-                        rules::RULE_SUBSUMED,
-                        "s2-lint.toml",
-                        rc.path_lines.get(pi).copied().unwrap_or(0),
-                        1,
-                        format!(
-                            "rule {rule}: configured path {path:?} is already covered \
-                             by the call-graph-derived scope — remove it"
-                        ),
-                    );
-                    if !deny_all {
-                        f.suppressed_by = Some("(warn-level rule)".into());
-                    }
-                    findings.push(f);
-                }
-            }
-        }
-    }
-
-    // Pragma hygiene runs on every file any rule touched plus every
-    // indexed workspace file (duplicates fall out in the dedup below).
-    for (file, s) in &cache {
-        rules::check_pragma_hygiene(file, s, &mut findings);
-    }
-    for entry in &ws.files {
-        rules::check_pragma_hygiene(&entry.path, &entry.scanned, &mut findings);
-    }
-
-    let mut seen: BTreeSet<&str> = cache.iter().map(|(p, _)| p.as_str()).collect();
-    seen.extend(ws.files.iter().map(|e| e.path.as_str()));
-    let files_scanned = seen.len();
-
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule.as_str(), a.message.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.col,
-            b.rule.as_str(),
-            b.message.as_str(),
-        ))
-    });
-    // Nested fns re-scan their enclosing fn's body range and a file can
-    // be both configured and scope-derived; identical findings collapse.
-    findings.dedup_by(|a, b| {
-        a.rule == b.rule
-            && a.file == b.file
-            && a.line == b.line
-            && a.col == b.col
-            && a.message == b.message
-    });
-    assign_ids(&mut findings);
-
-    let failed = findings.iter().any(|f| f.is_live());
-    Ok(LintReport {
-        findings,
-        files_scanned,
-        failed,
-    })
-}
-
-/// Marks still-live findings in `slice` as warn-suppressed.
-fn tag_warn(slice: &mut [Finding]) {
-    for f in slice {
-        if f.is_live() {
-            f.suppressed_by = Some("(warn-level rule)".into());
-        }
-    }
-}
-
-fn level_of(cfg: &Config, rule: &str) -> Level {
-    cfg.rules.get(rule).map(|rc| rc.level).unwrap_or(Level::Deny)
-}
-
-/// Token range covering a function's signature and body: from the first
-/// token on its signature line to its closing brace.
-fn fn_tok_range(fi: &index::FnInfo, s: &lexer::Scanned) -> Option<(usize, usize)> {
-    let (_, hi) = fi.body?;
-    let lo = s.toks.partition_point(|t| t.line < fi.sig_line);
-    Some((lo, hi))
-}
-
-/// Stamps stable IDs: FNV-1a over `rule|file|message|occurrence`, so an
-/// ID survives edits that only move the finding to another line.
-fn assign_ids(findings: &mut [Finding]) {
-    use std::collections::BTreeMap;
-    let mut occurrence: BTreeMap<(String, String, String), u32> = BTreeMap::new();
-    for f in findings {
-        let key = (f.rule.clone(), f.file.clone(), f.message.clone());
-        let k = occurrence.entry(key).or_insert(0);
-        let h = fnv1a(&format!("{}|{}|{}|{}", f.rule, f.file, f.message, k));
-        *k += 1;
-        f.id = format!("S2L-{:010x}", h & 0xff_ffff_ffff);
-    }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Expands a configured path: a file maps to itself, a directory to
-/// every `.rs` file under it (recursively), sorted for stable output.
-fn expand(root: &Path, rel: &str) -> Result<Vec<String>, String> {
-    let full = root.join(rel);
-    if full.is_file() {
-        return Ok(vec![rel.to_string()]);
-    }
-    if full.is_dir() {
-        let mut out = Vec::new();
-        walk(&full, &mut out).map_err(|e| format!("{rel}: {e}"))?;
-        let mut rels: Vec<String> = out
-            .into_iter()
-            .filter_map(|p| {
-                p.strip_prefix(root)
-                    .ok()
-                    .map(|r| r.to_string_lossy().into_owned())
-            })
-            .collect();
-        rels.sort();
-        return Ok(rels);
-    }
-    Err(format!("configured path {rel:?} does not exist"))
-}
-
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?.collect::<Result<_, _>>()?;
-    entries.sort_by_key(|e| e.file_name());
-    for e in entries {
-        let p = e.path();
-        if p.is_dir() {
-            walk(&p, out)?;
-        } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
-        }
-    }
-    Ok(())
-}
-
-/// Renders findings for humans.
-pub fn render_human(report: &LintReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let mut live = 0;
-    let mut suppressed = 0;
-    for f in &report.findings {
-        match &f.suppressed_by {
-            None => {
-                live += 1;
-                let _ = writeln!(
-                    s,
-                    "deny[{}]: {}:{}:{}: {} [{}]",
-                    f.rule, f.file, f.line, f.col, f.message, f.id
-                );
-                for step in &f.trace {
-                    let _ = writeln!(s, "    flow: {step}");
-                }
-            }
-            Some(why) => {
-                suppressed += 1;
-                let _ = writeln!(
-                    s,
-                    "allow[{}]: {}:{}:{} — {}",
-                    f.rule, f.file, f.line, f.col, why
-                );
-            }
-        }
-    }
-    let _ = writeln!(
-        s,
-        "s2-lint: {} file(s), {} violation(s), {} suppressed",
-        report.files_scanned, live, suppressed
-    );
-    s
-}
-
-/// Renders findings as a JSON array (machine mode, `--format json`).
-pub fn render_json(report: &LintReport) -> String {
-    let mut s = String::from("[");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let trace = f
-            .trace
-            .iter()
-            .map(|t| json_str(t))
-            .collect::<Vec<_>>()
-            .join(",");
-        s.push_str(&format!(
-            "{{\"id\":{},\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{},\"suppressed\":{},\"justification\":{},\"trace\":[{}]}}",
-            json_str(&f.id),
-            json_str(&f.rule),
-            json_str(&f.file),
-            f.line,
-            f.col,
-            json_str(&f.message),
-            !f.is_live(),
-            f.suppressed_by
-                .as_deref()
-                .map(json_str)
-                .unwrap_or_else(|| "null".into()),
-            trace,
-        ));
-    }
-    s.push(']');
-    s
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}

@@ -2,8 +2,6 @@
 //!
 //! Subcommands:
 //!
-//! * `lint [--format json] [--deny-all] [--config <path>] [--root <dir>]`
-//!   — run the s2-lint static-analysis pass (see `xtask::run`).
 //! * `trace-check <trace.json> [--require <span>]... [--min-lanes <n>]`
 //!   — validate a Chrome trace emitted by `--trace-out` (see
 //!   `xtask::obscheck`). With no `--require`, the S2 controller spans
@@ -21,20 +19,18 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("lint") => lint(args.collect()),
         Some("trace-check") => trace_check(args.collect()),
         Some("obs-symbols") => obs_symbols(args.collect()),
         Some("expo-check") => expo_check(args.collect()),
         Some(other) => {
             eprintln!(
-                "unknown xtask command {other:?}; available: lint, trace-check, obs-symbols, expo-check"
+                "unknown xtask command {other:?}; available: trace-check, obs-symbols, expo-check"
             );
             ExitCode::from(2)
         }
         None => {
             eprintln!(
                 "usage: cargo xtask <command>\n  \
-                 lint [--format json] [--deny-all] [--config <path>] [--root <dir>]\n  \
                  trace-check <trace.json> [--require <span>]... [--min-lanes <n>]\n  \
                  obs-symbols <binary> [--needle <s>]...\n  \
                  expo-check <metrics.txt> [--require <series>]..."
@@ -211,87 +207,5 @@ fn obs_symbols(args: Vec<String>) -> ExitCode {
             hits.join(", ")
         );
         ExitCode::FAILURE
-    }
-}
-
-fn lint(args: Vec<String>) -> ExitCode {
-    let mut format_json = false;
-    let mut deny_all = false;
-    let mut config_path: Option<PathBuf> = None;
-    let mut root: Option<PathBuf> = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--format" => match it.next().as_deref() {
-                Some("json") => format_json = true,
-                Some("human") => format_json = false,
-                other => {
-                    eprintln!("--format takes `json` or `human`, got {other:?}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--deny-all" => deny_all = true,
-            "--config" => match it.next() {
-                Some(p) => config_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--config needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--root needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown lint flag {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // Default root: the workspace (xtask lives at <root>/crates/xtask).
-    let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| PathBuf::from("."))
-    });
-    let config_path = config_path.unwrap_or_else(|| root.join("s2-lint.toml"));
-
-    let text = match std::fs::read_to_string(&config_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("s2-lint: cannot read {}: {e}", config_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = match xtask::config::parse(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("s2-lint: bad config {}: {e}", config_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    match xtask::run(&root, &cfg, deny_all) {
-        Ok(report) => {
-            if format_json {
-                println!("{}", xtask::render_json(&report));
-            } else {
-                print!("{}", xtask::render_human(&report));
-            }
-            if report.failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("s2-lint: {e}");
-            ExitCode::from(2)
-        }
     }
 }

@@ -6,11 +6,11 @@
 //! ```
 
 use s2::{S2Options, S2Verifier, Scheme, VerificationRequest};
+use s2_obs::Stopwatch;
 use s2_partition::estimate::estimate_loads;
 use s2_partition::schemes::compute;
 use s2_routing::NetworkModel;
 use s2_topogen::fattree::{generate, FatTree, FatTreeParams};
-use std::time::Instant;
 
 fn main() {
     let k = 6;
@@ -44,7 +44,7 @@ fn main() {
         let cut = partition.edge_cut(&model.topology);
         let imbalance = partition.load_imbalance(&loads);
 
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         let verifier = S2Verifier::with_partition(
             model.clone(),
             partition,

@@ -14,7 +14,7 @@ use s2_runtime::{Cluster, ClusterOptions, CpRunStats, FaultPlan, RuntimeConfig, 
 use s2_shard::ShardPlan;
 use s2_topogen::fattree::{generate as gen_ft, FatTree, FatTreeParams};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The 4-node eBGP line t0—m1—m2—t3; t0 announces two prefixes.
 fn line_model() -> NetworkModel {
@@ -174,7 +174,7 @@ fn hung_worker_trips_barrier_timeout_and_recovers() {
         faults: FaultPlan::new().hang_worker(1, 6),
         ..RuntimeConfig::default()
     };
-    let started = Instant::now();
+    let started = s2_obs::Stopwatch::start();
     let (rib, stats, cluster) = run_line(&model, config);
     cluster.shutdown();
     let elapsed = started.elapsed();

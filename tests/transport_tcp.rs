@@ -161,7 +161,7 @@ fn partitioned_worker_heals_bit_identical() {
         faults: FaultPlan::new().partition_worker(1, 2, window),
         ..RuntimeConfig::default()
     };
-    let started = std::time::Instant::now();
+    let started = s2_obs::Stopwatch::start();
     let (rib, cluster) = run_line(&model, config);
     let elapsed = started.elapsed();
     cluster.shutdown();

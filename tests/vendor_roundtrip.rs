@@ -21,7 +21,7 @@ fn fattree_configs_roundtrip() {
 #[test]
 fn dcn_configs_roundtrip_both_dialects() {
     let dcn = gen_dcn(DcnParams::small());
-    let mut dialects_seen = std::collections::HashSet::new();
+    let mut dialects_seen = std::collections::BTreeSet::new();
     for cfg in &dcn.configs {
         dialects_seen.insert(cfg.vendor);
         let text = vendor::emit(cfg);
